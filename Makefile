@@ -1,6 +1,9 @@
 # Tier-1 verification: everything CI gates on.
 #   make check         build + unit/property tests + end-to-end smoke runs
 #   make check-tests   every test/test_*.ml must be wired into test/dune
+#   make check-dead-modules  every lib/*/*.ml module must be named in some
+#                      other .ml under lib/, bin/, bench/, perfbench/ or
+#                      examples/ (tests alone do not keep a module alive)
 #   make bench         runtime scaling benchmark (writes BENCH_runtime.json)
 #   make bench-kernel  staged-kernel benchmark (writes BENCH_kernel.json)
 #   make bench-kernel-opt  same bench under the release profile (-O3 -unsafe);
@@ -17,14 +20,14 @@
 #   make smoke-serve-metrics  end-to-end Prometheus scrape of a live daemon
 #   make regen-golden  deliberately rewrite test/golden/* (review the diff!)
 
-.PHONY: all check check-tests test bench bench-kernel bench-kernel-opt \
-        bench-smoke bench-obs bench-explain bench-moo bench-persist \
-        bench-serve smoke-serve-metrics regen-golden clean
+.PHONY: all check check-tests check-dead-modules test bench bench-kernel \
+        bench-kernel-opt bench-smoke bench-obs bench-explain bench-moo \
+        bench-persist bench-serve smoke-serve-metrics regen-golden clean
 
 all:
 	dune build
 
-check: check-tests
+check: check-tests check-dead-modules
 	dune build
 	dune runtest
 	dune exec bench/main.exe -- headline --smoke
@@ -46,6 +49,19 @@ check-tests:
 	    echo "ERROR: $$f is not listed in test/dune"; missing=1; }; \
 	done; \
 	[ $$missing -eq 0 ] && echo "check-tests: all test modules wired" || exit 1
+
+# A library module that only its own tests reach is dead weight: flag
+# any lib/*/*.ml whose capitalized name appears as a word in no other
+# program source.
+check-dead-modules:
+	@dead=0; \
+	for f in lib/*/*.ml; do \
+	  mod=$$(basename $$f .ml | awk '{ print toupper(substr($$0, 1, 1)) substr($$0, 2) }'); \
+	  grep -rlw --include='*.ml' "$$mod" lib bin bench perfbench examples \
+	    | grep -qvx "$$f" || { \
+	    echo "ERROR: $$f: module $$mod is named in no other .ml file"; dead=1; }; \
+	done; \
+	[ $$dead -eq 0 ] && echo "check-dead-modules: every library module has a user" || exit 1
 
 test:
 	dune runtest

@@ -33,7 +33,9 @@ type design = {
 type event = {
   t : float;       (** seconds since {!arm} *)
   kind : kind;
-  source : string; (** ["exhaustive"], ["local_search"], ["anneal"] *)
+  source : string;
+  (** the engine: ["exhaustive"], ["local_search"], ["anneal"],
+      ["nsga2"], ["surrogate"] *)
   score : float;   (** objective value (for [Prune]: the admissible bound) *)
   edp : float;     (** EDP of the design, [nan] when not materialized *)
   design : design option;

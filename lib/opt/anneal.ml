@@ -14,47 +14,25 @@ type state = {
   n_wr_i : int;
 }
 
-let search ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
-    ?(schedule = default_schedule) ?(w = 64) ~seed ~env ~capacity_bits ~method_ () =
-  if not (Array_model.Geometry.is_power_of_two capacity_bits) then
-    invalid_arg "Anneal.search: capacity must be a power of two";
-  let flavor = env.Array_model.Array_eval.cell_flavor in
-  let levels = Yield.solve ~flavor () in
-  let pins = Space.pins_for method_ levels in
-  let vssc_values =
-    if pins.Space.vssc_allowed then space.Space.vssc_values else [| 0.0 |]
+let search ?space ?objective ?levels ?pool ?w ?deadline
+    ?(schedule = default_schedule) ~seed ~env ~capacity_bits ~method_ () =
+  let lc =
+    Line_cache.create ?space ?objective ?levels ?pool ?w ?deadline
+      ~env ~capacity_bits ~method_ ~name:"anneal" ()
   in
-  (* Restrict the row grid to organizations valid for this capacity. *)
-  let nr_values =
-    Array.of_list
-      (List.filter
-         (fun nr ->
-           nr <= capacity_bits
-           && Array_model.Geometry.is_power_of_two (capacity_bits / nr))
-         (Array.to_list space.Space.nr_values))
-  in
-  if Array.length nr_values = 0 then invalid_arg "Anneal.search: empty geometry space";
+  let n_vssc = Line_cache.nv lc and n_nr = Line_cache.n_nr lc in
+  let n_pre = Line_cache.n_pre lc and n_wr = Line_cache.n_wr lc in
   let rng = Numerics.Rng.create ~seed in
-  let evaluated = ref 0 in
-  let eval state =
-    let nr = nr_values.(state.nr_i) in
-    let geometry =
-      Array_model.Geometry.create ~nr ~nc:(capacity_bits / nr) ~w
-        ~n_pre:space.Space.n_pre_values.(state.n_pre_i)
-        ~n_wr:space.Space.n_wr_values.(state.n_wr_i)
-        ()
-    in
-    let assist = Space.assist_of pins ~vssc:vssc_values.(state.vssc_i) in
-    let metrics = Array_model.Array_eval.evaluate env geometry assist in
-    incr evaluated;
-    let score = Objective.eval objective metrics in
-    { Exhaustive.geometry; assist; metrics; score }
+  let score s =
+    Line_cache.score lc
+      { Line_cache.nr_i = s.nr_i; n_pre_i = s.n_pre_i; n_wr_i = s.n_wr_i }
+      s.vssc_i
   in
   let random_state () =
-    { vssc_i = Numerics.Rng.int_below rng (Array.length vssc_values);
-      nr_i = Numerics.Rng.int_below rng (Array.length nr_values);
-      n_pre_i = Numerics.Rng.int_below rng (Array.length space.Space.n_pre_values);
-      n_wr_i = Numerics.Rng.int_below rng (Array.length space.Space.n_wr_values) }
+    { vssc_i = Numerics.Rng.int_below rng n_vssc;
+      nr_i = Numerics.Rng.int_below rng n_nr;
+      n_pre_i = Numerics.Rng.int_below rng n_pre;
+      n_wr_i = Numerics.Rng.int_below rng n_wr }
   in
   let perturb state =
     (* Move one coordinate by +-1 (local move); occasionally jump. *)
@@ -65,54 +43,29 @@ let search ?(space = Space.default) ?(objective = Objective.Energy_delay_product
         max 0 (min (n - 1) (i + d))
       in
       match Numerics.Rng.int_below rng 4 with
-      | 0 -> { state with vssc_i = bump state.vssc_i (Array.length vssc_values) }
-      | 1 -> { state with nr_i = bump state.nr_i (Array.length nr_values) }
-      | 2 ->
-        { state with
-          n_pre_i = bump state.n_pre_i (Array.length space.Space.n_pre_values) }
-      | _ ->
-        { state with
-          n_wr_i = bump state.n_wr_i (Array.length space.Space.n_wr_values) }
+      | 0 -> { state with vssc_i = bump state.vssc_i n_vssc }
+      | 1 -> { state with nr_i = bump state.nr_i n_nr }
+      | 2 -> { state with n_pre_i = bump state.n_pre_i n_pre }
+      | _ -> { state with n_wr_i = bump state.n_wr_i n_wr }
     end
   in
   let current = ref (random_state ()) in
-  let current_cand = ref (eval !current) in
-  let best = ref !current_cand in
+  let current_score = ref (score !current) in
   let temperature = ref schedule.initial_temperature in
   for _ = 1 to schedule.steps do
     let next = perturb !current in
-    let cand = eval next in
-    let relative =
-      (cand.Exhaustive.score -. !current_cand.Exhaustive.score)
-      /. !current_cand.Exhaustive.score
-    in
+    let s = score next in
+    let relative = (s -. !current_score) /. !current_score in
     let accept =
       relative <= 0.0
       || Numerics.Rng.uniform rng < exp (-.relative /. max !temperature 1e-6)
     in
     if accept then begin
       current := next;
-      current_cand := cand
-    end;
-    if cand.Exhaustive.score < !best.Exhaustive.score then begin
-      best := cand;
-      (* Observation only — the annealing trajectory (RNG draws,
-         accepts) is identical with the journal on or off. *)
-      if Obs.Search.enabled () then begin
-        let g = cand.Exhaustive.geometry in
-        Obs.Search.record_incumbent ~source:"anneal"
-          ~score:cand.Exhaustive.score
-          ~edp:cand.Exhaustive.metrics.Array_model.Array_eval.edp
-          ~design:
-            { Obs.Search.nr = g.Array_model.Geometry.nr;
-              nc = g.Array_model.Geometry.nc;
-              n_pre = g.Array_model.Geometry.n_pre;
-              n_wr = g.Array_model.Geometry.n_wr;
-              vssc = cand.Exhaustive.assist.Array_model.Components.vssc }
-      end
+      current_score := s
     end;
     temperature := !temperature *. schedule.cooling
   done;
-  (* A heuristic search decides exactly the points it evaluates. *)
-  { Exhaustive.best = !best; evaluated = !evaluated; pruned = 0; skipped = 0;
-    considered = !evaluated; levels; pins }
+  (* The cache's incumbent: the best point on any line the walk
+     visited, at least as good as the best point it stood on. *)
+  Line_cache.result lc

@@ -727,7 +727,7 @@ let search ?space ?objective ?levels ?pool ?w ?kernel ?stage_ctx ?journal
     (run ?space ?objective ?levels ?pool ?w ?kernel ?stage_ctx ?journal
        ?deadline ~env ~capacity_bits ~method_ ~keep_all:false ())
 
-let search_all ?space ?objective ?levels ?pool ?w ?kernel ~env ~capacity_bits
-    ~method_ () =
-  run ?space ?objective ?levels ?pool ?w ?kernel ~env ~capacity_bits ~method_
-    ~keep_all:true ()
+let search_all ?space ?objective ?levels ?pool ?w ?kernel ?deadline ~env
+    ~capacity_bits ~method_ () =
+  run ?space ?objective ?levels ?pool ?w ?kernel ?deadline ~env ~capacity_bits
+    ~method_ ~keep_all:true ()

@@ -51,10 +51,11 @@ type result = {
 type kernel = [ `Staged | `Reference ]
 
 exception Deadline_exceeded
-(** Raised by {!search} when its [deadline] passes mid-sweep.  The
-    search leaves no partial state behind (nothing is memoized or
-    journaled for the aborted run), so the caller — the serving loop —
-    reports a timeout and stays healthy. *)
+(** Raised by {!search} and {!search_all} (and by every heuristic
+    engine, through {!Line_cache}) when the [deadline] passes
+    mid-search.  The search leaves no partial state behind (nothing is
+    memoized or journaled for the aborted run), so the caller — the
+    serving loop — reports a timeout and stays healthy. *)
 
 val search :
   ?space:Space.t ->
@@ -110,6 +111,7 @@ val search_all :
   ?pool:Runtime.Pool.t ->
   ?w:int ->
   ?kernel:kernel ->
+  ?deadline:float ->
   env:Array_model.Array_eval.env ->
   capacity_bits:int ->
   method_:Space.method_ ->
@@ -119,8 +121,8 @@ val search_all :
     Pareto-front extraction and ablations).  Never prunes — the full
     candidate list is the contract — so [result.pruned] is 0 and
     [result.evaluated] covers the whole space.  Never journals (the
-    full candidate list is too large to checkpoint usefully).  Memory:
-    one record per design point. *)
+    full candidate list is too large to checkpoint usefully).  [deadline]
+    as in {!search}.  Memory: one record per design point. *)
 
 (** {2 Checksums and codecs}
 

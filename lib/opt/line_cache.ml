@@ -1,7 +1,7 @@
-(* Shared evaluation substrate for the heuristic multi-objective
-   searches ({!Nsga2}, {!Surrogate}).
+(* The shared evaluator under every heuristic engine ({!Local_search},
+   {!Anneal}, {!Nsga2}, {!Surrogate}).
 
-   Both algorithms decide *geometries*; pricing one geometry prices its
+   The engines decide *geometries*; pricing one geometry prices its
    whole V_SSC line for free through the batched scan kernel
    ({!Array_model.Array_eval.scan}).  This module caches those lines —
    one scan per distinct (n_r, N_pre, N_wr) ever touched — and accounts
@@ -9,6 +9,12 @@
    which is exactly what the exhaustive oracle's [considered] counts,
    so the bench's "evaluations used vs exhaustive" comparison is
    apples-to-apples.
+
+   The strategy contract lives here rather than in each engine: the
+   levels and pool are applied at [create], the deadline is checked
+   once per [ensure], and the [Obs.Search] incumbent journal is fed on
+   every strict improvement of the global incumbent.  An engine built
+   on this cache honours those knobs by construction.
 
    Determinism: a line's contents depend only on (env, space, pins,
    geometry) — never on job count or arrival order — and the fill path
@@ -44,7 +50,9 @@ type t = {
   assists : Array_model.Components.assist array;
   prepared : Array_model.Array_eval.prepared array;
   nr_values : int array;  (* filtered to the capacity's valid rows *)
-  pool : Runtime.Pool.t option;
+  pool : Runtime.Pool.t;
+  deadline : float option;
+  name : string;  (* journal source; the counter is [name ^ ".search"] *)
   lines : (key, line) Hashtbl.t;
   mutable evaluated : int;
   (* Global incumbent over every scanned line, maintained in request
@@ -58,7 +66,7 @@ let scan_buf = Runtime.Pool.local Array_model.Array_eval.scan_buffer
 
 let create ?(space = Space.default)
     ?(objective = Objective.Energy_delay_product) ?levels ?pool ?(w = 64)
-    ~env ~capacity_bits ~method_ ~counter () =
+    ?deadline ~env ~capacity_bits ~method_ ~name () =
   if not (Array_model.Geometry.is_power_of_two capacity_bits) then
     invalid_arg "Line_cache.create: capacity must be a power of two";
   let flavor = env.Array_model.Array_eval.cell_flavor in
@@ -81,19 +89,17 @@ let create ?(space = Space.default)
     Array.map (fun vssc -> Space.assist_of pins ~vssc) vssc_values
   in
   let prepared = Array.map (Array_model.Array_eval.prepare env) assists in
+  let pool = match pool with Some p -> p | None -> Runtime.Pool.default () in
   { env; objective; w; capacity_bits; levels; pins; space; vssc_values;
-    assists; prepared; nr_values; pool;
+    assists; prepared; nr_values; pool; deadline; name;
     lines = Hashtbl.create 256; evaluated = 0; best = None;
-    counter = Runtime.Telemetry.counter counter }
+    counter = Runtime.Telemetry.counter (name ^ ".search") }
 
 let nv t = Array.length t.vssc_values
 let n_nr t = Array.length t.nr_values
 let n_pre t = Array.length t.space.Space.n_pre_values
 let n_wr t = Array.length t.space.Space.n_wr_values
-let levels t = t.levels
-let pins t = t.pins
 let evaluated t = t.evaluated
-let line_count t = Hashtbl.length t.lines
 
 let geometry_of t k =
   let nr = t.nr_values.(k.nr_i) in
@@ -104,7 +110,7 @@ let geometry_of t k =
 
 (* The scalar objective read off the scan buffers, bit-identical to
    [Objective.eval] of the completed metrics (ED^2 left-associates as
-   edp *. d — the kernel contract the local search also relies on). *)
+   edp *. d — the scan kernel's contract). *)
 let score_of_line l objective i =
   match objective with
   | Objective.Energy_delay_product -> l.l_edp.(i)
@@ -136,9 +142,29 @@ let scan_line t k =
   done;
   { l with l_best_i = !best_i; l_best_score = !best_s }
 
+(* Observation only: the journal never feeds back into the search, so
+   results are identical with it on or off. *)
+let journal_incumbent t k l =
+  let i = l.l_best_i in
+  let nr = t.nr_values.(k.nr_i) in
+  Obs.Search.record_incumbent ~source:t.name ~score:l.l_best_score
+    ~edp:l.l_edp.(i)
+    ~design:
+      { Obs.Search.nr;
+        nc = t.capacity_bits / nr;
+        n_pre = t.space.Space.n_pre_values.(k.n_pre_i);
+        n_wr = t.space.Space.n_wr_values.(k.n_wr_i);
+        vssc = t.assists.(i).Array_model.Components.vssc }
+
 (* Fill every missing key, scanning in parallel but folding incumbents
-   in the (deterministic) request order. *)
+   in the (deterministic) request order.  The deadline is checked once
+   per call, before any scan, so an expired deadline stops every engine
+   within one batch of scans. *)
 let ensure t keys =
+  (match t.deadline with
+  | Some d when Runtime.Telemetry.now () > d ->
+    raise Exhaustive.Deadline_exceeded
+  | _ -> ());
   let missing =
     let seen = Hashtbl.create 16 in
     List.filter
@@ -152,11 +178,7 @@ let ensure t keys =
   in
   if missing <> [] then begin
     let keys = Array.of_list missing in
-    let lines =
-      match t.pool with
-      | Some pool -> Runtime.Pool.parmap ~chunk:1 pool (scan_line t) keys
-      | None -> Array.map (scan_line t) keys
-    in
+    let lines = Runtime.Pool.parmap ~chunk:1 t.pool (scan_line t) keys in
     let dim = nv t in
     Array.iteri
       (fun i k ->
@@ -170,13 +192,19 @@ let ensure t keys =
           | None -> true
           | Some (_, _, s) -> l.l_best_score < s
         in
-        if improved then t.best <- Some (k, l.l_best_i, l.l_best_score))
+        if improved then begin
+          t.best <- Some (k, l.l_best_i, l.l_best_score);
+          if Obs.Search.enabled () then journal_incumbent t k l
+        end)
       keys
   end
 
 let line t k =
-  ensure t [ k ];
-  Hashtbl.find t.lines k
+  match Hashtbl.find_opt t.lines k with
+  | Some l -> l
+  | None ->
+    ensure t [ k ];
+    Hashtbl.find t.lines k
 
 let score t k i = score_of_line (line t k) t.objective i
 let point t k i =
@@ -200,7 +228,8 @@ let candidate t k i =
 (* Coordinate descent on the vssc-minimized landscape g(geometry) =
    min over the line — each coordinate move prices a whole row of
    lines, cycled until a full cycle stops improving.  Deterministic:
-   ties keep the incumbent index.  The polish step both heuristics run
+   ties keep the incumbent index.  This is the whole of {!Local_search}
+   (run from its restart points) and the polish step the samplers run
    after their sampling phase; on this space the basin around the
    near-optimal designs the samplers reach is descent-connected to the
    grid optimum, which is what drives winner-regret to zero. *)

@@ -1,301 +1,29 @@
-type state = {
-  vssc_i : int;
-  nr_i : int;
-  n_pre_i : int;
-  n_wr_i : int;
-}
+(* Local search = deterministic restarts of the shared coordinate
+   descent ({!Line_cache.descend}).  The restarts share one line cache,
+   so later descents reuse every line an earlier one priced, and the
+   result is the cache's global incumbent. *)
 
-(* Per-domain scan buffer for the vssc line scans (one per domain per
-   process; local search itself is sequential but may run on any pool
-   worker). *)
-let scan_buf = Runtime.Pool.local Array_model.Array_eval.scan_buffer
+(* Deterministic low-discrepancy spread of starting geometries: each
+   coordinate walks its own irrational stride so restarts explore
+   genuinely different basins (a single diagonal would revisit the same
+   one). *)
+let start lc k =
+  let pick n stride =
+    let frac = Float.rem ((float_of_int k *. stride) +. (0.5 *. stride)) 1.0 in
+    min (n - 1) (int_of_float (frac *. float_of_int n))
+  in
+  { Line_cache.nr_i = pick (Line_cache.n_nr lc) 0.569840;
+    n_pre_i = pick (Line_cache.n_pre lc) 0.362547;
+    n_wr_i = pick (Line_cache.n_wr lc) 0.914107 }
 
-let search ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
-    ?levels ?(restarts = 4) ?(w = 64) ?journal ~env ~capacity_bits ~method_ ()
-    =
-  if not (Array_model.Geometry.is_power_of_two capacity_bits) then
-    invalid_arg "Local_search.search: capacity must be a power of two";
-  let journal =
-    match journal with Some _ as j -> j | None -> Persist.Checkpoint.default ()
+let search ?space ?objective ?levels ?pool ?w ?deadline
+    ?(restarts = 4) ~env ~capacity_bits ~method_ () =
+  let lc =
+    Line_cache.create ?space ?objective ?levels ?pool ?w ?deadline
+      ~env ~capacity_bits ~method_ ~name:"local_search" ()
   in
-  let flavor = env.Array_model.Array_eval.cell_flavor in
-  let levels = match levels with Some l -> l | None -> Yield.solve ~flavor () in
-  let pins = Space.pins_for method_ levels in
-  let vssc_values =
-    if pins.Space.vssc_allowed then space.Space.vssc_values else [| 0.0 |]
-  in
-  let nr_values =
-    Array.of_list
-      (List.filter
-         (fun nr ->
-           nr <= capacity_bits
-           && Array_model.Geometry.is_power_of_two (capacity_bits / nr))
-         (Array.to_list space.Space.nr_values))
-  in
-  if Array.length nr_values = 0 then
-    invalid_arg "Local_search.search: empty geometry space";
-  let evaluated = ref 0 in
-  let pruned = ref 0 in
-  let evals_counter = Runtime.Telemetry.counter "local_search.search" in
-  (* Assist-side work once per vssc level; geometry-side work memoized per
-     distinct (n_r, N_pre, N_wr) visited — line scans revisit geometries
-     constantly, so the staged records pay for themselves within one
-     descent cycle. *)
-  let assists =
-    Array.map (fun vssc -> Space.assist_of pins ~vssc) vssc_values
-  in
-  let prepared = Array.map (Array_model.Array_eval.prepare env) assists in
-  let envelope = Array_model.Array_eval.envelope prepared in
-  let staged_tbl = Hashtbl.create 64 in
-  (* (staged record, admissible lower bound on the objective over the
-     whole vssc line for that geometry). *)
-  let staged_for s =
-    let key = (s.nr_i, s.n_pre_i, s.n_wr_i) in
-    match Hashtbl.find_opt staged_tbl key with
-    | Some entry -> entry
-    | None ->
-      let nr = nr_values.(s.nr_i) in
-      let geometry =
-        Array_model.Geometry.create ~nr ~nc:(capacity_bits / nr) ~w
-          ~n_pre:space.Space.n_pre_values.(s.n_pre_i)
-          ~n_wr:space.Space.n_wr_values.(s.n_wr_i)
-          ()
-      in
-      let st = Array_model.Array_eval.stage env geometry in
-      let bound =
-        Objective.eval objective
-          (Array_model.Array_eval.bound_metrics st envelope)
-      in
-      let entry = (st, bound) in
-      Hashtbl.add staged_tbl key entry;
-      entry
-  in
-  let eval state =
-    let st, _ = staged_for state in
-    let metrics =
-      Array_model.Array_eval.complete st prepared.(state.vssc_i)
-    in
-    incr evaluated;
-    Runtime.Telemetry.incr evals_counter;
-    Obs.Progress.add_evals 1;
-    { Exhaustive.geometry = Array_model.Array_eval.staged_geometry st;
-      assist = assists.(state.vssc_i);
-      metrics;
-      score = Objective.eval objective metrics }
-  in
-  (* A vssc line keeps the geometry fixed, so the whole line runs
-     through the batched scan kernel: one [Array_eval.scan] into the
-     per-domain buffer, a flat winner fold, and a single [complete] for
-     the winner — no metrics record per point.  Scores read from the
-     buffer are bit-identical to [Objective.eval] of the corresponding
-     completed metrics (ED^2 left-associates as edp *. d), so every
-     accept/reject decision matches the record-per-point scan's. *)
-  let scan_vssc state =
-    let st, _ = staged_for state in
-    let buf = Runtime.Pool.get_local scan_buf in
-    Array_model.Array_eval.scan st prepared buf;
-    let dim = Array.length vssc_values in
-    let score_at i =
-      let open Array_model.Array_eval in
-      match objective with
-      | Objective.Energy_delay_product -> (scan_edp buf).(i)
-      | Objective.Energy_delay_squared ->
-        (scan_edp buf).(i) *. (scan_d_array buf).(i)
-      | Objective.Energy_only -> (scan_e_total buf).(i)
-      | Objective.Delay_only -> (scan_d_array buf).(i)
-    in
-    let best_i = ref 0 in
-    let best_s = ref (score_at 0) in
-    for i = 1 to dim - 1 do
-      let s = score_at i in
-      if s < !best_s then begin
-        best_i := i;
-        best_s := s
-      end
-    done;
-    evaluated := !evaluated + dim;
-    Runtime.Telemetry.add evals_counter dim;
-    Obs.Progress.add_evals dim;
-    let metrics = Array_model.Array_eval.complete st prepared.(!best_i) in
-    ( { state with vssc_i = !best_i },
-      { Exhaustive.geometry = Array_model.Array_eval.staged_geometry st;
-        assist = assists.(!best_i);
-        metrics;
-        score = !best_s } )
-  in
-  (* Line scan of one coordinate with the rest pinned. *)
-  let scan state coordinate =
-    match coordinate with
-    | `Vssc -> scan_vssc state
-    | (`Nr | `Npre | `Nwr) as coordinate ->
-      let dim =
-        match coordinate with
-        | `Nr -> Array.length nr_values
-        | `Npre -> Array.length space.Space.n_pre_values
-        | `Nwr -> Array.length space.Space.n_wr_values
-      in
-      let with_index i =
-        match coordinate with
-        | `Nr -> { state with nr_i = i }
-        | `Npre -> { state with n_pre_i = i }
-        | `Nwr -> { state with n_wr_i = i }
-      in
-      let best = ref (with_index 0) in
-      let best_cand = ref (eval !best) in
-      for i = 1 to dim - 1 do
-        let s = with_index i in
-        let c = eval s in
-        if c.Exhaustive.score < !best_cand.Exhaustive.score then begin
-          best := s;
-          best_cand := c
-        end
-      done;
-      (!best, !best_cand)
-  in
-  let descend start =
-    let rec cycle state candidate =
-      let state', candidate' =
-        List.fold_left
-          (fun (s, c) coordinate ->
-            (* A vssc line keeps the geometry fixed, so the staged bound
-               covers every point on it: when the bound already matches or
-               exceeds the incumbent, no point can *strictly* improve and
-               the whole scan is skipped — same accept/reject decisions as
-               the unpruned descent, fewer evaluations. *)
-            let prune =
-              match coordinate with
-              | `Vssc ->
-                let _, bound = staged_for s in
-                bound >= c.Exhaustive.score
-              | `Nr | `Npre | `Nwr -> false
-            in
-            if prune then begin
-              incr pruned;
-              (s, c)
-            end
-            else
-              let s', c' = scan s coordinate in
-              if c'.Exhaustive.score < c.Exhaustive.score then (s', c')
-              else (s, c))
-          (state, candidate)
-          [ `Vssc; `Nr; `Npre; `Nwr ]
-      in
-      if candidate'.Exhaustive.score < candidate.Exhaustive.score -. 1e-40 then
-        cycle state' candidate'
-      else candidate'
-    in
-    cycle start (eval start)
-  in
-  (* Deterministic low-discrepancy spread of starting points: each
-     coordinate walks its own irrational stride so restarts explore
-     genuinely different basins (a single diagonal would revisit the same
-     one). *)
-  let start k =
-    let pick n stride =
-      let frac = Float.rem ((float_of_int k *. stride) +. (0.5 *. stride)) 1.0 in
-      min (n - 1) (int_of_float (frac *. float_of_int n))
-    in
-    { vssc_i = pick (Array.length vssc_values) 0.754877;
-      nr_i = pick (Array.length nr_values) 0.569840;
-      n_pre_i = pick (Array.length space.Space.n_pre_values) 0.362547;
-      n_wr_i = pick (Array.length space.Space.n_wr_values) 0.914107 }
-  in
-  (* Each restart is one checkpoint chunk: the descent from a fixed
-     start is fully deterministic and sequential, so its winning
-     candidate and its evaluated/pruned deltas replay exactly.  The
-     task signature folds in everything the descent depends on, so a
-     stale journal matches nothing and the restart recomputes. *)
-  let task =
-    let h = ref 0xcbf29ce484222325L in
-    let mix i64 = h := Int64.mul (Int64.logxor !h i64) 0x100000001b3L in
-    let mixi i = mix (Int64.of_int i) in
-    let mixf x = mix (Int64.bits_of_float x) in
-    mixi capacity_bits;
-    mixi w;
-    Array.iter mixf vssc_values;
-    Array.iter mixi nr_values;
-    Array.iter mixi space.Space.n_pre_values;
-    Array.iter mixi space.Space.n_wr_values;
-    mixf pins.Space.vddc;
-    mixf pins.Space.vwl;
-    mixi (if pins.Space.vssc_allowed then 1 else 0);
-    mixf env.Array_model.Array_eval.alpha;
-    mixf env.Array_model.Array_eval.beta;
-    mixf env.Array_model.Array_eval.dcdc_overhead;
-    let accounting =
-      match env.Array_model.Array_eval.accounting with
-      | Array_model.Array_eval.Paper_strict -> "paper"
-      | Array_model.Array_eval.Physical -> "physical"
-    in
-    Printf.sprintf "local|%s|%s|%s|%s|cap=%d|%016Lx"
-      (Objective.name objective)
-      (Finfet.Library.flavor_to_string flavor)
-      (Space.method_name method_) accounting capacity_bits !h
-  in
-  let module J = Persist.Json in
-  let restart k =
-    let replayed =
-      match journal with
-      | None -> None
-      | Some jr -> (
-        match Persist.Checkpoint.completed jr ~task ~chunk:k with
-        | None -> None
-        | Some data -> (
-          match
-            ( Option.bind (J.member "best" data) Exhaustive.candidate_of_json,
-              J.int_field data "evaluated",
-              J.int_field data "pruned" )
-          with
-          | Some c, Some ev, Some pr ->
-            evaluated := !evaluated + ev;
-            pruned := !pruned + pr;
-            Some c
-          | _ -> None))
-    in
-    match replayed with
-    | Some c -> c
-    | None ->
-      let ev0 = !evaluated and pr0 = !pruned in
-      let candidate = descend (start k) in
-      (match journal with
-      | Some jr ->
-        Persist.Checkpoint.record jr ~task ~chunk:k
-          (J.Obj
-             [
-               ("best", Exhaustive.candidate_to_json candidate);
-               ("evaluated", J.Int (!evaluated - ev0));
-               ("pruned", J.Int (!pruned - pr0));
-             ])
-      | None -> ());
-      candidate
-  in
-  let best = ref None in
   Runtime.Telemetry.time "local_search.search" (fun () ->
       for k = 0 to restarts - 1 do
-        let candidate = restart k in
-        match !best with
-        | Some b when b.Exhaustive.score <= candidate.Exhaustive.score -> ()
-        | Some _ | None ->
-          best := Some candidate;
-          (* Observation only: the journal never feeds back into the
-             descent, so results are identical with it on or off. *)
-          if Obs.Search.enabled () then begin
-            let g = candidate.Exhaustive.geometry in
-            Obs.Search.record_incumbent ~source:"local_search"
-              ~score:candidate.Exhaustive.score
-              ~edp:candidate.Exhaustive.metrics.Array_model.Array_eval.edp
-              ~design:
-                { Obs.Search.nr = g.Array_model.Geometry.nr;
-                  nc = g.Array_model.Geometry.nc;
-                  n_pre = g.Array_model.Geometry.n_pre;
-                  n_wr = g.Array_model.Geometry.n_wr;
-                  vssc =
-                    candidate.Exhaustive.assist.Array_model.Components.vssc }
-          end
+        ignore (Line_cache.descend lc (start lc k))
       done);
-  match !best with
-  | None -> invalid_arg "Local_search.search: no candidates"
-  | Some best ->
-    (* A heuristic search decides exactly the points it evaluates. *)
-    { Exhaustive.best; evaluated = !evaluated; pruned = !pruned; skipped = 0;
-      considered = !evaluated; levels; pins }
+  Line_cache.result lc

@@ -1,36 +1,30 @@
 (** Coordinate-descent local search over the co-optimization space.
 
-    The third search strategy (after exhaustive and annealing): cycle the
-    four coordinates (V_SSC, n_r, N_pre, N_wr), line-scanning each against
-    the others until a full cycle makes no improvement; optionally restart
-    from several deterministic seeds.  On this space the objective is
-    well-behaved enough that a handful of restarts reaches the exhaustive
-    optimum with ~100x fewer evaluations — and unlike annealing the run is
-    a fixed, explainable procedure. *)
+    Deterministic restarts of {!Line_cache.descend} from a fixed
+    low-discrepancy spread of starting geometries.  Each descent move
+    prices whole rows of V_SSC lines through the batched scan kernel,
+    so the V_SSC axis is minimized exactly and a handful of restarts
+    reaches the exhaustive optimum from a few percent of its scan
+    points — and unlike annealing the run is a fixed, explainable
+    procedure. *)
 
 val search :
   ?space:Space.t ->
   ?objective:Objective.t ->
   ?levels:Yield.levels ->
-  ?restarts:int ->
+  ?pool:Runtime.Pool.t ->
   ?w:int ->
-  ?journal:Persist.Checkpoint.t ->
+  ?deadline:float ->
+  ?restarts:int ->
   env:Array_model.Array_eval.env ->
   capacity_bits:int ->
   method_:Space.method_ ->
   unit ->
   Exhaustive.result
-(** Same result shape as {!Exhaustive.search}; [restarts] deterministic
-    starting points (default 4).  Evaluations run through the staged
-    kernel with per-geometry staging memoized across line scans, and a
-    V_SSC line whose admissible bound cannot strictly beat the incumbent
-    is skipped whole ([result.pruned] counts skipped lines); the descent
-    visits and accepts exactly the same states as the unpruned
-    procedure.
-
-    [journal] (default {!Persist.Checkpoint.default}) checkpoints each
-    completed restart — the descent from a fixed start is deterministic
-    and sequential, so a resumed run replays the journaled restarts
-    (candidate and evaluated/pruned deltas included) and recomputes
-    only the missing ones, reproducing the uninterrupted result
-    exactly. *)
+(** Same result shape as {!Exhaustive.search}; [restarts] (default 4)
+    descents from deterministic starting points, sharing one
+    {!Line_cache} (which applies [levels], [pool] and [deadline], and
+    journals incumbents as ["local_search"]).
+    [result.evaluated = result.considered] counts every scan point
+    produced.  Bit-identical at any [--jobs].
+    @raise Exhaustive.Deadline_exceeded once [deadline] has passed. *)

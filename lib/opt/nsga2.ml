@@ -28,35 +28,13 @@ type individual = {
   v : int;  (* V_SSC index *)
 }
 
-let check_deadline deadline =
-  match deadline with
-  | Some d when Runtime.Telemetry.now () > d -> raise Exhaustive.Deadline_exceeded
-  | _ -> ()
-
-let record_incumbent lc =
-  if Obs.Search.enabled () then
-    match Line_cache.best lc with
-    | None -> ()
-    | Some (k, i, score) ->
-      let c = Line_cache.candidate lc k i in
-      let g = c.Exhaustive.geometry in
-      Obs.Search.record_incumbent ~source:"nsga2" ~score
-        ~edp:c.Exhaustive.metrics.Array_model.Array_eval.edp
-        ~design:
-          { Obs.Search.nr = g.Array_model.Geometry.nr;
-            nc = g.Array_model.Geometry.nc;
-            n_pre = g.Array_model.Geometry.n_pre;
-            n_wr = g.Array_model.Geometry.n_wr;
-            vssc = c.Exhaustive.assist.Array_model.Components.vssc }
-
 let search_front ?space ?objective ?levels ?pool ?w ?(pop = 24)
     ?(generations = 40) ?budget ?(seed = 42) ?deadline ~env ~capacity_bits
     ~method_ () =
   if pop < 4 then invalid_arg "Nsga2.search_front: pop must be >= 4";
-  let pool = match pool with Some p -> p | None -> Runtime.Pool.default () in
   let lc =
-    Line_cache.create ?space ?objective ?levels ~pool ?w ~env ~capacity_bits
-      ~method_ ~counter:"nsga2.search" ()
+    Line_cache.create ?space ?objective ?levels ?pool ?w ?deadline
+      ~env ~capacity_bits ~method_ ~name:"nsga2" ()
   in
   let nv = Line_cache.nv lc in
   let n_nr = Line_cache.n_nr lc in
@@ -137,11 +115,9 @@ let search_front ?space ?objective ?levels ?pool ?w ?(pop = 24)
   in
   let population = ref (Array.init pop (fun i -> random_individual (stream 0 i))) in
   evaluate !population;
-  record_incumbent lc;
   let gen = ref 1 in
   let continue_ = ref (generations > 0) in
   while !continue_ do
-    check_deadline deadline;
     let parents = !population in
     let pts = objectives parents in
     let rank, crowd = rank_and_crowd pts in
@@ -177,7 +153,6 @@ let search_front ?space ?objective ?levels ?pool ?w ?(pop = 24)
             v = maybe nv child.v })
     in
     evaluate offspring;
-    record_incumbent lc;
     let combined = Array.append parents offspring in
     let pts = objectives combined in
     let rank, crowd = rank_and_crowd pts in
@@ -195,17 +170,15 @@ let search_front ?space ?objective ?levels ?pool ?w ?(pop = 24)
   done;
   (* Memetic polish: coordinate descent from the incumbent's geometry
      on the vssc-minimized landscape. *)
-  check_deadline deadline;
   (match Line_cache.best lc with
   | Some (k, _, _) ->
     let k' = Line_cache.descend lc k in
     ignore (Line_cache.descend_edges lc k')
   | None -> ());
-  record_incumbent lc;
   (Line_cache.result lc, Line_cache.front lc)
 
-let search ?space ?objective ?levels ?pool ?w ?pop ?generations ?budget ?seed
-    ?deadline ~env ~capacity_bits ~method_ () =
+let search ?space ?objective ?levels ?pool ?w ?pop ?generations
+    ?budget ?seed ?deadline ~env ~capacity_bits ~method_ () =
   fst
-    (search_front ?space ?objective ?levels ?pool ?w ?pop ?generations ?budget
-       ?seed ?deadline ~env ~capacity_bits ~method_ ())
+    (search_front ?space ?objective ?levels ?pool ?w ?pop
+       ?generations ?budget ?seed ?deadline ~env ~capacity_bits ~method_ ())

@@ -2,13 +2,15 @@
 
    Everything above lib/opt — {!Framework.optimize}, the CLI's
    [optimize --method], the serve [optimize] endpoint — dispatches on
-   this module instead of hard-coding the exhaustive engine.  Each
-   engine keeps its own richer entry point (schedules, populations,
-   kernels); [run] forwards the common knobs and leaves the rest at
-   the engine defaults, so driving an engine through the dispatch is
-   observationally identical to calling it directly (the backfill
-   tests pin this: the full-sweep checksum 67fd83cd67998ac0 must
-   reproduce through [run Exhaustive]). *)
+   this module instead of hard-coding the exhaustive engine.  [run]
+   forwards the same common knobs to every engine; the four heuristics
+   hand them to {!Line_cache}, which enforces them, so there is no
+   per-engine table of ignored knobs to keep in sync.  Engine-specific
+   knobs (schedules, populations, kernels, checkpoint journals) stay on
+   the engines' own entry points at their defaults, so driving an
+   engine through the dispatch is observationally identical to calling
+   it directly (the backfill tests pin this: the full-sweep checksum
+   67fd83cd67998ac0 must reproduce through [run Exhaustive]). *)
 
 type t =
   | Exhaustive
@@ -66,22 +68,18 @@ let parse_method s =
 
 let default_seed = 42
 
-let run strategy ?space ?objective ?levels ?pool ?w ?kernel ?stage_ctx
-    ?journal ?deadline ?budget ?(rng_seed = default_seed) ~env ~capacity_bits
-    ~method_ () =
+let run strategy ?space ?objective ?levels ?pool ?w ?stage_ctx ?deadline
+    ?budget ?(rng_seed = default_seed) ~env ~capacity_bits ~method_ () =
   match strategy with
   | Exhaustive ->
-    Exhaustive.search ?space ?objective ?levels ?pool ?w ?kernel ?stage_ctx
-      ?journal ?deadline ~env ~capacity_bits ~method_ ()
+    Exhaustive.search ?space ?objective ?levels ?pool ?w ?stage_ctx ?deadline
+      ~env ~capacity_bits ~method_ ()
   | Local_search ->
-    (* The descent is sequential and deterministic; [budget] maps to
-       nothing it honors (restarts stay at the engine default) and
-       [deadline] is not supported — both documented in the mli. *)
-    Local_search.search ?space ?objective ?levels ?w ?journal ~env
+    Local_search.search ?space ?objective ?levels ?pool ?w ?deadline ~env
       ~capacity_bits ~method_ ()
   | Anneal ->
-    Anneal.search ?space ?objective ?w ~seed:rng_seed ~env ~capacity_bits
-      ~method_ ()
+    Anneal.search ?space ?objective ?levels ?pool ?w ?deadline ~seed:rng_seed
+      ~env ~capacity_bits ~method_ ()
   | Nsga2 ->
     Nsga2.search ?space ?objective ?levels ?pool ?w ?budget ~seed:rng_seed
       ?deadline ~env ~capacity_bits ~method_ ()
@@ -94,7 +92,7 @@ let run_front strategy ?space ?objective ?levels ?pool ?w ?budget
   match strategy with
   | Exhaustive ->
     let result, all =
-      Exhaustive.search_all ?space ?objective ?levels ?pool ?w ~env
+      Exhaustive.search_all ?space ?objective ?levels ?pool ?w ?deadline ~env
         ~capacity_bits ~method_ ()
     in
     (result, Pareto.front all)

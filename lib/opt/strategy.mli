@@ -1,7 +1,7 @@
 (** The common search-strategy interface.
 
     One dispatch point over the five engines, with the common knobs
-    (space, objective, budget, deadline, [?rng_seed], [?journal]) in
+    (space, objective, levels, pool, deadline, budget, [rng_seed]) in
     one signature.  {!Framework.optimize}, the CLI's
     [optimize --method] and the serve [optimize] endpoint all route
     through {!run}; driving an engine through it is observationally
@@ -9,9 +9,14 @@
     the full-sweep checksum [67fd83cd67998ac0] through
     [run Exhaustive]).
 
+    The contract is enforced centrally rather than engine by engine:
+    the exhaustive engine applies the knobs itself, and the four
+    heuristics run on {!Line_cache}, which applies [levels] and [pool]
+    to every scan, checks [deadline] once per batch of scans and
+    journals incumbents under the engine's name.
     Engine-specific knobs (annealing schedules, population sizes,
-    kernels) stay on the engines' own entry points; [run] leaves them
-    at their defaults. *)
+    kernels, checkpoint journals) stay on the engines' own entry
+    points; [run] leaves them at their defaults. *)
 
 type t =
   | Exhaustive    (** the bit-deterministic oracle (staged kernel) *)
@@ -49,9 +54,7 @@ val run :
   ?levels:Yield.levels ->
   ?pool:Runtime.Pool.t ->
   ?w:int ->
-  ?kernel:Exhaustive.kernel ->
   ?stage_ctx:Array_model.Array_eval.ctx ->
-  ?journal:Persist.Checkpoint.t ->
   ?deadline:float ->
   ?budget:int ->
   ?rng_seed:int ->
@@ -60,17 +63,16 @@ val run :
   method_:Space.method_ ->
   unit ->
   Exhaustive.result
-(** Run one engine with the common knobs.  Per-engine mapping:
-    - [Exhaustive] honors everything except [budget]/[rng_seed]
-      (it visits the whole space; there is nothing to randomize);
-    - [Local_search] honors [journal]; [pool]/[deadline]/[budget]/
-      [rng_seed]/[kernel] are not supported by the engine and are
-      ignored;
-    - [Anneal] honors [rng_seed]; [levels]/[pool]/[journal]/[deadline]/
-      [budget]/[kernel] are ignored;
-    - [Nsga2]/[Surrogate] honor everything except [kernel]/[journal]
-      (they evaluate through the batched scan kernel; their runs are
-      cheap to recompute, so nothing is checkpointed).
+(** Run one engine with the common knobs.  Every engine honours
+    [space], [objective], [levels], [pool], [w] and [deadline]
+    (absolute {!Runtime.Telemetry.now} seconds; once passed the run
+    raises {!Exhaustive.Deadline_exceeded}).  [stage_ctx] is the
+    exhaustive kernel's staging cache (see {!Exhaustive.search}); it
+    never changes an answer.  The only per-engine exceptions:
+    - [budget] caps the scan points of [Nsga2] and [Surrogate]; the
+      other engines stop on their own criteria and ignore it;
+    - [rng_seed] seeds [Anneal], [Nsga2] and [Surrogate]; [Exhaustive]
+      and [Local_search] are deterministic and ignore it.
     All engines return the same {!Exhaustive.result} shape (golden-
     diffed by the backfill tests). *)
 
@@ -90,6 +92,7 @@ val run_front :
   unit ->
   Exhaustive.result * Exhaustive.candidate list
 (** As {!run} but also the energy-delay Pareto front: exhaustive runs
-    unpruned ({!Exhaustive.search_all}) and returns the true front;
-    NSGA-II / surrogate return the front over every point they
-    scanned; the scalar engines return their single winner. *)
+    unpruned ({!Exhaustive.search_all}, deadline included) and returns
+    the true front; NSGA-II / surrogate return the front over every
+    point they scanned; the scalar engines return their single
+    winner. *)

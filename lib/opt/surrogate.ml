@@ -20,11 +20,6 @@
    polish from the incumbent ({!Line_cache.descend}), which drives
    winner-regret against the exhaustive oracle to zero. *)
 
-let check_deadline deadline =
-  match deadline with
-  | Some d when Runtime.Telemetry.now () > d -> raise Exhaustive.Deadline_exceeded
-  | _ -> ()
-
 let default_fallback_threshold = 2048
 
 (* phi(x): quadratic feature vector of the 3 normalized coordinates. *)
@@ -52,16 +47,15 @@ let search_front ?space ?objective ?levels ?pool ?w ?(init = 16)
        model: run it outright (unpruned, so the full candidate list
        feeds the front). *)
     let result, all =
-      Exhaustive.search_all ?space ?objective ?levels ?pool ?w ~env
+      Exhaustive.search_all ?space ?objective ?levels ?pool ?w ?deadline ~env
         ~capacity_bits ~method_ ()
     in
     (result, Pareto.front all)
   end
   else begin
-    let pool = match pool with Some p -> p | None -> Runtime.Pool.default () in
     let lc =
-      Line_cache.create ?space ?objective ?levels ~pool ?w ~env ~capacity_bits
-        ~method_ ~counter:"surrogate.search" ()
+      Line_cache.create ?space ?objective ?levels ?pool ?w ?deadline
+        ~env ~capacity_bits ~method_ ~name:"surrogate" ()
     in
     let nv = Line_cache.nv lc in
     let n_nr = Line_cache.n_nr lc in
@@ -133,7 +127,6 @@ let search_front ?space ?objective ?levels ?pool ?w ?(init = 16)
     let it = ref 0 in
     let stop = ref false in
     while (not !stop) && !it < iterations do
-      check_deadline deadline;
       if Line_cache.evaluated lc + nv > sample_budget then stop := true
       else begin
         let samples = sampled_list () in
@@ -223,7 +216,6 @@ let search_front ?space ?objective ?levels ?pool ?w ?(init = 16)
       end
     done;
     (* Polish: coordinate descent from the incumbent. *)
-    check_deadline deadline;
     (match Line_cache.best lc with
     | Some (k, _, _) ->
       let k' = Line_cache.descend lc k in
@@ -232,8 +224,10 @@ let search_front ?space ?objective ?levels ?pool ?w ?(init = 16)
     (Line_cache.result lc, Line_cache.front lc)
   end
 
-let search ?space ?objective ?levels ?pool ?w ?init ?iterations ?budget ?seed
-    ?fallback_threshold ?deadline ~env ~capacity_bits ~method_ () =
+let search ?space ?objective ?levels ?pool ?w ?init ?iterations
+    ?budget ?seed ?fallback_threshold ?deadline ~env ~capacity_bits ~method_ ()
+    =
   fst
-    (search_front ?space ?objective ?levels ?pool ?w ?init ?iterations ?budget
-       ?seed ?fallback_threshold ?deadline ~env ~capacity_bits ~method_ ())
+    (search_front ?space ?objective ?levels ?pool ?w ?init
+       ?iterations ?budget ?seed ?fallback_threshold ?deadline ~env
+       ~capacity_bits ~method_ ())

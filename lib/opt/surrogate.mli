@@ -40,8 +40,10 @@ val search_front :
     [iterations] (default 48) acquisition steps at most; [budget] caps
     scan points (default [max ((init + iterations + 8) * nv) (2% of
     the space)]), sampling stops at 60% of it and the rest feeds the
-    polish.  [deadline] raises {!Exhaustive.Deadline_exceeded} between
-    acquisitions. *)
+    polish.  [levels], [pool] and [deadline] (raising
+    {!Exhaustive.Deadline_exceeded}) are applied by the shared
+    {!Line_cache}, which also journals incumbents as ["surrogate"]; the
+    fallback passes [deadline] to the exhaustive engine. *)
 
 val search :
   ?space:Space.t ->

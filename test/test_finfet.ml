@@ -184,30 +184,9 @@ let variation_tests =
         check_close "pu vt" pfet_hvt.Finfet.Device.vt
           c.Finfet.Variation.pull_up_r.Finfet.Device.vt) ]
 
-let iv_table_tests =
-  let table = Finfet.Iv_table.build nfet_hvt in
-  [ case "tabulated model matches the compact model within 3%" (fun () ->
-        check_within "max err" ~lo:0.0 ~hi:0.03
-          (Finfet.Iv_table.max_relative_error table nfet_hvt));
-    case "zero at non-positive vds like the compact model" (fun () ->
-        check_close_abs "zero" 0.0 (Finfet.Iv_table.ids table ~vgs:0.45 ~vds:0.0);
-        check_close_abs "negative" 0.0 (Finfet.Iv_table.ids table ~vgs:0.45 ~vds:(-0.1)));
-    case "ON current interpolates accurately" (fun () ->
-        check_close ~tol:0.02 "ion" (Finfet.Device.i_on nfet_hvt ())
-          (Finfet.Iv_table.ids table ~vgs:0.45 ~vds:0.45));
-    case "subthreshold decades interpolate accurately" (fun () ->
-        let exact = Finfet.Device.ids nfet_hvt ~vgs:0.1 ~vds:0.3 in
-        check_close ~tol:0.05 "sub" exact
-          (Finfet.Iv_table.ids table ~vgs:0.1 ~vds:0.3));
-    case "clamping beyond the grid" (fun () ->
-        let edge = Finfet.Iv_table.ids table ~vgs:0.85 ~vds:0.85 in
-        check_close ~tol:1e-6 "clamped" edge
-          (Finfet.Iv_table.ids table ~vgs:1.2 ~vds:1.2)) ]
-
 let () =
   Alcotest.run "finfet"
     [ ("tech", tech_tests);
       ("device", device_tests @ [ QCheck_alcotest.to_alcotest ids_nonneg_prop ]);
       ("calibration", calibration_tests);
-      ("variation", variation_tests);
-      ("iv_table", iv_table_tests) ]
+      ("variation", variation_tests) ]

@@ -288,7 +288,7 @@ let test_strategy_exhaustive_full_sweep () =
         (fun capacity_bits ->
           List.map
             (fun (c : Sram_edp.Framework.config) ->
-              Opt.Strategy.run Opt.Strategy.Exhaustive ~kernel:`Staged ~pool
+              Opt.Strategy.run Opt.Strategy.Exhaustive ~pool
                 ~levels:(levels_of c.Sram_edp.Framework.flavor)
                 ~env:(env_of c.Sram_edp.Framework.flavor) ~capacity_bits
                 ~method_:c.Sram_edp.Framework.method_ ())
@@ -359,6 +359,145 @@ let test_surrogate_fallback_is_exhaustive () =
     (List.length (Opt.Pareto.front all))
     (List.length sfront)
 
+(* ----- the strategy contract: one set of knobs, every engine ----- *)
+
+(* 4 x 6 x 3 geometries x 9 V_SSC = 648 points: below the surrogate's
+   exhaustive fallback, so its deadline goes through [search_all]. *)
+let small_space =
+  { Opt.Space.reduced with
+    Opt.Space.nr_values = [| 32; 64; 128; 256 |];
+    n_pre_values = [| 2; 4; 6; 8; 12; 16 |];
+    n_wr_values = [| 2; 4; 6 |] }
+
+let test_expired_deadline space () =
+  let capacity_bits = 1024 * 8 and method_ = Opt.Space.M2 in
+  let deadline = Runtime.Telemetry.now () -. 1.0 in
+  let ran_past what f =
+    match f () with
+    | exception Opt.Exhaustive.Deadline_exceeded -> []
+    | _ -> [ what ]
+  in
+  let offenders =
+    List.concat_map
+      (fun st ->
+        let name = Opt.Strategy.name st in
+        ran_past ("run " ^ name) (fun () ->
+            Opt.Strategy.run st ~space ~levels:levels_hvt ~deadline
+              ~env:env_hvt ~capacity_bits ~method_ ())
+        @ ran_past ("run_front " ^ name) (fun () ->
+              fst
+                (Opt.Strategy.run_front st ~space ~levels:levels_hvt ~deadline
+                   ~env:env_hvt ~capacity_bits ~method_ ())))
+      Opt.Strategy.all
+  in
+  Alcotest.(check (list string)) "ran past an expired deadline" [] offenders
+
+(* The name each Line_cache engine journals incumbents under. *)
+let journal_source = function
+  | Opt.Strategy.Exhaustive -> None
+  | Opt.Strategy.Local_search -> Some "local_search"
+  | Opt.Strategy.Anneal -> Some "anneal"
+  | Opt.Strategy.Nsga2 -> Some "nsga2"
+  | Opt.Strategy.Surrogate -> Some "surrogate"
+
+(* A random sub-grid of the reduced space: every axis keeps a non-empty
+   ordered subset of its values. *)
+let contract_case_arb =
+  let open QCheck.Gen in
+  let subset values =
+    let n = Array.length values in
+    let* keep = array_repeat n bool in
+    let* fallback = int_bound (n - 1) in
+    let kept = List.filteri (fun i _ -> keep.(i)) (Array.to_list values) in
+    return (if kept = [] then [| values.(fallback) |] else Array.of_list kept)
+  in
+  let r = Opt.Space.reduced in
+  let gen =
+    let* vssc_values = subset r.Opt.Space.vssc_values in
+    let* nr_values = subset r.Opt.Space.nr_values in
+    let* n_pre_values = subset r.Opt.Space.n_pre_values in
+    let* n_wr_values = subset r.Opt.Space.n_wr_values in
+    let* objective =
+      oneofl
+        [ Opt.Objective.Energy_delay_product;
+          Opt.Objective.Energy_delay_squared; Opt.Objective.Energy_only;
+          Opt.Objective.Delay_only ]
+    in
+    let* method_ = oneofl [ Opt.Space.M1; Opt.Space.M2 ] in
+    return
+      ( { Opt.Space.vssc_values; nr_values; n_pre_values; n_wr_values },
+        objective,
+        method_ )
+  in
+  let print (sp, objective, method_) =
+    let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
+    Printf.sprintf "%s %s vssc=%d nr=[%s] n_pre=[%s] n_wr=[%s]"
+      (Opt.Objective.name objective)
+      (Opt.Space.method_name method_)
+      (Array.length sp.Opt.Space.vssc_values)
+      (ints sp.Opt.Space.nr_values)
+      (ints sp.Opt.Space.n_pre_values)
+      (ints sp.Opt.Space.n_wr_values)
+  in
+  QCheck.make ~print gen
+
+let prop_strategy_contract =
+  QCheck.Test.make
+    ~name:"engines never beat the oracle, are jobs-invariant and journal"
+    ~count:20 contract_case_arb (fun (space, objective, method_) ->
+      let capacity_bits = 1024 * 8 in
+      let pool1 = Runtime.Pool.create ~jobs:1 () in
+      let pool2 = Runtime.Pool.create ~jobs:2 () in
+      let run pool st =
+        match st with
+        | Opt.Strategy.Surrogate ->
+          (* The model path, even on sub-grids below the fallback. *)
+          Opt.Surrogate.search ~space ~objective ~levels:levels_hvt ~pool
+            ~fallback_threshold:0 ~env:env_hvt ~capacity_bits ~method_ ()
+        | st ->
+          Opt.Strategy.run st ~space ~objective ~levels:levels_hvt ~pool
+            ~env:env_hvt ~capacity_bits ~method_ ()
+      in
+      let fingerprint (r : Opt.Exhaustive.result) =
+        (Opt.Exhaustive.checksum [ r ], r.Opt.Exhaustive.evaluated)
+      in
+      let score (r : Opt.Exhaustive.result) =
+        r.Opt.Exhaustive.best.Opt.Exhaustive.score
+      in
+      let oracle = score (run pool1 Opt.Strategy.Exhaustive) in
+      let check st =
+        let name = Opt.Strategy.name st in
+        Obs.Search.arm ();
+        let r = run pool1 st in
+        let sources =
+          List.filter_map
+            (fun (e : Obs.Search.event) ->
+              if e.Obs.Search.kind = Obs.Search.Incumbent then
+                Some e.Obs.Search.source
+              else None)
+            (Obs.Search.events ())
+        in
+        Obs.Search.disarm ();
+        if score r < oracle then
+          QCheck.Test.fail_reportf "%s scores %.17g below the oracle's %.17g"
+            name (score r) oracle;
+        match journal_source st with
+        | None -> ()
+        | Some src ->
+          if not (List.mem src sources) then
+            QCheck.Test.fail_reportf "%s journaled no incumbent as %S" name
+              src;
+          if fingerprint r <> fingerprint (run pool2 st) then
+            QCheck.Test.fail_reportf "%s differs between jobs 1 and 2" name
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Search.disarm ();
+          Runtime.Pool.shutdown pool1;
+          Runtime.Pool.shutdown pool2)
+        (fun () -> List.iter check Opt.Strategy.all);
+      true)
+
 (* ----- the --method / wire grammar ----- *)
 
 let strategy_grammar_tests =
@@ -411,5 +550,16 @@ let () =
             test_strategy_matches_direct_calls;
           case "surrogate below threshold falls back to exhaustive"
             test_surrogate_fallback_is_exhaustive ] );
+      ( "strategy-contract",
+        [ case "every engine stops on an expired deadline (reduced space)"
+            (test_expired_deadline Opt.Space.reduced);
+          case "every engine stops on an expired deadline (small space)"
+            (fun () ->
+              Alcotest.(check bool) "below the surrogate's fallback" true
+                (Opt.Space.size small_space ~capacity_bits:(1024 * 8)
+                   Opt.Space.M2
+                <= Opt.Surrogate.default_fallback_threshold);
+              test_expired_deadline small_space ());
+          to_alco prop_strategy_contract ] );
       ("strategy-grammar", strategy_grammar_tests)
     ]

@@ -426,42 +426,6 @@ let fit_tests =
              false
            with Invalid_argument _ -> true)) ]
 
-(* --- Ode --- *)
-
-let ode_tests =
-  [ case "rk4 integrates exponential decay" (fun () ->
-        let f _t y = [| -.y.(0) |] in
-        let events = Numerics.Ode.rk4 ~f ~t0:0.0 ~t1:1.0 ~dt:0.01 [| 1.0 |] in
-        let final = List.nth events (List.length events - 1) in
-        check_close ~tol:1e-6 "e^-1" (exp (-1.0)) final.Numerics.Ode.state.(0));
-    case "backward euler is stable on a stiff system" (fun () ->
-        (* dy/dt = -1000 y with dt far above the explicit stability limit. *)
-        let f _t y = [| -1000.0 *. y.(0) |] in
-        let events = Numerics.Ode.backward_euler ~f ~t0:0.0 ~t1:0.1 ~dt:0.005 [| 1.0 |] in
-        let final = List.nth events (List.length events - 1) in
-        check_within "decays" ~lo:0.0 ~hi:1e-3 final.Numerics.Ode.state.(0));
-    case "backward euler accuracy on slow decay" (fun () ->
-        let f _t y = [| -.y.(0) |] in
-        let events = Numerics.Ode.backward_euler ~f ~t0:0.0 ~t1:1.0 ~dt:0.002 [| 1.0 |] in
-        let final = List.nth events (List.length events - 1) in
-        check_close ~tol:2e-3 "e^-1" (exp (-1.0)) final.Numerics.Ode.state.(0));
-    case "first_crossing finds the threshold time" (fun () ->
-        let f _t y = [| -.y.(0) |] in
-        let events = Numerics.Ode.rk4 ~f ~t0:0.0 ~t1:2.0 ~dt:0.001 [| 1.0 |] in
-        match
-          Numerics.Ode.first_crossing ~events ~index:0 ~threshold:0.5
-            ~direction:`Falling
-        with
-        | Some t -> check_close ~tol:1e-4 "ln2" (log 2.0) t
-        | None -> Alcotest.fail "no crossing");
-    case "first_crossing respects direction" (fun () ->
-        let f _t y = [| -.y.(0) |] in
-        let events = Numerics.Ode.rk4 ~f ~t0:0.0 ~t1:2.0 ~dt:0.01 [| 1.0 |] in
-        Alcotest.(check bool) "no rising crossing" true
-          (Numerics.Ode.first_crossing ~events ~index:0 ~threshold:0.5
-             ~direction:`Rising
-           = None)) ]
-
 let sparse_lu_tests =
   [ case "matches dense LU on a small system" (fun () ->
         let b = Numerics.Sparse.Builder.create ~n:4 in
@@ -562,5 +526,4 @@ let () =
       ("sparse_lu", sparse_lu_tests @ [ QCheck_alcotest.to_alcotest sparse_lu_random_prop ]);
       ("newton", newton_tests);
       ("interp", interp_tests);
-      ("fit", fit_tests);
-      ("ode", ode_tests) ]
+      ("fit", fit_tests) ]

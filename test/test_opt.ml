@@ -378,13 +378,20 @@ let local_search_tests =
           (local.Opt.Exhaustive.evaluated
            < Opt.Space.size Opt.Space.reduced ~capacity_bits:small_cap Opt.Space.M2));
     case "respects injected levels" (fun () ->
+        (* Injected levels are part of the strategy contract, so every
+           engine must pin to them, not just the descent. *)
         let levels = { Opt.Yield.vddc_min = 0.60; vwl_min = 0.60; hsnm_nominal = 0.2 } in
-        let r =
-          Opt.Local_search.search ~space:Opt.Space.reduced ~levels ~env:env_hvt
-            ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
-        in
-        check_close "pins" 0.60
-          r.Opt.Exhaustive.best.Opt.Exhaustive.assist.Array_model.Components.vddc) ]
+        List.iter
+          (fun st ->
+            let r =
+              Opt.Strategy.run st ~space:Opt.Space.reduced ~levels ~env:env_hvt
+                ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
+            in
+            check_close
+              (Opt.Strategy.name st ^ " pins")
+              0.60
+              r.Opt.Exhaustive.best.Opt.Exhaustive.assist.Array_model.Components.vddc)
+          Opt.Strategy.all) ]
 
 let journal_tests =
   [ case "anneal result JSON round-trips the considered count" (fun () ->
