@@ -1307,14 +1307,29 @@ let query_cmd =
           $ seed_arg $ reduced_arg $ query_deadline_arg $ trace_id_arg
           $ json_flag)
 
+(* Whether cmdliner may print the version: for --version and for help
+   pages (the man-page header carries it), which it also selects by any
+   unambiguous prefix of the option, and for the bare command, whose
+   default is the help page.  Anything else never shows it. *)
+let version_shown argv =
+  let asks arg =
+    let name = match String.index_opt arg '=' with Some i -> String.sub arg 0 i | None -> arg in
+    String.length name >= 3
+    && (String.starts_with ~prefix:name "--version" || String.starts_with ~prefix:name "--help")
+  in
+  Array.length argv <= 1 || Array.exists asks argv
+
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   let info =
     (* The +commit suffix matches the provenance stamped into cache and
        checkpoint log headers, so an operator can match a running
-       server or an on-disk cache against a build with --version. *)
+       server or an on-disk cache against a build with --version.
+       Looking the commit up runs `git`, so only when it can be shown. *)
     Cmd.info "sram_opt"
-      ~version:("1.0.0+" ^ Persist.Record_log.git_commit ())
+      ~version:
+        (if version_shown Sys.argv then "1.0.0+" ^ Persist.Record_log.git_commit ()
+         else "1.0.0")
       ~doc:"Device-circuit-architecture co-optimization of SRAM arrays (DAC'16 reproduction)"
   in
   exit

@@ -1,3 +1,32 @@
+let vwl_grid = [| 0.42; 0.46; 0.50; 0.54; 0.58; 0.64; 0.72 |]
+
+(* D_write_sram(V_WL) on [vwl_grid], one write transient per level, run
+   the first time a lookup needs that level.  [Table1d.eval_by] reads
+   only the level(s) bracketing its argument, so a request simulates at
+   most two.  Filled levels are published through atomics and read
+   without the lock; the lock only keeps two domains from simulating the
+   same level twice. *)
+type write_delay_table = {
+  delays : float option Atomic.t array;
+  simulate : float -> float;
+  lock : Mutex.t;
+}
+
+let level table i =
+  match Atomic.get table.delays.(i) with
+  | Some d -> d
+  | None ->
+    Mutex.protect table.lock (fun () ->
+        match Atomic.get table.delays.(i) with
+        | Some d -> d
+        | None ->
+          let d =
+            Runtime.Telemetry.time "periphery.characterize" (fun () ->
+                table.simulate vwl_grid.(i))
+          in
+          Atomic.set table.delays.(i) (Some d);
+          d)
+
 type t = {
   row_decoder : Gates.Decoder.result array;
   col_decoder : Gates.Decoder.result array;
@@ -5,7 +34,7 @@ type t = {
   driver_energy : float;
   sense_delay : float;
   sense_energy : float;
-  write_cell_delay : Numerics.Interp.Table1d.t;
+  write_cell_delay : write_delay_table;
   write_cell_energy : float;
   p_leak_cell : float;
 }
@@ -25,14 +54,15 @@ let characterize ?(delta_vs = Finfet.Tech.delta_v_sense) ~lib ~cell_flavor () =
       ~nfet:(Finfet.Library.nfet lib cell_flavor)
       ~pfet:(Finfet.Library.pfet lib cell_flavor)
   in
-  let vwl_grid = [| 0.42; 0.46; 0.50; 0.54; 0.58; 0.64; 0.72 |] in
-  let delay_at vwl =
+  let simulate vwl =
     let r = Sram_cell.Dynamics.write_delay ~cell (Sram_cell.Sram6t.write0 ~vwl ()) in
     if r.Sram_cell.Dynamics.flipped then r.Sram_cell.Dynamics.delay
     else 50e-12 (* failed writes are priced prohibitively, never optimal *)
   in
   let write_cell_delay =
-    Numerics.Interp.Table1d.create vwl_grid (Array.map delay_at vwl_grid)
+    { delays = Array.init (Array.length vwl_grid) (fun _ -> Atomic.make None);
+      simulate;
+      lock = Mutex.create () }
   in
   let c_node = Sram_cell.Sram6t.storage_node_cap cell in
   { row_decoder = dec;
@@ -62,4 +92,4 @@ let col_dec t ~bits =
   assert (bits >= 0 && bits < Array.length t.col_decoder);
   t.col_decoder.(bits)
 
-let write_delay t ~vwl = Numerics.Interp.Table1d.eval t.write_cell_delay vwl
+let write_delay t ~vwl = Numerics.Interp.Table1d.eval_by vwl_grid (level t.write_cell_delay) vwl

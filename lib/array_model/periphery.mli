@@ -8,6 +8,13 @@
     amplifier, and cell transient simulation for the write delay as a
     function of V_WL. *)
 
+val vwl_grid : float array
+(** The V_WL levels of the write-delay table (0.42 to 0.72 V). *)
+
+type write_delay_table
+(** D_write_sram as a function of V_WL: one cell write transient per
+    {!vwl_grid} level, simulated the first time a lookup needs it. *)
+
 type t = {
   row_decoder : Gates.Decoder.result array;
       (** indexed by address bits 0..max_bits *)
@@ -16,8 +23,7 @@ type t = {
   driver_energy : float;
   sense_delay : float;    (** D_sense_amp at the configured Delta V_S *)
   sense_energy : float;
-  write_cell_delay : Numerics.Interp.Table1d.t;
-      (** D_write_sram as a function of V_WL (seconds vs volts) *)
+  write_cell_delay : write_delay_table;  (** read through {!write_delay} *)
   write_cell_energy : float;
   p_leak_cell : float;    (** watts per cell, hold state at nominal Vdd *)
 }
@@ -34,9 +40,9 @@ val characterize :
   unit ->
   t
 (** Build all tables for a cell flavor (periphery is always LVT).  The
-    write-delay table runs one transient per V_WL grid point; results are
-    not cached here — callers should reuse the returned value (see
-    {!shared}). *)
+    write-delay table starts empty: {!write_delay} runs each level's
+    transient on first use.  Results are not cached here — callers
+    should reuse the returned value (see {!shared}). *)
 
 val shared : cell_flavor:Finfet.Library.flavor -> t
 (** Memoized characterization against the default device library at the
@@ -46,4 +52,9 @@ val row_dec : t -> bits:int -> Gates.Decoder.result
 val col_dec : t -> bits:int -> Gates.Decoder.result
 
 val write_delay : t -> vwl:float -> float
-(** Table lookup, clamped to the characterized V_WL range. *)
+(** Table lookup, clamped to the characterized V_WL range: linear
+    between the two grid levels bracketing [vwl] (one level when
+    clamped).  A level not yet simulated is simulated now, timed under
+    the [periphery.characterize] span; each level is simulated at most
+    once per table, and concurrent lookups from several domains are
+    safe.  Bit-identical to a table filled up front. *)

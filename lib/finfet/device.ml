@@ -33,7 +33,7 @@ let ids p ~vgs ~vds =
   if vds <= 0.0 then 0.0
   else begin
     let veff = v_overdrive p ~vgs in
-    let vdsat = max veff 0.03 in
+    let vdsat = if veff >= 0.03 then veff else 0.03 in
     p.beta *. (veff ** p.alpha) *. f_sat ~vds ~vdsat
   end
 

@@ -6,8 +6,10 @@ let check_increasing xs =
       invalid_arg "Interp: abscissae must be strictly increasing"
   done
 
-(* Index of the segment [xs.(i), xs.(i+1)] containing x (clamped). *)
-let segment_index xs x =
+(* Index of the segment [xs.(i), xs.(i+1)] containing x (clamped).  The
+   annotation keeps the comparisons on floats: unannotated, they would go
+   through polymorphic compare. *)
+let segment_index (xs : float array) (x : float) =
   let n = Array.length xs in
   if x <= xs.(0) then 0
   else if x >= xs.(n - 1) then n - 2
@@ -39,19 +41,22 @@ module Table1d = struct
     let ys = Array.map f xs in
     create ~extrapolation xs ys
 
-  let eval t x =
-    let n = Array.length t.xs in
-    let inside = x >= t.xs.(0) && x <= t.xs.(n - 1) in
-    match t.extra with
+  let eval_by ?(extrapolation = Clamp) xs y x =
+    let n = Array.length xs in
+    let inside = x >= xs.(0) && x <= xs.(n - 1) in
+    match extrapolation with
     | Error when not inside ->
       invalid_arg
-        (Printf.sprintf "Table1d.eval: %g outside [%g, %g]" x t.xs.(0) t.xs.(n - 1))
-    | Clamp when x <= t.xs.(0) -> t.ys.(0)
-    | Clamp when x >= t.xs.(n - 1) -> t.ys.(n - 1)
+        (Printf.sprintf "Table1d.eval: %g outside [%g, %g]" x xs.(0) xs.(n - 1))
+    | Clamp when x <= xs.(0) -> y 0
+    | Clamp when x >= xs.(n - 1) -> y (n - 1)
     | Clamp | Extrapolate | Error ->
-      let i = segment_index t.xs x in
-      let frac = (x -. t.xs.(i)) /. (t.xs.(i + 1) -. t.xs.(i)) in
-      t.ys.(i) +. (frac *. (t.ys.(i + 1) -. t.ys.(i)))
+      let i = segment_index xs x in
+      let frac = (x -. xs.(i)) /. (xs.(i + 1) -. xs.(i)) in
+      let y0 = y i in
+      y0 +. (frac *. (y (i + 1) -. y0))
+
+  let eval t x = eval_by ~extrapolation:t.extra t.xs (Array.get t.ys) x
 
   let domain t = (t.xs.(0), t.xs.(Array.length t.xs - 1))
   let xs t = Array.copy t.xs
@@ -126,7 +131,9 @@ let pchip ~xs ~ys =
     end
   done;
   fun x ->
-    let x = max xs.(0) (min xs.(n - 1) x) in
+    (* Stdlib [max xs.(0) (min xs.(n - 1) x)], on floats. *)
+    let x = if xs.(n - 1) <= x then xs.(n - 1) else x in
+    let x = if xs.(0) >= x then xs.(0) else x in
     let i = segment_index xs x in
     let t = (x -. xs.(i)) /. h.(i) in
     let t2 = t *. t and t3 = t *. t *. t in

@@ -23,6 +23,13 @@ module Table1d : sig
 
   val eval : t -> float -> float
 
+  val eval_by :
+    ?extrapolation:extrapolation -> float array -> (int -> float) -> float -> float
+  (** [eval_by xs y x] is [eval (create xs ys) x] with [ys.(i)] read as
+      [y i], and only for the one or two [i] that [x] needs: a clamped
+      [x] reads one end, any other [x] the two ends of its segment.  The
+      hook for tables whose ordinates are computed on demand. *)
+
   val domain : t -> float * float
 
   val xs : t -> float array

@@ -10,6 +10,14 @@ type factors
 val factorize : Matrix.t -> factors
 (** @raise Singular on rank-deficient input.  Does not mutate the input. *)
 
+val factorize_in_place : Matrix.t -> perm:int array -> factors
+(** {!factorize} without the copy: the matrix is overwritten by its
+    factors and [perm] (length = rows) by the row permutation; the
+    returned factors share both.  Same pivoting, same operations in the
+    same order, so the factors are bit-identical to {!factorize}'s.
+    @raise Singular as {!factorize}, leaving the matrix partly
+    eliminated. *)
+
 val solve_factored : factors -> float array -> float array
 (** Back-substitution against an existing factorization. *)
 

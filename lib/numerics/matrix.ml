@@ -41,6 +41,12 @@ let add_to m i j x =
 let copy m = { m with data = Array.copy m.data }
 let fill m x = Array.fill m.data 0 (Array.length m.data) x
 
+let blit ~src ~dst =
+  assert (src.nrows = dst.nrows && src.ncols = dst.ncols);
+  Array.blit src.data 0 dst.data 0 (Array.length src.data)
+
+let storage m = m.data
+
 let mat_vec m v =
   assert (Array.length v = m.ncols);
   Array.init m.nrows (fun i ->

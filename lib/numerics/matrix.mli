@@ -26,6 +26,13 @@ val add_to : t -> int -> int -> float -> unit
 val copy : t -> t
 val fill : t -> float -> unit
 
+val blit : src:t -> dst:t -> unit
+(** Copy every entry of [src] into [dst] (same shape). *)
+
+val storage : t -> float array
+(** The row-major backing array itself, not a copy: entry (i, j) is
+    element [i * cols + j].  For in-place kernels (LU, MNA stamping). *)
+
 val mat_vec : t -> float array -> float array
 (** Matrix-vector product. *)
 

@@ -5,7 +5,14 @@ type result = {
   residual : float;
 }
 
-let norm_inf v = Array.fold_left (fun acc x -> max acc (abs_float x)) 0.0 v
+(* Stdlib [max] folded over |v_i| from 0, with the comparison on floats. *)
+let norm_inf v =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length v - 1 do
+    let a = abs_float v.(i) in
+    if not (!acc >= a) then acc := a
+  done;
+  !acc
 
 let solve_linear_regularized jac rhs =
   (* Try a plain LU solve; on singularity, add an increasing diagonal
@@ -28,12 +35,14 @@ let solve_custom ?(tol = 1e-12) ?(max_iter = 200) ?(damping = 1.0)
     ?(max_step = 0.12) ~residual ~solve_step ~x0 () =
   let n = Array.length x0 in
   let x = Array.copy x0 in
-  let rec iterate iter fnorm =
+  let base = Array.make n 0.0 in
+  (* [f] is the residual at the current [x]: the line search's last
+     evaluation is carried into the next iteration, not recomputed. *)
+  let rec iterate iter f fnorm =
     if fnorm < tol then { x; converged = true; iterations = iter; residual = fnorm }
     else if iter >= max_iter then
       { x; converged = false; iterations = iter; residual = fnorm }
     else begin
-      let f = residual x in
       let neg_f = Array.map (fun v -> -.v) f in
       let dx = solve_step x neg_f in
       (* Clamp each component to the trust region. *)
@@ -42,20 +51,22 @@ let solve_custom ?(tol = 1e-12) ?(max_iter = 200) ?(damping = 1.0)
         else if dx.(i) < -.max_step then dx.(i) <- -.max_step
       done;
       (* Backtracking line search on the residual norm. *)
-      let base = Array.copy x in
+      Array.blit x 0 base 0 n;
       let rec backtrack scale tries =
         for i = 0 to n - 1 do
           x.(i) <- base.(i) +. (scale *. damping *. dx.(i))
         done;
-        let fnew = norm_inf (residual x) in
-        if fnew < fnorm || tries >= 8 then fnew
+        let f = residual x in
+        let fnew = norm_inf f in
+        if fnew < fnorm || tries >= 8 then (f, fnew)
         else backtrack (scale *. 0.5) (tries + 1)
       in
-      let fnew = backtrack 1.0 0 in
-      iterate (iter + 1) fnew
+      let f, fnew = backtrack 1.0 0 in
+      iterate (iter + 1) f fnew
     end
   in
-  iterate 0 (norm_inf (residual x))
+  let f = residual x in
+  iterate 0 f (norm_inf f)
 
 let solve ?tol ?max_iter ?damping ?max_step ~residual ~jacobian ~x0 () =
   let solve_step x neg_f = solve_linear_regularized (jacobian x) neg_f in

@@ -57,6 +57,13 @@ val solve_custom :
   unit ->
   result
 (** As {!solve} with the Newton step delegated to
-    [solve_step x neg_f = J(x)^-1 neg_f] — the hook large circuits use to
-    plug in {!Sparse_lu} instead of dense factorization.  [solve_step]
-    owns singularity recovery (e.g. gmin regularization). *)
+    [solve_step x neg_f = J(x)^-1 neg_f] — the hook the DC solver uses
+    to assemble and factor its own Jacobian.  [solve_step] owns
+    singularity recovery (e.g. gmin regularization).
+
+    [residual] runs once per line-search trial, and the last trial's
+    value is the next iteration's residual, so:
+    - [solve_step x] is always called at the [x] of the latest
+      [residual] call (a caller may reuse state from that call);
+    - [residual] may return the same buffer every time: its result is
+      read before the next call. *)

@@ -64,7 +64,7 @@ let brent ?(tol = 1e-12) ?(max_iter = 100) f ~lo ~hi =
            let p, q = if p > 0.0 then (p, -.q) else (-.p, q) in
            let min1 = (3.0 *. xm *. q) -. abs_float (tol1 *. q) in
            let min2 = abs_float (!e *. q) in
-           if 2.0 *. p < min min1 min2 then begin
+           if 2.0 *. p < (if min1 <= min2 then min1 else min2) then begin
              e := !d; d := p /. q
            end else begin
              d := xm; e := !d

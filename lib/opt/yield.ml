@@ -1,4 +1,5 @@
 let voltage_grid = 0.010
+let vddc_max = 0.80
 
 let snap_up v = ceil ((v /. voltage_grid) -. 1e-9) *. voltage_grid
 
@@ -36,18 +37,57 @@ let solve_cache :
   Runtime.Memo.t =
   Runtime.Memo.create ~name:"yield.solve" ~capacity:64 ()
 
+exception Infeasible of {
+  flavor : Finfet.Library.flavor;
+  corner : Finfet.Corners.corner;
+  celsius : float;
+  rsnm : float;
+  delta : float;
+}
+
+let () =
+  Printexc.register_printer (function
+    | Infeasible { flavor; corner; celsius; rsnm; delta } ->
+      Some
+        (Printf.sprintf
+           "Yield.Infeasible: %s at %s, %g C: RSNM reaches only %.4f V at \
+            V_DDC = %.2f V, below delta = %.4f V"
+           (Finfet.Library.flavor_to_string flavor) (Finfet.Corners.name corner)
+           celsius rsnm vddc_max delta)
+    | _ -> None)
+
+let grid_point k = float_of_int k *. voltage_grid
+
 let solve_uncached ?(delta = Finfet.Tech.min_margin) ?(points = 81) ?corner
     ?celsius ~flavor () =
   let cell = cell_of ?corner ?celsius flavor in
   let vdd = Finfet.Tech.vdd_nominal in
-  (* RSNM grows monotonically with V_DDC (stronger pull-down feedback). *)
-  let rsnm_gap vddc =
-    Sram_cell.Margins.read_snm ~points ~cell (Sram_cell.Sram6t.read ~vddc ())
-    -. delta
-  in
+  let rsnm vddc = Sram_cell.Margins.read_snm ~points ~cell (Sram_cell.Sram6t.read ~vddc ()) in
   let vddc_min =
-    if rsnm_gap vdd >= 0.0 then vdd
-    else snap_up (Numerics.Roots.bisect ~tol:1e-3 rsnm_gap ~lo:vdd ~hi:0.80)
+    if rsnm vdd -. delta >= 0.0 then vdd
+    else begin
+      (* RSNM grows monotonically with V_DDC (stronger pull-down
+         feedback; test_opt checks it on this grid), so bisect on the
+         10 mV grid itself: grid point [lo] fails, [hi] passes. *)
+      let top = int_of_float (Float.round (vddc_max /. voltage_grid)) in
+      let at_top = rsnm (grid_point top) in
+      if at_top -. delta < 0.0 then
+        raise
+          (Infeasible
+             { flavor;
+               corner = Option.value corner ~default:Finfet.Corners.TT;
+               celsius = Option.value celsius ~default:Finfet.Thermal.t_ref_celsius;
+               rsnm = at_top;
+               delta });
+      let rec bisect lo hi =
+        if hi - lo <= 1 then grid_point hi
+        else begin
+          let mid = (lo + hi) / 2 in
+          if rsnm (grid_point mid) -. delta >= 0.0 then bisect lo mid else bisect mid hi
+        end
+      in
+      bisect (int_of_float (floor ((vdd /. voltage_grid) +. 1e-9))) top
+    end
   in
   (* WM(v_wl) = v_wl - minimum flipping level, so the minimum write level
      is one bisection of the flip point away. *)

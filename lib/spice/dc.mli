@@ -25,32 +25,48 @@ val operating_point :
   ?x0:float array -> ?at_time:float -> Netlist.t -> solution
 (** Solve the operating point with sources evaluated at [at_time]
     (default 0).  [x0] warm-starts the Newton iteration (layout: node
-    voltages 1..n-1, then source currents). *)
+    voltages 1..n-1, then source currents).
+    @raise Invalid_argument if the netlist fails {!Netlist.validate}. *)
 
 val solution_vector : solution -> float array
 (** Repack a solution as a warm-start vector for {!operating_point}. *)
 
-val sweep :
-  build:(float -> Netlist.t) -> points:float array -> solution array
-(** [sweep ~build ~points] solves [build p] for each point, warm-starting
-    each solve from the previous solution (the netlist structure must not
-    change between points).  This is the primitive behind VTC and butterfly
-    curves. *)
+val sweep : Netlist.t -> source:int -> points:float array -> solution array
+(** [sweep netlist ~source ~points] holds voltage source [source]
+    (0-based, netlist order) at each point in turn, overriding its
+    waveform, and solves the operating point, warm-starting each solve
+    from the previous solution (a SPICE [.DC] sweep).  The netlist is
+    compiled once for the whole sweep.  This is the primitive behind VTC
+    and butterfly curves.
+    @raise Invalid_argument if there is no such source. *)
 
 val node_voltage : solution -> Netlist.node -> float
 
-(** {1 Transient backend hook} *)
+(** {1 Compiled netlists}
+
+    {!operating_point} lowers the netlist into an element array with
+    preallocated residual, Jacobian and LU buffers, then runs Newton on
+    it.  A caller that solves the same netlist many times (a transient,
+    one solve per step) compiles it once and calls {!solve}.  A compiled
+    netlist is mutable scratch: use it from one domain at a time. *)
+
+type compiled
+
+val compile : Netlist.t -> compiled
+(** @raise Invalid_argument if the netlist fails {!Netlist.validate}. *)
 
 type companion = { g_eq : float; v_hist : float }
 (** Backward-Euler companion model of a capacitor: a conductance
     [g_eq = C/h] in parallel with the history term, so the stamped current
     is [g_eq * (v - v_hist)]. *)
 
-val operating_point_companioned :
-  ?x0:float array -> at_time:float -> companions:companion array ->
-  Netlist.t -> solution
-(** Operating point with every capacitor replaced by its companion model,
-    in netlist insertion order.  Used by {!Transient}; exposed for tests. *)
+val solve :
+  ?x0:float array -> ?at_time:float -> ?companions:companion array ->
+  compiled -> solution
+(** The operating point of a compiled netlist, as {!operating_point}.
+    With [companions], every capacitor is replaced by its companion
+    model, in netlist insertion order ({!Transient}'s time step);
+    without, capacitors are open. *)
 
 val small_signal_conductance : Netlist.t -> solution -> Numerics.Sparse.t
 (** The MNA Jacobian linearized at the operating point, capacitors open —

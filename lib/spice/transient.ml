@@ -17,7 +17,7 @@ let capacitors netlist =
    holding each capacitor's branch current entering the step (used by the
    trapezoidal rule; ignored by backward Euler).  Returns the DC solution
    and the updated capacitor currents. *)
-let step ~method_ ~netlist ~caps ~warm ~state ~i_caps ~t ~h =
+let step ~method_ ~compiled ~caps ~warm ~state ~i_caps ~t ~h =
   let companions =
     Array.mapi
       (fun idx (plus, minus, farads) ->
@@ -31,7 +31,7 @@ let step ~method_ ~netlist ~caps ~warm ~state ~i_caps ~t ~h =
           { Dc.g_eq; v_hist = v_prev +. (i_caps.(idx) /. g_eq) })
       caps
   in
-  let s = Dc.operating_point_companioned ?x0:warm ~at_time:t ~companions netlist in
+  let s = Dc.solve ?x0:warm ~at_time:t ~companions compiled in
   let i_caps' =
     Array.mapi
       (fun idx (plus, minus, _) ->
@@ -42,8 +42,8 @@ let step ~method_ ~netlist ~caps ~warm ~state ~i_caps ~t ~h =
   in
   (s, i_caps')
 
-let initial_state ?(ic = []) netlist =
-  let init = Dc.operating_point ~at_time:0.0 netlist in
+let initial_state ?(ic = []) compiled =
+  let init = Dc.solve ~at_time:0.0 compiled in
   let v = Array.copy init.Dc.voltages in
   List.iter (fun (node, volts) -> v.(node) <- volts) ic;
   (v, init.Dc.source_currents)
@@ -53,7 +53,8 @@ let run ?dt ?ic ?(method_ = Backward_euler) ~t_stop netlist =
   let dt = match dt with Some d -> d | None -> t_stop /. 400.0 in
   assert (dt > 0.0);
   let caps = Array.of_list (capacitors netlist) in
-  let v0, i_src0 = initial_state ?ic netlist in
+  let compiled = Dc.compile netlist in
+  let v0, i_src0 = initial_state ?ic compiled in
   let steps = int_of_float (ceil (t_stop /. dt)) in
   let times = Array.make (steps + 1) 0.0 in
   let voltages = Array.make (steps + 1) [||] in
@@ -72,7 +73,7 @@ let run ?dt ?ic ?(method_ = Backward_euler) ~t_stop netlist =
          result supplies consistent currents for step two). *)
       let method_now = if k = 1 then Backward_euler else method_ in
       let s, i' =
-        step ~method_:method_now ~netlist ~caps ~warm:!warm ~state:!state
+        step ~method_:method_now ~compiled ~caps ~warm:!warm ~state:!state
           ~i_caps:!i_caps ~t ~h
       in
       warm := Some (Dc.solution_vector s);
@@ -104,7 +105,8 @@ let run_adaptive ?dt_min ?dt_max ?(dv_max = 0.030) ?ic
   let dt_max = match dt_max with Some d -> d | None -> t_stop /. 20.0 in
   assert (dt_min > 0.0 && dt_max >= dt_min);
   let caps = Array.of_list (capacitors netlist) in
-  let v0, i_src0 = initial_state ?ic netlist in
+  let compiled = Dc.compile netlist in
+  let v0, i_src0 = initial_state ?ic compiled in
   let rev_times = ref [ 0.0 ] in
   let rev_voltages = ref [ Array.copy v0 ] in
   let rev_currents = ref [ Array.copy i_src0 ] in
@@ -119,7 +121,7 @@ let run_adaptive ?dt_min ?dt_max ?(dv_max = 0.030) ?ic
     let t_next = !t +. h_now in
     let method_now = if !first then Backward_euler else method_ in
     let s, i' =
-      step ~method_:method_now ~netlist ~caps ~warm:!warm ~state:!state
+      step ~method_:method_now ~compiled ~caps ~warm:!warm ~state:!state
         ~i_caps:!i_caps ~t:t_next ~h:h_now
     in
     let dv = max_abs_diff s.Dc.voltages !state in

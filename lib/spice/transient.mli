@@ -3,7 +3,8 @@
     Each time step is a DC solve with capacitors replaced by a conductance
     C/h plus history term, warm-started from the previous step — the
     classical SPICE integration scheme, unconditionally stable for the
-    stiff node equations produced by strong transistors on small caps. *)
+    stiff node equations produced by strong transistors on small caps.
+    The netlist is compiled once per run ({!Dc.compile}), not per step. *)
 
 type trace = {
   times : float array;

@@ -74,4 +74,5 @@ val build_half_vtc :
     source at [vin] — the half-cell used to trace butterfly curves.
     [access_on] selects the read configuration (WL at [condition.vwl],
     bitline clamped) versus hold (WL grounded).  Returns the netlist and
-    the output node. *)
+    the output node; the input source is the netlist's first voltage
+    source, so a {!Spice.Dc.sweep} with [~source:0] traces the VTC. *)

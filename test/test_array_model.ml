@@ -307,6 +307,67 @@ let segmented_tests =
           (m.Array_model.Array_eval.e_total *. m.Array_model.Array_eval.d_array)
           m.Array_model.Array_eval.edp) ]
 
+(* ----- the on-demand write-delay table ----- *)
+
+let eager_write_delay =
+  lazy (Oracle.Periphery.write_delay_table ~cell_flavor:Finfet.Library.Hvt)
+
+(* Levels on the grid, between grid points, and clamped on both sides. *)
+let vwl_gen =
+  let open QCheck.Gen in
+  frequency
+    [ (3, float_range 0.30 0.90);
+      (1, oneofl (Array.to_list Array_model.Periphery.vwl_grid));
+      (1, oneofl [ 0.10; 0.42; 0.72; 1.20 ]) ]
+
+let write_delay_tests =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:20
+         ~name:"on-demand write-delay table equals the eager one at jobs 1, 2, 4"
+         (QCheck.make
+            ~print:QCheck.Print.(pair int (list float))
+            QCheck.Gen.(pair (oneofl [ 1; 2; 4 ]) (list_size (int_range 1 24) vwl_gen)))
+         (fun (jobs, vwls) ->
+           let eager = Lazy.force eager_write_delay in
+           let fresh = Array_model.Periphery.characterize ~lib ~cell_flavor:Finfet.Library.Hvt () in
+           let pool = Runtime.Pool.create ~jobs () in
+           let vwls = Array.of_list vwls in
+           let on_demand =
+             Fun.protect
+               ~finally:(fun () -> Runtime.Pool.shutdown pool)
+               (fun () ->
+                 Runtime.Pool.parmap ~chunk:1 pool
+                   (fun vwl -> Array_model.Periphery.write_delay fresh ~vwl)
+                   vwls)
+           in
+           Array.for_all2
+             (fun vwl d ->
+               Int64.equal (Int64.bits_of_float d)
+                 (Int64.bits_of_float (Numerics.Interp.Table1d.eval eager vwl)))
+             vwls on_demand));
+    case "a cold 16KB optimize simulates at most 2 of the 7 write levels" (fun () ->
+        (* The characterization and each level's transient are timed
+           under the same span, so its calls count them. *)
+        let calls () =
+          List.fold_left
+            (fun n (s : Runtime.Telemetry.span) ->
+              if s.Runtime.Telemetry.span_name = "periphery.characterize" then
+                n + s.Runtime.Telemetry.calls
+              else n)
+            0 (Runtime.Telemetry.snapshot ()).Runtime.Telemetry.spans
+        in
+        Runtime.Memo.reset_all ();
+        let before = calls () in
+        let config =
+          { Sram_edp.Framework.flavor = Finfet.Library.Hvt; method_ = Opt.Space.M2 }
+        in
+        ignore (Sram_edp.Framework.optimize ~capacity_bits:(16 * 1024 * 8) ~config ());
+        let transients = calls () - before - 1 in
+        Alcotest.(check bool)
+          (Printf.sprintf "1 or 2 write transients (%d)" transients)
+          true
+          (transients >= 1 && transients <= 2)) ]
+
 let () =
   Alcotest.run "array_model"
     [ ("geometry", geometry_tests);
@@ -315,4 +376,5 @@ let () =
       ("components", components_tests);
       ("periphery", periphery_tests);
       ("array_eval", eval_tests);
-      ("segmented", segmented_tests) ]
+      ("segmented", segmented_tests);
+      ("write_lut", write_delay_tests) ]

@@ -73,6 +73,6 @@ let () =
     [ ( "files",
         List.map check_golden
           [ "table4.json"; "report.txt"; "datasheet.txt"; "stats.json";
-            "strategies.json" ] );
+            "strategies.json"; "physics.json" ] );
       ("structure", structure_tests);
     ]

@@ -49,7 +49,49 @@ let yield_tests =
         let a = Opt.Yield.rsnm_at ~flavor:Finfet.Library.Hvt ~vddc:0.55 ~vssc:0.0 () in
         let b = Opt.Yield.rsnm_at ~flavor:Finfet.Library.Hvt ~vddc:0.55 ~vssc:0.0 () in
         check_close "cache" a b;
-        Alcotest.(check bool) "meets rule at 550" true (a >= Finfet.Tech.min_margin)) ]
+        Alcotest.(check bool) "meets rule at 550" true (a >= Finfet.Tech.min_margin));
+    (* [Yield.solve] bisects V_DDC on the 10 mV grid, which finds the
+       smallest passing grid point only if RSNM never falls as V_DDC
+       rises there. *)
+    case "RSNM is non-decreasing in V_DDC on the grid (TT, FS, SF at 25 C)" (fun () ->
+        let grid =
+          Array.init 36 (fun i -> float_of_int (45 + i) *. Opt.Yield.voltage_grid)
+        in
+        List.iter
+          (fun flavor ->
+            List.iter
+              (fun corner ->
+                let cell = Opt.Yield.cell_of ~corner ~celsius:25.0 flavor in
+                check_increasing
+                  (Printf.sprintf "RSNM %s %s"
+                     (Finfet.Library.flavor_to_string flavor) (Finfet.Corners.name corner))
+                  (Array.map
+                     (fun vddc ->
+                       Sram_cell.Margins.read_snm ~cell (Sram_cell.Sram6t.read ~vddc ()))
+                     grid))
+              [ Finfet.Corners.TT; Finfet.Corners.FS; Finfet.Corners.SF ])
+          [ Finfet.Library.Hvt; Finfet.Library.Lvt ]);
+    case "an unreachable read margin raises a typed Infeasible" (fun () ->
+        match
+          Opt.Yield.solve ~corner:Finfet.Corners.TT ~celsius:125.0 ~flavor:Finfet.Library.Lvt ()
+        with
+        | _ -> Alcotest.fail "LVT at TT/125 C should be infeasible"
+        | exception (Opt.Yield.Infeasible r as e) ->
+          Alcotest.(check string) "flavor" "LVT" (Finfet.Library.flavor_to_string r.flavor);
+          Alcotest.(check string) "corner" "TT" (Finfet.Corners.name r.corner);
+          check_close "celsius" 125.0 r.celsius;
+          check_close "delta" Finfet.Tech.min_margin r.delta;
+          Alcotest.(check bool) "RSNM below delta" true (r.rsnm < r.delta && r.rsnm > 0.0);
+          let msg = Printexc.to_string e in
+          let mentions part =
+            let n = String.length part in
+            let rec at i =
+              i + n <= String.length msg && (String.sub msg i n = part || at (i + 1))
+            in
+            at 0
+          in
+          Alcotest.(check bool) ("message names the condition: " ^ msg) true
+            (List.for_all mentions [ "LVT"; "TT"; "125" ])) ]
 
 let space_tests =
   [ case "default grids match the paper's ranges" (fun () ->

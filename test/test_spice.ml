@@ -120,7 +120,8 @@ let dc_tests =
           n
         in
         let points = Array.init 19 (fun i -> 0.025 *. float_of_int i) in
-        let sols = Spice.Dc.sweep ~build ~points in
+        (* vin is the second voltage source *)
+        let sols = Spice.Dc.sweep (build 0.0) ~source:1 ~points in
         let outs = Array.map (fun s -> Spice.Dc.node_voltage s 3) sols in
         check_decreasing "VTC" outs;
         Array.iter
@@ -132,6 +133,14 @@ let dc_tests =
         let warm = Spice.Dc.operating_point ~x0:(Spice.Dc.solution_vector cold) n in
         check_close ~tol:1e-9 "same" (Spice.Dc.node_voltage cold mid)
           (Spice.Dc.node_voltage warm mid));
+    case "sweep rejects a source index the netlist does not have" (fun () ->
+        let n, _ = divider () in
+        List.iter
+          (fun source ->
+            Alcotest.(check bool) (Printf.sprintf "source %d" source) true
+              (try ignore (Spice.Dc.sweep n ~source ~points:[| 0.1 |]); false
+               with Invalid_argument _ -> true))
+          [ -1; Spice.Netlist.vsource_count n ]);
     case "operating_point rejects invalid netlists" (fun () ->
         let n = Spice.Netlist.create () in
         Spice.Netlist.resistor n ~plus:9 ~minus:0 ~ohms:1.0;
@@ -400,6 +409,170 @@ let deck_tests =
           check_close ~tol:1e-6 "same op" original
             (Spice.Dc.node_voltage (Spice.Dc.operating_point n2) out2)) ]
 
+(* ----- the compiled kernel against the list-walking oracle ----- *)
+
+(* A netlist as data, so the oracle's sweep can rebuild it per point. *)
+type spec = { nodes : int; elements : Spice.Netlist.element list }
+
+let build ?(swept = fun (_ : int) w -> w) spec =
+  let n = Spice.Netlist.create () in
+  for i = 1 to spec.nodes do
+    ignore (Spice.Netlist.fresh_node n (Printf.sprintf "n%d" i))
+  done;
+  let k = ref 0 in
+  List.iter
+    (fun e ->
+      Spice.Netlist.add n
+        (match e with
+         | Spice.Netlist.Vsource v ->
+           let volts = swept !k v.volts in
+           incr k;
+           Spice.Netlist.Vsource { v with volts }
+         | e -> e))
+    spec.elements;
+  n
+
+let fet_params =
+  [ nfet; pfet; Finfet.Library.nfet lib Finfet.Library.Hvt;
+    Finfet.Library.pfet lib Finfet.Library.Hvt ]
+
+let element_gen ~nodes =
+  let open QCheck.Gen in
+  let node = int_range 0 nodes in
+  frequency
+    [ ( 3,
+        map3
+          (fun plus minus ohms -> Spice.Netlist.Resistor { plus; minus; ohms })
+          node node (float_range 1e3 1e6) );
+      ( 1,
+        map3
+          (fun from_node to_node amps -> Spice.Netlist.Isource { from_node; to_node; amps })
+          node node (float_range (-2e-6) 2e-6) );
+      ( 2,
+        map3
+          (fun plus minus farads -> Spice.Netlist.Capacitor { plus; minus; farads })
+          node node (float_range 1e-16 1e-14) );
+      ( 4,
+        let* params = oneofl fet_params in
+        let* nfin = int_range 1 3 in
+        map3
+          (fun gate drain source -> Spice.Netlist.Fet { params; nfin; gate; drain; source })
+          node node node ) ]
+
+let source_gen ~nodes =
+  let open QCheck.Gen in
+  let* plus = int_range 1 nodes in
+  let* minus = frequency [ (3, return 0); (1, int_range 0 nodes) ] in
+  let* v0 = float_range (-0.1) 0.9 in
+  let+ volts =
+    frequency
+      [ (3, return (Spice.Netlist.Const v0));
+        ( 1,
+          map
+            (fun v1 -> Spice.Netlist.Step { t_delay = 1e-12; t_rise = 2e-12; v0; v1 })
+            (float_range (-0.1) 0.9) ) ]
+  in
+  Spice.Netlist.Vsource { plus; minus; volts }
+
+let spec_gen =
+  let open QCheck.Gen in
+  let* nodes = int_range 2 6 in
+  let* sources = list_size (int_range 1 3) (source_gen ~nodes) in
+  let* others = list_size (int_range 1 8) (element_gen ~nodes) in
+  let+ elements = shuffle_l (sources @ others) in
+  { nodes; elements }
+
+(* An RC ladder with FET loads: 79 nodes and 2 sources, 81 unknowns, so
+   the solve takes the sparse path. *)
+let ladder_gen =
+  let open QCheck.Gen in
+  let nodes = 79 in
+  let* vdd = float_range 0.3 0.8 and* vin = float_range 0.0 0.8 in
+  let* rs = list_repeat (nodes - 3) (float_range 1e3 1e5) in
+  let+ loads = list_repeat (nodes - 2) (pair (oneofl fet_params) (float_range 1e-16 1e-15)) in
+  let chain = List.mapi (fun k ohms -> Spice.Netlist.Resistor { plus = k + 3; minus = k + 4; ohms }) rs in
+  let fets =
+    List.concat
+      (List.mapi
+         (fun k (params, farads) ->
+           [ Spice.Netlist.Fet { params; nfin = 1; gate = 2; drain = k + 3; source = 0 };
+             Spice.Netlist.Capacitor { plus = k + 3; minus = 0; farads } ])
+         loads)
+  in
+  { nodes;
+    elements =
+      [ Spice.Netlist.Vsource { plus = 1; minus = 0; volts = Spice.Netlist.Const vdd };
+        Spice.Netlist.Vsource { plus = 2; minus = 0; volts = Spice.Netlist.Const vin };
+        Spice.Netlist.Resistor { plus = 1; minus = 3; ohms = 1e3 } ]
+      @ chain @ fets }
+
+let capacitors spec =
+  List.length
+    (List.filter (function Spice.Netlist.Capacitor _ -> true | _ -> false) spec.elements)
+
+(* Solve options: companions for every capacitor (or none, leaving them
+   open), the time sources are read at, and a warm start. *)
+let case_gen spec_gen =
+  let open QCheck.Gen in
+  let* spec = spec_gen in
+  let dim = spec.nodes + List.length (List.filter (function Spice.Netlist.Vsource _ -> true | _ -> false) spec.elements) in
+  let* companions =
+    opt
+      (array_repeat (capacitors spec)
+         (map2
+            (fun g_eq v_hist -> { Spice.Dc.g_eq; v_hist })
+            (float_range 1e-6 1e-2) (float_range (-0.1) 0.9)))
+  in
+  let* at_time = float_range 0.0 4e-12 in
+  let+ x0 = opt (array_repeat dim (float_range (-0.2) 0.9)) in
+  (spec, companions, at_time, x0)
+
+let print_case (spec, companions, at_time, x0) =
+  Printf.sprintf "%s\ncompanions: %b, at_time %g, warm start: %b"
+    (Spice.Deck.print (build spec)) (Option.is_some companions) at_time (Option.is_some x0)
+
+let bits = Array.map Int64.bits_of_float
+
+let same_solution (a : Spice.Dc.solution) (b : Spice.Dc.solution) =
+  a.Spice.Dc.converged = b.Spice.Dc.converged
+  && a.Spice.Dc.iterations = b.Spice.Dc.iterations
+  && bits a.Spice.Dc.voltages = bits b.Spice.Dc.voltages
+  && bits a.Spice.Dc.source_currents = bits b.Spice.Dc.source_currents
+
+let solve_matches (spec, companions, at_time, x0) =
+  let netlist = build spec in
+  let compiled = Spice.Dc.solve ?x0 ~at_time ?companions (Spice.Dc.compile netlist) in
+  let oracle =
+    match companions with
+    | Some companions -> Oracle.Dc.operating_point_companioned ?x0 ~at_time ~companions netlist
+    | None -> Oracle.Dc.operating_point ?x0 ~at_time netlist
+  in
+  same_solution compiled oracle
+
+let oracle_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [ QCheck.Test.make ~count:200
+        ~name:"compiled DC solve is bit-identical to the list-walking oracle"
+        (QCheck.make ~print:print_case (case_gen spec_gen))
+        solve_matches;
+      QCheck.Test.make ~count:4
+        ~name:"sparse-path DC solve (81 unknowns) is bit-identical to the oracle"
+        (QCheck.make ~print:print_case (case_gen ladder_gen))
+        solve_matches;
+      QCheck.Test.make ~count:50
+        ~name:"DC source sweep is bit-identical to rebuilding per point"
+        (QCheck.make
+           ~print:(fun (spec, _) -> Spice.Deck.print (build spec))
+           QCheck.Gen.(pair spec_gen (list_size (int_range 1 6) (float_range (-0.1) 0.9))))
+        (fun (spec, points) ->
+          let points = Array.of_list points in
+          let compiled = Spice.Dc.sweep (build spec) ~source:0 ~points in
+          let oracle =
+            Oracle.Dc.sweep ~points ~build:(fun p ->
+                build spec ~swept:(fun k w -> if k = 0 then Spice.Netlist.Const p else w))
+          in
+          Array.for_all2 same_solution compiled oracle) ]
+
 let () =
   Alcotest.run "spice"
     [ ("netlist", netlist_tests);
@@ -407,4 +580,5 @@ let () =
       ("transient", transient_tests);
       ("integration", integration_tests);
       ("ac", ac_tests);
-      ("deck", deck_tests) ]
+      ("deck", deck_tests);
+      ("oracle", oracle_tests) ]

@@ -316,6 +316,70 @@ let dynamic_tests =
         | Some _, None -> () (* boost made it statically stable: even better *)
         | None, _ -> Alcotest.fail "expected base instability") ]
 
+(* ----- the butterfly against the reference kernels ----- *)
+
+let bits = Array.map Int64.bits_of_float
+
+(* A monotone non-increasing inverter-like curve over [lo, hi]: the
+   output falls from near [hi] to near [lo] in random steps, weighted so
+   some curves switch sharply and some gradually. *)
+let vtc_gen ~inputs ~lo ~hi =
+  let open QCheck.Gen in
+  let n = Array.length inputs in
+  let* steps = array_repeat (n - 1) (map (fun r -> r ** 4.0) (float_range 0.0 1.0)) in
+  let* top = float_range 0.0 0.05 and* bottom = float_range 0.0 0.05 in
+  let total = Array.fold_left ( +. ) 1e-9 steps in
+  let span = (hi -. top) -. (lo +. bottom) in
+  let outputs = Array.make n (hi -. top) in
+  for i = 1 to n - 1 do
+    outputs.(i) <- outputs.(i - 1) -. (span *. steps.(i - 1) /. total)
+  done;
+  return { Sram_cell.Butterfly.inputs; outputs }
+
+let butterfly_gen =
+  let open QCheck.Gen in
+  let* n = int_range 9 81 in
+  let* lo = float_range (-0.25) 0.0 and* hi = float_range 0.4 0.8 in
+  let inputs =
+    Array.init n (fun i -> lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))
+  in
+  let* curve_r = vtc_gen ~inputs ~lo ~hi in
+  let+ curve_l = vtc_gen ~inputs ~lo ~hi in
+  { Sram_cell.Butterfly.curve_r; curve_l }
+
+let print_butterfly { Sram_cell.Butterfly.curve_r; curve_l } =
+  let row a = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  Printf.sprintf "inputs %s\nR %s\nL %s" (row curve_r.Sram_cell.Butterfly.inputs)
+    (row curve_r.Sram_cell.Butterfly.outputs) (row curve_l.Sram_cell.Butterfly.outputs)
+
+let oracle_tests =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:150
+         ~name:"tabulated lobe brackets are bit-identical to a per-offset scan"
+         (QCheck.make ~print:print_butterfly butterfly_gen)
+         (fun ({ Sram_cell.Butterfly.curve_r; curve_l } as b) ->
+           let snm = Sram_cell.Butterfly.snm_of_butterfly b in
+           bits [| snm.Sram_cell.Butterfly.lobe_high; snm.Sram_cell.Butterfly.lobe_low |]
+           = bits
+               [| Oracle.Butterfly.lobe ~upper:curve_r ~lower:curve_l;
+                  Oracle.Butterfly.lobe ~upper:curve_l ~lower:curve_r |]));
+    case "VTC source sweep is bit-identical to one netlist per point" (fun () ->
+        List.iter
+          (fun (cell, side, access_on, condition) ->
+            let vtc = Sram_cell.Butterfly.trace_vtc ~cell ~side ~access_on condition in
+            let out = snd (Sram_cell.Sram6t.build_half_vtc ~cell ~side ~access_on condition ~vin:0.0) in
+            let oracle =
+              Oracle.Dc.sweep ~points:vtc.Sram_cell.Butterfly.inputs ~build:(fun vin ->
+                  fst (Sram_cell.Sram6t.build_half_vtc ~cell ~side ~access_on condition ~vin))
+            in
+            Alcotest.(check (array int64)) "outputs"
+              (Array.map (fun s -> Int64.bits_of_float (Spice.Dc.node_voltage s out)) oracle)
+              (bits vtc.Sram_cell.Butterfly.outputs))
+          [ (hvt, `Left, true, Sram_cell.Sram6t.read ~vddc:0.55 ~vssc:(-0.12) ());
+            (hvt, `Right, false, Sram_cell.Sram6t.hold ());
+            (lvt, `Right, true, Sram_cell.Sram6t.read ~vddc:0.70 ());
+            (lvt, `Left, false, Sram_cell.Sram6t.hold ~vdd:0.40 ()) ]) ]
+
 let () =
   Alcotest.run "sram_cell"
     [ ("conditions", condition_tests);
@@ -325,4 +389,5 @@ let () =
       ("dynamics", dynamics_tests);
       ("leakage", leakage_tests);
       ("dynamic", dynamic_tests);
-      ("montecarlo", montecarlo_tests) ]
+      ("montecarlo", montecarlo_tests);
+      ("oracle", oracle_tests) ]

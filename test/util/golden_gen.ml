@@ -173,6 +173,83 @@ let strategies_schema () =
             Opt.Strategy.Anneal; Opt.Strategy.Nsga2; Opt.Strategy.Surrogate ]))
   ^ "\n"
 
+(* ----- physics pins ----- *)
+
+(* The SPICE-derived answers beneath every design, recorded as IEEE-754
+   bit patterns so that a kernel rewrite which changes any of them by
+   one ulp shows up as a golden diff: the yield pins over the flavor x
+   corner x temperature box (conditions whose RSNM never reaches delta
+   are recorded as infeasible), the write-delay LUT at its grid levels
+   and at interpolated and clamped levels, and RSNM over a V_DDC x V_SSC
+   grid. *)
+let bits v = Json_out.String (Printf.sprintf "%016Lx" (Int64.bits_of_float v))
+
+let flavors = [ Finfet.Library.Hvt; Finfet.Library.Lvt ]
+let temperatures = [ -40.0; 25.0; 85.0; 125.0 ]
+let physics_vwl = [ 0.30; 0.42; 0.45; 0.46; 0.50; 0.54; 0.55; 0.58; 0.60; 0.64; 0.72; 0.90 ]
+let physics_vddc = [ 0.45; 0.50; 0.55; 0.60; 0.70 ]
+let physics_vssc = [ 0.0; -0.08; -0.16; -0.24 ]
+
+let physics_json () =
+  let flavor f = ("flavor", Json_out.String (Finfet.Library.flavor_to_string f)) in
+  let pins =
+    List.concat_map
+      (fun f ->
+        List.concat_map
+          (fun corner ->
+            List.map
+              (fun celsius ->
+                let where =
+                  [ flavor f;
+                    ("corner", Json_out.String (Finfet.Corners.name corner));
+                    ("celsius", Json_out.Float celsius) ]
+                in
+                match Opt.Yield.solve ~corner ~celsius ~flavor:f () with
+                | l ->
+                  Json_out.Obj
+                    (where
+                    @ [ ("vddc_min", bits l.Opt.Yield.vddc_min);
+                        ("vwl_min", bits l.Opt.Yield.vwl_min);
+                        ("hsnm_nominal", bits l.Opt.Yield.hsnm_nominal) ])
+                | exception Opt.Yield.Infeasible _ ->
+                  Json_out.Obj (where @ [ ("infeasible", Json_out.Bool true) ]))
+              temperatures)
+          Finfet.Corners.all)
+      flavors
+  in
+  let write_delay =
+    List.concat_map
+      (fun f ->
+        let per = Array_model.Periphery.shared ~cell_flavor:f in
+        List.map
+          (fun vwl ->
+            Json_out.Obj
+              [ flavor f; ("vwl", Json_out.Float vwl);
+                ("delay", bits (Array_model.Periphery.write_delay per ~vwl)) ])
+          physics_vwl)
+      flavors
+  in
+  let rsnm =
+    List.concat_map
+      (fun f ->
+        List.concat_map
+          (fun vddc ->
+            List.map
+              (fun vssc ->
+                Json_out.Obj
+                  [ flavor f; ("vddc", Json_out.Float vddc); ("vssc", Json_out.Float vssc);
+                    ("rsnm", bits (Opt.Yield.rsnm_at ~flavor:f ~vddc ~vssc ())) ])
+              physics_vssc)
+          physics_vddc)
+      flavors
+  in
+  Json_out.to_string_pretty
+    (Json_out.Obj
+       [ ("yield", Json_out.List pins);
+         ("write_delay", Json_out.List write_delay);
+         ("rsnm", Json_out.List rsnm) ])
+  ^ "\n"
+
 let files_memo =
   (* Sequenced lets: [stats_schema] mutates (then resets) global
      telemetry state, so it must not interleave with the sweep-backed
@@ -186,10 +263,12 @@ let files_memo =
      let datasheet = datasheet_text () in
      let stats = stats_schema () in
      let strategies = strategies_schema () in
+     let physics = physics_json () in
      [ ("table4.json", table4);
        ("report.txt", report);
        ("datasheet.txt", datasheet);
        ("stats.json", stats);
-       ("strategies.json", strategies) ])
+       ("strategies.json", strategies);
+       ("physics.json", physics) ])
 
 let files () = Lazy.force files_memo

@@ -21,5 +21,12 @@ val stats_schema : unit -> string
     synthesized full serving state — pins the key set and nesting of
     DESIGN.md §7 without golding non-deterministic timings. *)
 
+val physics_json : unit -> string
+(** The SPICE-level answers as IEEE-754 bit patterns (hex): yield pins
+    over both flavors x every corner x {-40, 25, 85, 125} C, the
+    write-delay LUT at grid, interpolated and clamped V_WL, and RSNM over
+    a V_DDC x V_SSC grid.  Any kernel change that moves one of them by an
+    ulp shows up here. *)
+
 val files : unit -> (string * string) list
 (** [(basename, content)] for every golden file. *)

@@ -33,3 +33,4 @@ let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 
 module Golden_gen = Golden_gen
+module Oracle = Oracle

@@ -22,3 +22,6 @@ val slow_case : string -> (unit -> unit) -> unit Alcotest.test_case
 module Golden_gen : module type of Golden_gen
 (** Golden-file content generation (re-exported through the library's
     main module so test binaries can reach it). *)
+
+module Oracle : module type of Oracle
+(** Bit-exact reference implementations of the SPICE-level kernels. *)
