@@ -30,6 +30,8 @@ all:
 check: check-tests check-dead-modules
 	dune build
 	dune runtest
+	@status=0; dune exec bin/sram_opt.exe -- optimize -c 1000 >/dev/null 2>&1 || status=$$?; \
+	  [ $$status -eq 124 ] || { echo "ERROR: optimize -c 1000 exited $$status, expected a usage error (124)"; exit 1; }
 	dune exec bench/main.exe -- headline --smoke
 	dune exec bench/main.exe -- kernel --smoke
 	dune exec bench/main.exe -- obs --smoke

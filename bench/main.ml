@@ -9,6 +9,8 @@
      fig2a fig2b fig3a fig3b fig3c fig3d fig5a fig5b
      table4 fig7a fig7b fig7c fig7d headline ablation timing *)
 
+module J = Persist.Json
+
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '#')
 
@@ -711,19 +713,6 @@ let timing () =
     (List.sort compare !rows);
   Sram_edp.Report.print table
 
-(* ----- provenance ----- *)
-
-(* Stamp bench JSON with the commit it measured, so successive
-   BENCH_*.json files form a comparable trajectory. *)
-let git_commit () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> "unknown"
-  with _ -> "unknown"
-
 (* ----- runtime scaling benchmark ----- *)
 
 (* Cold Table 4 sweeps at 1 / 2 / 4 jobs: wall time, evaluation rate and
@@ -740,16 +729,16 @@ let runtime_bench () =
         Runtime.Memo.reset_all ();
         Runtime.Telemetry.reset ();
         let pool = Runtime.Pool.create ~jobs () in
-        let t0 = Runtime.Telemetry.now () in
+        let t0 = Obs.Clock.now () in
         let designs =
           Sram_edp.Framework.sweep_capacities ~pool ~capacities ~configs ()
         in
-        let wall = Runtime.Telemetry.now () -. t0 in
+        let wall = Obs.Clock.now () -. t0 in
         (* The identical sweep again: every design must come out of the
            framework.optimize memo. *)
-        let t1 = Runtime.Telemetry.now () in
+        let t1 = Obs.Clock.now () in
         ignore (Sram_edp.Framework.sweep_capacities ~pool ~capacities ~configs ());
-        let warm_wall = Runtime.Telemetry.now () -. t1 in
+        let warm_wall = Obs.Clock.now () -. t1 in
         Runtime.Pool.shutdown pool;
         let evals =
           Runtime.Telemetry.value (Runtime.Telemetry.counter "exhaustive.search")
@@ -796,32 +785,32 @@ let runtime_bench () =
        memos
    | [] -> ());
   let json =
-    Sram_edp.Json_out.Obj
-      [ ("benchmark", Sram_edp.Json_out.String "table4-sweep");
-        ("git_commit", Sram_edp.Json_out.String (git_commit ()));
-        ("host_cores", Sram_edp.Json_out.Int (Domain.recommended_domain_count ()));
+    J.Obj
+      [ ("benchmark", J.String "table4-sweep");
+        ("git_commit", J.String (Persist.Record_log.git_commit ()));
+        ("host_cores", J.Int (Domain.recommended_domain_count ()));
         ("capacities_bits",
-         Sram_edp.Json_out.List
-           (List.map (fun c -> Sram_edp.Json_out.Int c) capacities));
+         J.List
+           (List.map (fun c -> J.Int c) capacities));
         ("histograms", Sram_edp.Json_out.histograms_json ());
         ("runs",
-         Sram_edp.Json_out.List
+         J.List
            (List.map
               (fun (jobs, wall, warm_wall, designs, evals, memos) ->
-                Sram_edp.Json_out.Obj
-                  [ ("jobs", Sram_edp.Json_out.Int jobs);
-                    ("wall_s", Sram_edp.Json_out.Float wall);
-                    ("speedup", Sram_edp.Json_out.Float (wall_1j /. wall));
-                    ("warm_wall_s", Sram_edp.Json_out.Float warm_wall);
-                    ("designs", Sram_edp.Json_out.Int designs);
-                    ("evaluations", Sram_edp.Json_out.Int evals);
+                J.Obj
+                  [ ("jobs", J.Int jobs);
+                    ("wall_s", J.Float wall);
+                    ("speedup", J.Float (wall_1j /. wall));
+                    ("warm_wall_s", J.Float warm_wall);
+                    ("designs", J.Int designs);
+                    ("evaluations", J.Int evals);
                     ("memos",
-                     Sram_edp.Json_out.List
+                     J.List
                        (List.map Sram_edp.Json_out.of_memo_stats memos)) ])
               runs)) ]
   in
   let oc = open_out "BENCH_runtime.json" in
-  output_string oc (Sram_edp.Json_out.to_string_pretty json);
+  output_string oc (J.to_string_pretty json);
   output_char oc '\n';
   close_out oc;
   print_endline "wrote BENCH_runtime.json"
@@ -903,9 +892,9 @@ let kernel_bench () =
     Array_model.Array_eval.reset_staging ();
     let pool = Runtime.Pool.create ~jobs () in
     let gc0 = Gc.quick_stat () in
-    let t0 = Runtime.Telemetry.now () in
+    let t0 = Obs.Clock.now () in
     let results = sweep ~pool ~kernel in
-    let wall = Runtime.Telemetry.now () -. t0 in
+    let wall = Obs.Clock.now () -. t0 in
     let gc1 = Gc.quick_stat () in
     Runtime.Pool.shutdown pool;
     ( results, wall,
@@ -945,7 +934,7 @@ let kernel_bench () =
     let pool = Runtime.Pool.create ~jobs:1 () in
     let decided = ref 0 in
     let sum_designs = ref "" in
-    let t0 = Runtime.Telemetry.now () in
+    let t0 = Obs.Clock.now () in
     for _ = 1 to reps do
       Runtime.Memo.reset_all ();
       Array_model.Array_eval.reset_staging ();
@@ -964,7 +953,7 @@ let kernel_bench () =
       decided := !decided + sum (fun r -> r.Opt.Exhaustive.considered) results;
       sum_designs := checksum_designs results
     done;
-    let wall = Runtime.Telemetry.now () -. t0 in
+    let wall = Obs.Clock.now () -. t0 in
     Runtime.Pool.shutdown pool;
     (!sum_designs, float_of_int !decided /. wall)
   in
@@ -1023,18 +1012,18 @@ let kernel_bench () =
         "no committed BENCH_kernel.json — baseline gate skipped \
          (run the full kernel bench to create it)"
     | Some text -> (
-      match Persist.Json.of_string text with
+      match J.of_string text with
       | Error e ->
         failures := Printf.sprintf "BENCH_kernel.json unreadable: %s" e :: !failures
       | Ok json -> (
-        match Persist.Json.member "smoke_baseline" json with
+        match J.member "smoke_baseline" json with
         | None ->
           print_endline
             "BENCH_kernel.json has no smoke_baseline — gate skipped \
              (re-run the full kernel bench to record one)"
         | Some base ->
-          let expect_sum = Persist.Json.string_field base "checksum" in
-          let expect_eps = Persist.Json.float_field base "decided_points_per_sec" in
+          let expect_sum = J.string_field base "checksum" in
+          let expect_eps = J.float_field base "decided_points_per_sec" in
           let probe_sum, eps0 = smoke_probe () in
           (match expect_sum with
            | Some s when s <> probe_sum ->
@@ -1067,71 +1056,71 @@ let kernel_bench () =
     let smoke_sum, eps0 = smoke_probe () in
     let smoke_eps = Float.max eps0 (snd (smoke_probe ())) in
     let json =
-      Sram_edp.Json_out.Obj
-        [ ("benchmark", Sram_edp.Json_out.String "staged-kernel");
-          ("git_commit", Sram_edp.Json_out.String (git_commit ()));
+      J.Obj
+        [ ("benchmark", J.String "staged-kernel");
+          ("git_commit", J.String (Persist.Record_log.git_commit ()));
           ("host_cores",
-           Sram_edp.Json_out.Int (Domain.recommended_domain_count ()));
+           J.Int (Domain.recommended_domain_count ()));
           ("capacities_bits",
-           Sram_edp.Json_out.List
-             (List.map (fun c -> Sram_edp.Json_out.Int c) capacities));
-          ("bit_identical", Sram_edp.Json_out.Bool all_identical);
+           J.List
+             (List.map (fun c -> J.Int c) capacities));
+          ("bit_identical", J.Bool all_identical);
           ("histograms", Sram_edp.Json_out.histograms_json ());
           ("smoke_baseline",
-           Sram_edp.Json_out.Obj
-             [ ("space", Sram_edp.Json_out.String "reduced");
+           J.Obj
+             [ ("space", J.String "reduced");
                ("capacities_bits",
-                Sram_edp.Json_out.List [ Sram_edp.Json_out.Int (1024 * 8) ]);
-               ("jobs", Sram_edp.Json_out.Int 1);
-               ("checksum", Sram_edp.Json_out.String smoke_sum);
-               ("decided_points_per_sec", Sram_edp.Json_out.Float smoke_eps) ]);
+                J.List [ J.Int (1024 * 8) ]);
+               ("jobs", J.Int 1);
+               ("checksum", J.String smoke_sum);
+               ("decided_points_per_sec", J.Float smoke_eps) ]);
           ("runs",
-           Sram_edp.Json_out.List
+           J.List
              (List.map
                 (fun r ->
-                  Sram_edp.Json_out.Obj
-                    [ ("jobs", Sram_edp.Json_out.Int r.kr_jobs);
+                  J.Obj
+                    [ ("jobs", J.Int r.kr_jobs);
                       ("reference_wall_s",
-                       Sram_edp.Json_out.Float r.kr_ref_wall);
-                      ("staged_wall_s", Sram_edp.Json_out.Float r.kr_stg_wall);
+                       J.Float r.kr_ref_wall);
+                      ("staged_wall_s", J.Float r.kr_stg_wall);
                       ("speedup",
-                       Sram_edp.Json_out.Float
+                       J.Float
                          (r.kr_ref_wall /. r.kr_stg_wall));
                       ("evals_per_sec",
-                       Sram_edp.Json_out.Float (evals_per_sec r));
+                       J.Float (evals_per_sec r));
                       ("decided_points_per_sec",
-                       Sram_edp.Json_out.Float (decided_per_sec r));
+                       J.Float (decided_per_sec r));
                       ("considered_points",
-                       Sram_edp.Json_out.Int r.kr_considered);
+                       J.Int r.kr_considered);
                       ("reference_evaluations",
-                       Sram_edp.Json_out.Int r.kr_ref_evals);
+                       J.Int r.kr_ref_evals);
                       ("staged_evaluations",
-                       Sram_edp.Json_out.Int r.kr_stg_evals);
-                      ("pruned_scans", Sram_edp.Json_out.Int r.kr_pruned);
+                       J.Int r.kr_stg_evals);
+                      ("pruned_scans", J.Int r.kr_pruned);
                       ("evals_skipped_midscan",
-                       Sram_edp.Json_out.Int r.kr_skipped);
-                      ("evals_skipped", Sram_edp.Json_out.Int r.kr_covered);
+                       J.Int r.kr_skipped);
+                      ("evals_skipped", J.Int r.kr_covered);
                       ("prune_rate",
-                       Sram_edp.Json_out.Float
+                       J.Float
                          (float_of_int r.kr_covered
                           /. float_of_int r.kr_ref_evals));
                       ("staged_minor_words",
-                       Sram_edp.Json_out.Float r.kr_stg_minor_w);
+                       J.Float r.kr_stg_minor_w);
                       ("staged_major_words",
-                       Sram_edp.Json_out.Float r.kr_stg_major_w);
+                       J.Float r.kr_stg_major_w);
                       ("staged_minor_words_per_eval",
-                       Sram_edp.Json_out.Float (words_per_eval r));
+                       J.Float (words_per_eval r));
                       ("checksum_reference",
-                       Sram_edp.Json_out.String r.kr_ref_sum);
+                       J.String r.kr_ref_sum);
                       ("checksum_staged",
-                       Sram_edp.Json_out.String r.kr_stg_sum) ])
+                       J.String r.kr_stg_sum) ])
                 rows)) ]
     in
     if !no_json then
       print_endline "--no-json: BENCH_kernel.json left untouched"
     else begin
       let oc = open_out "BENCH_kernel.json" in
-      output_string oc (Sram_edp.Json_out.to_string_pretty json);
+      output_string oc (J.to_string_pretty json);
       output_char oc '\n';
       close_out oc;
       print_endline "wrote BENCH_kernel.json"
@@ -1242,12 +1231,12 @@ let obs_bench () =
   let pool = Runtime.Pool.create ~jobs:1 () in
   ignore (sweep ~pool);
   let time_mode mode =
-    let t0 = Runtime.Telemetry.now () in
+    let t0 = Obs.Clock.now () in
     with_mode mode (fun () ->
         for _ = 1 to reps do
           ignore (sweep ~pool)
         done);
-    Runtime.Telemetry.now () -. t0
+    Obs.Clock.now () -. t0
   in
   (* Wall-time noise on a shared host is strictly additive — background
      load can only slow a trial down, never speed it up — so the
@@ -1292,34 +1281,34 @@ let obs_bench () =
   Printf.printf "chosen designs identical across modes and job counts: %s\n"
     (if bit_identical then "yes" else "NO");
   let json =
-    Sram_edp.Json_out.Obj
-      [ ("benchmark", Sram_edp.Json_out.String "observability-overhead");
-        ("git_commit", Sram_edp.Json_out.String (git_commit ()));
-        ("host_cores", Sram_edp.Json_out.Int (Domain.recommended_domain_count ()));
-        ("smoke", Sram_edp.Json_out.Bool !smoke);
+    J.Obj
+      [ ("benchmark", J.String "observability-overhead");
+        ("git_commit", J.String (Persist.Record_log.git_commit ()));
+        ("host_cores", J.Int (Domain.recommended_domain_count ()));
+        ("smoke", J.Bool !smoke);
         ("capacities_bits",
-         Sram_edp.Json_out.List
-           (List.map (fun c -> Sram_edp.Json_out.Int c) capacities));
-        ("bit_identical", Sram_edp.Json_out.Bool bit_identical);
+         J.List
+           (List.map (fun c -> J.Int c) capacities));
+        ("bit_identical", J.Bool bit_identical);
         ("overhead",
-         Sram_edp.Json_out.Obj
-           [ ("wall_off_s", Sram_edp.Json_out.Float wall_off);
-             ("wall_stats_s", Sram_edp.Json_out.Float wall_stats);
-             ("overhead", Sram_edp.Json_out.Float overhead);
-             ("threshold", Sram_edp.Json_out.Float threshold);
-             ("trials", Sram_edp.Json_out.Int trials);
-             ("reps", Sram_edp.Json_out.Int reps);
-             ("pass", Sram_edp.Json_out.Bool pass) ]);
+         J.Obj
+           [ ("wall_off_s", J.Float wall_off);
+             ("wall_stats_s", J.Float wall_stats);
+             ("overhead", J.Float overhead);
+             ("threshold", J.Float threshold);
+             ("trials", J.Int trials);
+             ("reps", J.Int reps);
+             ("pass", J.Bool pass) ]);
         ("histograms", Sram_edp.Json_out.histograms_json ());
         ("runs",
-         Sram_edp.Json_out.List
+         J.List
            (List.map
               (fun (jobs, per_mode) ->
-                Sram_edp.Json_out.Obj
-                  (("jobs", Sram_edp.Json_out.Int jobs)
+                J.Obj
+                  (("jobs", J.Int jobs)
                    :: List.map
                         (fun (m, s) ->
-                          ("checksum_" ^ m, Sram_edp.Json_out.String s))
+                          ("checksum_" ^ m, J.String s))
                         per_mode))
               sums)) ]
   in
@@ -1327,7 +1316,7 @@ let obs_bench () =
      full-space JSON. *)
   if not !smoke then begin
     let oc = open_out "BENCH_obs.json" in
-    output_string oc (Sram_edp.Json_out.to_string_pretty json);
+    output_string oc (J.to_string_pretty json);
     output_char oc '\n';
     close_out oc;
     print_endline "wrote BENCH_obs.json"
@@ -1426,12 +1415,12 @@ let explain_bench () =
   let osweep = sweep ~space:Opt.Space.default ~pool in
   ignore (osweep ());
   let time_mode armed =
-    let t0 = Runtime.Telemetry.now () in
+    let t0 = Obs.Clock.now () in
     with_journal armed (fun () ->
         for _ = 1 to reps do
           ignore (osweep ())
         done);
-    Runtime.Telemetry.now () -. t0
+    Obs.Clock.now () -. t0
   in
   let minimum l = List.fold_left min infinity l in
   let measure () =
@@ -1480,39 +1469,39 @@ let explain_bench () =
     "convergence journal: %d incumbents, %d prunes, %d events stored\n"
     s.Obs.Search.incumbents s.Obs.Search.prunes s.Obs.Search.journaled;
   let json =
-    Sram_edp.Json_out.Obj
-      [ ("benchmark", Sram_edp.Json_out.String "explain-search-journal");
-        ("git_commit", Sram_edp.Json_out.String (git_commit ()));
-        ("host_cores", Sram_edp.Json_out.Int (Domain.recommended_domain_count ()));
-        ("smoke", Sram_edp.Json_out.Bool !smoke);
+    J.Obj
+      [ ("benchmark", J.String "explain-search-journal");
+        ("git_commit", J.String (Persist.Record_log.git_commit ()));
+        ("host_cores", J.Int (Domain.recommended_domain_count ()));
+        ("smoke", J.Bool !smoke);
         ("capacities_bits",
-         Sram_edp.Json_out.List
-           (List.map (fun c -> Sram_edp.Json_out.Int c) capacities));
-        ("bit_identical", Sram_edp.Json_out.Bool bit_identical);
+         J.List
+           (List.map (fun c -> J.Int c) capacities));
+        ("bit_identical", J.Bool bit_identical);
         ("overhead",
-         Sram_edp.Json_out.Obj
-           [ ("wall_off_s", Sram_edp.Json_out.Float wall_off);
-             ("wall_on_s", Sram_edp.Json_out.Float wall_on);
-             ("overhead", Sram_edp.Json_out.Float overhead);
-             ("threshold", Sram_edp.Json_out.Float threshold);
-             ("trials", Sram_edp.Json_out.Int trials);
-             ("reps", Sram_edp.Json_out.Int reps);
-             ("pass", Sram_edp.Json_out.Bool pass) ]);
+         J.Obj
+           [ ("wall_off_s", J.Float wall_off);
+             ("wall_on_s", J.Float wall_on);
+             ("overhead", J.Float overhead);
+             ("threshold", J.Float threshold);
+             ("trials", J.Int trials);
+             ("reps", J.Int reps);
+             ("pass", J.Bool pass) ]);
         ("search_journal", journal);
         ("histograms", Sram_edp.Json_out.histograms_json ());
         ("runs",
-         Sram_edp.Json_out.List
+         J.List
            (List.map
               (fun (jobs, off, on) ->
-                Sram_edp.Json_out.Obj
-                  [ ("jobs", Sram_edp.Json_out.Int jobs);
-                    ("checksum_off", Sram_edp.Json_out.String off);
-                    ("checksum_on", Sram_edp.Json_out.String on) ])
+                J.Obj
+                  [ ("jobs", J.Int jobs);
+                    ("checksum_off", J.String off);
+                    ("checksum_on", J.String on) ])
               sums)) ]
   in
   if not !smoke then begin
     let oc = open_out "BENCH_explain.json" in
-    output_string oc (Sram_edp.Json_out.to_string_pretty json);
+    output_string oc (J.to_string_pretty json);
     output_char oc '\n';
     close_out oc;
     print_endline "wrote BENCH_explain.json"
@@ -1630,60 +1619,60 @@ let moo_bench () =
      else " (budget gate: full run only)")
     (if !all_pass then "pass" else "FAIL");
   let json =
-    Sram_edp.Json_out.Obj
-      [ ("benchmark", Sram_edp.Json_out.String "moo-oracle");
-        ("git_commit", Sram_edp.Json_out.String (git_commit ()));
-        ("smoke", Sram_edp.Json_out.Bool !smoke);
-        ("config", Sram_edp.Json_out.String "6T-HVT-M2");
+    J.Obj
+      [ ("benchmark", J.String "moo-oracle");
+        ("git_commit", J.String (Persist.Record_log.git_commit ()));
+        ("smoke", J.Bool !smoke);
+        ("config", J.String "6T-HVT-M2");
         ("gates",
-         Sram_edp.Json_out.Obj
-           [ ("regret", Sram_edp.Json_out.Float 0.0);
-             ("budget_frac", Sram_edp.Json_out.Float budget_frac);
-             ("hv_ratio_floor", Sram_edp.Json_out.Float hv_floor);
+         J.Obj
+           [ ("regret", J.Float 0.0);
+             ("budget_frac", J.Float budget_frac);
+             ("hv_ratio_floor", J.Float hv_floor);
              ("jobs",
-              Sram_edp.Json_out.List
-                (List.map (fun j -> Sram_edp.Json_out.Int j) jobs_list)) ]);
+              J.List
+                (List.map (fun j -> J.Int j) jobs_list)) ]);
         ("capacities",
-         Sram_edp.Json_out.List
+         J.List
            (List.map
               (fun (capacity_bits, oracle, per_engine) ->
-                Sram_edp.Json_out.Obj
-                  [ ("capacity_bits", Sram_edp.Json_out.Int capacity_bits);
+                J.Obj
+                  [ ("capacity_bits", J.Int capacity_bits);
                     ("oracle_considered",
-                     Sram_edp.Json_out.Int oracle.Opt.Exhaustive.considered);
+                     J.Int oracle.Opt.Exhaustive.considered);
                     ("oracle_checksum",
-                     Sram_edp.Json_out.String (checksum_designs [ oracle ]));
+                     J.String (checksum_designs [ oracle ]));
                     ("engines",
-                     Sram_edp.Json_out.List
+                     J.List
                        (List.map
                           (fun (name, res, regret, frac, hv, identical, pass,
                                 sums) ->
-                            Sram_edp.Json_out.Obj
-                              [ ("engine", Sram_edp.Json_out.String name);
+                            J.Obj
+                              [ ("engine", J.String name);
                                 ("evaluated",
-                                 Sram_edp.Json_out.Int
+                                 J.Int
                                    res.Opt.Exhaustive.evaluated);
-                                ("of_oracle", Sram_edp.Json_out.Float frac);
-                                ("regret", Sram_edp.Json_out.Float regret);
-                                ("hv_ratio", Sram_edp.Json_out.Float hv);
+                                ("of_oracle", J.Float frac);
+                                ("regret", J.Float regret);
+                                ("hv_ratio", J.Float hv);
                                 ("bit_identical",
-                                 Sram_edp.Json_out.Bool identical);
-                                ("pass", Sram_edp.Json_out.Bool pass);
+                                 J.Bool identical);
+                                ("pass", J.Bool pass);
                                 ("checksums",
-                                 Sram_edp.Json_out.List
+                                 J.List
                                    (List.map
                                       (fun (j, s) ->
-                                        Sram_edp.Json_out.Obj
-                                          [ ("jobs", Sram_edp.Json_out.Int j);
+                                        J.Obj
+                                          [ ("jobs", J.Int j);
                                             ("checksum",
-                                             Sram_edp.Json_out.String s) ])
+                                             J.String s) ])
                                       sums)) ])
                           per_engine)) ])
               runs)) ]
   in
   if not !smoke then begin
     let oc = open_out "BENCH_moo.json" in
-    output_string oc (Sram_edp.Json_out.to_string_pretty json);
+    output_string oc (J.to_string_pretty json);
     output_char oc '\n';
     close_out oc;
     print_endline "wrote BENCH_moo.json"
@@ -1743,15 +1732,15 @@ let persist_bench () =
       (fun jobs ->
         Persist.Faults.disarm_all ();
         let pool = Runtime.Pool.create ~jobs () in
-        let t0 = Runtime.Telemetry.now () in
+        let t0 = Obs.Clock.now () in
         let base = sweep ~pool () in
-        let plain_wall = Runtime.Telemetry.now () -. t0 in
+        let plain_wall = Obs.Clock.now () -. t0 in
         let base_sum = checksum_designs base in
         let jp = Filename.concat dir (Printf.sprintf "full_%dj.rlog" jobs) in
         let journal = open_journal jp in
-        let t0 = Runtime.Telemetry.now () in
+        let t0 = Obs.Clock.now () in
         let journaled = sweep ~journal ~pool () in
-        let journal_wall = Runtime.Telemetry.now () -. t0 in
+        let journal_wall = Obs.Clock.now () -. t0 in
         Persist.Checkpoint.close journal;
         let journal_sum = checksum_designs journaled in
         (* Kill the journaled sweep at an injected record boundary, then
@@ -1811,35 +1800,35 @@ let persist_bench () =
     (if pass then "yes" else "NO");
   if not !smoke then begin
     let json =
-      Sram_edp.Json_out.Obj
-        [ ("benchmark", Sram_edp.Json_out.String "persist-checkpoint");
-          ("git_commit", Sram_edp.Json_out.String (git_commit ()));
+      J.Obj
+        [ ("benchmark", J.String "persist-checkpoint");
+          ("git_commit", J.String (Persist.Record_log.git_commit ()));
           ("host_cores",
-           Sram_edp.Json_out.Int (Domain.recommended_domain_count ()));
+           J.Int (Domain.recommended_domain_count ()));
           ("capacities_bits",
-           Sram_edp.Json_out.List
-             (List.map (fun c -> Sram_edp.Json_out.Int c) capacities));
-          ("checkpoint_every", Sram_edp.Json_out.Int every);
-          ("pass", Sram_edp.Json_out.Bool pass);
+           J.List
+             (List.map (fun c -> J.Int c) capacities));
+          ("checkpoint_every", J.Int every);
+          ("pass", J.Bool pass);
           ("runs",
-           Sram_edp.Json_out.List
+           J.List
              (List.map
                 (fun (jobs, pw, jw, bs, js, rs, died, replayed) ->
-                  Sram_edp.Json_out.Obj
-                    [ ("jobs", Sram_edp.Json_out.Int jobs);
-                      ("plain_wall_s", Sram_edp.Json_out.Float pw);
-                      ("journal_wall_s", Sram_edp.Json_out.Float jw);
+                  J.Obj
+                    [ ("jobs", J.Int jobs);
+                      ("plain_wall_s", J.Float pw);
+                      ("journal_wall_s", J.Float jw);
                       ("journal_overhead",
-                       Sram_edp.Json_out.Float ((jw /. pw) -. 1.0));
-                      ("killed", Sram_edp.Json_out.Bool died);
-                      ("chunks_replayed", Sram_edp.Json_out.Int replayed);
-                      ("checksum_plain", Sram_edp.Json_out.String bs);
-                      ("checksum_journaled", Sram_edp.Json_out.String js);
-                      ("checksum_resumed", Sram_edp.Json_out.String rs) ])
+                       J.Float ((jw /. pw) -. 1.0));
+                      ("killed", J.Bool died);
+                      ("chunks_replayed", J.Int replayed);
+                      ("checksum_plain", J.String bs);
+                      ("checksum_journaled", J.String js);
+                      ("checksum_resumed", J.String rs) ])
                 rows)) ]
     in
     let oc = open_out "BENCH_persist.json" in
-    output_string oc (Sram_edp.Json_out.to_string_pretty json);
+    output_string oc (J.to_string_pretty json);
     output_char oc '\n';
     close_out oc;
     print_endline "wrote BENCH_persist.json"
@@ -1877,8 +1866,8 @@ type serve_row = {
   sr_deadline_expired : int;  (* SLO counters, from stats *)
   sr_rejected_busy : int;
   sr_identical : bool;
-  sr_server : Sram_edp.Json_out.t;  (* serve.* counters, from stats *)
-  sr_windows : Sram_edp.Json_out.t; (* windowed histograms/counters *)
+  sr_server : J.t;  (* serve.* counters, from stats *)
+  sr_windows : J.t; (* windowed histograms/counters *)
 }
 
 let serve_fork_server ~dir ?(observability = true) ?(tag = "") jobs =
@@ -2044,15 +2033,15 @@ let serve_level ~dir ~queries ~refs ~clients ~reps jobs =
       | Error e -> give_up ("stats failed: " ^ e)
       | Ok stats ->
         let hm =
-          match Persist.Json.member "memos" stats with
-          | Some (Persist.Json.List memos) ->
+          match J.member "memos" stats with
+          | Some (J.List memos) ->
             List.fold_left
               (fun acc m ->
-                match Persist.Json.string_field m "name" with
+                match J.string_field m "name" with
                 | Some "framework.optimize" -> (
                   match
-                    ( Persist.Json.int_field m "hits",
-                      Persist.Json.int_field m "misses" )
+                    ( J.int_field m "hits",
+                      J.int_field m "misses" )
                   with
                   | Some h, Some mi -> (h, mi)
                   | _ -> acc)
@@ -2060,24 +2049,14 @@ let serve_level ~dir ~queries ~refs ~clients ~reps jobs =
               (0, 0) memos
           | _ -> (0, 0)
         in
-        let rec jo = function
-          | Persist.Json.Null -> Sram_edp.Json_out.Null
-          | Persist.Json.Bool b -> Sram_edp.Json_out.Bool b
-          | Persist.Json.Int i -> Sram_edp.Json_out.Int i
-          | Persist.Json.Float f -> Sram_edp.Json_out.Float f
-          | Persist.Json.String s -> Sram_edp.Json_out.String s
-          | Persist.Json.List l -> Sram_edp.Json_out.List (List.map jo l)
-          | Persist.Json.Obj o ->
-            Sram_edp.Json_out.Obj (List.map (fun (k, v) -> (k, jo v)) o)
-        in
         let counters =
-          match Persist.Json.member "server" stats with
-          | Some s -> jo s
-          | None -> Sram_edp.Json_out.Null
+          match J.member "server" stats with
+          | Some s -> s
+          | None -> J.Null
         in
         let server_int name =
-          match Persist.Json.member "server" stats with
-          | Some s -> Option.value ~default:0 (Persist.Json.int_field s name)
+          match J.member "server" stats with
+          | Some s -> Option.value ~default:0 (J.int_field s name)
           | None -> 0
         in
         (* Windowed e2e p99 from the stats `windows` section — the
@@ -2085,29 +2064,29 @@ let serve_level ~dir ~queries ~refs ~clients ~reps jobs =
            percentile over the same load. *)
         let win_p99 =
           let ( >>= ) = Option.bind in
-          Persist.Json.member "windows" stats
-          >>= Persist.Json.member "histograms"
+          J.member "windows" stats
+          >>= J.member "histograms"
           >>= (function
-                | Persist.Json.List rows ->
+                | J.List rows ->
                   List.find_opt
                     (fun r ->
-                      Persist.Json.string_field r "name" = Some "serve.e2e")
+                      J.string_field r "name" = Some "serve.e2e")
                     rows
                 | _ -> None)
-          >>= Persist.Json.member "windows"
+          >>= J.member "windows"
           >>= (function
-                | Persist.Json.List slices ->
+                | J.List slices ->
                   List.find_opt
                     (fun s ->
-                      Persist.Json.string_field s "window" = Some "10s")
+                      J.string_field s "window" = Some "10s")
                     slices
                 | _ -> None)
-          >>= fun s -> Persist.Json.float_field s "p99_s"
+          >>= fun s -> J.float_field s "p99_s"
         in
         let windows =
-          match Persist.Json.member "windows" stats with
-          | Some w -> jo w
-          | None -> Sram_edp.Json_out.Null
+          match J.member "windows" stats with
+          | Some w -> w
+          | None -> J.Null
         in
         ( fst hm, snd hm,
           server_int "deadline_expired", server_int "rejected_busy",
@@ -2284,59 +2263,59 @@ let serve_bench () =
     (if pass then "yes" else "NO");
   if not !smoke then begin
     let json =
-      Sram_edp.Json_out.Obj
-        [ ("benchmark", Sram_edp.Json_out.String "serve");
-          ("git_commit", Sram_edp.Json_out.String (git_commit ()));
+      J.Obj
+        [ ("benchmark", J.String "serve");
+          ("git_commit", J.String (Persist.Record_log.git_commit ()));
           ("host_cores",
-           Sram_edp.Json_out.Int (Domain.recommended_domain_count ()));
-          ("queries", Sram_edp.Json_out.Int (List.length queries));
-          ("clients", Sram_edp.Json_out.Int clients);
-          ("requests_per_client", Sram_edp.Json_out.Int reps);
-          ("pass", Sram_edp.Json_out.Bool pass);
+           J.Int (Domain.recommended_domain_count ()));
+          ("queries", J.Int (List.length queries));
+          ("clients", J.Int clients);
+          ("requests_per_client", J.Int reps);
+          ("pass", J.Bool pass);
           ("observability_overhead",
-           Sram_edp.Json_out.Obj
-             [ ("trials", Sram_edp.Json_out.Int serve_overhead_trials);
-               ("warm_on_s", Sram_edp.Json_out.Float on_s);
-               ("warm_off_s", Sram_edp.Json_out.Float off_s);
-               ("overhead", Sram_edp.Json_out.Float overhead);
+           J.Obj
+             [ ("trials", J.Int serve_overhead_trials);
+               ("warm_on_s", J.Float on_s);
+               ("warm_off_s", J.Float off_s);
+               ("overhead", J.Float overhead);
                ("threshold",
-                Sram_edp.Json_out.Float serve_overhead_threshold);
+                J.Float serve_overhead_threshold);
                ("bit_identical",
-                Sram_edp.Json_out.Bool overhead_identical);
-               ("pass", Sram_edp.Json_out.Bool overhead_pass) ]);
+                J.Bool overhead_identical);
+               ("pass", J.Bool overhead_pass) ]);
           ("runs",
-           Sram_edp.Json_out.List
+           J.List
              (List.map
                 (fun r ->
-                  Sram_edp.Json_out.Obj
-                    ([ ("jobs", Sram_edp.Json_out.Int r.sr_jobs);
-                       ("cold_median_s", Sram_edp.Json_out.Float r.sr_cold_s);
-                       ("warm_median_s", Sram_edp.Json_out.Float r.sr_warm_s);
+                  J.Obj
+                    ([ ("jobs", J.Int r.sr_jobs);
+                       ("cold_median_s", J.Float r.sr_cold_s);
+                       ("warm_median_s", J.Float r.sr_warm_s);
                        ("warm_speedup",
-                        Sram_edp.Json_out.Float (r.sr_cold_s /. r.sr_warm_s));
-                       ("load_p50_s", Sram_edp.Json_out.Float r.sr_p50_s);
-                       ("load_p99_s", Sram_edp.Json_out.Float r.sr_p99_s) ]
+                        J.Float (r.sr_cold_s /. r.sr_warm_s));
+                       ("load_p50_s", J.Float r.sr_p50_s);
+                       ("load_p99_s", J.Float r.sr_p99_s) ]
                     @ (match r.sr_win_p99_s with
                       | Some p ->
-                        [ ("windowed_e2e_p99_s", Sram_edp.Json_out.Float p) ]
+                        [ ("windowed_e2e_p99_s", J.Float p) ]
                       | None -> [])
-                    @ [ ("load_wall_s", Sram_edp.Json_out.Float r.sr_wall_s);
-                        ("requests", Sram_edp.Json_out.Int r.sr_requests);
-                        ("requests_per_s", Sram_edp.Json_out.Float r.sr_rps);
-                        ("memo_hits", Sram_edp.Json_out.Int r.sr_hits);
-                        ("memo_misses", Sram_edp.Json_out.Int r.sr_misses);
+                    @ [ ("load_wall_s", J.Float r.sr_wall_s);
+                        ("requests", J.Int r.sr_requests);
+                        ("requests_per_s", J.Float r.sr_rps);
+                        ("memo_hits", J.Int r.sr_hits);
+                        ("memo_misses", J.Int r.sr_misses);
                         ("deadline_expired",
-                         Sram_edp.Json_out.Int r.sr_deadline_expired);
+                         J.Int r.sr_deadline_expired);
                         ("rejected_busy",
-                         Sram_edp.Json_out.Int r.sr_rejected_busy);
+                         J.Int r.sr_rejected_busy);
                         ("bit_identical",
-                         Sram_edp.Json_out.Bool r.sr_identical);
+                         J.Bool r.sr_identical);
                         ("server", r.sr_server);
                         ("windows", r.sr_windows) ]))
                 rows)) ]
     in
     let oc = open_out "BENCH_serve.json" in
-    output_string oc (Sram_edp.Json_out.to_string_pretty json);
+    output_string oc (J.to_string_pretty json);
     output_char oc '\n';
     close_out oc;
     print_endline "wrote BENCH_serve.json"

@@ -12,14 +12,21 @@
 let capacity_conv =
   let parse s =
     let s = String.trim (String.uppercase_ascii s) in
-    let of_bytes b = Ok (b * 8) in
+    let bad why =
+      Error (`Msg (Printf.sprintf "bad capacity %S (%s; try 4KB, 128B)" s why))
+    in
+    let of_bytes b =
+      match Array_model.Geometry.check_capacity (b * 8) with
+      | Ok bits -> Ok bits
+      | Error e -> bad e
+    in
     try
       if String.length s > 2 && String.sub s (String.length s - 2) 2 = "KB" then
         of_bytes (1024 * int_of_string (String.sub s 0 (String.length s - 2)))
       else if String.length s > 1 && s.[String.length s - 1] = 'B' then
         of_bytes (int_of_string (String.sub s 0 (String.length s - 1)))
       else of_bytes (int_of_string s)
-    with Failure _ -> Error (`Msg (Printf.sprintf "bad capacity %S (try 4KB, 128B)" s))
+    with Failure _ -> bad "not a number"
   in
   let print ppf bits = Format.fprintf ppf "%s" (Sram_edp.Units.capacity bits) in
   Cmdliner.Arg.conv (parse, print)
@@ -329,7 +336,7 @@ let with_runtime ?(trace = None) ?(progress = false) ?(log_level = None)
        let json = Sram_edp.Json_out.search_journal_json () in
        let s = Obs.Search.summary () in
        let oc = open_out path in
-       output_string oc (Sram_edp.Json_out.to_string_pretty json);
+       output_string oc (Persist.Json.to_string_pretty json);
        output_char oc '\n';
        close_out oc;
        Printf.eprintf "wrote search journal (%d events) to %s\n%!"
@@ -346,7 +353,7 @@ let with_runtime ?(trace = None) ?(progress = false) ?(log_level = None)
     finish ();
     if stats then begin
       Runtime.Telemetry.print_report ();
-      Obs.Histogram.print_report ();
+      Obs.Histogram.print_report ~counters:(Runtime.Telemetry.snapshot ()) ();
       Obs.Search.print_report ();
       Runtime.Memo.print_stats ()
     end;
@@ -384,25 +391,25 @@ let optimize_cmd =
       let g = Sram_edp.Framework.geometry o in
       let a = Sram_edp.Framework.assist o in
       print_endline
-        (Sram_edp.Json_out.to_string_pretty
-           (Sram_edp.Json_out.Obj
-              [ ("capacity_bits", Sram_edp.Json_out.Int capacity);
+        (Persist.Json.to_string_pretty
+           (Persist.Json.Obj
+              [ ("capacity_bits", Persist.Json.Int capacity);
                 ("config",
-                 Sram_edp.Json_out.String
+                 Persist.Json.String
                    (Sram_edp.Framework.config_name o.Sram_edp.Framework.config));
-                ("strategy", Sram_edp.Json_out.String (Opt.Strategy.name strategy));
-                ("nr", Sram_edp.Json_out.Int g.Array_model.Geometry.nr);
-                ("nc", Sram_edp.Json_out.Int g.Array_model.Geometry.nc);
-                ("n_pre", Sram_edp.Json_out.Int g.Array_model.Geometry.n_pre);
-                ("n_wr", Sram_edp.Json_out.Int g.Array_model.Geometry.n_wr);
-                ("vddc_v", Sram_edp.Json_out.Float a.Array_model.Components.vddc);
-                ("vssc_v", Sram_edp.Json_out.Float a.Array_model.Components.vssc);
-                ("vwl_v", Sram_edp.Json_out.Float a.Array_model.Components.vwl);
+                ("strategy", Persist.Json.String (Opt.Strategy.name strategy));
+                ("nr", Persist.Json.Int g.Array_model.Geometry.nr);
+                ("nc", Persist.Json.Int g.Array_model.Geometry.nc);
+                ("n_pre", Persist.Json.Int g.Array_model.Geometry.n_pre);
+                ("n_wr", Persist.Json.Int g.Array_model.Geometry.n_wr);
+                ("vddc_v", Persist.Json.Float a.Array_model.Components.vddc);
+                ("vssc_v", Persist.Json.Float a.Array_model.Components.vssc);
+                ("vwl_v", Persist.Json.Float a.Array_model.Components.vwl);
                 ("metrics", Sram_edp.Json_out.of_metrics (Sram_edp.Framework.metrics o));
                 (* Same digest the serve protocol returns, so a one-shot
                    run and a server answer compare with string equality. *)
                 ("checksum",
-                 Sram_edp.Json_out.String
+                 Persist.Json.String
                    (Opt.Exhaustive.checksum [ o.Sram_edp.Framework.result ])) ]))
     end
     else print_optimized o
@@ -431,7 +438,7 @@ let sweep_cmd =
         else fields
       in
       print_endline
-        (Sram_edp.Json_out.to_string_pretty (Sram_edp.Json_out.Obj fields))
+        (Persist.Json.to_string_pretty (Persist.Json.Obj fields))
     end
     else begin
       Sram_edp.Experiments.print_table4 ();
@@ -618,9 +625,9 @@ let explain_cmd =
     in
     if json then begin
       let fields =
-        [ ("capacity_bits", Sram_edp.Json_out.Int capacity);
+        [ ("capacity_bits", Persist.Json.Int capacity);
           ("config",
-           Sram_edp.Json_out.String
+           Persist.Json.String
              (Sram_edp.Framework.config_name o.Sram_edp.Framework.config));
           ("attribution", Sram_edp.Json_out.of_attribution at);
           ("sensitivity", Sram_edp.Json_out.of_sensitivity sens) ]
@@ -630,7 +637,7 @@ let explain_cmd =
         | Some p -> [ ("pareto", Sram_edp.Json_out.of_pareto p) ]
       in
       print_endline
-        (Sram_edp.Json_out.to_string_pretty (Sram_edp.Json_out.Obj fields))
+        (Persist.Json.to_string_pretty (Persist.Json.Obj fields))
     end
     else begin
       let open Sram_edp in

@@ -36,4 +36,10 @@ val aspect_ratio : t -> float
 
 val is_power_of_two : int -> bool
 
+val check_capacity : int -> (int, string) result
+(** [Ok bits] when an array of power-of-two rows and columns can hold
+    [bits] — a positive power of two; otherwise an error naming the
+    value.  The CLI and the serve wire both check a capacity here,
+    before any search runs. *)
+
 val pp : Format.formatter -> t -> unit

@@ -12,6 +12,9 @@ type write_delay_table = {
   lock : Mutex.t;
 }
 
+(* The characterization and each write level's transient. *)
+let characterize_timer = Obs.Histogram.timer "periphery.characterize"
+
 let level table i =
   match Atomic.get table.delays.(i) with
   | Some d -> d
@@ -21,7 +24,7 @@ let level table i =
         | Some d -> d
         | None ->
           let d =
-            Runtime.Telemetry.time "periphery.characterize" (fun () ->
+            Obs.Histogram.span characterize_timer (fun () ->
                 table.simulate vwl_grid.(i))
           in
           Atomic.set table.delays.(i) (Some d);
@@ -81,7 +84,7 @@ let shared_cache : (Finfet.Library.flavor, t) Runtime.Memo.t =
 
 let shared ~cell_flavor =
   Runtime.Memo.find_or_compute shared_cache cell_flavor (fun () ->
-      Runtime.Telemetry.time "periphery.characterize" (fun () ->
+      Obs.Histogram.span characterize_timer (fun () ->
           characterize ~lib:(Lazy.force Finfet.Library.default) ~cell_flavor ()))
 
 let row_dec t ~bits =

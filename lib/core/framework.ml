@@ -130,6 +130,9 @@ let env_for ~flavor ~accounting =
 let stage_ctx_for ~flavor ~accounting =
   Array_model.Array_eval.ctx_for (env_for ~flavor ~accounting)
 
+let optimize_timer = Obs.Histogram.timer "framework.optimize"
+let sweep_timer = Obs.Histogram.timer "framework.sweep"
+
 let optimize ?space ?(objective = Opt.Objective.Energy_delay_product)
     ?(accounting = Array_model.Array_eval.Paper_strict) ?pool ?(w = 64)
     ?deadline ?(strategy = Opt.Strategy.Exhaustive)
@@ -155,7 +158,7 @@ let optimize ?space ?(objective = Opt.Objective.Energy_delay_product)
         "optimize miss: %s %d bits — running %s search"
         (config_name config) capacity_bits
         (Opt.Strategy.name strategy);
-      Runtime.Telemetry.time "framework.optimize" (fun () ->
+      Obs.Histogram.span optimize_timer (fun () ->
           let env = env_for ~flavor:config.flavor ~accounting in
           let stage_ctx = Array_model.Array_eval.ctx_for env in
           let result =
@@ -169,7 +172,7 @@ let paper_capacities =
   List.map (fun bytes -> bytes * 8) [ 128; 256; 1024; 4096; 16384 ]
 
 let sweep_capacities ?space ?accounting ?pool ~capacities ~configs () =
-  Runtime.Telemetry.time "framework.sweep" (fun () ->
+  Obs.Histogram.span sweep_timer (fun () ->
       List.concat_map
         (fun capacity_bits ->
           List.map

@@ -50,7 +50,7 @@ val optimize :
     stochastic engines and are normalized out of the cache key for the
     deterministic ones.  [pool] parallelizes the underlying search
     deterministically (default: {!Runtime.Pool.default}).  [deadline]
-    (absolute {!Runtime.Telemetry.now} seconds, the serving layer's
+    (absolute {!Obs.Clock.now} seconds, the serving layer's
     per-request budget) aborts a cache-missing search with
     {!Opt.Exhaustive.Deadline_exceeded}; nothing partial is cached, and
     a memo or disk hit is returned regardless of the deadline. *)

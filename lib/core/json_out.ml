@@ -1,4 +1,4 @@
-type t =
+type t = Persist.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -7,94 +7,7 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let float_repr f =
-  if Float.is_integer f && abs_float f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
-
-let rec emit buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_repr f)
-  | String s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
-  | List items ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i item ->
-        if i > 0 then Buffer.add_char buf ',';
-        emit buf item)
-      items;
-    Buffer.add_char buf ']'
-  | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (key, value) ->
-        if i > 0 then Buffer.add_char buf ',';
-        emit buf (String key);
-        Buffer.add_char buf ':';
-        emit buf value)
-      fields;
-    Buffer.add_char buf '}'
-
-let to_string t =
-  let buf = Buffer.create 256 in
-  emit buf t;
-  Buffer.contents buf
-
-let rec emit_pretty buf ~indent ~level = function
-  | (Null | Bool _ | Int _ | Float _ | String _) as v -> emit buf v
-  | List [] -> Buffer.add_string buf "[]"
-  | Obj [] -> Buffer.add_string buf "{}"
-  | List items ->
-    let pad n = Buffer.add_string buf (String.make (indent * n) ' ') in
-    Buffer.add_string buf "[\n";
-    List.iteri
-      (fun i item ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        pad (level + 1);
-        emit_pretty buf ~indent ~level:(level + 1) item)
-      items;
-    Buffer.add_char buf '\n';
-    pad level;
-    Buffer.add_char buf ']'
-  | Obj fields ->
-    let pad n = Buffer.add_string buf (String.make (indent * n) ' ') in
-    Buffer.add_string buf "{\n";
-    List.iteri
-      (fun i (key, value) ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        pad (level + 1);
-        emit buf (String key);
-        Buffer.add_string buf ": ";
-        emit_pretty buf ~indent ~level:(level + 1) value)
-      fields;
-    Buffer.add_char buf '\n';
-    pad level;
-    Buffer.add_char buf '}'
-
-let to_string_pretty ?(indent = 2) t =
-  let buf = Buffer.create 512 in
-  emit_pretty buf ~indent ~level:0 t;
-  Buffer.contents buf
+let to_string_pretty = Persist.Json.to_string_pretty
 
 let of_metrics (m : Array_model.Array_eval.metrics) =
   Obj
@@ -176,22 +89,25 @@ let histograms_json () =
          if s.Obs.Histogram.count > 0 then Some (of_histogram s) else None)
        (Obs.Histogram.snapshots ()))
 
-let of_telemetry (snap : Runtime.Telemetry.snapshot) =
+(* A span row per {!Obs.Histogram.per_call} histogram: its count and
+   sum are the timed site's calls and total seconds. *)
+let telemetry_json () =
   Obj
     [ ("counters",
        Obj
-         (List.map
-            (fun (name, n) -> (name, Int n))
-            snap.Runtime.Telemetry.counters));
+         (List.map (fun (name, n) -> (name, Int n)) (Runtime.Telemetry.snapshot ())));
       ("spans",
        List
-         (List.map
-            (fun (s : Runtime.Telemetry.span) ->
-              Obj
-                [ ("name", String s.Runtime.Telemetry.span_name);
-                  ("calls", Int s.Runtime.Telemetry.calls);
-                  ("total_s", Float s.Runtime.Telemetry.total_s) ])
-            snap.Runtime.Telemetry.spans)) ]
+         (List.filter_map
+            (fun (s : Obs.Histogram.snapshot) ->
+              if Obs.Histogram.per_call s && s.Obs.Histogram.count > 0 then
+                Some
+                  (Obj
+                     [ ("name", String s.Obs.Histogram.name);
+                       ("calls", Int s.Obs.Histogram.count);
+                       ("total_s", Float s.Obs.Histogram.sum) ])
+              else None)
+            (Obs.Histogram.snapshots ()))) ]
 
 (* A windowed slice never emits min/max (re-estimated bounds, and
    infinities when the window is empty) — just the sample count, sum
@@ -268,7 +184,7 @@ let server_stats_json () =
                 (String.length name - String.length prefix),
               Int v )
         else None)
-      (Runtime.Telemetry.snapshot ()).Runtime.Telemetry.counters
+      (Runtime.Telemetry.snapshot ())
   in
   if serve_counters = [] then None else Some (Obj serve_counters)
 
@@ -391,7 +307,7 @@ let of_pareto (p : Opt.Explain.provenance) =
 let runtime_stats_json () =
   let base =
     [ ("jobs", Int (Runtime.Pool.default_jobs ()));
-      ("telemetry", of_telemetry (Runtime.Telemetry.snapshot ()));
+      ("telemetry", telemetry_json ());
       ("memos", List (List.map of_memo_stats (Runtime.Memo.registered_stats ())));
       ("histograms", histograms_json ()) ]
   in

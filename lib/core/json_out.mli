@@ -1,11 +1,10 @@
-(** Minimal JSON emission for scripting against the experiment results.
+(** The framework's records as {!Persist.Json} trees, for the CLI's
+    [--json] outputs, the stats endpoint, the bench files and the
+    goldens.  The tree and its pretty emitter are re-exported, so
+    [Json_out.Obj] and [Json_out.to_string_pretty] are
+    [Persist.Json]'s. *)
 
-    The CLI's [--json] outputs are built from this tree; keeping the
-    emitter in-repo avoids a dependency and is enough for the flat
-    records the framework produces.  Strings are escaped per RFC 8259;
-    floats use shortest round-trip formatting. *)
-
-type t =
+type t = Persist.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -14,11 +13,8 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_string : t -> string
-(** Compact (single-line) rendering. *)
-
 val to_string_pretty : ?indent:int -> t -> string
-(** Multi-line rendering with the given indent width (default 2). *)
+(** {!Persist.Json.to_string_pretty}. *)
 
 (** {1 Conversions for the framework's records} *)
 
@@ -35,8 +31,6 @@ val design_table_json :
 (** {1 Runtime telemetry export} *)
 
 val of_memo_stats : Runtime.Memo.stats -> t
-
-val of_telemetry : Runtime.Telemetry.snapshot -> t
 
 val of_histogram : Obs.Histogram.snapshot -> t
 (** One latency histogram as name / samples / mean / min / max /
@@ -59,7 +53,8 @@ val windows_json : unit -> t option
     shot runs), keeping the non-serving schemas unchanged. *)
 
 val runtime_stats_json : unit -> t
-(** Default-pool job count, telemetry counters/spans, every memo
+(** Default-pool job count, telemetry counters and spans (one span row
+    per {!Obs.Histogram.per_call} histogram that recorded), every memo
     cache's hit/miss/occupancy statistics, and all non-empty latency
     histograms — the CLI's [--stats --json] payload.  When the process
     has served requests (any [serve.*] counter is nonzero) a ["server"]

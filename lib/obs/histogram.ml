@@ -2,8 +2,12 @@ let default_buckets = 64
 let default_lo = 1e-9
 let ratio = sqrt 2.0
 
+type measure = Seconds | Ratio
+
 type t = {
   h_name : string;
+  unit : measure;
+  help : string;
   sample : int;
   lo : float;
   n_buckets : int;
@@ -19,9 +23,11 @@ type t = {
 let registry_lock = Mutex.create ()
 let registry : (string, t) Hashtbl.t = Hashtbl.create 16
 
-let make ~sample ~lo ~buckets name =
+let make ~unit ~help ~sample ~lo ~buckets name =
   let slots = Control.max_slots in
   { h_name = name;
+    unit;
+    help;
     sample = max 1 sample;
     lo;
     n_buckets = max 1 buckets;
@@ -33,13 +39,14 @@ let make ~sample ~lo ~buckets name =
     countdown = Array.make slots 1;
     gc_hits = Array.make slots 0 }
 
-let create ?(sample = 1) ?(lo = default_lo) ?(buckets = default_buckets) name =
+let create ?(unit = Seconds) ?(help = "") ?(sample = 1) ?(lo = default_lo)
+    ?(buckets = default_buckets) name =
   Mutex.lock registry_lock;
   let h =
     match Hashtbl.find_opt registry name with
     | Some h -> h
     | None ->
-      let h = make ~sample ~lo ~buckets name in
+      let h = make ~unit ~help ~sample ~lo ~buckets name in
       Hashtbl.add registry name h;
       h
   in
@@ -106,8 +113,33 @@ let time t f =
   end
   else f ()
 
+type timer = { timer_name : string; timer_hist : t option Atomic.t }
+
+let timer name = { timer_name = name; timer_hist = Atomic.make None }
+
+(* The histogram is created on the site's first recorded call, not at
+   load time: its shards are ~64 KB, too much to allocate for every site
+   a run never reaches.  Two domains racing on the first call both get
+   the one registered histogram from [create]. *)
+let span tm f =
+  Trace.with_span tm.timer_name (fun () ->
+      if Control.is_enabled () then begin
+        let h =
+          match Atomic.get tm.timer_hist with
+          | Some h -> h
+          | None ->
+            let h = create tm.timer_name in
+            Atomic.set tm.timer_hist (Some h);
+            h
+        in
+        time h f
+      end
+      else f ())
+
 type snapshot = {
   name : string;
+  unit : measure;
+  help : string;
   sample : int;
   lo : float;
   count : int;
@@ -137,6 +169,8 @@ let snapshot t =
     if t.maxs.(s) > !max_s then max_s := t.maxs.(s)
   done;
   { name = t.h_name;
+    unit = t.unit;
+    help = t.help;
     sample = t.sample;
     lo = t.lo;
     count = !count;
@@ -155,6 +189,8 @@ let merge (a : snapshot) (b : snapshot) =
   if a.lo <> b.lo || Array.length a.buckets <> Array.length b.buckets then
     invalid_arg "Histogram.merge: bucket layouts differ";
   { name = a.name;
+    unit = a.unit;
+    help = a.help;
     sample = a.sample;
     lo = a.lo;
     count = a.count + b.count;
@@ -201,6 +237,8 @@ let diff (newer : snapshot) (older : snapshot) =
     end
   in
   { name = newer.name;
+    unit = newer.unit;
+    help = newer.help;
     sample = newer.sample;
     lo = newer.lo;
     count;
@@ -267,18 +305,34 @@ let pp_s v =
   else if v >= 1e-6 then Printf.sprintf "%.2f us" (v *. 1e6)
   else Printf.sprintf "%.0f ns" (v *. 1e9)
 
-let print_report ?(channel = stdout) () =
+let per_call (s : snapshot) = s.unit = Seconds && s.sample = 1
+
+let print_report ?(channel = stdout) ~counters () =
   let snaps = List.filter (fun s -> s.count > 0) (snapshots ()) in
   if snaps <> [] then begin
-    Printf.fprintf channel "%-28s %9s %10s %10s %10s %10s %10s %7s\n"
-      "histogram" "samples" "p50" "p90" "p99" "max" "mean" "gc-hit";
+    Printf.fprintf channel "%-28s %9s %10s %10s %10s %10s %10s %10s %7s %14s\n"
+      "histogram" "samples" "total" "p50" "p90" "p99" "max" "mean" "gc-hit"
+      "rate";
     List.iter
       (fun s ->
-        Printf.fprintf channel "%-28s %9d %10s %10s %10s %10s %10s %7d\n"
-          s.name s.count
-          (pp_s (percentile s 0.50))
-          (pp_s (percentile s 0.90))
-          (pp_s (percentile s 0.99))
-          (pp_s s.max_s) (pp_s (mean s)) s.gc_coincident)
+        let pp v =
+          match s.unit with
+          | Seconds -> pp_s v
+          | Ratio -> Printf.sprintf "%.4g" v
+        in
+        let total = if per_call s then pp_s s.sum else "-" in
+        let rate =
+          match List.assoc_opt s.name counters with
+          | Some n when per_call s && s.sum > 0.0 ->
+            Printf.sprintf "%.0f /s" (float_of_int n /. s.sum)
+          | _ -> "-"
+        in
+        Printf.fprintf channel
+          "%-28s %9d %10s %10s %10s %10s %10s %10s %7d %14s\n" s.name s.count
+          total
+          (pp (percentile s 0.50))
+          (pp (percentile s 0.90))
+          (pp (percentile s 0.99))
+          (pp s.max_s) (pp (mean s)) s.gc_coincident rate)
       snaps
   end

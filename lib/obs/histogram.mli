@@ -17,18 +17,31 @@
 
     Histograms register by name in a process registry (like
     [Telemetry.counter]) so [--stats] and the bench harness can report
-    every site without threading handles. *)
+    every site without threading handles.
+
+    A histogram records seconds unless created with another {!measure};
+    the renderers read the unit from the snapshot.  A timed code region
+    ({!span}) is recorded here and nowhere else: its histogram's count
+    and sum are the region's calls and total time. *)
 
 type t
+
+type measure =
+  | Seconds
+  | Ratio  (** dimensionless, e.g. a relative gap *)
 
 val default_buckets : int  (** 64 *)
 
 val default_lo : float  (** 1e-9 s: upper edge of bucket 0 is lo * sqrt 2 *)
 
-val create : ?sample:int -> ?lo:float -> ?buckets:int -> string -> t
+val create :
+  ?unit:measure -> ?help:string -> ?sample:int -> ?lo:float -> ?buckets:int ->
+  string -> t
 (** Get or create the histogram registered under this name (parameters
-    are only applied on first creation).  [sample] is the per-slot
-    sampling period of {!tick} / {!time} (default 1: every call). *)
+    are only applied on first creation).  [unit] is what it records
+    (default [Seconds]); [help] is its one-line description for the
+    Prometheus exposition.  [sample] is the per-slot sampling period of
+    {!tick} / {!time} (default 1: every call). *)
 
 val observe : t -> float -> unit
 (** Record one latency (seconds) into the calling domain's shard.
@@ -56,11 +69,28 @@ val time : t -> (unit -> 'a) -> 'a
     Convenience form; allocates a closure, so prefer the explicit
     {!tick}/{!observe} pattern on allocation-sensitive paths. *)
 
+type timer
+(** A timed site: a name, and the unsampled seconds histogram of that
+    name, created on the site's first recorded call. *)
+
+val timer : string -> timer
+(** Allocates no histogram; sites create their timer once, at load
+    time. *)
+
+val span : timer -> (unit -> 'a) -> 'a
+(** [span tm f] runs [f] inside the trace span named after [tm] and,
+    when recording is enabled, observes its wall time (exceptions
+    included) into [tm]'s histogram.  The one instrumentation point
+    of the structural layers: [--trace], [--stats] and the stats
+    endpoint all read what it records. *)
+
 val bucket_of : t -> float -> int
 (** Index of the bucket a value lands in (clamped to the range). *)
 
 type snapshot = {
   name : string;
+  unit : measure;
+  help : string;
   sample : int;       (** sampling period the histogram records at *)
   lo : float;
   count : int;        (** recorded observations (samples, not calls) *)
@@ -103,12 +133,21 @@ val percentile : snapshot -> float -> float
 
 val mean : snapshot -> float
 
+val per_call : snapshot -> bool
+(** An unsampled [Seconds] histogram: every call is recorded, so its
+    [count] and [sum] are the timed site's calls and total seconds. *)
+
 val snapshots : unit -> snapshot list
 (** Every registered histogram, sorted by name. *)
 
 val reset : t -> unit
 val reset_all : unit -> unit
 
-val print_report : ?channel:out_channel -> unit -> unit
-(** Table of non-empty histograms: samples, p50/p90/p99, max, mean,
-    and the GC-coincident sample count. *)
+val print_report :
+  ?channel:out_channel -> counters:(string * int) list -> unit -> unit
+(** Table of non-empty histograms: samples, total (for {!per_call}
+    histograms), p50/p90/p99, max, mean, the GC-coincident sample count
+    and a rate.  Seconds print with a time suffix, ratios as plain
+    numbers.  A {!per_call} histogram that shares its name with one of
+    [counters] gets that count per second of its total as the rate
+    (e.g. evaluations per second for ["exhaustive.search"]). *)

@@ -362,7 +362,12 @@ let scan_block = 8
    fully-scanned lines when observability is on ([--stats] / serving),
    read back as quantiles by [--stats], BENCH_explain.json and the
    Prometheus exposition. *)
-let bound_gap_hist = Obs.Histogram.create ~sample:1 "opt.bound_gap"
+let bound_gap_hist =
+  Obs.Histogram.create ~unit:Obs.Histogram.Ratio
+    ~help:"relative slack of the line lower bound vs the realized line minimum"
+    "opt.bound_gap"
+
+let search_timer = Obs.Histogram.timer "exhaustive.search"
 
 let journal_design (g : Array_model.Geometry.t) ~vssc =
   { Obs.Search.nr = g.Array_model.Geometry.nr;
@@ -603,7 +608,7 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
        hits this same check on its next geometry, so the whole sweep
        drains in one scan's time rather than running to completion. *)
     (match deadline with
-     | Some d when Runtime.Telemetry.now () > d -> raise Deadline_exceeded
+     | Some d when Obs.Clock.now () > d -> raise Deadline_exceeded
      | _ -> ());
     let r =
       if Obs.Trace.fine_active () then
@@ -694,13 +699,13 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
     match journal with
     | Some journal when not keep_all ->
       let chunk_bests =
-        Runtime.Telemetry.time "exhaustive.search" (fun () ->
+        Obs.Histogram.span search_timer (fun () ->
             run_chunked journal)
       in
       (Array.fold_left better None chunk_bests, [])
     | _ ->
       let per_geometry =
-        Runtime.Telemetry.time "exhaustive.search" (fun () ->
+        Obs.Histogram.span search_timer (fun () ->
             Runtime.Pool.parmap pool eval_line
               (Array.init (Array.length geometries) (fun i -> i)))
       in

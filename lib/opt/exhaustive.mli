@@ -98,7 +98,7 @@ val search :
     through JSON bit-exactly, the resumed winner is bit-identical to an
     uninterrupted run's at any [--jobs] (see DESIGN.md §8).
 
-    [deadline] — absolute {!Runtime.Telemetry.now} seconds — aborts the
+    [deadline] — absolute {!Obs.Clock.now} seconds — aborts the
     sweep with {!Deadline_exceeded} once passed, checked before every
     geometry scan (one scan is microseconds, so expiry is prompt).
     @raise Invalid_argument if the capacity is not a power of two or no

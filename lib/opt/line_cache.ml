@@ -162,7 +162,7 @@ let journal_incumbent t k l =
    within one batch of scans. *)
 let ensure t keys =
   (match t.deadline with
-  | Some d when Runtime.Telemetry.now () > d ->
+  | Some d when Obs.Clock.now () > d ->
     raise Exhaustive.Deadline_exceeded
   | _ -> ());
   let missing =

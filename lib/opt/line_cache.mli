@@ -44,7 +44,7 @@ val create :
     to [{0}] under M1; n_r filtered to the capacity's valid rows).
     [levels] defaults to {!Yield.solve}, [pool] to
     {!Runtime.Pool.default}; [deadline] is absolute
-    {!Runtime.Telemetry.now} seconds.  [name] is the engine's
+    {!Obs.Clock.now} seconds.  [name] is the engine's
     {!Obs.Search} journal source and names the telemetry counter
     ["<name>.search"] charged per scan point.
     @raise Invalid_argument on a non-power-of-two capacity or an empty

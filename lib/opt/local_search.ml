@@ -16,13 +16,15 @@ let start lc k =
     n_pre_i = pick (Line_cache.n_pre lc) 0.362547;
     n_wr_i = pick (Line_cache.n_wr lc) 0.914107 }
 
+let search_timer = Obs.Histogram.timer "local_search.search"
+
 let search ?space ?objective ?levels ?pool ?w ?deadline
     ?(restarts = 4) ~env ~capacity_bits ~method_ () =
   let lc =
     Line_cache.create ?space ?objective ?levels ?pool ?w ?deadline
       ~env ~capacity_bits ~method_ ~name:"local_search" ()
   in
-  Runtime.Telemetry.time "local_search.search" (fun () ->
+  Obs.Histogram.span search_timer (fun () ->
       for k = 0 to restarts - 1 do
         ignore (Line_cache.descend lc (start lc k))
       done);

@@ -33,7 +33,7 @@ val search_front :
     [generations] (default 40) at most; [budget] caps scan points
     (default [max (6 * pop * nv) (3% of the space)]) — the GA phase
     stops at 60% of it, the rest feeds the descent polish.  [levels],
-    [pool] and [deadline] (absolute {!Runtime.Telemetry.now} seconds,
+    [pool] and [deadline] (absolute {!Obs.Clock.now} seconds,
     raising {!Exhaustive.Deadline_exceeded}) are applied by the shared
     {!Line_cache}, which also journals incumbents as ["nsga2"].
     [result.evaluated = result.considered] counts every scan point

@@ -65,7 +65,7 @@ val run :
   Exhaustive.result
 (** Run one engine with the common knobs.  Every engine honours
     [space], [objective], [levels], [pool], [w] and [deadline]
-    (absolute {!Runtime.Telemetry.now} seconds; once passed the run
+    (absolute {!Obs.Clock.now} seconds; once passed the run
     raises {!Exhaustive.Deadline_exceeded}).  [stage_ctx] is the
     exhaustive kernel's staging cache (see {!Exhaustive.search}); it
     never changes an answer.  The only per-engine exceptions:

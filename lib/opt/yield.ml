@@ -37,6 +37,8 @@ let solve_cache :
   Runtime.Memo.t =
   Runtime.Memo.create ~name:"yield.solve" ~capacity:64 ()
 
+let solve_timer = Obs.Histogram.timer "yield.solve"
+
 exception Infeasible of {
   flavor : Finfet.Library.flavor;
   corner : Finfet.Corners.corner;
@@ -136,7 +138,7 @@ let solve ?(delta = Finfet.Tech.min_margin) ?(points = 81) ?corner ?celsius
     ~store:(fun key levels ->
       Persist.Cache.add disk_cache (disk_key key) (levels_to_json levels))
     (fun () ->
-      Runtime.Telemetry.time "yield.solve" (fun () ->
+      Obs.Histogram.span solve_timer (fun () ->
           solve_uncached ~delta ~points ?corner ?celsius ~flavor ()))
 
 let margins_ok ?(delta = Finfet.Tech.min_margin) ?(points = 81) ~flavor ~vddc

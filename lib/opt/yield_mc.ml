@@ -79,13 +79,15 @@ type key = {
 let cache : (key, float) Runtime.Memo.t =
   Runtime.Memo.create ~name:"yield_mc.worst_margin" ~capacity:512 ()
 
+let worst_margin_timer = Obs.Histogram.timer "yield_mc.worst_margin"
+
 let worst_margin ?(config = default_config) ?pool ~flavor ~vddc ~vssc ~vwl () =
   let key =
     { k_flavor = flavor; k_vddc = vddc; k_vssc = vssc; k_vwl = vwl;
       k_cfg = config; k_chunked = pool <> None }
   in
   Runtime.Memo.find_or_compute cache key (fun () ->
-      Runtime.Telemetry.time "yield_mc.worst_margin" (fun () ->
+      Obs.Histogram.span worst_margin_timer (fun () ->
           sample_worst ?pool config ~flavor ~vddc ~vssc ~vwl))
 
 type levels = {

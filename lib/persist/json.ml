@@ -73,6 +73,42 @@ let to_string t =
   emit buf t;
   Buffer.contents buf
 
+let rec emit_pretty buf ~indent ~level = function
+  | (Null | Bool _ | Int _ | Float _ | String _) as v -> emit buf v
+  | List [] -> Buffer.add_string buf "[]"
+  | Obj [] -> Buffer.add_string buf "{}"
+  | List items ->
+    let pad n = Buffer.add_string buf (String.make (indent * n) ' ') in
+    Buffer.add_string buf "[\n";
+    List.iteri
+      (fun i item ->
+        if i > 0 then Buffer.add_string buf ",\n";
+        pad (level + 1);
+        emit_pretty buf ~indent ~level:(level + 1) item)
+      items;
+    Buffer.add_char buf '\n';
+    pad level;
+    Buffer.add_char buf ']'
+  | Obj fields ->
+    let pad n = Buffer.add_string buf (String.make (indent * n) ' ') in
+    Buffer.add_string buf "{\n";
+    List.iteri
+      (fun i (key, value) ->
+        if i > 0 then Buffer.add_string buf ",\n";
+        pad (level + 1);
+        emit buf (String key);
+        Buffer.add_string buf ": ";
+        emit_pretty buf ~indent ~level:(level + 1) value)
+      fields;
+    Buffer.add_char buf '\n';
+    pad level;
+    Buffer.add_char buf '}'
+
+let to_string_pretty ?(indent = 2) t =
+  let buf = Buffer.create 512 in
+  emit_pretty buf ~indent ~level:0 t;
+  Buffer.contents buf
+
 (* ----- parsing ----- *)
 
 exception Parse_error of string

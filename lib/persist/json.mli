@@ -1,10 +1,12 @@
-(** Minimal JSON value type with a compact emitter and a strict parser.
+(** The repository's one JSON tree, with a compact and a pretty
+    emitter and a strict parser.
 
-    Unlike [Sram_edp.Json_out] (output-only, higher in the dependency
-    graph) this module both emits and parses, because the record log
-    must replay what it wrote.  Floats are printed with enough digits
-    ([%.17g]) that [of_string (to_string v)] reproduces every finite
-    IEEE double bit-for-bit — the property the resume protocol's
+    The record log, the serve wire, the CLI's [--json] outputs, the
+    bench files and the goldens all use this tree;
+    [Sram_edp.Json_out] only converts the framework's records into it.
+    Floats are printed with enough digits ([%.17g]) that
+    [of_string (to_string v)] reproduces every finite IEEE double
+    bit-for-bit — the property the resume protocol's
     bit-identical-winner guarantee rests on. *)
 
 type t =
@@ -20,6 +22,10 @@ val to_string : t -> string
 (** Compact (single-line) serialization.
     @raise Invalid_argument on non-finite floats, which have no JSON
     representation; encode them as [Null] explicitly if needed. *)
+
+val to_string_pretty : ?indent:int -> t -> string
+(** Multi-line rendering with the given indent width (default 2); the
+    same scalars as {!to_string}, so it raises on the same floats. *)
 
 val of_string : string -> (t, string) result
 (** Strict parse of a complete JSON document. *)

@@ -18,8 +18,8 @@
 
 let magic = "SRLG1\n"
 
-let flush_span = "persist.flush"
-let replay_span = "persist.replay"
+let flush_timer = Obs.Histogram.timer "persist.flush"
+let replay_timer = Obs.Histogram.timer "persist.replay"
 let c_records_written = Runtime.Telemetry.counter "persist.records.written"
 let c_records_recovered = Runtime.Telemetry.counter "persist.records.recovered"
 let c_bytes_discarded = Runtime.Telemetry.counter "persist.bytes.discarded"
@@ -132,7 +132,7 @@ let scan raw =
   (List.rev !frames, !pos)
 
 let read ~path =
-  Runtime.Telemetry.time replay_span (fun () ->
+  Obs.Histogram.span replay_timer (fun () ->
       if not (Sys.file_exists path) then Error (path ^ ": no such file")
       else
         let raw = read_file path in
@@ -207,7 +207,7 @@ let append_frame t ~is_header payload =
         Faults.short_write_die k
       | None -> (
         match
-          Runtime.Telemetry.time flush_span (fun () -> write_all t.fd data)
+          Obs.Histogram.span flush_timer (fun () -> write_all t.fd data)
         with
         | () ->
           t.pos <- start + String.length data;
@@ -230,7 +230,7 @@ let append t record = append_frame t ~is_header:false (Json.to_string record)
 let sync t =
   Mutex.protect t.lock (fun () ->
       if not t.closed then
-        Runtime.Telemetry.time flush_span (fun () ->
+        Obs.Histogram.span flush_timer (fun () ->
             try Unix.fsync t.fd
             with Unix.Unix_error (e, fn, _) ->
               raise (sys_error_of_unix e fn)))

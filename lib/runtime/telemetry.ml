@@ -1,20 +1,7 @@
-type counter = { c_name : string; cell : int Atomic.t }
-
-type span_state = {
-  s_name : string;
-  mutable s_calls : int;
-  mutable s_total : float;
-  s_hist : Obs.Histogram.t;  (* per-call latency distribution *)
-}
+type counter = int Atomic.t
 
 let lock = Mutex.create ()
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 16
-let spans : (string, span_state) Hashtbl.t = Hashtbl.create 16
-
-(* Bumped by [reset]; a [time] span whose epoch is stale by the time it
-   completes was interrupted by a reset and is dropped, so it cannot
-   leak its pre-reset start time into the zeroed table. *)
-let epoch_cell = Atomic.make 0
 
 let counter name =
   Mutex.lock lock;
@@ -22,128 +9,35 @@ let counter name =
     match Hashtbl.find_opt counters name with
     | Some c -> c
     | None ->
-      let c = { c_name = name; cell = Atomic.make 0 } in
+      let c = Atomic.make 0 in
       Hashtbl.add counters name c;
       c
   in
   Mutex.unlock lock;
   c
 
-let add c n = ignore (Atomic.fetch_and_add c.cell n)
+let add c n = ignore (Atomic.fetch_and_add c n)
 let incr c = add c 1
-let value c = Atomic.get c.cell
-
-let now = Obs.Clock.now
-
-let span_state name =
-  Mutex.lock lock;
-  let s =
-    match Hashtbl.find_opt spans name with
-    | Some s -> s
-    | None ->
-      let s =
-        { s_name = name;
-          s_calls = 0;
-          s_total = 0.0;
-          s_hist = Obs.Histogram.create name }
-      in
-      Hashtbl.add spans name s;
-      s
-  in
-  Mutex.unlock lock;
-  s
-
-let record_span s dt =
-  Mutex.lock lock;
-  s.s_calls <- s.s_calls + 1;
-  s.s_total <- s.s_total +. dt;
-  Mutex.unlock lock
-
-(* The one instrumentation point of the stack: every [time] site gets a
-   span total, a trace span when tracing, and a latency histogram when
-   observability is enabled. *)
-let time label f =
-  let s = span_state label in
-  let e0 = Atomic.get epoch_cell in
-  let t0 = now () in
-  let finish () =
-    let dt = now () -. t0 in
-    if Atomic.get epoch_cell = e0 then begin
-      record_span s dt;
-      if Obs.Control.is_enabled () then Obs.Histogram.observe s.s_hist dt
-    end
-  in
-  Obs.Trace.with_span label (fun () ->
-      match f () with
-      | v ->
-        finish ();
-        v
-      | exception e ->
-        finish ();
-        raise e)
-
-type span = {
-  span_name : string;
-  calls : int;
-  total_s : float;
-}
-
-type snapshot = {
-  epoch : int;
-  counters : (string * int) list;
-  spans : span list;
-}
-
-let epoch () = Atomic.get epoch_cell
+let value = Atomic.get
 
 let snapshot () =
   Mutex.lock lock;
-  let e = Atomic.get epoch_cell in
   let cs =
-    Hashtbl.fold (fun name c acc -> (name, Atomic.get c.cell) :: acc) counters []
-  in
-  let ss =
-    Hashtbl.fold
-      (fun _ s acc ->
-        { span_name = s.s_name; calls = s.s_calls; total_s = s.s_total } :: acc)
-      spans []
+    Hashtbl.fold (fun name c acc -> (name, Atomic.get c) :: acc) counters []
   in
   Mutex.unlock lock;
-  { epoch = e;
-    counters = List.sort compare cs;
-    spans = List.sort (fun a b -> compare a.span_name b.span_name) ss }
+  List.sort compare cs
 
 let reset () =
-  ignore (Atomic.fetch_and_add epoch_cell 1);
   Mutex.lock lock;
-  Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counters;
-  Hashtbl.iter
-    (fun _ s ->
-      s.s_calls <- 0;
-      s.s_total <- 0.0)
-    spans;
+  Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
   Mutex.unlock lock
 
 let print_report ?(channel = stdout) () =
   let snap = snapshot () in
-  if snap.counters <> [] then begin
+  if snap <> [] then begin
     Printf.fprintf channel "%-28s %12s\n" "counter" "count";
     List.iter
       (fun (name, n) -> Printf.fprintf channel "%-28s %12d\n" name n)
-      snap.counters
-  end;
-  if snap.spans <> [] then begin
-    Printf.fprintf channel "%-28s %8s %12s %14s\n" "span" "calls" "total"
-      "rate";
-    List.iter
-      (fun s ->
-        let rate =
-          match List.assoc_opt s.span_name snap.counters with
-          | Some n when s.total_s > 0.0 ->
-            Printf.sprintf "%.0f /s" (float_of_int n /. s.total_s)
-          | _ -> "-"
-        in
-        Printf.fprintf channel "%-28s %8d %10.3f ms %14s\n" s.span_name
-          s.calls (1e3 *. s.total_s) rate)
-      snap.spans
+      snap
   end

@@ -1,22 +1,14 @@
-(** Lightweight process-wide telemetry: named counters and timed spans.
+(** Process-wide named counters.
 
-    Counters are atomic (safe to bump from pool workers); spans
-    accumulate monotonic wall time per label on the calling domain.
-    The search layers record evaluation counts and per-phase times
-    here; the CLI's [--stats] flag and the bench harness read them back
-    as text or export them through [core/json_out].
-
-    {!time} is also the stack's unified observability hook: besides the
-    span total, every call emits a trace span when [Obs.Trace] is
-    recording and a latency observation into the [Obs.Histogram]
-    registered under the span's name when observability is enabled —
-    so call sites need no extra plumbing to show up in [--trace] /
-    [--stats] percentiles.
-
-    Conventions: a span and a counter may share a name (e.g.
-    ["exhaustive.search"]); the report then derives a rate
-    (counts per second of span time), which is how evals/sec is
-    published. *)
+    Counters are atomic (safe to bump from pool workers).  The search
+    layers count evaluations and prunes here, the persistence layer its
+    records and cache traffic, the server its requests; the CLI's
+    [--stats] flag, the stats endpoint and the bench harness read them
+    back.  Timed regions are not recorded here but in
+    {!Obs.Histogram.span}'s histograms; a histogram and a counter may
+    share a name (e.g. ["exhaustive.search"]), and the report then
+    derives a rate — counts per second of the region's time, which is
+    how evals/sec is published. *)
 
 type counter
 
@@ -27,37 +19,12 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
 
-val now : unit -> float
-(** Monotonic seconds ([Obs.Clock.now]): immune to wall-clock steps,
-    meaningful only as differences. *)
-
-val time : string -> (unit -> 'a) -> 'a
-(** [time label f] runs [f], adding its elapsed time to span [label]
-    (exceptions still account the elapsed time).  A span in flight
-    across a {!reset} is dropped rather than recorded against the
-    zeroed table. *)
-
-type span = {
-  span_name : string;
-  calls : int;
-  total_s : float;
-}
-
-type snapshot = {
-  epoch : int;                     (** reset generation; see {!reset} *)
-  counters : (string * int) list;  (** sorted by name *)
-  spans : span list;               (** sorted by name *)
-}
-
-val snapshot : unit -> snapshot
-
-val epoch : unit -> int
-(** Current reset generation (starts at 0, +1 per {!reset}). *)
+val snapshot : unit -> (string * int) list
+(** Every counter's value, sorted by name. *)
 
 val reset : unit -> unit
-(** Zero every counter and span and bump the epoch, invalidating spans
-    currently in flight. *)
+(** Zero every counter.  Only the bench harness and the tests reset,
+    between runs. *)
 
 val print_report : ?channel:out_channel -> unit -> unit
-(** Text dump of the snapshot: counters, spans, and derived rates for
-    span/counter name pairs. *)
+(** Text table of the counters. *)

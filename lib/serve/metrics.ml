@@ -67,7 +67,6 @@ let line buf name labels value =
 let quantiles = [ ("0.5", 0.50); ("0.9", 0.90); ("0.99", 0.99) ]
 
 let serve_counters buf =
-  let counters = (Runtime.Telemetry.snapshot ()).Runtime.Telemetry.counters in
   List.iter
     (fun (name, v) ->
       if String.starts_with ~prefix:"serve." name then begin
@@ -75,7 +74,7 @@ let serve_counters buf =
         header buf metric "counter" ("cumulative " ^ name);
         line buf metric [] (string_of_int v)
       end)
-    counters
+    (Runtime.Telemetry.snapshot ())
 
 let windowed_counters buf =
   let rows = Obs.Window.counter_report () in
@@ -94,8 +93,8 @@ let windowed_counters buf =
       rows
   end
 
-let summary buf metric (s : Obs.Histogram.snapshot) =
-  header buf metric "summary" ("cumulative latency of " ^ s.Obs.Histogram.name);
+let summary buf metric help (s : Obs.Histogram.snapshot) =
+  header buf metric "summary" help;
   List.iter
     (fun (q_label, q) ->
       line buf metric
@@ -125,15 +124,14 @@ let histograms buf =
   List.iter
     (fun (name, cumulative, windows) ->
       let base = sanitize name ^ "_seconds" in
-      summary buf base cumulative;
+      summary buf base ("cumulative latency of " ^ name) cumulative;
       windowed buf (base ^ "_window") windows)
     (Obs.Window.report ())
 
-(* Search-introspection exposure: journal counters from [Obs.Search]
-   and the bound-quality summary from the "opt.bound_gap" histogram.
-   Both appear once a search has run (the server arms the journal at
-   startup), so dashboards can plot pruning effectiveness and bound
-   slack across the serving lifetime. *)
+(* Search-introspection exposure: journal counters from [Obs.Search].
+   They appear once a search has run (the server arms the journal at
+   startup), so dashboards can plot pruning effectiveness across the
+   serving lifetime. *)
 let search buf =
   let s = Obs.Search.summary () in
   if s.Obs.Search.incumbents > 0 || s.Obs.Search.prunes > 0
@@ -160,26 +158,16 @@ let search buf =
         "best objective score the journal has seen";
       line buf "search_best_score" [] (fmt_float s.Obs.Search.best_score)
     end
-  end;
-  match
-    List.find_opt
-      (fun (sn : Obs.Histogram.snapshot) ->
-        sn.Obs.Histogram.name = "opt.bound_gap")
-      (Obs.Histogram.snapshots ())
-  with
-  | Some sn when sn.Obs.Histogram.count > 0 ->
-    let metric = "opt_bound_gap_ratio" in
-    header buf metric "summary"
-      "relative slack of the line lower bound vs the realized line minimum";
-    List.iter
-      (fun (q_label, q) ->
-        line buf metric
-          [ ("quantile", q_label) ]
-          (fmt_float (Obs.Histogram.percentile sn q)))
-      quantiles;
-    line buf (metric ^ "_sum") [] (fmt_float sn.Obs.Histogram.sum);
-    line buf (metric ^ "_count") [] (string_of_int sn.Obs.Histogram.count)
-  | Some _ | None -> ()
+  end
+
+(* Every ratio histogram that recorded (e.g. the pruning bound's
+   slack), as a [<name>_ratio] summary. *)
+let ratios buf =
+  List.iter
+    (fun (s : Obs.Histogram.snapshot) ->
+      if s.Obs.Histogram.unit = Obs.Histogram.Ratio && s.Obs.Histogram.count > 0
+      then summary buf (sanitize s.Obs.Histogram.name ^ "_ratio") s.Obs.Histogram.help s)
+    (Obs.Histogram.snapshots ())
 
 let memos buf =
   let stats = Runtime.Memo.registered_stats () in
@@ -237,6 +225,7 @@ let render () =
   windowed_counters buf;
   histograms buf;
   search buf;
+  ratios buf;
   memos buf;
   gc buf;
   build_info buf;

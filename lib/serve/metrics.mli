@@ -12,6 +12,8 @@
     - every registered latency window as a cumulative summary
       ([..._seconds{quantile=...}], [_sum], [_count]) plus windowed
       quantile gauges ([..._seconds_window{window=...,quantile=...}]);
+    - every {!Obs.Histogram.Ratio} histogram as a [..._ratio] summary
+      whose HELP line is the histogram's [help];
     - memo cache hits/misses/hit-rate/occupancy per cache;
     - GC allocation totals and heap size;
     - an [sram_opt_build_info] marker.

@@ -195,6 +195,13 @@ let response_to_json (r : response) =
       @ [ ("code", J.String (error_code_to_string code));
           ("message", J.String message) ])
 
+let encode_response r =
+  match J.to_string (response_to_json r) with
+  | s -> (r, s)
+  | exception Invalid_argument msg ->
+    let r = { r with body = Error (Internal, "response serialization: " ^ msg) } in
+    (r, J.to_string (response_to_json r))
+
 (* ----- decoding ----- *)
 
 let ( let* ) = Result.bind
@@ -250,6 +257,11 @@ let enum_field j name of_string ~default =
 
 let query_of_json j =
   let* capacity_bits = require "capacity_bits" (J.int_field j "capacity_bits") in
+  let* capacity_bits =
+    Result.map_error
+      (fun e -> "bad capacity_bits: " ^ e)
+      (Array_model.Geometry.check_capacity capacity_bits)
+  in
   let* flavor =
     enum_field j "flavor"
       (fun s -> Finfet.Library.flavor_of_string s)

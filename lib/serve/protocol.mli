@@ -96,3 +96,9 @@ val request_to_json : request -> Persist.Json.t
 val request_of_json : Persist.Json.t -> (request, string) result
 val response_to_json : response -> Persist.Json.t
 val response_of_json : Persist.Json.t -> (response, string) result
+
+val encode_response : response -> response * string
+(** The response as a compact frame payload, with the response that
+    payload encodes.  A body with no JSON form (a non-finite float) is
+    answered as a typed [Internal] error instead, so a payload that
+    cannot be encoded never raises out of the server. *)

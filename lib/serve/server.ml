@@ -54,7 +54,7 @@ type pending = {
 
 (* ----- telemetry ----- *)
 
-let now = Runtime.Telemetry.now
+let now = Obs.Clock.now
 let count name = Runtime.Telemetry.incr (Runtime.Telemetry.counter name)
 let h_queue_wait = lazy (Obs.Histogram.create "serve.queue_wait")
 let h_e2e = lazy (Obs.Histogram.create "serve.e2e")
@@ -156,37 +156,19 @@ let explain_payload (q : P.query) ~deadline =
         Opt.Explain.sensitivity ?space ~objective:q.P.objective ~env
           ~pins:result.Opt.Exhaustive.pins ~winner ()
       in
-      (* [Json_out] and the wire use different JSON trees; round-trip
-         through the compact string, as the stats endpoint does. *)
-      let jo =
-        Sram_edp.Json_out.Obj
-          [ ("attribution", Sram_edp.Json_out.of_attribution at);
-            ("sensitivity", Sram_edp.Json_out.of_sensitivity sens) ]
-      in
-      match J.of_string (Sram_edp.Json_out.to_string jo) with
-      | Ok (J.Obj fields) ->
-        Ok
-          (J.Obj
-             ([ ("capacity_bits", J.Int q.P.capacity_bits);
-                ("config", J.String (Sram_edp.Framework.config_name config));
-                ("checksum", J.String (Opt.Exhaustive.checksum [ result ]));
-                ("eval_s", J.Float (now () -. t0)) ]
-             @ fields))
-      | Ok _ -> error P.Internal "explain serialization: unexpected shape"
-      | Error e -> error P.Internal ("explain serialization: " ^ e)
+      Ok
+        (J.Obj
+           [ ("capacity_bits", J.Int q.P.capacity_bits);
+             ("config", J.String (Sram_edp.Framework.config_name config));
+             ("checksum", J.String (Opt.Exhaustive.checksum [ result ]));
+             ("eval_s", J.Float (now () -. t0));
+             ("attribution", Sram_edp.Json_out.of_attribution at);
+             ("sensitivity", Sram_edp.Json_out.of_sensitivity sens) ])
     end
   | exception Opt.Exhaustive.Deadline_exceeded ->
     count "serve.deadline_expired";
     error P.Deadline "deadline passed during the search"
   | exception Invalid_argument msg -> error P.Bad_request msg
-
-let stats_payload () =
-  (* [Json_out] and the wire use different JSON trees (emit-only vs
-     emit+parse); round-tripping through the compact string unifies
-     them at a cost of ~µs per stats call. *)
-  match J.of_string (Sram_edp.Json_out.to_string (Sram_edp.Json_out.runtime_stats_json ())) with
-  | Ok j -> Ok j
-  | Error e -> error P.Internal ("stats serialization: " ^ e)
 
 let handle ~default_deadline_ms ~draining (p : pending) =
   let wait = now () -. p.t_admit in
@@ -214,7 +196,7 @@ let handle ~default_deadline_ms ~draining (p : pending) =
           (J.Obj
              [ ("pid", J.Int (Unix.getpid ()));
                ("git_commit", J.String (Persist.Record_log.git_commit ())) ])
-      | P.Stats -> stats_payload ()
+      | P.Stats -> Ok (Sram_edp.Json_out.runtime_stats_json ())
       | P.Metrics -> Ok (J.String (Metrics.render ()))
       | P.Shutdown ->
         draining := true;
@@ -279,10 +261,6 @@ let send_raw conn s =
         conn.peer;
       conn.alive <- false
   end
-
-let send conn response =
-  let payload = J.to_string (P.response_to_json response) in
-  send_raw conn (fun fd -> Frame.write fd payload)
 
 let close_conn conn =
   if conn.alive then conn.alive <- false;
@@ -412,13 +390,18 @@ let run config =
     tid_prefix ^ string_of_int !tid_seq
   in
   let read_buf = Bytes.create 65536 in
-  let respond conn (r : P.response) =
+  (* Returns the response actually sent: {!P.encode_response} answers
+     an unencodable payload as [Internal]. *)
+  let send conn r =
+    let r, payload = P.encode_response r in
     (match r.P.body with
      | Ok _ -> incr served
      | Error _ -> incr errors; count "serve.errors");
     count "serve.responses";
-    send conn r
+    send_raw conn (fun fd -> Frame.write fd payload);
+    r
   in
+  let respond conn r = ignore (send conn r) in
   let flight_dump ~reason tid =
     if config.observability then
       match Obs.Flight.dump ~reason ?trace_id:tid () with
@@ -573,9 +556,9 @@ let run config =
     | None -> ()
     | Some p ->
       let r =
-        handle ~default_deadline_ms:config.default_deadline_ms ~draining p
+        send p.conn
+          (handle ~default_deadline_ms:config.default_deadline_ms ~draining p)
       in
-      respond p.conn r;
       let e2e = now () -. p.t_admit in
       Obs.Histogram.observe (Lazy.force h_e2e) e2e;
       (* Postmortems: a deadline miss or internal error dumps the

@@ -347,21 +347,25 @@ let write_delay_tests =
              vwls on_demand));
     case "a cold 16KB optimize simulates at most 2 of the 7 write levels" (fun () ->
         (* The characterization and each level's transient are timed
-           under the same span, so its calls count them. *)
+           under the same span, so its histogram's count counts them. *)
         let calls () =
           List.fold_left
-            (fun n (s : Runtime.Telemetry.span) ->
-              if s.Runtime.Telemetry.span_name = "periphery.characterize" then
-                n + s.Runtime.Telemetry.calls
+            (fun n (s : Obs.Histogram.snapshot) ->
+              if s.Obs.Histogram.name = "periphery.characterize" then
+                n + s.Obs.Histogram.count
               else n)
-            0 (Runtime.Telemetry.snapshot ()).Runtime.Telemetry.spans
+            0 (Obs.Histogram.snapshots ())
         in
         Runtime.Memo.reset_all ();
         let before = calls () in
         let config =
           { Sram_edp.Framework.flavor = Finfet.Library.Hvt; method_ = Opt.Space.M2 }
         in
-        ignore (Sram_edp.Framework.optimize ~capacity_bits:(16 * 1024 * 8) ~config ());
+        Obs.Control.set_enabled true;
+        Fun.protect
+          ~finally:(fun () -> Obs.Control.set_enabled false)
+          (fun () ->
+            ignore (Sram_edp.Framework.optimize ~capacity_bits:(16 * 1024 * 8) ~config ()));
         let transients = calls () - before - 1 in
         Alcotest.(check bool)
           (Printf.sprintf "1 or 2 write transients (%d)" transients)

@@ -108,7 +108,7 @@ let plot_tests =
         Alcotest.(check bool) "beta" true (contains "b beta" s)) ]
 
 let json_tests =
-  let open Sram_edp.Json_out in
+  let open Persist.Json in
   [ case "scalars render" (fun () ->
         Alcotest.(check string) "null" "null" (to_string Null);
         Alcotest.(check string) "true" "true" (to_string (Bool true));
@@ -127,12 +127,12 @@ let json_tests =
         let env = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt () in
         let g = Array_model.Geometry.create ~nr:64 ~nc:64 ~n_pre:4 ~n_wr:2 () in
         let m = Array_model.Array_eval.evaluate env g Array_model.Components.no_assist in
-        match of_metrics m with
+        match Sram_edp.Json_out.of_metrics m with
         | Obj fields -> Alcotest.(check int) "fields" 10 (List.length fields)
         | Null | Bool _ | Int _ | Float _ | String _ | List _ ->
           Alcotest.fail "expected an object");
     case "headline serializes per-capacity rows" (fun () ->
-        match of_headline (Sram_edp.Framework.headline ()) with
+        match Sram_edp.Json_out.of_headline (Sram_edp.Framework.headline ()) with
         | Obj fields ->
           (match List.assoc "per_capacity" fields with
            | List rows -> Alcotest.(check int) "rows" 3 (List.length rows)
@@ -325,6 +325,85 @@ let experiments_tests =
                > 1.5 *. m2.Sram_edp.Experiments.d_bl_read))
           [ 1024 * 8; 4096 * 8; 16384 * 8 ]) ]
 
+(* ----- the paper's Table 4 claims, on the full-space sweep ----- *)
+
+(* The winner checksum pins the exact designs; these pin the claims
+   EXPERIMENTS.md marks as matching, which must survive a deliberate
+   model change that moves the checksum. *)
+let table4_row flavor method_ cap =
+  List.find
+    (fun (r : Sram_edp.Experiments.design_row) ->
+      r.Sram_edp.Experiments.capacity_bits = cap
+      && r.Sram_edp.Experiments.config = { Sram_edp.Framework.flavor; method_ })
+    (Sram_edp.Experiments.design_table ())
+
+let kb_and_up = [ 1024 * 8; 4096 * 8; 16384 * 8 ]
+
+let table4_claims_tests =
+  let open Sram_edp.Experiments in
+  let lvt = Finfet.Library.Lvt and hvt = Finfet.Library.Hvt in
+  let m1 = Opt.Space.M1 and m2 = Opt.Space.M2 in
+  [ case "Table 4: N_pre(LVT) >= N_pre(HVT), strictly for M2 from 1KB" (fun () ->
+        List.iter
+          (fun cap ->
+            List.iter
+              (fun method_ ->
+                let l = (table4_row lvt method_ cap).n_pre
+                and h = (table4_row hvt method_ cap).n_pre in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s %d bits: %d >= %d"
+                     (Opt.Space.method_name method_) cap l h)
+                  true (l >= h);
+                if method_ = m2 && List.mem cap kb_and_up then
+                  Alcotest.(check bool)
+                    (Printf.sprintf "M2 %d bits: %d > %d" cap l h) true (l > h))
+              [ m1; m2 ])
+          Sram_edp.Framework.paper_capacities);
+    case "Table 4: HVT-M2 has the lowest EDP from 1KB, by a growing margin" (fun () ->
+        let reductions =
+          List.map
+            (fun cap ->
+              let best = (table4_row hvt m2 cap).edp in
+              List.iter
+                (fun (flavor, method_) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%d bits: HVT-M2 below %s-%s" cap
+                       (Finfet.Library.flavor_to_string flavor)
+                       (Opt.Space.method_name method_))
+                    true
+                    (best < (table4_row flavor method_ cap).edp))
+                [ (lvt, m1); (hvt, m1); (lvt, m2) ];
+              1.0 -. (best /. (table4_row lvt m2 cap).edp))
+            kb_and_up
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "reduction grows: %s"
+             (String.concat " < " (List.map (Printf.sprintf "%.3f") reductions)))
+          true
+          (reductions = List.sort_uniq compare reductions));
+    case "Table 4: HVT-M2's delay penalty vs LVT-M2 is <= 12% from 1KB" (fun () ->
+        List.iter
+          (fun cap ->
+            let penalty =
+              ((table4_row hvt m2 cap).d_array /. (table4_row lvt m2 cap).d_array) -. 1.0
+            in
+            check_within (Printf.sprintf "%d bits" cap) ~lo:neg_infinity ~hi:0.12 penalty)
+          kb_and_up);
+    case "Table 4: V_SSC sits at its -240 mV bound in most M2 designs" (fun () ->
+        let bound =
+          Array.fold_left Float.min 0.0 Opt.Space.default.Opt.Space.vssc_values
+        in
+        check_close_abs "bound" (-0.24) bound;
+        let at_bound =
+          List.length
+            (List.filter
+               (fun (r : design_row) ->
+                 r.config.Sram_edp.Framework.method_ = m2 && r.vssc = bound)
+               (design_table ()))
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d of 10 at the bound" at_bound) true (at_bound > 5)) ]
+
 let () =
   Alcotest.run "core"
     [ ("units", units_tests);
@@ -333,4 +412,4 @@ let () =
       ("json", json_tests);
       ("export", export_tests);
       ("framework", framework_tests);
-      ("experiments", experiments_tests) ]
+      ("experiments", experiments_tests @ table4_claims_tests) ]

@@ -371,7 +371,7 @@ let small_space =
 
 let test_expired_deadline space () =
   let capacity_bits = 1024 * 8 and method_ = Opt.Space.M2 in
-  let deadline = Runtime.Telemetry.now () -. 1.0 in
+  let deadline = Obs.Clock.now () -. 1.0 in
   let ran_past what f =
     match f () with
     | exception Opt.Exhaustive.Deadline_exceeded -> []

@@ -1,7 +1,7 @@
 (* Tests of the lib/obs observability subsystem: clock monotonicity,
    histogram unit + QCheck properties (shard merge equals the whole,
    percentile ordering, bucket roundtrip), trace span balance and Chrome
-   JSON well-formedness, telemetry epoch tagging across resets, the
+   JSON well-formedness, timed spans recording into their histogram, the
    leveled logger, the progress counters, and a determinism guard that
    the instrumentation never changes which design the search picks. *)
 
@@ -115,7 +115,36 @@ let histogram_tests =
          with Failure _ -> ());
         Obs.Control.set_enabled false;
         let s = Obs.Histogram.snapshot h in
-        Alcotest.(check int) "both runs observed" 2 s.Obs.Histogram.count) ]
+        Alcotest.(check int) "both runs observed" 2 s.Obs.Histogram.count);
+    case "a ratio row of the report has no time suffix" (fun () ->
+        let ratio = Obs.Histogram.create ~unit:Obs.Histogram.Ratio (fresh_name "ratio") in
+        let seconds = Obs.Histogram.create (fresh_name "seconds") in
+        List.iter
+          (fun h -> List.iter (Obs.Histogram.observe h) [ 0.1116; 0.1116 ])
+          [ ratio; seconds ];
+        let path = Filename.temp_file "report" ".txt" in
+        let oc = open_out path in
+        Obs.Histogram.print_report ~channel:oc ~counters:[] ();
+        close_out oc;
+        let rows =
+          String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+        in
+        Sys.remove path;
+        let row h =
+          let name = (Obs.Histogram.snapshot h).Obs.Histogram.name ^ " " in
+          match List.find_opt (String.starts_with ~prefix:name) rows with
+          | Some r -> r
+          | None -> Alcotest.failf "no report row for %s" name
+        in
+        let has_time_suffix r =
+          List.exists
+            (fun w -> List.mem w [ "s"; "ms"; "us"; "ns" ])
+            (String.split_on_char ' ' r)
+        in
+        Alcotest.(check bool) ("seconds: " ^ row seconds) true
+          (has_time_suffix (row seconds));
+        Alcotest.(check bool) ("ratio: " ^ row ratio) false
+          (has_time_suffix (row ratio))) ]
 
 (* ----- Histogram QCheck properties ----- *)
 
@@ -572,41 +601,20 @@ let flight_tests =
         Obs.Flight.set_max_dumps 64;
         Obs.Flight.disarm ()) ]
 
-(* ----- Telemetry epochs ----- *)
+(* ----- Timed spans ----- *)
 
 let telemetry_epoch_tests =
-  [ case "reset drops in-flight span completions" (fun () ->
-        Runtime.Telemetry.reset ();
-        let e0 = Runtime.Telemetry.epoch () in
-        let v =
-          Runtime.Telemetry.time "obs.epoch.probe" (fun () ->
-              Runtime.Telemetry.reset ();
-              42)
-        in
-        Alcotest.(check int) "result unaffected" 42 v;
-        Alcotest.(check bool) "epoch advanced" true
-          (Runtime.Telemetry.epoch () > e0);
-        let snap = Runtime.Telemetry.snapshot () in
-        List.iter
-          (fun (s : Runtime.Telemetry.span) ->
-            if s.Runtime.Telemetry.span_name = "obs.epoch.probe" then begin
-              Alcotest.(check int) "stale completion dropped" 0
-                s.Runtime.Telemetry.calls;
-              check_close_abs "no time recorded" 0.0
-                s.Runtime.Telemetry.total_s
-            end)
-          snap.Runtime.Telemetry.spans);
-    case "spans spanning no reset still record" (fun () ->
-        Runtime.Telemetry.reset ();
-        ignore (Runtime.Telemetry.time "obs.epoch.clean" (fun () -> 1));
-        let snap = Runtime.Telemetry.snapshot () in
+  [ case "spans spanning no reset still record" (fun () ->
+        let name = fresh_name "span" in
+        let tm = Obs.Histogram.timer name in
+        Obs.Control.set_enabled true;
+        ignore (Obs.Histogram.span tm (fun () -> 1));
+        Obs.Control.set_enabled false;
         let calls =
           List.fold_left
-            (fun acc (s : Runtime.Telemetry.span) ->
-              if s.Runtime.Telemetry.span_name = "obs.epoch.clean" then
-                s.Runtime.Telemetry.calls
-              else acc)
-            0 snap.Runtime.Telemetry.spans
+            (fun acc (s : Obs.Histogram.snapshot) ->
+              if s.Obs.Histogram.name = name then s.Obs.Histogram.count else acc)
+            0 (Obs.Histogram.snapshots ())
         in
         Alcotest.(check int) "recorded once" 1 calls) ]
 

@@ -155,27 +155,30 @@ let telemetry_tests =
         Runtime.Telemetry.add c 4;
         Alcotest.(check int) "value" (base + 5) (Runtime.Telemetry.value c));
     case "spans record calls and time" (fun () ->
-        let before =
-          List.filter
-            (fun (s : Runtime.Telemetry.span) ->
-              s.Runtime.Telemetry.span_name = "test.span")
-            (Runtime.Telemetry.snapshot ()).Runtime.Telemetry.spans
+        (* A timed span is recorded in its histogram, when enabled. *)
+        let span = Obs.Histogram.timer "test.span" in
+        let calls () =
+          List.fold_left
+            (fun acc (s : Obs.Histogram.snapshot) ->
+              if s.Obs.Histogram.name = "test.span" then s.Obs.Histogram.count
+              else acc)
+            0 (Obs.Histogram.snapshots ())
         in
-        let calls_before =
-          match before with [ s ] -> s.Runtime.Telemetry.calls | _ -> 0
-        in
-        let v = Runtime.Telemetry.time "test.span" (fun () -> 17) in
+        let calls_before = calls () in
+        Obs.Control.set_enabled true;
+        let v = Obs.Histogram.span span (fun () -> 17) in
+        Obs.Control.set_enabled false;
         Alcotest.(check int) "passes value through" 17 v;
-        let after =
+        ignore (Obs.Histogram.span span (fun () -> 18));
+        Alcotest.(check int) "calls, recorded only when enabled"
+          (calls_before + 1) (calls ());
+        let s =
           List.find
-            (fun (s : Runtime.Telemetry.span) ->
-              s.Runtime.Telemetry.span_name = "test.span")
-            (Runtime.Telemetry.snapshot ()).Runtime.Telemetry.spans
+            (fun (s : Obs.Histogram.snapshot) -> s.Obs.Histogram.name = "test.span")
+            (Obs.Histogram.snapshots ())
         in
-        Alcotest.(check int) "calls" (calls_before + 1)
-          after.Runtime.Telemetry.calls;
-        Alcotest.(check bool) "time accumulates" true
-          (after.Runtime.Telemetry.total_s >= 0.0)) ]
+        Alcotest.(check bool) "per call" true (Obs.Histogram.per_call s);
+        Alcotest.(check bool) "time accumulates" true (s.Obs.Histogram.sum >= 0.0)) ]
 
 (* ----- parallel search determinism ----- *)
 

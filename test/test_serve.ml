@@ -143,7 +143,7 @@ let query_gen =
   let farr = small_list (float_range (-2.0) 2.0) >|= Array.of_list in
   let iarr lo hi = small_list (int_range lo hi) >|= Array.of_list in
   let opt g = oneof [ return None; map Option.some g ] in
-  let* capacity_bits = int_range 1 (1 lsl 24) in
+  let* capacity_bits = map (fun e -> 1 lsl e) (int_range 0 24) in
   let* flavor = oneofl [ Finfet.Library.Lvt; Finfet.Library.Hvt ] in
   let* method_ = oneofl [ Opt.Space.M1; Opt.Space.M2 ] in
   let* strategy =
@@ -253,6 +253,43 @@ let protocol_tests =
             "{\"id\":1,\"endpoint\":\"optimize\"}";
             "{\"id\":1,\"endpoint\":\"explain\"}";
             "{\"id\":1,\"endpoint\":\"optimize\",\"query\":{\"w\":0}}"; "7" ]);
+    case "capacity_bits must be a positive power of two" (fun () ->
+        let decode bits =
+          let q = { P.default_query with P.capacity_bits = bits } in
+          P.request_of_json
+            (P.request_to_json
+               { P.id = 1; deadline_ms = None; trace_id = None; endpoint = P.Optimize q })
+        in
+        List.iter
+          (fun bits ->
+            match decode bits with
+            | Error e ->
+              Alcotest.(check bool) ("names the field: " ^ e) true
+                (String.starts_with ~prefix:"bad capacity_bits" e)
+            | Ok _ -> Alcotest.failf "accepted capacity_bits %d" bits)
+          [ 0; -8; 1000 ];
+        List.iter
+          (fun bits ->
+            match decode bits with
+            | Ok { P.endpoint = P.Optimize q; _ } ->
+              Alcotest.(check int) "decoded" bits q.P.capacity_bits
+            | Ok _ -> Alcotest.fail "decoded another endpoint"
+            | Error e -> Alcotest.failf "rejected %d: %s" bits e)
+          Sram_edp.Framework.paper_capacities);
+    case "a payload with no JSON form is answered as internal" (fun () ->
+        let r =
+          { P.rid = 7; rtrace_id = Some "t-1";
+            body = Ok (J.Obj [ ("x", J.Float Float.nan) ]) }
+        in
+        let sent, payload = P.encode_response r in
+        let is_internal (r : P.response) =
+          r.P.rid = 7 && r.P.rtrace_id = Some "t-1"
+          && match r.P.body with Error (P.Internal, _) -> true | _ -> false
+        in
+        Alcotest.(check bool) "sent as internal" true (is_internal sent);
+        match Result.bind (J.of_string payload) P.response_of_json with
+        | Ok wire -> Alcotest.(check bool) "wire says internal" true (is_internal wire)
+        | Error e -> Alcotest.failf "payload does not decode: %s" e);
     case "space_of_override replaces only the named axes" (fun () ->
         let s = P.space_of_override { P.no_override with P.nr = Some [| 64 |] } in
         Alcotest.(check (array int)) "nr" [| 64 |] s.Opt.Space.nr_values;

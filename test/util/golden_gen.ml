@@ -2,11 +2,12 @@
    (test_golden.ml, which diffs against the files under test/golden)
    and the regenerator (regen_golden.ml, `make regen-golden`).  Everything here
    must be bit-stable run to run: the searches are deterministic at any
-   job count and Json_out prints floats with enough digits to
+   job count and Persist.Json prints floats with enough digits to
    round-trip, so a golden diff means the model output changed, not
    that the harness wobbled. *)
 
 open Sram_edp
+module J = Persist.Json
 
 (* Reduced space keeps regeneration and `dune runtest` fast while still
    exercising the staged kernel, yield pinning and both methods; the
@@ -41,8 +42,8 @@ let rows =
        (Lazy.force designs))
 
 let table4_json () =
-  Json_out.to_string_pretty
-    (Json_out.List (List.map Json_out.of_design_row (Lazy.force rows)))
+  J.to_string_pretty
+    (J.List (List.map Json_out.of_design_row (Lazy.force rows)))
   ^ "\n"
 
 let report_text () =
@@ -89,15 +90,15 @@ let datasheet_text () =
    while pinning the key set and nesting documented in DESIGN.md §7:
    a golden diff here means a client-visible schema change. *)
 let rec schema_of = function
-  | Json_out.Null -> Json_out.String "null"
-  | Json_out.Bool _ -> Json_out.String "bool"
-  | Json_out.Int _ -> Json_out.String "int"
-  | Json_out.Float _ -> Json_out.String "float"
-  | Json_out.String _ -> Json_out.String "string"
-  | Json_out.List [] -> Json_out.List []
-  | Json_out.List (x :: _) -> Json_out.List [ schema_of x ]
-  | Json_out.Obj fields ->
-    Json_out.Obj (List.map (fun (k, v) -> (k, schema_of v)) fields)
+  | J.Null -> J.String "null"
+  | J.Bool _ -> J.String "bool"
+  | J.Int _ -> J.String "int"
+  | J.Float _ -> J.String "float"
+  | J.String _ -> J.String "string"
+  | J.List [] -> J.List []
+  | J.List (x :: _) -> J.List [ schema_of x ]
+  | J.Obj fields ->
+    J.Obj (List.map (fun (k, v) -> (k, schema_of v)) fields)
 
 (* Synthesize the full serving state a live daemon would have —
    windowed request histograms, SLO counters, serve.* telemetry — so
@@ -129,7 +130,7 @@ let stats_schema () =
     [ "serve.queue_wait"; "serve.handle.optimize"; "serve.e2e" ];
   Obs.Window.rotate_all ();
   let text =
-    Json_out.to_string_pretty (schema_of (Json_out.runtime_stats_json ()))
+    J.to_string_pretty (schema_of (Json_out.runtime_stats_json ()))
     ^ "\n"
   in
   Runtime.Telemetry.reset ();
@@ -145,29 +146,18 @@ let stats_schema () =
    heuristics evaluate a subset — so the golden pins the SHAPE of
    [Opt.Exhaustive.result_to_json] for each strategy, same collapse as
    the stats schema. *)
-let rec persist_schema_of = function
-  | Persist.Json.Null -> Json_out.String "null"
-  | Persist.Json.Bool _ -> Json_out.String "bool"
-  | Persist.Json.Int _ -> Json_out.String "int"
-  | Persist.Json.Float _ -> Json_out.String "float"
-  | Persist.Json.String _ -> Json_out.String "string"
-  | Persist.Json.List [] -> Json_out.List []
-  | Persist.Json.List (x :: _) -> Json_out.List [ persist_schema_of x ]
-  | Persist.Json.Obj fields ->
-    Json_out.Obj (List.map (fun (k, v) -> (k, persist_schema_of v)) fields)
-
 let strategies_schema () =
   let env = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt () in
   let result_of st =
     Opt.Strategy.run st ~space:Opt.Space.reduced ~env
       ~capacity_bits:(1024 * 8) ~method_:Opt.Space.M2 ()
   in
-  Json_out.to_string_pretty
-    (Json_out.Obj
+  J.to_string_pretty
+    (J.Obj
        (List.map
           (fun st ->
             ( Opt.Strategy.name st,
-              persist_schema_of (Opt.Exhaustive.result_to_json (result_of st))
+              schema_of (Opt.Exhaustive.result_to_json (result_of st))
             ))
           [ Opt.Strategy.Exhaustive; Opt.Strategy.Local_search;
             Opt.Strategy.Anneal; Opt.Strategy.Nsga2; Opt.Strategy.Surrogate ]))
@@ -182,7 +172,7 @@ let strategies_schema () =
    are recorded as infeasible), the write-delay LUT at its grid levels
    and at interpolated and clamped levels, and RSNM over a V_DDC x V_SSC
    grid. *)
-let bits v = Json_out.String (Printf.sprintf "%016Lx" (Int64.bits_of_float v))
+let bits v = J.String (Printf.sprintf "%016Lx" (Int64.bits_of_float v))
 
 let flavors = [ Finfet.Library.Hvt; Finfet.Library.Lvt ]
 let temperatures = [ -40.0; 25.0; 85.0; 125.0 ]
@@ -191,7 +181,7 @@ let physics_vddc = [ 0.45; 0.50; 0.55; 0.60; 0.70 ]
 let physics_vssc = [ 0.0; -0.08; -0.16; -0.24 ]
 
 let physics_json () =
-  let flavor f = ("flavor", Json_out.String (Finfet.Library.flavor_to_string f)) in
+  let flavor f = ("flavor", J.String (Finfet.Library.flavor_to_string f)) in
   let pins =
     List.concat_map
       (fun f ->
@@ -201,18 +191,18 @@ let physics_json () =
               (fun celsius ->
                 let where =
                   [ flavor f;
-                    ("corner", Json_out.String (Finfet.Corners.name corner));
-                    ("celsius", Json_out.Float celsius) ]
+                    ("corner", J.String (Finfet.Corners.name corner));
+                    ("celsius", J.Float celsius) ]
                 in
                 match Opt.Yield.solve ~corner ~celsius ~flavor:f () with
                 | l ->
-                  Json_out.Obj
+                  J.Obj
                     (where
                     @ [ ("vddc_min", bits l.Opt.Yield.vddc_min);
                         ("vwl_min", bits l.Opt.Yield.vwl_min);
                         ("hsnm_nominal", bits l.Opt.Yield.hsnm_nominal) ])
                 | exception Opt.Yield.Infeasible _ ->
-                  Json_out.Obj (where @ [ ("infeasible", Json_out.Bool true) ]))
+                  J.Obj (where @ [ ("infeasible", J.Bool true) ]))
               temperatures)
           Finfet.Corners.all)
       flavors
@@ -223,8 +213,8 @@ let physics_json () =
         let per = Array_model.Periphery.shared ~cell_flavor:f in
         List.map
           (fun vwl ->
-            Json_out.Obj
-              [ flavor f; ("vwl", Json_out.Float vwl);
+            J.Obj
+              [ flavor f; ("vwl", J.Float vwl);
                 ("delay", bits (Array_model.Periphery.write_delay per ~vwl)) ])
           physics_vwl)
       flavors
@@ -236,18 +226,18 @@ let physics_json () =
           (fun vddc ->
             List.map
               (fun vssc ->
-                Json_out.Obj
-                  [ flavor f; ("vddc", Json_out.Float vddc); ("vssc", Json_out.Float vssc);
+                J.Obj
+                  [ flavor f; ("vddc", J.Float vddc); ("vssc", J.Float vssc);
                     ("rsnm", bits (Opt.Yield.rsnm_at ~flavor:f ~vddc ~vssc ())) ])
               physics_vssc)
           physics_vddc)
       flavors
   in
-  Json_out.to_string_pretty
-    (Json_out.Obj
-       [ ("yield", Json_out.List pins);
-         ("write_delay", Json_out.List write_delay);
-         ("rsnm", Json_out.List rsnm) ])
+  J.to_string_pretty
+    (J.Obj
+       [ ("yield", J.List pins);
+         ("write_delay", J.List write_delay);
+         ("rsnm", J.List rsnm) ])
   ^ "\n"
 
 let files_memo =
