@@ -7,9 +7,10 @@ type gate = {
 }
 
 (* The 0.5 factor calibrates the effective switching resistance against
-   transistor-level transients of this device model (Gate_sim): a device
-   spends the swing mostly in saturation at nearly I_on, so the classic
-   Vdd / I_on convention overstates R by ~2x here. *)
+   transistor-level transients of this device model (the test oracle
+   test/util/gate_sim.ml, checked in test_gates): a device spends the
+   swing mostly in saturation at nearly I_on, so the classic Vdd / I_on
+   convention overstates R by ~2x here. *)
 let r_eff params =
   0.5 *. Finfet.Tech.vdd_nominal /. Finfet.Device.i_on params ()
 

@@ -27,7 +27,8 @@ val tau : nfet:Finfet.Device.params -> pfet:Finfet.Device.params -> float
 val r_eff : Finfet.Device.params -> float
 (** Effective switching resistance of a single fin: 0.5 Vdd / I_on, the
     factor calibrated against transistor-level transients of this device
-    model (see {!Gate_sim} and the corresponding test). *)
+    model (see the transistor-level oracle test/util/gate_sim.ml and
+    test_gates). *)
 
 val inverter :
   nfet:Finfet.Device.params -> pfet:Finfet.Device.params -> nfin:int -> gate

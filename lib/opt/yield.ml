@@ -70,25 +70,31 @@ let solve_uncached ?(delta = Finfet.Tech.min_margin) ?(points = 81) ?corner
     else begin
       (* RSNM grows monotonically with V_DDC (stronger pull-down
          feedback; test_opt checks it on this grid), so bisect on the
-         10 mV grid itself: grid point [lo] fails, [hi] passes. *)
+         10 mV grid itself: grid point [lo] fails, [hi] passes, or is
+         the top, which the bisection never evaluates.  Only when every
+         midpoint fails does the answer rest on the top, so only then
+         is it evaluated, to tell a pass from [Infeasible]. *)
       let top = int_of_float (Float.round (vddc_max /. voltage_grid)) in
-      let at_top = rsnm (grid_point top) in
-      if at_top -. delta < 0.0 then
-        raise
-          (Infeasible
-             { flavor;
-               corner = Option.value corner ~default:Finfet.Corners.TT;
-               celsius = Option.value celsius ~default:Finfet.Thermal.t_ref_celsius;
-               rsnm = at_top;
-               delta });
       let rec bisect lo hi =
-        if hi - lo <= 1 then grid_point hi
+        if hi - lo <= 1 then hi
         else begin
           let mid = (lo + hi) / 2 in
           if rsnm (grid_point mid) -. delta >= 0.0 then bisect lo mid else bisect mid hi
         end
       in
-      bisect (int_of_float (floor ((vdd /. voltage_grid) +. 1e-9))) top
+      let pass = bisect (int_of_float (floor ((vdd /. voltage_grid) +. 1e-9))) top in
+      if pass = top then begin
+        let at_top = rsnm (grid_point top) in
+        if at_top -. delta < 0.0 then
+          raise
+            (Infeasible
+               { flavor;
+                 corner = Option.value corner ~default:Finfet.Corners.TT;
+                 celsius = Option.value celsius ~default:Finfet.Thermal.t_ref_celsius;
+                 rsnm = at_top;
+                 delta })
+      end;
+      grid_point pass
     end
   in
   (* WM(v_wl) = v_wl - minimum flipping level, so the minimum write level

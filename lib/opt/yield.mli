@@ -43,7 +43,8 @@ val solve :
 
     V_DDC: RSNM is non-decreasing in V_DDC, so the smallest 10 mV grid
     point in (Vdd, {!vddc_max}] with RSNM >= delta is found by bisecting
-    the grid itself (7-8 butterflies), or Vdd when it already passes.
+    the grid itself (6-7 butterflies; the top point is traced only when
+    every midpoint fails), or Vdd when it already passes.
     V_WL: a continuous bisection of the write flip point, snapped up to
     the grid.
 

@@ -48,7 +48,7 @@ let initial_state ?(ic = []) compiled =
   List.iter (fun (node, volts) -> v.(node) <- volts) ic;
   (v, init.Dc.source_currents)
 
-let run ?dt ?ic ?(method_ = Backward_euler) ~t_stop netlist =
+let run ?dt ?ic ?(method_ = Backward_euler) ?until ~t_stop netlist =
   assert (t_stop > 0.0);
   let dt = match dt with Some d -> d | None -> t_stop /. 400.0 in
   assert (dt > 0.0);
@@ -64,32 +64,40 @@ let run ?dt ?ic ?(method_ = Backward_euler) ~t_stop netlist =
   let warm = ref None in
   let state = ref v0 in
   let i_caps = ref (Array.make (Array.length caps) 0.0) in
-  for k = 1 to steps do
-    let t = min (float_of_int k *. dt) t_stop in
-    let h = t -. times.(k - 1) in
-    if h > 0.0 then begin
-      (* The trapezoidal rule needs each capacitor's entering current; the
-         first step has no history, so it runs backward Euler (whose
-         result supplies consistent currents for step two). *)
-      let method_now = if k = 1 then Backward_euler else method_ in
-      let s, i' =
-        step ~method_:method_now ~compiled ~caps ~warm:!warm ~state:!state
-          ~i_caps:!i_caps ~t ~h
-      in
-      warm := Some (Dc.solution_vector s);
-      state := s.Dc.voltages;
-      i_caps := i';
-      times.(k) <- t;
-      voltages.(k) <- Array.copy s.Dc.voltages;
-      source_currents.(k) <- Array.copy s.Dc.source_currents
-    end
+  let stops_at k = match until with Some p -> p voltages.(k) | None -> false in
+  (* Steps 1..k-1 are recorded; returns the number of samples kept. *)
+  let rec advance k =
+    if k > steps || stops_at (k - 1) then k
     else begin
-      times.(k) <- times.(k - 1);
-      voltages.(k) <- voltages.(k - 1);
-      source_currents.(k) <- source_currents.(k - 1)
+      let t = min (float_of_int k *. dt) t_stop in
+      let h = t -. times.(k - 1) in
+      if h > 0.0 then begin
+        (* The trapezoidal rule needs each capacitor's entering current;
+           the first step has no history, so it runs backward Euler
+           (whose result supplies consistent currents for step two). *)
+        let method_now = if k = 1 then Backward_euler else method_ in
+        let s, i' =
+          step ~method_:method_now ~compiled ~caps ~warm:!warm ~state:!state
+            ~i_caps:!i_caps ~t ~h
+        in
+        warm := Some (Dc.solution_vector s);
+        state := s.Dc.voltages;
+        i_caps := i';
+        times.(k) <- t;
+        voltages.(k) <- Array.copy s.Dc.voltages;
+        source_currents.(k) <- Array.copy s.Dc.source_currents
+      end
+      else begin
+        times.(k) <- times.(k - 1);
+        voltages.(k) <- voltages.(k - 1);
+        source_currents.(k) <- source_currents.(k - 1)
+      end;
+      advance (k + 1)
     end
-  done;
-  { times; voltages; source_currents }
+  in
+  let samples = advance 1 in
+  let kept a = if samples = steps + 1 then a else Array.sub a 0 samples in
+  { times = kept times; voltages = kept voltages; source_currents = kept source_currents }
 
 let max_abs_diff a b =
   let worst = ref 0.0 in

@@ -26,6 +26,7 @@ val run :
   ?dt:float ->
   ?ic:(Netlist.node * float) list ->
   ?method_:method_ ->
+  ?until:(float array -> bool) ->
   t_stop:float ->
   Netlist.t ->
   trace
@@ -36,7 +37,13 @@ val run :
     [ic] pins initial node voltages; all other nodes start from the DC
     operating point at t = 0 computed with sources at their t = 0 values.
     Initial conditions are applied after that solve, so use them for
-    storage nodes whose state is not determined by the sources. *)
+    storage nodes whose state is not determined by the sources.
+
+    [until] is tested on each step's node-voltage vector (step 0
+    included; it must not mutate it): the run stops at, and the trace
+    ends with, the first step where it holds.  That trace is the
+    bit-identical prefix of the full run; a predicate that never holds
+    runs to [t_stop]. *)
 
 val run_adaptive :
   ?dt_min:float ->

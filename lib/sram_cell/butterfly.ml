@@ -16,9 +16,24 @@ let trace_vtc ?(points = 81) ~cell ~side ~access_on condition =
 
 type butterfly = { curve_r : vtc; curve_l : vtc }
 
+(* A cell whose two halves hold the very same device records and whose
+   bitlines sit at bit-equal levels (every nominal or corner cell under
+   hold and read) gets the same half-cell netlist from
+   {!Sram6t.build_half_vtc} on either side, so the two sweeps would be
+   bit-identical: sweep once and use the curve for both halves. *)
+let symmetric ~cell condition =
+  let open Finfet.Variation in
+  cell.pull_up_l == cell.pull_up_r
+  && cell.pull_down_l == cell.pull_down_r
+  && cell.access_l == cell.access_r
+  && Int64.equal
+       (Int64.bits_of_float condition.Sram6t.vbl)
+       (Int64.bits_of_float condition.Sram6t.vblb)
+
 let trace ?points ~cell ~access_on condition =
-  { curve_r = trace_vtc ?points ~cell ~side:`Right ~access_on condition;
-    curve_l = trace_vtc ?points ~cell ~side:`Left ~access_on condition }
+  let curve side = trace_vtc ?points ~cell ~side ~access_on condition in
+  let curve_r = curve `Right in
+  { curve_r; curve_l = (if symmetric ~cell condition then curve_r else curve `Left) }
 
 type snm = { lobe_high : float; lobe_low : float }
 
@@ -94,7 +109,11 @@ let snm_of_butterfly { curve_r; curve_l } =
      swapped (a reflection across y = x), which simply exchanges the two
      curves' roles. *)
   let lobe_high = lobe ~upper:curve_r ~lower:curve_l in
-  let lobe_low = lobe ~upper:curve_l ~lower:curve_r in
+  (* With one curve in both roles, the second lobe is the first one's
+     computation over again. *)
+  let lobe_low =
+    if curve_l == curve_r then lobe_high else lobe ~upper:curve_l ~lower:curve_r
+  in
   { lobe_high; lobe_low }
 
 let worst_snm { lobe_high; lobe_low } = min lobe_high lobe_low

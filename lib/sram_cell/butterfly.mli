@@ -34,6 +34,12 @@ val trace :
   access_on:bool ->
   Sram6t.condition ->
   butterfly
+(** Both halves' VTCs.  When the two halves carry physically equal
+    device records ([==], as {!Finfet.Variation.nominal_cell} builds
+    them) and the bitline levels are bit-equal (hold and read), the two
+    half-cell netlists are the same, so one sweep serves both and the
+    curves are physically equal; otherwise (Monte Carlo samples, write
+    conditions) each side is swept. *)
 
 type snm = {
   lobe_high : float;  (** largest square in the upper-left eye, V *)
@@ -41,7 +47,9 @@ type snm = {
 }
 
 val snm_of_butterfly : butterfly -> snm
-(** Extract both lobes.  A collapsed eye (monostable cell) yields 0. *)
+(** Extract both lobes.  A collapsed eye (monostable cell) yields 0.
+    When [curve_l == curve_r] the two lobes are one computation, done
+    once. *)
 
 val worst_snm : snm -> float
 (** min of the two lobes — the cell's static noise margin. *)

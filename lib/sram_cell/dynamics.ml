@@ -11,15 +11,22 @@ let write_delay ?(t_stop = 30e-12) ?(wl_rise = 1e-12) ~cell condition =
   in
   let netlist, nodes = Sram6t.build ~with_node_caps:true ~wl_wave ~cell condition in
   let vdd = condition.Sram6t.vdd in
+  let wl_half = 0.5 *. vdd in
+  (* Both measurements below read only samples up to the first step where
+     WL has reached [wl_half] and Q has fallen to QB, so the run stops
+     there; a write that never flips runs to [t_stop]. *)
+  let measured v =
+    v.(nodes.Sram6t.wl) >= wl_half && v.(nodes.Sram6t.q) -. v.(nodes.Sram6t.qb) <= 0.0
+  in
   let trace =
     Spice.Transient.run ~dt:(t_stop /. 600.0)
       ~ic:[ (nodes.Sram6t.q, vdd); (nodes.Sram6t.qb, 0.0) ]
-      ~t_stop netlist
+      ~until:measured ~t_stop netlist
   in
   let wl_cross_time =
     match
-      Spice.Transient.crossing_time trace ~node:nodes.Sram6t.wl
-        ~threshold:(0.5 *. vdd) ~direction:`Rising
+      Spice.Transient.crossing_time trace ~node:nodes.Sram6t.wl ~threshold:wl_half
+        ~direction:`Rising
     with
     | Some t -> t
     | None -> 1e-12 +. (0.5 *. wl_rise)

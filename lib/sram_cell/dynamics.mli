@@ -20,7 +20,11 @@ val write_delay :
   write_delay_result
 (** Transient write-0 into a cell holding 1.  WL ramps from 0 to
     [condition.vwl] over [wl_rise] (default 1 ps); simulation window
-    default 30 ps. *)
+    default 30 ps, in 600 steps.  The run stops at the first step where
+    WL is at or above 50%% of Vdd and V(Q) <= V(QB): both measurements
+    are read from samples up to that step, so the result is the
+    full-window run's, bit for bit.  A write that never flips runs the
+    whole window. *)
 
 val read_current :
   cell:Finfet.Variation.cell_sample -> Sram6t.condition -> float

@@ -171,41 +171,41 @@ let sense_amp_tests =
 let gate_sim_tests =
   [ case "inverter chain switches and has finite delay" (fun () ->
         let built =
-          Gates.Gate_sim.build_inverter_chain ~nfet ~pfet ~fins:[ 1; 3 ]
+          Gate_sim.build_inverter_chain ~nfet ~pfet ~fins:[ 1; 3 ]
             ~c_load:2e-15
         in
-        let d = Gates.Gate_sim.measure_delay built in
+        let d = Gate_sim.measure_delay built in
         check_within "delay" ~lo:1e-13 ~hi:1e-10 d);
     case "nand2 stage switches" (fun () ->
         let built =
-          Gates.Gate_sim.build_nand2_stage ~nfet ~pfet ~nfin:1 ~c_load:2e-15
+          Gate_sim.build_nand2_stage ~nfet ~pfet ~nfin:1 ~c_load:2e-15
         in
         check_within "delay" ~lo:1e-13 ~hi:1e-10
-          (Gates.Gate_sim.measure_delay built));
+          (Gate_sim.measure_delay built));
     case "logical effort matches the transistor-level superbuffer" (fun () ->
         (* The paper: the driver design is "derived analytically and
            verified by SPICE simulations" — this is that check. *)
         let driver = Gates.Superbuffer.default_wl_driver ~nfet ~pfet in
         List.iter
           (fun c_load ->
-            let sim = Gates.Gate_sim.superbuffer_simulated_delay driver ~c_load in
-            let model = Gates.Gate_sim.superbuffer_model_delay driver ~c_load in
+            let sim = Gate_sim.superbuffer_simulated_delay driver ~c_load in
+            let model = Gate_sim.superbuffer_model_delay driver ~c_load in
             check_within "sim/model" ~lo:0.6 ~hi:1.4 (sim /. model))
           [ 5e-15; 20e-15; 50e-15 ]);
     case "simulated delay grows with load" (fun () ->
         let driver = Gates.Superbuffer.default_wl_driver ~nfet ~pfet in
-        let d5 = Gates.Gate_sim.superbuffer_simulated_delay driver ~c_load:5e-15 in
-        let d50 = Gates.Gate_sim.superbuffer_simulated_delay driver ~c_load:50e-15 in
+        let d5 = Gate_sim.superbuffer_simulated_delay driver ~c_load:5e-15 in
+        let d50 = Gate_sim.superbuffer_simulated_delay driver ~c_load:50e-15 in
         Alcotest.(check bool) "monotone" true (d50 > 1.5 *. d5));
     case "longer chains invert accordingly (odd vs even switch direction)" (fun () ->
         (* Both parities must still produce a measurable delay. *)
         List.iter
           (fun fins ->
             let built =
-              Gates.Gate_sim.build_inverter_chain ~nfet ~pfet ~fins ~c_load:1e-15
+              Gate_sim.build_inverter_chain ~nfet ~pfet ~fins ~c_load:1e-15
             in
             check_within "delay" ~lo:1e-13 ~hi:1e-10
-              (Gates.Gate_sim.measure_delay built))
+              (Gate_sim.measure_delay built))
           [ [ 1 ]; [ 1; 2 ]; [ 1; 2; 4 ] ]) ]
 
 let decoder_sim_tests =
@@ -213,7 +213,7 @@ let decoder_sim_tests =
         List.iter
           (fun bits ->
             check_within "delay" ~lo:1e-12 ~hi:1e-10
-              (Gates.Gate_sim.decoder_simulated_delay ~nfet ~pfet ~bits
+              (Gate_sim.decoder_simulated_delay ~nfet ~pfet ~bits
                  ~c_out:1e-15))
           [ 2; 4; 6 ]);
     case "LE decoder LUT tracks the transistor-level path within 3x" (fun () ->
@@ -222,7 +222,7 @@ let decoder_sim_tests =
         List.iter
           (fun bits ->
             let sim =
-              Gates.Gate_sim.decoder_simulated_delay ~nfet ~pfet ~bits ~c_out:1e-15
+              Gate_sim.decoder_simulated_delay ~nfet ~pfet ~bits ~c_out:1e-15
             in
             let model =
               (Gates.Decoder.decode ~nfet ~pfet ~bits ~c_out:1e-15).Gates.Decoder.delay
@@ -231,7 +231,7 @@ let decoder_sim_tests =
           [ 2; 4; 6 ]);
     case "structural growth with width is logarithmic, like the model" (fun () ->
         let d bits =
-          Gates.Gate_sim.decoder_simulated_delay ~nfet ~pfet ~bits ~c_out:1e-15
+          Gate_sim.decoder_simulated_delay ~nfet ~pfet ~bits ~c_out:1e-15
         in
         (* 16x the rows costs well under 2x the decode time. *)
         check_within "log growth" ~lo:0.8 ~hi:2.0 (d 6 /. d 2)) ]

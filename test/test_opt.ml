@@ -82,6 +82,15 @@ let yield_tests =
           check_close "celsius" 125.0 r.celsius;
           check_close "delta" Finfet.Tech.min_margin r.delta;
           Alcotest.(check bool) "RSNM below delta" true (r.rsnm < r.delta && r.rsnm > 0.0);
+          (* The top of the range is traced only once the bisection has
+             failed everywhere below it; the payload is still its RSNM. *)
+          let cell =
+            Opt.Yield.cell_of ~corner:Finfet.Corners.TT ~celsius:125.0 Finfet.Library.Lvt
+          in
+          Alcotest.(check int64) "RSNM is read at vddc_max"
+            (Int64.bits_of_float
+               (Sram_cell.Margins.read_snm ~cell (Sram_cell.Sram6t.read ~vddc:Opt.Yield.vddc_max ())))
+            (Int64.bits_of_float r.rsnm);
           let msg = Printexc.to_string e in
           let mentions part =
             let n = String.length part in

@@ -219,6 +219,38 @@ let transient_tests =
         Spice.Netlist.resistor n ~plus:a ~minus:a ~ohms:50.0;
         let tr = Spice.Transient.run ~t_stop:1e-9 n in
         check_close_abs ~tol:1e-15 "zero" 0.0 (Spice.Transient.delivered_energy tr n));
+    case "until stops at the first step it holds, on the full run's prefix" (fun () ->
+        let n, out = rc_netlist () in
+        let run ?until method_ =
+          Spice.Transient.run ~method_ ?until ~t_stop:5e-6 ~ic:[ (out, 0.0) ] n
+        in
+        let bits k a = Array.map Int64.bits_of_float (Array.sub a 0 k) in
+        let rows k a = Array.to_list (Array.map (bits (Array.length a.(0))) (Array.sub a 0 k)) in
+        List.iter
+          (fun method_ ->
+            let full = run method_ in
+            let steps = Array.length full.Spice.Transient.times in
+            (* 0.0 holds at step 0; 2.0 is never reached, so that run is whole. *)
+            List.iter
+              (fun threshold ->
+                let cut = run ~until:(fun v -> v.(out) >= threshold) method_ in
+                let k = Array.length cut.Spice.Transient.times in
+                let rec first i =
+                  if i = steps || full.Spice.Transient.voltages.(i).(out) >= threshold then i
+                  else first (i + 1)
+                in
+                Alcotest.(check int)
+                  (Printf.sprintf "ends at the first step >= %g" threshold)
+                  (min steps (first 0 + 1)) k;
+                Alcotest.(check (array int64)) "times"
+                  (bits k full.Spice.Transient.times) (bits k cut.Spice.Transient.times);
+                Alcotest.(check (list (array int64))) "voltages"
+                  (rows k full.Spice.Transient.voltages) (rows k cut.Spice.Transient.voltages);
+                Alcotest.(check (list (array int64))) "source currents"
+                  (rows k full.Spice.Transient.source_currents)
+                  (rows k cut.Spice.Transient.source_currents))
+              [ 0.0; 0.25; 0.5; 0.9; 2.0 ])
+          [ Spice.Transient.Backward_euler; Spice.Transient.Trapezoidal ]);
     case "cross-coupled latch regenerates (sense-amp physics)" (fun () ->
         let sa = Gates.Sense_amp.default ~nfet ~pfet in
         let netlist, a, b = Gates.Sense_amp.build_netlist sa ~delta_v:0.06 in

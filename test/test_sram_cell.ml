@@ -378,7 +378,97 @@ let oracle_tests =
           [ (hvt, `Left, true, Sram_cell.Sram6t.read ~vddc:0.55 ~vssc:(-0.12) ());
             (hvt, `Right, false, Sram_cell.Sram6t.hold ());
             (lvt, `Right, true, Sram_cell.Sram6t.read ~vddc:0.70 ());
-            (lvt, `Left, false, Sram_cell.Sram6t.hold ~vdd:0.40 ()) ]) ]
+            (lvt, `Left, false, Sram_cell.Sram6t.hold ~vdd:0.40 ()) ]);
+    case "one-sweep RSNM and HSNM equal the two-sweep oracle over the PVT box" (fun () ->
+        List.iter
+          (fun flavor ->
+            List.iter
+              (fun corner ->
+                List.iter
+                  (fun celsius ->
+                    let cell = Opt.Yield.cell_of ~corner ~celsius flavor in
+                    let where =
+                      Printf.sprintf "%s %s %g C" (Finfet.Library.flavor_to_string flavor)
+                        (Finfet.Corners.name corner) celsius
+                    in
+                    List.iter
+                      (fun vddc ->
+                        let condition = Sram_cell.Sram6t.read ~vddc () in
+                        Alcotest.(check int64)
+                          (Printf.sprintf "RSNM %s at %g V" where vddc)
+                          (Int64.bits_of_float
+                             (Oracle.Butterfly.snm ~cell ~access_on:true condition))
+                          (Int64.bits_of_float (Sram_cell.Margins.read_snm ~cell condition)))
+                      [ 0.45; 0.55; 0.70 ];
+                    let hold = Sram_cell.Sram6t.hold () in
+                    Alcotest.(check int64) ("HSNM " ^ where)
+                      (Int64.bits_of_float (Oracle.Butterfly.snm ~cell ~access_on:false hold))
+                      (Int64.bits_of_float (Sram_cell.Margins.hold_snm ~cell vdd)))
+                  [ -40.0; 25.0; 85.0; 125.0 ])
+              Finfet.Corners.all)
+          [ Finfet.Library.Lvt; Finfet.Library.Hvt ]);
+    case "trace shares one curve only between identical halves" (fun () ->
+        let shared =
+          Sram_cell.Butterfly.trace ~cell:hvt ~access_on:true (Sram_cell.Sram6t.read ())
+        in
+        Alcotest.(check bool) "nominal read: one curve" true
+          (shared.Sram_cell.Butterfly.curve_l == shared.Sram_cell.Butterfly.curve_r);
+        let mismatched =
+          Finfet.Variation.sample_cell (Numerics.Rng.create ~seed:7)
+            ~nfet:(Finfet.Library.nfet lib Finfet.Library.Hvt)
+            ~pfet:(Finfet.Library.pfet lib Finfet.Library.Hvt)
+        in
+        List.iter
+          (fun (what, cell, access_on, condition) ->
+            let b = Sram_cell.Butterfly.trace ~cell ~access_on condition in
+            Alcotest.(check bool) (what ^ ": two curves") false
+              (b.Sram_cell.Butterfly.curve_l == b.Sram_cell.Butterfly.curve_r);
+            List.iter
+              (fun (side, (curve : Sram_cell.Butterfly.vtc)) ->
+                let vtc = Sram_cell.Butterfly.trace_vtc ~cell ~side ~access_on condition in
+                Alcotest.(check (array int64)) (what ^ ": inputs") (bits vtc.inputs)
+                  (bits curve.inputs);
+                Alcotest.(check (array int64)) (what ^ ": outputs") (bits vtc.outputs)
+                  (bits curve.outputs))
+              [ (`Right, b.Sram_cell.Butterfly.curve_r); (`Left, b.Sram_cell.Butterfly.curve_l) ])
+          [ ("Monte Carlo read", mismatched, true, Sram_cell.Sram6t.read ());
+            ("Monte Carlo hold", mismatched, false, Sram_cell.Sram6t.hold ());
+            ("nominal write0", hvt, true, Sram_cell.Sram6t.write0 ~vwl:0.50 ()) ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:40
+         ~name:"write delay stopped at the Q/QB crossing equals the full-window run"
+         (QCheck.make
+            ~print:(fun (flavor, corner, vwl) ->
+              Printf.sprintf "%s %s V_WL = %h" (Finfet.Library.flavor_to_string flavor)
+                (Finfet.Corners.name corner) vwl)
+            QCheck.Gen.(
+              triple
+                (oneofl [ Finfet.Library.Lvt; Finfet.Library.Hvt ])
+                (oneofl Finfet.Corners.all)
+                (frequency [ (3, float_range 0.1 1.0); (1, float_range 0.1 0.3) ])))
+         (fun (flavor, corner, vwl) ->
+           let cell = Opt.Yield.cell_of ~corner flavor in
+           let condition = Sram_cell.Sram6t.write0 ~vwl () in
+           let r = Sram_cell.Dynamics.write_delay ~cell condition in
+           let o = Oracle.Dynamics.write_delay ~cell condition in
+           r.Sram_cell.Dynamics.flipped = o.Sram_cell.Dynamics.flipped
+           && bits [| r.Sram_cell.Dynamics.delay; r.Sram_cell.Dynamics.wl_cross_time |]
+              = bits [| o.Sram_cell.Dynamics.delay; o.Sram_cell.Dynamics.wl_cross_time |]));
+    case "write levels below the flip point run the whole window unflipped" (fun () ->
+        List.iter
+          (fun cell ->
+            List.iter
+              (fun vwl ->
+                let condition = Sram_cell.Sram6t.write0 ~vwl () in
+                let r = Sram_cell.Dynamics.write_delay ~cell condition in
+                let o = Oracle.Dynamics.write_delay ~cell condition in
+                Alcotest.(check bool) "oracle unflipped" false o.Sram_cell.Dynamics.flipped;
+                Alcotest.(check bool) "unflipped" false r.Sram_cell.Dynamics.flipped;
+                Alcotest.(check (array int64)) "wl cross"
+                  (bits [| o.Sram_cell.Dynamics.wl_cross_time |])
+                  (bits [| r.Sram_cell.Dynamics.wl_cross_time |]))
+              [ 0.10; 0.20 ])
+          [ hvt; lvt ]) ]
 
 let () =
   Alcotest.run "sram_cell"

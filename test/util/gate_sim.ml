@@ -159,11 +159,11 @@ let build_decoder_path ~nfet ~pfet ~bits ~c_out =
 let decoder_simulated_delay ~nfet ~pfet ~bits ~c_out =
   measure_delay (build_decoder_path ~nfet ~pfet ~bits ~c_out)
 
-let superbuffer_simulated_delay (driver : Superbuffer.t) ~c_load =
+let superbuffer_simulated_delay (driver : Gates.Superbuffer.t) ~c_load =
   let built =
-    build_inverter_chain ~nfet:driver.Superbuffer.nfet
-      ~pfet:driver.Superbuffer.pfet ~fins:driver.Superbuffer.stage_fins ~c_load
+    build_inverter_chain ~nfet:driver.Gates.Superbuffer.nfet
+      ~pfet:driver.Gates.Superbuffer.pfet ~fins:driver.Gates.Superbuffer.stage_fins ~c_load
   in
   measure_delay built
 
-let superbuffer_model_delay driver ~c_load = Superbuffer.delay driver ~c_load
+let superbuffer_model_delay driver ~c_load = Gates.Superbuffer.delay driver ~c_load

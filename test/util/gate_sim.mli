@@ -1,5 +1,6 @@
 (** Structural (transistor-level) netlists for the gate models, and their
-    transient verification.
+    transient verification: the validation oracle of the logical-effort
+    models in the [gates] library, used by test_gates.
 
     The paper notes its word-line driver was "derived analytically and
     verified by SPICE simulations"; this module is that verification for
@@ -40,10 +41,10 @@ val measure_delay : ?t_stop:float -> built -> float
     output never switches in the window. *)
 
 val superbuffer_simulated_delay :
-  Superbuffer.t -> c_load:float -> float
+  Gates.Superbuffer.t -> c_load:float -> float
 (** Transient delay of the whole driver into [c_load]. *)
 
-val superbuffer_model_delay : Superbuffer.t -> c_load:float -> float
+val superbuffer_model_delay : Gates.Superbuffer.t -> c_load:float -> float
 (** The logical-effort estimate for the same structure (all stages). *)
 
 val build_decoder_path :
@@ -52,7 +53,7 @@ val build_decoder_path :
   bits:int ->
   c_out:float ->
   built
-(** The critical path of the predecoded decoder {!Decoder} models:
+(** The critical path of the predecoded decoder {!Gates.Decoder} models:
     address buffer, 2-bit predecode NAND2 + driver loaded with the full
     fanout (2^bits / 4 final-gate inputs, attached as an explicit
     capacitor), then the NAND2 combine tree into [c_out].  Off-path NAND
@@ -65,6 +66,6 @@ val decoder_simulated_delay :
   c_out:float ->
   float
 (** Transient delay of {!build_decoder_path} — compared against
-    {!Decoder.decode} in the test suite.  Note the structural path has no
+    {!Gates.Decoder.decode} in the test suite.  Note the structural path has no
     inserted buffers, so for large [bits] it is slower than the
     buffer-optimal LUT value; agreement is checked at moderate widths. *)

@@ -1,12 +1,15 @@
 (* Reference implementations of the SPICE-level kernels as they stood
-   before the compiled DC kernel, the tabulated lobe brackets and the
-   on-demand write-delay table: list-walking MNA assembly rebuilt on
+   before the compiled DC kernel, the tabulated lobe brackets, the
+   one-sweep symmetric butterfly, the early-stopped write transient and
+   the on-demand write-delay table: list-walking MNA assembly rebuilt on
    every Newton iteration, a Newton loop that re-evaluates the residual
    at the top of each iteration, a copying dense LU, a per-offset
-   bracket scan in the butterfly lobe, and an eagerly filled write-delay
-   LUT.  The library versions must agree with these bit for bit; the
-   property tests in test_spice.ml, test_sram_cell.ml and
-   test_array_model.ml check that. *)
+   bracket scan in the butterfly lobe, a butterfly that sweeps both
+   halves and extracts both lobes, a write transient that runs its whole
+   window, and an eagerly filled write-delay LUT.  The library versions
+   must agree with these bit for bit; the property tests in
+   test_spice.ml, test_sram_cell.ml and test_array_model.ml check
+   that. *)
 
 module Lu = struct
   let pivot_threshold = 1e-14
@@ -364,6 +367,54 @@ module Butterfly = struct
       if s > !best then best := s
     done;
     !best
+
+  let snm ?points ~cell ~access_on condition =
+    let curve side = Sram_cell.Butterfly.trace_vtc ?points ~cell ~side ~access_on condition in
+    let curve_r = curve `Right and curve_l = curve `Left in
+    min (lobe ~upper:curve_r ~lower:curve_l) (lobe ~upper:curve_l ~lower:curve_r)
+end
+
+module Dynamics = struct
+  let write_delay ?(t_stop = 30e-12) ?(wl_rise = 1e-12) ~cell condition =
+    let open Sram_cell in
+    let wl_wave =
+      Spice.Netlist.Step
+        { t_delay = 1e-12; t_rise = wl_rise; v0 = 0.0; v1 = condition.Sram6t.vwl }
+    in
+    let netlist, nodes = Sram6t.build ~with_node_caps:true ~wl_wave ~cell condition in
+    let vdd = condition.Sram6t.vdd in
+    let trace =
+      Spice.Transient.run ~dt:(t_stop /. 600.0)
+        ~ic:[ (nodes.Sram6t.q, vdd); (nodes.Sram6t.qb, 0.0) ]
+        ~t_stop netlist
+    in
+    let wl_cross_time =
+      match
+        Spice.Transient.crossing_time trace ~node:nodes.Sram6t.wl
+          ~threshold:(0.5 *. vdd) ~direction:`Rising
+      with
+      | Some t -> t
+      | None -> 1e-12 +. (0.5 *. wl_rise)
+    in
+    let q = Spice.Transient.node_trace trace nodes.Sram6t.q in
+    let qb = Spice.Transient.node_trace trace nodes.Sram6t.qb in
+    let n = Array.length trace.Spice.Transient.times in
+    let rec find k =
+      if k >= n then None
+      else if q.(k) -. qb.(k) <= 0.0 then begin
+        let d_prev = q.(k - 1) -. qb.(k - 1) in
+        let d_cur = q.(k) -. qb.(k) in
+        let frac = if d_cur = d_prev then 0.0 else d_prev /. (d_prev -. d_cur) in
+        let t_prev = trace.Spice.Transient.times.(k - 1) in
+        let t_cur = trace.Spice.Transient.times.(k) in
+        Some (t_prev +. (frac *. (t_cur -. t_prev)))
+      end
+      else find (k + 1)
+    in
+    match find 1 with
+    | Some t_cross ->
+      { Sram_cell.Dynamics.delay = t_cross -. wl_cross_time; flipped = true; wl_cross_time }
+    | None -> { Sram_cell.Dynamics.delay = infinity; flipped = false; wl_cross_time }
 end
 
 module Periphery = struct
@@ -375,7 +426,7 @@ module Periphery = struct
         ~pfet:(Finfet.Library.pfet lib cell_flavor)
     in
     let delay_at vwl =
-      let r = Sram_cell.Dynamics.write_delay ~cell (Sram_cell.Sram6t.write0 ~vwl ()) in
+      let r = Dynamics.write_delay ~cell (Sram_cell.Sram6t.write0 ~vwl ()) in
       if r.Sram_cell.Dynamics.flipped then r.Sram_cell.Dynamics.delay else 50e-12
     in
     let grid = Array_model.Periphery.vwl_grid in

@@ -42,9 +42,31 @@ module Butterfly : sig
     upper:Sram_cell.Butterfly.vtc -> lower:Sram_cell.Butterfly.vtc -> float
   (** The largest-square scan with a fresh 64-step bracket search of both
       curves at each of the 159 diagonal offsets. *)
+
+  val snm :
+    ?points:int ->
+    cell:Finfet.Variation.cell_sample ->
+    access_on:bool ->
+    Sram_cell.Sram6t.condition ->
+    float
+  (** Both halves swept with {!Sram_cell.Butterfly.trace_vtc}, whatever
+      the cell and condition, then the smaller of both {!lobe}s: the
+      read SNM with [access_on], the hold SNM without. *)
+end
+
+module Dynamics : sig
+  val write_delay :
+    ?t_stop:float ->
+    ?wl_rise:float ->
+    cell:Finfet.Variation.cell_sample ->
+    Sram_cell.Sram6t.condition ->
+    Sram_cell.Dynamics.write_delay_result
+  (** The write-0 transient run over its whole window (600 steps), then
+      measured. *)
 end
 
 module Periphery : sig
   val write_delay_table : cell_flavor:Finfet.Library.flavor -> Numerics.Interp.Table1d.t
-  (** The write-delay LUT with every grid level simulated up front. *)
+  (** The write-delay LUT with every grid level simulated up front by
+      {!Dynamics.write_delay}. *)
 end

@@ -32,5 +32,6 @@ let check_decreasing ?(strict = false) msg xs =
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 
+module Gate_sim = Gate_sim
 module Golden_gen = Golden_gen
 module Oracle = Oracle

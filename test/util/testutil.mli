@@ -19,6 +19,10 @@ val case : string -> (unit -> unit) -> unit Alcotest.test_case
 val slow_case : string -> (unit -> unit) -> unit Alcotest.test_case
 (** `Slow test case (excluded by [dune runtest] with ALCOTEST_QUICK). *)
 
+module Gate_sim : module type of Gate_sim
+(** Transistor-level netlists of the gate models: the transient
+    oracle for the logical-effort delays. *)
+
 module Golden_gen : module type of Golden_gen
 (** Golden-file content generation (re-exported through the library's
     main module so test binaries can reach it). *)
