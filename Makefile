@@ -5,6 +5,9 @@
 #                      code (not the comments) of some other .ml under lib/,
 #                      bin/, bench/, perfbench/ or examples/ (tests alone do
 #                      not keep a module alive)
+#   make check-dead-exports  likewise every top-level val of lib/*/*.mli,
+#                      outside its own module, unless scripts/test_hooks
+#                      lists it as a test hook
 #   make bench         runtime scaling benchmark (writes BENCH_runtime.json)
 #   make bench-kernel  staged-kernel benchmark (writes BENCH_kernel.json)
 #   make bench-kernel-opt  same bench under the release profile (-O3 -unsafe);
@@ -21,18 +24,21 @@
 #   make smoke-serve-metrics  end-to-end Prometheus scrape of a live daemon
 #   make regen-golden  deliberately rewrite test/golden/* (review the diff!)
 
-.PHONY: all check check-tests check-dead-modules test bench bench-kernel \
+.PHONY: all check check-tests stripped-sources check-dead-modules \
+        check-dead-exports test bench bench-kernel \
         bench-kernel-opt bench-smoke bench-obs bench-explain bench-moo \
         bench-persist bench-serve smoke-serve-metrics regen-golden clean
 
 all:
 	dune build
 
-check: check-tests check-dead-modules
+check: check-tests check-dead-modules check-dead-exports
 	dune build
 	dune runtest
-	@status=0; dune exec bin/sram_opt.exe -- optimize -c 1000 >/dev/null 2>&1 || status=$$?; \
-	  [ $$status -eq 124 ] || { echo "ERROR: optimize -c 1000 exited $$status, expected a usage error (124)"; exit 1; }
+	@for c in 1000 512KB; do \
+	  status=0; dune exec bin/sram_opt.exe -- optimize -c $$c >/dev/null 2>&1 || status=$$?; \
+	  [ $$status -eq 124 ] || { echo "ERROR: optimize -c $$c exited $$status, expected a usage error (124)"; exit 1; }; \
+	done
 	dune exec bench/main.exe -- headline --smoke
 	dune exec bench/main.exe -- kernel --smoke
 	dune exec bench/main.exe -- obs --smoke
@@ -53,27 +59,37 @@ check-tests:
 	done; \
 	[ $$missing -eq 0 ] && echo "check-tests: all test modules wired" || exit 1
 
+# Comment-stripped copies (scripts/strip_comments.awk) of every .ml under
+# the program sources and test/, at their repository paths: the one strip
+# pass the dead-module and dead-export checks both search.
+SOURCE_DIRS = lib bin bench perfbench examples
+STRIPPED = _build/stripped
+
+stripped-sources:
+	@rm -rf $(STRIPPED); \
+	for f in $$(find $(SOURCE_DIRS) test -name '*.ml'); do \
+	  mkdir -p "$(STRIPPED)/$$(dirname $$f)"; \
+	  awk -f scripts/strip_comments.awk "$$f" > "$(STRIPPED)/$$f" || exit 1; \
+	done
+
 # A library module that only its own tests reach is dead weight: flag
 # any lib/*/*.ml whose capitalized name appears as a word in the code of
-# no other program source.  The sources are searched with their comments
-# stripped (scripts/strip_comments.awk), so a comment naming a module
-# does not keep it alive.
-SOURCE_DIRS = lib bin bench perfbench examples
-
-check-dead-modules:
-	@code=$$(mktemp -d); trap 'rm -rf "$$code"' EXIT; \
-	for f in $$(find $(SOURCE_DIRS) -name '*.ml'); do \
-	  mkdir -p "$$code/$$(dirname $$f)"; \
-	  awk -f scripts/strip_comments.awk "$$f" > "$$code/$$f" || exit 1; \
-	done; \
-	dead=0; \
+# no other program source, so a comment naming a module does not keep it
+# alive.
+check-dead-modules: stripped-sources
+	@dead=0; \
 	for f in lib/*/*.ml; do \
 	  mod=$$(basename $$f .ml | awk '{ print toupper(substr($$0, 1, 1)) substr($$0, 2) }'); \
-	  (cd "$$code" && grep -rlw --include='*.ml' "$$mod" $(SOURCE_DIRS)) \
+	  (cd $(STRIPPED) && grep -rlw --include='*.ml' "$$mod" $(SOURCE_DIRS)) \
 	    | grep -qvx "$$f" || { \
 	    echo "ERROR: $$f: module $$mod is named in no other .ml file's code"; dead=1; }; \
 	done; \
 	[ $$dead -eq 0 ] && echo "check-dead-modules: every library module has a user" || exit 1
+
+# The same rule one level down: a library export that only tests reach
+# is dead weight unless scripts/test_hooks names it as a test hook.
+check-dead-exports: stripped-sources
+	@sh scripts/check_dead_exports.sh $(STRIPPED)
 
 test:
 	dune runtest

@@ -15,10 +15,12 @@ let capacity_conv =
     let bad why =
       Error (`Msg (Printf.sprintf "bad capacity %S (%s; try 4KB, 128B)" s why))
     in
+    (* The default space at the default word width: the widest every
+       subcommand searches. *)
     let of_bytes b =
-      match Array_model.Geometry.check_capacity (b * 8) with
-      | Ok bits -> Ok bits
-      | Error e -> bad e
+      match Opt.Space.check ~w:64 ~capacity_bits:(b * 8) Opt.Space.default with
+      | Ok () -> Ok (b * 8)
+      | Error (_, why) -> bad why
     in
     try
       if String.length s > 2 && String.sub s (String.length s - 2) 2 = "KB" then

@@ -905,8 +905,6 @@ let complete st (p : prepared) =
   end
   else complete_core st p
 
-let eval_staged st a = complete st (prepare st.st_env a)
-
 (* ----- admissible lower envelope -----
 
    Across a vssc scan only four components move.  Taking, per Equation (1)
@@ -932,47 +930,7 @@ type envelope = {
   b_wl_boosted_all : bool;
 }
 
-let envelope (ps : prepared array) =
-  if Array.length ps = 0 then invalid_arg "Array_eval.envelope: empty";
-  Array.fold_left
-    (fun acc p ->
-      { b_dv_cvdd = min acc.b_dv_cvdd p.dv_cvdd;
-        b_i_cvdd = max acc.b_i_cvdd p.i_cvdd;
-        b_dv_cvss = min acc.b_dv_cvss p.dv_cvss;
-        b_i_cvss = max acc.b_i_cvss p.i_cvss;
-        b_dv_wl_wr = min acc.b_dv_wl_wr p.dv_wl_wr;
-        b_i_wl_wr = max acc.b_i_wl_wr p.i_wl_wr;
-        b_v_bl_rd = min acc.b_v_bl_rd p.v_bl_rd;
-        b_i_bl_rd = max acc.b_i_bl_rd p.i_bl_rd;
-        b_d_write_cell = min acc.b_d_write_cell p.p_d_write_cell;
-        b_wl_boosted_all = acc.b_wl_boosted_all && p.wl_boosted })
-    { b_dv_cvdd = ps.(0).dv_cvdd;
-      b_i_cvdd = ps.(0).i_cvdd;
-      b_dv_cvss = ps.(0).dv_cvss;
-      b_i_cvss = ps.(0).i_cvss;
-      b_dv_wl_wr = ps.(0).dv_wl_wr;
-      b_i_wl_wr = ps.(0).i_wl_wr;
-      b_v_bl_rd = ps.(0).v_bl_rd;
-      b_i_bl_rd = ps.(0).i_bl_rd;
-      b_d_write_cell = ps.(0).p_d_write_cell;
-      b_wl_boosted_all = ps.(0).wl_boosted }
-    ps
-
-let bound_metrics st (b : envelope) =
-  (* A mixed-boost envelope must use the smaller of the two possible
-     scalings for the WL-overdrive write energy; 1.0 *. e = e exactly, so
-     the all-boosted case reproduces [complete]'s scaled value. *)
-  let wl_boosted =
-    b.b_wl_boosted_all || st.st_env.dcdc_overhead < 1.0
-  in
-  complete_parts st ~dv_cvdd:b.b_dv_cvdd ~i_cvdd:b.b_i_cvdd
-    ~dv_cvss:b.b_dv_cvss ~i_cvss:b.b_i_cvss ~dv_wl_wr:b.b_dv_wl_wr
-    ~i_wl_wr:b.b_i_wl_wr ~v_bl_rd:b.b_v_bl_rd ~i_bl_rd:b.b_i_bl_rd
-    ~d_write_cell:b.b_d_write_cell ~wl_boosted
-
-let staged_env st = st.st_env
 let staged_geometry st = st.st_geometry
-let prepared_assist p = p.p_assist
 
 (* ----- batched scan kernel -----
 
@@ -1005,7 +963,6 @@ let scan_buffer () =
     sb_d_array = Array.make 64 0.0;
     sb_edp = Array.make 64 0.0 }
 
-let scan_length b = b.sb_len
 let scan_e_total b = b.sb_e_total
 let scan_d_array b = b.sb_d_array
 let scan_edp b = b.sb_edp
@@ -1160,9 +1117,10 @@ let scan st ps buf = scan_slice st ps buf ~lo:0 ~hi:(Array.length ps)
 
    An envelope is operand-for-operand a [prepared] value, so bounds are
    evaluated by the same allocation-free scan as real assists: build
-   the bound points once per search, scan them once per geometry.  The
-   wl-boost flag picks the smaller of the two possible write-energy
-   scalings, exactly as [bound_metrics] does. *)
+   the bound points once per search, scan them once per geometry.  A
+   mixed-boost envelope must use the smaller of the two possible
+   scalings for the WL-overdrive write energy; 1.0 *. e = e exactly, so
+   the all-boosted case reproduces [complete]'s scaled value. *)
 
 let bound_prepared env (b : envelope) =
   make_prepared ~assist:Components.no_assist

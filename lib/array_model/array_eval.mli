@@ -151,13 +151,7 @@ val complete : staged -> prepared -> metrics
 (** Finish the evaluation; bit-identical to
     [evaluate env geometry assist] for the matching inputs. *)
 
-val eval_staged : staged -> Components.assist -> metrics
-(** [complete st (prepare env a)] — convenience form when the assist has
-    not been prepared ahead of time. *)
-
-val staged_env : staged -> env
 val staged_geometry : staged -> Geometry.t
-val prepared_assist : prepared -> Components.assist
 
 (** {1 Staging context: cross-search geometry sharing}
 
@@ -185,16 +179,12 @@ val ctx_for : env -> ctx
 
 val ctx_env : ctx -> env
 
-val stage_with : ctx -> Geometry.t -> staged
-(** [stage] through a context: hoisted env constants, geometry-keyed
-    cache.  [stage env g] is [stage_with (ctx_for env) g]. *)
-
 val stage_array : ctx -> Geometry.t array -> staged array
 (** Stage a whole candidate grid, cached per domain by the *identity*
     of the array: searches that share one memoized grid (e.g. the two
     methods of a Table 4 capacity) get the previous result back without
-    any per-geometry lookup.  Element [i] is [stage_with ctx gs.(i)];
-    the result is immutable shared state — callers must only read it. *)
+    any per-geometry lookup.  Element [i] is bit-identical to
+    [stage]'s record for [gs.(i)]; the result is immutable shared state — callers must only read it. *)
 
 val reset_staging : unit -> unit
 (** Drop every registered context (benchmarks call this between runs so
@@ -207,28 +197,21 @@ val reset_staging : unit -> unit
     component values lower-bounding the component at every enveloped
     assist.  Every combining operation downstream (+., *., /., max — all
     on non-negative operands) is monotone under IEEE round-to-nearest,
-    so {!bound_metrics} lower-bounds every metrics field of every
-    enveloped assist with no epsilon.  A search may therefore skip a
+    so the envelope's {!bound_prepared} point, evaluated by {!complete}
+    or {!scan}, lower-bounds every metrics field of every enveloped
+    assist with no epsilon.  A search may therefore skip a
     geometry whose bound already exceeds the incumbent without ever
     pruning the optimum. *)
 
 type envelope
 
-val envelope : prepared array -> envelope
-(** Component-wise lower envelope of the given assists.  Raises
-    [Invalid_argument] on an empty array. *)
-
-val bound_metrics : staged -> envelope -> metrics
-(** Admissible per-field lower bounds for this geometry over the
-    enveloped assists.  The fields are bounds, generally not attained by
-    any single assist. *)
-
 val bound_prepared : env -> envelope -> prepared
 (** The envelope as a scan point: a [prepared] whose operands are the
-    envelope's extremes (assist slot = [Components.no_assist]).
-    Evaluating it — through {!complete} or {!scan} — reproduces
-    {!bound_metrics} bit-for-bit, so searches can fold bound evaluation
-    into the same allocation-free scan as real candidates. *)
+    envelope's extremes (assist slot = [Components.no_assist]).  A
+    mixed-boost envelope takes the smaller of the two possible
+    WL-overdrive write-energy scalings.  Searches thus fold bound
+    evaluation into the same allocation-free scan as real
+    candidates. *)
 
 val suffix_envelopes : prepared array -> block:int -> envelope array
 (** [suffix_envelopes ps ~block] — element [j] envelopes every assist
@@ -249,7 +232,7 @@ val suffix_envelopes : prepared array -> block:int -> envelope array
     reduces over the flat arrays and materializes {!complete} for the
     single winning index.  Each buffer slot [i] holds Equation (2)'s
     D_array, Equation (5)'s E_total and the EDP product for assist
-    [ps.(i)], bit-identical to the corresponding [eval_staged] fields
+    [ps.(i)], bit-identical to the corresponding [complete] fields
     (the loop re-runs the reference arithmetic in the reference
     association order; pinned by the QCheck property suite including
     [-0.0]/subnormal corners). *)
@@ -266,13 +249,11 @@ val scan : staged -> prepared array -> scan_buffer -> unit
 val scan_slice : staged -> prepared array -> scan_buffer -> lo:int -> hi:int -> unit
 (** Evaluate indices [lo, hi): block-wise form for searches that
     interleave evaluation with suffix-bound early exit.  Slots below
-    [lo] keep their previous contents; {!scan_length} becomes [hi]. *)
-
-val scan_length : scan_buffer -> int
+    [lo] keep their previous contents. *)
 
 val scan_e_total : scan_buffer -> float array
-(** The backing arrays themselves (no copy); valid indices are
-    [0, scan_length); contents are overwritten by the next scan. *)
+(** The backing arrays themselves (no copy); valid indices are those
+    of the last scan; contents are overwritten by the next scan. *)
 
 val scan_d_array : scan_buffer -> float array
 val scan_edp : scan_buffer -> float array

@@ -24,14 +24,3 @@ let efficiency ?(v_in = Finfet.Tech.vdd_nominal) ~v_out () =
   end
 
 let overhead ?v_in ~v_out () = 1.0 /. efficiency ?v_in ~v_out ()
-
-let assist_overhead (a : Components.assist) =
-  let vdd = Finfet.Tech.vdd_nominal in
-  let candidates =
-    List.filter_map
-      (fun v -> if abs_float (v -. vdd) < 1e-9 || v = 0.0 then None else Some v)
-      [ a.Components.vddc; a.Components.vssc; a.Components.vwl ]
-  in
-  List.fold_left
-    (fun acc v -> max acc (overhead ~v_out:v ()))
-    1.0 candidates

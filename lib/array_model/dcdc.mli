@@ -17,9 +17,6 @@ val ratios : float array
     1/3, 1/2, 2/3, 1, 4/3, 3/2, 2 (negative rails use the inverting
     versions of the same set). *)
 
-val intrinsic_loss : float
-(** Fixed switching + control loss: 5%% of the delivered energy. *)
-
 val efficiency : ?v_in:float -> v_out:float -> unit -> float
 (** Conversion efficiency delivering [v_out] (magnitude; a negative value
     is treated as an inverting rail) from [v_in] (default the nominal
@@ -27,9 +24,3 @@ val efficiency : ?v_in:float -> v_out:float -> unit -> float
 
 val overhead : ?v_in:float -> v_out:float -> unit -> float
 (** 1 / {!efficiency}: the multiplier the energy model applies. *)
-
-val assist_overhead : Components.assist -> float
-(** Worst (largest) overhead across the rails an assist configuration
-    actually uses — the single factor plugged into
-    {!Array_eval.make_env}'s [dcdc_overhead] when deriving it from the
-    design instead of using the default. *)

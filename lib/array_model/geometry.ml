@@ -8,10 +8,6 @@ type t = {
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
-let check_capacity bits =
-  if is_power_of_two bits then Ok bits
-  else Error (Printf.sprintf "%d bits is not a positive power of two" bits)
-
 let create ~nr ~nc ?(w = 64) ~n_pre ~n_wr () =
   if not (is_power_of_two nr) then invalid_arg "Geometry.create: nr not a power of two";
   if not (is_power_of_two nc) then invalid_arg "Geometry.create: nc not a power of two";

@@ -17,9 +17,6 @@
     each component once, with the local-WL term covering only the selected
     segment. *)
 
-val local_driver_fins : int
-(** 9. *)
-
 type wl_breakdown = {
   segments : int;
   c_global : float;       (** global WL capacitance *)

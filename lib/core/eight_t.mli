@@ -16,10 +16,6 @@ val env : unit -> Array_model.Array_eval.env
 (** LVT environment with the 8T wire-capacitance factor and read-current
     model installed. *)
 
-val yield_levels : unit -> Opt.Yield.levels
-(** V_DDC pinned at nominal (no boost needed), V_WL from the 6T-LVT write
-    analysis (same write port). *)
-
 val optimize : capacity_bits:int -> Opt.Exhaustive.result
 (** Co-optimize the 8T array (M2 voltage policy: the V_SSC rail is the
     only extra level). *)

@@ -5,12 +5,6 @@
     follows RFC 4180 (fields containing commas, quotes or newlines are
     quoted; quotes double). *)
 
-val csv_field : string -> string
-(** Quote one field if needed. *)
-
-val csv_line : string list -> string
-(** One joined, newline-terminated row. *)
-
 type file = {
   filename : string;      (** e.g. "fig2b_leakage.csv" *)
   header : string list;
@@ -18,17 +12,6 @@ type file = {
 }
 
 val render : file -> string
-
-val fig2_files : unit -> file list
-(** fig2a_hsnm.csv and fig2b_leakage.csv. *)
-
-val fig3_files : unit -> file list
-(** One file per read-assist technique. *)
-
-val fig5_files : unit -> file list
-
-val fig7_file : unit -> file
-(** The full design table (Table 4 + Figure 7 metrics). *)
 
 val all_files : unit -> file list
 

@@ -32,25 +32,8 @@ val design_table_json :
 
 val of_memo_stats : Runtime.Memo.stats -> t
 
-val of_histogram : Obs.Histogram.snapshot -> t
-(** One latency histogram as name / samples / mean / min / max /
-    p50 / p90 / p99 (seconds).  The snapshot must be non-empty:
-    an empty one has infinite min/max, which JSON cannot express. *)
-
 val histograms_json : unit -> t
 (** Every registered {!Obs.Histogram} with at least one sample. *)
-
-val of_window_slice : string -> Obs.Histogram.snapshot -> t
-(** One trailing-window view: window label, sample count, sum, mean and
-    p50/p90/p99 — all well-defined (0) for an empty window, so slices
-    are always emittable (unlike {!of_histogram}). *)
-
-val windows_json : unit -> t option
-(** The ["windows"] section of the stats schema: the rotation period,
-    every {!Obs.Window}-registered histogram as cumulative +
-    per-window slices, and every tracked SLO counter as total +
-    per-window deltas.  [None] when nothing registered a window (one-
-    shot runs), keeping the non-serving schemas unchanged. *)
 
 val runtime_stats_json : unit -> t
 (** Default-pool job count, telemetry counters and spans (one span row
@@ -61,22 +44,19 @@ val runtime_stats_json : unit -> t
     section repeats the request/admission counters with the prefix
     stripped, so the serving bench and `stats` endpoint share this
     schema; a serving process likewise adds the ["windows"] section
-    ({!windows_json}), and a run with an armed {!Obs.Search} journal a
-    ["search_journal"] summary.  The full schema is documented in
+    (the rotation period, every {!Obs.Window}-registered histogram as
+    cumulative + per-window slices, and every tracked SLO counter as
+    total + per-window deltas), and a run with an armed {!Obs.Search}
+    journal a ["search_journal"] summary.  The full schema is documented in
     DESIGN.md §7 and pinned by the [stats.json] golden. *)
 
 (** {1 Search-journal export (Obs.Search)} *)
 
-val of_search_event : Obs.Search.event -> t
-(** Non-finite fields (EDP of a prune event, V_SSC of a whole-line
-    event) are omitted, never emitted as invalid JSON. *)
-
-val of_search_summary : Obs.Search.summary -> t
-
 val search_journal_json : unit -> t
 (** [{"summary": ..., "events": [...]}] — the convergence curve
     [--search-log] writes and BENCH_explain.json embeds.  Events are in
-    timestamp order. *)
+    timestamp order; non-finite fields (EDP of a prune event, V_SSC of a
+    whole-line event) are omitted, never emitted as invalid JSON. *)
 
 (** {1 Attribution and explanation export} *)
 

@@ -2,10 +2,16 @@ let read_fit_a = 1.3
 let read_fit_b = 9.5e-5
 let read_fit_vt = 0.335
 let ion_ratio_lvt_over_hvt = 2.0
-let ioff_ratio_lvt_over_hvt = 20.0
 let leakage_6t_lvt = 1.692e-9
 let leakage_6t_hvt = 0.082e-9
+
+(* P-over-N per-fin drive ratio: the pull-up is the weakest device of the
+   single-fin cell, which is what makes the WL-overdrive write assist
+   effective. *)
 let pfet_strength_ratio = 0.75
+
+(* NFET-equivalent leakage paths in a 6T hold state: two OFF NFETs (one
+   pull-down, one access) plus one OFF PFET scaled by its drive ratio. *)
 let leakage_paths_per_cell = 2.0 +. pfet_strength_ratio
 
 let paper_read_current ~vddc ~vssc =

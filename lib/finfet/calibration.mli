@@ -12,37 +12,6 @@
     - LVT OFF current = 20 x HVT OFF current;
     - 6T cell leakage 1.692 nW (LVT) and 0.082 nW (HVT) at nominal Vdd.  *)
 
-val read_fit_a : float
-(** Exponent of the paper's read-current fit: 1.3. *)
-
-val read_fit_b : float
-(** Prefactor of the read-current fit: 9.5e-5 A/V^1.3. *)
-
-val read_fit_vt : float
-(** Threshold of the read-current fit: 0.335 V. *)
-
-val ion_ratio_lvt_over_hvt : float
-(** 2.0 — LVT drives twice the ON current of HVT. *)
-
-val ioff_ratio_lvt_over_hvt : float
-(** 20.0 — LVT leaks twenty times the OFF current of HVT. *)
-
-val leakage_6t_lvt : float
-(** 6T-LVT cell leakage at nominal Vdd: 1.692 nW. *)
-
-val leakage_6t_hvt : float
-(** 6T-HVT cell leakage at nominal Vdd: 0.082 nW. *)
-
-val pfet_strength_ratio : float
-(** P-over-N per-fin drive ratio (0.75): the pull-up is the weakest device
-    of the single-fin cell, which is what makes the WL-overdrive write
-    assist effective. *)
-
-val leakage_paths_per_cell : float
-(** Effective number of NFET-equivalent leakage paths in a 6T hold state:
-    two OFF NFETs (one pull-down, one access) plus one OFF PFET scaled by
-    [pfet_strength_ratio]. *)
-
 val paper_read_current : vddc:float -> vssc:float -> float
 (** The paper's analytic fit I_read = b (vddc - vssc - vt)^a; 0 below
     threshold. *)
@@ -63,5 +32,5 @@ val calibrate_lvt_nfet : hvt:Device.params -> Device.params
 (** LVT NFET meeting the ION/IOFF ratio anchors relative to [hvt]. *)
 
 val derive_pfet : Device.params -> Device.params
-(** Matching PFET: [pfet_strength_ratio] weaker drive, same Vt magnitude
+(** Matching PFET: 0.75x the per-fin drive, same Vt magnitude
     and swing; gate/drain capacitance slightly larger (hole devices). *)

@@ -18,9 +18,6 @@ val all : corner list
 
 val name : corner -> string
 
-val sigma_global : float
-(** Die-to-die Vt sigma (15 mV); corners sit at +-3 sigma. *)
-
 val apply : corner -> Device.params -> Device.params
 (** Shift one device's threshold according to the corner and the device's
     polarity ("fast" = lower Vt). *)

@@ -54,9 +54,4 @@ let drain_source_current p ~nfin ~vg ~vd ~vs =
 let i_on p ?(vdd = Tech.vdd_nominal) () = ids p ~vgs:vdd ~vds:vdd
 let i_off p ?(vdd = Tech.vdd_nominal) () = ids p ~vgs:0.0 ~vds:vdd
 
-let on_off_ratio p ?(vdd = Tech.vdd_nominal) () =
-  i_on p ~vdd () /. i_off p ~vdd ()
-
-let subthreshold_swing p = log 10.0 *. p.s_smooth /. p.alpha *. 1000.0
-
 let with_vt p vt = { p with vt }

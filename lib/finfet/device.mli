@@ -22,11 +22,6 @@ type params = {
   c_drain : float;        (** drain (junction) capacitance per fin, F *)
 }
 
-val v_overdrive : params -> vgs:float -> float
-(** Smooth effective overdrive: s * ln(1 + exp((|vgs| - vt)/s)).
-    Tends to [vgs - vt] above threshold and to a decaying exponential
-    below. *)
-
 val ids : params -> vgs:float -> vds:float -> float
 (** Source-referenced drain current per fin for normal operation
     ([vds >= 0], both voltages magnitudes for Pfet).  Monotone in both
@@ -44,11 +39,6 @@ val i_on : params -> ?vdd:float -> unit -> float
 
 val i_off : params -> ?vdd:float -> unit -> float
 (** OFF (leakage) current per fin at [vgs = 0, vds = vdd]. *)
-
-val on_off_ratio : params -> ?vdd:float -> unit -> float
-
-val subthreshold_swing : params -> float
-(** mV/decade implied by [s_smooth] and [alpha]. *)
 
 val with_vt : params -> float -> params
 (** Copy with a replaced threshold voltage (Monte Carlo sampling hook). *)

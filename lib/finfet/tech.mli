@@ -9,12 +9,6 @@
 val vdd_nominal : float
 (** Nominal supply voltage, 450 mV. *)
 
-val thermal_voltage : float
-(** kT/q at 300 K, ~25.85 mV. *)
-
-val p_metal : float
-(** Metal pitch, 43 nm (in meters). *)
-
 val c_wire_per_m : float
 (** Wire capacitance per meter: 0.17 fF/um = 1.7e-10 F/m. *)
 
@@ -25,7 +19,7 @@ val r_wire_per_m : float
     validation ({!Sram_cell.Column}) can quantify that approximation. *)
 
 val cell_width : float
-(** 6T cell width = 5 x [p_metal] (meters). *)
+(** 6T cell width = 5 metal pitches (meters). *)
 
 val cell_height : float
 (** 6T cell height = 0.4 x [cell_width] (meters). *)

@@ -12,12 +12,3 @@ let at_temperature ~celsius (d : Device.params) =
     Device.vt = max 0.02 (d.Device.vt +. (dvt_dt *. (celsius -. t_ref_celsius)));
     beta = d.Device.beta *. (ratio ** -.mobility_exponent);
     s_smooth = d.Device.s_smooth *. ratio }
-
-let cell_at_temperature ~celsius (c : Variation.cell_sample) =
-  let f = at_temperature ~celsius in
-  { Variation.pull_up_l = f c.Variation.pull_up_l;
-    pull_up_r = f c.Variation.pull_up_r;
-    pull_down_l = f c.Variation.pull_down_l;
-    pull_down_r = f c.Variation.pull_down_r;
-    access_l = f c.Variation.access_l;
-    access_r = f c.Variation.access_r }

@@ -17,15 +17,5 @@
 val t_ref_celsius : float
 (** Calibration temperature: 25 C. *)
 
-val dvt_dt : float
-(** Threshold temperature coefficient: -0.7 mV/K. *)
-
-val mobility_exponent : float
-(** 1.5: beta scales as (T/T0)^-1.5. *)
-
 val at_temperature : celsius:float -> Device.params -> Device.params
 (** Derated copy of a device.  [celsius] in [-40, 150] (asserts). *)
-
-val cell_at_temperature :
-  celsius:float -> Variation.cell_sample -> Variation.cell_sample
-(** All six transistors derated. *)

@@ -37,19 +37,3 @@ let energy t ~vdd =
     float_of_int t.nfin *. t.nfet.Finfet.Device.c_gate
   in
   ((2.0 *. node_cap t) +. c_enable) *. vdd *. vdd
-
-let build_netlist t ~delta_v =
-  ignore delta_v;
-  let open Spice in
-  let n = Netlist.create () in
-  let vdd_node = Netlist.fresh_node n "vdd" in
-  let a = Netlist.fresh_node n "sa_plus" in
-  let b = Netlist.fresh_node n "sa_minus" in
-  Netlist.vdc n ~plus:vdd_node ~minus:Netlist.ground ~volts:Finfet.Tech.vdd_nominal;
-  Netlist.fet n ~params:t.pfet ~nfin:t.nfin ~gate:b ~drain:a ~source:vdd_node ();
-  Netlist.fet n ~params:t.nfet ~nfin:t.nfin ~gate:b ~drain:a ~source:Netlist.ground ();
-  Netlist.fet n ~params:t.pfet ~nfin:t.nfin ~gate:a ~drain:b ~source:vdd_node ();
-  Netlist.fet n ~params:t.nfet ~nfin:t.nfin ~gate:a ~drain:b ~source:Netlist.ground ();
-  Netlist.capacitor n ~plus:a ~minus:Netlist.ground ~farads:(node_cap t);
-  Netlist.capacitor n ~plus:b ~minus:Netlist.ground ~farads:(node_cap t);
-  (n, a, b)

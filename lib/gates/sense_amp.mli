@@ -5,7 +5,7 @@
     regeneration is exponential with time constant C / g_m, so the delay
     is (C/gm) ln(Vdd / (2 delta_v)); the energy is the charge to swing the
     internal nodes plus the enable line.  The analytic model is validated
-    against a {!Spice} transient in the test suite. *)
+    against a {!Spice} transient of the latch in the test suite. *)
 
 type t = {
   nfet : Finfet.Device.params;
@@ -28,10 +28,3 @@ val delay : t -> delta_v:float -> float
 
 val energy : t -> vdd:float -> float
 (** One-evaluation switching energy. *)
-
-val build_netlist :
-  t -> delta_v:float -> Spice.Netlist.t * Spice.Netlist.node * Spice.Netlist.node
-(** Cross-coupled pair with internal nodes pre-split by [delta_v] around
-    Vdd/2 (initial conditions applied by the caller through
-    {!Spice.Transient.run}); returns (netlist, node_plus, node_minus).
-    Used by the validation test. *)

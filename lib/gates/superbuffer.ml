@@ -112,8 +112,3 @@ let input_cap t =
   | [] -> invalid_arg "Superbuffer: empty driver"
   | first :: _ ->
     (Logical_effort.inverter ~nfet:t.nfet ~pfet:t.pfet ~nfin:first).Logical_effort.c_in
-
-let final_stage_fins t =
-  match List.rev t.stage_fins with
-  | [] -> invalid_arg "Superbuffer: empty driver"
-  | last :: _ -> last

@@ -35,14 +35,6 @@ val design :
 val delay : t -> c_load:float -> float
 (** Total propagation delay of the whole driver into [c_load]. *)
 
-val continuous_optimum_delay :
-  nfet:Finfet.Device.params -> pfet:Finfet.Device.params ->
-  c_load:float -> float
-(** Delay of the ideal unquantized driver (continuous sizing, optimal
-    depth up to 4 stages) for the same load.  The gap to
-    [delay (design ...)] measures the cost of the FinFET width-quantization
-    property the paper highlights — an ablation target. *)
-
 val quantization_penalty :
   nfet:Finfet.Device.params -> pfet:Finfet.Device.params ->
   c_load:float -> float
@@ -58,5 +50,3 @@ val first_stages_energy : t -> vdd:float -> float
 
 val input_cap : t -> float
 (** Load presented to the decoder output. *)
-
-val final_stage_fins : t -> int

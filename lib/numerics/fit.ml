@@ -25,29 +25,6 @@ let linear ~xs ~ys =
   let r_squared = if ss_tot < 1e-300 then 1.0 else 1.0 -. (!ss_res /. ss_tot) in
   { slope; intercept; r_squared }
 
-let polynomial ~degree ~xs ~ys =
-  let n = Array.length xs in
-  if degree < 0 then invalid_arg "Fit.polynomial: negative degree";
-  if n < degree + 1 || Array.length ys <> n then
-    invalid_arg "Fit.polynomial: need >= degree+1 matched points";
-  let a = Matrix.create ~rows:n ~cols:(degree + 1) in
-  for i = 0 to n - 1 do
-    let p = ref 1.0 in
-    for j = 0 to degree do
-      Matrix.set a i j !p;
-      p := !p *. xs.(i)
-    done
-  done;
-  Lu.solve_least_squares a ys
-
-let eval_polynomial coeffs x =
-  (* Horner evaluation, coefficients lowest-order first. *)
-  let acc = ref 0.0 in
-  for i = Array.length coeffs - 1 downto 0 do
-    acc := (!acc *. x) +. coeffs.(i)
-  done;
-  !acc
-
 type power_law_fit = { a : float; b : float; vt : float; rms_error : float }
 
 let power_law_fixed_vt ~vt ~vs ~is_ =

@@ -9,12 +9,6 @@ type linear_fit = { slope : float; intercept : float; r_squared : float }
 val linear : xs:float array -> ys:float array -> linear_fit
 (** Ordinary least squares y = slope * x + intercept. Requires >= 2 points. *)
 
-val polynomial : degree:int -> xs:float array -> ys:float array -> float array
-(** Coefficients c such that y ~ sum_i c.(i) x^i, lowest order first.
-    Requires at least [degree+1] points. *)
-
-val eval_polynomial : float array -> float -> float
-
 type power_law_fit = { a : float; b : float; vt : float; rms_error : float }
 (** Model I = b * (V - vt)^a, the paper's read-current form. *)
 
@@ -25,6 +19,3 @@ val power_law :
     golden-section outer search over [vt] in [vt_lo, vt_hi] (defaults
     0 .. min(vs) - 1mV).  All currents must be positive and all [vs] must
     exceed the candidate [vt]. *)
-
-val power_law_fixed_vt : vt:float -> vs:float array -> is_:float array -> power_law_fit
-(** As {!power_law} with the threshold pinned. *)

@@ -77,29 +77,6 @@ let solve_factored { lu; perm } b =
 
 let solve m b = solve_factored (factorize m) b
 
-let det { lu; perm } =
-  let n = Matrix.rows lu in
-  (* Sign of the permutation: count transpositions. *)
-  let visited = Array.make n false in
-  let sign = ref 1.0 in
-  for i = 0 to n - 1 do
-    if not visited.(i) then begin
-      let len = ref 0 in
-      let j = ref i in
-      while not visited.(!j) do
-        visited.(!j) <- true;
-        j := perm.(!j);
-        incr len
-      done;
-      if !len mod 2 = 0 then sign := -. !sign
-    end
-  done;
-  let d = ref !sign in
-  for i = 0 to n - 1 do
-    d := !d *. Matrix.get lu i i
-  done;
-  !d
-
 let solve_least_squares a b =
   let at = Matrix.transpose a in
   let ata = Matrix.mat_mul at a in

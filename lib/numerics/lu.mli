@@ -24,9 +24,6 @@ val solve_factored : factors -> float array -> float array
 val solve : Matrix.t -> float array -> float array
 (** One-shot [factorize] + [solve_factored]. *)
 
-val det : factors -> float
-(** Determinant from the factorization. *)
-
 val solve_least_squares : Matrix.t -> float array -> float array
 (** Minimum-norm solution of an overdetermined system via normal equations
     (A^T A x = A^T b).  Adequate for the small, well-conditioned fits used

@@ -80,9 +80,6 @@ let mat_mul a b =
   done;
   c
 
-let to_arrays m =
-  Array.init m.nrows (fun i -> Array.sub m.data (i * m.ncols) m.ncols)
-
 let pp ppf m =
   for i = 0 to m.nrows - 1 do
     Format.fprintf ppf "[";

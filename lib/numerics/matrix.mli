@@ -39,7 +39,4 @@ val mat_vec : t -> float array -> float array
 val transpose : t -> t
 val mat_mul : t -> t -> t
 
-val to_arrays : t -> float array array
-(** Fresh row-array copy (for display / tests). *)
-
 val pp : Format.formatter -> t -> unit

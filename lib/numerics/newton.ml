@@ -14,23 +14,6 @@ let norm_inf v =
   done;
   !acc
 
-let solve_linear_regularized jac rhs =
-  (* Try a plain LU solve; on singularity, add an increasing diagonal
-     conductance (gmin stepping) until the system factors. *)
-  let n = Array.length rhs in
-  let rec attempt gmin =
-    let m = Matrix.copy jac in
-    if gmin > 0.0 then
-      for i = 0 to n - 1 do
-        Matrix.add_to m i i gmin
-      done;
-    match Lu.solve m rhs with
-    | x -> x
-    | exception Lu.Singular ->
-      if gmin > 1.0 then Array.make n 0.0 else attempt (if gmin = 0.0 then 1e-12 else gmin *. 100.0)
-  in
-  attempt 0.0
-
 let solve_custom ?(tol = 1e-12) ?(max_iter = 200) ?(damping = 1.0)
     ?(max_step = 0.12) ~residual ~solve_step ~x0 () =
   let n = Array.length x0 in
@@ -67,27 +50,3 @@ let solve_custom ?(tol = 1e-12) ?(max_iter = 200) ?(damping = 1.0)
   in
   let f = residual x in
   iterate 0 f (norm_inf f)
-
-let solve ?tol ?max_iter ?damping ?max_step ~residual ~jacobian ~x0 () =
-  let solve_step x neg_f = solve_linear_regularized (jacobian x) neg_f in
-  solve_custom ?tol ?max_iter ?damping ?max_step ~residual ~solve_step ~x0 ()
-
-let solve_fd ?(tol = 1e-12) ?(max_iter = 200) ?(damping = 1.0) ?(max_step = 0.12)
-    ?(eps = 1e-7) ~residual ~x0 () =
-  let n = Array.length x0 in
-  let jacobian x =
-    let f0 = residual x in
-    let jac = Matrix.create ~rows:n ~cols:n in
-    let xp = Array.copy x in
-    for j = 0 to n - 1 do
-      let h = eps *. max 1.0 (abs_float x.(j)) in
-      xp.(j) <- x.(j) +. h;
-      let fj = residual xp in
-      xp.(j) <- x.(j);
-      for i = 0 to n - 1 do
-        Matrix.set jac i j ((fj.(i) -. f0.(i)) /. h)
-      done
-    done;
-    jac
-  in
-  solve ~tol ~max_iter ~damping ~max_step ~residual ~jacobian ~x0 ()

@@ -11,41 +11,6 @@ type result = {
   residual : float;       (** final ||F(x)||_inf *)
 }
 
-val solve :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?damping:float ->
-  ?max_step:float ->
-  residual:(float array -> float array) ->
-  jacobian:(float array -> Matrix.t) ->
-  x0:float array ->
-  unit ->
-  result
-(** [solve ~residual ~jacobian ~x0 ()] iterates
-    [x <- x - damp * J^-1 F(x)] with:
-    - per-component step clamping to [max_step] (default 0.12, roughly a
-      thermal-voltage-scale trust region appropriate for exponential device
-      models);
-    - backtracking line search halving the step while the residual norm
-      does not decrease (up to 8 halvings);
-    - singular-Jacobian recovery by gmin-style diagonal regularization.
-
-    [tol] bounds ||F||_inf (default 1e-12, i.e. picoampere-scale KCL error).
-    Not raising on failure is deliberate: continuation strategies
-    (source stepping) inspect [converged] and retry. *)
-
-val solve_fd :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?damping:float ->
-  ?max_step:float ->
-  ?eps:float ->
-  residual:(float array -> float array) ->
-  x0:float array ->
-  unit ->
-  result
-(** As {!solve} with a forward-difference Jacobian ([eps] default 1e-7). *)
-
 val solve_custom :
   ?tol:float ->
   ?max_iter:int ->
@@ -56,10 +21,21 @@ val solve_custom :
   x0:float array ->
   unit ->
   result
-(** As {!solve} with the Newton step delegated to
-    [solve_step x neg_f = J(x)^-1 neg_f] — the hook the DC solver uses
-    to assemble and factor its own Jacobian.  [solve_step] owns
-    singularity recovery (e.g. gmin regularization).
+(** [solve_custom ~residual ~solve_step ~x0 ()] iterates
+    [x <- x + damp * dx] with [dx = solve_step x (-F(x))], i.e.
+    [J(x)^-1 (-F(x))] — the DC solver assembles and factors its own
+    Jacobian, and [solve_step] owns singularity recovery (e.g. gmin
+    regularization).  Each step is:
+    - clamped per component to [max_step] (default 0.12, roughly a
+      thermal-voltage-scale trust region appropriate for exponential
+      device models);
+    - backtracked, halving it while the residual norm does not decrease
+      (up to 8 halvings).
+
+    [tol] bounds ||F||_inf (default 1e-12, i.e. picoampere-scale KCL
+    error); [max_iter] defaults to 200.  Not raising on failure is
+    deliberate: continuation strategies (source stepping) inspect
+    [converged] and retry.
 
     [residual] runs once per line-search trial, and the last trial's
     value is the next iteration's residual, so:

@@ -41,10 +41,6 @@ let uniform t =
   let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
-let uniform_range t ~lo ~hi =
-  assert (lo <= hi);
-  lo +. ((hi -. lo) *. uniform t)
-
 let gaussian t ~mu ~sigma =
   (* Box-Muller; guard against log 0 by nudging u1 away from zero. *)
   let u1 = max (uniform t) 1e-300 in

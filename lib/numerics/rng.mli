@@ -17,9 +17,6 @@ val copy : t -> t
 val uniform : t -> float
 (** Uniform draw in [0, 1). *)
 
-val uniform_range : t -> lo:float -> hi:float -> float
-(** Uniform draw in [lo, hi). Requires [lo <= hi]. *)
-
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normal draw via the Box-Muller transform. *)
 

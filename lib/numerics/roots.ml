@@ -82,24 +82,6 @@ let brent ?(tol = 1e-12) ?(max_iter = 100) f ~lo ~hi =
     !result
   end
 
-let newton_scalar ?(tol = 1e-12) ?(max_iter = 100) ~f ~df x0 =
-  let rec loop x iter =
-    if iter >= max_iter then x
-    else begin
-      let fx = f x in
-      let dfx = df x in
-      if abs_float fx < tol then x
-      else begin
-        let step =
-          if abs_float dfx < 1e-300 then (if fx > 0.0 then -1e-6 else 1e-6)
-          else -.fx /. dfx
-        in
-        loop (x +. step) (iter + 1)
-      end
-    end
-  in
-  loop x0 0
-
 let golden_min ?(tol = 1e-10) f ~lo ~hi =
   let phi = (sqrt 5.0 -. 1.0) /. 2.0 in
   let rec loop a b c d fc fd =

@@ -18,13 +18,6 @@ val brent :
 (** Brent's method: inverse-quadratic interpolation with bisection fallback.
     Same contract as {!bisect}, typically far fewer evaluations. *)
 
-val newton_scalar :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> df:(float -> float) ->
-  float -> float
-(** [newton_scalar ~f ~df x0]: Newton iteration with analytic derivative;
-    falls back to small damped steps when the derivative is tiny.  Returns
-    the last iterate when [max_iter] is exhausted. *)
-
 val golden_min :
   ?tol:float -> (float -> float) -> lo:float -> hi:float -> float * float
 (** [golden_min f ~lo ~hi] minimizes a unimodal [f] on [lo, hi] by

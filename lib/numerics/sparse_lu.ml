@@ -109,9 +109,3 @@ let solve_factored f b =
   x
 
 let solve a b = solve_factored (factorize a) b
-
-let nnz_factors f =
-  let total = ref 0 in
-  Array.iter (fun row -> total := !total + Array.length row) f.u_cols;
-  Array.iter (fun row -> total := !total + Array.length row) f.l_rows;
-  !total

@@ -18,6 +18,3 @@ val solve_factored : factors -> float array -> float array
 
 val solve : Sparse.t -> float array -> float array
 (** One-shot [factorize] + [solve_factored]. *)
-
-val nnz_factors : factors -> int
-(** Stored entries in L + U (fill-in diagnostics). *)

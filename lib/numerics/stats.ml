@@ -13,13 +13,6 @@ let variance xs =
 
 let stddev xs = sqrt (variance xs)
 
-let min_max xs =
-  assert (Array.length xs > 0);
-  Array.fold_left
-    (fun (lo, hi) x -> (min lo x, max hi x))
-    (xs.(0), xs.(0))
-    xs
-
 let percentile xs ~p =
   assert (Array.length xs > 0);
   assert (p >= 0.0 && p <= 100.0);
@@ -34,11 +27,6 @@ let percentile xs ~p =
     let frac = rank -. float_of_int lo in
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
   end
-
-let geometric_mean xs =
-  assert (Array.length xs > 0);
-  let acc = Array.fold_left (fun a x -> assert (x > 0.0); a +. log x) 0.0 xs in
-  exp (acc /. float_of_int (Array.length xs))
 
 let mu_minus_k_sigma xs ~k = mean xs -. (k *. stddev xs)
 

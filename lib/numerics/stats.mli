@@ -4,21 +4,12 @@
 val mean : float array -> float
 (** Arithmetic mean. Requires a non-empty array. *)
 
-val variance : float array -> float
-(** Unbiased sample variance (n-1 denominator); 0 for singleton arrays. *)
-
 val stddev : float array -> float
 (** Square root of [variance]. *)
-
-val min_max : float array -> float * float
-(** Smallest and largest element. Requires a non-empty array. *)
 
 val percentile : float array -> p:float -> float
 (** [percentile xs ~p] with [p] in [0,100]: linear-interpolated quantile of
     the sorted data. Requires a non-empty array. *)
-
-val geometric_mean : float array -> float
-(** Geometric mean; requires all elements strictly positive. *)
 
 val mu_minus_k_sigma : float array -> k:float -> float
 (** [mean - k * stddev], the yield metric used for SRAM margin analysis. *)
@@ -27,10 +18,6 @@ val normal_cdf : ?mu:float -> ?sigma:float -> float -> float
 (** Gaussian cumulative distribution (Abramowitz-Stegun 7.1.26 erf
     approximation, |error| < 1.5e-7): the tail calculus behind cell
     failure probabilities. *)
-
-val log_choose : int -> int -> float
-(** ln C(n, k) via [log_gamma]; exact enough for binomial tails over
-    thousands of rows. *)
 
 val binomial_cdf : n:int -> p:float -> int -> float
 (** P(X <= k) for X ~ Binomial(n, p), summed in log space — the

@@ -6,12 +6,9 @@
     otherwise.  The absolute value of {!now} is meaningless — only
     differences are. *)
 
-val monotonic_available : bool
-(** Whether {!now} is actually backed by the monotonic source. *)
-
 val now : unit -> float
 (** Monotonic seconds (arbitrary epoch).  Never steps backwards when
-    {!monotonic_available}. *)
+    backed by the monotonic source. *)
 
 val wall : unit -> float
 (** Wall-clock seconds since the Unix epoch, for timestamps meant to be

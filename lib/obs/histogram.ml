@@ -185,21 +185,6 @@ let bucket_bounds (s : snapshot) i =
   let upper = s.lo *. (ratio ** float_of_int (i + 1)) in
   (lower, upper)
 
-let merge (a : snapshot) (b : snapshot) =
-  if a.lo <> b.lo || Array.length a.buckets <> Array.length b.buckets then
-    invalid_arg "Histogram.merge: bucket layouts differ";
-  { name = a.name;
-    unit = a.unit;
-    help = a.help;
-    sample = a.sample;
-    lo = a.lo;
-    count = a.count + b.count;
-    sum = a.sum +. b.sum;
-    min_s = Float.min a.min_s b.min_s;
-    max_s = Float.max a.max_s b.max_s;
-    gc_coincident = a.gc_coincident + b.gc_coincident;
-    buckets = Array.mapi (fun i c -> c + b.buckets.(i)) a.buckets }
-
 (* [diff newer older]: the observations recorded between two snapshots
    of the SAME histogram.  Counts, bucket counts and gc hits subtract
    exactly (ints); the sum subtracts in one operation, so a window whose

@@ -5,8 +5,7 @@
     relative quantization error per bucket.  Counts are sharded per
     domain slot ({!Control.slot}), so {!observe} touches only the
     calling domain's own cache lines: no lock, no contention on the hot
-    path.  {!snapshot} merges the shards; snapshots of separately
-    recorded histograms {!merge} exactly (bucket counts add).
+    path.  {!snapshot} merges the shards exactly (bucket counts add).
 
     Hot call sites record {e sampled} latencies: {!tick} fires on every
     [sample]-th call per slot, dividing the ~60 ns clock cost by the
@@ -29,10 +28,6 @@ type t
 type measure =
   | Seconds
   | Ratio  (** dimensionless, e.g. a relative gap *)
-
-val default_buckets : int  (** 64 *)
-
-val default_lo : float  (** 1e-9 s: upper edge of bucket 0 is lo * sqrt 2 *)
 
 val create :
   ?unit:measure -> ?help:string -> ?sample:int -> ?lo:float -> ?buckets:int ->
@@ -109,9 +104,6 @@ val snapshot : t -> snapshot
 
 val bucket_bounds : snapshot -> int -> float * float
 (** [(lower, upper)] edges of a bucket; bucket 0's lower edge is 0. *)
-
-val merge : snapshot -> snapshot -> snapshot
-(** Pointwise sum.  [Invalid_argument] when the bucket layouts differ. *)
 
 val diff : snapshot -> snapshot -> snapshot
 (** [diff newer older]: the observations recorded between two snapshots

@@ -12,7 +12,7 @@
     chatter.
 
     Lines emitted while a request-scoped trace id is set
-    ({!Trace.set_context}) carry a [trace_id=...] suffix, and warn+
+    ({!Trace.with_context}) carry a [trace_id=...] suffix, and warn+
     lines are also delivered to the {!set_sink} hook (regardless of the
     console level) so the flight recorder retains recent warnings even
     when the console is quiet. *)

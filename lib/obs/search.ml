@@ -171,14 +171,6 @@ let record_chunk ~source ~index ~score =
     emit ~kind:Chunk ~source ~score ~edp:nan ~design:None ~detail:index
   end
 
-let record_prune ~source ~bound ~design =
-  if enabled () then begin
-    let n = Atomic.fetch_and_add n_prunes 1 in
-    if n mod prune_sample = 0 then
-      emit ~kind:Prune ~source ~score:bound ~edp:nan ~design:(Some design)
-        ~detail:0
-  end
-
 (* Hot-loop variants: a search that already counts its prunes reuses
    that counter as the sampling clock and folds the total in once, so
    the armed per-prune cost is one atomic load instead of a

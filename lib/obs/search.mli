@@ -67,9 +67,6 @@ val record_incumbent :
 val record_chunk : source:string -> index:int -> score:float -> unit
 (** [score] is the chunk's best (or [infinity] for an empty chunk). *)
 
-val record_prune : source:string -> bound:float -> design:design -> unit
-(** Counts every call; journals one in {!prune_sample}. *)
-
 val record_sampled_prune :
   source:string -> bound:float -> design:design -> unit
 (** Journal one prune event the caller already sampled; does not touch

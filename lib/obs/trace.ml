@@ -40,8 +40,6 @@ let flight_capacity = Atomic.make 0
    request fans out to inherit it for free. *)
 let context = Atomic.make ""
 
-let set_context id = Atomic.set context id
-let clear_context () = Atomic.set context ""
 let get_context () = match Atomic.get context with "" -> None | id -> Some id
 
 let with_context id f =
@@ -154,8 +152,6 @@ let with_span name f =
   end
   else f ()
 
-let instant name = if active () then push name I
-
 let anchor_t0 () =
   if Atomic.get t0 = 0.0 then Atomic.set t0 (Clock.now ())
 
@@ -267,8 +263,6 @@ let chrome_string_of_events evs =
     evs;
   Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
   Buffer.contents buf
-
-let to_chrome_string () = chrome_string_of_events (events ())
 
 let write path =
   let evs = events () in

@@ -57,13 +57,6 @@ val fine_active : unit -> bool
 
 (** {2 Request context} *)
 
-val set_context : string -> unit
-(** Set the trace id stamped into subsequently recorded events and
-    {!Log} lines.  Process-wide: the serving path handles one request
-    at a time, and worker domains inherit the id for free. *)
-
-val clear_context : unit -> unit
-
 val get_context : unit -> string option
 
 val with_context : string -> (unit -> 'a) -> 'a
@@ -76,13 +69,10 @@ val with_span : string -> (unit -> 'a) -> 'a
 (** [with_span name f]: wrap [f] in begin/end events when recording
     (exception-safe); just [f ()] otherwise. *)
 
-val instant : string -> unit
-(** A zero-duration marker event. *)
-
 (** {2 Flight ring} *)
 
 val arm_flight : ?capacity:int -> unit -> unit
-(** Record every coarse span/instant into a per-domain ring of
+(** Record every coarse span into a per-domain ring of
     [capacity] events (default 4096, min 16), overwriting the oldest.
     Rings created before arming keep their original capacity. *)
 
@@ -110,8 +100,6 @@ val chrome_string_of_events : event list -> string
     with process/thread-name metadata per slot and [args.trace_id] on
     context-tagged events. *)
 
-val to_chrome_string : unit -> string
-(** [chrome_string_of_events (events ())]. *)
-
 val write : string -> int
-(** Write {!to_chrome_string} to a file; returns the event count. *)
+(** Write every buffered event ({!chrome_string_of_events} of
+    {!events}) to a file; returns the event count. *)

@@ -43,7 +43,6 @@ let tracked_counters : (string, tracked) Hashtbl.t = Hashtbl.create 8
 let period = Atomic.make default_period
 let last_rotation = Atomic.make 0.0
 
-let set_period p = Atomic.set period (Float.max 1e-3 p)
 let current_period () = Atomic.get period
 
 let create ?(intervals = default_intervals) hist =
@@ -148,8 +147,6 @@ let retained w =
   let n = w.filled in
   Mutex.unlock lock;
   n
-
-let intervals w = w.w_intervals
 
 let name w = w.w_name
 

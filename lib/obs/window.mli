@@ -19,16 +19,6 @@
 
 type t
 
-val default_period : float
-(** 1.0 s between rotations. *)
-
-val default_intervals : int
-(** 300 retained rotations = 5 min. *)
-
-val standard_windows : (string * int) list
-(** [("10s", 10); ("60s", 60); ("300s", 300)] — the label and interval
-    count of each window {!report} and the stats schema expose. *)
-
 val create : ?intervals:int -> Histogram.t -> t
 (** Get or create the window registered under the histogram's name
     ([intervals] applies on first creation only). *)
@@ -50,7 +40,6 @@ val maybe_rotate : ?now:float -> unit -> unit
     (capped at the ring size); cheap no-op within a period.  Event
     loops call this every iteration. *)
 
-val set_period : float -> unit
 val current_period : unit -> float
 
 val merged : t -> intervals:int -> Histogram.snapshot
@@ -65,8 +54,6 @@ val cumulative : t -> Histogram.snapshot
 val retained : t -> int
 (** Rotations currently held (saturates at [intervals]). *)
 
-val intervals : t -> int
-
 val name : t -> string
 
 val find : string -> t option
@@ -75,7 +62,7 @@ val report :
   unit -> (string * Histogram.snapshot * (string * Histogram.snapshot) list) list
 (** Every registered window, sorted by name:
     [(name, cumulative, [(window label, windowed snapshot); ...])] with
-    one entry per {!standard_windows}. *)
+    one entry per standard window: 10 s, 60 s and 300 s. *)
 
 val counter_report : unit -> (string * int * (string * int) list) list
 (** Every tracked counter: [(name, current value, windowed deltas)]. *)

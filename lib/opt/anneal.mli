@@ -15,8 +15,6 @@ type schedule = {
   steps : int;
 }
 
-val default_schedule : schedule
-
 val search :
   ?space:Space.t ->
   ?objective:Objective.t ->

@@ -10,7 +10,7 @@
     factors each evaluation through {!Array_model.Array_eval.stage} /
     [complete] — geometry work once per geometry, assist work once per
     assist — and skips a geometry's whole vssc scan when its admissible
-    lower bound ({!Array_model.Array_eval.bound_metrics}) strictly
+    lower bound ({!Array_model.Array_eval.bound_prepared}) strictly
     exceeds a score already published by another worker.  [`Reference]
     prices every candidate with {!Array_model.Array_eval.evaluate} and
     never prunes.  Both return bit-identical winners; [`Reference]
@@ -134,12 +134,6 @@ val checksum : result list -> string
     score and EDP bits.  Excludes [evaluated]/[pruned] (timing-dependent
     under parallelism).  Two sweeps that pick the same designs
     bit-for-bit produce equal checksums. *)
-
-val candidate_to_json : candidate -> Persist.Json.t
-val candidate_of_json : Persist.Json.t -> candidate option
-(** Bit-exact round-trip: floats are emitted with 17 significant
-    digits, so [candidate_of_json (candidate_to_json c) = Some c]
-    including every float bit. *)
 
 val result_to_json : result -> Persist.Json.t
 val result_of_json : Persist.Json.t -> result option

@@ -30,33 +30,6 @@ let hv2 ~ref_:(rx, ry) points =
     sorted;
   !hv
 
-(* 3D by slicing the third objective: between consecutive distinct
-   z-levels the dominated region's cross-section is constant, and equal
-   to the 2D dominated region of every point at or below the slice.
-   O(n^2 log n), exact. *)
-let hv3 ~ref_:(rx, ry, rz) points =
-  let points = List.filter (fun (x, y, z) -> x < rx && y < ry && z < rz) points in
-  match points with
-  | [] -> 0.0
-  | _ ->
-    let zs =
-      List.map (fun (_, _, z) -> z) points
-      |> List.sort_uniq compare |> Array.of_list
-    in
-    let n = Array.length zs in
-    let hv = ref 0.0 in
-    for k = 0 to n - 1 do
-      let z_lo = zs.(k) in
-      let z_hi = if k + 1 < n then zs.(k + 1) else rz in
-      let slice =
-        List.filter_map
-          (fun (x, y, z) -> if z <= z_lo then Some (x, y) else None)
-          points
-      in
-      hv := !hv +. (hv2 ~ref_:(rx, ry) slice *. (z_hi -. z_lo))
-    done;
-    !hv
-
 (* Reference point for comparing an approximate front against the true
    one: the nadir of the true front pushed out by [margin], so boundary
    points still contribute area and both fronts are measured against

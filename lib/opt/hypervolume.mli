@@ -11,10 +11,6 @@ val hv2 : ref_:float * float -> (float * float) list -> float
     coordinate contribute nothing; dominated points are handled
     (they add no area).  O(n log n). *)
 
-val hv3 : ref_:float * float * float -> (float * float * float) list -> float
-(** Exact 3D hypervolume by slicing the third objective into constant
-    cross-sections.  O(n^2 log n). *)
-
 val reference : ?margin:float -> (float * float) list -> (float * float)
 (** The nadir (componentwise worst) of a front pushed out by [margin]
     (default 10%%) — the common box both the true and the approximate

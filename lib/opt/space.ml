@@ -23,6 +23,93 @@ let reduced =
 
 let merge_threshold = 0.020
 
+type field = Capacity_bits | W | Vssc_values | Nr_values | N_pre_values | N_wr_values
+
+let ( let* ) = Result.bind
+let is_power_of_two = Array_model.Geometry.is_power_of_two
+let max_bits = Array_model.Periphery.max_address_bits
+
+(* The span of the default V_SSC grid, whose top is -0.0: folding from
+   +0.0 prints the bound as 0. *)
+let vssc_lo = Array.fold_left Float.min 0.0 default.vssc_values
+let vssc_hi = Array.fold_left Float.max 0.0 default.vssc_values
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
+
+(* Non-empty, bounded, every value [valid] (else it breaks [rule]), and
+   each value strictly [after] its predecessor. *)
+let check_axis field values ~valid ~rule ~after ~order ~show =
+  let fail fmt = Printf.ksprintf (fun why -> Error (field, why)) fmt in
+  let n = Array.length values in
+  if n = 0 then fail "empty"
+  else if n > 256 then fail "%d values, at most 256" n
+  else
+    match Array.find_opt (fun v -> not (valid v)) values with
+    | Some v -> fail "%s %s" (show v) rule
+    | None ->
+      let rec sorted i =
+        if i = n then Ok ()
+        else if after values.(i) values.(i - 1) then sorted (i + 1)
+        else fail "not strictly %s at %s" order (show values.(i))
+      in
+      sorted 1
+
+let check_fins field values =
+  check_axis field values ~valid:(fun n -> n >= 1) ~rule:"fins, at least 1"
+    ~after:( > ) ~order:"increasing" ~show:string_of_int
+
+(* Column address bits of the widest candidate: n_c = M / n_r at the
+   smallest n_r. *)
+let column_bits ~w ~capacity_bits ~nr_min =
+  let nc = capacity_bits / nr_min in
+  if nc <= w then 0 else log2 (nc / w)
+
+let check ~w ~capacity_bits space =
+  let fail field fmt = Printf.ksprintf (fun why -> Error (field, why)) fmt in
+  let* () =
+    if is_power_of_two capacity_bits then Ok ()
+    else fail Capacity_bits "%d bits is not a positive power of two" capacity_bits
+  in
+  let* () =
+    if is_power_of_two w then Ok () else fail W "%d is not a positive power of two" w
+  in
+  let* () =
+    check_axis Vssc_values space.vssc_values
+      ~valid:(fun v -> v >= vssc_lo && v <= vssc_hi)
+      ~rule:(Printf.sprintf "is outside the negative-Gnd range [%g, %g] V" vssc_lo vssc_hi)
+      ~after:( < ) ~order:"decreasing" ~show:(Printf.sprintf "%g V")
+  in
+  let* () =
+    check_axis Nr_values space.nr_values ~valid:is_power_of_two
+      ~rule:"is not a power of two" ~after:( > ) ~order:"increasing" ~show:string_of_int
+  in
+  let* () = check_fins N_pre_values space.n_pre_values in
+  let* () = check_fins N_wr_values space.n_wr_values in
+  let nr_min = space.nr_values.(0) in
+  let* () =
+    if nr_min <= capacity_bits then Ok ()
+    else
+      fail Capacity_bits "%d bits holds no candidate geometry: the smallest n_r is %d"
+        capacity_bits nr_min
+  in
+  let nr_max =
+    Array.fold_left (fun acc nr -> if nr <= capacity_bits then nr else acc) nr_min
+      space.nr_values
+  in
+  let* () =
+    if log2 nr_max <= max_bits then Ok ()
+    else
+      fail Nr_values "n_r = %d needs %d row address bits, past the decoders' %d" nr_max
+        (log2 nr_max) max_bits
+  in
+  let bits = column_bits ~w ~capacity_bits ~nr_min in
+  if bits <= max_bits then Ok ()
+  else
+    fail
+      (if column_bits ~w:64 ~capacity_bits ~nr_min <= max_bits then W else Capacity_bits)
+      "%d bits needs %d column address bits at w = %d and n_r = %d, past the decoders' %d"
+      capacity_bits bits w nr_min max_bits
+
 type pins = {
   vddc : float;
   vwl : float;

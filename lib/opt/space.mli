@@ -8,8 +8,8 @@
     - M1: one extra voltage level only — V_DDC = V_WL = max(minimums),
       V_SSC forced to 0;
     - M2: unrestricted levels — V_DDC and V_WL at their own minimums
-      (merged into one level when within {!merge_threshold}, as the paper
-      does for 6T-HVT), V_SSC free. *)
+      (merged into one level when within 20 mV, as the paper does for
+      6T-HVT), V_SSC free. *)
 
 type method_ = M1 | M2
 
@@ -30,15 +30,35 @@ val reduced : t
     for quick runs and tests; the optimum it finds is within a few percent
     of the full search. *)
 
-val merge_threshold : float
-(** 20 mV: V_DDC and V_WL closer than this share one pin under M2. *)
-
 type pins = {
   vddc : float;
   vwl : float;
   vssc_allowed : bool;   (** false under M1 *)
   extra_levels : int;    (** voltage pins beyond Vdd (reporting) *)
 }
+
+(** A query field {!check} can refuse. *)
+type field = Capacity_bits | W | Vssc_values | Nr_values | N_pre_values | N_wr_values
+
+val check : w:int -> capacity_bits:int -> t -> (unit, field * string) result
+(** [Ok ()] when every search over [space] at this capacity and word
+    width is well-posed; otherwise the first offending field and a reason
+    naming its value.  It requires:
+    - [capacity_bits] and [w] positive powers of two;
+    - each axis non-empty, at most 256 values long and strictly monotone
+      in {!default}'s direction (V_SSC decreasing, the integer axes
+      increasing), so no value repeats;
+    - every V_SSC finite and inside the span of {!default}'s, the
+      paper's negative-Gnd range [-0.24, 0] V; every n_r a power of two;
+      fin counts >= 1;
+    - at least one candidate geometry, and none needing more row or
+      column address bits than {!Array_model.Periphery.max_address_bits}.
+      This is decided from the axis bounds, without enumerating
+      geometries.  A column-bit excess is [W]'s fault when the same
+      query passes at w = 64, and [Capacity_bits]' otherwise.
+
+    The CLI and the serve wire check every query here, before any search
+    runs. *)
 
 val pins_for : method_ -> Yield.levels -> pins
 

@@ -86,27 +86,3 @@ let run strategy ?space ?objective ?levels ?pool ?w ?stage_ctx ?deadline
   | Surrogate ->
     Surrogate.search ?space ?objective ?levels ?pool ?w ?budget ~seed:rng_seed
       ?deadline ~env ~capacity_bits ~method_ ()
-
-let run_front strategy ?space ?objective ?levels ?pool ?w ?budget
-    ?(rng_seed = default_seed) ?deadline ~env ~capacity_bits ~method_ () =
-  match strategy with
-  | Exhaustive ->
-    let result, all =
-      Exhaustive.search_all ?space ?objective ?levels ?pool ?w ?deadline ~env
-        ~capacity_bits ~method_ ()
-    in
-    (result, Pareto.front all)
-  | Nsga2 ->
-    Nsga2.search_front ?space ?objective ?levels ?pool ?w ?budget
-      ~seed:rng_seed ?deadline ~env ~capacity_bits ~method_ ()
-  | Surrogate ->
-    Surrogate.search_front ?space ?objective ?levels ?pool ?w ?budget
-      ~seed:rng_seed ?deadline ~env ~capacity_bits ~method_ ()
-  | Local_search | Anneal ->
-    (* Scalar-only engines: the best they can say about the trade-off
-       plane is their single winner. *)
-    let result =
-      run strategy ?space ?objective ?levels ?pool ?w ?budget ~rng_seed
-        ?deadline ~env ~capacity_bits ~method_ ()
-    in
-    (result, [ result.Exhaustive.best ])

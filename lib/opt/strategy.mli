@@ -75,24 +75,3 @@ val run :
       and [Local_search] are deterministic and ignore it.
     All engines return the same {!Exhaustive.result} shape (golden-
     diffed by the backfill tests). *)
-
-val run_front :
-  t ->
-  ?space:Space.t ->
-  ?objective:Objective.t ->
-  ?levels:Yield.levels ->
-  ?pool:Runtime.Pool.t ->
-  ?w:int ->
-  ?budget:int ->
-  ?rng_seed:int ->
-  ?deadline:float ->
-  env:Array_model.Array_eval.env ->
-  capacity_bits:int ->
-  method_:Space.method_ ->
-  unit ->
-  Exhaustive.result * Exhaustive.candidate list
-(** As {!run} but also the energy-delay Pareto front: exhaustive runs
-    unpruned ({!Exhaustive.search_all}, deadline included) and returns
-    the true front; NSGA-II / surrogate return the front over every
-    point they scanned; the scalar engines return their single
-    winner. *)

@@ -146,17 +146,3 @@ let solve ?(delta = Finfet.Tech.min_margin) ?(points = 81) ?corner ?celsius
     (fun () ->
       Obs.Histogram.span solve_timer (fun () ->
           solve_uncached ~delta ~points ?corner ?celsius ~flavor ()))
-
-let margins_ok ?(delta = Finfet.Tech.min_margin) ?(points = 81) ~flavor ~vddc
-    ~vssc ~vwl () =
-  let cell = cell_of flavor in
-  let vdd = Finfet.Tech.vdd_nominal in
-  let hsnm = Sram_cell.Margins.hold_snm ~points ~cell vdd in
-  if hsnm < delta then false
-  else if rsnm_at ~points ~flavor ~vddc ~vssc () < delta then false
-  else begin
-    let wm =
-      Sram_cell.Margins.write_margin ~cell (Sram_cell.Sram6t.write0 ~vwl ())
-    in
-    wm >= delta
-  end

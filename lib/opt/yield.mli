@@ -75,13 +75,3 @@ val rsnm_at :
   vddc:float -> vssc:float -> unit -> float
 (** Memoized RSNM evaluation used to validate V_SSC choices (the paper
     caps the negative-Gnd range at -240 mV where RSNM degrades). *)
-
-val margins_ok :
-  ?delta:float ->
-  ?points:int ->
-  flavor:Finfet.Library.flavor ->
-  vddc:float -> vssc:float -> vwl:float ->
-  unit ->
-  bool
-(** Full simplified constraint of Section 4:
-    min(HSNM, RSNM, WM) >= delta for the given assist levels. *)

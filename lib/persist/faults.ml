@@ -31,11 +31,6 @@ let disarm_all () =
       record_count := 0;
       dead := false)
 
-let fault_to_string = function
-  | Short_write n -> Printf.sprintf "short:%d" n
-  | Enospc n -> Printf.sprintf "enospc:%d" n
-  | Kill n -> Printf.sprintf "kill:%d" n
-
 let parse s =
   match String.index_opt s ':' with
   | None -> Error (Printf.sprintf "bad fault spec %S (want kind:N)" s)

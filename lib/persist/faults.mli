@@ -30,14 +30,9 @@ val disarm_all : unit -> unit
 val parse : string -> (fault, string) result
 (** Parses ["short:N"], ["enospc:N"] or ["kill:N"]. *)
 
-val env_var : string
-(** ["SRAM_OPT_FAULTS"]. *)
-
 val load_env : unit -> unit
 (** Arms every spec in [$SRAM_OPT_FAULTS]; malformed specs are logged
     via [Obs.Log.warn] and skipped. *)
-
-val fault_to_string : fault -> string
 
 val injected_count : unit -> int
 (** Value of the [persist.faults.injected] telemetry counter. *)

@@ -129,8 +129,6 @@ let parmap ?chunk t f arr =
 let fold ?chunk t ~map ~reduce ~init arr =
   Array.fold_left reduce init (parmap ?chunk t map arr)
 
-let map_list ?chunk t f l = Array.to_list (parmap ?chunk t f (Array.of_list l))
-
 (* ----- process-wide default pool ----- *)
 
 let default_lock = Mutex.create ()

@@ -43,9 +43,6 @@ val fold :
     values left-to-right in input order on the caller.  Deterministic
     for any [reduce], associative or not. *)
 
-val map_list : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** [parmap] over a list, preserving order. *)
-
 val shutdown : t -> unit
 (** Join the worker domains.  Must not race an in-flight [parmap];
     after shutdown the pool runs everything inline (jobs = 1

@@ -255,13 +255,16 @@ let enum_field j name of_string ~default =
     require (Printf.sprintf "%s value %S" name s)
       (of_string (String.lowercase_ascii s))
 
+let field_name = function
+  | Opt.Space.Capacity_bits -> "capacity_bits"
+  | Opt.Space.W -> "w"
+  | Opt.Space.Vssc_values -> "space.vssc_v"
+  | Opt.Space.Nr_values -> "space.nr"
+  | Opt.Space.N_pre_values -> "space.n_pre"
+  | Opt.Space.N_wr_values -> "space.n_wr"
+
 let query_of_json j =
   let* capacity_bits = require "capacity_bits" (J.int_field j "capacity_bits") in
-  let* capacity_bits =
-    Result.map_error
-      (fun e -> "bad capacity_bits: " ^ e)
-      (Array_model.Geometry.check_capacity capacity_bits)
-  in
   let* flavor =
     enum_field j "flavor"
       (fun s -> Finfet.Library.flavor_of_string s)
@@ -301,6 +304,11 @@ let query_of_json j =
     match J.member "space" j with
     | None -> Ok no_override
     | Some sj -> space_override_of_json sj
+  in
+  let* () =
+    Result.map_error
+      (fun (field, why) -> Printf.sprintf "bad %s: %s" (field_name field) why)
+      (Opt.Space.check ~w ~capacity_bits (space_of_override space))
   in
   Ok
     { capacity_bits; flavor; method_; strategy; rng_seed; objective;

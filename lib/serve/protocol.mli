@@ -90,7 +90,10 @@ type response = {
 
 (** {2 Codecs} — total decoders returning [Error] with a reason on any
     shape mismatch; [of_json (to_json v)] reproduces [v] including
-    every float bit (QCheck-verified). *)
+    every float bit (QCheck-verified).  A decoded query has also passed
+    {!Opt.Space.check}: a refused one is an [Error] of the form
+    ["bad <field>: <reason>"], where the field is [capacity_bits], [w]
+    or [space.<axis>] ([vssc_v], [nr], [n_pre], [n_wr]). *)
 
 val request_to_json : request -> Persist.Json.t
 val request_of_json : Persist.Json.t -> (request, string) result

@@ -116,7 +116,6 @@ let optimize_payload (q : P.query) ~deadline =
   | exception Opt.Exhaustive.Deadline_exceeded ->
     count "serve.deadline_expired";
     error P.Deadline "deadline passed during the search"
-  | exception Invalid_argument msg -> error P.Bad_request msg
 
 (* Same memoized entry as optimize, so explaining a design the server
    already answered costs a cache hit plus a handful of evaluations;
@@ -168,7 +167,6 @@ let explain_payload (q : P.query) ~deadline =
   | exception Opt.Exhaustive.Deadline_exceeded ->
     count "serve.deadline_expired";
     error P.Deadline "deadline passed during the search"
-  | exception Invalid_argument msg -> error P.Bad_request msg
 
 let handle ~default_deadline_ms ~draining (p : pending) =
   let wait = now () -. p.t_admit in

@@ -78,30 +78,3 @@ let sweep ?(points_per_decade = 10) netlist ~source_index ~output ~f_start
       let frac = float_of_int i /. float_of_int total in
       let frequency = f_start *. (10.0 ** (frac *. decades)) in
       at_frequency netlist ~source_index ~output ~frequency)
-
-let dc_gain netlist ~source_index ~output =
-  check_output netlist output;
-  let re, _ = solve_complex netlist ~source_index ~omega:0.0 in
-  re.(output - 1)
-
-let corner_frequency ?points_per_decade netlist ~source_index ~output ~f_start
-    ~f_stop =
-  let reference = abs_float (dc_gain netlist ~source_index ~output) in
-  if reference <= 0.0 then None
-  else begin
-    let threshold = reference /. sqrt 2.0 in
-    let points = sweep ?points_per_decade netlist ~source_index ~output ~f_start ~f_stop in
-    let rec scan = function
-      | a :: (b :: _ as rest) ->
-        if a.magnitude >= threshold && b.magnitude < threshold then begin
-          (* Log-linear interpolation between the straddling points. *)
-          let frac =
-            (a.magnitude -. threshold) /. (a.magnitude -. b.magnitude)
-          in
-          Some (a.frequency *. ((b.frequency /. a.frequency) ** frac))
-        end
-        else scan rest
-      | [ _ ] | [] -> None
-    in
-    scan points
-  end

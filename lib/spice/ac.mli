@@ -31,18 +31,3 @@ val sweep :
   f_stop:float ->
   point list
 (** Logarithmic sweep (default 10 points/decade), endpoints included. *)
-
-val dc_gain :
-  Netlist.t -> source_index:int -> output:Netlist.node -> float
-(** Signed low-frequency gain (the omega = 0 solve, real-valued). *)
-
-val corner_frequency :
-  ?points_per_decade:int ->
-  Netlist.t ->
-  source_index:int ->
-  output:Netlist.node ->
-  f_start:float ->
-  f_stop:float ->
-  float option
-(** First frequency at which the magnitude falls to 1/sqrt(2) of the DC
-    gain (interpolated between sweep points). *)

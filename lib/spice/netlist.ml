@@ -25,12 +25,6 @@ let waveform_at w t =
     in
     interp corners
 
-let waveform_final = function
-  | Const v -> v
-  | Step { v1; _ } -> v1
-  | Pwl corners ->
-    (match List.rev corners with [] -> 0.0 | (_, v) :: _ -> v)
-
 type element =
   | Resistor of { plus : node; minus : node; ohms : float }
   | Capacitor of { plus : node; minus : node; farads : float }

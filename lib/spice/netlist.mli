@@ -23,9 +23,6 @@ type waveform =
 val waveform_at : waveform -> float -> float
 (** Evaluate a waveform at a time (DC analyses use t = 0). *)
 
-val waveform_final : waveform -> float
-(** Value as t -> infinity. *)
-
 type element =
   | Resistor of { plus : node; minus : node; ohms : float }
   | Capacitor of { plus : node; minus : node; farads : float }

@@ -45,23 +45,6 @@ val run :
     bit-identical prefix of the full run; a predicate that never holds
     runs to [t_stop]. *)
 
-val run_adaptive :
-  ?dt_min:float ->
-  ?dt_max:float ->
-  ?dv_max:float ->
-  ?ic:(Netlist.node * float) list ->
-  ?method_:method_ ->
-  t_stop:float ->
-  Netlist.t ->
-  trace
-(** Delta-V-controlled variable stepping: a step whose largest node-voltage
-    change exceeds [dv_max] (default 30 mV) is rejected and retried at
-    half the step; quiet steps grow by 1.5x up to [dt_max] (default
-    t_stop / 20).  [dt_min] (default t_stop / 1e5) bounds refinement.
-    Sharp edges get small steps, flat tails get long ones — typically a
-    several-fold step-count saving over the fixed-step {!run} at equal
-    accuracy (measured in the test suite). *)
-
 val node_trace : trace -> Netlist.node -> float array
 (** Voltage-versus-time samples of one node. *)
 
@@ -69,16 +52,3 @@ val crossing_time :
   trace -> node:Netlist.node -> threshold:float ->
   direction:[ `Rising | `Falling ] -> float option
 (** Linear-interpolated first crossing, the delay-measurement primitive. *)
-
-val value_at : trace -> node:Netlist.node -> time:float -> float
-(** Linear interpolation of a node voltage at an arbitrary time. *)
-
-val source_energy : trace -> Netlist.t -> source_index:int -> float
-(** Energy delivered by one voltage source over the whole trace:
-    the trapezoidal integral of -V(t) I_branch(t) dt.  Charging a
-    capacitance C through any resistance from a fixed source costs C V^2
-    (half stored, half dissipated) — the measurement behind the
-    switching-energy validation tests. *)
-
-val delivered_energy : trace -> Netlist.t -> float
-(** Sum of {!source_energy} over every source. *)

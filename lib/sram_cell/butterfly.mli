@@ -51,9 +51,6 @@ val snm_of_butterfly : butterfly -> snm
     When [curve_l == curve_r] the two lobes are one computation, done
     once. *)
 
-val worst_snm : snm -> float
-(** min of the two lobes — the cell's static noise margin. *)
-
 val hold_snm :
   ?points:int -> cell:Finfet.Variation.cell_sample -> Sram6t.condition -> float
 (** HSNM: butterfly with access transistors off. *)

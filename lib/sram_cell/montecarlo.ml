@@ -46,11 +46,3 @@ let summarize ~k { hsnm; rsnm; wm } =
     worst_mu_minus_k_sigma = worst }
 
 let passes_k_sigma ~k samples = (summarize ~k samples).worst_mu_minus_k_sigma >= 0.0
-
-let yield_fraction ~delta { hsnm; rsnm; wm } =
-  let n = Array.length hsnm in
-  let pass = ref 0 in
-  for i = 0 to n - 1 do
-    if hsnm.(i) >= delta && rsnm.(i) >= delta && wm.(i) >= delta then incr pass
-  done;
-  float_of_int !pass /. float_of_int n

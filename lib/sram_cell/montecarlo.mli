@@ -43,7 +43,3 @@ val summarize : k:float -> margin_samples -> yield_summary
 val passes_k_sigma : k:float -> margin_samples -> bool
 (** The paper's accurate constraint:
     min over margins of (mu - k sigma) >= 0. *)
-
-val yield_fraction : delta:float -> margin_samples -> float
-(** Fraction of sampled cells whose three margins all exceed [delta] —
-    the empirical counterpart of the simplified constraint. *)

@@ -6,19 +6,6 @@
     a drowsy-standby mode save?  This module answers both with the same
     butterfly and leakage machinery. *)
 
-val retention_voltage :
-  ?margin_fraction:float ->
-  ?points:int ->
-  ?tol:float ->
-  cell:Finfet.Variation.cell_sample ->
-  unit ->
-  float
-(** Minimum supply at which the hold SNM still exceeds
-    [margin_fraction] x Vdd (default: the technology rule, 0.35).
-    Bisection over the monotone HSNM/Vdd-fraction curve; [tol] is the
-    voltage resolution (default 2 mV).  Returns the technology nominal if
-    even that fails (degenerate cells under heavy variation). *)
-
 type standby_summary = {
   v_retention : float;      (** solved retention supply *)
   v_standby : float;        (** retention + guard band *)
@@ -34,4 +21,8 @@ val standby :
   unit ->
   standby_summary
 (** Drowsy-mode summary with a [guard_band] (default 50 mV) above the
-    solved retention voltage. *)
+    retention voltage: the minimum supply at which the hold SNM still
+    exceeds the technology rule's fraction (0.35) of Vdd, bisected to
+    2 mV over the monotone HSNM/Vdd-fraction curve.  The retention
+    voltage is the technology nominal if even that fails (degenerate
+    cells under heavy variation). *)

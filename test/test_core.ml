@@ -139,13 +139,16 @@ let json_tests =
            | _ -> Alcotest.fail "expected a list")
         | _ -> Alcotest.fail "expected an object") ]
 
+let render header rows =
+  Sram_edp.Export.render { Sram_edp.Export.filename = "t.csv"; header; rows }
+
 let export_tests =
   [ case "csv fields quote when needed" (fun () ->
-        Alcotest.(check string) "plain" "abc" (Sram_edp.Export.csv_field "abc");
-        Alcotest.(check string) "comma" "\"a,b\"" (Sram_edp.Export.csv_field "a,b");
-        Alcotest.(check string) "quote" "\"a\"\"b\"" (Sram_edp.Export.csv_field "a\"b"));
+        Alcotest.(check string) "fields" "abc,\"a,b\",\"a\"\"b\"\n"
+          (render [ "abc"; "a,b"; "a\"b" ] []));
     case "csv lines join and terminate" (fun () ->
-        Alcotest.(check string) "line" "a,b,c\n" (Sram_edp.Export.csv_line [ "a"; "b"; "c" ]));
+        Alcotest.(check string) "lines" "a,b,c\nd,e,f\n"
+          (render [ "a"; "b"; "c" ] [ [ "d"; "e"; "f" ] ]));
     case "rendered files have consistent column counts" (fun () ->
         List.iter
           (fun (f : Sram_edp.Export.file) ->
@@ -154,9 +157,13 @@ let export_tests =
             List.iter
               (fun row -> Alcotest.(check int) f.Sram_edp.Export.filename width (List.length row))
               f.Sram_edp.Export.rows)
-          (Sram_edp.Export.fig2_files () @ [ Sram_edp.Export.fig7_file () ]));
+          (Sram_edp.Export.all_files ()));
     case "the design table exports all twenty rows" (fun () ->
-        let f = Sram_edp.Export.fig7_file () in
+        let f =
+          List.find
+            (fun (f : Sram_edp.Export.file) -> f.Sram_edp.Export.filename = "table4_fig7_designs.csv")
+            (Sram_edp.Export.all_files ())
+        in
         Alcotest.(check int) "rows" 20 (List.length f.Sram_edp.Export.rows));
     case "write_all produces readable files" (fun () ->
         let dir = Filename.concat (Filename.get_temp_dir_name ()) "sram_edp_export_test" in
@@ -191,10 +198,10 @@ let framework_tests =
         let o = Sram_edp.Framework.optimize ~capacity_bits:cap_1kb ~config:hvt_m2 () in
         let a = Sram_edp.Framework.assist o in
         Alcotest.(check bool) "margins" true
-          (Opt.Yield.margins_ok ~flavor:Finfet.Library.Hvt
+          (Oracle.Yield.margins_ok ~flavor:Finfet.Library.Hvt
              ~vddc:a.Array_model.Components.vddc
              ~vssc:a.Array_model.Components.vssc
-             ~vwl:a.Array_model.Components.vwl ()));
+             ~vwl:a.Array_model.Components.vwl));
     case "HVT-M2 beats LVT-M2 on EDP at 1KB+ (the paper's claim)" (fun () ->
         let h = Sram_edp.Framework.optimize ~capacity_bits:cap_1kb ~config:hvt_m2 () in
         let l = Sram_edp.Framework.optimize ~capacity_bits:cap_1kb ~config:lvt_m2 () in

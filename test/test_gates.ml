@@ -51,6 +51,9 @@ let logical_effort_tests =
         Alcotest.(check bool) "longer chain is slower" true
           (double.Gates.Logical_effort.delay > single.Gates.Logical_effort.delay)) ]
 
+let final_stage_fins (d : Gates.Superbuffer.t) =
+  List.nth d.Gates.Superbuffer.stage_fins (List.length d.Gates.Superbuffer.stage_fins - 1)
+
 let superbuffer_tests =
   [ case "paper driver constants" (fun () ->
         Alcotest.(check int) "27-fin WL driver" 27 Gates.Superbuffer.wl_driver_fins;
@@ -59,7 +62,7 @@ let superbuffer_tests =
         let d = Gates.Superbuffer.default_wl_driver ~nfet ~pfet in
         Alcotest.(check (list int)) "stages" [ 1; 3; 9; 27 ]
           d.Gates.Superbuffer.stage_fins;
-        Alcotest.(check int) "final" 27 (Gates.Superbuffer.final_stage_fins d));
+        Alcotest.(check int) "final" 27 (final_stage_fins d));
     case "input cap is the first stage's" (fun () ->
         let d = Gates.Superbuffer.default_wl_driver ~nfet ~pfet in
         check_close "c_in" le.Gates.Logical_effort.c_in
@@ -81,8 +84,7 @@ let superbuffer_tests =
         let small = Gates.Superbuffer.design ~nfet ~pfet ~c_load:5e-15 in
         let large = Gates.Superbuffer.design ~nfet ~pfet ~c_load:100e-15 in
         Alcotest.(check bool) "scaling" true
-          (Gates.Superbuffer.final_stage_fins large
-           >= Gates.Superbuffer.final_stage_fins small)) ]
+          (final_stage_fins large >= final_stage_fins small)) ]
 
 let decoder_tests =
   [ case "zero bits decode for free" (fun () ->
@@ -137,7 +139,7 @@ let sense_amp_tests =
            the latch takes to widen its split from dv to 2 dv and compare
            against C/gm ln 2. *)
         let sa = Gates.Sense_amp.default ~nfet ~pfet in
-        let netlist, a, b = Gates.Sense_amp.build_netlist sa ~delta_v:0.02 in
+        let netlist, a, b = Gate_sim.build_sense_amp sa in
         let vdd = Finfet.Tech.vdd_nominal in
         let tr =
           Spice.Transient.run ~t_stop:40e-12

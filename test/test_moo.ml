@@ -132,15 +132,6 @@ let hypervolume_tests =
         check_close ~tol:1e-12 "noise-free"
           (Opt.Hypervolume.hv2 ~ref_:(1.0, 1.0) front)
           (Opt.Hypervolume.hv2 ~ref_:(1.0, 1.0) (front @ noise)));
-    case "hv3 of one corner point is the full box" (fun () ->
-        check_close ~tol:1e-12 "unit cube" 1.0
-          (Opt.Hypervolume.hv3 ~ref_:(1.0, 1.0, 1.0) [ (0.0, 0.0, 0.0) ]));
-    case "hv3 of two staircase points sums the slices" (fun () ->
-        (* (0,.5,0) and (.5,0,0) against (1,1,1): two half-slabs of
-           volume .5 overlapping in a quarter-slab: 0.5 + 0.5 - 0.25. *)
-        check_close ~tol:1e-12 "staircase" 0.75
-          (Opt.Hypervolume.hv3 ~ref_:(1.0, 1.0, 1.0)
-             [ (0.0, 0.5, 0.0); (0.5, 0.0, 0.0) ]));
     case "ratio of a front against itself is 1" (fun () ->
         let front = [ (0.2, 0.8); (0.5, 0.5); (0.8, 0.2) ] in
         check_close ~tol:1e-12 "self ratio" 1.0
@@ -377,19 +368,30 @@ let test_expired_deadline space () =
     | exception Opt.Exhaustive.Deadline_exceeded -> []
     | _ -> [ what ]
   in
-  let offenders =
+  let runs =
     List.concat_map
       (fun st ->
-        let name = Opt.Strategy.name st in
-        ran_past ("run " ^ name) (fun () ->
+        ran_past ("run " ^ Opt.Strategy.name st) (fun () ->
             Opt.Strategy.run st ~space ~levels:levels_hvt ~deadline
-              ~env:env_hvt ~capacity_bits ~method_ ())
-        @ ran_past ("run_front " ^ name) (fun () ->
-              fst
-                (Opt.Strategy.run_front st ~space ~levels:levels_hvt ~deadline
-                   ~env:env_hvt ~capacity_bits ~method_ ())))
+              ~env:env_hvt ~capacity_bits ~method_ ()))
       Opt.Strategy.all
   in
+  (* The front searches `bench moo` and the explainer call. *)
+  let fronts =
+    ran_past "Exhaustive.search_all" (fun () ->
+        fst
+          (Opt.Exhaustive.search_all ~space ~levels:levels_hvt ~deadline
+             ~env:env_hvt ~capacity_bits ~method_ ()))
+    @ ran_past "Nsga2.search_front" (fun () ->
+          fst
+            (Opt.Nsga2.search_front ~space ~levels:levels_hvt ~deadline
+               ~env:env_hvt ~capacity_bits ~method_ ()))
+    @ ran_past "Surrogate.search_front" (fun () ->
+          fst
+            (Opt.Surrogate.search_front ~space ~levels:levels_hvt ~deadline
+               ~env:env_hvt ~capacity_bits ~method_ ()))
+  in
+  let offenders = runs @ fronts in
   Alcotest.(check (list string)) "ran past an expired deadline" [] offenders
 
 (* The name each Line_cache engine journals incumbents under. *)

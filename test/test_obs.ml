@@ -72,15 +72,6 @@ let histogram_tests =
         let s = Obs.Histogram.snapshot a in
         Alcotest.(check int) "both observations landed" 2
           s.Obs.Histogram.count);
-    case "merge rejects mismatched layouts" (fun () ->
-        let a = Obs.Histogram.create ~buckets:32 (fresh_name "m32") in
-        let b = Obs.Histogram.create ~buckets:64 (fresh_name "m64") in
-        Alcotest.check_raises "layout mismatch"
-          (Invalid_argument "Histogram.merge: bucket layouts differ")
-          (fun () ->
-            ignore
-              (Obs.Histogram.merge (Obs.Histogram.snapshot a)
-                 (Obs.Histogram.snapshot b))));
     case "tick is gated on Control.is_enabled" (fun () ->
         let h = Obs.Histogram.create ~sample:1 (fresh_name "gate") in
         Obs.Control.set_enabled false;
@@ -156,30 +147,6 @@ let latency_gen =
 
 let latencies_gen = QCheck.(list_of_size (QCheck.Gen.int_range 1 200) latency_gen)
 
-let prop_merge_of_shards_equals_whole =
-  QCheck.Test.make ~name:"merge of two shards equals the whole" ~count:100
-    QCheck.(pair latencies_gen latencies_gen)
-    (fun (xs, ys) ->
-      let a = Obs.Histogram.create (fresh_name "shard_a") in
-      let b = Obs.Histogram.create (fresh_name "shard_b") in
-      let w = Obs.Histogram.create (fresh_name "whole") in
-      List.iter (Obs.Histogram.observe a) xs;
-      List.iter (Obs.Histogram.observe b) ys;
-      List.iter (Obs.Histogram.observe w) (xs @ ys);
-      let m =
-        Obs.Histogram.merge (Obs.Histogram.snapshot a)
-          (Obs.Histogram.snapshot b)
-      in
-      let s = Obs.Histogram.snapshot w in
-      (* Counts, extrema and bucket contents are exact; the sums differ
-         only by float association. *)
-      m.Obs.Histogram.count = s.Obs.Histogram.count
-      && m.Obs.Histogram.min_s = s.Obs.Histogram.min_s
-      && m.Obs.Histogram.max_s = s.Obs.Histogram.max_s
-      && m.Obs.Histogram.buckets = s.Obs.Histogram.buckets
-      && abs_float (m.Obs.Histogram.sum -. s.Obs.Histogram.sum)
-         <= 1e-9 *. s.Obs.Histogram.sum)
-
 let prop_percentiles_ordered =
   QCheck.Test.make ~name:"p50 <= p90 <= p99, all within [min, max]" ~count:100
     latencies_gen
@@ -207,8 +174,7 @@ let prop_bucket_roundtrip =
       v >= lo *. (1.0 -. 1e-12) && v <= hi *. (1.0 +. 1e-12))
 
 let histogram_property_tests =
-  [ to_alco prop_merge_of_shards_equals_whole;
-    to_alco prop_percentiles_ordered;
+  [ to_alco prop_percentiles_ordered;
     to_alco prop_bucket_roundtrip ]
 
 (* ----- Windowed metrics ----- *)
@@ -385,10 +351,10 @@ let trace_tests =
   [ case "spans nest and balance" (fun () ->
         Obs.Trace.start ();
         Obs.Trace.with_span "outer" (fun () ->
-            Obs.Trace.with_span "inner" (fun () -> Obs.Trace.instant "mark"));
+            Obs.Trace.with_span "inner" (fun () -> ()));
         Obs.Trace.stop ();
         let events = Obs.Trace.events () in
-        Alcotest.(check int) "2 B + 2 E + 1 I" 5 (List.length events);
+        Alcotest.(check int) "2 B + 2 E" 4 (List.length events);
         check_balanced events);
     case "with_span closes on exception" (fun () ->
         Obs.Trace.start ();
@@ -415,7 +381,7 @@ let trace_tests =
         Obs.Trace.start ();
         Obs.Trace.with_span "exported" (fun () -> ());
         Obs.Trace.stop ();
-        let json = Obs.Trace.to_chrome_string () in
+        let json = Obs.Trace.(chrome_string_of_events (events ())) in
         Alcotest.(check bool) "has traceEvents" true
           (contains ~needle:"\"traceEvents\"" json);
         Alcotest.(check bool) "names the process" true
@@ -460,16 +426,15 @@ let context_tests =
         Obs.Trace.stop ();
         Alcotest.(check bool) "context cleared after with_context" true
           (Obs.Trace.get_context () = None);
-        let json = Obs.Trace.to_chrome_string () in
+        let json = Obs.Trace.(chrome_string_of_events (events ())) in
         Alcotest.(check bool) "span carries args.trace_id" true
           (contains ~needle:"\"args\":{\"trace_id\":\"ctx-42\"}" json));
     case "with_context restores the previous id on exception" (fun () ->
-        Obs.Trace.set_context "outer-ctx";
-        (try Obs.Trace.with_context "inner-ctx" (fun () -> failwith "boom")
-         with Failure _ -> ());
-        Alcotest.(check (option string)) "outer restored" (Some "outer-ctx")
-          (Obs.Trace.get_context ());
-        Obs.Trace.clear_context ();
+        Obs.Trace.with_context "outer-ctx" (fun () ->
+            (try Obs.Trace.with_context "inner-ctx" (fun () -> failwith "boom")
+             with Failure _ -> ());
+            Alcotest.(check (option string)) "outer restored" (Some "outer-ctx")
+              (Obs.Trace.get_context ()));
         Alcotest.(check bool) "cleared" true (Obs.Trace.get_context () = None))
   ]
 
@@ -502,7 +467,7 @@ let flight_tests =
   [ case "flight ring is bounded and keeps the newest events" (fun () ->
         Obs.Trace.arm_flight ~capacity:32 ();
         for i = 1 to 200 do
-          Obs.Trace.instant (Printf.sprintf "fl.%d" i)
+          Obs.Trace.with_span (Printf.sprintf "fl.%d" i) ignore
         done;
         Obs.Trace.disarm_flight ();
         let evs = Obs.Trace.flight_events () in
@@ -715,9 +680,15 @@ let search_journal_tests =
         Obs.Search.record_incumbent ~source:"t" ~score:1.0 ~edp:1.0
           ~design:some_design;
         Obs.Search.record_chunk ~source:"t" ~index:3 ~score:1.0;
-        for _ = 1 to (2 * Obs.Search.prune_sample) + 1 do
-          Obs.Search.record_prune ~source:"t" ~bound:5.0 ~design:some_design
+        (* As the searches do: journal every prune_sample-th prune and
+           fold the whole count in afterwards. *)
+        let prunes = (2 * Obs.Search.prune_sample) + 1 in
+        for i = 0 to prunes - 1 do
+          if i mod Obs.Search.prune_sample = 0 then
+            Obs.Search.record_sampled_prune ~source:"t" ~bound:5.0
+              ~design:some_design
         done;
+        Obs.Search.note_prunes prunes;
         let s = Obs.Search.summary () in
         Obs.Search.disarm ();
         Alcotest.(check int) "incumbents" 2 s.Obs.Search.incumbents;

@@ -25,11 +25,11 @@ let yield_tests =
     case "margins_ok accepts the solved pins and rejects weaker ones" (fun () ->
         let l = Opt.Yield.solve ~flavor:Finfet.Library.Hvt () in
         Alcotest.(check bool) "pins ok" true
-          (Opt.Yield.margins_ok ~flavor:Finfet.Library.Hvt
-             ~vddc:l.Opt.Yield.vddc_min ~vssc:0.0 ~vwl:l.Opt.Yield.vwl_min ());
+          (Oracle.Yield.margins_ok ~flavor:Finfet.Library.Hvt
+             ~vddc:l.Opt.Yield.vddc_min ~vssc:0.0 ~vwl:l.Opt.Yield.vwl_min);
         Alcotest.(check bool) "nominal fails" false
-          (Opt.Yield.margins_ok ~flavor:Finfet.Library.Hvt ~vddc:0.45 ~vssc:0.0
-             ~vwl:0.45 ()));
+          (Oracle.Yield.margins_ok ~flavor:Finfet.Library.Hvt ~vddc:0.45 ~vssc:0.0
+             ~vwl:0.45));
     case "SF corner demands a higher write level" (fun () ->
         let tt = Opt.Yield.solve ~flavor:Finfet.Library.Hvt () in
         let sf = Opt.Yield.solve ~corner:Finfet.Corners.SF ~flavor:Finfet.Library.Hvt () in

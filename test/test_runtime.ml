@@ -53,11 +53,6 @@ let pool_tests =
                      ~reduce:( ^ ) ~init:"" arr))
               [ 1; 2; 5; 64 ])
           [ 1; 3 ]);
-    case "map_list preserves order" (fun () ->
-        let l = List.init 19 (fun i -> i) in
-        Alcotest.(check (list int))
-          "order" (List.map succ l)
-          (Runtime.Pool.map_list (pool_of 4) succ l));
     case "exceptions propagate to the caller" (fun () ->
         let p = pool_of 3 in
         Alcotest.check_raises "raises" (Failure "boom") (fun () ->

@@ -138,12 +138,29 @@ let frame_tests =
 
 (* ----- protocol codecs (QCheck) ----- *)
 
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
+
+(* Queries [Opt.Space.check] accepts, by construction: strictly
+   monotone non-empty axes inside their domains, and a capacity that
+   holds the smallest n_r while its widest array, M / n_r columns of
+   w-bit words, needs at most 14 column address bits. *)
 let query_gen =
   let open QCheck.Gen in
-  let farr = small_list (float_range (-2.0) 2.0) >|= Array.of_list in
-  let iarr lo hi = small_list (int_range lo hi) >|= Array.of_list in
+  let grid ~order g =
+    list_size (int_range 1 8) g >|= List.sort_uniq order >|= Array.of_list
+  in
   let opt g = oneof [ return None; map Option.some g ] in
-  let* capacity_bits = map (fun e -> 1 lsl e) (int_range 0 24) in
+  let* vssc =
+    opt (grid ~order:(fun a b -> compare b a) (float_range (-0.24) 0.0))
+  in
+  let* nr = opt (grid ~order:compare (map (fun e -> 1 lsl e) (int_range 1 10))) in
+  let* n_pre = opt (grid ~order:compare (int_range 1 64)) in
+  let* n_wr = opt (grid ~order:compare (int_range 1 64)) in
+  let* w = map (fun e -> 1 lsl e) (int_range 0 9) in
+  let lo = log2 (match nr with Some a -> a.(0) | None -> 2) in
+  let* capacity_bits =
+    map (fun e -> 1 lsl e) (int_range lo (min 24 (lo + log2 w + 14)))
+  in
   let* flavor = oneofl [ Finfet.Library.Lvt; Finfet.Library.Hvt ] in
   let* method_ = oneofl [ Opt.Space.M1; Opt.Space.M2 ] in
   let* strategy =
@@ -161,11 +178,6 @@ let query_gen =
   let* accounting =
     oneofl [ Array_model.Array_eval.Paper_strict; Array_model.Array_eval.Physical ]
   in
-  let* w = int_range 1 512 in
-  let* vssc = opt farr in
-  let* nr = opt (iarr 16 1024) in
-  let* n_pre = opt (iarr 1 64) in
-  let* n_wr = opt (iarr 1 64) in
   return
     { P.capacity_bits; flavor; method_; strategy; rng_seed; objective;
       accounting; w; space = { P.vssc; nr; n_pre; n_wr } }
@@ -224,8 +236,85 @@ let rec json_eq a b =
          x y
   | _ -> false
 
+(* Query fields as a client might send them: any capacity and w, and
+   axes that are absent, hostile (NaN, +-inf, huge, empty, duplicated,
+   unsorted, 300 long) or contiguous runs of the default grid, so a
+   fair share of queries passes the check. *)
+let wild_query_gen =
+  let open QCheck.Gen in
+  let pow2 lo hi = map (fun e -> 1 lsl e) (int_range lo hi) in
+  let run_of values =
+    let n = Array.length values in
+    let* i = int_bound (n - 1) in
+    let* len = int_range 1 (n - i) in
+    return (Array.sub values i len)
+  in
+  let hostile g =
+    let* len = frequency [ (9, int_range 0 6); (1, return 300) ] in
+    array_size (return len) g
+  in
+  let axis name default g =
+    frequency
+      [ (2, return []);
+        (2, map (fun a -> [ (name, a) ]) (run_of default));
+        (1, map (fun a -> [ (name, a) ]) (hostile g)) ]
+  in
+  let d = Opt.Space.default in
+  let floats = Array.map (fun v -> J.Float v) in
+  let ints = Array.map (fun v -> J.Int v) in
+  let hostile_int =
+    oneof [ oneofl [ 0; -1; 3; max_int; min_int; 1 lsl 40 ]; pow2 0 16; int_range (-5) 100 ]
+  in
+  let* capacity_bits =
+    frequency [ (3, pow2 10 13); (1, pow2 0 30); (1, int); (1, int_range (-10) 10) ]
+  in
+  let* w = frequency [ (3, return 64); (2, pow2 0 12); (1, hostile_int) ] in
+  let* vssc =
+    axis "vssc_v" (floats d.Opt.Space.vssc_values)
+      (map (fun v -> J.Float v)
+         (oneof
+            [ oneofl [ Float.nan; Float.infinity; Float.neg_infinity; 1e308; -1e308; 5.0; -3.0; -0.0 ];
+              oneofa d.Opt.Space.vssc_values; float_range (-1.0) 1.0 ]))
+  in
+  let* nr = axis "nr" (ints d.Opt.Space.nr_values) (map (fun v -> J.Int v) hostile_int) in
+  let* n_pre = axis "n_pre" (ints d.Opt.Space.n_pre_values) (map (fun v -> J.Int v) hostile_int) in
+  let* n_wr = axis "n_wr" (ints d.Opt.Space.n_wr_values) (map (fun v -> J.Int v) hostile_int) in
+  let space =
+    match vssc @ nr @ n_pre @ n_wr with
+    | [] -> []
+    | axes ->
+      [ ("space", J.Obj (List.map (fun (k, a) -> (k, J.List (Array.to_list a))) axes)) ]
+  in
+  return
+    (J.Obj
+       [ ("id", J.Int 1); ("endpoint", J.String "optimize");
+         ("query",
+          J.Obj ([ ("capacity_bits", J.Int capacity_bits); ("w", J.Int w) ] @ space)) ])
+
 let protocol_tests =
   [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"wild queries are refused or answered, never raise"
+         ~count:200
+         (QCheck.make ~print:J.to_string wild_query_gen)
+         (fun j ->
+           match P.request_of_json j with
+           | exception e ->
+             QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e)
+           | Error _ -> true
+           | Ok { P.endpoint = P.Optimize q; _ } when q.P.capacity_bits <= 1024 * 8 -> (
+             let space =
+               if q.P.space = P.no_override then None
+               else Some (P.space_of_override q.P.space)
+             in
+             match
+               Sram_edp.Framework.optimize ?space ~w:q.P.w ~capacity_bits:q.P.capacity_bits
+                 ~config:{ Sram_edp.Framework.flavor = q.P.flavor; method_ = q.P.method_ } ()
+             with
+             | _ -> true
+             | exception e ->
+               QCheck.Test.fail_reportf "accepted query raised %s" (Printexc.to_string e))
+           | Ok _ -> true));
+ QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"requests round-trip bit-exactly" ~count:300
          (QCheck.make request_gen)
          (fun r ->
@@ -348,8 +437,89 @@ let contains ~needle haystack =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
+(* The server on a second thread of this process, so its flight
+   recorder's dump counter is this process's.  A thread, not a domain:
+   the forked-server tests cannot fork once a domain has been
+   spawned. *)
+let with_inprocess_server f =
+  Runtime.Pool.set_default_jobs 1;
+  let path = fresh_sock () in
+  let cfg =
+    { Serve.Server.default_config with
+      Serve.Server.socket_path = Some path;
+      install_signals = false;
+      flight_dir = Some (Filename.concat tmp_root "flight_inprocess") }
+  in
+  let server = Thread.create (fun () -> ignore (Serve.Server.run cfg)) () in
+  Fun.protect
+    ~finally:(fun () ->
+      (match Serve.Client.connect ~socket_path:path () with
+      | Ok c ->
+        ignore (Serve.Client.shutdown c);
+        Serve.Client.close c
+      | Error _ -> ());
+      Thread.join server)
+    (fun () ->
+      match Serve.Client.wait_ready ~socket_path:path () with
+      | Error e -> Alcotest.failf "server did not come up: %s" e
+      | Ok c -> Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f path))
+
+let read_response fd =
+  match F.read fd with
+  | Ok s -> Result.bind (J.of_string s) P.response_of_json
+  | Error e -> Error (F.error_to_string e)
+
+(* Each query the server must refuse at the boundary, with the field its
+   answer has to name. *)
+let refused_queries =
+  let kb n = string_of_int (n * 1024 * 8) in
+  let q ?(capacity = kb 16) fields =
+    Printf.sprintf "{\"capacity_bits\":%s%s}" capacity
+      (String.concat "" (List.map (fun f -> "," ^ f) fields))
+  in
+  [ (q [ {|"space":{"vssc_v":[5.0]}|} ], "space.vssc_v");
+    (q [ {|"space":{"vssc_v":[1e308]}|} ], "space.vssc_v");
+    (q [ {|"space":{"vssc_v":[-3.0]}|} ], "space.vssc_v");
+    (q [ {|"space":{"vssc_v":[0.0,-0.1,-0.1]}|} ], "space.vssc_v");
+    (q [ {|"space":{"vssc_v":[]}|} ], "space.vssc_v");
+    (q ~capacity:"67108864" [], "capacity_bits");
+    (q ~capacity:"1" [], "capacity_bits");
+    (q ~capacity:(kb 256) [ {|"w":1|} ], "w");
+    (q ~capacity:(kb 64) [ {|"w":2|} ], "w");
+    (q [ {|"w":3|} ], "w");
+    (q [ {|"w":0|} ], "w");
+    (q [ {|"space":{"nr":[32768]}|} ], "space.nr");
+    (q [ {|"space":{"nr":[]}|} ], "space.nr");
+    (q [ {|"space":{"nr":[3]}|} ], "space.nr");
+    (q [ {|"space":{"n_pre":[0]}|} ], "space.n_pre") ]
+
 let server_tests =
-  [ case "warm repeat answers bit-identically to the one-shot path"
+  [ case "refused queries answer bad_request naming the field" (fun () ->
+        with_inprocess_server (fun path ->
+            let dumps = Obs.Flight.dumps_written () in
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+                Unix.connect fd (Unix.ADDR_UNIX path);
+                List.iteri
+                  (fun id (query, field) ->
+                    let endpoint = if id mod 2 = 0 then "optimize" else "explain" in
+                    F.write fd
+                      (Printf.sprintf {|{"id":%d,"endpoint":"%s","query":%s}|} id endpoint query);
+                    match read_response fd with
+                    | Ok { P.body = Error (P.Bad_request, msg); _ } ->
+                      Alcotest.(check bool)
+                        (Printf.sprintf "%s names %s: %s" query field msg)
+                        true
+                        (String.starts_with ~prefix:("bad " ^ field ^ ": ") msg)
+                    | Ok _ -> Alcotest.failf "%s: expected bad_request" query
+                    | Error e -> Alcotest.failf "%s: no answer on the connection: %s" query e)
+                  refused_queries;
+                F.write fd {|{"id":99,"endpoint":"ping"}|};
+                (match read_response fd with
+                | Ok { P.body = Ok _; _ } -> ()
+                | _ -> Alcotest.fail "ping after the refusals");
+                Alcotest.(check int) "no flight dump" dumps (Obs.Flight.dumps_written ()))));
+ case "warm repeat answers bit-identically to the one-shot path"
       (fun () ->
         with_server (fun _path c ->
             let a = get (Serve.Client.optimize c reduced_query) in

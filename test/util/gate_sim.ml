@@ -167,3 +167,20 @@ let superbuffer_simulated_delay (driver : Gates.Superbuffer.t) ~c_load =
   measure_delay built
 
 let superbuffer_model_delay driver ~c_load = Gates.Superbuffer.delay driver ~c_load
+
+let build_sense_amp (sa : Gates.Sense_amp.t) =
+  let open Spice in
+  let n = Netlist.create () in
+  let vdd_node = Netlist.fresh_node n "vdd" in
+  let a = Netlist.fresh_node n "sa_plus" in
+  let b = Netlist.fresh_node n "sa_minus" in
+  let nfin = sa.Gates.Sense_amp.nfin in
+  let nfet = sa.Gates.Sense_amp.nfet and pfet = sa.Gates.Sense_amp.pfet in
+  Netlist.vdc n ~plus:vdd_node ~minus:Netlist.ground ~volts:Finfet.Tech.vdd_nominal;
+  Netlist.fet n ~params:pfet ~nfin ~gate:b ~drain:a ~source:vdd_node ();
+  Netlist.fet n ~params:nfet ~nfin ~gate:b ~drain:a ~source:Netlist.ground ();
+  Netlist.fet n ~params:pfet ~nfin ~gate:a ~drain:b ~source:vdd_node ();
+  Netlist.fet n ~params:nfet ~nfin ~gate:a ~drain:b ~source:Netlist.ground ();
+  Netlist.capacitor n ~plus:a ~minus:Netlist.ground ~farads:(Gates.Sense_amp.node_cap sa);
+  Netlist.capacitor n ~plus:b ~minus:Netlist.ground ~farads:(Gates.Sense_amp.node_cap sa);
+  (n, a, b)

@@ -69,3 +69,11 @@ val decoder_simulated_delay :
     {!Gates.Decoder.decode} in the test suite.  Note the structural path has no
     inserted buffers, so for large [bits] it is slower than the
     buffer-optimal LUT value; agreement is checked at moderate widths. *)
+
+val build_sense_amp :
+  Gates.Sense_amp.t ->
+  Spice.Netlist.t * Spice.Netlist.node * Spice.Netlist.node
+(** The sense amplifier's cross-coupled latch, each internal node loaded
+    by {!Gates.Sense_amp.node_cap}; returns (netlist, node_plus,
+    node_minus).  The caller pre-splits the two nodes around Vdd/2
+    through {!Spice.Transient.run}'s initial conditions. *)

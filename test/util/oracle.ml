@@ -432,3 +432,12 @@ module Periphery = struct
     let grid = Array_model.Periphery.vwl_grid in
     Numerics.Interp.Table1d.create grid (Array.map delay_at grid)
 end
+
+module Yield = struct
+  let margins_ok ~flavor ~vddc ~vssc ~vwl =
+    let delta = Finfet.Tech.min_margin and points = 81 in
+    let cell = Opt.Yield.cell_of flavor in
+    Sram_cell.Margins.hold_snm ~points ~cell Finfet.Tech.vdd_nominal >= delta
+    && Opt.Yield.rsnm_at ~points ~flavor ~vddc ~vssc () >= delta
+    && Sram_cell.Margins.write_margin ~cell (Sram_cell.Sram6t.write0 ~vwl ()) >= delta
+end

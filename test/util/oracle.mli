@@ -70,3 +70,12 @@ module Periphery : sig
   (** The write-delay LUT with every grid level simulated up front by
       {!Dynamics.write_delay}. *)
 end
+
+module Yield : sig
+  val margins_ok :
+    flavor:Finfet.Library.flavor -> vddc:float -> vssc:float -> vwl:float -> bool
+  (** The simplified constraint of Section 4 re-checked from scratch at
+      81 points: min(HSNM, RSNM, WM) >= the technology margin for the
+      given assist levels, independently of {!Opt.Yield.solve}'s
+      bisections. *)
+end

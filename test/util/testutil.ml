@@ -29,6 +29,19 @@ let check_decreasing ?(strict = false) msg xs =
         xs.(i) xs.(i + 1)
   done
 
+let value_at (tr : Spice.Transient.trace) ~node ~time =
+  let times = tr.Spice.Transient.times and vs = tr.Spice.Transient.voltages in
+  let n = Array.length times in
+  if time <= times.(0) then vs.(0).(node)
+  else if time >= times.(n - 1) then vs.(n - 1).(node)
+  else begin
+    let rec find k = if times.(k) >= time then k else find (k + 1) in
+    let k = find 1 in
+    let t0 = times.(k - 1) and t1 = times.(k) in
+    let v0 = vs.(k - 1).(node) and v1 = vs.(k).(node) in
+    if t1 = t0 then v1 else v0 +. ((v1 -. v0) *. ((time -. t0) /. (t1 -. t0)))
+  end
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 

@@ -13,6 +13,10 @@ val check_within : string -> lo:float -> hi:float -> float -> unit
 val check_increasing : ?strict:bool -> string -> float array -> unit
 val check_decreasing : ?strict:bool -> string -> float array -> unit
 
+val value_at : Spice.Transient.trace -> node:Spice.Netlist.node -> time:float -> float
+(** Linear interpolation of a node voltage at an arbitrary time, held at
+    the end values outside the trace's window. *)
+
 val case : string -> (unit -> unit) -> unit Alcotest.test_case
 (** Quick test case shorthand. *)
 
