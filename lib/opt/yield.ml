@@ -98,11 +98,29 @@ let solve_uncached ?(delta = Finfet.Tech.min_margin) ?(points = 81) ?corner
     end
   in
   (* WM(v_wl) = v_wl - minimum flipping level, so the minimum write level
-     is one bisection of the flip point away. *)
-  let flip =
-    Sram_cell.Margins.minimum_flipping_vwl ~cell (Sram_cell.Sram6t.write0 ())
+     is the flip point (the bisection of Margins.minimum_flipping_vwl over
+     [0, vdd + 0.4] to 1 mV) plus delta, snapped up.  [pin] is monotone
+     in IEEE arithmetic (every operation in it preserves order), and each
+     later [hi] of the bisection lies in the current [lo, hi]: once both
+     ends pin to the same level, no further probe can move the answer. *)
+  let pin v = max vdd (snap_up (v +. delta)) in
+  let write = Sram_cell.Sram6t.write0 () in
+  let flips vwl = Sram_cell.Margins.flips_at_vwl ~cell write ~vwl in
+  let top = vdd +. 0.4 in
+  let vwl_min =
+    if not (flips top) then pin top
+    else if flips 0.0 then pin 0.0
+    else begin
+      let rec bisect lo hi =
+        if hi -. lo < 1e-3 || Float.equal (pin lo) (pin hi) then pin hi
+        else begin
+          let mid = 0.5 *. (lo +. hi) in
+          if flips mid then bisect lo mid else bisect mid hi
+        end
+      in
+      bisect 0.0 top
+    end
   in
-  let vwl_min = max vdd (snap_up (flip +. delta)) in
   let hsnm_nominal = Sram_cell.Margins.hold_snm ~points ~cell vdd in
   { vddc_min; vwl_min; hsnm_nominal }
 

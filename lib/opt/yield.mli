@@ -45,8 +45,10 @@ val solve :
     point in (Vdd, {!vddc_max}] with RSNM >= delta is found by bisecting
     the grid itself (6-7 butterflies; the top point is traced only when
     every midpoint fails), or Vdd when it already passes.
-    V_WL: a continuous bisection of the write flip point, snapped up to
-    the grid.
+    V_WL: the write flip point ({!Sram_cell.Margins.flips_at_vwl}
+    bisected over [0, Vdd + 0.4] to 1 mV) plus [delta], snapped up to the
+    grid; the bisection stops as soon as both ends of its bracket give
+    the same grid level, which is then the pin.
 
     [corner] / [celsius] solve the pins for a derated cell instead of the
     nominal one — the corner-aware flow the PVT signoff example motivates:

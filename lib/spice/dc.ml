@@ -251,7 +251,11 @@ let sparse_step c ~companions x neg_f =
 
 let sparse_dimension_threshold = 80
 
-let solve_scaled c ~at_time ~source_scale ~companions ~x0 =
+(* Newton's iteration limit per attempt: the direct attempt's default
+   and every source-stepping step's. *)
+let max_iterations = 150
+
+let solve_scaled c ~at_time ~source_scale ~companions ~max_iter ~x0 =
   c.source_scale <- source_scale;
   Array.iteri
     (fun k w -> c.targets.(k) <- source_scale *. Netlist.waveform_at w at_time)
@@ -260,7 +264,7 @@ let solve_scaled c ~at_time ~source_scale ~companions ~x0 =
     if c.dim >= sparse_dimension_threshold then sparse_step c ~companions
     else dense_step c ~companions
   in
-  Numerics.Newton.solve_custom ~tol:1e-12 ~max_iter:150 ~max_step:0.15
+  Numerics.Newton.solve_custom ~tol:1e-12 ~max_iter ~max_step:0.15
     ~residual:(residual c ~companions) ~solve_step ~x0 ()
 
 let unpack c (result : Numerics.Newton.result) ~iterations =
@@ -273,12 +277,27 @@ let unpack c (result : Numerics.Newton.result) ~iterations =
     converged = result.Numerics.Newton.converged;
     iterations }
 
-let solve ?x0 ?(at_time = 0.0) ?companions c =
+let c_solves = Runtime.Telemetry.counter "dc.solves"
+let c_iterations = Runtime.Telemetry.counter "dc.newton_iterations"
+let c_direct_failures = Runtime.Telemetry.counter "dc.direct_failures"
+let c_unconverged = Runtime.Telemetry.counter "dc.unconverged"
+
+let counted s =
+  Runtime.Telemetry.incr c_solves;
+  Runtime.Telemetry.add c_iterations s.iterations;
+  if not s.converged then Runtime.Telemetry.incr c_unconverged;
+  s
+
+let solve ?x0 ?(at_time = 0.0) ?companions ?(direct_iterations = max_iterations) c =
   let start = match x0 with Some v -> v | None -> Array.make c.dim 0.0 in
-  let direct = solve_scaled c ~at_time ~source_scale:1.0 ~companions ~x0:start in
+  let direct =
+    solve_scaled c ~at_time ~source_scale:1.0 ~companions ~max_iter:direct_iterations
+      ~x0:start
+  in
   if direct.Numerics.Newton.converged then
-    unpack c direct ~iterations:direct.Numerics.Newton.iterations
+    counted (unpack c direct ~iterations:direct.Numerics.Newton.iterations)
   else begin
+    Runtime.Telemetry.incr c_direct_failures;
     (* Source stepping: ramp every source from zero, warm-starting. *)
     let scales = [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 ] in
     let x = ref (Array.make c.dim 0.0) in
@@ -286,15 +305,19 @@ let solve ?x0 ?(at_time = 0.0) ?companions c =
     let last = ref direct in
     List.iter
       (fun scale ->
-        let r = solve_scaled c ~at_time ~source_scale:scale ~companions ~x0:!x in
+        let r =
+          solve_scaled c ~at_time ~source_scale:scale ~companions ~max_iter:max_iterations
+            ~x0:!x
+        in
         total := !total + r.Numerics.Newton.iterations;
         x := r.Numerics.Newton.x;
         last := r)
       scales;
-    unpack c !last ~iterations:!total
+    counted (unpack c !last ~iterations:!total)
   end
 
-let operating_point ?x0 ?at_time netlist = solve ?x0 ?at_time (compile netlist)
+let operating_point ?x0 ?at_time ?direct_iterations netlist =
+  solve ?x0 ?at_time ?direct_iterations (compile netlist)
 
 let solution_vector s =
   Array.append (Array.sub s.voltages 1 (Array.length s.voltages - 1)) s.source_currents

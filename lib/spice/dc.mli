@@ -4,8 +4,18 @@
     Unknowns are the non-ground node voltages plus one branch current per
     voltage source (modified nodal analysis).  The nonlinear system is
     solved by damped Newton with a voltage-scale trust region; when the
-    flat start fails to converge, the solver ramps all sources from zero
-    (source stepping), warm-starting each step. *)
+    direct attempt (from [x0], or a flat start) fails to converge within
+    its iteration limit, the solver ramps all sources from zero (source
+    stepping), warm-starting each step.  Every Newton attempt is limited
+    to 150 iterations, except that a caller may cap the direct one lower
+    ([?direct_iterations]): source stepping starts from zero whatever
+    the direct attempt did, so a cap only decides how long a direct
+    attempt that would fail anyway runs first.
+
+    Each solve bumps the {!Runtime.Telemetry} counters [dc.solves],
+    [dc.newton_iterations] (all attempts), [dc.direct_failures] (the
+    direct attempt did not converge) and [dc.unconverged] (neither did
+    source stepping: the returned iterate is no operating point). *)
 
 type solution = {
   voltages : float array;
@@ -14,6 +24,8 @@ type solution = {
       (** One per voltage source, in netlist insertion order; positive
           current flows into the + terminal and through the source. *)
   converged : bool;
+      (** False when source stepping's last step did not converge either;
+          the voltages are then Newton's last iterate, not an answer. *)
   iterations : int;  (** Total Newton iterations across all ramp steps. *)
 }
 
@@ -22,10 +34,12 @@ val gmin : float
     gates are well-posed. *)
 
 val operating_point :
-  ?x0:float array -> ?at_time:float -> Netlist.t -> solution
+  ?x0:float array -> ?at_time:float -> ?direct_iterations:int -> Netlist.t ->
+  solution
 (** Solve the operating point with sources evaluated at [at_time]
     (default 0).  [x0] warm-starts the Newton iteration (layout: node
-    voltages 1..n-1, then source currents).
+    voltages 1..n-1, then source currents).  [direct_iterations]
+    (default 150) limits the direct attempt before source stepping.
     @raise Invalid_argument if the netlist fails {!Netlist.validate}. *)
 
 val solution_vector : solution -> float array
@@ -62,7 +76,7 @@ type companion = { g_eq : float; v_hist : float }
 
 val solve :
   ?x0:float array -> ?at_time:float -> ?companions:companion array ->
-  compiled -> solution
+  ?direct_iterations:int -> compiled -> solution
 (** The operating point of a compiled netlist, as {!operating_point}.
     With [companions], every capacitor is replaced by its companion
     model, in netlist insertion order ({!Transient}'s time step);

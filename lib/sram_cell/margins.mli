@@ -21,7 +21,12 @@ val read_snm :
 val flips_at_vwl :
   cell:Finfet.Variation.cell_sample -> Sram6t.condition -> vwl:float -> bool
 (** Does a write-0 attempt at the given WL level flip a cell holding 1?
-    The bitline levels come from the condition; [vwl] overrides its WL. *)
+    The bitline levels come from the condition; [vwl] overrides its WL.
+    A {!Sram6t.solve_state} started on the '1' state decides: flipped
+    when it settles with Q below QB.  When it is {!Sram6t.Unsettled},
+    the write-mode butterfly (WL on, 81 points) decides instead: flipped
+    when its Q-high lobe ([lobe_low]) is 0.  Each such probe bumps the
+    [margins.butterfly_fallbacks] counter. *)
 
 val minimum_flipping_vwl :
   ?tol:float ->

@@ -69,6 +69,17 @@ let build ?(with_node_caps = false) ?wl_wave ~cell condition =
   end;
   (n, { q; qb; cvdd; cvss; wl; bl; blb })
 
+type state = Settled of float * float | Unsettled
+
+(* Above the flip point the state [q_init] asks for no longer exists:
+   Newton started there stalls (most steps exhaust the line search's
+   halvings) until its iteration limit, and only source stepping from
+   zero, which ignores the start, settles the cell.  Direct attempts that
+   succeed on the cold path take 1-7 iterations; the rare one that would
+   take more is left to source stepping, and when that does not converge
+   either the solve is [Unsettled]. *)
+let direct_iterations = 20
+
 let solve_state ?(q_init = 0.0) ~cell condition =
   let netlist, nodes = build ~cell condition in
   (* Warm-start the bistable solve on the intended lobe: Q at [q_init],
@@ -87,8 +98,10 @@ let solve_state ?(q_init = 0.0) ~cell condition =
   x0.(nodes.wl - 1) <- condition.vwl;
   x0.(nodes.bl - 1) <- condition.vbl;
   x0.(nodes.blb - 1) <- condition.vblb;
-  let s = Spice.Dc.operating_point ~x0 netlist in
-  (Spice.Dc.node_voltage s nodes.q, Spice.Dc.node_voltage s nodes.qb)
+  let s = Spice.Dc.operating_point ~x0 ~direct_iterations netlist in
+  if s.Spice.Dc.converged then
+    Settled (Spice.Dc.node_voltage s nodes.q, Spice.Dc.node_voltage s nodes.qb)
+  else Unsettled
 
 let build_half_vtc ~cell ~side ~access_on condition ~vin =
   let open Spice in

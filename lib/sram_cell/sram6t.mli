@@ -53,15 +53,24 @@ val storage_node_cap : Finfet.Variation.cell_sample -> float
 (** Lumped capacitance of one storage node: local drain junctions plus the
     opposite inverter's gate load. *)
 
+type state =
+  | Settled of float * float  (** (V_Q, V_QB) of a converged solve *)
+  | Unsettled
+      (** Neither Newton's direct attempt nor source stepping converged:
+          no voltages are given, since the last iterate is no answer. *)
+
 val solve_state :
   ?q_init:float ->
   cell:Finfet.Variation.cell_sample ->
   condition ->
-  (float * float)
-(** DC solve of the cell returning (V_Q, V_QB).  [q_init] biases the
-    Newton start so the intended lobe of the bistable solution is found
-    (default: Q low).  The complementary node starts at the opposite
-    rail. *)
+  state
+(** DC solve of the cell.  [q_init] biases the Newton start so the
+    intended lobe of the bistable solution is found (default: Q low).
+    The complementary node starts at the opposite rail.  The direct
+    attempt is capped at 20 Newton iterations, not the solver's 150:
+    when the requested state no longer exists (a write probe above the
+    flip point), that attempt only stalls, and source stepping from zero
+    settles the cell instead. *)
 
 val build_half_vtc :
   cell:Finfet.Variation.cell_sample ->

@@ -71,6 +71,30 @@ let yield_tests =
                      grid))
               [ Finfet.Corners.TT; Finfet.Corners.FS; Finfet.Corners.SF ])
           [ Finfet.Library.Hvt; Finfet.Library.Lvt ]);
+    (* [Yield.solve] stops the flip bisection once both ends of its
+       bracket pin to the same level; the pin must equal the one the full
+       1 mV bisection gives. *)
+    case "V_WL pin equals the snapped full flip bisection over the PVT box" (fun () ->
+        let vdd = Finfet.Tech.vdd_nominal and delta = Finfet.Tech.min_margin in
+        let infeasible =
+          List.filter_map
+            (fun (where, flavor, corner, celsius) ->
+              match Opt.Yield.solve ~corner ~celsius ~flavor () with
+              | l ->
+                let cell = Opt.Yield.cell_of ~corner ~celsius flavor in
+                let flip =
+                  Sram_cell.Margins.minimum_flipping_vwl ~cell (Sram_cell.Sram6t.write0 ())
+                in
+                Alcotest.(check int64) ("vwl_min " ^ where)
+                  (Int64.bits_of_float (max vdd (Opt.Yield.snap_up (flip +. delta))))
+                  (Int64.bits_of_float l.Opt.Yield.vwl_min);
+                None
+              | exception Opt.Yield.Infeasible _ -> Some where)
+            pvt_box
+        in
+        Alcotest.(check (list string)) "infeasible conditions"
+          [ "LVT/TT/125"; "LVT/FF/85"; "LVT/FF/125"; "LVT/FS/85"; "LVT/FS/125" ]
+          infeasible);
     case "an unreachable read margin raises a typed Infeasible" (fun () ->
         match
           Opt.Yield.solve ~corner:Finfet.Corners.TT ~celsius:125.0 ~flavor:Finfet.Library.Lvt ()

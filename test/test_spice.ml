@@ -513,7 +513,8 @@ let capacitors spec =
     (List.filter (function Spice.Netlist.Capacitor _ -> true | _ -> false) spec.elements)
 
 (* Solve options: companions for every capacitor (or none, leaving them
-   open), the time sources are read at, and a warm start. *)
+   open), the time sources are read at, a warm start, and the direct
+   attempt's iteration cap (the bistable cell's 20, or the default). *)
 let case_gen spec_gen =
   let open QCheck.Gen in
   let* spec = spec_gen in
@@ -526,12 +527,14 @@ let case_gen spec_gen =
             (float_range 1e-6 1e-2) (float_range (-0.1) 0.9)))
   in
   let* at_time = float_range 0.0 4e-12 in
-  let+ x0 = opt (array_repeat dim (float_range (-0.2) 0.9)) in
-  (spec, companions, at_time, x0)
+  let* x0 = opt (array_repeat dim (float_range (-0.2) 0.9)) in
+  let+ direct_iterations = oneofl [ 20; 150 ] in
+  (spec, companions, at_time, x0, direct_iterations)
 
-let print_case (spec, companions, at_time, x0) =
-  Printf.sprintf "%s\ncompanions: %b, at_time %g, warm start: %b"
+let print_case (spec, companions, at_time, x0, direct_iterations) =
+  Printf.sprintf "%s\ncompanions: %b, at_time %g, warm start: %b, direct cap %d"
     (Spice.Deck.print (build spec)) (Option.is_some companions) at_time (Option.is_some x0)
+    direct_iterations
 
 let bits = Array.map Int64.bits_of_float
 
@@ -541,13 +544,17 @@ let same_solution (a : Spice.Dc.solution) (b : Spice.Dc.solution) =
   && bits a.Spice.Dc.voltages = bits b.Spice.Dc.voltages
   && bits a.Spice.Dc.source_currents = bits b.Spice.Dc.source_currents
 
-let solve_matches (spec, companions, at_time, x0) =
+let solve_matches (spec, companions, at_time, x0, direct_iterations) =
   let netlist = build spec in
-  let compiled = Spice.Dc.solve ?x0 ~at_time ?companions (Spice.Dc.compile netlist) in
+  let compiled =
+    Spice.Dc.solve ?x0 ~at_time ?companions ~direct_iterations (Spice.Dc.compile netlist)
+  in
   let oracle =
     match companions with
-    | Some companions -> Oracle.Dc.operating_point_companioned ?x0 ~at_time ~companions netlist
-    | None -> Oracle.Dc.operating_point ?x0 ~at_time netlist
+    | Some companions ->
+      Oracle.Dc.operating_point_companioned ?x0 ~direct_iterations ~at_time ~companions
+        netlist
+    | None -> Oracle.Dc.operating_point ?x0 ~at_time ~direct_iterations netlist
   in
   same_solution compiled oracle
 

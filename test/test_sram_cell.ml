@@ -35,14 +35,19 @@ let condition_tests =
         check_close "blb" vdd c.Sram_cell.Sram6t.vblb;
         check_close "vwl" 0.54 c.Sram_cell.Sram6t.vwl) ]
 
+let settled ?q_init condition =
+  match Sram_cell.Sram6t.solve_state ?q_init ~cell:hvt condition with
+  | Sram_cell.Sram6t.Settled (q, qb) -> (q, qb)
+  | Sram_cell.Sram6t.Unsettled -> Alcotest.fail "cell solve did not converge"
+
 let state_tests =
   [ case "hold state is bistable" (fun () ->
-        let q0, qb0 = Sram_cell.Sram6t.solve_state ~q_init:0.0 ~cell:hvt (Sram_cell.Sram6t.hold ()) in
-        let q1, qb1 = Sram_cell.Sram6t.solve_state ~q_init:vdd ~cell:hvt (Sram_cell.Sram6t.hold ()) in
+        let q0, qb0 = settled ~q_init:0.0 (Sram_cell.Sram6t.hold ()) in
+        let q1, qb1 = settled ~q_init:vdd (Sram_cell.Sram6t.hold ()) in
         Alcotest.(check bool) "lobe 0" true (q0 < 0.1 *. vdd && qb0 > 0.9 *. vdd);
         Alcotest.(check bool) "lobe 1" true (q1 > 0.9 *. vdd && qb1 < 0.1 *. vdd));
     case "read disturbs but does not flip the nominal cell" (fun () ->
-        let q, qb = Sram_cell.Sram6t.solve_state ~q_init:0.0 ~cell:hvt (Sram_cell.Sram6t.read ()) in
+        let q, qb = settled ~q_init:0.0 (Sram_cell.Sram6t.read ()) in
         Alcotest.(check bool) "still holds 0" true (q < qb);
         Alcotest.(check bool) "bump above ground" true (q > 0.0));
     case "storage node cap sums the attached terminals" (fun () ->
@@ -128,8 +133,87 @@ let butterfly_tests =
         in
         Alcotest.(check bool) "wlud stabilizes" true (low > nom)) ]
 
+(* The PVT box's labelled corner cells. *)
+let pvt_box =
+  List.map
+    (fun (where, flavor, corner, celsius) -> (where, Opt.Yield.cell_of ~corner ~celsius flavor))
+    Testutil.pvt_box
+
+(* Does a 5 mV V_WL scan upward from [lo] ([steps] steps) find a write
+   probe that does not flip above one that does? *)
+let unflips ~cell ~lo ~steps =
+  let write = Sram_cell.Sram6t.write0 () in
+  let rec scan k flipped =
+    k <= steps
+    &&
+    let vwl = lo +. (0.005 *. float_of_int k) in
+    let f = Sram_cell.Margins.flips_at_vwl ~cell write ~vwl in
+    (flipped && not f) || scan (k + 1) (flipped || f)
+  in
+  scan 0 false
+
+(* [f ()] with the DC solves it leaves unconverged and the flip probes
+   the write butterfly decides, from the process-wide counters. *)
+let with_fallbacks f =
+  let unconverged = Runtime.Telemetry.counter "dc.unconverged"
+  and fallbacks = Runtime.Telemetry.counter "margins.butterfly_fallbacks" in
+  let u0 = Runtime.Telemetry.value unconverged
+  and f0 = Runtime.Telemetry.value fallbacks in
+  let r = f () in
+  (r, Runtime.Telemetry.value unconverged - u0, Runtime.Telemetry.value fallbacks - f0)
+
 let write_tests =
-  [ case "cell flips above the minimum WL level and not below" (fun () ->
+  [ case "write butterfly's Q-high lobe closes where Newton flips" (fun () ->
+        (* The rule an unsettled flip probe is decided by, checked where
+           Newton settles on both sides of the nominal HVT flip point. *)
+        List.iter
+          (fun (vwl, flipped) ->
+            let c = Sram_cell.Sram6t.write0 ~vwl () in
+            let lobe =
+              (Sram_cell.Butterfly.snm_of_butterfly
+                 (Sram_cell.Butterfly.trace ~cell:hvt ~access_on:true c))
+                .Sram_cell.Butterfly.lobe_low
+            in
+            let q, qb = settled ~q_init:vdd c in
+            Alcotest.(check bool) (Printf.sprintf "Newton flips at %g V" vwl) flipped (q < qb);
+            Alcotest.(check bool) (Printf.sprintf "lobe closed at %g V" vwl) flipped
+              (lobe <= 0.0))
+          [ (0.386, false); (0.387, true) ]);
+    case "flip predicate is monotone in V_WL over the PVT box" (fun () ->
+        let bad, unconverged, fallbacks =
+          with_fallbacks (fun () ->
+              List.filter_map
+                (fun (where, cell) ->
+                  if unflips ~cell ~lo:0.0 ~steps:170 then Some where else None)
+                pvt_box)
+        in
+        Alcotest.(check (list string)) "flips, then un-flips" [] bad;
+        Alcotest.(check int) "each unconverged solve decided by the butterfly" unconverged
+          fallbacks;
+        Alcotest.(check bool) "some probes need the butterfly" true (fallbacks > 0));
+    case "flip predicate is monotone on Monte Carlo cells" (fun () ->
+        let bad, unconverged, fallbacks =
+          with_fallbacks (fun () ->
+              List.concat_map
+                (fun flavor ->
+                  let rng = Numerics.Rng.create ~seed:7 in
+                  List.filter_map
+                    (fun i ->
+                      let cell =
+                        Finfet.Variation.sample_cell rng
+                          ~nfet:(Finfet.Library.nfet lib flavor)
+                          ~pfet:(Finfet.Library.pfet lib flavor)
+                      in
+                      if unflips ~cell ~lo:0.20 ~steps:80 then
+                        Some (Printf.sprintf "%s #%d" (Finfet.Library.flavor_to_string flavor) i)
+                      else None)
+                    (List.init 30 Fun.id))
+                [ Finfet.Library.Lvt; Finfet.Library.Hvt ])
+        in
+        Alcotest.(check (list string)) "flips, then un-flips" [] bad;
+        Alcotest.(check int) "each unconverged solve decided by the butterfly" unconverged
+          fallbacks);
+    case "cell flips above the minimum WL level and not below" (fun () ->
         let c = Sram_cell.Sram6t.write0 () in
         let flip = Sram_cell.Margins.minimum_flipping_vwl ~cell:hvt c in
         Alcotest.(check bool) "below holds" false
@@ -370,32 +454,20 @@ let oracle_tests =
             (lvt, `Left, false, Sram_cell.Sram6t.hold ~vdd:0.40 ()) ]);
     case "one-sweep RSNM and HSNM equal the two-sweep oracle over the PVT box" (fun () ->
         List.iter
-          (fun flavor ->
+          (fun (where, cell) ->
             List.iter
-              (fun corner ->
-                List.iter
-                  (fun celsius ->
-                    let cell = Opt.Yield.cell_of ~corner ~celsius flavor in
-                    let where =
-                      Printf.sprintf "%s %s %g C" (Finfet.Library.flavor_to_string flavor)
-                        (Finfet.Corners.name corner) celsius
-                    in
-                    List.iter
-                      (fun vddc ->
-                        let condition = Sram_cell.Sram6t.read ~vddc () in
-                        Alcotest.(check int64)
-                          (Printf.sprintf "RSNM %s at %g V" where vddc)
-                          (Int64.bits_of_float
-                             (Oracle.Butterfly.snm ~cell ~access_on:true condition))
-                          (Int64.bits_of_float (Sram_cell.Margins.read_snm ~cell condition)))
-                      [ 0.45; 0.55; 0.70 ];
-                    let hold = Sram_cell.Sram6t.hold () in
-                    Alcotest.(check int64) ("HSNM " ^ where)
-                      (Int64.bits_of_float (Oracle.Butterfly.snm ~cell ~access_on:false hold))
-                      (Int64.bits_of_float (Sram_cell.Margins.hold_snm ~cell vdd)))
-                  [ -40.0; 25.0; 85.0; 125.0 ])
-              Finfet.Corners.all)
-          [ Finfet.Library.Lvt; Finfet.Library.Hvt ]);
+              (fun vddc ->
+                let condition = Sram_cell.Sram6t.read ~vddc () in
+                Alcotest.(check int64)
+                  (Printf.sprintf "RSNM %s at %g V" where vddc)
+                  (Int64.bits_of_float (Oracle.Butterfly.snm ~cell ~access_on:true condition))
+                  (Int64.bits_of_float (Sram_cell.Margins.read_snm ~cell condition)))
+              [ 0.45; 0.55; 0.70 ];
+            let hold = Sram_cell.Sram6t.hold () in
+            Alcotest.(check int64) ("HSNM " ^ where)
+              (Int64.bits_of_float (Oracle.Butterfly.snm ~cell ~access_on:false hold))
+              (Int64.bits_of_float (Sram_cell.Margins.hold_snm ~cell vdd)))
+          pvt_box);
     case "trace shares one curve only between identical halves" (fun () ->
         let shared =
           Sram_cell.Butterfly.trace ~cell:hvt ~access_on:true (Sram_cell.Sram6t.read ())

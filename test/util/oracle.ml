@@ -282,14 +282,14 @@ module Dc = struct
     in
     attempt 0.0
 
-  let solve_scaled ~netlist ~at_time ~source_scale ~companions ~x0 =
+  let solve_scaled ~max_iter ~netlist ~at_time ~source_scale ~companions ~x0 =
     let residual = residual ~netlist ~at_time ~source_scale ~companions in
     let solve_step =
       if Array.length x0 >= 80 then sparse_step ~netlist ~companions
       else fun x neg_f ->
         Newton.solve_linear_regularized (jacobian ~netlist ~companions x) neg_f
     in
-    Newton.solve_custom ~tol:1e-12 ~max_iter:150 ~max_step:0.15 ~residual ~solve_step ~x0
+    Newton.solve_custom ~tol:1e-12 ~max_iter ~max_step:0.15 ~residual ~solve_step ~x0
 
   let unpack netlist (result : Numerics.Newton.result) ~iterations =
     let n = Netlist.num_nodes netlist in
@@ -301,13 +301,17 @@ module Dc = struct
     { Dc.voltages; source_currents; converged = result.Numerics.Newton.converged;
       iterations }
 
-  let solve_with_companions ?x0 ?(at_time = 0.0) ~companions netlist =
+  let solve_with_companions ?x0 ?(at_time = 0.0) ?(direct_iterations = 150) ~companions
+      netlist =
     (match Netlist.validate netlist with
      | Ok () -> ()
      | Error msg -> invalid_arg ("Dc.operating_point: " ^ msg));
     let dim = dimension netlist in
     let start = match x0 with Some v -> Array.copy v | None -> Array.make dim 0.0 in
-    let direct = solve_scaled ~netlist ~at_time ~source_scale:1.0 ~companions ~x0:start in
+    let direct =
+      solve_scaled ~max_iter:direct_iterations ~netlist ~at_time ~source_scale:1.0
+        ~companions ~x0:start
+    in
     if direct.Numerics.Newton.converged then
       unpack netlist direct ~iterations:direct.Numerics.Newton.iterations
     else begin
@@ -316,7 +320,10 @@ module Dc = struct
       let last = ref direct in
       List.iter
         (fun scale ->
-          let r = solve_scaled ~netlist ~at_time ~source_scale:scale ~companions ~x0:!x in
+          let r =
+            solve_scaled ~max_iter:150 ~netlist ~at_time ~source_scale:scale ~companions
+              ~x0:!x
+          in
           total := !total + r.Numerics.Newton.iterations;
           x := r.Numerics.Newton.x;
           last := r)
@@ -324,11 +331,12 @@ module Dc = struct
       unpack netlist !last ~iterations:!total
     end
 
-  let operating_point ?x0 ?at_time netlist =
-    solve_with_companions ?x0 ?at_time ~companions:None netlist
+  let operating_point ?x0 ?at_time ?direct_iterations netlist =
+    solve_with_companions ?x0 ?at_time ?direct_iterations ~companions:None netlist
 
-  let operating_point_companioned ?x0 ~at_time ~companions netlist =
-    solve_with_companions ?x0 ~at_time ~companions:(Some companions) netlist
+  let operating_point_companioned ?x0 ?direct_iterations ~at_time ~companions netlist =
+    solve_with_companions ?x0 ~at_time ?direct_iterations ~companions:(Some companions)
+      netlist
 
   let sweep ~build ~points =
     let prev = ref None in

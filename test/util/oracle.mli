@@ -23,13 +23,16 @@ end
 
 module Dc : sig
   val operating_point :
-    ?x0:float array -> ?at_time:float -> Spice.Netlist.t -> Spice.Dc.solution
+    ?x0:float array -> ?at_time:float -> ?direct_iterations:int -> Spice.Netlist.t ->
+    Spice.Dc.solution
   (** List-walking MNA assembly, rebuilt on every Newton iteration, with
-      the same source stepping as {!Spice.Dc.operating_point}. *)
+      the same source stepping as {!Spice.Dc.operating_point}, and the
+      same optional cap on the direct attempt (default 150 iterations,
+      the limit of every source-stepping step). *)
 
   val operating_point_companioned :
-    ?x0:float array -> at_time:float -> companions:Spice.Dc.companion array ->
-    Spice.Netlist.t -> Spice.Dc.solution
+    ?x0:float array -> ?direct_iterations:int -> at_time:float ->
+    companions:Spice.Dc.companion array -> Spice.Netlist.t -> Spice.Dc.solution
 
   val sweep :
     build:(float -> Spice.Netlist.t) -> points:float array -> Spice.Dc.solution array

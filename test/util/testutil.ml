@@ -42,6 +42,22 @@ let value_at (tr : Spice.Transient.trace) ~node ~time =
     if t1 = t0 then v1 else v0 +. ((v1 -. v0) *. ((time -. t0) /. (t1 -. t0)))
   end
 
+let pvt_box =
+  List.concat_map
+    (fun flavor ->
+      List.concat_map
+        (fun corner ->
+          List.map
+            (fun celsius ->
+              ( Printf.sprintf "%s/%s/%g" (Finfet.Library.flavor_to_string flavor)
+                  (Finfet.Corners.name corner) celsius,
+                flavor,
+                corner,
+                celsius ))
+            [ -40.0; 25.0; 85.0; 125.0 ])
+        Finfet.Corners.all)
+    [ Finfet.Library.Lvt; Finfet.Library.Hvt ]
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 

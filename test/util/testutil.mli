@@ -17,6 +17,11 @@ val value_at : Spice.Transient.trace -> node:Spice.Netlist.node -> time:float ->
 (** Linear interpolation of a node voltage at an arbitrary time, held at
     the end values outside the trace's window. *)
 
+val pvt_box :
+  (string * Finfet.Library.flavor * Finfet.Corners.corner * float) list
+(** Both flavors x the five corners x {-40, 25, 85, 125} C, each with its
+    label, e.g. ["LVT/SF/-40"]. *)
+
 val case : string -> (unit -> unit) -> unit Alcotest.test_case
 (** Quick test case shorthand. *)
 
