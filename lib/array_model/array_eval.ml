@@ -143,8 +143,6 @@ let evaluate env (g : Geometry.t) (a : Components.assist) =
     d_row_path_read;
     d_col_path }
 
-let edp env g a = (evaluate env g a).edp
-
 (* ----- attribution -----
 
    [attribute] re-prices the same Table 3 components [evaluate] does
@@ -371,39 +369,34 @@ type staged = {
   st_k : staged_k;
 }
 
-(* ----- staging context: cross-search geometry sharing -----
+(* ----- staging context: hoisted currents and the two staging caches -----
 
-   Two observations make staging much cheaper than [Components]'
-   one-call-per-component shape:
+   The assist-blind components' drive currents are env constants:
+   [Currents.wl_read]/[col_driver] don't depend on the geometry at all,
+   and [bl_write]/[precharge] only through the small integers
+   n_wr/n_pre — yet each call re-evaluates the FinFET device model.  A
+   context hoists them once per environment (the per-n_wr/n_pre draws
+   eagerly, via the exact [Currents] functions, so staged records built
+   from a context are bit-identical to the direct path's).
 
-   - the assist-blind components' drive currents are env constants:
-     [Currents.wl_read]/[col_driver] don't depend on the geometry at
-     all, and [bl_write]/[precharge] only through the small integers
-     n_wr/n_pre — yet each call re-evaluates the FinFET device model.
-     A context hoists them once per environment (the per-n_wr/n_pre
-     draws eagerly, via the exact [Currents] functions, so staged
-     records built from a context are bit-identical to the direct
-     path's);
-   - a Table 4 sweep re-stages the same geometries across searches
-     (M1 and M2 of one flavor share the full grid), so staging goes
-     through a geometry-keyed cache of finished [staged] records.
-
-   The caches are *per domain* (thread-local via [Domain.DLS]): the
-   lookup is an int-keyed [Hashtbl] probe with no lock and no shared
-   mutation.  Domains may re-stage a geometry another domain already
-   staged — staging is deterministic, so the copies are bit-identical
-   and winner reduction is unaffected — and in exchange the hot path
-   never contends (a shared mutex-guarded cache made staged wall time
-   *degrade* from 1 to 4 jobs).  Tables are bounded ([ctx_cache_cap]
-   entries, first-come) so a long-lived server cannot grow one without
-   limit. *)
+   A context also owns the only two staging caches, under one mutex:
+   - its last [stage_array_cap] staged grids, found by the identity of
+     the grid array: the exhaustive searches of one memoized grid (both
+     methods of a Table 4 capacity, served queries differing only in
+     V_SSC) stage it once;
+   - a bounded table of single staged geometries for [stage], whose
+     callers ({!Opt.Line_cache}) revisit geometries across searches.
+   Exhaustive searches look a grid up once per search, and the
+   heuristics look up a few hundred geometries per search, so the lock
+   is never on a per-candidate path.  Two domains that miss together
+   stage the same records twice; staging is deterministic, so the
+   copies are bit-identical. *)
 
 (* Fields of [staged] that depend on the geometry only through
    (nr, nc, w): wire caps, decoders, the WL read component and every
-   prefix folded from them.  A capacity's grid has ~10 such combinations
-   against ~10^4 (n_pre, n_wr) variants, so hoisting them into a
-   row-core record makes the per-geometry staging residue a handful of
-   [equation1] applications. *)
+   prefix folded from them.  A grid enumerates (N_pre, N_wr) inside each
+   n_r, so [stage_array] computes one row core per n_r and the rest of
+   each record is a handful of [equation1] applications. *)
 type row_core = {
   rc_c_cvdd : float;
   rc_c_cvss : float;
@@ -427,25 +420,14 @@ type ctx = {
   x_i_col : float;              (* Currents.col_driver *)
   x_i_bl_write : float array;   (* Currents.bl_write, indexed by n_wr *)
   x_i_precharge : float array;  (* Currents.precharge, indexed by n_pre *)
+  x_lock : Mutex.t;             (* guards the two caches below *)
+  x_staged : (Geometry.t, staged) Hashtbl.t;
+  mutable x_grids : (Geometry.t array * staged array) list;  (* newest first *)
 }
 
 let ctx_current_slots = 128
 let ctx_cache_cap = 65536
-let ctx_rows_cap = 4096
-
-(* Geometry coordinates packed into one immediate key: no tuple
-   allocation and an O(1) integer hash/equality per cache probe.
-   Field widths cover every geometry the spaces generate (nr/nc up to
-   2^21, w/n_pre/n_wr up to 2^7 - 1); anything wider simply bypasses
-   the caches and stages directly.  The row-core key is the full key's
-   (nr, nc, w) prefix, i.e. [key lsr 14]. *)
-let pack_key ~nr ~nc ~w ~n_pre ~n_wr =
-  if nr < 0x200000 && nc < 0x200000 && w < 0x80 && n_pre < 0x80 && n_wr < 0x80
-  then
-    Some
-      (((((((nr lsl 21) lor nc) lsl 7) lor w) lsl 7) lor n_pre) lsl 7
-       lor n_wr)
-  else None
+let stage_array_cap = 4
 
 let make_ctx env =
   let cur = env.currents in
@@ -455,61 +437,12 @@ let make_ctx env =
     x_i_bl_write =
       Array.init ctx_current_slots (fun n_wr -> Currents.bl_write cur ~n_wr);
     x_i_precharge =
-      Array.init ctx_current_slots (fun n_pre -> Currents.precharge cur ~n_pre) }
+      Array.init ctx_current_slots (fun n_pre -> Currents.precharge cur ~n_pre);
+    x_lock = Mutex.create ();
+    x_staged = Hashtbl.create 1024;
+    x_grids = [] }
 
 let ctx_env ctx = ctx.x_env
-
-(* The per-domain cache pair for one context.  A domain keeps a short
-   MRU list of these (several environments stay warm at once: a Table 4
-   sweep interleaves hvt/lvt searches); [staging_generation] stamps
-   entries so [reset_staging] invalidates every domain's tables without
-   cross-domain communication — stale entries are dropped lazily on the
-   owning domain's next lookup. *)
-type dcaches = {
-  dc_ctx : ctx;
-  dc_gen : int;
-  dc_rows : (int, row_core) Hashtbl.t;
-  dc_cache : (int, staged) Hashtbl.t;
-  (* Whole-grid staging results keyed by the geometry array's identity:
-     a sweep's searches share one memoized grid per capacity, so the
-     second (method) search over the same grid reuses the first's
-     staged array without a single per-line lookup. *)
-  mutable dc_arrays : (Geometry.t array * staged array) list;
-}
-
-let staging_generation = Atomic.make 0
-let dcaches_cap = 8
-
-let dls_caches : dcaches list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let caches_for ctx =
-  let r = Domain.DLS.get dls_caches in
-  let gen = Atomic.get staging_generation in
-  match !r with
-  | c :: _ when c.dc_ctx == ctx && c.dc_gen = gen -> c
-  | l -> (
-    let live = List.filter (fun c -> c.dc_gen = gen) l in
-    match List.find_opt (fun c -> c.dc_ctx == ctx) live with
-    | Some c ->
-      r := c :: List.filter (fun c' -> c' != c) live;
-      c
-    | None ->
-      let c =
-        { dc_ctx = ctx;
-          dc_gen = gen;
-          dc_rows = Hashtbl.create 256;
-          (* Sized for a full sweep's grid up front: growing from small
-             would rehash tens of thousands of entries mid-scan. *)
-          dc_cache = Hashtbl.create ctx_cache_cap;
-          dc_arrays = [] }
-      in
-      let rec take n = function
-        | [] -> []
-        | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl
-      in
-      r := c :: take (dcaches_cap - 1) live;
-      c)
 
 let row_core_of ctx (g : Geometry.t) =
   let env = ctx.x_env in
@@ -603,35 +536,18 @@ let stage_residue ctx rc (g : Geometry.t) =
         disturb_term = rc.rc_n_unselected *. disturb;
         mp_leak = rc.rc_mp_leak } }
 
-(* Uncached staging, for geometries whose coordinates don't fit the
-   packed key. *)
-let stage_core ctx (g : Geometry.t) = stage_residue ctx (row_core_of ctx g) g
-
+(* A single geometry: its own row core, then the residue.  The table is
+   bounded first-come, so a long-lived server cannot grow it without
+   limit. *)
 let stage_cached ctx (g : Geometry.t) =
-  match
-    pack_key ~nr:g.Geometry.nr ~nc:g.Geometry.nc ~w:g.Geometry.w
-      ~n_pre:g.Geometry.n_pre ~n_wr:g.Geometry.n_wr
-  with
-  | None -> stage_core ctx g
-  | Some key -> (
-    let c = caches_for ctx in
-    match Hashtbl.find c.dc_cache key with
-    | st -> st
-    | exception Not_found ->
-      let rkey = key lsr 14 in
-      let rc =
-        match Hashtbl.find c.dc_rows rkey with
-        | rc -> rc
-        | exception Not_found ->
-          let rc = row_core_of ctx g in
-          if Hashtbl.length c.dc_rows < ctx_rows_cap then
-            Hashtbl.add c.dc_rows rkey rc;
-          rc
-      in
-      let st = stage_residue ctx rc g in
-      if Hashtbl.length c.dc_cache < ctx_cache_cap then
-        Hashtbl.add c.dc_cache key st;
-      st)
+  match Mutex.protect ctx.x_lock (fun () -> Hashtbl.find_opt ctx.x_staged g) with
+  | Some st -> st
+  | None ->
+    let st = stage_residue ctx (row_core_of ctx g) g in
+    Mutex.protect ctx.x_lock (fun () ->
+        if Hashtbl.length ctx.x_staged < ctx_cache_cap then
+          Hashtbl.replace ctx.x_staged g st);
+    st
 
 let stage_with ctx g =
   if Obs.Histogram.tick stage_hist then begin
@@ -645,57 +561,31 @@ let stage_with ctx g =
   end
   else stage_cached ctx g
 
-let stage_array_cap = 4
-
 let stage_array ctx (gs : Geometry.t array) =
-  let c = caches_for ctx in
-  let rec find = function
-    | [] -> None
-    | (k, v) :: tl -> if k == gs then Some v else find tl
-  in
-  match find c.dc_arrays with
+  match Mutex.protect ctx.x_lock (fun () -> List.assq_opt gs ctx.x_grids) with
   | Some arr -> arr
   | None ->
-    (* Cold grid: the array itself is about to become the cache entry,
-       so the per-geometry staged cache would only duplicate it — skip
-       it.  Enumeration orders candidates by (n_r, n_c, W), so the
-       previous element's row core almost always applies: one integer
-       comparison replaces the row-table probe on ~90% of elements. *)
-    let last_rkey = ref (-1) in
-    let last_rc = ref None in
+    (* Each element reuses the previous element's row core when their
+       (n_r, n_c, W) agree, which in an n_r-major grid is all but one
+       element per n_r. *)
+    let prev = ref None in
     let stage1 (g : Geometry.t) =
-      match
-        pack_key ~nr:g.Geometry.nr ~nc:g.Geometry.nc ~w:g.Geometry.w
-          ~n_pre:g.Geometry.n_pre ~n_wr:g.Geometry.n_wr
-      with
-      | None -> stage_core ctx g
-      | Some key ->
-        let rkey = key lsr 14 in
-        let rc =
-          match !last_rc with
-          | Some rc when !last_rkey = rkey -> rc
-          | _ ->
-            let rc =
-              match Hashtbl.find c.dc_rows rkey with
-              | rc -> rc
-              | exception Not_found ->
-                let rc = row_core_of ctx g in
-                if Hashtbl.length c.dc_rows < ctx_rows_cap then
-                  Hashtbl.add c.dc_rows rkey rc;
-                rc
-            in
-            last_rkey := rkey;
-            last_rc := Some rc;
-            rc
-        in
-        stage_residue ctx rc g
+      let rc =
+        match !prev with
+        | Some ((p : Geometry.t), rc)
+          when p.nr = g.nr && p.nc = g.nc && p.w = g.w -> rc
+        | _ ->
+          let rc = row_core_of ctx g in
+          prev := Some (g, rc);
+          rc
+      in
+      stage_residue ctx rc g
     in
     let arr = Array.map stage1 gs in
-    let rec take n = function
-      | [] -> []
-      | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl
-    in
-    c.dc_arrays <- (gs, arr) :: take (stage_array_cap - 1) c.dc_arrays;
+    Mutex.protect ctx.x_lock (fun () ->
+        ctx.x_grids <-
+          (gs, arr)
+          :: List.filteri (fun i _ -> i < stage_array_cap - 1) ctx.x_grids);
     arr
 
 (* Contexts are registered per environment value (physical equality:
@@ -720,13 +610,10 @@ let ctx_for env =
     Mutex.unlock ctx_registry_lock;
     c
 
+(* The registered contexts own every cache, so dropping them drops
+   every staged record. *)
 let reset_staging () =
-  Mutex.lock ctx_registry_lock;
-  ctx_registry := [];
-  Mutex.unlock ctx_registry_lock;
-  (* Invalidate every domain's private staging caches: each domain
-     drops entries with a stale generation on its next lookup. *)
-  Atomic.incr staging_generation
+  Mutex.protect ctx_registry_lock (fun () -> ctx_registry := [])
 
 let stage env g = stage_with (ctx_for env) g
 

@@ -68,9 +68,6 @@ type metrics = {
 
 val evaluate : env -> Geometry.t -> Components.assist -> metrics
 
-val edp : env -> Geometry.t -> Components.assist -> float
-(** Shortcut for the optimizer's objective. *)
-
 (** {1 Attribution}
 
     Where an evaluated design's energy and delay actually go,
@@ -140,8 +137,11 @@ type prepared
     delay for one assist, reusable across every geometry. *)
 
 val stage : env -> Geometry.t -> staged
-(** Hoist all geometry-only computation.  Increments the
-    ["array_eval.stage"] telemetry counter. *)
+(** Hoist all geometry-only computation, through the context
+    {!ctx_for} registers for [env]: a geometry that context staged
+    before comes back from its table.  Every record actually staged,
+    here or by {!stage_array}, increments the ["array_eval.stage"]
+    telemetry counter. *)
 
 val prepare : env -> Components.assist -> prepared
 (** Hoist all assist-only computation (four rail currents and the write
@@ -153,42 +153,45 @@ val complete : staged -> prepared -> metrics
 
 val staged_geometry : staged -> Geometry.t
 
-(** {1 Staging context: cross-search geometry sharing}
+(** {1 Staging context: the staging caches}
 
     The assist-blind components' drive currents are environment
     constants (the FinFET device-model draws depend on the geometry
-    only through the small integers n_wr/n_pre), and a Table 4 sweep
-    re-stages the same geometries across searches — M1 and M2 of one
-    flavor share the full (n_r, n_c) grid, and a long-lived server
-    replays whole sweeps.  A [ctx] hoists the currents once per
-    environment and carries a bounded, mutex-guarded geometry-keyed
-    cache of finished [staged] records; records built through a context
-    are bit-identical to [stage]'s (the hoisted draws come from the
-    exact [Currents] functions). *)
+    only through the small integers n_wr/n_pre).  A [ctx] hoists them
+    once per environment and owns the only two staging caches, under
+    one lock: its last four staged grids, found by the identity of the
+    grid array ({!stage_array}), and a bounded table of single staged
+    geometries ({!stage}).  Records built through a context are
+    bit-identical to [stage]'s (the hoisted draws come from the exact
+    [Currents] functions). *)
 
 type ctx
 
 val make_ctx : env -> ctx
-(** Fresh context (empty staged cache) for this environment. *)
+(** Fresh context, with no staged grid or geometry, for this
+    environment. *)
 
 val ctx_for : env -> ctx
 (** The process-wide context registered for this environment value
     (physical equality — environments are built once and shared).
     Creates and registers one on first use; the registry holds the most
-    recent handful of environments. *)
+    recent handful of environments.  {!stage} stages through it. *)
 
 val ctx_env : ctx -> env
 
 val stage_array : ctx -> Geometry.t array -> staged array
-(** Stage a whole candidate grid, cached per domain by the *identity*
-    of the array: searches that share one memoized grid (e.g. the two
-    methods of a Table 4 capacity) get the previous result back without
-    any per-geometry lookup.  Element [i] is bit-identical to
-    [stage]'s record for [gs.(i)]; the result is immutable shared state — callers must only read it. *)
+(** Stage a whole candidate grid.  The context keeps its last four
+    results, found by the {e identity} of the array: searches that
+    share one memoized grid (the two methods of a Table 4 capacity,
+    queries differing only in V_SSC) stage it once.  Element [i] is
+    bit-identical to [stage]'s record for [gs.(i)], whatever the
+    array's order; the result is immutable shared state — callers must
+    only read it. *)
 
 val reset_staging : unit -> unit
-(** Drop every registered context (benchmarks call this between runs so
-    cold-path measurements stay cold). *)
+(** Drop every registered context, and with them every staged grid and
+    geometry (benchmarks call this between runs so cold-path
+    measurements stay cold). *)
 
 (** {1 Admissible lower envelope}
 

@@ -122,11 +122,9 @@ let env_for ~flavor ~accounting =
 (* The staging context registered for a memoized environment: because
    [env_for] returns the same physical env value per (flavor,
    accounting), every search the framework launches against it —
-   across capacities, configs, sweeps and serve requests — shares one
-   geometry-keyed staged cache.  The (n_r, n_c) grids of the five
-   Table 4 capacities overlap heavily, and a config pair (M1/M2 of one
-   flavor) shares its grid outright, so repeat geometries stage once
-   per process instead of once per search. *)
+   across capacities, configs, sweeps and serve requests — shares its
+   staged grids.  A config pair (M1/M2 of one flavor) shares its grid
+   outright, so the pair stages it once. *)
 let stage_ctx_for ~flavor ~accounting =
   Array_model.Array_eval.ctx_for (env_for ~flavor ~accounting)
 

@@ -341,11 +341,17 @@ let fold_block objective buf ~lo ~hi best_i best_score =
 let scan_buf = Runtime.Pool.local Array_model.Array_eval.scan_buffer
 let bound_buf = Runtime.Pool.local Array_model.Array_eval.scan_buffer
 
-(* Candidate grids keyed by (space, capacity, w) — all plain data, so
-   structural comparison is safe.  A Table 4 sweep re-enumerates the
-   same grid for all four (flavor, method) searches of a capacity. *)
+(* Candidate grids keyed by what [Space.candidate_geometries] reads:
+   the n_r, N_pre and N_wr axes, the capacity and w — all plain data,
+   so structural comparison is safe.  Searches that differ only in
+   method, flavor or V_SSC grid (the four searches of a Table 4
+   capacity, served queries with a new V_SSC grid) get the same array,
+   which is what lets the staging context find its staged grid by
+   identity. *)
 let geometry_memo :
-    (Space.t * int * int option, Array_model.Geometry.t array) Runtime.Memo.t =
+    (int array * int array * int array * int * int option,
+     Array_model.Geometry.t array)
+    Runtime.Memo.t =
   Runtime.Memo.create ~name:"exhaustive.geometries" ~capacity:16 ()
 
 (* Suffix-envelope block size: bounds are evaluated once per block, so
@@ -393,11 +399,11 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
   let vssc_values =
     if pins.Space.vssc_allowed then space.Space.vssc_values else [| 0.0 |]
   in
-  (* The candidate grid depends only on (space, capacity, w) — a Table 4
-     sweep enumerates the same grid for every (flavor, method) pair, so
-     the array is shared through a memo.  Consumers only read it. *)
+  (* Shared through the memo; consumers only read it. *)
   let geometries =
-    Runtime.Memo.find_or_compute geometry_memo (space, capacity_bits, w)
+    Runtime.Memo.find_or_compute geometry_memo
+      ( space.Space.nr_values, space.Space.n_pre_values,
+        space.Space.n_wr_values, capacity_bits, w )
       (fun () ->
         Array.of_list (Space.candidate_geometries ?w space ~capacity_bits))
   in
@@ -449,16 +455,29 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
     count_evals nv;
     (!best, List.rev !all)
   in
+  (* Both staged arms stage the whole grid up front through a context —
+     env-constant currents hoisted once, and the grid found again by its
+     identity when a sibling search staged it — and read each line's
+     record by index, so no lookup sits on the per-line path. *)
+  let staged_grid () =
+    let ctx =
+      match stage_ctx with
+      | Some c when Array_model.Array_eval.ctx_env c == env -> c
+      | Some _ | None -> Array_model.Array_eval.ctx_for env
+    in
+    ( Array_model.Array_eval.stage_array ctx geometries,
+      Array.map (Array_model.Array_eval.prepare env) assists )
+  in
   let eval_line =
     match kernel with
     | `Reference -> fun i -> eval_geometry_reference geometries.(i)
     | `Staged when keep_all ->
       (* keep_all never prunes (the full candidate list is the
          contract), so it stays on the record-materializing path. *)
-      let prepared = Array.map (Array_model.Array_eval.prepare env) assists in
+      let staged_arr, prepared = staged_grid () in
       fun i ->
         let geometry = geometries.(i) in
-        let st = Array_model.Array_eval.stage env geometry in
+        let st = staged_arr.(i) in
         let best = ref None in
         let all = ref [] in
         Array.iteri
@@ -476,20 +495,8 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
     | `Staged ->
       (* Hot path: the whole vssc scan runs through the allocation-free
          batched kernel; [metrics] is materialized once, for the line's
-         winner.  Staging goes through a context — hoisted env-constant
-         currents plus a geometry-keyed cache shared across the searches
-         of a sweep (the caller passes its sweep-wide [stage_ctx]). *)
-      let ctx =
-        match stage_ctx with
-        | Some c when Array_model.Array_eval.ctx_env c == env -> c
-        | Some _ | None -> Array_model.Array_eval.ctx_for env
-      in
-      (* The whole grid is staged up front (cached per domain by the
-         memoized grid's identity, so the sibling method's search gets
-         it back for free) and each line reads its staged record by
-         index — no per-line cache lookup on the scan path. *)
-      let staged_arr = Array_model.Array_eval.stage_array ctx geometries in
-      let prepared = Array.map (Array_model.Array_eval.prepare env) assists in
+         winner. *)
+      let staged_arr, prepared = staged_grid () in
       (* Suffix envelopes as scan points: element 0 bounds the whole
          line (the per-geometry prune), element j > 0 bounds the points
          block j onward — evaluated by the same batched scan as real

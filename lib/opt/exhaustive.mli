@@ -82,12 +82,13 @@ val search :
     for any job count.  [kernel] selects the evaluation path (default
     [`Staged]).
 
-    [stage_ctx] shares staged-geometry work across searches: a sweep
-    passes one {!Array_model.Array_eval.ctx} per environment so the
-    geometry grids the capacities and configs have in common stage only
-    once.  Ignored when its environment is not (physically) the
-    search's [env]; when absent the process-wide registered context for
-    [env] is used, so sharing happens by default.
+    [stage_ctx] shares staged grids across searches: searches whose
+    n_r, N_pre and N_wr axes, capacity and [w] agree get the same
+    memoized candidate grid, and a context stages a grid once
+    ({!Array_model.Array_eval.stage_array}).  Ignored when its
+    environment is not (physically) the search's [env]; when absent the
+    process-wide registered context for [env] is used, so sharing
+    happens by default.
 
     [journal] (default {!Persist.Checkpoint.default}, i.e. the CLI's
     [--checkpoint] file when set) switches the sweep to fixed chunks of

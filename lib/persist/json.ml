@@ -115,6 +115,11 @@ exception Parse_error of string
 
 type state = { src : string; mutable pos : int }
 
+(* The parser recurses once per open array or object, so an unbounded
+   depth would let one frame of brackets hold a daemon for seconds.  The
+   deepest document the repository writes nests 7 levels. *)
+let max_depth = 64
+
 let fail st msg =
   raise (Parse_error (Printf.sprintf "%s at byte %d" msg st.pos))
 
@@ -231,10 +236,12 @@ let parse_number st =
       | Some f -> Float f
       | None -> fail st (Printf.sprintf "bad number %S" text))
 
-let rec parse_value st =
+let rec parse_value st ~depth =
   skip_ws st;
   match peek st with
   | None -> fail st "unexpected end of input"
+  | Some ('[' | '{') when depth >= max_depth ->
+    fail st (Printf.sprintf "nesting deeper than %d levels" max_depth)
   | Some 'n' -> literal st "null" Null
   | Some 't' -> literal st "true" (Bool true)
   | Some 'f' -> literal st "false" (Bool false)
@@ -249,7 +256,7 @@ let rec parse_value st =
     else begin
       let items = ref [] in
       let rec go () =
-        items := parse_value st :: !items;
+        items := parse_value st ~depth:(depth + 1) :: !items;
         skip_ws st;
         match peek st with
         | Some ',' -> st.pos <- st.pos + 1; go ()
@@ -273,7 +280,7 @@ let rec parse_value st =
         let key = parse_string st in
         skip_ws st;
         expect st ':';
-        let value = parse_value st in
+        let value = parse_value st ~depth:(depth + 1) in
         fields := (key, value) :: !fields;
         skip_ws st;
         match peek st with
@@ -288,7 +295,7 @@ let rec parse_value st =
 
 let of_string s =
   let st = { src = s; pos = 0 } in
-  match parse_value st with
+  match parse_value st ~depth:0 with
   | v ->
     skip_ws st;
     if st.pos <> String.length s then

@@ -28,7 +28,9 @@ val to_string_pretty : ?indent:int -> t -> string
     same scalars as {!to_string}, so it raises on the same floats. *)
 
 val of_string : string -> (t, string) result
-(** Strict parse of a complete JSON document. *)
+(** Strict parse of a complete JSON document.  A document that nests
+    arrays and objects more than 64 deep is an [Error] naming the
+    limit. *)
 
 (** {2 Accessors} — all total, returning [None] on shape mismatch. *)
 

@@ -222,9 +222,7 @@ let eval_tests =
         let m = Array_model.Array_eval.evaluate env g_mux assist_m2 in
         check_close "edp"
           (m.Array_model.Array_eval.e_total *. m.Array_model.Array_eval.d_array)
-          m.Array_model.Array_eval.edp;
-        check_close "shortcut" m.Array_model.Array_eval.edp
-          (Array_model.Array_eval.edp env g_mux assist_m2));
+          m.Array_model.Array_eval.edp);
     case "physical accounting charges more than strict" (fun () ->
         let phys =
           Array_model.Array_eval.make_env

@@ -96,6 +96,29 @@ let json_gen =
 let json_arb =
   QCheck.make ~print:(fun v -> J.to_string v) json_gen
 
+(* Bytes a parser meets: mostly the JSON alphabet, some of any value,
+   and now and then a valid document with a few bytes overwritten. *)
+let json_bytes_gen =
+  let open QCheck.Gen in
+  let alphabet = "{}[]:,\"\\ \t\n0123456789-+.eEtrufalsn\\u" in
+  let byte = frequency [ (4, oneofl (List.of_seq (String.to_seq alphabet))); (1, char) ] in
+  let mutated =
+    let* doc = map J.to_string json_gen in
+    let* edits = list_size (int_range 1 4) (pair nat byte) in
+    let b = Bytes.of_string doc in
+    if Bytes.length b > 0 then
+      List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) edits;
+    return (Bytes.to_string b)
+  in
+  frequency [ (3, string_size ~gen:byte (int_bound 64)); (2, mutated) ]
+
+(* [depth] containers, each the only member of the one around it. *)
+let nested ~depth (opening, empty, closing) =
+  let repeat s = String.concat "" (List.init (depth - 1) (fun _ -> s)) in
+  repeat opening ^ empty ^ repeat closing
+
+let arrays = ("[", "[]", "]")
+
 let json_tests =
   [ case "scalars round-trip" (fun () ->
         List.iter
@@ -131,6 +154,35 @@ let json_tests =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"random documents round-trip bit-exactly" ~count:500
          json_arb (fun v -> json_eq v (roundtrip v)));
+    case "nesting is refused one level past 64, arrays and objects" (fun () ->
+        List.iter
+          (fun shape ->
+            let doc = nested ~depth:64 shape in
+            (match J.of_string doc with
+             | Ok _ -> ()
+             | Error e -> Alcotest.failf "64 levels refused (%s): %s" doc e);
+            match J.of_string (nested ~depth:65 shape) with
+            | Ok _ -> Alcotest.failf "65 levels accepted: %s" doc
+            | Error e ->
+              Alcotest.(check bool) ("names the limit: " ^ e) true
+                (String.starts_with ~prefix:"nesting deeper than 64 levels" e))
+          [ arrays; ("{\"a\":", "{}", "}") ]);
+    case "a 4 MiB nested document fails fast" (fun () ->
+        let doc = nested ~depth:((4 * 1024 * 1024 / 2) - 2) arrays in
+        let t0 = Unix.gettimeofday () in
+        (match J.of_string doc with
+         | Ok _ -> Alcotest.fail "accepted"
+         | Error _ -> ());
+        let dt = Unix.gettimeofday () -. t0 in
+        Alcotest.(check bool) (Printf.sprintf "refused in %.3f s" dt) true (dt < 0.25));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"arbitrary bytes parse or fail, never raise" ~count:3000
+         (QCheck.make ~print:(Printf.sprintf "%S") json_bytes_gen)
+         (fun s ->
+           match J.of_string s with
+           | Ok _ | Error _ -> true
+           | exception e ->
+             QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)));
   ]
 
 (* ----- Crc32 ----- *)

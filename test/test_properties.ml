@@ -382,6 +382,99 @@ let prop_pruned_search_matches_reference =
          > 0
       && reference.Opt.Exhaustive.pruned = 0)
 
+(* --- staging contract --- *)
+
+let metrics_bits_equal (a : Array_model.Array_eval.metrics)
+    (b : Array_model.Array_eval.metrics) =
+  let open Array_model.Array_eval in
+  List.for_all2 bits_equal
+    [ a.d_read; a.d_write; a.d_array; a.e_read; a.e_write; a.e_switching;
+      a.e_leakage; a.e_total; a.edp; a.d_bl_read; a.d_row_path_read;
+      a.d_col_path ]
+    [ b.d_read; b.d_write; b.d_array; b.e_read; b.e_write; b.e_switching;
+      b.e_leakage; b.e_total; b.edp; b.d_bl_read; b.d_row_path_read;
+      b.d_col_path ]
+
+(* A candidate grid of random axes, capacity and access width (so rows
+   come both narrower and wider than w), in enumeration order or
+   shuffled out of it. *)
+let grid_gen =
+  let open QCheck.Gen in
+  let axis g = list_size (int_range 1 4) g >|= List.sort_uniq compare >|= Array.of_list in
+  let* nr_values = axis (map (fun e -> 1 lsl e) (int_range 1 10)) in
+  let* n_pre_values = axis (int_range 1 50) in
+  let* n_wr_values = axis (int_range 1 20) in
+  let* capacity_bits = map (fun e -> 1 lsl e) (int_range 8 14) in
+  let* w = map (fun e -> 1 lsl e) (int_range 0 8) in
+  let gs =
+    Opt.Space.candidate_geometries ~w
+      { Opt.Space.default with Opt.Space.nr_values; n_pre_values; n_wr_values }
+      ~capacity_bits
+  in
+  map Array.of_list (oneof [ return gs; shuffle_l gs ])
+
+let prop_stage_array_bit_identical =
+  QCheck.Test.make
+    ~name:"stage_array element = stage = evaluate bit-for-bit (random grids)"
+    ~count:60
+    QCheck.(
+      pair
+        (make ~print:(fun gs -> string_of_int (Array.length gs) ^ " geometries") grid_gen)
+        (list_of_size (Gen.int_range 1 3) assist_gen))
+    (fun (gs, assists) ->
+      List.for_all
+        (fun env ->
+          let open Array_model.Array_eval in
+          let staged = stage_array (make_ctx env) gs in
+          let points = List.map (fun a -> (a, prepare env a)) assists in
+          Array.length staged = Array.length gs
+          && Array.for_all2
+               (fun g st ->
+                 staged_geometry st = g
+                 && List.for_all
+                      (fun (a, p) ->
+                        let m = complete st p in
+                        metrics_bits_equal m (complete (stage env g) p)
+                        && metrics_bits_equal m (evaluate env g a))
+                      points)
+               gs staged)
+        kernel_envs)
+
+let staged_count () =
+  Runtime.Telemetry.value (Runtime.Telemetry.counter "array_eval.stage")
+
+(* Records staged while [f] runs. *)
+let stagings f =
+  let c0 = staged_count () in
+  f ();
+  staged_count () - c0
+
+(* What a search stages depends on its organization grid alone: a
+   second search over the same n_r, N_pre and N_wr axes, capacity and w
+   — here with another V_SSC grid, then the other method — gets the
+   same memoized grid and finds it staged.  [reset_staging] drops it. *)
+let test_grid_staged_once () =
+  let capacity_bits = 1024 * 8 and space = Opt.Space.reduced in
+  let levels = Opt.Yield.solve ~flavor:Finfet.Library.Hvt () in
+  let search ?(space = space) method_ () =
+    ignore
+      (Opt.Exhaustive.search ~space ~levels ~env:env_hvt ~capacity_bits ~method_ ())
+  in
+  let n = List.length (Opt.Space.candidate_geometries space ~capacity_bits) in
+  Array_model.Array_eval.reset_staging ();
+  Alcotest.(check int) "the first search stages the grid" n
+    (stagings (search Opt.Space.M2));
+  Alcotest.(check int) "another V_SSC grid stages nothing" 0
+    (stagings
+       (search
+          ~space:{ space with Opt.Space.vssc_values = [| 0.0; -0.05; -0.1 |] }
+          Opt.Space.M2));
+  Alcotest.(check int) "the other method stages nothing" 0
+    (stagings (search Opt.Space.M1));
+  Array_model.Array_eval.reset_staging ();
+  Alcotest.(check int) "after reset_staging the grid stages again" n
+    (stagings (search Opt.Space.M2))
+
 (* Not a property but the strongest single determinism check we have:
    the full paper sweep (all capacities x configs, staged kernel) must
    reproduce one specific winner checksum — the value committed in
@@ -558,11 +651,14 @@ let () =
          [ prop_staged_bit_identical; prop_bound_admissible;
            prop_scan_bit_identical; prop_attribution_bit_exact;
            prop_suffix_bounds_admissible;
-           prop_pruned_search_matches_reference ]
+           prop_pruned_search_matches_reference;
+           prop_stage_array_bit_identical ]
        @ [ Alcotest.test_case "full sweep reproduces committed checksum"
              `Slow test_full_sweep_deterministic;
            Alcotest.test_case "warm scan path allocates zero words"
-             `Quick test_scan_allocation_free ]);
+             `Quick test_scan_allocation_free;
+           Alcotest.test_case "a search stages its organization grid once"
+             `Quick test_grid_staged_once ]);
       ("workload", List.map to_alco [ prop_trace_summary_bounds ]);
       ("deck", List.map to_alco [ prop_deck_roundtrip ]);
       ("macro", List.map to_alco [ prop_macro_matches_reference ]) ]

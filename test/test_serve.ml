@@ -42,6 +42,48 @@ let check_read = Alcotest.(check (result string string))
 let read_str ?max_len fd =
   Result.map_error F.error_to_string (F.read ?max_len fd)
 
+(* A byte stream of well-formed frames, frames with a wrong checksum and
+   loose junk, cut into chunks at random offsets, for a decoder whose
+   length limit some of the frames exceed. *)
+let frame_stream_gen =
+  let open QCheck.Gen in
+  let frame ~crc_ok payload =
+    let b = Bytes.create 8 in
+    let crc = Persist.Crc32.string payload in
+    Bytes.set_int32_le b 0 (Int32.of_int (String.length payload));
+    Bytes.set_int32_le b 4 (Int32.of_int (if crc_ok then crc else crc lxor 1));
+    Bytes.to_string b ^ payload
+  in
+  let payload = string_size ~gen:char (int_bound 40) in
+  let piece =
+    frequency
+      [ (6, map (frame ~crc_ok:true) payload);
+        (1, map (frame ~crc_ok:false) payload);
+        (1, string_size ~gen:char (int_bound 12)) ]
+  in
+  let* stream = map (String.concat "") (list_size (int_bound 6) piece) in
+  let* cuts = list_size (int_bound 8) (int_bound (String.length stream)) in
+  let* max_len = oneofl [ 16; 64; F.max_frame_default ] in
+  return (stream, List.sort_uniq compare cuts, max_len)
+
+(* Every frame popped after each chunk, and the sticky error if one
+   came up. *)
+let decode_chunks ~max_len chunks =
+  let d = F.decoder ~max_len () in
+  let frames = ref [] and err = ref None in
+  List.iter
+    (fun c ->
+      F.feed d (Bytes.of_string c) (String.length c);
+      let rec pop () =
+        match F.next d with
+        | Ok (Some p) -> frames := p :: !frames; pop ()
+        | Ok None -> ()
+        | Error e -> err := Some e
+      in
+      pop ())
+    chunks;
+  (List.rev !frames, !err)
+
 let frame_tests =
   [ case "write/read round-trips payloads" (fun () ->
         with_pipe (fun r w ->
@@ -133,7 +175,25 @@ let frame_tests =
         | _ -> Alcotest.fail "expected Oversized");
         match F.next d with
         | Error (F.Oversized _) -> ()
-        | _ -> Alcotest.fail "error must persist")
+        | _ -> Alcotest.fail "error must persist");
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"any chunking decodes like a single feed, never raises"
+         ~count:2000
+         (QCheck.make ~print:(fun (s, cuts, max_len) ->
+              Printf.sprintf "%S cut at [%s], max_len %d" s
+                (String.concat "; " (List.map string_of_int cuts)) max_len)
+            frame_stream_gen)
+         (fun (stream, cuts, max_len) ->
+           let rec chunks lo = function
+             | [] -> [ String.sub stream lo (String.length stream - lo) ]
+             | cut :: rest -> String.sub stream lo (cut - lo) :: chunks cut rest
+           in
+           match
+             (decode_chunks ~max_len [ stream ], decode_chunks ~max_len (chunks 0 cuts))
+           with
+           | whole, split -> whole = split
+           | exception e ->
+             QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e)))
   ]
 
 (* ----- protocol codecs (QCheck) ----- *)
@@ -291,8 +351,93 @@ let wild_query_gen =
          ("query",
           J.Obj ([ ("capacity_bits", J.Int capacity_bits); ("w", J.Int w) ] @ space)) ])
 
+(* Any JSON tree, its object keys drawn from the protocol's field names.
+   A field's value is as often one of the type its decoder reads (a
+   power-of-two capacity, a protocol word, a grid) as any tree, so
+   decoding gets past the first field checks. *)
+let protocol_tree_gen =
+  let open QCheck.Gen in
+  let keys =
+    [ "id"; "endpoint"; "deadline_ms"; "trace_id"; "query"; "status";
+      "payload"; "code"; "message"; "capacity_bits"; "flavor"; "method";
+      "strategy"; "rng_seed"; "objective"; "accounting"; "w"; "space";
+      "vssc_v"; "nr"; "n_pre"; "n_wr" ]
+  in
+  let words =
+    [ "ping"; "stats"; "metrics"; "shutdown"; "optimize"; "explain"; "ok";
+      "error"; "bad_request"; "busy"; "deadline"; "shutting_down";
+      "internal"; "hvt"; "lvt"; "m1"; "m2"; "nsga2"; "m1:nsga2"; "local";
+      "anneal"; "surrogate"; "exhaustive"; "edp"; "energy"; "delay";
+      "strict"; "physical"; "" ]
+  in
+  let scalar =
+    oneof
+      [ return J.Null;
+        map (fun b -> J.Bool b) bool;
+        map (fun i -> J.Int i)
+          (oneof [ int; int_range (-3) 70; oneofl [ 8192; max_int; min_int ] ]);
+        map (fun f -> J.Float f)
+          (oneof [ float; oneofl [ Float.nan; Float.infinity; -0.0; -0.12 ] ]);
+        map (fun s -> J.String s)
+          (oneof [ oneofl words; string_size ~gen:printable (int_bound 8) ]) ]
+  in
+  let grid g = map (fun l -> J.List l) (list_size (int_range 1 4) g) in
+  let pow2 lo hi = map (fun e -> J.Int (1 lsl e)) (int_range lo hi) in
+  let tree =
+    fix (fun self depth ->
+        let typed = function
+          | "capacity_bits" -> pow2 8 20
+          | "w" -> pow2 0 8
+          | "id" | "rng_seed" -> map (fun i -> J.Int i) int
+          | "vssc_v" ->
+            grid (map (fun k -> J.Float (-0.01 *. float_of_int k)) (int_bound 24))
+          | "nr" -> grid (pow2 1 10)
+          | "n_pre" | "n_wr" -> grid (map (fun i -> J.Int i) (int_range 1 50))
+          | "query" | "space" | "payload" -> self (depth - 1)
+          | _ -> map (fun s -> J.String s) (oneofl words)
+        in
+        let field =
+          let* k = oneofl keys in
+          let* v = frequency [ (2, typed k); (1, self (depth - 1)) ] in
+          return (k, v)
+        in
+        if depth = 0 then scalar
+        else
+          frequency
+            [ (1, scalar);
+              (1, map (fun l -> J.List l) (list_size (int_bound 4) (self (depth - 1))));
+              (4, map (fun kvs -> J.Obj kvs) (list_size (int_bound 8) field)) ])
+  in
+  (* Half the roots lead with a well-typed request or response head. *)
+  let* head =
+    let* id = int in
+    let* endpoint = frequency [ (3, oneofl [ "optimize"; "explain" ]); (1, oneofl words) ] in
+    let* status = frequency [ (3, oneofl [ "ok"; "error" ]); (1, oneofl words) ] in
+    let* query = tree 3 in
+    let* capacity = pow2 8 20 in
+    let query =
+      match query with
+      | J.Obj kvs -> J.Obj (("capacity_bits", capacity) :: kvs)
+      | j -> j
+    in
+    oneofl
+      [ [];
+        [ ("id", J.Int id); ("endpoint", J.String endpoint); ("status", J.String status);
+          ("query", query) ] ]
+  in
+  map (function J.Obj kvs -> J.Obj (head @ kvs) | j -> j) (tree 4)
+
 let protocol_tests =
   [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"any JSON tree decodes or is refused, never raises"
+         ~count:3000
+         (QCheck.make ~print:(fun j -> Printf.sprintf "%S" (J.to_string j)) protocol_tree_gen)
+         (fun j ->
+           match (P.request_of_json j, P.response_of_json j) with
+           | _ -> true
+           | exception e ->
+             QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e)));
+    QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"wild queries are refused or answered, never raise"
          ~count:200
          (QCheck.make ~print:J.to_string wild_query_gen)
@@ -494,7 +639,40 @@ let refused_queries =
     (q [ {|"space":{"n_pre":[0]}|} ], "space.n_pre") ]
 
 let server_tests =
-  [ case "refused queries answer bad_request naming the field" (fun () ->
+  [ case "a deeply nested frame is refused and holds up no other client"
+      (fun () ->
+        with_inprocess_server (fun path ->
+            let connect () =
+              let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+              Unix.connect fd (Unix.ADDR_UNIX path);
+              fd
+            in
+            let deep = connect () and other = connect () in
+            Fun.protect
+              ~finally:(fun () -> Unix.close deep; Unix.close other)
+              (fun () ->
+                (* 4,194,300 bytes: the largest such frame under the cap. *)
+                let half = (F.max_frame_default / 2) - 2 in
+                let t0 = Unix.gettimeofday () in
+                F.write deep (String.make half '[' ^ String.make half ']');
+                F.write other {|{"id":2,"endpoint":"ping"}|};
+                (match read_response other with
+                | Ok { P.body = Ok _; _ } -> ()
+                | _ -> Alcotest.fail "ping on a second connection");
+                (match read_response deep with
+                | Ok { P.body = Error (P.Bad_request, msg); _ } ->
+                  Alcotest.(check bool) ("names the limit: " ^ msg) true
+                    (String.starts_with ~prefix:"nesting deeper than 64 levels" msg)
+                | Ok _ -> Alcotest.fail "expected bad_request"
+                | Error e -> Alcotest.failf "no answer: %s" e);
+                let dt = Unix.gettimeofday () -. t0 in
+                Alcotest.(check bool) (Printf.sprintf "answered in %.3f s" dt) true
+                  (dt < 1.0);
+                F.write deep {|{"id":3,"endpoint":"ping"}|};
+                match read_response deep with
+                | Ok { P.body = Ok _; _ } -> ()
+                | _ -> Alcotest.fail "ping after the refusal")));
+    case "refused queries answer bad_request naming the field" (fun () ->
         with_inprocess_server (fun path ->
             let dumps = Obs.Flight.dumps_written () in
             let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
