@@ -309,7 +309,8 @@ let attribution_consistent at =
    characterization and the assist-blind Table 2 components depend only
    on the geometry, while the assist-rail drive currents and the write
    cell delay depend only on the assist.  The kernel hoists both sides:
-   [stage] captures everything geometry-determined, [prepare] everything
+   [stage_array] captures everything geometry-determined into a grid
+   ([stage] into a one-element grid), [prepare] everything
    assist-determined, and [complete] finishes the cross terms — a few
    dozen float operations, no table lookups, no memo locks.
 
@@ -326,48 +327,57 @@ let stage_counter = Runtime.Telemetry.counter "array_eval.stage"
 let stage_hist = Obs.Histogram.create ~sample:64 "array_eval.stage"
 let eval_hist = Obs.Histogram.create ~sample:128 "array_eval.eval_staged"
 
-(* The staged constants live in an all-float record: OCaml stores those
-   flat (one unboxed float per field), whereas a mixed record would box
-   every float field individually — ~20 extra minor allocations per
-   staged geometry, which dominated staging cost on the full sweep.
-   Assist-blind components are stored pre-folded (the fold runs the
-   reference association order once at staging), so the record carries
-   only the values [complete_parts]/[scan_slice] actually read. *)
-type staged_k = {
-  (* Equation (1) C operands that depend on the geometry *)
-  c_cvdd : float;
-  c_cvss : float;
-  c_wl : float;
-  c_bl : float;
-  (* pre-folded delay prefixes (reference association order) *)
-  d_row_prefix : float;      (* row_dec + driver *)
-  st_d_row_path_read : float;(* d_row_prefix + wl_rd.delay *)
-  st_d_col_path : float;
-  d_col_blwr : float;        (* d_col_path + bl_wr.delay *)
-  pre_rd_delay : float;
-  pre_wr_delay : float;
-  (* pre-folded energy prefixes and per-component energies *)
-  e_rowdrv : float;          (* row_dec.energy + driver_energy *)
-  e_rd_prefix : float;       (* e_rowdrv + wl_rd.energy *)
-  col_dec_e : float;
-  col_e : float;
-  bl_wr_e : float;
-  pre_rd_e : float;
-  pre_wr_e : float;
-  (* Physical-accounting geometry terms *)
-  nc_f : float;
-  w_sense_energy : float;    (* w * sense_energy *)
-  w_write_term : float;      (* w * (bl_wr.e + write_cell_e + pre_wr.e) *)
-  disturb_term : float;      (* n_unselected * disturb *)
-  (* leakage slope: M * P_leak,cell *)
-  mp_leak : float;
+(* A staged grid keeps, per geometry, the [stride] operands that
+   [complete] and [scan_slice] read, at a fixed stride in one flat
+   [float array].  A grid of a dozen geometries or more exceeds the
+   minor heap's largest block, so its block is allocated straight in
+   the major heap and the minor GC never copies or promotes it (a
+   10,000-geometry grid is one 1.76 MB block).  Assist-blind components
+   are stored pre-folded (the fold runs the reference association order
+   once at staging), so the block carries only the values the
+   completion reads.  The offsets: *)
+
+(* Equation (1) C operands that depend on the geometry *)
+let k_c_cvdd = 0
+let k_c_cvss = 1
+let k_c_wl = 2
+let k_c_bl = 3
+(* pre-folded delay prefixes (reference association order) *)
+let k_d_row_prefix = 4          (* row_dec + driver *)
+let k_d_row_path_read = 5       (* d_row_prefix + wl_rd.delay *)
+let k_d_col_path = 6
+let k_d_col_blwr = 7            (* d_col_path + bl_wr.delay *)
+let k_pre_rd_delay = 8
+let k_pre_wr_delay = 9
+(* pre-folded energy prefixes and per-component energies *)
+let k_e_rowdrv = 10             (* row_dec.energy + driver_energy *)
+let k_e_rd_prefix = 11          (* e_rowdrv + wl_rd.energy *)
+let k_col_dec_e = 12
+let k_col_e = 13
+let k_bl_wr_e = 14
+let k_pre_rd_e = 15
+let k_pre_wr_e = 16
+(* Physical-accounting geometry terms *)
+let k_nc = 17
+let k_w_sense_energy = 18       (* w * sense_energy *)
+let k_w_write_term = 19         (* w * (bl_wr.e + write_cell_e + pre_wr.e) *)
+let k_disturb_term = 20         (* n_unselected * disturb *)
+(* leakage slope: M * P_leak,cell *)
+let k_mp_leak = 21
+let stride = 22
+
+type grid = {
+  g_env : env;
+  g_k : float array;  (* [stride] operands per geometry, in grid order *)
 }
 
-type staged = {
-  st_env : env;
-  st_geometry : Geometry.t;
-  st_k : staged_k;
-}
+(* Offset of geometry [i]'s operands, checked once per call so the
+   loads behind it may go unchecked. *)
+let base_of grid i ~fn =
+  let base = i * stride in
+  if i < 0 || base + stride > Array.length grid.g_k then
+    invalid_arg ("Array_eval." ^ fn ^ ": index out of the grid");
+  base
 
 (* ----- staging context: hoisted currents and the two staging caches -----
 
@@ -376,27 +386,27 @@ type staged = {
    and [bl_write]/[precharge] only through the small integers
    n_wr/n_pre — yet each call re-evaluates the FinFET device model.  A
    context hoists them once per environment (the per-n_wr/n_pre draws
-   eagerly, via the exact [Currents] functions, so staged records built
-   from a context are bit-identical to the direct path's).
+   eagerly, via the exact [Currents] functions, so grids staged through
+   a context are bit-identical to the direct path's).
 
    A context also owns the only two staging caches, under one mutex:
    - its last [stage_array_cap] staged grids, found by the identity of
      the grid array: the exhaustive searches of one memoized grid (both
      methods of a Table 4 capacity, served queries differing only in
      V_SSC) stage it once;
-   - a bounded table of single staged geometries for [stage], whose
-     callers ({!Opt.Line_cache}) revisit geometries across searches.
+   - a bounded table of one-geometry grids for [stage], whose callers
+     ({!Opt.Line_cache}) revisit geometries across searches.
    Exhaustive searches look a grid up once per search, and the
    heuristics look up a few hundred geometries per search, so the lock
    is never on a per-candidate path.  Two domains that miss together
-   stage the same records twice; staging is deterministic, so the
-   copies are bit-identical. *)
+   stage the same grid twice; staging is deterministic, so the copies
+   are bit-identical. *)
 
-(* Fields of [staged] that depend on the geometry only through
-   (nr, nc, w): wire caps, decoders, the WL read component and every
-   prefix folded from them.  A grid enumerates (N_pre, N_wr) inside each
-   n_r, so [stage_array] computes one row core per n_r and the rest of
-   each record is a handful of [equation1] applications. *)
+(* Operands that depend on the geometry only through (nr, nc, w): wire
+   caps, decoders, the WL read component and every prefix folded from
+   them.  A grid enumerates (N_pre, N_wr) inside each n_r, so
+   [stage_grid] computes one row core per n_r and the rest of each
+   geometry's operands is a handful of [equation1] applications. *)
 type row_core = {
   rc_c_cvdd : float;
   rc_c_cvss : float;
@@ -421,8 +431,8 @@ type ctx = {
   x_i_bl_write : float array;   (* Currents.bl_write, indexed by n_wr *)
   x_i_precharge : float array;  (* Currents.precharge, indexed by n_pre *)
   x_lock : Mutex.t;             (* guards the two caches below *)
-  x_staged : (Geometry.t, staged) Hashtbl.t;
-  mutable x_grids : (Geometry.t array * staged array) list;  (* newest first *)
+  x_staged : (Geometry.t, grid) Hashtbl.t;
+  mutable x_grids : (Geometry.t array * grid) list;  (* newest first *)
 }
 
 let ctx_current_slots = 128
@@ -472,8 +482,8 @@ let row_core_of ctx (g : Geometry.t) =
     rc_mp_leak =
       float_of_int (Geometry.capacity_bits g) *. per.Periphery.p_leak_cell }
 
-let stage_residue ctx rc (g : Geometry.t) =
-  Runtime.Telemetry.incr stage_counter;
+(* Write [g]'s operands into [k] from [base], given its row core. *)
+let stage_residue ctx rc (g : Geometry.t) k base =
   let env = ctx.x_env in
   let d = env.dcaps and cur = env.currents and per = env.periphery in
   (* The (n_pre, n_wr) residue: each [equation1] application expands to
@@ -507,69 +517,42 @@ let stage_residue ctx rc (g : Geometry.t) =
     else 0.0
   in
   let disturb = 2.0 *. c_bl *. vdd *. Finfet.Tech.delta_v_sense in
-  { st_env = env;
-    st_geometry = g;
-    st_k =
-      { c_cvdd = rc.rc_c_cvdd;
-        c_cvss = rc.rc_c_cvss;
-        c_wl = rc.rc_c_wl;
-        c_bl;
-        d_row_prefix = rc.rc_d_row_prefix;
-        st_d_row_path_read = rc.rc_d_row_path_read;
-        st_d_col_path = d_col_path;
-        d_col_blwr = d_col_path +. bl_wr.Components.delay;
-        pre_rd_delay = pre_rd.Components.delay;
-        pre_wr_delay = pre_wr.Components.delay;
-        e_rowdrv = rc.rc_e_rowdrv;
-        e_rd_prefix = rc.rc_e_rd_prefix;
-        col_dec_e = rc.rc_col_dec_e;
-        col_e = col.Components.energy;
-        bl_wr_e = bl_wr.Components.energy;
-        pre_rd_e = pre_rd.Components.energy;
-        pre_wr_e = pre_wr.Components.energy;
-        nc_f = rc.rc_nc_f;
-        w_sense_energy = rc.rc_w_sense_energy;
-        w_write_term =
-          rc.rc_w_f
-          *. (bl_wr.Components.energy +. per.Periphery.write_cell_energy
-              +. pre_wr.Components.energy);
-        disturb_term = rc.rc_n_unselected *. disturb;
-        mp_leak = rc.rc_mp_leak } }
+  k.(base + k_c_cvdd) <- rc.rc_c_cvdd;
+  k.(base + k_c_cvss) <- rc.rc_c_cvss;
+  k.(base + k_c_wl) <- rc.rc_c_wl;
+  k.(base + k_c_bl) <- c_bl;
+  k.(base + k_d_row_prefix) <- rc.rc_d_row_prefix;
+  k.(base + k_d_row_path_read) <- rc.rc_d_row_path_read;
+  k.(base + k_d_col_path) <- d_col_path;
+  k.(base + k_d_col_blwr) <- d_col_path +. bl_wr.Components.delay;
+  k.(base + k_pre_rd_delay) <- pre_rd.Components.delay;
+  k.(base + k_pre_wr_delay) <- pre_wr.Components.delay;
+  k.(base + k_e_rowdrv) <- rc.rc_e_rowdrv;
+  k.(base + k_e_rd_prefix) <- rc.rc_e_rd_prefix;
+  k.(base + k_col_dec_e) <- rc.rc_col_dec_e;
+  k.(base + k_col_e) <- col.Components.energy;
+  k.(base + k_bl_wr_e) <- bl_wr.Components.energy;
+  k.(base + k_pre_rd_e) <- pre_rd.Components.energy;
+  k.(base + k_pre_wr_e) <- pre_wr.Components.energy;
+  k.(base + k_nc) <- rc.rc_nc_f;
+  k.(base + k_w_sense_energy) <- rc.rc_w_sense_energy;
+  k.(base + k_w_write_term) <-
+    rc.rc_w_f
+    *. (bl_wr.Components.energy +. per.Periphery.write_cell_energy
+        +. pre_wr.Components.energy);
+  k.(base + k_disturb_term) <- rc.rc_n_unselected *. disturb;
+  k.(base + k_mp_leak) <- rc.rc_mp_leak
 
-(* A single geometry: its own row core, then the residue.  The table is
-   bounded first-come, so a long-lived server cannot grow it without
-   limit. *)
-let stage_cached ctx (g : Geometry.t) =
-  match Mutex.protect ctx.x_lock (fun () -> Hashtbl.find_opt ctx.x_staged g) with
-  | Some st -> st
-  | None ->
-    let st = stage_residue ctx (row_core_of ctx g) g in
-    Mutex.protect ctx.x_lock (fun () ->
-        if Hashtbl.length ctx.x_staged < ctx_cache_cap then
-          Hashtbl.replace ctx.x_staged g st);
-    st
-
-let stage_with ctx g =
-  if Obs.Histogram.tick stage_hist then begin
-    let g0 = Obs.Histogram.major_collections () in
-    let t0 = Obs.Clock.now () in
-    let st = stage_cached ctx g in
-    let dt = Obs.Clock.now () -. t0 in
-    Obs.Histogram.observe_gc stage_hist dt
-      (Obs.Histogram.major_collections () - g0);
-    st
-  end
-  else stage_cached ctx g
-
-let stage_array ctx (gs : Geometry.t array) =
-  match Mutex.protect ctx.x_lock (fun () -> List.assq_opt gs ctx.x_grids) with
-  | Some arr -> arr
-  | None ->
-    (* Each element reuses the previous element's row core when their
-       (n_r, n_c, W) agree, which in an n_r-major grid is all but one
-       element per n_r. *)
-    let prev = ref None in
-    let stage1 (g : Geometry.t) =
+(* Stage [gs] into one block.  Each element reuses the previous
+   element's row core when their (n_r, n_c, W) agree, which in an
+   n_r-major grid is all but one element per n_r. *)
+let stage_grid ctx (gs : Geometry.t array) =
+  let n = Array.length gs in
+  Runtime.Telemetry.add stage_counter n;
+  let k = Array.create_float (n * stride) in
+  let prev = ref None in
+  Array.iteri
+    (fun i (g : Geometry.t) ->
       let rc =
         match !prev with
         | Some ((p : Geometry.t), rc)
@@ -579,14 +562,44 @@ let stage_array ctx (gs : Geometry.t array) =
           prev := Some (g, rc);
           rc
       in
-      stage_residue ctx rc g
-    in
-    let arr = Array.map stage1 gs in
+      stage_residue ctx rc g k (i * stride))
+    gs;
+  { g_env = ctx.x_env; g_k = k }
+
+(* A single geometry is a one-element grid.  The table is bounded
+   first-come, so a long-lived server cannot grow it without limit. *)
+let stage_cached ctx (g : Geometry.t) =
+  match Mutex.protect ctx.x_lock (fun () -> Hashtbl.find_opt ctx.x_staged g) with
+  | Some grid -> grid
+  | None ->
+    let grid = stage_grid ctx [| g |] in
+    Mutex.protect ctx.x_lock (fun () ->
+        if Hashtbl.length ctx.x_staged < ctx_cache_cap then
+          Hashtbl.replace ctx.x_staged g grid);
+    grid
+
+let stage_with ctx g =
+  if Obs.Histogram.tick stage_hist then begin
+    let g0 = Obs.Histogram.major_collections () in
+    let t0 = Obs.Clock.now () in
+    let grid = stage_cached ctx g in
+    let dt = Obs.Clock.now () -. t0 in
+    Obs.Histogram.observe_gc stage_hist dt
+      (Obs.Histogram.major_collections () - g0);
+    grid
+  end
+  else stage_cached ctx g
+
+let stage_array ctx (gs : Geometry.t array) =
+  match Mutex.protect ctx.x_lock (fun () -> List.assq_opt gs ctx.x_grids) with
+  | Some grid -> grid
+  | None ->
+    let grid = stage_grid ctx gs in
     Mutex.protect ctx.x_lock (fun () ->
         ctx.x_grids <-
-          (gs, arr)
+          (gs, grid)
           :: List.filteri (fun i _ -> i < stage_array_cap - 1) ctx.x_grids);
-    arr
+    grid
 
 (* Contexts are registered per environment value (physical equality:
    environments are built once and shared — the framework memoizes
@@ -611,7 +624,7 @@ let ctx_for env =
     c
 
 (* The registered contexts own every cache, so dropping them drops
-   every staged record. *)
+   every staged grid. *)
 let reset_staging () =
   Mutex.protect ctx_registry_lock (fun () -> ctx_registry := [])
 
@@ -694,34 +707,51 @@ let prepare env (a : Components.assist) =
     ~wl_boosted:(a.Components.vwl > vdd)
     ~dcdc:env.dcdc_overhead
 
-(* The shared completion: prices the four assist-dependent components from
-   hoisted operands and re-runs the Table 3 / Equations (2)-(5) arithmetic
-   in [evaluate]'s association order.  [e_wl_scale] abstracts the one
-   conditional that differs between an actual assist (vwl > vdd) and the
-   lower envelope (all enveloped assists boosted). *)
-let complete_parts st ~dv_cvdd ~i_cvdd ~dv_cvss ~i_cvss ~dv_wl_wr ~i_wl_wr
-    ~v_bl_rd ~i_bl_rd ~d_write_cell ~wl_boosted =
-  let env = st.st_env in
+(* The completion: prices the four assist-dependent components from
+   hoisted operands and re-runs the Table 3 / Equations (2)-(5)
+   arithmetic in [evaluate]'s association order.  [p.wl_boosted]
+   abstracts the one conditional that differs between an actual assist
+   (vwl > vdd) and the lower envelope (all enveloped assists
+   boosted). *)
+let complete_core grid i (p : prepared) =
+  let base = base_of grid i ~fn:"complete" in
+  let env = grid.g_env in
   let per = env.periphery in
-  let k = st.st_k in
-  let cvdd = Components.equation1 ~c:k.c_cvdd ~v:vdd ~dv:dv_cvdd ~i:i_cvdd in
-  let cvss = Components.equation1 ~c:k.c_cvss ~v:vdd ~dv:dv_cvss ~i:i_cvss in
-  let wl_wr = Components.equation1 ~c:k.c_wl ~v:vdd ~dv:dv_wl_wr ~i:i_wl_wr in
+  let k = grid.g_k in
+  let c_bl = Array.unsafe_get k (base + k_c_bl) in
+  let d_row_path_read = Array.unsafe_get k (base + k_d_row_path_read) in
+  let d_col_path = Array.unsafe_get k (base + k_d_col_path) in
+  let col_dec_e = Array.unsafe_get k (base + k_col_dec_e) in
+  let col_e = Array.unsafe_get k (base + k_col_e) in
+  let cvdd =
+    Components.equation1 ~c:(Array.unsafe_get k (base + k_c_cvdd)) ~v:vdd
+      ~dv:p.dv_cvdd ~i:p.i_cvdd
+  in
+  let cvss =
+    Components.equation1 ~c:(Array.unsafe_get k (base + k_c_cvss)) ~v:vdd
+      ~dv:p.dv_cvss ~i:p.i_cvss
+  in
+  let wl_wr =
+    Components.equation1 ~c:(Array.unsafe_get k (base + k_c_wl)) ~v:vdd
+      ~dv:p.dv_wl_wr ~i:p.i_wl_wr
+  in
   let bl_rd =
-    Components.equation1 ~c:k.c_bl ~v:v_bl_rd ~dv:Finfet.Tech.delta_v_sense
-      ~i:i_bl_rd
+    Components.equation1 ~c:c_bl ~v:p.v_bl_rd ~dv:Finfet.Tech.delta_v_sense
+      ~i:p.i_bl_rd
   in
   (* --- Table 3: delays --- *)
-  let d_row_path_read = k.st_d_row_path_read in
-  let d_col_path = k.st_d_col_path in
   let d_read =
     max (d_row_path_read +. bl_rd.Components.delay) d_col_path
-    +. per.Periphery.sense_delay +. k.pre_rd_delay
+    +. per.Periphery.sense_delay
+    +. Array.unsafe_get k (base + k_pre_rd_delay)
   in
-  let d_row_path_write = k.d_row_prefix +. wl_wr.Components.delay in
+  let d_row_path_write =
+    Array.unsafe_get k (base + k_d_row_prefix) +. wl_wr.Components.delay
+  in
   let d_write =
-    max d_row_path_write k.d_col_blwr
-    +. d_write_cell +. k.pre_wr_delay
+    max d_row_path_write (Array.unsafe_get k (base + k_d_col_blwr))
+    +. p.p_d_write_cell
+    +. Array.unsafe_get k (base + k_pre_wr_delay)
   in
   let d_array = max d_read d_write in
   (* --- Table 3: switching energies --- *)
@@ -729,43 +759,49 @@ let complete_parts st ~dv_cvdd ~i_cvdd ~dv_cvss ~i_cvss ~dv_wl_wr ~i_wl_wr
   let e_cvdd = assist_scaled cvdd.Components.energy in
   let e_cvss = assist_scaled cvss.Components.energy in
   let e_wl_wr =
-    if wl_boosted then assist_scaled wl_wr.Components.energy
+    if p.wl_boosted then assist_scaled wl_wr.Components.energy
     else wl_wr.Components.energy
   in
+  let e_rowdrv = Array.unsafe_get k (base + k_e_rowdrv) in
+  let e_rd_prefix = Array.unsafe_get k (base + k_e_rd_prefix) in
+  let pre_rd_e = Array.unsafe_get k (base + k_pre_rd_e) in
   let e_read, e_write =
     match env.accounting with
     | Paper_strict ->
       let e_read =
-        k.e_rd_prefix +. bl_rd.Components.energy
-        +. k.col_dec_e +. per.Periphery.driver_energy
-        +. k.col_e +. per.Periphery.sense_energy
-        +. k.pre_rd_e +. e_cvdd +. e_cvss
+        e_rd_prefix +. bl_rd.Components.energy
+        +. col_dec_e +. per.Periphery.driver_energy
+        +. col_e +. per.Periphery.sense_energy
+        +. pre_rd_e +. e_cvdd +. e_cvss
       in
       let e_write =
-        k.e_rowdrv +. wl_wr.Components.energy
-        +. k.col_dec_e +. per.Periphery.driver_energy
-        +. k.col_e +. k.bl_wr_e
-        +. per.Periphery.write_cell_energy +. k.pre_wr_e
+        e_rowdrv +. wl_wr.Components.energy
+        +. col_dec_e +. per.Periphery.driver_energy
+        +. col_e +. Array.unsafe_get k (base + k_bl_wr_e)
+        +. per.Periphery.write_cell_energy
+        +. Array.unsafe_get k (base + k_pre_wr_e)
       in
       (e_read, e_write)
     | Physical ->
       let e_read =
-        k.e_rd_prefix
-        +. (k.nc_f *. (bl_rd.Components.energy +. k.pre_rd_e))
-        +. k.col_dec_e +. per.Periphery.driver_energy
-        +. k.col_e +. k.w_sense_energy +. e_cvdd
+        e_rd_prefix
+        +. (Array.unsafe_get k (base + k_nc)
+            *. (bl_rd.Components.energy +. pre_rd_e))
+        +. col_dec_e +. per.Periphery.driver_energy
+        +. col_e +. Array.unsafe_get k (base + k_w_sense_energy) +. e_cvdd
         +. e_cvss
       in
       let e_write =
-        k.e_rowdrv +. e_wl_wr +. k.col_dec_e
-        +. per.Periphery.driver_energy +. k.col_e
-        +. k.w_write_term +. k.disturb_term
+        e_rowdrv +. e_wl_wr +. col_dec_e
+        +. per.Periphery.driver_energy +. col_e
+        +. Array.unsafe_get k (base + k_w_write_term)
+        +. Array.unsafe_get k (base + k_disturb_term)
       in
       (e_read, e_write)
   in
   (* --- Equations (2)-(5) --- *)
   let e_switching = (env.beta *. e_read) +. ((1.0 -. env.beta) *. e_write) in
-  let e_leakage = k.mp_leak *. d_array in
+  let e_leakage = Array.unsafe_get k (base + k_mp_leak) *. d_array in
   let e_total = (env.alpha *. e_switching) +. e_leakage in
   { d_read; d_write; d_array;
     e_read; e_write; e_switching; e_leakage; e_total;
@@ -774,23 +810,17 @@ let complete_parts st ~dv_cvdd ~i_cvdd ~dv_cvss ~i_cvss ~dv_wl_wr ~i_wl_wr
     d_row_path_read;
     d_col_path }
 
-let complete_core st (p : prepared) =
-  complete_parts st ~dv_cvdd:p.dv_cvdd ~i_cvdd:p.i_cvdd ~dv_cvss:p.dv_cvss
-    ~i_cvss:p.i_cvss ~dv_wl_wr:p.dv_wl_wr ~i_wl_wr:p.i_wl_wr
-    ~v_bl_rd:p.v_bl_rd ~i_bl_rd:p.i_bl_rd ~d_write_cell:p.p_d_write_cell
-    ~wl_boosted:p.wl_boosted
-
-let complete st (p : prepared) =
+let complete grid i (p : prepared) =
   if Obs.Histogram.tick eval_hist then begin
     let g0 = Obs.Histogram.major_collections () in
     let t0 = Obs.Clock.now () in
-    let m = complete_core st p in
+    let m = complete_core grid i p in
     let dt = Obs.Clock.now () -. t0 in
     Obs.Histogram.observe_gc eval_hist dt
       (Obs.Histogram.major_collections () - g0);
     m
   end
-  else complete_core st p
+  else complete_core grid i p
 
 (* ----- admissible lower envelope -----
 
@@ -798,7 +828,7 @@ let complete st (p : prepared) =
    operand, the extreme that minimizes the component (smallest dV and V,
    largest I) yields component values that lower-bound the component at
    every enveloped assist; since every combining operation in
-   [complete_parts] (+., *., /., max, all on non-negative operands) is
+   [complete] (+., *., /., max, all on non-negative operands) is
    monotone under IEEE rounding, the resulting metrics lower-bound every
    actual metrics field — no epsilon needed.  The envelope's fields are
    per-field bounds; they are generally not attained by any single
@@ -817,8 +847,6 @@ type envelope = {
   b_wl_boosted_all : bool;
 }
 
-let staged_geometry st = st.st_geometry
-
 (* ----- batched scan kernel -----
 
    One geometry's whole assist scan into preallocated float arrays
@@ -829,10 +857,10 @@ let staged_geometry st = st.st_geometry
    [complete] for the one winning index.
 
    Bit-identity with [complete] is load-bearing and preserved by
-   construction: the loop bodies re-run [complete_parts]' arithmetic in
-   the reference association order, and the only hoisted computations
-   are (a) loads of loop-invariant operands and (b) *whole
-   subexpressions* of the reference arithmetic — [st.c_cvdd *. vdd],
+   construction: the loop bodies re-run [complete]'s arithmetic in the
+   reference association order, and the only hoisted computations are
+   (a) loads of loop-invariant operands and (b) *whole subexpressions*
+   of the reference arithmetic — [c_cvdd *. vdd],
    [1.0 -. beta], [d_col_path +. bl_wr.delay], ... — whose lifting
    cannot re-associate anything.  The two accounting modes get separate
    loops so the hot path carries no per-point match. *)
@@ -862,48 +890,49 @@ let ensure_capacity buf n =
     buf.sb_edp <- Array.make cap 0.0
   end
 
-let scan_slice st (ps : prepared array) buf ~lo ~hi =
+let scan_slice grid gi (ps : prepared array) buf ~lo ~hi =
+  let base = base_of grid gi ~fn:"scan_slice" in
   if lo < 0 || hi < lo || hi > Array.length ps then
     invalid_arg "Array_eval.scan_slice: bad range";
   ensure_capacity buf hi;
   buf.sb_len <- hi;
-  let env = st.st_env in
+  let env = grid.g_env in
   let per = env.periphery in
-  let k = st.st_k in
+  let k = grid.g_k in
   (* Loop-invariant operands and whole-subexpression hoists. *)
   let dvs = Finfet.Tech.delta_v_sense in
   let bl_live = dvs > 0.0 in
-  let cv_cvdd = k.c_cvdd *. vdd in
-  let cv_cvss = k.c_cvss *. vdd in
-  let cv_wl = k.c_wl *. vdd in
-  let c_wl = k.c_wl in
-  let c_bl = k.c_bl in
-  let c_bl_dvs = if bl_live then k.c_bl *. dvs else 0.0 in
+  let c_wl = Array.unsafe_get k (base + k_c_wl) in
+  let c_bl = Array.unsafe_get k (base + k_c_bl) in
+  let cv_cvdd = Array.unsafe_get k (base + k_c_cvdd) *. vdd in
+  let cv_cvss = Array.unsafe_get k (base + k_c_cvss) *. vdd in
+  let cv_wl = c_wl *. vdd in
+  let c_bl_dvs = if bl_live then c_bl *. dvs else 0.0 in
   let dcdc = env.dcdc_overhead in
-  let d_row_path_read = k.st_d_row_path_read in
-  let d_col_path = k.st_d_col_path in
-  let d_row_prefix = k.d_row_prefix in
+  let d_row_path_read = Array.unsafe_get k (base + k_d_row_path_read) in
+  let d_col_path = Array.unsafe_get k (base + k_d_col_path) in
+  let d_row_prefix = Array.unsafe_get k (base + k_d_row_prefix) in
   let sense_delay = per.Periphery.sense_delay in
-  let pre_rd_delay = k.pre_rd_delay in
-  let pre_wr_delay = k.pre_wr_delay in
-  let d_col_blwr = k.d_col_blwr in
-  let col_dec_e = k.col_dec_e in
+  let pre_rd_delay = Array.unsafe_get k (base + k_pre_rd_delay) in
+  let pre_wr_delay = Array.unsafe_get k (base + k_pre_wr_delay) in
+  let d_col_blwr = Array.unsafe_get k (base + k_d_col_blwr) in
+  let col_dec_e = Array.unsafe_get k (base + k_col_dec_e) in
   let driver_e = per.Periphery.driver_energy in
-  let col_e = k.col_e in
+  let col_e = Array.unsafe_get k (base + k_col_e) in
   let sense_e = per.Periphery.sense_energy in
-  let pre_rd_e = k.pre_rd_e in
-  let pre_wr_e = k.pre_wr_e in
-  let bl_wr_e = k.bl_wr_e in
+  let pre_rd_e = Array.unsafe_get k (base + k_pre_rd_e) in
+  let pre_wr_e = Array.unsafe_get k (base + k_pre_wr_e) in
+  let bl_wr_e = Array.unsafe_get k (base + k_bl_wr_e) in
   let write_cell_e = per.Periphery.write_cell_energy in
-  let e_rd_prefix = k.e_rd_prefix in
-  let e_rowdrv = k.e_rowdrv in
-  let nc_f = k.nc_f in
-  let w_sense_energy = k.w_sense_energy in
-  let w_write_term = k.w_write_term in
-  let disturb_term = k.disturb_term in
+  let e_rd_prefix = Array.unsafe_get k (base + k_e_rd_prefix) in
+  let e_rowdrv = Array.unsafe_get k (base + k_e_rowdrv) in
+  let nc_f = Array.unsafe_get k (base + k_nc) in
+  let w_sense_energy = Array.unsafe_get k (base + k_w_sense_energy) in
+  let w_write_term = Array.unsafe_get k (base + k_w_write_term) in
+  let disturb_term = Array.unsafe_get k (base + k_disturb_term) in
   let alpha = env.alpha and beta = env.beta in
   let one_minus_beta = 1.0 -. env.beta in
-  let mp_leak = k.mp_leak in
+  let mp_leak = Array.unsafe_get k (base + k_mp_leak) in
   let out_e = buf.sb_e_total
   and out_d = buf.sb_d_array
   and out_edp = buf.sb_edp in
@@ -998,7 +1027,7 @@ let scan_slice st (ps : prepared array) buf ~lo ~hi =
       Array.unsafe_set out_edp i (e_total *. d_array)
     done
 
-let scan st ps buf = scan_slice st ps buf ~lo:0 ~hi:(Array.length ps)
+let scan grid gi ps buf = scan_slice grid gi ps buf ~lo:0 ~hi:(Array.length ps)
 
 (* ----- envelopes as scan points -----
 

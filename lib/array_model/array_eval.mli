@@ -118,40 +118,44 @@ val attribution_consistent : attribution -> bool
 
     [evaluate] recomputes per-(geometry, assist) work that depends on
     only one of the two coordinates.  The staged kernel factors it:
-    {!stage} precomputes everything geometry-determined (decoders, wire
-    capacitances, assist-blind Table 2 components, segment prefixes),
-    {!prepare} everything assist-determined (rail drive currents, write
-    cell delay), and {!complete} finishes the cross terms — a few dozen
-    float operations with no table lookups or memo locks.  Results are
-    bit-identical to [evaluate]: every hoisted leaf comes from the same
-    expression as the reference path and the combining arithmetic runs
-    in the same association order (asserted field-for-field by the
-    QCheck property suite). *)
+    {!stage_array} precomputes everything geometry-determined (decoders,
+    wire capacitances, assist-blind Table 2 components, segment
+    prefixes) for a whole candidate grid, {!prepare} everything
+    assist-determined (rail drive currents, write cell delay), and
+    {!complete} finishes the cross terms for one (grid index, assist)
+    pair — a few dozen float operations with no table lookups or memo
+    locks.  Results are bit-identical to [evaluate]: every hoisted leaf
+    comes from the same expression as the reference path and the
+    combining arithmetic runs in the same association order (asserted
+    field-for-field by the QCheck property suite). *)
 
-type staged
-(** Geometry-resolved evaluation state: [evaluate] with the assist-
-    dependent holes left open. *)
+type grid
+(** A staged candidate grid: [evaluate] with the assist-dependent holes
+    left open, for each geometry of the grid in order.  It is one flat
+    float block holding a fixed number of operands per geometry, so a
+    grid of thousands of geometries is a single major-heap allocation
+    that the minor GC never copies. *)
 
 type prepared
 (** Assist-resolved evaluation state: rail currents and the write cell
     delay for one assist, reusable across every geometry. *)
 
-val stage : env -> Geometry.t -> staged
-(** Hoist all geometry-only computation, through the context
+val stage : env -> Geometry.t -> grid
+(** A one-element grid for this geometry, staged through the context
     {!ctx_for} registers for [env]: a geometry that context staged
-    before comes back from its table.  Every record actually staged,
-    here or by {!stage_array}, increments the ["array_eval.stage"]
+    before comes back from its table.  Every geometry actually staged,
+    here or by {!stage_array}, adds one to the ["array_eval.stage"]
     telemetry counter. *)
 
 val prepare : env -> Components.assist -> prepared
 (** Hoist all assist-only computation (four rail currents and the write
     cell delay). *)
 
-val complete : staged -> prepared -> metrics
-(** Finish the evaluation; bit-identical to
-    [evaluate env geometry assist] for the matching inputs. *)
-
-val staged_geometry : staged -> Geometry.t
+val complete : grid -> int -> prepared -> metrics
+(** [complete grid i p] finishes the evaluation of the grid's geometry
+    [i]; bit-identical to [evaluate env geometry assist] for the
+    matching inputs.  Raises [Invalid_argument] when [i] is outside the
+    grid. *)
 
 (** {1 Staging context: the staging caches}
 
@@ -160,10 +164,10 @@ val staged_geometry : staged -> Geometry.t
     only through the small integers n_wr/n_pre).  A [ctx] hoists them
     once per environment and owns the only two staging caches, under
     one lock: its last four staged grids, found by the identity of the
-    grid array ({!stage_array}), and a bounded table of single staged
-    geometries ({!stage}).  Records built through a context are
-    bit-identical to [stage]'s (the hoisted draws come from the exact
-    [Currents] functions). *)
+    grid array ({!stage_array}), and a bounded table of one-element
+    grids ({!stage}).  Grids staged through a context are bit-identical
+    to [stage]'s (the hoisted draws come from the exact [Currents]
+    functions). *)
 
 type ctx
 
@@ -179,19 +183,19 @@ val ctx_for : env -> ctx
 
 val ctx_env : ctx -> env
 
-val stage_array : ctx -> Geometry.t array -> staged array
-(** Stage a whole candidate grid.  The context keeps its last four
-    results, found by the {e identity} of the array: searches that
-    share one memoized grid (the two methods of a Table 4 capacity,
-    queries differing only in V_SSC) stage it once.  Element [i] is
-    bit-identical to [stage]'s record for [gs.(i)], whatever the
-    array's order; the result is immutable shared state — callers must
-    only read it. *)
+val stage_array : ctx -> Geometry.t array -> grid
+(** Stage a whole candidate grid into one block.  The context keeps its
+    last four results, found by the {e identity} of the array: searches
+    that share one memoized grid (the two methods of a Table 4
+    capacity, queries differing only in V_SSC) stage it once.  Index
+    [i] of the result is bit-identical to [stage]'s one-element grid
+    for [gs.(i)], whatever the array's order; the result is immutable
+    shared state. *)
 
 val reset_staging : unit -> unit
-(** Drop every registered context, and with them every staged grid and
-    geometry (benchmarks call this between runs so cold-path
-    measurements stay cold). *)
+(** Drop every registered context, and with them every staged grid
+    (benchmarks call this between runs so cold-path measurements stay
+    cold). *)
 
 (** {1 Admissible lower envelope}
 
@@ -229,7 +233,7 @@ val suffix_envelopes : prepared array -> block:int -> envelope array
 
 (** {1 Batched scan kernel}
 
-    One geometry's whole assist scan evaluated into preallocated
+    One grid geometry's whole assist scan evaluated into preallocated
     structure-of-arrays float buffers with zero per-candidate
     allocation: no [metrics] record is built per point — the caller
     reduces over the flat arrays and materializes {!complete} for the
@@ -246,13 +250,16 @@ val scan_buffer : unit -> scan_buffer
 (** Fresh buffer; grows on demand, so one per domain serves every scan
     length (pair with [Runtime.Pool.local]). *)
 
-val scan : staged -> prepared array -> scan_buffer -> unit
-(** Evaluate the whole scan into the buffer (length = array length). *)
+val scan : grid -> int -> prepared array -> scan_buffer -> unit
+(** [scan grid i ps buf] evaluates geometry [i]'s whole scan into the
+    buffer (length = array length). *)
 
-val scan_slice : staged -> prepared array -> scan_buffer -> lo:int -> hi:int -> unit
+val scan_slice :
+  grid -> int -> prepared array -> scan_buffer -> lo:int -> hi:int -> unit
 (** Evaluate indices [lo, hi): block-wise form for searches that
     interleave evaluation with suffix-bound early exit.  Slots below
-    [lo] keep their previous contents. *)
+    [lo] keep their previous contents.  Raises [Invalid_argument] when
+    the geometry index is outside the grid or the range outside [ps]. *)
 
 val scan_e_total : scan_buffer -> float array
 (** The backing arrays themselves (no copy); valid indices are those

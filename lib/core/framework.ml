@@ -20,26 +20,25 @@ type optimized = {
   result : Opt.Exhaustive.result;
 }
 
-(* Canonical description of a search space's contents, so that any two
-   [Opt.Space.t] values spanning the same grid memoize to the same key.
-   Floats are normalized: [-0.0] (which [Space.default] actually contains
-   at index 0, and which hashes differently from [+0.0]) collapses to
-   [0.0], and sub-microvolt representation noise between arithmetically-
-   built and literal grids is rounded away — 1 uV is far below the 10 mV
-   search resolution, so distinct grids cannot collide. *)
+(* A search space's contents, so that any two [Opt.Space.t] values
+   spanning the same grid memoize to the same key.  Each V_SSC value is
+   keyed by its exact bits: the answer carries the winner's V_SSC, so
+   two grids that differ in any bit — [-0.0] against [0.0], or values
+   a few uV apart — have different answers and must not share an
+   entry.  ([compare] and [Hashtbl.hash] equate [-0.0] with [0.0], so
+   the key holds the bits, not the floats.)  The Table 4 sweep,
+   [Space.reduced] and sub-grids sliced from a grid are bit-exact
+   copies of it, and still share entries. *)
 type space_sig = {
-  s_vssc : float list;
+  s_vssc : int64 list;
   s_nr : int list;
   s_n_pre : int list;
   s_n_wr : int list;
 }
 
-let canon_volts v =
-  let r = Float.round (v *. 1e6) /. 1e6 in
-  if r = 0.0 then 0.0 else r
-
 let space_sig (s : Opt.Space.t) =
-  { s_vssc = List.map canon_volts (Array.to_list s.Opt.Space.vssc_values);
+  { s_vssc =
+      List.map Int64.bits_of_float (Array.to_list s.Opt.Space.vssc_values);
     s_nr = Array.to_list s.Opt.Space.nr_values;
     s_n_pre = Array.to_list s.Opt.Space.n_pre_values;
     s_n_wr = Array.to_list s.Opt.Space.n_wr_values }
@@ -64,8 +63,9 @@ let cache : (cache_key, optimized) Runtime.Memo.t =
 
 (* Disk tier under --cache-dir: a full optimized design per key, so a
    Table 4 sweep repeated across processes costs one replay.  The key
-   string spells out the whole canonical space grid (17 significant
-   digits per voltage) — no hashing, so distinct grids cannot collide. *)
+   string spells out the whole space grid, each voltage in [%.17g],
+   which round-trips every double ([-0.0] included) — no hashing, so
+   distinct grids cannot collide. *)
 let disk_cache = Persist.Cache.create ~name:"framework.optimize" ()
 
 let disk_key (k : cache_key) =
@@ -78,7 +78,9 @@ let disk_key (k : cache_key) =
        | Array_model.Array_eval.Paper_strict -> "paper"
        | Array_model.Array_eval.Physical -> "physical")
        k.k_w);
-  List.iter (fun v -> Buffer.add_string b (Printf.sprintf "%.17g," v))
+  List.iter
+    (fun v ->
+      Buffer.add_string b (Printf.sprintf "%.17g," (Int64.float_of_bits v)))
     k.k_space.s_vssc;
   Buffer.add_char b '|';
   let ints xs = List.iter (fun v -> Buffer.add_string b (string_of_int v ^ ",")) xs in

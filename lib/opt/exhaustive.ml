@@ -458,7 +458,7 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
   (* Both staged arms stage the whole grid up front through a context —
      env-constant currents hoisted once, and the grid found again by its
      identity when a sibling search staged it — and read each line's
-     record by index, so no lookup sits on the per-line path. *)
+     operands by index, so no lookup sits on the per-line path. *)
   let staged_grid () =
     let ctx =
       match stage_ctx with
@@ -474,15 +474,14 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
     | `Staged when keep_all ->
       (* keep_all never prunes (the full candidate list is the
          contract), so it stays on the record-materializing path. *)
-      let staged_arr, prepared = staged_grid () in
+      let grid, prepared = staged_grid () in
       fun i ->
         let geometry = geometries.(i) in
-        let st = staged_arr.(i) in
         let best = ref None in
         let all = ref [] in
         Array.iteri
-          (fun i assist ->
-            let metrics = Array_model.Array_eval.complete st prepared.(i) in
+          (fun j assist ->
+            let metrics = Array_model.Array_eval.complete grid i prepared.(j) in
             let score = Objective.eval objective metrics in
             let candidate = { geometry; assist; metrics; score } in
             all := candidate :: !all;
@@ -496,7 +495,7 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
       (* Hot path: the whole vssc scan runs through the allocation-free
          batched kernel; [metrics] is materialized once, for the line's
          winner. *)
-      let staged_arr, prepared = staged_grid () in
+      let grid, prepared = staged_grid () in
       (* Suffix envelopes as scan points: element 0 bounds the whole
          line (the per-geometry prune), element j > 0 bounds the points
          block j onward — evaluated by the same batched scan as real
@@ -511,13 +510,12 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
          whole-line bound, so the constant saves a tuple per line. *)
       let pruned_line = (None, []) in
       fun i ->
-        let st = Array.unsafe_get staged_arr i in
         let bbuf = Runtime.Pool.get_local bound_buf in
         (* Bound slot 0 (the whole-line bound) decides the per-geometry
            prune; most lines die on it, so the remaining suffix bounds
            are scanned only for survivors — a pruned line costs exactly
            one bound evaluation, as in the unbatched kernel. *)
-        Array_model.Array_eval.scan_slice st bound_ps bbuf ~lo:0 ~hi:1;
+        Array_model.Array_eval.scan_slice grid i bound_ps bbuf ~lo:0 ~hi:1;
         let line_bound = score_at objective bbuf 0 in
         if line_bound > Runtime.Shared_min.get incumbent then begin
           let np = Atomic.fetch_and_add n_pruned 1 in
@@ -538,12 +536,12 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
         end
         else begin
           if nb > 1 then
-            Array_model.Array_eval.scan_slice st bound_ps bbuf ~lo:1 ~hi:nb;
+            Array_model.Array_eval.scan_slice grid i bound_ps bbuf ~lo:1 ~hi:nb;
           let buf = Runtime.Pool.get_local scan_buf in
           (* Block 0 seeds the incumbent from index 0 exactly as the
              sequential scan does, then folds the rest of the block. *)
           let h0 = min nv scan_block in
-          Array_model.Array_eval.scan_slice st prepared buf ~lo:0 ~hi:h0;
+          Array_model.Array_eval.scan_slice grid i prepared buf ~lo:0 ~hi:h0;
           let best_i = ref 0 in
           let best_score = ref (score_at objective buf 0) in
           fold_block objective buf ~lo:1 ~hi:h0 best_i best_score;
@@ -565,7 +563,7 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
             else begin
               let lo = !j * scan_block in
               let hi = min nv (lo + scan_block) in
-              Array_model.Array_eval.scan_slice st prepared buf ~lo ~hi;
+              Array_model.Array_eval.scan_slice grid i prepared buf ~lo ~hi;
               fold_block objective buf ~lo ~hi best_i best_score;
               scanned := hi;
               incr j;
@@ -576,7 +574,7 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
           if !scanned < nv then
             ignore (Atomic.fetch_and_add n_skipped (nv - !scanned));
           let bi = !best_i in
-          let metrics = Array_model.Array_eval.complete st prepared.(bi) in
+          let metrics = Array_model.Array_eval.complete grid i prepared.(bi) in
           let score = !best_score in
           (* Bound tightness is only meaningful against the line's true
              minimum, so abandoned scans (whose tail could still have

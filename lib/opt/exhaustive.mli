@@ -7,8 +7,8 @@
     model; the search is deterministic.
 
     Two evaluation kernels are available.  [`Staged] (the default)
-    factors each evaluation through {!Array_model.Array_eval.stage} /
-    [complete] — geometry work once per geometry, assist work once per
+    factors each evaluation through {!Array_model.Array_eval.stage_array}
+    / [complete] — geometry work once per geometry, assist work once per
     assist — and skips a geometry's whole vssc scan when its admissible
     lower bound ({!Array_model.Array_eval.bound_prepared}) strictly
     exceeds a score already published by another worker.  [`Reference]

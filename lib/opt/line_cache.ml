@@ -119,9 +119,9 @@ let score_of_line l objective i =
   | Objective.Delay_only -> l.l_d.(i)
 
 let scan_line t k =
-  let st = Array_model.Array_eval.stage t.env (geometry_of t k) in
+  let grid = Array_model.Array_eval.stage t.env (geometry_of t k) in
   let buf = Runtime.Pool.get_local scan_buf in
-  Array_model.Array_eval.scan st t.prepared buf;
+  Array_model.Array_eval.scan grid 0 t.prepared buf;
   let dim = nv t in
   let open Array_model.Array_eval in
   let l =
@@ -218,9 +218,10 @@ let line_best t k =
 let best t = t.best
 
 let candidate t k i =
-  let st = Array_model.Array_eval.stage t.env (geometry_of t k) in
-  let metrics = Array_model.Array_eval.complete st t.prepared.(i) in
-  { Exhaustive.geometry = Array_model.Array_eval.staged_geometry st;
+  let geometry = geometry_of t k in
+  let grid = Array_model.Array_eval.stage t.env geometry in
+  let metrics = Array_model.Array_eval.complete grid 0 t.prepared.(i) in
+  { Exhaustive.geometry;
     assist = t.assists.(i);
     metrics;
     score = score t k i }

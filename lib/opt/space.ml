@@ -54,8 +54,19 @@ let check_axis field values ~valid ~rule ~after ~order ~show =
       in
       sorted 1
 
+(* About 20x the default axes' largest fin count (50).  Near [max_int]
+   the [n_pre + 1] in [Caps.bl] wraps, and a negative bitline
+   capacitance prices negative energies. *)
+let max_fins = 1024
+
+(* 6.5x the default's 10,000 geometries: a staged grid of this size is
+   ~11.5 MB, and the context keeps four. *)
+let max_geometries = 65_536
+
 let check_fins field values =
-  check_axis field values ~valid:(fun n -> n >= 1) ~rule:"fins, at least 1"
+  check_axis field values
+    ~valid:(fun n -> n >= 1 && n <= max_fins)
+    ~rule:(Printf.sprintf "fins, outside 1..%d" max_fins)
     ~after:( > ) ~order:"increasing" ~show:string_of_int
 
 (* Column address bits of the widest candidate: n_c = M / n_r at the
@@ -103,12 +114,31 @@ let check ~w ~capacity_bits space =
         (log2 nr_max) max_bits
   in
   let bits = column_bits ~w ~capacity_bits ~nr_min in
-  if bits <= max_bits then Ok ()
+  let* () =
+    if bits <= max_bits then Ok ()
+    else
+      fail
+        (if column_bits ~w:64 ~capacity_bits ~nr_min <= max_bits then W else Capacity_bits)
+        "%d bits needs %d column address bits at w = %d and n_r = %d, past the decoders' %d"
+        capacity_bits bits w nr_min max_bits
+  in
+  (* Every n_r up to the capacity gives one row count, so the grid's
+     size is a product of axis lengths; the longer fin axis takes the
+     blame. *)
+  let rows =
+    Array.fold_left
+      (fun acc nr -> if nr <= capacity_bits then acc + 1 else acc)
+      0 space.nr_values
+  in
+  let n_pre = Array.length space.n_pre_values
+  and n_wr = Array.length space.n_wr_values in
+  let geometries = rows * n_pre * n_wr in
+  if geometries <= max_geometries then Ok ()
   else
     fail
-      (if column_bits ~w:64 ~capacity_bits ~nr_min <= max_bits then W else Capacity_bits)
-      "%d bits needs %d column address bits at w = %d and n_r = %d, past the decoders' %d"
-      capacity_bits bits w nr_min max_bits
+      (if n_pre >= n_wr then N_pre_values else N_wr_values)
+      "%d n_r x %d N_pre x %d N_wr values make %d geometries, at most %d"
+      rows n_pre n_wr geometries max_geometries
 
 type pins = {
   vddc : float;

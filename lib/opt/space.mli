@@ -50,12 +50,17 @@ val check : w:int -> capacity_bits:int -> t -> (unit, field * string) result
       increasing), so no value repeats;
     - every V_SSC finite and inside the span of {!default}'s, the
       paper's negative-Gnd range [-0.24, 0] V; every n_r a power of two;
-      fin counts >= 1;
+      fin counts in 1..1024, about 20x the default's largest;
     - at least one candidate geometry, and none needing more row or
       column address bits than {!Array_model.Periphery.max_address_bits}.
-      This is decided from the axis bounds, without enumerating
-      geometries.  A column-bit excess is [W]'s fault when the same
-      query passes at w = 64, and [Capacity_bits]' otherwise.
+      A column-bit excess is [W]'s fault when the same query passes at
+      w = 64, and [Capacity_bits]' otherwise;
+    - at most 65,536 candidate geometries, 6.5x the default's 10,000.
+      An excess is the longer fin axis' fault ([N_pre_values] on a
+      tie).
+
+    All of it is decided from the axes' bounds and lengths, without
+    enumerating geometries.
 
     The CLI and the serve wire check every query here, before any search
     runs. *)

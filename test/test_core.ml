@@ -181,6 +181,13 @@ let hvt_m2 = { Sram_edp.Framework.flavor = Finfet.Library.Hvt; method_ = Opt.Spa
 let lvt_m2 = { Sram_edp.Framework.flavor = Finfet.Library.Lvt; method_ = Opt.Space.M2 }
 let cap_1kb = 1024 * 8
 
+(* What a fresh process answers for HVT-M2: a search on a fresh
+   environment, past every memo and staging cache. *)
+let fresh_checksum ~space ~capacity_bits =
+  let env = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt () in
+  Opt.Exhaustive.checksum
+    [ Opt.Exhaustive.search ~space ~env ~capacity_bits ~method_:Opt.Space.M2 () ]
+
 let framework_tests =
   [ case "config names" (fun () ->
         Alcotest.(check string) "name" "6T-HVT-M2" (Sram_edp.Framework.config_name hvt_m2);
@@ -232,9 +239,9 @@ let framework_tests =
           cold.Runtime.Memo.misses warm.Runtime.Memo.misses;
         Alcotest.(check bool) "hits > 0" true
           (warm.Runtime.Memo.hits >= cold.Runtime.Memo.hits + 8);
-        (* An arithmetically rebuilt grid with -0.0 and representation
-           noise canonicalizes to the same key. *)
-        let noisy =
+        (* An arithmetically rebuilt grid that is a bit-exact copy of
+           [reduced]'s (-0.0 included) is the same key. *)
+        let rebuilt =
           { Opt.Space.reduced with
             Opt.Space.vssc_values =
               Array.init
@@ -242,11 +249,49 @@ let framework_tests =
                 (fun i -> -0.010 *. float_of_int (3 * i)) }
         in
         ignore
-          (Sram_edp.Framework.optimize ~space:noisy ~capacity_bits:(128 * 8)
+          (Sram_edp.Framework.optimize ~space:rebuilt ~capacity_bits:(128 * 8)
              ~config:hvt_m2 ());
         let after = memo_stats () in
-        Alcotest.(check int) "noisy grid is a hit, not a miss"
-          warm.Runtime.Memo.misses after.Runtime.Memo.misses);
+        Alcotest.(check int) "a bit-exact rebuilt grid is a hit, not a miss"
+          warm.Runtime.Memo.misses after.Runtime.Memo.misses;
+        (* One ulp of noise on every negative value makes another grid,
+           with its own entry and its own answer. *)
+        let noisy =
+          { Opt.Space.reduced with
+            Opt.Space.vssc_values =
+              Array.map
+                (fun v -> if v < 0.0 then Float.succ v else v)
+                Opt.Space.reduced.Opt.Space.vssc_values }
+        in
+        let o =
+          Sram_edp.Framework.optimize ~space:noisy ~capacity_bits:(128 * 8)
+            ~config:hvt_m2 ()
+        in
+        Alcotest.(check int) "noisy grid is its own entry"
+          (after.Runtime.Memo.misses + 1) (memo_stats ()).Runtime.Memo.misses;
+        Alcotest.(check string) "noisy grid gets a fresh answer"
+          (fresh_checksum ~space:noisy ~capacity_bits:(128 * 8))
+          (Opt.Exhaustive.checksum [ o.Sram_edp.Framework.result ]));
+    case "an answer does not depend on the query before it" (fun () ->
+        (* Pairs of HVT-M2 8KB grids the memo key once merged: V_SSC
+           values under 1 uV apart, and -0.0 against 0.0.  The second
+           query of each pair must get what a fresh process answers. *)
+        let capacity_bits = 1024 * 8 in
+        let grid vssc = { Opt.Space.default with Opt.Space.vssc_values = [| vssc |] } in
+        List.iter
+          (fun (first, second) ->
+            ignore
+              (Sram_edp.Framework.optimize ~space:(grid first) ~capacity_bits
+                 ~config:hvt_m2 ());
+            let o =
+              Sram_edp.Framework.optimize ~space:(grid second) ~capacity_bits
+                ~config:hvt_m2 ()
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "[%h] after [%h]" second first)
+              (fresh_checksum ~space:(grid second) ~capacity_bits)
+              (Opt.Exhaustive.checksum [ o.Sram_edp.Framework.result ]))
+          [ (-0.0100004, -0.0100001); (-0.0, 0.0) ]);
     case "headline reductions grow with capacity" (fun () ->
         let h = Sram_edp.Framework.headline () in
         let reductions = List.map (fun (_, r, _) -> r) h.Sram_edp.Framework.per_capacity in

@@ -136,6 +136,42 @@ let space_tests =
         check_close "deepest vssc" (-0.240)
           s.Opt.Space.vssc_values.(24);
         Alcotest.(check int) "largest nr" 1024 s.Opt.Space.nr_values.(9));
+    case "check takes the paper's grids and refuses past its bounds" (fun () ->
+        let field ~capacity_bits space =
+          match Opt.Space.check ~w:64 ~capacity_bits space with
+          | Ok () -> None
+          | Error (f, _) -> Some f
+        in
+        List.iter
+          (fun bytes ->
+            let capacity_bits = bytes * 8 in
+            Alcotest.(check bool) (Printf.sprintf "default at %dB" bytes) true
+              (field ~capacity_bits Opt.Space.default = None);
+            Alcotest.(check bool) (Printf.sprintf "reduced at %dB" bytes) true
+              (field ~capacity_bits Opt.Space.reduced = None))
+          [ 128; 256; 1024; 4096; 16384; 65536 ];
+        let fins n_pre n_wr =
+          { Opt.Space.default with
+            Opt.Space.n_pre_values = n_pre; n_wr_values = n_wr }
+        in
+        let axis n = Array.init n (fun i -> i + 1) in
+        let expect name want ~capacity_bits space =
+          Alcotest.(check bool) name true (field ~capacity_bits space = want)
+        in
+        let kb16 = 16384 * 8 in
+        expect "1024 fins pass" None ~capacity_bits:kb16 (fins [| 1024 |] [| 1024 |]);
+        expect "1025 N_pre fins" (Some Opt.Space.N_pre_values) ~capacity_bits:kb16
+          (fins [| 1025 |] [| 1 |]);
+        expect "max_int N_wr fins" (Some Opt.Space.N_wr_values) ~capacity_bits:kb16
+          (fins [| 1 |] [| max_int |]);
+        (* 256 bits holds n_r = 2 .. 256: 8 x 256 x 32 = 65,536 geometries;
+           512 bits adds n_r = 512. *)
+        expect "65,536 geometries pass" None ~capacity_bits:256
+          (fins (axis 256) (axis 32));
+        expect "73,728 geometries blame N_pre" (Some Opt.Space.N_pre_values)
+          ~capacity_bits:512 (fins (axis 256) (axis 32));
+        expect "66,560 geometries blame N_wr" (Some Opt.Space.N_wr_values)
+          ~capacity_bits:kb16 (fins (axis 26) (axis 256)));
     case "M1 shares one boosted level and forbids V_SSC" (fun () ->
         let levels = Opt.Yield.solve ~flavor:Finfet.Library.Lvt () in
         let pins = Opt.Space.pins_for Opt.Space.M1 levels in

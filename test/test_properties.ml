@@ -211,7 +211,7 @@ let prop_staged_bit_identical =
         (fun env ->
           let reference = Array_model.Array_eval.evaluate env g a in
           let staged =
-            Array_model.Array_eval.(complete (stage env g) (prepare env a))
+            Array_model.Array_eval.(complete (stage env g) 0 (prepare env a))
           in
           metrics_equal reference staged)
         kernel_envs)
@@ -231,7 +231,7 @@ let prop_bound_admissible =
           in
           (* Suffix envelope 0 covers the whole scan. *)
           let whole = (suffix_envelopes preps ~block:(Array.length preps)).(0) in
-          let b = complete st (bound_prepared env whole) in
+          let b = complete st 0 (bound_prepared env whole) in
           List.for_all
             (fun a ->
               let m = evaluate env g a in
@@ -253,6 +253,8 @@ let corner_assists =
 
 let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
+let geometry0 = Array_model.Geometry.create ~nr:64 ~nc:128 ~n_pre:5 ~n_wr:3 ()
+
 let prop_scan_bit_identical =
   (* Stricter than [Float.equal]: raw IEEE bit comparison, so a -0.0
      where the record path produced +0.0 fails the property. *)
@@ -265,14 +267,15 @@ let prop_scan_bit_identical =
       List.for_all
         (fun env ->
           let open Array_model.Array_eval in
-          let st = stage env g in
+          (* [g] second in its grid, so its operands sit past offset 0. *)
+          let grid = stage_array (ctx_for env) [| geometry0; g |] in
           let preps = Array.map (prepare env) assists in
           let buf = scan_buffer () in
-          scan st preps buf;
+          scan grid 1 preps buf;
           let ok = ref true in
           Array.iteri
             (fun i p ->
-              let m = complete st p in
+              let m = complete grid 1 p in
               ok :=
                 !ok
                 && bits_equal (scan_e_total buf).(i) m.e_total
@@ -335,9 +338,9 @@ let prop_suffix_bounds_admissible =
             Array.map (bound_prepared env) (suffix_envelopes preps ~block)
           in
           let bbuf = scan_buffer () in
-          scan st bound_ps bbuf;
+          scan st 0 bound_ps bbuf;
           let buf = scan_buffer () in
-          scan st preps buf;
+          scan st 0 preps buf;
           let ok = ref true in
           for j = 0 to Array.length bound_ps - 1 do
             for i = j * block to n - 1 do
@@ -425,19 +428,24 @@ let prop_stage_array_bit_identical =
       List.for_all
         (fun env ->
           let open Array_model.Array_eval in
-          let staged = stage_array (make_ctx env) gs in
+          let grid = stage_array (make_ctx env) gs in
           let points = List.map (fun a -> (a, prepare env a)) assists in
-          Array.length staged = Array.length gs
-          && Array.for_all2
-               (fun g st ->
-                 staged_geometry st = g
-                 && List.for_all
-                      (fun (a, p) ->
-                        let m = complete st p in
-                        metrics_bits_equal m (complete (stage env g) p)
-                        && metrics_bits_equal m (evaluate env g a))
-                      points)
-               gs staged)
+          let outside i =
+            match complete grid i (snd (List.hd points)) with
+            | _ -> false
+            | exception Invalid_argument _ -> true
+          in
+          outside (-1) && outside (Array.length gs)
+          && List.for_all
+               (fun i ->
+                 let g = gs.(i) in
+                 List.for_all
+                   (fun (a, p) ->
+                     let m = complete grid i p in
+                     metrics_bits_equal m (complete (stage env g) 0 p)
+                     && metrics_bits_equal m (evaluate env g a))
+                   points)
+               (List.init (Array.length gs) Fun.id))
         kernel_envs)
 
 let staged_count () =
@@ -522,14 +530,18 @@ let test_full_sweep_deterministic () =
 (* The scan path's allocation contract, measured directly: once a
    warm-up pass has grown the buffer, repeated scans must allocate
    nothing — the inner loop writes into preallocated float arrays and
-   materializes no records.  1000 repetitions of a 26-point scan
-   amplify even one boxed float per point into megawords, while the
-   measurement's own boxing noise stays under a few dozen words. *)
+   materializes no records.  1000 scans of 26 points (250 passes over
+   a four-geometry grid) amplify even one boxed float per point into
+   megawords, while the measurement's own boxing noise stays under a
+   few dozen words. *)
 let test_scan_allocation_free () =
   let open Array_model.Array_eval in
   let env = make_env ~cell_flavor:Finfet.Library.Hvt () in
-  let g = Array_model.Geometry.create ~nr:256 ~nc:64 ~n_pre:4 ~n_wr:4 () in
-  let st = stage env g in
+  let gs =
+    Array.init 4 (fun i ->
+        Array_model.Geometry.create ~nr:256 ~nc:64 ~n_pre:(4 + i) ~n_wr:4 ())
+  in
+  let grid = stage_array (make_ctx env) gs in
   let preps =
     Array.init 26 (fun i ->
         prepare env
@@ -538,17 +550,135 @@ let test_scan_allocation_free () =
             vwl = 0.45 })
   in
   let buf = scan_buffer () in
-  scan st preps buf;
-  let reps = 1000 in
+  scan grid 0 preps buf;
+  let reps = 250 in
   let w0 = Gc.minor_words () in
   for _ = 1 to reps do
-    scan st preps buf
+    for i = 0 to Array.length gs - 1 do
+      scan grid i preps buf
+    done
   done;
   let delta = Gc.minor_words () -. w0 in
-  let per_point = delta /. float_of_int (reps * Array.length preps) in
+  let per_point =
+    delta /. float_of_int (reps * Array.length gs * Array.length preps)
+  in
   if per_point > 0.01 then
     Alcotest.failf "scan allocated %.4f minor words per point (want 0)"
       per_point
+
+(* --- search-space restriction --- *)
+
+(* The HVT EDP winner over the whole default space, per capacity and
+   method. *)
+let full_winner =
+  let memo = Hashtbl.create 8 in
+  fun ~capacity_bits ~method_ ->
+    match Hashtbl.find_opt memo (capacity_bits, method_) with
+    | Some best -> best
+    | None ->
+      let best =
+        (Opt.Exhaustive.search ~env:env_hvt ~capacity_bits ~method_ ())
+          .Opt.Exhaustive.best
+      in
+      Hashtbl.add memo (capacity_bits, method_) best;
+      best
+
+(* A sub-axis as a mask over a default axis, plus one index it always
+   keeps, so it is never empty. *)
+let mask_gen n =
+  QCheck.Gen.(pair (array_size (return n) bool) (int_bound (n - 1)))
+
+(* The default axis's values the mask keeps, in the default's order,
+   plus any value [also] accepts. *)
+let sub_axis values (mask, forced) ~also =
+  let kept = ref [] in
+  Array.iteri
+    (fun i v -> if mask.(i) || i = forced || also v then kept := v :: !kept)
+    values;
+  Array.of_list (List.rev !kept)
+
+let prop_restriction_never_improves =
+  let d = Opt.Space.default in
+  let gen =
+    QCheck.Gen.(
+      tup4
+        (pair (int_range 0 3) bool)
+        (pair (mask_gen (Array.length d.Opt.Space.nr_values))
+           (mask_gen (Array.length d.Opt.Space.vssc_values)))
+        (pair (mask_gen (Array.length d.Opt.Space.n_pre_values))
+           (mask_gen (Array.length d.Opt.Space.n_wr_values)))
+        bool)
+  in
+  QCheck.Test.make
+    ~name:"restricting the search space never improves the winner" ~count:40
+    (QCheck.make gen)
+    (fun ((cap_exp, m2), (nr_m, vssc_m), (n_pre_m, n_wr_m), with_winner) ->
+      (* 128B to 1KB *)
+      let capacity_bits = 1024 * (1 lsl cap_exp) in
+      let method_ = if m2 then Opt.Space.M2 else Opt.Space.M1 in
+      let full = full_winner ~capacity_bits ~method_ in
+      let g = full.Opt.Exhaustive.geometry in
+      let vssc = full.Opt.Exhaustive.assist.Array_model.Components.vssc in
+      (* Half the cases keep the full winner's coordinates. *)
+      let keep x v = with_winner && v = x in
+      let space =
+        { Opt.Space.nr_values =
+            sub_axis d.Opt.Space.nr_values nr_m ~also:(keep g.Array_model.Geometry.nr);
+          n_pre_values =
+            sub_axis d.Opt.Space.n_pre_values n_pre_m
+              ~also:(keep g.Array_model.Geometry.n_pre);
+          n_wr_values =
+            sub_axis d.Opt.Space.n_wr_values n_wr_m
+              ~also:(keep g.Array_model.Geometry.n_wr);
+          vssc_values =
+            sub_axis d.Opt.Space.vssc_values vssc_m
+              ~also:(fun v -> with_winner && bits_equal v vssc) }
+      in
+      let sub =
+        (Opt.Exhaustive.search ~space ~env:env_hvt ~capacity_bits ~method_ ())
+          .Opt.Exhaustive.best
+      in
+      let inside =
+        Array.mem g.Array_model.Geometry.nr space.Opt.Space.nr_values
+        && Array.mem g.Array_model.Geometry.n_pre space.Opt.Space.n_pre_values
+        && Array.mem g.Array_model.Geometry.n_wr space.Opt.Space.n_wr_values
+        && ((not m2) || Array.exists (bits_equal vssc) space.Opt.Space.vssc_values)
+      in
+      sub.Opt.Exhaustive.score >= full.Opt.Exhaustive.score
+      && ((not inside)
+         || sub.Opt.Exhaustive.geometry = g
+            && bits_equal sub.Opt.Exhaustive.assist.Array_model.Components.vssc vssc
+            && sub.Opt.Exhaustive.assist = full.Opt.Exhaustive.assist
+            && bits_equal sub.Opt.Exhaustive.score full.Opt.Exhaustive.score
+            && metrics_bits_equal sub.Opt.Exhaustive.metrics
+                 full.Opt.Exhaustive.metrics))
+
+(* A staged grid is one flat float block, which a grid this size gets
+   straight from the major heap: staging a fresh 10,000-geometry grid
+   promotes almost nothing.  A record per geometry promoted ~26 words
+   each. *)
+let test_stage_array_promotes_little () =
+  let open Array_model.Array_eval in
+  let gs =
+    Array.of_list
+      (Opt.Space.candidate_geometries Opt.Space.default
+         ~capacity_bits:(16384 * 8))
+  in
+  let n = Array.length gs in
+  Alcotest.(check int) "the default 16KB grid" 10_000 n;
+  (* A first staging characterizes the decoders the grid reads. *)
+  ignore (stage_array (make_ctx env_hvt) gs);
+  let ctx = make_ctx env_hvt in
+  let s0 = Gc.quick_stat () in
+  let grid = stage_array ctx gs in
+  let s1 = Gc.quick_stat () in
+  ignore (Sys.opaque_identity grid);
+  let per_geometry =
+    (s1.Gc.promoted_words -. s0.Gc.promoted_words) /. float_of_int n
+  in
+  if per_geometry >= 4.0 then
+    Alcotest.failf "staging promoted %.2f words per geometry (want < 4)"
+      per_geometry
 
 (* --- workload --- *)
 
@@ -652,13 +782,15 @@ let () =
            prop_scan_bit_identical; prop_attribution_bit_exact;
            prop_suffix_bounds_admissible;
            prop_pruned_search_matches_reference;
-           prop_stage_array_bit_identical ]
+           prop_stage_array_bit_identical; prop_restriction_never_improves ]
        @ [ Alcotest.test_case "full sweep reproduces committed checksum"
              `Slow test_full_sweep_deterministic;
            Alcotest.test_case "warm scan path allocates zero words"
              `Quick test_scan_allocation_free;
            Alcotest.test_case "a search stages its organization grid once"
-             `Quick test_grid_staged_once ]);
+             `Quick test_grid_staged_once;
+           Alcotest.test_case "staging a grid promotes < 4 words per geometry"
+             `Quick test_stage_array_promotes_little ]);
       ("workload", List.map to_alco [ prop_trace_summary_bounds ]);
       ("deck", List.map to_alco [ prop_deck_roundtrip ]);
       ("macro", List.map to_alco [ prop_macro_matches_reference ]) ]

@@ -622,6 +622,11 @@ let refused_queries =
     Printf.sprintf "{\"capacity_bits\":%s%s}" capacity
       (String.concat "" (List.map (fun f -> "," ^ f) fields))
   in
+  (* Fin axes 1..n_pre and 1..n_wr: past 65,536 geometries with ten n_r. *)
+  let fins n_pre n_wr =
+    let axis n = String.concat "," (List.init n (fun i -> string_of_int (i + 1))) in
+    Printf.sprintf {|"space":{"n_pre":[%s],"n_wr":[%s]}|} (axis n_pre) (axis n_wr)
+  in
   [ (q [ {|"space":{"vssc_v":[5.0]}|} ], "space.vssc_v");
     (q [ {|"space":{"vssc_v":[1e308]}|} ], "space.vssc_v");
     (q [ {|"space":{"vssc_v":[-3.0]}|} ], "space.vssc_v");
@@ -636,7 +641,11 @@ let refused_queries =
     (q [ {|"space":{"nr":[32768]}|} ], "space.nr");
     (q [ {|"space":{"nr":[]}|} ], "space.nr");
     (q [ {|"space":{"nr":[3]}|} ], "space.nr");
-    (q [ {|"space":{"n_pre":[0]}|} ], "space.n_pre") ]
+    (q [ {|"space":{"n_pre":[0]}|} ], "space.n_pre");
+    (q [ {|"space":{"n_pre":[4611686018427387903]}|} ], "space.n_pre");
+    (q [ {|"space":{"n_wr":[4611686018427387903]}|} ], "space.n_wr");
+    (q [ fins 256 256 ], "space.n_pre");
+    (q [ fins 40 256 ], "space.n_wr") ]
 
 let server_tests =
   [ case "a deeply nested frame is refused and holds up no other client"
