@@ -22,12 +22,15 @@
 #                      budget and hypervolume gates (writes BENCH_moo.json)
 #   make bench-serve   daemon load-generator benchmark (writes BENCH_serve.json)
 #   make smoke-serve-metrics  end-to-end Prometheus scrape of a live daemon
+#   make smoke-cache-dir  three one-shots sharing a --cache-dir: the second
+#                      answers from disk, the third survives a torn tail
 #   make regen-golden  deliberately rewrite test/golden/* (review the diff!)
 
 .PHONY: all check check-tests stripped-sources check-dead-modules \
         check-dead-exports test bench bench-kernel \
         bench-kernel-opt bench-smoke bench-obs bench-explain bench-moo \
-        bench-persist bench-serve smoke-serve-metrics regen-golden clean
+        bench-persist bench-serve smoke-serve-metrics smoke-cache-dir \
+        regen-golden clean
 
 all:
 	dune build
@@ -47,6 +50,7 @@ check: check-tests check-dead-modules check-dead-exports
 	dune exec bench/main.exe -- persist --smoke
 	dune exec bench/main.exe -- serve --smoke
 	$(MAKE) smoke-serve-metrics
+	$(MAKE) smoke-cache-dir
 
 # A test file that exists but is missing from the dune test stanza is
 # silently never run; fail loudly instead.
@@ -132,6 +136,10 @@ bench-serve:
 smoke-serve-metrics:
 	dune build bin/sram_opt.exe
 	sh scripts/serve_metrics_smoke.sh
+
+smoke-cache-dir:
+	dune build bin/sram_opt.exe
+	sh scripts/cache_dir_smoke.sh
 
 regen-golden:
 	dune exec test/regen_golden.exe -- test/golden

@@ -14,7 +14,7 @@ let norm_inf v =
   done;
   !acc
 
-let solve_custom ?(tol = 1e-12) ?(max_iter = 200) ?(damping = 1.0)
+let solve_custom ?(tol = 1e-12) ?(max_iter = 200) ?(min_iter = 0) ?(damping = 1.0)
     ?(max_step = 0.12) ~residual ~solve_step ~x0 () =
   let n = Array.length x0 in
   let x = Array.copy x0 in
@@ -22,7 +22,8 @@ let solve_custom ?(tol = 1e-12) ?(max_iter = 200) ?(damping = 1.0)
   (* [f] is the residual at the current [x]: the line search's last
      evaluation is carried into the next iteration, not recomputed. *)
   let rec iterate iter f fnorm =
-    if fnorm < tol then { x; converged = true; iterations = iter; residual = fnorm }
+    if fnorm < tol && iter >= min_iter then
+      { x; converged = true; iterations = iter; residual = fnorm }
     else if iter >= max_iter then
       { x; converged = false; iterations = iter; residual = fnorm }
     else begin

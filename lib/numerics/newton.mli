@@ -14,6 +14,7 @@ type result = {
 val solve_custom :
   ?tol:float ->
   ?max_iter:int ->
+  ?min_iter:int ->
   ?damping:float ->
   ?max_step:float ->
   residual:(float array -> float array) ->
@@ -33,7 +34,10 @@ val solve_custom :
       (up to 8 halvings).
 
     [tol] bounds ||F||_inf (default 1e-12, i.e. picoampere-scale KCL
-    error); [max_iter] defaults to 200.  Not raising on failure is
+    error); [max_iter] defaults to 200.  [min_iter] (default 0) steps
+    at least that often even from an [x0] already within [tol], for a
+    caller that reads an unknown the residual barely weighs (a
+    picoampere source current).  Not raising on failure is
     deliberate: continuation strategies (source stepping) inspect
     [converged] and retry.
 

@@ -15,7 +15,6 @@ type t = {
   (* (task, chunk) -> data, from replay plus this run's appends *)
   done_chunks : (string * int, Json.t) Hashtbl.t;
   replayed : int;
-  mutable appended : int;
   mutable degraded : bool;
   every : int;
   lock : Mutex.t;
@@ -41,7 +40,6 @@ let create ~path ?(resume = false) ?(checkpoint_every = 64) () =
         log;
         done_chunks = Hashtbl.create 256;
         replayed = 0;
-        appended = 0;
         degraded = false;
         every;
         lock = Mutex.create ();
@@ -69,7 +67,6 @@ let create ~path ?(resume = false) ?(checkpoint_every = 64) () =
           log;
           done_chunks;
           replayed;
-          appended = 0;
           degraded = false;
           every;
           lock = Mutex.create ();
@@ -77,7 +74,6 @@ let create ~path ?(resume = false) ?(checkpoint_every = 64) () =
 
 let checkpoint_every t = t.every
 let replayed t = t.replayed
-let appended t = Mutex.protect t.lock (fun () -> t.appended)
 
 let completed t ~task ~chunk =
   Mutex.protect t.lock (fun () ->
@@ -108,7 +104,6 @@ let record t ~task ~chunk data =
       if not t.degraded then
         (try
            Record_log.append t.log r;
-           t.appended <- t.appended + 1;
            Runtime.Telemetry.incr c_chunks
          with Sys_error msg ->
            t.degraded <- true;
@@ -118,9 +113,7 @@ let record t ~task ~chunk data =
              msg chunk task);
       Hashtbl.replace t.done_chunks (task, chunk) data)
 
-let sync t = Record_log.sync t.log
 let close t = Record_log.close t.log
-let path t = Record_log.path t.log
 
 (* ----- ambient default, mirroring Pool.set_default_jobs ----- *)
 

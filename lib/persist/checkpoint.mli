@@ -20,9 +20,6 @@ val checkpoint_every : t -> int
 val replayed : t -> int
 (** Number of distinct completed chunks recovered at open. *)
 
-val appended : t -> int
-(** Chunks journaled by this process so far. *)
-
 val completed : t -> task:string -> chunk:int -> Json.t option
 (** The stored payload for a chunk, if it was already completed. *)
 
@@ -33,9 +30,7 @@ val record : t -> task:string -> chunk:int -> Json.t -> unit
 (** Journals a completed chunk.  Real write failures degrade with a
     warning; [Faults.Injected] propagates (it models process death). *)
 
-val sync : t -> unit
 val close : t -> unit
-val path : t -> string
 
 (** {2 Ambient default} — set once by the CLI so searches pick the
     journal up without parameter threading. *)

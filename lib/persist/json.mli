@@ -7,7 +7,14 @@
     Floats are printed with enough digits ([%.17g]) that
     [of_string (to_string v)] reproduces every finite IEEE double
     bit-for-bit — the property the resume protocol's
-    bit-identical-winner guarantee rests on. *)
+    bit-identical-winner guarantee rests on.
+
+    One scanner reads documents.  {!of_string} builds the tree from it;
+    {!valid} runs it without building anything, which is how the record
+    log checks every frame it opens; {!member_spans} walks one object's
+    members and leaves their values as byte spans, which is how the disk
+    cache indexes a record without decoding its value.  The three accept
+    exactly the same documents. *)
 
 type t =
   | Null
@@ -30,7 +37,29 @@ val to_string_pretty : ?indent:int -> t -> string
 val of_string : string -> (t, string) result
 (** Strict parse of a complete JSON document.  A document that nests
     arrays and objects more than 64 deep is an [Error] naming the
-    limit. *)
+    limit.  A number is the longest run of [0-9+-.eE]; the run must
+    spell [[+-]? (d+ (. d* )? | . d+) ([eE] [+-]? d+)?], and reads as an
+    [Int] unless it holds [.], [e] or [E] or overflows [int]. *)
+
+val of_substring : string -> int -> int -> (t, string) result
+(** [of_substring s pos len] parses the document [s.[pos .. pos+len-1]]
+    in place, as [of_string (String.sub s pos len)] would; error
+    offsets count from the start of [s].
+    @raise Invalid_argument if the range lies outside [s]. *)
+
+val valid : string -> int -> int -> bool
+(** [valid s pos len] is whether [of_substring s pos len] is [Ok _],
+    decided without building anything: on a valid document the scan
+    allocates only its own five-word state.
+    @raise Invalid_argument if the range lies outside [s]. *)
+
+val member_spans : string -> int -> int -> (string * int * int) list option
+(** [member_spans s pos len] lists the members of the object document
+    [s.[pos .. pos+len-1]] in order, each as its decoded name and the
+    [(pos, len)] byte span of its value in [s], where
+    [of_substring s pos len] decodes the value.  [None] when the range
+    is not a valid object document.
+    @raise Invalid_argument if the range lies outside [s]. *)
 
 (** {2 Accessors} — all total, returning [None] on shape mismatch. *)
 

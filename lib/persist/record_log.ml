@@ -99,70 +99,91 @@ type recovery = {
   valid_end : int;  (* byte offset just past the last valid frame *)
 }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      really_input_string ic n)
+(* A log as opened: its bytes and where its data records lie in them. *)
+type spans = {
+  s_header : header;
+  bytes : string;
+  payloads : (int * int) list;  (* each data record's (pos, len), in order *)
+  s_valid_end : int;
+}
 
+(* The whole file in one string, read straight from the descriptor: an
+   in_channel would add its 64 KiB buffer to every open. *)
+let read_file path =
+  let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let n = (Unix.fstat fd).Unix.st_size in
+      let b = Bytes.create n in
+      let rec fill off =
+        if off = n then off
+        else match Unix.read fd b off (n - off) with 0 -> off | k -> fill (off + k)
+      in
+      let got = fill 0 in
+      if got = n then Bytes.unsafe_to_string b else Bytes.sub_string b 0 got)
+
+(* One pass over the file's bytes.  Returns every valid frame's payload
+   span, the header's first, and the end of the valid prefix.  Each
+   frame's CRC is taken and its JSON checked in place, and the first
+   frame whose length, CRC or JSON fails ends the prefix: a torn tail
+   from a crash. *)
 let scan raw =
-  (* Returns (frames in order, valid_end).  Stops at the first frame
-     whose length, CRC or JSON fails — torn tail from a crash. *)
   let total = String.length raw in
-  let frames = ref [] in
-  let pos = ref (String.length magic) in
-  let ok = ref true in
-  while !ok && !pos + 8 <= total do
-    let len = get_u32_le raw !pos in
-    let crc = get_u32_le raw (!pos + 4) in
-    if len < 0 || !pos + 8 + len > total then ok := false
-    else begin
-      let payload = String.sub raw (!pos + 8) len in
-      if Crc32.string payload <> crc then ok := false
-      else
-        match Json.of_string payload with
-        | Error _ -> ok := false
-        | Ok j ->
-          frames := j :: !frames;
-          pos := !pos + 8 + len
-    end
-  done;
-  (List.rev !frames, !pos)
+  let rec frames pos acc =
+    if pos + 8 > total then (List.rev acc, pos)
+    else
+      let len = get_u32_le raw pos in
+      if
+        pos + 8 + len > total
+        || Crc32.update 0 raw (pos + 8) len <> get_u32_le raw (pos + 4)
+        || not (Json.valid raw (pos + 8) len)
+      then (List.rev acc, pos)
+      else frames (pos + 8 + len) ((pos + 8, len) :: acc)
+  in
+  frames (String.length magic) []
+
+(* A payload the scan accepted, as a tree. *)
+let decode raw (pos, len) = Result.get_ok (Json.of_substring raw pos len)
+
+let load ~path =
+  if not (Sys.file_exists path) then Error (path ^ ": no such file")
+  else
+    let raw = read_file path in
+    if not (String.starts_with ~prefix:magic raw) then
+      Error (path ^ ": bad magic (not a record log)")
+    else
+      match scan raw with
+      | [], _ -> Error (path ^ ": no valid header record")
+      | hdr :: payloads, valid_end -> (
+        match header_of_json (decode raw hdr) with
+        | None -> Error (path ^ ": malformed header record")
+        | Some header ->
+          let recovered = List.length payloads in
+          let discarded_bytes = String.length raw - valid_end in
+          Runtime.Telemetry.add c_records_recovered recovered;
+          Runtime.Telemetry.add c_bytes_discarded discarded_bytes;
+          if discarded_bytes > 0 then
+            Obs.Log.warn ~section:"persist"
+              "%s: discarded %d trailing bytes (torn tail), kept %d records"
+              path discarded_bytes recovered;
+          Ok { s_header = header; bytes = raw; payloads; s_valid_end = valid_end })
 
 let read ~path =
   Obs.Histogram.span replay_timer (fun () ->
-      if not (Sys.file_exists path) then Error (path ^ ": no such file")
-      else
-        let raw = read_file path in
-        if
-          String.length raw < String.length magic
-          || String.sub raw 0 (String.length magic) <> magic
-        then Error (path ^ ": bad magic (not a record log)")
-        else
-          match scan raw with
-          | [], valid_end ->
-            ignore valid_end;
-            Error (path ^ ": no valid header record")
-          | hdr_json :: records, valid_end -> (
-            match header_of_json hdr_json with
-            | None -> Error (path ^ ": malformed header record")
-            | Some header ->
-              let recovered = List.length records in
-              let discarded_bytes = String.length raw - valid_end in
-              Runtime.Telemetry.add c_records_recovered recovered;
-              Runtime.Telemetry.add c_bytes_discarded discarded_bytes;
-              if discarded_bytes > 0 then
-                Obs.Log.warn ~section:"persist"
-                  "%s: discarded %d trailing bytes (torn tail), kept %d records"
-                  path discarded_bytes recovered;
-              Ok { header; records; recovered; discarded_bytes; valid_end }))
+      Result.map
+        (fun l ->
+          let records = List.map (decode l.bytes) l.payloads in
+          { header = l.s_header;
+            records;
+            recovered = List.length records;
+            discarded_bytes = String.length l.bytes - l.s_valid_end;
+            valid_end = l.s_valid_end })
+        (load ~path))
 
 (* ----- writing ----- *)
 
 type t = {
-  path : string;
   fd : Unix.file_descr;
   mutable pos : int;  (* current end-of-log offset *)
   mutable closed : bool;
@@ -243,7 +264,6 @@ let close t =
         Unix.close t.fd
       end)
 
-let path t = t.path
 let git_commit () = Lazy.force git_commit_head
 
 let create ~path ?(version = 1) ?(meta = []) ?commit ~schema () =
@@ -253,7 +273,7 @@ let create ~path ?(version = 1) ?(meta = []) ?commit ~schema () =
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
-  let t = { path; fd; pos = 0; closed = false; lock = Mutex.create () } in
+  let t = { fd; pos = 0; closed = false; lock = Mutex.create () } in
   write_all fd magic;
   t.pos <- String.length magic;
   let commit = match commit with Some c -> c | None -> git_commit () in
@@ -261,46 +281,53 @@ let create ~path ?(version = 1) ?(meta = []) ?commit ~schema () =
   append_frame t ~is_header:true (Json.to_string (header_to_json header));
   t
 
-let open_append ~path ?(version = 1) ?expect_commit ~schema () =
-  if not (Sys.file_exists path) then Ok (create ~path ~version ~schema (), [])
+let open_spans ~path ?(version = 1) ?expect_commit ~schema () =
+  if not (Sys.file_exists path) then Ok (create ~path ~version ~schema (), "", [])
   else
-    match read ~path with
+    match load ~path with
     | Error e -> Error e
-    | Ok r ->
+    | Ok l ->
+      let h = l.s_header in
       let expect =
         match expect_commit with Some c -> c | None -> git_commit ()
       in
-      if r.header.schema <> schema then
+      if h.schema <> schema then
         Error
           (Printf.sprintf "%s: schema mismatch (log %S, expected %S)" path
-             r.header.schema schema)
-      else if r.header.version <> version then
+             h.schema schema)
+      else if h.version <> version then
         Error
           (Printf.sprintf "%s: version mismatch (log %d, expected %d)" path
-             r.header.version version)
+             h.version version)
       else if
         (* Cached evaluation results are replayed bit-for-bit, so a log
            written by a different build of the model must not be served.
            "unknown" (no git metadata) disables the check rather than
            invalidating every log. *)
-        r.header.git_commit <> "unknown"
+        h.git_commit <> "unknown"
         && expect <> "unknown"
-        && r.header.git_commit <> expect
+        && h.git_commit <> expect
       then
         Error
           (Printf.sprintf
              "%s: git commit mismatch (log %s, current %s); stale results"
-             path r.header.git_commit expect)
+             path h.git_commit expect)
       else begin
         let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
         (* Chop any torn tail so new frames land on a record boundary. *)
-        Unix.ftruncate fd r.valid_end;
-        ignore (Unix.lseek fd r.valid_end Unix.SEEK_SET);
+        Unix.ftruncate fd l.s_valid_end;
+        ignore (Unix.lseek fd l.s_valid_end Unix.SEEK_SET);
         let t =
-          { path; fd; pos = r.valid_end; closed = false; lock = Mutex.create () }
+          { fd; pos = l.s_valid_end; closed = false; lock = Mutex.create () }
         in
-        Ok (t, r.records)
+        Ok (t, l.bytes, l.payloads)
       end
+
+let open_append ~path ?version ?expect_commit ~schema () =
+  Obs.Histogram.span replay_timer (fun () ->
+      Result.map
+        (fun (t, bytes, payloads) -> (t, List.map (decode bytes) payloads))
+        (open_spans ~path ?version ?expect_commit ~schema ()))
 
 (* Atomic whole-file replacement: write to a temp file in the same
    directory, fsync, rename over the target.  Readers see either the

@@ -4,7 +4,14 @@
 
     Format: a 6-byte magic ["SRLG1\n"], then frames of
     [u32-LE length | u32-LE crc32 | payload].  The first frame is the
-    header.  See DESIGN.md §8 for the crash model. *)
+    header.  See DESIGN.md §8 for the crash model.
+
+    Opening a log reads the file once and scans its frames in that one
+    string: each frame's CRC is taken and its payload checked as JSON in
+    place ({!Json.valid}), building no tree.  The first frame whose
+    length, CRC or JSON fails ends the kept prefix.  {!open_spans} hands
+    back the bytes and each record's span; {!open_append} and {!read}
+    decode every record. *)
 
 type header = {
   schema : string;
@@ -25,17 +32,26 @@ val create :
     overrides the recorded provenance (default: [git_commit ()]) —
     tests use it to exercise the mismatch path. *)
 
+val open_spans :
+  path:string -> ?version:int -> ?expect_commit:string ->
+  schema:string -> unit -> (t * string * (int * int) list, string) result
+(** Reopens an existing log for appending, first recovering its valid
+    prefix (a torn tail is truncated away).  Returns the writer, the
+    file's bytes as read, and the [(pos, len)] span of each valid data
+    record's payload in those bytes, in write order;
+    [Json.of_substring bytes pos len] decodes one.  Creates a fresh log
+    (bytes [""], no spans) if [path] does not exist.  Fails on
+    magic/schema/version mismatch, and on a git-commit mismatch against
+    [expect_commit] (default: [git_commit ()]) — replayed results must
+    come from the same build of the model.  A commit of ["unknown"] on
+    either side disables the commit check.  Untimed: the caller's open
+    is what [persist.replay] times. *)
+
 val open_append :
   path:string -> ?version:int -> ?expect_commit:string ->
   schema:string -> unit -> (t * Json.t list, string) result
-(** Reopens an existing log for appending, first recovering its valid
-    prefix (a torn tail is truncated away).  Returns the writer and the
-    replayed data records in write order.  Creates a fresh log if
-    [path] does not exist.  Fails on magic/schema/version mismatch, and
-    on a git-commit mismatch against [expect_commit] (default:
-    [git_commit ()]) — replayed results must come from the same build
-    of the model.  A commit of ["unknown"] on either side disables the
-    commit check. *)
+(** {!open_spans} with every replayed data record decoded, in write
+    order; timed as [persist.replay]. *)
 
 val append : t -> Json.t -> unit
 (** Appends one record.  Raises [Sys_error] on real write failure
@@ -48,7 +64,6 @@ val sync : t -> unit
 (** fsync to stable storage. *)
 
 val close : t -> unit
-val path : t -> string
 
 type recovery = {
   header : header;

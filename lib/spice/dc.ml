@@ -255,7 +255,7 @@ let sparse_dimension_threshold = 80
    and every source-stepping step's. *)
 let max_iterations = 150
 
-let solve_scaled c ~at_time ~source_scale ~companions ~max_iter ~x0 =
+let solve_scaled ?min_iter c ~at_time ~source_scale ~companions ~max_iter ~x0 =
   c.source_scale <- source_scale;
   Array.iteri
     (fun k w -> c.targets.(k) <- source_scale *. Netlist.waveform_at w at_time)
@@ -264,7 +264,7 @@ let solve_scaled c ~at_time ~source_scale ~companions ~max_iter ~x0 =
     if c.dim >= sparse_dimension_threshold then sparse_step c ~companions
     else dense_step c ~companions
   in
-  Numerics.Newton.solve_custom ~tol:1e-12 ~max_iter ~max_step:0.15
+  Numerics.Newton.solve_custom ~tol:1e-12 ~max_iter ?min_iter ~max_step:0.15
     ~residual:(residual c ~companions) ~solve_step ~x0 ()
 
 let unpack c (result : Numerics.Newton.result) ~iterations =
@@ -288,11 +288,12 @@ let counted s =
   if not s.converged then Runtime.Telemetry.incr c_unconverged;
   s
 
-let solve ?x0 ?(at_time = 0.0) ?companions ?(direct_iterations = max_iterations) c =
+let solve ?x0 ?(at_time = 0.0) ?companions ?(direct_iterations = max_iterations)
+    ?min_iterations c =
   let start = match x0 with Some v -> v | None -> Array.make c.dim 0.0 in
   let direct =
-    solve_scaled c ~at_time ~source_scale:1.0 ~companions ~max_iter:direct_iterations
-      ~x0:start
+    solve_scaled ?min_iter:min_iterations c ~at_time ~source_scale:1.0 ~companions
+      ~max_iter:direct_iterations ~x0:start
   in
   if direct.Numerics.Newton.converged then
     counted (unpack c direct ~iterations:direct.Numerics.Newton.iterations)
@@ -316,8 +317,8 @@ let solve ?x0 ?(at_time = 0.0) ?companions ?(direct_iterations = max_iterations)
     counted (unpack c !last ~iterations:!total)
   end
 
-let operating_point ?x0 ?at_time ?direct_iterations netlist =
-  solve ?x0 ?at_time ?direct_iterations (compile netlist)
+let operating_point ?x0 ?at_time ?direct_iterations ?min_iterations netlist =
+  solve ?x0 ?at_time ?direct_iterations ?min_iterations (compile netlist)
 
 let solution_vector s =
   Array.append (Array.sub s.voltages 1 (Array.length s.voltages - 1)) s.source_currents

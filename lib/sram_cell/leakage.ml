@@ -11,7 +11,11 @@ let power_at_condition ~cell condition =
   x0.(nodes.Sram6t.wl - 1) <- condition.Sram6t.vwl;
   x0.(nodes.Sram6t.bl - 1) <- condition.Sram6t.vbl;
   x0.(nodes.Sram6t.blb - 1) <- condition.Sram6t.vblb;
-  let s = Spice.Dc.operating_point ~x0 netlist in
+  (* [x0] is the rail state, and a cold HVT cell's leakage KCL residual
+     there is already below Newton's 1e-12 A tolerance.  At least one
+     step solves the source currents, which would otherwise stay at the
+     guess's 0 W. *)
+  let s = Spice.Dc.operating_point ~x0 ~min_iterations:1 netlist in
   (* Power delivered by each source: the branch current flows into the +
      terminal through the source, so delivery is -V * I. *)
   let sources =

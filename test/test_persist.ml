@@ -11,12 +11,20 @@ module J = Persist.Json
 
 (* ----- scratch files ----- *)
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 let tmp_root =
   let d =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "sram_opt_test_persist_%d" (Unix.getpid ()))
   in
   (if not (Sys.file_exists d) then Sys.mkdir d 0o755);
+  at_exit (fun () -> try rm_rf d with Sys_error _ -> ());
   d
 
 let fresh =
@@ -119,6 +127,51 @@ let nested ~depth (opening, empty, closing) =
 
 let arrays = ("[", "[]", "]")
 
+(* The scanner against the parser it replaced: the same tree or the
+   same error, [valid] exactly when that is a tree, and [member_spans]
+   naming an object's members with spans that decode to its values.
+   The same bytes set inside other bytes scan the same in place. *)
+let agrees_with_oracle s =
+  let oracle = Persist_oracle.Json.of_string s in
+  let n = String.length s in
+  let same a b =
+    match (a, b) with
+    | Ok x, Ok y -> json_eq x y
+    | Error e, Error f -> String.equal e f
+    | _ -> false
+  in
+  let padded = "[{\"" ^ s ^ "1 " in
+  let spans_agree =
+    match (oracle, J.member_spans s 0 n) with
+    | Ok (J.Obj fields), Some spans ->
+      List.length fields = List.length spans
+      && List.for_all2
+           (fun (k, v) (k', pos, len) ->
+             String.equal k k'
+             && same (Ok v) (J.of_substring s pos len))
+           fields spans
+    | Ok (J.Obj _), None -> false
+    | _, spans -> spans = None
+  in
+  same (J.of_string s) oracle
+  && J.valid s 0 n = Result.is_ok oracle
+  && J.valid padded 3 n = Result.is_ok oracle
+  && Result.is_ok (J.of_substring padded 3 n) = Result.is_ok oracle
+  && spans_agree
+
+(* Every string of [1 .. max_len] characters over [alphabet]. *)
+let iter_strings alphabet max_len f =
+  let rec go prefix len =
+    if len > 0 then
+      String.iter
+        (fun c ->
+          let s = prefix ^ String.make 1 c in
+          f s;
+          go s (len - 1))
+        alphabet
+  in
+  go "" max_len
+
 let json_tests =
   [ case "scalars round-trip" (fun () ->
         List.iter
@@ -183,6 +236,32 @@ let json_tests =
            | Ok _ | Error _ -> true
            | exception e ->
              QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"scanner agrees with the old parser on any bytes" ~count:3000
+         (QCheck.make ~print:(Printf.sprintf "%S") json_bytes_gen)
+         agrees_with_oracle);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"scanner agrees with the old parser on documents" ~count:500
+         json_arb
+         (fun v ->
+           agrees_with_oracle (J.to_string v)
+           && agrees_with_oracle (J.to_string_pretty v)));
+    case "scanner agrees with the old parser on every short number run" (fun () ->
+        (* Every run of up to four number characters, and of up to six
+           over 0, 1, 9 and the five marks: the grammar and both
+           conversions treat the digits 1-9 alike, and 0 only differs
+           before a radix letter no run can hold.  Ints near the bounds
+           of [int] read as Int or, past them, as Float. *)
+        let bad = ref [] in
+        let check s = if not (agrees_with_oracle s) then bad := s :: !bad in
+        iter_strings "0123456789+-.eE" 4 check;
+        iter_strings "019+-.eE" 6 check;
+        List.iter check
+          [ string_of_int max_int; string_of_int min_int;
+            "4611686018427387904"; "-4611686018427387905";
+            "99999999999999999999"; "1e400"; "-1e-400"; "1.7976931348623157e308";
+            "0.55000000000000004"; "-0"; "+0"; "-.5"; "+.5e+5"; "5."; "1.e5" ];
+        Alcotest.(check (list string)) "runs read differently" [] (List.rev !bad));
   ]
 
 (* ----- Crc32 ----- *)
@@ -203,6 +282,38 @@ let crc_tests =
                b 0 (String.length b)
            in
            whole = split));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"slicing-by-8 equals the bytewise CRC in place" ~count:2000
+         (QCheck.make
+            ~print:(fun (s, start, lens) ->
+              Printf.sprintf "%S from %d by [%s]" s start
+                (String.concat "; " (List.map string_of_int lens)))
+            QCheck.Gen.(
+              let* s = string_size ~gen:char (int_bound 300) in
+              let* start = int_bound (String.length s) in
+              let* lens =
+                list_size (int_range 1 6) (frequency [ (4, int_bound 16); (1, int_bound 300) ])
+              in
+              return (s, start, lens)))
+         (fun (s, start, lens) ->
+           (* Chained updates over consecutive ranges, each clamped to the
+              string: the same running value, and the same as one pass. *)
+           let rec chain crc oracle pos = function
+             | [] -> crc = oracle && crc = Persist_oracle.Crc32.update 0 s start (pos - start)
+             | len :: rest ->
+               let len = min len (String.length s - pos) in
+               let crc = Persist.Crc32.update crc s pos len
+               and oracle = Persist_oracle.Crc32.update oracle s pos len in
+               crc = oracle && chain crc oracle (pos + len) rest
+           in
+           chain 0 0 start lens));
+    case "update refuses a range outside the string" (fun () ->
+        List.iter
+          (fun (pos, len) ->
+            match Persist.Crc32.update 0 "abcdefgh" pos len with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.failf "accepted pos %d len %d" pos len)
+          [ (-1, 2); (0, 9); (8, 1); (3, -1) ]);
   ]
 
 (* ----- Record_log ----- *)
@@ -245,6 +356,16 @@ let check_records msg expected actual =
   List.iter2
     (fun e a -> Alcotest.(check bool) (msg ^ ": payload") true (json_eq e a))
     expected actual
+
+(* One frame of the log format around [payload], its CRC correct. *)
+let raw_frame payload =
+  let u32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF)) in
+  u32 (String.length payload) ^ u32 (Persist.Crc32.string payload) ^ payload
+
+let append_bytes path bytes =
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
+  ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+  Unix.close fd
 
 let record_log_tests =
   [ case "write then read preserves order and header" (fun () ->
@@ -343,6 +464,26 @@ let record_log_tests =
         let r = read_ok path in
         check_records "snapshot" keep r.records;
         Alcotest.(check bool) "no tmp left" false (Sys.file_exists (path ^ ".tmp"));
+        rm path);
+    case "a good CRC over bad JSON ends the prefix, and open_append cuts it" (fun () ->
+        let path = fresh "notjson" in
+        write_log path (mk_records 2);
+        let good_end = file_size path in
+        (* The bad frame passes the length and CRC checks; the valid
+           frame after it must not be kept either. *)
+        append_bytes path
+          (raw_frame "{\"i\":" ^ raw_frame (J.to_string (J.Obj [ ("i", J.Int 9) ])));
+        let r = read_ok path in
+        check_records "prefix" (mk_records 2) r.records;
+        Alcotest.(check int) "valid end" good_end r.valid_end;
+        Alcotest.(check int) "both frames discarded" (file_size path - good_end)
+          r.discarded_bytes;
+        (match Persist.Record_log.open_append ~path ~schema:"test" () with
+        | Error msg -> Alcotest.fail msg
+        | Ok (t, replayed) ->
+          Persist.Record_log.close t;
+          check_records "replayed" (mk_records 2) replayed);
+        Alcotest.(check int) "truncated at the bad frame" good_end (file_size path);
         rm path);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"records written = records replayed" ~count:50
@@ -450,6 +591,37 @@ let with_cache_dir f =
   Persist.Cache.set_dir (Some cache_dir);
   Fun.protect ~finally:(fun () -> Persist.Cache.set_dir None) f
 
+(* A fresh directory under the scratch root. *)
+let fresh_dir name =
+  let d = fresh name in
+  Sys.mkdir d 0o755;
+  d
+
+let qcheck_cache = Persist.Cache.create ~name:"test.qcheck" ()
+
+(* Keys made of the bytes a JSON string must escape or carry raw:
+   quotes, backslashes, C0 controls, DEL and non-ASCII bytes, drawn
+   from a small pool so that keys repeat. *)
+let cache_adds_gen =
+  let open QCheck.Gen in
+  let byte = oneofl [ '"'; '\\'; '\000'; '\n'; '\031'; '\127'; '\xc3'; '\xa9'; '\xff'; 'k'; '/'; 'u' ] in
+  let* pool = list_size (int_range 1 6) (string_size ~gen:byte (int_bound 6)) in
+  list_size (int_bound 30) (pair (oneofl pool) json_gen)
+
+(* Each distinct key's last value, in first-add order. *)
+let last_values adds =
+  List.fold_left
+    (fun acc (k, v) -> if List.mem_assoc k acc then List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) acc else acc @ [ (k, v) ])
+    [] adds
+
+let finds_last_values cache adds =
+  List.for_all
+    (fun (k, v) ->
+      match Persist.Cache.find cache k with
+      | Some v' -> json_eq v v'
+      | None -> false)
+    (last_values adds)
+
 let cache_tests =
   [ case "inactive until set_dir" (fun () ->
         Persist.Cache.add test_cache "k" (J.Int 1);
@@ -499,6 +671,68 @@ let cache_tests =
                   (Persist.Faults.injected_count () - before));
             Alcotest.(check bool) "memory tier still serves" true
               (Persist.Cache.find test_cache "d2" = Some (J.Int 2))));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"add, reopen, find: the last add wins" ~count:100
+         (QCheck.make
+            ~print:(fun adds ->
+              String.concat "; "
+                (List.map (fun (k, v) -> Printf.sprintf "%S -> %s" k (J.to_string v)) adds))
+            cache_adds_gen)
+         (fun adds ->
+           let dir = fresh_dir "qcache" in
+           Persist.Cache.set_dir (Some dir);
+           List.iter (fun (k, v) -> Persist.Cache.add qcheck_cache k v) adds;
+           let live = finds_last_values qcheck_cache adds in
+           Persist.Cache.set_dir (Some dir);
+           let reopened = finds_last_values qcheck_cache adds in
+           Persist.Cache.set_dir None;
+           rm_rf dir;
+           live && reopened));
+    case "compaction keeps every key's last value" (fun () ->
+        let dir = fresh_dir "compact" in
+        let adds =
+          List.init 70 (fun i ->
+              (Printf.sprintf "key \"%d\"" (i mod 3), J.Obj [ ("i", J.Int i); ("x", J.Float (float_of_int i /. 7.0)) ]))
+        in
+        Persist.Cache.set_dir (Some dir);
+        List.iter (fun (k, v) -> Persist.Cache.add qcheck_cache k v) adds;
+        let log = Filename.concat dir "test.qcheck.rlog" in
+        Alcotest.(check int) "70 records before" 70 (read_ok log).recovered;
+        (* 70 records over 3 keys: reopening compacts. *)
+        Persist.Cache.set_dir (Some dir);
+        Alcotest.(check int) "3 records after" 3 (read_ok log).recovered;
+        Alcotest.(check bool) "last values after compaction" true
+          (finds_last_values qcheck_cache adds);
+        Persist.Cache.set_dir (Some dir);
+        Alcotest.(check bool) "last values from the compacted log" true
+          (finds_last_values qcheck_cache adds);
+        Persist.Cache.set_dir None;
+        rm_rf dir);
+    case "opening a 1,000-record log allocates < 96 words per record" (fun () ->
+        (* Every allocation an open makes per record is small and lands
+           in the minor heap, whose counter is exact; the file's bytes
+           go to the major heap in one block.  Indexing costs ~71 words
+           a record here; building a tree per record cost ~1,150. *)
+        let dir = fresh_dir "alloc" in
+        let value i =
+          J.Obj
+            (("geometry", J.Obj [ ("nr", J.Int (32 * i)); ("nc", J.Int 64) ])
+            :: List.init 16 (fun k -> (Printf.sprintf "m%d" k, J.Float (float_of_int (i + k) /. 3.0))))
+        in
+        Persist.Cache.set_dir (Some dir);
+        for i = 1 to 1000 do
+          Persist.Cache.add qcheck_cache (Printf.sprintf "6T-HVT-M2|cap=%d|EDP" i) (value i)
+        done;
+        Persist.Cache.set_dir None;
+        let before = Gc.minor_words () in
+        Persist.Cache.set_dir (Some dir);
+        let per_record = (Gc.minor_words () -. before) /. 1000.0 in
+        let found = Persist.Cache.find qcheck_cache "6T-HVT-M2|cap=500|EDP" in
+        Persist.Cache.set_dir None;
+        rm_rf dir;
+        Alcotest.(check bool) "value found" true (Option.fold ~none:false ~some:(json_eq (value 500)) found);
+        Alcotest.(check bool) (Printf.sprintf "%.1f words per record" per_record) true
+          (per_record < 96.0));
   ]
 
 (* ----- Checkpoint / resume bit-identity ----- *)

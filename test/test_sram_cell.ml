@@ -272,7 +272,18 @@ let dynamics_tests =
           Sram_cell.Dynamics.read_current ~cell:hvt
             (Sram_cell.Sram6t.read ~vssc:(-0.24) ())
         in
-        Alcotest.(check bool) "boost" true (boosted > 2.0 *. base)) ]
+        Alcotest.(check bool) "boost" true (boosted > 2.0 *. base));
+    case "read current grows with V_DDC and with -V_SSC over the PVT box" (fun () ->
+        (* 10 mV steps: V_DDC over 0.45-0.70 V, V_SSC over 0 to -0.24 V. *)
+        let steps n f = Array.init n (fun k -> f (0.01 *. float_of_int k)) in
+        List.iter
+          (fun (where, cell) ->
+            let i_read c = Sram_cell.Dynamics.read_current ~cell c in
+            check_increasing ~strict:true (where ^ ": I_read(V_DDC)")
+              (steps 26 (fun dv -> i_read (Sram_cell.Sram6t.read ~vddc:(0.45 +. dv) ())));
+            check_increasing ~strict:true (where ^ ": I_read(-V_SSC)")
+              (steps 25 (fun dv -> i_read (Sram_cell.Sram6t.read ~vssc:(-.dv) ()))))
+          pvt_box) ]
 
 let leakage_tests =
   [ case "LVT leakage matches the paper's 1.692 nW" (fun () ->
@@ -295,7 +306,19 @@ let leakage_tests =
           Sram_cell.Leakage.power_at_condition ~cell:hvt
             (Sram_cell.Sram6t.read ~vddc:0.55 ~vssc:(-0.24) ())
         in
-        Alcotest.(check bool) "positive" true (p > 0.0)) ]
+        Alcotest.(check bool) "positive" true (p > 0.0));
+    case "leakage is positive and grows with Vdd over the PVT box" (fun () ->
+        (* 0.15-0.70 V in 10 mV steps.  Cold HVT cells leak ~1 pW, below
+           Newton's residual tolerance at the rail state. *)
+        List.iter
+          (fun (where, cell) ->
+            let ps =
+              Array.init 56 (fun k ->
+                  Sram_cell.Leakage.power ~vdd:(0.15 +. (0.01 *. float_of_int k)) ~cell ())
+            in
+            Alcotest.(check bool) (where ^ ": positive at 0.15 V") true (ps.(0) > 0.0);
+            check_increasing ~strict:true (where ^ ": P_leak(Vdd)") ps)
+          pvt_box) ]
 
 let montecarlo_tests =
   [ case "sampling is deterministic per seed" (fun () ->

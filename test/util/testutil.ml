@@ -64,3 +64,4 @@ let slow_case name f = Alcotest.test_case name `Slow f
 module Gate_sim = Gate_sim
 module Golden_gen = Golden_gen
 module Oracle = Oracle
+module Persist_oracle = Persist_oracle

@@ -38,3 +38,7 @@ module Golden_gen : module type of Golden_gen
 
 module Oracle : module type of Oracle
 (** Bit-exact reference implementations of the SPICE-level kernels. *)
+
+module Persist_oracle : module type of Persist_oracle
+(** The bytewise CRC-32 and the tree-building JSON parser the record
+    log's one-scan open replaced. *)
