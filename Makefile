@@ -7,7 +7,9 @@
 #                      not keep a module alive)
 #   make check-dead-exports  likewise every top-level val of lib/*/*.mli,
 #                      outside its own module, unless scripts/test_hooks
-#                      lists it as a test hook
+#                      lists it as a test hook; and every optional
+#                      parameter of one must be set (~label or ?label)
+#                      by such a source, or be listed as Module.value?label
 #   make bench         runtime scaling benchmark (writes BENCH_runtime.json)
 #   make bench-kernel  staged-kernel benchmark (writes BENCH_kernel.json)
 #   make bench-kernel-opt  same bench under the release profile (-O3 -unsafe);
@@ -23,7 +25,9 @@
 #   make bench-serve   daemon load-generator benchmark (writes BENCH_serve.json)
 #   make smoke-serve-metrics  end-to-end Prometheus scrape of a live daemon
 #   make smoke-cache-dir  three one-shots sharing a --cache-dir: the second
-#                      answers from disk, the third survives a torn tail
+#                      answers from disk, the third survives a torn tail;
+#                      a fourth, run outside the work tree, stamps the
+#                      checkout's commit into its log header
 #   make regen-golden  deliberately rewrite test/golden/* (review the diff!)
 
 .PHONY: all check check-tests stripped-sources check-dead-modules \
@@ -91,7 +95,8 @@ check-dead-modules: stripped-sources
 	[ $$dead -eq 0 ] && echo "check-dead-modules: every library module has a user" || exit 1
 
 # The same rule one level down: a library export that only tests reach
-# is dead weight unless scripts/test_hooks names it as a test hook.
+# is dead weight unless scripts/test_hooks names it as a test hook, and
+# so is an optional parameter that no program sets.
 check-dead-exports: stripped-sources
 	@sh scripts/check_dead_exports.sh $(STRIPPED)
 

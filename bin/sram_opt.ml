@@ -582,49 +582,19 @@ let explain_cmd =
       progress log_level search_log persist =
     with_runtime ~trace ~progress ~log_level ~search_log ~persist ~jobs ~stats
     @@ fun () ->
-    let o =
-      Sram_edp.Framework.optimize ~accounting ~capacity_bits:capacity
-        ~config:{ Sram_edp.Framework.flavor; method_ } ()
+    let e =
+      match
+        Sram_edp.Framework.explain ~accounting ~pareto:(not no_pareto)
+          ~capacity_bits:capacity ~config:{ Sram_edp.Framework.flavor; method_ } ()
+      with
+      | Ok e -> e
+      | Error msg ->
+        Printf.eprintf "sram_opt explain: %s — refusing to print a breakdown that lies\n"
+          msg;
+        exit 1
     in
-    let result = o.Sram_edp.Framework.result in
-    let winner = result.Opt.Exhaustive.best in
-    (* The memoized env for (flavor, accounting) is the one the search
-       priced against, so every number below is the search's own. *)
-    let env =
-      Array_model.Array_eval.ctx_env
-        (Sram_edp.Framework.stage_ctx_for ~flavor ~accounting)
-    in
-    let at =
-      Array_model.Array_eval.attribute env winner.Opt.Exhaustive.geometry
-        winner.Opt.Exhaustive.assist
-    in
-    let bits_eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
-    if not (Array_model.Array_eval.attribution_consistent at) then begin
-      Printf.eprintf
-        "sram_opt explain: attribution terms do not refold to evaluate's \
-         totals bit-for-bit — refusing to print a breakdown that lies\n";
-      exit 1
-    end;
-    if
-      not
-        (bits_eq at.Array_model.Array_eval.at_metrics.Array_model.Array_eval.edp
-           winner.Opt.Exhaustive.metrics.Array_model.Array_eval.edp)
-    then begin
-      Printf.eprintf
-        "sram_opt explain: fresh evaluate disagrees with the search's \
-         staged kernel for the winner — kernel identity broken\n";
-      exit 1
-    end;
-    let sens =
-      Opt.Explain.sensitivity ~env ~pins:result.Opt.Exhaustive.pins ~winner ()
-    in
-    let pareto =
-      if no_pareto then None
-      else
-        Some
-          (Opt.Explain.pareto ~levels:result.Opt.Exhaustive.levels ~env
-             ~capacity_bits:capacity ~method_ ())
-    in
+    let o = e.Sram_edp.Framework.optimized and at = e.Sram_edp.Framework.attribution in
+    let sens = e.Sram_edp.Framework.sensitivity and pareto = e.Sram_edp.Framework.pareto in
     if json then begin
       let fields =
         [ ("capacity_bits", Persist.Json.Int capacity);
@@ -1316,29 +1286,13 @@ let query_cmd =
           $ seed_arg $ reduced_arg $ query_deadline_arg $ trace_id_arg
           $ json_flag)
 
-(* Whether cmdliner may print the version: for --version and for help
-   pages (the man-page header carries it), which it also selects by any
-   unambiguous prefix of the option, and for the bare command, whose
-   default is the help page.  Anything else never shows it. *)
-let version_shown argv =
-  let asks arg =
-    let name = match String.index_opt arg '=' with Some i -> String.sub arg 0 i | None -> arg in
-    String.length name >= 3
-    && (String.starts_with ~prefix:name "--version" || String.starts_with ~prefix:name "--help")
-  in
-  Array.length argv <= 1 || Array.exists asks argv
-
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   let info =
     (* The +commit suffix matches the provenance stamped into cache and
        checkpoint log headers, so an operator can match a running
-       server or an on-disk cache against a build with --version.
-       Looking the commit up runs `git`, so only when it can be shown. *)
-    Cmd.info "sram_opt"
-      ~version:
-        (if version_shown Sys.argv then "1.0.0+" ^ Persist.Record_log.git_commit ()
-         else "1.0.0")
+       server or an on-disk cache against a build with --version. *)
+    Cmd.info "sram_opt" ~version:("1.0.0+" ^ Persist.Record_log.git_commit ())
       ~doc:"Device-circuit-architecture co-optimization of SRAM arrays (DAC'16 reproduction)"
   in
   exit

@@ -12,9 +12,8 @@ type env = {
   accounting : accounting;
 }
 
-let make_env ?(alpha = 0.5) ?(beta = 0.5) ?(dcdc_overhead = 1.25)
-    ?(accounting = Paper_strict) ?(read_current_model = `Simulated)
-    ?cell_width_factor ~cell_flavor () =
+let make_env ?(alpha = 0.5) ?(beta = 0.5) ?(accounting = Paper_strict)
+    ?(read_current_model = `Simulated) ?cell_width_factor ~cell_flavor () =
   let lib = Lazy.force Finfet.Library.default in
   let currents = Currents.create ~lib ~cell_flavor ~read_current_model in
   let periphery = Periphery.shared ~cell_flavor in
@@ -24,8 +23,8 @@ let make_env ?(alpha = 0.5) ?(beta = 0.5) ?(dcdc_overhead = 1.25)
       ~pfet:(Finfet.Library.pfet lib cell_flavor)
       ()
   in
-  { lib; cell_flavor; currents; periphery; dcaps; alpha; beta; dcdc_overhead;
-    accounting }
+  { lib; cell_flavor; currents; periphery; dcaps; alpha; beta;
+    dcdc_overhead = 1.25; accounting }
 
 type metrics = {
   d_read : float;

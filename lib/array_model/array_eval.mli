@@ -37,7 +37,6 @@ type env = {
 val make_env :
   ?alpha:float ->
   ?beta:float ->
-  ?dcdc_overhead:float ->
   ?accounting:accounting ->
   ?read_current_model:
     [ `Simulated | `Paper_fit | `Custom of vddc:float -> vssc:float -> float ] ->
@@ -46,7 +45,7 @@ val make_env :
   unit ->
   env
 (** Environment against the default calibrated library with memoized
-    periphery characterization.  [cell_width_factor] scales the cell
+    periphery characterization and a [dcdc_overhead] of 1.25.  [cell_width_factor] scales the cell
     footprint's wire capacitances (1.0 = the 6T layout);
     [`Custom] supplies an alternative read-current model (used by the 8T
     comparison study, whose read stack differs from the 6T one). *)

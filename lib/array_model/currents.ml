@@ -21,7 +21,7 @@ let create ~lib ~cell_flavor ~read_current_model =
 
 let vdd = Finfet.Tech.vdd_nominal
 
-let i_on_pfet t = Finfet.Device.i_on t.pfet_per ()
+let i_on_pfet t = Finfet.Device.i_on t.pfet_per
 
 let i_on_tg t =
   Finfet.Device.ids t.nfet_per ~vgs:vdd ~vds:(0.5 *. vdd)

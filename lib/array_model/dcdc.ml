@@ -2,8 +2,8 @@ let ratios = [| 1.0 /. 3.0; 0.5; 2.0 /. 3.0; 1.0; 4.0 /. 3.0; 1.5; 2.0 |]
 
 let intrinsic_loss = 0.05
 
-let efficiency ?(v_in = Finfet.Tech.vdd_nominal) ~v_out () =
-  assert (v_in > 0.0);
+let efficiency ~v_out () =
+  let v_in = Finfet.Tech.vdd_nominal in
   let target = abs_float v_out in
   if target = 0.0 then 1.0
   else if abs_float (target -. v_in) < 1e-9 then 1.0
@@ -23,4 +23,4 @@ let efficiency ?(v_in = Finfet.Tech.vdd_nominal) ~v_out () =
       (1.0 -. intrinsic_loss) ** 2.0
   end
 
-let overhead ?v_in ~v_out () = 1.0 /. efficiency ?v_in ~v_out ()
+let overhead ~v_out () = 1.0 /. efficiency ~v_out ()

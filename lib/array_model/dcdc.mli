@@ -17,10 +17,10 @@ val ratios : float array
     1/3, 1/2, 2/3, 1, 4/3, 3/2, 2 (negative rails use the inverting
     versions of the same set). *)
 
-val efficiency : ?v_in:float -> v_out:float -> unit -> float
+val efficiency : v_out:float -> unit -> float
 (** Conversion efficiency delivering [v_out] (magnitude; a negative value
-    is treated as an inverting rail) from [v_in] (default the nominal
-    supply).  1.0 when [v_out] equals the input rail (no converter). *)
+    is treated as an inverting rail) from the nominal supply.  1.0 when
+    [v_out] equals the input rail (no converter). *)
 
-val overhead : ?v_in:float -> v_out:float -> unit -> float
+val overhead : v_out:float -> unit -> float
 (** 1 / {!efficiency}: the multiplier the energy model applies. *)

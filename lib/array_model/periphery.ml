@@ -44,7 +44,7 @@ type t = {
 
 let max_address_bits = 14
 
-let characterize ?(delta_vs = Finfet.Tech.delta_v_sense) ~lib ~cell_flavor () =
+let characterize ~lib ~cell_flavor () =
   let nfet = Finfet.Library.nfet lib Finfet.Library.Lvt in
   let pfet = Finfet.Library.pfet lib Finfet.Library.Lvt in
   let driver = Gates.Superbuffer.default_wl_driver ~nfet ~pfet in
@@ -72,7 +72,7 @@ let characterize ?(delta_vs = Finfet.Tech.delta_v_sense) ~lib ~cell_flavor () =
     col_decoder = dec;
     driver_delay = Gates.Superbuffer.first_stages_delay driver;
     driver_energy = Gates.Superbuffer.first_stages_energy driver ~vdd;
-    sense_delay = Gates.Sense_amp.delay sa ~delta_v:delta_vs;
+    sense_delay = Gates.Sense_amp.delay sa ~delta_v:Finfet.Tech.delta_v_sense;
     sense_energy = Gates.Sense_amp.energy sa ~vdd;
     write_cell_delay;
     write_cell_energy = 2.0 *. c_node *. vdd *. vdd;

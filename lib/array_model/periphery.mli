@@ -34,19 +34,18 @@ val max_address_bits : int
     single bank. *)
 
 val characterize :
-  ?delta_vs:float ->
   lib:Finfet.Library.t ->
   cell_flavor:Finfet.Library.flavor ->
   unit ->
   t
-(** Build all tables for a cell flavor (periphery is always LVT).  The
+(** Build all tables for a cell flavor (periphery is always LVT) at the
+    technology's Delta V_S.  The
     write-delay table starts empty: {!write_delay} runs each level's
     transient on first use.  Results are not cached here — callers
     should reuse the returned value (see {!shared}). *)
 
 val shared : cell_flavor:Finfet.Library.flavor -> t
-(** Memoized characterization against the default device library at the
-    default Delta V_S. *)
+(** Memoized characterization against the default device library. *)
 
 val row_dec : t -> bits:int -> Gates.Decoder.result
 val col_dec : t -> bits:int -> Gates.Decoder.result

@@ -7,7 +7,7 @@ type read_point = {
 
 let reference_column = Array_model.Geometry.create ~nr:64 ~nc:64 ~n_pre:1 ~n_wr:1 ()
 
-let bl_delay_of_current ?(geometry = reference_column) ~flavor current =
+let bl_delay_of_current ~flavor current =
   let lib = Lazy.force Finfet.Library.default in
   let dcaps =
     Array_model.Caps.device_caps_of
@@ -15,12 +15,11 @@ let bl_delay_of_current ?(geometry = reference_column) ~flavor current =
       ~pfet:(Finfet.Library.pfet lib flavor)
       ()
   in
-  let c_bl = Array_model.Caps.bl dcaps geometry in
+  let c_bl = Array_model.Caps.bl dcaps reference_column in
   if current <= 0.0 then infinity
   else c_bl *. Finfet.Tech.delta_v_sense /. current
 
-let read_sweep ?points ?(geometry = reference_column) ~flavor ~technique
-    ~voltages () =
+let read_sweep ~flavor ~technique ~voltages () =
   let lib = Lazy.force Finfet.Library.default in
   let nfet = Finfet.Library.nfet lib flavor in
   let cell =
@@ -28,7 +27,7 @@ let read_sweep ?points ?(geometry = reference_column) ~flavor ~technique
   in
   let point voltage =
     let condition = Technique.read_condition technique ~voltage in
-    let rsnm = Sram_cell.Margins.read_snm ?points ~cell condition in
+    let rsnm = Sram_cell.Margins.read_snm ~cell condition in
     let read_current =
       Finfet.Calibration.stack_read_current ~access:nfet ~pull_down:nfet
         ~vwl:condition.Sram_cell.Sram6t.vwl
@@ -37,7 +36,7 @@ let read_sweep ?points ?(geometry = reference_column) ~flavor ~technique
         ~vssc:condition.Sram_cell.Sram6t.vssc
     in
     { voltage; rsnm; read_current;
-      bl_delay = bl_delay_of_current ~geometry ~flavor read_current }
+      bl_delay = bl_delay_of_current ~flavor read_current }
   in
   Array.map point voltages
 

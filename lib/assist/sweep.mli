@@ -17,18 +17,16 @@ type read_point = {
 val reference_column : Array_model.Geometry.t
 (** The 64-row column the paper assumes for Figure 3's bitline delays. *)
 
-val bl_delay_of_current : ?geometry:Array_model.Geometry.t -> flavor:Finfet.Library.flavor -> float -> float
+val bl_delay_of_current : flavor:Finfet.Library.flavor -> float -> float
 (** C_BL * Delta V_S / I for the reference column. *)
 
 val read_sweep :
-  ?points:int ->
-  ?geometry:Array_model.Geometry.t ->
   flavor:Finfet.Library.flavor ->
   technique:Technique.read_assist ->
   voltages:float array ->
   unit ->
   read_point array
-(** One point per assist voltage.  [points] is butterfly resolution. *)
+(** One point per assist voltage, on the {!reference_column}. *)
 
 type write_point = {
   voltage : float;

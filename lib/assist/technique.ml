@@ -11,16 +11,16 @@ let write_assist_name = function
   | Wl_overdrive -> "WL overdrive"
   | Negative_bl -> "negative BL"
 
-let read_condition ?(vdd = Finfet.Tech.vdd_nominal) technique ~voltage =
+let read_condition technique ~voltage =
   match technique with
-  | Wl_underdrive -> Sram_cell.Sram6t.read ~vdd ~vwl:voltage ()
-  | Vdd_boost -> Sram_cell.Sram6t.read ~vdd ~vddc:voltage ()
-  | Negative_gnd -> Sram_cell.Sram6t.read ~vdd ~vssc:voltage ()
+  | Wl_underdrive -> Sram_cell.Sram6t.read ~vwl:voltage ()
+  | Vdd_boost -> Sram_cell.Sram6t.read ~vddc:voltage ()
+  | Negative_gnd -> Sram_cell.Sram6t.read ~vssc:voltage ()
 
-let write_condition ?(vdd = Finfet.Tech.vdd_nominal) technique ~voltage =
+let write_condition technique ~voltage =
   match technique with
-  | Wl_overdrive -> Sram_cell.Sram6t.write0 ~vdd ~vwl:voltage ()
-  | Negative_bl -> Sram_cell.Sram6t.write0 ~vdd ~vbl:voltage ()
+  | Wl_overdrive -> Sram_cell.Sram6t.write0 ~vwl:voltage ()
+  | Negative_bl -> Sram_cell.Sram6t.write0 ~vbl:voltage ()
 
 let range ~lo ~hi ~step =
   let n = int_of_float (Float.round (abs_float (hi -. lo) /. step)) + 1 in

@@ -18,14 +18,12 @@ type write_assist =
 val read_assist_name : read_assist -> string
 val write_assist_name : write_assist -> string
 
-val read_condition :
-  ?vdd:float -> read_assist -> voltage:float -> Sram_cell.Sram6t.condition
+val read_condition : read_assist -> voltage:float -> Sram_cell.Sram6t.condition
 (** The static read condition with the given technique applied at
     [voltage] (the technique's own knob: V_WL, V_DDC or V_SSC) and every
     other rail nominal. *)
 
-val write_condition :
-  ?vdd:float -> write_assist -> voltage:float -> Sram_cell.Sram6t.condition
+val write_condition : write_assist -> voltage:float -> Sram_cell.Sram6t.condition
 (** The write-0 condition with the technique applied ([voltage] is V_WL
     for overdrive, the negative BL level otherwise). *)
 

@@ -10,7 +10,8 @@ type bank_design = {
   area : float;
 }
 
-let evaluate_banking ?space ?(w = 64) ~env ~capacity_bits ~method_ ~banks () =
+let evaluate_banking ?space ~env ~capacity_bits ~method_ ~banks () =
+  let w = 64 in
   if not (Array_model.Geometry.is_power_of_two banks) then
     invalid_arg "Banked.evaluate_banking: banks must be a power of two";
   if capacity_bits mod banks <> 0
@@ -55,7 +56,7 @@ let evaluate_banking ?space ?(w = 64) ~env ~capacity_bits ~method_ ~banks () =
   { banks; per_bank; htree_length; d_htree; e_htree; d_total; e_total;
     edp = e_total *. d_total; area }
 
-let optimize ?space ?w ?(max_banks = 16) ~env ~capacity_bits ~method_ () =
+let optimize ?space ?(max_banks = 16) ~env ~capacity_bits ~method_ () =
   let rec bank_counts b acc =
     if b > max_banks || capacity_bits / b < 512 then List.rev acc
     else bank_counts (2 * b) (b :: acc)
@@ -64,7 +65,7 @@ let optimize ?space ?w ?(max_banks = 16) ~env ~capacity_bits ~method_ () =
   assert (candidates <> []);
   let designs =
     List.map
-      (fun banks -> evaluate_banking ?space ?w ~env ~capacity_bits ~method_ ~banks ())
+      (fun banks -> evaluate_banking ?space ~env ~capacity_bits ~method_ ~banks ())
       candidates
   in
   let best =

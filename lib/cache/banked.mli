@@ -28,20 +28,18 @@ type bank_design = {
 
 val evaluate_banking :
   ?space:Opt.Space.t ->
-  ?w:int ->
   env:Array_model.Array_eval.env ->
   capacity_bits:int ->
   method_:Opt.Space.method_ ->
   banks:int ->
   unit ->
   bank_design
-(** Metrics for one bank count.
+(** Metrics for one bank count, for a 64-bit word.
     @raise Invalid_argument unless [banks] is a power of two dividing the
     capacity into power-of-two banks. *)
 
 val optimize :
   ?space:Opt.Space.t ->
-  ?w:int ->
   ?max_banks:int ->
   env:Array_model.Array_eval.env ->
   capacity_bits:int ->

@@ -4,8 +4,10 @@ type series = {
   points : (float * float) list;
 }
 
-let render ?(width = 64) ?(height = 16) ?(log_y = false) ?(x_label = "")
-    ?(y_label = "") series_list =
+let width = 64
+let height = 16
+
+let render ?(log_y = false) ?(x_label = "") ?(y_label = "") series_list =
   if series_list = [] then invalid_arg "Ascii_plot.render: no series";
   List.iter
     (fun s ->
@@ -72,5 +74,5 @@ let render ?(width = 64) ?(height = 16) ?(log_y = false) ?(x_label = "")
     series_list;
   Buffer.contents buf
 
-let print ?width ?height ?log_y ?x_label ?y_label series_list =
-  print_string (render ?width ?height ?log_y ?x_label ?y_label series_list)
+let print ?log_y ?x_label ?y_label series_list =
+  print_string (render ?log_y ?x_label ?y_label series_list)

@@ -12,14 +12,12 @@ type series = {
 }
 
 val render :
-  ?width:int ->
-  ?height:int ->
   ?log_y:bool ->
   ?x_label:string ->
   ?y_label:string ->
   series list ->
   string
-(** A [width] x [height] character canvas (defaults 64 x 16) with left/
+(** A 64 x 16 character canvas with left/
     bottom axes, min/max tick annotations, one marker character per
     series, and a legend.  [log_y] plots log10 of the values (all y must
     be positive then).  Overlapping points keep the later series' marker.
@@ -27,8 +25,6 @@ val render :
     non-positive values under [log_y]. *)
 
 val print :
-  ?width:int ->
-  ?height:int ->
   ?log_y:bool ->
   ?x_label:string ->
   ?y_label:string ->

@@ -259,9 +259,9 @@ type design_row = {
   d_bl_read : float;
 }
 
-let design_table ?(capacities = Framework.paper_capacities) ?accounting () =
+let design_table () =
   let results =
-    Framework.sweep_capacities ?accounting ~capacities
+    Framework.sweep_capacities ~capacities:Framework.paper_capacities
       ~configs:Framework.all_configs ()
   in
   List.map

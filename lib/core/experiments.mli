@@ -75,13 +75,9 @@ type design_row = {
   d_bl_read : float;
 }
 
-val design_table :
-  ?capacities:int list ->
-  ?accounting:Array_model.Array_eval.accounting ->
-  unit ->
-  design_row list
-(** One row per (capacity, config): Table 4's parameters joined with the
-    Figure 7 metrics. *)
+val design_table : unit -> design_row list
+(** One row per (paper capacity, config): Table 4's parameters joined
+    with the Figure 7 metrics. *)
 
 val print_table4 : unit -> unit
 val print_fig7 : unit -> unit

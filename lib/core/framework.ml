@@ -168,16 +168,60 @@ let optimize ?space ?(objective = Opt.Objective.Energy_delay_product)
           in
           { capacity_bits; config; result }))
 
+type explanation = {
+  optimized : optimized;
+  attribution : Array_model.Array_eval.attribution;
+  sensitivity : Opt.Explain.axis list;
+  pareto : Opt.Explain.provenance option;
+}
+
+let explain ?space ?objective ?(accounting = Array_model.Array_eval.Paper_strict)
+    ?w ?deadline ?strategy ?rng_seed ?(pareto = false) ~capacity_bits ~config ()
+    =
+  let o =
+    optimize ?space ?objective ~accounting ?w ?deadline ?strategy ?rng_seed
+      ~capacity_bits ~config ()
+  in
+  let result = o.result in
+  let winner = result.Opt.Exhaustive.best in
+  (* The memoized env for (flavor, accounting) is the one the search
+     priced against, so every number below is the search's own. *)
+  let env = env_for ~flavor:config.flavor ~accounting in
+  let at =
+    Array_model.Array_eval.attribute env winner.Opt.Exhaustive.geometry
+      winner.Opt.Exhaustive.assist
+  in
+  if not (Array_model.Array_eval.attribution_consistent at) then
+    Error "attribution terms do not refold to evaluate's totals bit-for-bit"
+  else if
+    not
+      (Int64.equal
+         (Int64.bits_of_float at.Array_model.Array_eval.at_metrics.Array_model.Array_eval.edp)
+         (Int64.bits_of_float winner.Opt.Exhaustive.metrics.Array_model.Array_eval.edp))
+  then Error "fresh evaluate disagrees with the search's staged kernel for the winner"
+  else
+    let sensitivity =
+      Opt.Explain.sensitivity ?space ?objective ~env ~pins:result.Opt.Exhaustive.pins
+        ~winner ()
+    in
+    let pareto =
+      if pareto then
+        Some
+          (Opt.Explain.pareto ~levels:result.Opt.Exhaustive.levels ~env ~capacity_bits
+             ~method_:config.method_ ())
+      else None
+    in
+    Ok { optimized = o; attribution = at; sensitivity; pareto }
+
 let paper_capacities =
   List.map (fun bytes -> bytes * 8) [ 128; 256; 1024; 4096; 16384 ]
 
-let sweep_capacities ?space ?accounting ?pool ~capacities ~configs () =
+let sweep_capacities ?pool ~capacities ~configs () =
   Obs.Histogram.span sweep_timer (fun () ->
       List.concat_map
         (fun capacity_bits ->
           List.map
-            (fun config ->
-              optimize ?space ?accounting ?pool ~capacity_bits ~config ())
+            (fun config -> optimize ?pool ~capacity_bits ~config ())
             configs)
         capacities)
 
@@ -192,7 +236,7 @@ type headline = {
   per_capacity : (int * float * float) list;
 }
 
-let headline ?capacities ?space ?accounting ?pool () =
+let headline ?capacities ?space ?accounting () =
   let capacities =
     match capacities with
     | Some c -> c
@@ -202,11 +246,11 @@ let headline ?capacities ?space ?accounting ?pool () =
     List.map
       (fun capacity_bits ->
         let hvt =
-          optimize ?space ?accounting ?pool ~capacity_bits
+          optimize ?space ?accounting ~capacity_bits
             ~config:{ flavor = Finfet.Library.Hvt; method_ = Opt.Space.M2 } ()
         in
         let lvt =
-          optimize ?space ?accounting ?pool ~capacity_bits
+          optimize ?space ?accounting ~capacity_bits
             ~config:{ flavor = Finfet.Library.Lvt; method_ = Opt.Space.M2 } ()
         in
         let mh = metrics hvt and ml = metrics lvt in

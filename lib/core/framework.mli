@@ -55,6 +55,36 @@ val optimize :
     {!Opt.Exhaustive.Deadline_exceeded}; nothing partial is cached, and
     a memo or disk hit is returned regardless of the deadline. *)
 
+type explanation = {
+  optimized : optimized;
+  attribution : Array_model.Array_eval.attribution;
+  sensitivity : Opt.Explain.axis list;
+  pareto : Opt.Explain.provenance option;
+}
+
+val explain :
+  ?space:Opt.Space.t ->
+  ?objective:Opt.Objective.t ->
+  ?accounting:Array_model.Array_eval.accounting ->
+  ?w:int ->
+  ?deadline:float ->
+  ?strategy:Opt.Strategy.t ->
+  ?rng_seed:int ->
+  ?pareto:bool ->
+  capacity_bits:int ->
+  config:config ->
+  unit ->
+  (explanation, string) result
+(** Why the winner wins: {!optimize} with the same arguments, then the
+    winner's attribution against the environment the search priced.
+    Two checks guard the numbers: the attribution terms must refold to
+    [evaluate]'s totals bit for bit, and that fresh evaluation must
+    reproduce the search's EDP bits; [Error] names the one that failed.
+    Then the per-axis sensitivity ({!Opt.Explain.sensitivity} over
+    [space] and [objective]) and, with [pareto] (default false), the
+    keep-all delay-energy front ({!Opt.Explain.pareto} at the search's
+    pins).  Raises as {!optimize} does. *)
+
 val paper_capacities : int list
 (** 128B, 256B, 1KB, 4KB, 16KB — in bits. *)
 
@@ -71,14 +101,12 @@ val stage_ctx_for :
     {!Opt.Exhaustive.search} directly with framework environments. *)
 
 val sweep_capacities :
-  ?space:Opt.Space.t ->
-  ?accounting:Array_model.Array_eval.accounting ->
   ?pool:Runtime.Pool.t ->
   capacities:int list ->
   configs:config list ->
   unit ->
   optimized list
-(** Cross product, memoized. *)
+(** Cross product of {!optimize} at its defaults, memoized. *)
 
 type headline = {
   avg_edp_reduction : float;
@@ -94,7 +122,6 @@ val headline :
   ?capacities:int list ->
   ?space:Opt.Space.t ->
   ?accounting:Array_model.Array_eval.accounting ->
-  ?pool:Runtime.Pool.t ->
   unit ->
   headline
 (** The paper's abstract numbers: HVT-M2 vs LVT-M2 over 1KB..16KB

@@ -53,8 +53,8 @@ let of_headline (h : Framework.headline) =
                   ("delay_penalty", Float penalty) ])
             h.Framework.per_capacity)) ]
 
-let design_table_json ?capacities () =
-  List (List.map of_design_row (Experiments.design_table ?capacities ()))
+let design_table_json () =
+  List (List.map of_design_row (Experiments.design_table ()))
 
 let of_memo_stats (s : Runtime.Memo.stats) =
   Obj

@@ -13,7 +13,7 @@ type t = Persist.Json.t =
   | List of t list
   | Obj of (string * t) list
 
-val to_string_pretty : ?indent:int -> t -> string
+val to_string_pretty : t -> string
 (** {!Persist.Json.to_string_pretty}. *)
 
 (** {1 Conversions for the framework's records} *)
@@ -24,8 +24,7 @@ val of_design_row : Experiments.design_row -> t
 
 val of_headline : Framework.headline -> t
 
-val design_table_json :
-  ?capacities:int list -> unit -> t
+val design_table_json : unit -> t
 (** The full Table 4 / Figure 7 dataset as a JSON array. *)
 
 (** {1 Runtime telemetry export} *)

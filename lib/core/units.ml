@@ -4,7 +4,7 @@ let nw x = Printf.sprintf "%.3f nW" (x *. 1e9)
 let mv x = Printf.sprintf "%.0f mV" (x *. 1e3)
 let ua x = Printf.sprintf "%.2f uA" (x *. 1e6)
 
-let si ?(digits = 3) x =
+let si x =
   if x = 0.0 then "0"
   else begin
     let prefixes =
@@ -17,7 +17,7 @@ let si ?(digits = 3) x =
         (fun (bs, bp) (s, p) -> if mag >= s then (s, p) else (bs, bp))
         (1e-15, "f") prefixes
     in
-    Printf.sprintf "%.*g%s" digits (x /. scale) prefix
+    Printf.sprintf "%.3g%s" (x /. scale) prefix
   end
 
 let capacity bits =

@@ -15,9 +15,9 @@ val mv : float -> string
 val ua : float -> string
 (** Amps rendered in microamps. *)
 
-val si : ?digits:int -> float -> string
-(** Generic engineering notation with an SI prefix (f, p, n, u, m, '',
-    k, M, G). *)
+val si : float -> string
+(** Generic engineering notation, three significant digits, with an SI
+    prefix (f, p, n, u, m, '', k, M, G). *)
 
 val capacity : int -> string
 (** Bits rendered as "128B" / "1KB" / "16KB". *)

@@ -67,7 +67,7 @@ let solve_s_for_ioff ~proto ~target =
   (* OFF current grows monotonically with the smoothing voltage (softer
      subthreshold exponent), so bracket + Brent. *)
   let objective s =
-    Device.i_off { proto with Device.s_smooth = s } () -. target
+    Device.i_off { proto with Device.s_smooth = s } -. target
   in
   Numerics.Roots.brent ~tol:1e-9 objective ~lo:0.010 ~hi:0.120
 
@@ -95,10 +95,10 @@ let calibrate_hvt_nfet () =
   refine (base "nfet_hvt_7nm" Device.Nfet ~vt:read_fit_vt ~beta:read_fit_b ~s_smooth:0.040) 0
 
 let calibrate_lvt_nfet ~hvt =
-  let ion_target = ion_ratio_lvt_over_hvt *. Device.i_on hvt () in
+  let ion_target = ion_ratio_lvt_over_hvt *. Device.i_on hvt in
   let rec refine proto iter =
     (* Lower the threshold until the ON-current ratio holds... *)
-    let objective vt = Device.i_on { proto with Device.vt } () -. ion_target in
+    let objective vt = Device.i_on { proto with Device.vt } -. ion_target in
     let vt = Numerics.Roots.brent ~tol:1e-9 objective ~lo:0.05 ~hi:hvt.Device.vt in
     let proto = { proto with Device.vt } in
     (* ...then the swing until the OFF-current ratio holds. *)

@@ -51,7 +51,7 @@ let drain_source_current p ~nfin ~vg ~vd ~vs =
   in
   scale *. current
 
-let i_on p ?(vdd = Tech.vdd_nominal) () = ids p ~vgs:vdd ~vds:vdd
-let i_off p ?(vdd = Tech.vdd_nominal) () = ids p ~vgs:0.0 ~vds:vdd
+let i_on p = ids p ~vgs:Tech.vdd_nominal ~vds:Tech.vdd_nominal
+let i_off p = ids p ~vgs:0.0 ~vds:Tech.vdd_nominal
 
 let with_vt p vt = { p with vt }

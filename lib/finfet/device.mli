@@ -34,11 +34,11 @@ val drain_source_current : params -> nfin:int -> vg:float -> vd:float -> vs:floa
     conduction) and both polarities: a Pfet conducting normally returns a
     negative value (current flows source to drain). *)
 
-val i_on : params -> ?vdd:float -> unit -> float
-(** ON current per fin at [vgs = vds = vdd] (default technology nominal). *)
+val i_on : params -> float
+(** ON current per fin at [vgs = vds =] the technology's nominal Vdd. *)
 
-val i_off : params -> ?vdd:float -> unit -> float
-(** OFF (leakage) current per fin at [vgs = 0, vds = vdd]. *)
+val i_off : params -> float
+(** OFF (leakage) current per fin at [vgs = 0] and the nominal [vds]. *)
 
 val with_vt : params -> float -> params
 (** Copy with a replaced threshold voltage (Monte Carlo sampling hook). *)

@@ -12,7 +12,7 @@ type gate = {
    swing mostly in saturation at nearly I_on, so the classic Vdd / I_on
    convention overstates R by ~2x here. *)
 let r_eff params =
-  0.5 *. Finfet.Tech.vdd_nominal /. Finfet.Device.i_on params ()
+  0.5 *. Finfet.Tech.vdd_nominal /. Finfet.Device.i_on params
 
 let tau ~nfet ~pfet =
   let r = max (r_eff nfet) (r_eff pfet) in

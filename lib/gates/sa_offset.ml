@@ -24,13 +24,12 @@ type offset_summary = {
   required_swing : float;
 }
 
-let analyze ?(sigma_vt = Finfet.Variation.sigma_vt_default) ?(n = 200)
-    ?(k = 5.0) ?(margin = 0.020) ?(seed = 23) ~nfet ~pfet () =
+let analyze ?(n = 200) ~nfet ~pfet () =
   assert (n > 1);
-  let rng = Numerics.Rng.create ~seed in
+  let rng = Numerics.Rng.create ~seed:23 in
   let samples =
     Array.init n (fun _ ->
-        let sample d = Finfet.Variation.sample_device ~sigma_vt rng d in
+        let sample d = Finfet.Variation.sample_device rng d in
         let trip_a = trip_point ~nfet:(sample nfet) ~pfet:(sample pfet) in
         let trip_b = trip_point ~nfet:(sample nfet) ~pfet:(sample pfet) in
         trip_a -. trip_b)
@@ -39,4 +38,4 @@ let analyze ?(sigma_vt = Finfet.Variation.sigma_vt_default) ?(n = 200)
   { samples;
     sigma;
     mean = Numerics.Stats.mean samples;
-    required_swing = (k *. sigma) +. margin }
+    required_swing = (5.0 *. sigma) +. 0.020 }

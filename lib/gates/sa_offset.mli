@@ -22,15 +22,12 @@ type offset_summary = {
 }
 
 val analyze :
-  ?sigma_vt:float ->
   ?n:int ->
-  ?k:float ->
-  ?margin:float ->
-  ?seed:int ->
   nfet:Finfet.Device.params ->
   pfet:Finfet.Device.params ->
   unit ->
   offset_summary
-(** Monte Carlo over the latch's four devices (defaults: technology
-    sigma-Vt, 200 samples, k = 5, 20 mV residual margin).  The resulting
-    [required_swing] is directly comparable to the paper's 120 mV. *)
+(** Monte Carlo over the latch's four devices at the technology's
+    sigma-Vt, [n] samples (default 200) drawn from seed 23, with k = 5
+    and a 20 mV residual margin.  The resulting [required_swing] is
+    directly comparable to the paper's 120 mV. *)

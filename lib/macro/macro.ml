@@ -31,11 +31,11 @@ type t = {
 let mask_of_bits bits =
   if bits >= 64 then -1L else Int64.sub (Int64.shift_left 1L bits) 1L
 
-let create ?(power_up_seed = 2016) ~env ~geometry ~assist () =
+let create ~env ~geometry ~assist () =
   let metrics = Array_model.Array_eval.evaluate env geometry assist in
   let word_bits = min geometry.Array_model.Geometry.w geometry.Array_model.Geometry.nc in
   let words = Array_model.Geometry.capacity_bits geometry / word_bits in
-  let rng = Numerics.Rng.create ~seed:power_up_seed in
+  let rng = Numerics.Rng.create ~seed:2016 in
   let mask = mask_of_bits word_bits in
   (* SRAM powers up to an arbitrary pattern; make it reproducibly so. *)
   let contents =
@@ -57,11 +57,11 @@ let create ?(power_up_seed = 2016) ~env ~geometry ~assist () =
     s_reads = 0; s_writes = 0; s_idles = 0; s_elapsed = 0.0;
     s_switching = 0.0; s_leakage = 0.0; s_worst = 0.0 }
 
-let create_optimized ?power_up_seed ?space ~capacity_bits ~flavor ~method_ () =
+let create_optimized ~capacity_bits ~flavor ~method_ () =
   let env = Array_model.Array_eval.make_env ~cell_flavor:flavor () in
-  let result = Opt.Exhaustive.search ?space ~env ~capacity_bits ~method_ () in
+  let result = Opt.Exhaustive.search ~env ~capacity_bits ~method_ () in
   let best = result.Opt.Exhaustive.best in
-  create ?power_up_seed ~env ~geometry:best.Opt.Exhaustive.geometry
+  create ~env ~geometry:best.Opt.Exhaustive.geometry
     ~assist:best.Opt.Exhaustive.assist ()
 
 let capacity_bits t = Array_model.Geometry.capacity_bits t.geometry

@@ -14,23 +14,21 @@
 type t
 
 val create :
-  ?power_up_seed:int ->
   env:Array_model.Array_eval.env ->
   geometry:Array_model.Geometry.t ->
   assist:Array_model.Components.assist ->
   unit ->
   t
-(** A macro over an explicit design point. *)
+(** A macro over an explicit design point, powered up from seed 2016. *)
 
 val create_optimized :
-  ?power_up_seed:int ->
-  ?space:Opt.Space.t ->
   capacity_bits:int ->
   flavor:Finfet.Library.flavor ->
   method_:Opt.Space.method_ ->
   unit ->
   t
-(** Run the co-optimization and wrap the winning design. *)
+(** Run the co-optimization over {!Opt.Space.default} and wrap the
+    winning design. *)
 
 val capacity_bits : t -> int
 

@@ -1,5 +1,3 @@
-type extrapolation = Clamp | Extrapolate | Error
-
 let check_increasing xs =
   for i = 0 to Array.length xs - 2 do
     if xs.(i) >= xs.(i + 1) then
@@ -23,40 +21,36 @@ let segment_index (xs : float array) (x : float) =
   end
 
 module Table1d = struct
-  type t = { xs : float array; ys : float array; extra : extrapolation }
+  type t = { xs : float array; ys : float array }
 
-  let create ?(extrapolation = Clamp) xs ys =
+  let create xs ys =
     if Array.length xs <> Array.length ys then
       invalid_arg "Table1d.create: length mismatch";
     if Array.length xs < 2 then invalid_arg "Table1d.create: need >= 2 points";
     check_increasing xs;
-    { xs = Array.copy xs; ys = Array.copy ys; extra = extrapolation }
+    { xs = Array.copy xs; ys = Array.copy ys }
 
-  let of_fn ?(extrapolation = Clamp) ~lo ~hi ~n f =
+  let of_fn ~lo ~hi ~n f =
     if n < 2 then invalid_arg "Table1d.of_fn: need n >= 2";
     let xs =
       Array.init n (fun i ->
           lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))
     in
     let ys = Array.map f xs in
-    create ~extrapolation xs ys
+    create xs ys
 
-  let eval_by ?(extrapolation = Clamp) xs y x =
+  let eval_by xs y x =
     let n = Array.length xs in
-    let inside = x >= xs.(0) && x <= xs.(n - 1) in
-    match extrapolation with
-    | Error when not inside ->
-      invalid_arg
-        (Printf.sprintf "Table1d.eval: %g outside [%g, %g]" x xs.(0) xs.(n - 1))
-    | Clamp when x <= xs.(0) -> y 0
-    | Clamp when x >= xs.(n - 1) -> y (n - 1)
-    | Clamp | Extrapolate | Error ->
+    if x <= xs.(0) then y 0
+    else if x >= xs.(n - 1) then y (n - 1)
+    else begin
       let i = segment_index xs x in
       let frac = (x -. xs.(i)) /. (xs.(i + 1) -. xs.(i)) in
       let y0 = y i in
       y0 +. (frac *. (y (i + 1) -. y0))
+    end
 
-  let eval t x = eval_by ~extrapolation:t.extra t.xs (Array.get t.ys) x
+  let eval t x = eval_by t.xs (Array.get t.ys) x
 
   let domain t = (t.xs.(0), t.xs.(Array.length t.xs - 1))
   let xs t = Array.copy t.xs
@@ -68,10 +62,9 @@ module Table2d = struct
     xs : float array;
     ys : float array;
     zs : float array array;
-    extra : extrapolation;
   }
 
-  let create ?(extrapolation = Clamp) ~xs ~ys zs =
+  let create ~xs ~ys zs =
     if Array.length zs <> Array.length xs then
       invalid_arg "Table2d.create: zs rows must match xs";
     Array.iter
@@ -83,26 +76,14 @@ module Table2d = struct
       invalid_arg "Table2d.create: need >= 2 points per axis";
     check_increasing xs;
     check_increasing ys;
-    { xs = Array.copy xs; ys = Array.copy ys; zs = Array.map Array.copy zs;
-      extra = extrapolation }
+    { xs = Array.copy xs; ys = Array.copy ys; zs = Array.map Array.copy zs }
 
-  let clamp01 extra v = match extra with
-    | Clamp | Error -> max 0.0 (min 1.0 v)
-    | Extrapolate -> v
+  let clamp01 v = max 0.0 (min 1.0 v)
 
   let eval t ~x ~y =
-    let nx = Array.length t.xs and ny = Array.length t.ys in
-    let inside =
-      x >= t.xs.(0) && x <= t.xs.(nx - 1) && y >= t.ys.(0) && y <= t.ys.(ny - 1)
-    in
-    if t.extra = Error && not inside then
-      invalid_arg "Table2d.eval: point outside domain";
     let i = segment_index t.xs x and j = segment_index t.ys y in
-    let fx =
-      clamp01 t.extra ((x -. t.xs.(i)) /. (t.xs.(i + 1) -. t.xs.(i)))
-    and fy =
-      clamp01 t.extra ((y -. t.ys.(j)) /. (t.ys.(j + 1) -. t.ys.(j)))
-    in
+    let fx = clamp01 ((x -. t.xs.(i)) /. (t.xs.(i + 1) -. t.xs.(i)))
+    and fy = clamp01 ((y -. t.ys.(j)) /. (t.ys.(j + 1) -. t.ys.(j))) in
     let z00 = t.zs.(i).(j) and z10 = t.zs.(i + 1).(j) in
     let z01 = t.zs.(i).(j + 1) and z11 = t.zs.(i + 1).(j + 1) in
     (z00 *. (1.0 -. fx) *. (1.0 -. fy))

@@ -2,29 +2,22 @@
 
     The paper stores SPICE-characterized delay/energy components "with
     dependencies on a variable ... in look-up tables"; these are those
-    tables.  1-D tables interpolate linearly (optionally clamping or
-    extrapolating at the ends); 2-D tables interpolate bilinearly. *)
-
-type extrapolation =
-  | Clamp        (** hold the boundary value outside the domain *)
-  | Extrapolate  (** continue the boundary segment's slope *)
-  | Error        (** raise [Invalid_argument] outside the domain *)
+    tables.  1-D tables interpolate linearly and 2-D tables bilinearly;
+    both hold the boundary value outside the domain. *)
 
 module Table1d : sig
   type t
 
-  val create : ?extrapolation:extrapolation -> float array -> float array -> t
+  val create : float array -> float array -> t
   (** [create xs ys]: [xs] must be strictly increasing and the arrays of
-      equal length >= 2.  Default extrapolation is [Clamp]. *)
+      equal length >= 2. *)
 
-  val of_fn : ?extrapolation:extrapolation -> lo:float -> hi:float -> n:int ->
-    (float -> float) -> t
+  val of_fn : lo:float -> hi:float -> n:int -> (float -> float) -> t
   (** Sample a function on [n] equally spaced points (n >= 2). *)
 
   val eval : t -> float -> float
 
-  val eval_by :
-    ?extrapolation:extrapolation -> float array -> (int -> float) -> float -> float
+  val eval_by : float array -> (int -> float) -> float -> float
   (** [eval_by xs y x] is [eval (create xs ys) x] with [ys.(i)] read as
       [y i], and only for the one or two [i] that [x] needs: a clamped
       [x] reads one end, any other [x] the two ends of its segment.  The
@@ -39,9 +32,7 @@ end
 module Table2d : sig
   type t
 
-  val create :
-    ?extrapolation:extrapolation ->
-    xs:float array -> ys:float array -> float array array -> t
+  val create : xs:float array -> ys:float array -> float array array -> t
   (** [create ~xs ~ys zs]: [zs.(i).(j)] is the value at [(xs.(i), ys.(j))].
       Both axes strictly increasing. *)
 

@@ -14,8 +14,8 @@ let norm_inf v =
   done;
   !acc
 
-let solve_custom ?(tol = 1e-12) ?(max_iter = 200) ?(min_iter = 0) ?(damping = 1.0)
-    ?(max_step = 0.12) ~residual ~solve_step ~x0 () =
+let solve_custom ?(tol = 1e-12) ?(max_iter = 200) ?(min_iter = 0) ?(max_step = 0.12)
+    ~residual ~solve_step ~x0 () =
   let n = Array.length x0 in
   let x = Array.copy x0 in
   let base = Array.make n 0.0 in
@@ -38,7 +38,7 @@ let solve_custom ?(tol = 1e-12) ?(max_iter = 200) ?(min_iter = 0) ?(damping = 1.
       Array.blit x 0 base 0 n;
       let rec backtrack scale tries =
         for i = 0 to n - 1 do
-          x.(i) <- base.(i) +. (scale *. damping *. dx.(i))
+          x.(i) <- base.(i) +. (scale *. dx.(i))
         done;
         let f = residual x in
         let fnew = norm_inf f in

@@ -15,7 +15,6 @@ val solve_custom :
   ?tol:float ->
   ?max_iter:int ->
   ?min_iter:int ->
-  ?damping:float ->
   ?max_step:float ->
   residual:(float array -> float array) ->
   solve_step:(float array -> float array -> float array) ->
@@ -23,7 +22,7 @@ val solve_custom :
   unit ->
   result
 (** [solve_custom ~residual ~solve_step ~x0 ()] iterates
-    [x <- x + damp * dx] with [dx = solve_step x (-F(x))], i.e.
+    [x <- x + dx] with [dx = solve_step x (-F(x))], i.e.
     [J(x)^-1 (-F(x))] — the DC solver assembles and factors its own
     Jacobian, and [solve_step] owns singularity recovery (e.g. gmin
     regularization).  Each step is:

@@ -1,6 +1,6 @@
 exception No_bracket
 
-let bisect ?(tol = 1e-12) ?(max_iter = 200) f ~lo ~hi =
+let bisect ?(tol = 1e-12) f ~lo ~hi =
   let flo = f lo in
   let fhi = f hi in
   if flo = 0.0 then lo
@@ -9,7 +9,7 @@ let bisect ?(tol = 1e-12) ?(max_iter = 200) f ~lo ~hi =
   else begin
     let rec loop lo hi flo iter =
       let mid = 0.5 *. (lo +. hi) in
-      if hi -. lo < tol || iter >= max_iter then mid
+      if hi -. lo < tol || iter >= 200 then mid
       else begin
         let fmid = f mid in
         if fmid = 0.0 then mid
@@ -21,7 +21,7 @@ let bisect ?(tol = 1e-12) ?(max_iter = 200) f ~lo ~hi =
   end
 
 (* Brent's method, following the classic Numerical Recipes formulation. *)
-let brent ?(tol = 1e-12) ?(max_iter = 100) f ~lo ~hi =
+let brent ?(tol = 1e-12) f ~lo ~hi =
   let a = ref lo and b = ref hi in
   let fa = ref (f lo) and fb = ref (f hi) in
   if !fa = 0.0 then lo
@@ -32,7 +32,7 @@ let brent ?(tol = 1e-12) ?(max_iter = 100) f ~lo ~hi =
     let d = ref (!b -. !a) and e = ref (!b -. !a) in
     let result = ref nan in
     (try
-       for _ = 1 to max_iter do
+       for _ = 1 to 100 do
          if (!fb > 0.0 && !fc > 0.0) || (!fb < 0.0 && !fc < 0.0) then begin
            c := !a; fc := !fa; d := !b -. !a; e := !d
          end;

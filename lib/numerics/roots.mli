@@ -8,15 +8,17 @@ exception No_bracket
 (** Raised when the supplied interval does not bracket a root. *)
 
 val bisect :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float
+  ?tol:float -> (float -> float) -> lo:float -> hi:float -> float
 (** [bisect f ~lo ~hi] finds [x] with [f x = 0] assuming [f lo] and [f hi]
     have opposite signs.  @raise No_bracket otherwise.
-    [tol] is the absolute interval tolerance (default 1e-12). *)
+    [tol] is the absolute interval tolerance (default 1e-12); at most
+    200 halvings. *)
 
 val brent :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float
+  ?tol:float -> (float -> float) -> lo:float -> hi:float -> float
 (** Brent's method: inverse-quadratic interpolation with bisection fallback.
-    Same contract as {!bisect}, typically far fewer evaluations. *)
+    Same contract as {!bisect} (at most 100 iterations), typically far
+    fewer evaluations. *)
 
 val golden_min :
   ?tol:float -> (float -> float) -> lo:float -> hi:float -> float * float

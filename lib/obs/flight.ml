@@ -67,14 +67,14 @@ let sink _ts level section text ctx =
   end;
   Mutex.unlock lock
 
-let arm ?(capacity = 4096) ?(log_capacity = 256) ?dir () =
+let arm ?dir () =
   Mutex.lock lock;
-  log_ring := Array.make (max 16 log_capacity) placeholder;
+  log_ring := Array.make 256 placeholder;
   log_pos := 0;
   log_total := 0;
   (match dir with Some d -> dump_dir := d | None -> ());
   Mutex.unlock lock;
-  Trace.arm_flight ~capacity ();
+  Trace.arm_flight ();
   Log.set_sink (Some sink)
 
 let disarm () =

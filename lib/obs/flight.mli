@@ -20,10 +20,9 @@ type log_entry = {
   le_ctx : string;  (** trace id at emit; [""] = none *)
 }
 
-val arm : ?capacity:int -> ?log_capacity:int -> ?dir:string -> unit -> unit
-(** Arm both rings ([capacity] span events per domain, default 4096;
-    [log_capacity] warn+ lines, default 256) and set the dump
-    directory (default: the system temp dir). *)
+val arm : ?dir:string -> unit -> unit
+(** Arm both rings (4096 span events per domain, 256 warn+ lines) and
+    set the dump directory (default: the system temp dir). *)
 
 val disarm : unit -> unit
 

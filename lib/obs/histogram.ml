@@ -1,5 +1,7 @@
-let default_buckets = 64
-let default_lo = 1e-9
+(* Every histogram shares one bucket layout: [n_buckets] buckets from
+   [lo] seconds (or units) up, each [ratio] times the last. *)
+let n_buckets = 64
+let lo = 1e-9
 let ratio = sqrt 2.0
 
 type measure = Seconds | Ratio
@@ -9,8 +11,6 @@ type t = {
   unit : measure;
   help : string;
   sample : int;
-  lo : float;
-  n_buckets : int;
   counts : int array array;  (* slot -> bucket -> count *)
   sums : float array;
   mins : float array;
@@ -23,15 +23,13 @@ type t = {
 let registry_lock = Mutex.create ()
 let registry : (string, t) Hashtbl.t = Hashtbl.create 16
 
-let make ~unit ~help ~sample ~lo ~buckets name =
+let make ~unit ~help ~sample name =
   let slots = Control.max_slots in
   { h_name = name;
     unit;
     help;
     sample = max 1 sample;
-    lo;
-    n_buckets = max 1 buckets;
-    counts = Array.init slots (fun _ -> Array.make (max 1 buckets) 0);
+    counts = Array.init slots (fun _ -> Array.make n_buckets 0);
     sums = Array.make slots 0.0;
     mins = Array.make slots infinity;
     maxs = Array.make slots neg_infinity;
@@ -39,14 +37,13 @@ let make ~unit ~help ~sample ~lo ~buckets name =
     countdown = Array.make slots 1;
     gc_hits = Array.make slots 0 }
 
-let create ?(unit = Seconds) ?(help = "") ?(sample = 1) ?(lo = default_lo)
-    ?(buckets = default_buckets) name =
+let create ?(unit = Seconds) ?(help = "") ?(sample = 1) name =
   Mutex.lock registry_lock;
   let h =
     match Hashtbl.find_opt registry name with
     | Some h -> h
     | None ->
-      let h = make ~unit ~help ~sample ~lo ~buckets name in
+      let h = make ~unit ~help ~sample name in
       Hashtbl.add registry name h;
       h
   in
@@ -56,11 +53,11 @@ let create ?(unit = Seconds) ?(help = "") ?(sample = 1) ?(lo = default_lo)
 (* Bucket i holds v with lo * r^i <= v < lo * r^(i+1) (i >= 1); bucket 0
    additionally absorbs everything <= lo.  log_r(x) = 2 * log2(x) for
    r = sqrt 2. *)
-let bucket_of t v =
-  if not (v > t.lo) then 0
+let bucket_of (_ : t) v =
+  if not (v > lo) then 0
   else begin
-    let i = int_of_float (2.0 *. Float.log2 (v /. t.lo)) in
-    if i < 0 then 0 else if i >= t.n_buckets then t.n_buckets - 1 else i
+    let i = int_of_float (2.0 *. Float.log2 (v /. lo)) in
+    if i < 0 then 0 else if i >= n_buckets then n_buckets - 1 else i
   end
 
 let observe t v =
@@ -151,7 +148,7 @@ type snapshot = {
 }
 
 let snapshot t =
-  let buckets = Array.make t.n_buckets 0 in
+  let buckets = Array.make n_buckets 0 in
   let count = ref 0 in
   let sum = ref 0.0 in
   let min_s = ref infinity in
@@ -159,7 +156,7 @@ let snapshot t =
   let gc_hits = ref 0 in
   for s = 0 to Control.max_slots - 1 do
     let row = t.counts.(s) in
-    for b = 0 to t.n_buckets - 1 do
+    for b = 0 to n_buckets - 1 do
       buckets.(b) <- buckets.(b) + row.(b)
     done;
     count := !count + t.totals.(s);
@@ -172,7 +169,7 @@ let snapshot t =
     unit = t.unit;
     help = t.help;
     sample = t.sample;
-    lo = t.lo;
+    lo;
     count = !count;
     sum = !sum;
     min_s = !min_s;
@@ -269,7 +266,7 @@ let snapshots () =
 
 let reset t =
   for s = 0 to Control.max_slots - 1 do
-    Array.fill t.counts.(s) 0 t.n_buckets 0;
+    Array.fill t.counts.(s) 0 n_buckets 0;
     t.sums.(s) <- 0.0;
     t.mins.(s) <- infinity;
     t.maxs.(s) <- neg_infinity;

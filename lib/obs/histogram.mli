@@ -29,9 +29,7 @@ type measure =
   | Seconds
   | Ratio  (** dimensionless, e.g. a relative gap *)
 
-val create :
-  ?unit:measure -> ?help:string -> ?sample:int -> ?lo:float -> ?buckets:int ->
-  string -> t
+val create : ?unit:measure -> ?help:string -> ?sample:int -> string -> t
 (** Get or create the histogram registered under this name (parameters
     are only applied on first creation).  [unit] is what it records
     (default [Seconds]); [help] is its one-line description for the

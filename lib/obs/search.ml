@@ -96,9 +96,9 @@ let best = ref infinity
 let first_imp = ref nan
 let last_imp = ref nan
 
-let arm ?(capacity = 8192) () =
+let arm () =
   Mutex.lock lock;
-  store := Array.make (max 1 capacity * stride) 0.0;
+  store := Array.make (8192 * stride) 0.0;
   len := 0;
   dropped_n := 0;
   best := infinity;
@@ -245,16 +245,16 @@ let summary () =
     first_improvement_s = first;
     last_improvement_s = last }
 
-let print_report ?(channel = stdout) () =
+let print_report () =
   let s = summary () in
   if s.journaled > 0 || s.prunes > 0 then begin
-    Printf.fprintf channel "search journal:\n";
-    Printf.fprintf channel
+    Printf.printf "search journal:\n";
+    Printf.printf
       "  %d incumbent updates, %d chunk completions, %d bound prunes \
        (1 in %d journaled), %d events stored, %d dropped\n"
       s.incumbents s.chunks s.prunes prune_sample s.journaled s.dropped;
     if s.incumbents > 0 then
-      Printf.fprintf channel
+      Printf.printf
         "  best score %.6g; first improvement at %.3f s, last at %.3f s\n"
         s.best_score s.first_improvement_s s.last_improvement_s
   end

@@ -49,10 +49,9 @@ val prune_sample : int
     still count every one).  Always a power of two, so hot loops can
     sample with [land (prune_sample - 1)] instead of [mod]. *)
 
-val arm : ?capacity:int -> unit -> unit
-(** Start journaling into a fresh buffer of at most [capacity] events
-    (default 8192); events past the cap are counted in {!dropped}
-    rather than stored. *)
+val arm : unit -> unit
+(** Start journaling into a fresh buffer of at most 8192 events; events
+    past the cap are counted in {!dropped} rather than stored. *)
 
 val disarm : unit -> unit
 (** Stop journaling.  The buffer and counters survive until the next
@@ -97,6 +96,6 @@ type summary = {
 
 val summary : unit -> summary
 
-val print_report : ?channel:out_channel -> unit -> unit
-(** Human-readable convergence summary (the [--stats] block); silent
-    when nothing was journaled. *)
+val print_report : unit -> unit
+(** Human-readable convergence summary (the [--stats] block) on stdout;
+    silent when nothing was journaled. *)

@@ -167,12 +167,9 @@ let start ?(detail = `Fine) () =
 
 let stop () = Atomic.set tracing false
 
-(* Per-domain ring capacities are fixed at the domain's first event, so
-   arming applies the capacity to rings created afterwards; already-
-   registered rings keep their size (their contents stay wanted). *)
-let arm_flight ?(capacity = 4096) () =
+let arm_flight () =
   anchor_t0 ();
-  Atomic.set flight_capacity (max 16 capacity)
+  Atomic.set flight_capacity 4096
 
 let disarm_flight () = Atomic.set flight_capacity 0
 

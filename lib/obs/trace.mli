@@ -71,10 +71,9 @@ val with_span : string -> (unit -> 'a) -> 'a
 
 (** {2 Flight ring} *)
 
-val arm_flight : ?capacity:int -> unit -> unit
-(** Record every coarse span into a per-domain ring of
-    [capacity] events (default 4096, min 16), overwriting the oldest.
-    Rings created before arming keep their original capacity. *)
+val arm_flight : unit -> unit
+(** Record every coarse span into a per-domain ring of 4096 events,
+    overwriting the oldest. *)
 
 val disarm_flight : unit -> unit
 

@@ -21,7 +21,6 @@ let standard_windows = [ ("10s", 10); ("60s", 60); ("300s", 300) ]
 type t = {
   w_name : string;
   hist : Histogram.t;
-  w_intervals : int;
   ring : Histogram.snapshot array;  (* cumulative at each rotation *)
   mutable head : int;               (* next write position *)
   mutable filled : int;
@@ -45,7 +44,7 @@ let last_rotation = Atomic.make 0.0
 
 let current_period () = Atomic.get period
 
-let create ?(intervals = default_intervals) hist =
+let create hist =
   let name = (Histogram.snapshot hist).Histogram.name in
   Mutex.lock lock;
   let w =
@@ -56,8 +55,7 @@ let create ?(intervals = default_intervals) hist =
       let w =
         { w_name = name;
           hist;
-          w_intervals = max 1 intervals;
-          ring = Array.make (max 1 intervals) baseline;
+          ring = Array.make default_intervals baseline;
           head = 0;
           filled = 0;
           baseline }
@@ -85,8 +83,8 @@ let track name source =
 (* Callers hold [lock]. *)
 let rotate_locked w =
   w.ring.(w.head) <- Histogram.snapshot w.hist;
-  w.head <- (w.head + 1) mod w.w_intervals;
-  if w.filled < w.w_intervals then w.filled <- w.filled + 1
+  w.head <- (w.head + 1) mod default_intervals;
+  if w.filled < default_intervals then w.filled <- w.filled + 1
 
 let rotate_tracked_locked t =
   t.values.(t.t_head) <- t.source ();
@@ -130,7 +128,7 @@ let maybe_rotate ?now () =
 let entry_ago w k =
   if w.filled = 0 || k >= w.filled then w.baseline
   else begin
-    let idx = (w.head - 1 - k + (2 * w.w_intervals)) mod w.w_intervals in
+    let idx = (w.head - 1 - k + (2 * default_intervals)) mod default_intervals in
     w.ring.(idx)
   end
 

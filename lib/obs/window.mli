@@ -19,9 +19,9 @@
 
 type t
 
-val create : ?intervals:int -> Histogram.t -> t
-(** Get or create the window registered under the histogram's name
-    ([intervals] applies on first creation only). *)
+val create : Histogram.t -> t
+(** Get or create the window registered under the histogram's name,
+    with a ring of 300 intervals. *)
 
 val track : string -> (unit -> int) -> unit
 (** Register a monotone counter source (e.g. a [Telemetry] counter's

@@ -26,8 +26,8 @@ type solved = {
   cell_fail : float;
 }
 
-let solve_vddc ?(config = Yield_mc.default_config) ?(spare_rows = 0)
-    ?(target = 0.99) ~flavor ~geometry () =
+let solve_vddc ?(spare_rows = 0) ~flavor ~geometry () =
+  let config = Yield_mc.default_config in
   let lib = Lazy.force Finfet.Library.default in
   let nfet = Finfet.Library.nfet lib flavor in
   let pfet = Finfet.Library.pfet lib flavor in
@@ -45,7 +45,7 @@ let solve_vddc ?(config = Yield_mc.default_config) ?(spare_rows = 0)
   in
   let rec walk vddc =
     let cell_fail, achieved = evaluate vddc in
-    if achieved >= target || vddc >= 0.80 then
+    if achieved >= 0.99 || vddc >= 0.80 then
       { vddc_min = vddc; achieved_yield = achieved; cell_fail }
     else walk (vddc +. Yield.voltage_grid)
   in

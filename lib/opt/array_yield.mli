@@ -32,15 +32,13 @@ type solved = {
 }
 
 val solve_vddc :
-  ?config:Yield_mc.config ->
   ?spare_rows:int ->
-  ?target:float ->
   flavor:Finfet.Library.flavor ->
   geometry:Array_model.Geometry.t ->
   unit ->
   solved
-(** Walk V_DDC up the 10 mV grid until the array yield reaches [target]
-    (default 0.99).  The write level rides along at the same value (the
+(** Walk V_DDC up the 10 mV grid until the array yield, over
+    {!Yield_mc.default_config}'s samples, reaches 0.99.  The write level rides along at the same value (the
     HVT single-pin case).  This is the statistically-grounded alternative
     to both the simplified 35%%-of-Vdd rule and the raw k-sigma form —
     and, unlike them, it depends on the array size, which the bench

@@ -111,7 +111,6 @@ val search_all :
   ?levels:Yield.levels ->
   ?pool:Runtime.Pool.t ->
   ?w:int ->
-  ?kernel:kernel ->
   ?deadline:float ->
   env:Array_model.Array_eval.env ->
   capacity_bits:int ->

@@ -127,11 +127,9 @@ type provenance = {
   pv_knee : Exhaustive.candidate option;
 }
 
-let pareto ?space ?objective ?levels ?pool ?w ~env ~capacity_bits ~method_ ()
-    =
+let pareto ?levels ~env ~capacity_bits ~method_ () =
   let _, candidates =
-    Exhaustive.search_all ?space ?objective ?levels ?pool ?w ~env
-      ~capacity_bits ~method_ ()
+    Exhaustive.search_all ?levels ~env ~capacity_bits ~method_ ()
   in
   let front = Pareto.front candidates in
   let evaluated = List.length candidates in

@@ -47,19 +47,16 @@ type provenance = {
 }
 
 val pareto :
-  ?space:Space.t ->
-  ?objective:Objective.t ->
   ?levels:Yield.levels ->
-  ?pool:Runtime.Pool.t ->
-  ?w:int ->
   env:Array_model.Array_eval.env ->
   capacity_bits:int ->
   method_:Space.method_ ->
   unit ->
   provenance
-(** Full enumeration via [Exhaustive.search_all] (the keep-all kernel
-    never prunes, so the front is over every candidate in the space),
-    reduced by [Pareto.front]/[Pareto.knee]. *)
+(** Full enumeration of {!Space.default} for the EDP objective at
+    [w = 64] via [Exhaustive.search_all] (the keep-all kernel never
+    prunes, so the front is over every candidate in the space), reduced
+    by [Pareto.front]/[Pareto.knee]. *)
 
 val energy_rollup :
   Array_model.Array_eval.attribution -> (string * float) list

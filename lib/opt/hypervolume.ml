@@ -34,7 +34,7 @@ let hv2 ~ref_:(rx, ry) points =
    one: the nadir of the true front pushed out by [margin], so boundary
    points still contribute area and both fronts are measured against
    the same box. *)
-let reference ?(margin = 0.1) points =
+let reference points =
   match points with
   | [] -> invalid_arg "Hypervolume.reference: empty front"
   | (x0, y0) :: rest ->
@@ -43,7 +43,7 @@ let reference ?(margin = 0.1) points =
         (fun (mx, my) (x, y) -> (Float.max mx x, Float.max my y))
         (x0, y0) rest
     in
-    let pad w = if w = 0.0 then 1e-30 else abs_float w *. margin in
+    let pad w = if w = 0.0 then 1e-30 else abs_float w *. 0.1 in
     (wx +. pad wx, wy +. pad wy)
 
 let ratio ~truth approx =

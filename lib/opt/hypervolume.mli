@@ -11,9 +11,9 @@ val hv2 : ref_:float * float -> (float * float) list -> float
     coordinate contribute nothing; dominated points are handled
     (they add no area).  O(n log n). *)
 
-val reference : ?margin:float -> (float * float) list -> (float * float)
-(** The nadir (componentwise worst) of a front pushed out by [margin]
-    (default 10%%) — the common box both the true and the approximate
+val reference : (float * float) list -> (float * float)
+(** The nadir (componentwise worst) of a front pushed out by 10%% — the
+    common box both the true and the approximate
     front are measured against.
     @raise Invalid_argument on an empty front. *)
 

@@ -18,14 +18,13 @@ let start lc k =
 
 let search_timer = Obs.Histogram.timer "local_search.search"
 
-let search ?space ?objective ?levels ?pool ?w ?deadline
-    ?(restarts = 4) ~env ~capacity_bits ~method_ () =
+let search ?space ?objective ?pool ?w ?deadline ~env ~capacity_bits ~method_ () =
   let lc =
-    Line_cache.create ?space ?objective ?levels ?pool ?w ?deadline
+    Line_cache.create ?space ?objective ?pool ?w ?deadline
       ~env ~capacity_bits ~method_ ~name:"local_search" ()
   in
   Obs.Histogram.span search_timer (fun () ->
-      for k = 0 to restarts - 1 do
+      for k = 0 to 3 do
         ignore (Line_cache.descend lc (start lc k))
       done);
   Line_cache.result lc

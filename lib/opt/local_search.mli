@@ -11,19 +11,17 @@
 val search :
   ?space:Space.t ->
   ?objective:Objective.t ->
-  ?levels:Yield.levels ->
   ?pool:Runtime.Pool.t ->
   ?w:int ->
   ?deadline:float ->
-  ?restarts:int ->
   env:Array_model.Array_eval.env ->
   capacity_bits:int ->
   method_:Space.method_ ->
   unit ->
   Exhaustive.result
-(** Same result shape as {!Exhaustive.search}; [restarts] (default 4)
-    descents from deterministic starting points, sharing one
-    {!Line_cache} (which applies [levels], [pool] and [deadline], and
+(** Same result shape as {!Exhaustive.search}; four descents from
+    deterministic starting points, sharing one
+    {!Line_cache} (which applies [pool] and [deadline], and
     journals incumbents as ["local_search"]).
     [result.evaluated = result.considered] counts every scan point
     produced.  Bit-identical at any [--jobs].

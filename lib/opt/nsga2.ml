@@ -28,10 +28,9 @@ type individual = {
   v : int;  (* V_SSC index *)
 }
 
-let search_front ?space ?objective ?levels ?pool ?w ?(pop = 24)
-    ?(generations = 40) ?budget ?(seed = 42) ?deadline ~env ~capacity_bits
-    ~method_ () =
-  if pop < 4 then invalid_arg "Nsga2.search_front: pop must be >= 4";
+let run ~pop ~generations ?space ?objective ?levels ?pool ?w ?budget
+    ?(seed = 42) ?deadline ~env ~capacity_bits ~method_ () =
+  if pop < 4 then invalid_arg "Nsga2.search: pop must be >= 4";
   let lc =
     Line_cache.create ?space ?objective ?levels ?pool ?w ?deadline
       ~env ~capacity_bits ~method_ ~name:"nsga2" ()
@@ -177,8 +176,13 @@ let search_front ?space ?objective ?levels ?pool ?w ?(pop = 24)
   | None -> ());
   (Line_cache.result lc, Line_cache.front lc)
 
-let search ?space ?objective ?levels ?pool ?w ?pop ?generations
-    ?budget ?seed ?deadline ~env ~capacity_bits ~method_ () =
+let search_front ?space ?objective ?levels ?pool ?w ?budget ?seed ?deadline ~env
+    ~capacity_bits ~method_ () =
+  run ~pop:24 ~generations:40 ?space ?objective ?levels ?pool ?w ?budget ?seed
+    ?deadline ~env ~capacity_bits ~method_ ()
+
+let search ?space ?objective ?pool ?w ?(pop = 24) ?(generations = 40) ?budget
+    ?seed ?deadline ~env ~capacity_bits ~method_ () =
   fst
-    (search_front ?space ?objective ?levels ?pool ?w ?pop
-       ?generations ?budget ?seed ?deadline ~env ~capacity_bits ~method_ ())
+    (run ~pop ~generations ?space ?objective ?pool ?w ?budget ?seed ?deadline
+       ~env ~capacity_bits ~method_ ())

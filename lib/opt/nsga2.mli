@@ -18,8 +18,6 @@ val search_front :
   ?levels:Yield.levels ->
   ?pool:Runtime.Pool.t ->
   ?w:int ->
-  ?pop:int ->
-  ?generations:int ->
   ?budget:int ->
   ?seed:int ->
   ?deadline:float ->
@@ -29,9 +27,9 @@ val search_front :
   unit ->
   Exhaustive.result * Exhaustive.candidate list
 (** The common result shape plus the Pareto front over every scanned
-    point.  [pop] (default 24, >= 4) individuals per generation,
-    [generations] (default 40) at most; [budget] caps scan points
-    (default [max (6 * pop * nv) (3% of the space)]) — the GA phase
+    point.  24 individuals per generation, 40 generations at most;
+    [budget] caps scan points
+    (default [max (144 * nv) (2.5% of the space)]) — the GA phase
     stops at 60% of it, the rest feeds the descent polish.  [levels],
     [pool] and [deadline] (absolute {!Obs.Clock.now} seconds,
     raising {!Exhaustive.Deadline_exceeded}) are applied by the shared
@@ -42,7 +40,6 @@ val search_front :
 val search :
   ?space:Space.t ->
   ?objective:Objective.t ->
-  ?levels:Yield.levels ->
   ?pool:Runtime.Pool.t ->
   ?w:int ->
   ?pop:int ->
@@ -55,4 +52,6 @@ val search :
   method_:Space.method_ ->
   unit ->
   Exhaustive.result
-(** {!search_front} without materializing the front. *)
+(** {!search_front} at the {!Yield.solve} pins, without materializing
+    the front.  [pop] (default 24, >= 4) and [generations] (default 40)
+    size the evolutionary phase. *)

@@ -68,21 +68,21 @@ let parse_method s =
 
 let default_seed = 42
 
-let run strategy ?space ?objective ?levels ?pool ?w ?stage_ctx ?deadline
-    ?budget ?(rng_seed = default_seed) ~env ~capacity_bits ~method_ () =
+let run strategy ?space ?objective ?pool ?w ?stage_ctx ?deadline ?budget
+    ?(rng_seed = default_seed) ~env ~capacity_bits ~method_ () =
   match strategy with
   | Exhaustive ->
-    Exhaustive.search ?space ?objective ?levels ?pool ?w ?stage_ctx ?deadline
-      ~env ~capacity_bits ~method_ ()
-  | Local_search ->
-    Local_search.search ?space ?objective ?levels ?pool ?w ?deadline ~env
+    Exhaustive.search ?space ?objective ?pool ?w ?stage_ctx ?deadline ~env
       ~capacity_bits ~method_ ()
+  | Local_search ->
+    Local_search.search ?space ?objective ?pool ?w ?deadline ~env ~capacity_bits
+      ~method_ ()
   | Anneal ->
-    Anneal.search ?space ?objective ?levels ?pool ?w ?deadline ~seed:rng_seed
-      ~env ~capacity_bits ~method_ ()
+    Anneal.search ?space ?objective ?pool ?w ?deadline ~seed:rng_seed ~env
+      ~capacity_bits ~method_ ()
   | Nsga2 ->
-    Nsga2.search ?space ?objective ?levels ?pool ?w ?budget ~seed:rng_seed
-      ?deadline ~env ~capacity_bits ~method_ ()
+    Nsga2.search ?space ?objective ?pool ?w ?budget ~seed:rng_seed ?deadline
+      ~env ~capacity_bits ~method_ ()
   | Surrogate ->
-    Surrogate.search ?space ?objective ?levels ?pool ?w ?budget ~seed:rng_seed
+    Surrogate.search ?space ?objective ?pool ?w ?budget ~seed:rng_seed
       ?deadline ~env ~capacity_bits ~method_ ()

@@ -1,7 +1,7 @@
 (** The common search-strategy interface.
 
     One dispatch point over the five engines, with the common knobs
-    (space, objective, levels, pool, deadline, budget, [rng_seed]) in
+    (space, objective, pool, deadline, budget, [rng_seed]) in
     one signature.  {!Framework.optimize}, the CLI's
     [optimize --method] and the serve [optimize] endpoint all route
     through {!run}; driving an engine through it is observationally
@@ -11,7 +11,7 @@
 
     The contract is enforced centrally rather than engine by engine:
     the exhaustive engine applies the knobs itself, and the four
-    heuristics run on {!Line_cache}, which applies [levels] and [pool]
+    heuristics run on {!Line_cache}, which applies the yield pins and [pool]
     to every scan, checks [deadline] once per batch of scans and
     journals incumbents under the engine's name.
     Engine-specific knobs (annealing schedules, population sizes,
@@ -51,7 +51,6 @@ val run :
   t ->
   ?space:Space.t ->
   ?objective:Objective.t ->
-  ?levels:Yield.levels ->
   ?pool:Runtime.Pool.t ->
   ?w:int ->
   ?stage_ctx:Array_model.Array_eval.ctx ->
@@ -63,8 +62,8 @@ val run :
   method_:Space.method_ ->
   unit ->
   Exhaustive.result
-(** Run one engine with the common knobs.  Every engine honours
-    [space], [objective], [levels], [pool], [w] and [deadline]
+(** Run one engine with the common knobs, at the {!Yield.solve} pins.
+    Every engine honours [space], [objective], [pool], [w] and [deadline]
     (absolute {!Obs.Clock.now} seconds; once passed the run
     raises {!Exhaustive.Deadline_exceeded}).  [stage_ctx] is the
     exhaustive kernel's staging cache (see {!Exhaustive.search}); it

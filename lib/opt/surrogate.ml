@@ -36,10 +36,10 @@ let predict coeffs x =
 
 let normal_pdf z = exp (-0.5 *. z *. z) /. sqrt (2.0 *. Float.pi)
 
-let search_front ?space ?objective ?levels ?pool ?w ?(init = 16)
-    ?(iterations = 48) ?budget ?(seed = 42)
+let search_front ?space ?objective ?levels ?pool ?w ?budget ?(seed = 42)
     ?(fallback_threshold = default_fallback_threshold) ?deadline ~env
     ~capacity_bits ~method_ () =
+  let init = 16 and iterations = 48 in
   let space_v = match space with Some s -> s | None -> Space.default in
   let size = Space.size ?w space_v ~capacity_bits method_ in
   if size <= fallback_threshold then begin
@@ -224,10 +224,8 @@ let search_front ?space ?objective ?levels ?pool ?w ?(init = 16)
     (Line_cache.result lc, Line_cache.front lc)
   end
 
-let search ?space ?objective ?levels ?pool ?w ?init ?iterations
-    ?budget ?seed ?fallback_threshold ?deadline ~env ~capacity_bits ~method_ ()
-    =
+let search ?space ?objective ?pool ?w ?budget ?seed ?fallback_threshold
+    ?deadline ~env ~capacity_bits ~method_ () =
   fst
-    (search_front ?space ?objective ?levels ?pool ?w ?init
-       ?iterations ?budget ?seed ?fallback_threshold ?deadline ~env
-       ~capacity_bits ~method_ ())
+    (search_front ?space ?objective ?pool ?w ?budget ?seed ?fallback_threshold
+       ?deadline ~env ~capacity_bits ~method_ ())

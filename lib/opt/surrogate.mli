@@ -23,8 +23,6 @@ val search_front :
   ?levels:Yield.levels ->
   ?pool:Runtime.Pool.t ->
   ?w:int ->
-  ?init:int ->
-  ?iterations:int ->
   ?budget:int ->
   ?seed:int ->
   ?fallback_threshold:int ->
@@ -35,11 +33,10 @@ val search_front :
   unit ->
   Exhaustive.result * Exhaustive.candidate list
 (** The common result shape plus the Pareto front over every scanned
-    point (on the fallback path: the true front).  [init] (default 16)
-    initial lines — half low-discrepancy, half seeded-uniform;
-    [iterations] (default 48) acquisition steps at most; [budget] caps
-    scan points (default [max ((init + iterations + 8) * nv) (2% of
-    the space)]), sampling stops at 60% of it and the rest feeds the
+    point (on the fallback path: the true front).  16 initial lines —
+    half low-discrepancy, half seeded-uniform; 48 acquisition steps at
+    most; [budget] caps scan points (default [max (72 * nv) (2% of the
+    space)]), sampling stops at 60% of it and the rest feeds the
     polish.  [levels], [pool] and [deadline] (raising
     {!Exhaustive.Deadline_exceeded}) are applied by the shared
     {!Line_cache}, which also journals incumbents as ["surrogate"]; the
@@ -48,11 +45,8 @@ val search_front :
 val search :
   ?space:Space.t ->
   ?objective:Objective.t ->
-  ?levels:Yield.levels ->
   ?pool:Runtime.Pool.t ->
   ?w:int ->
-  ?init:int ->
-  ?iterations:int ->
   ?budget:int ->
   ?seed:int ->
   ?fallback_threshold:int ->
@@ -62,4 +56,5 @@ val search :
   method_:Space.method_ ->
   unit ->
   Exhaustive.result
-(** {!search_front} without materializing the front. *)
+(** {!search_front} at the {!Yield.solve} pins, without materializing
+    the front. *)

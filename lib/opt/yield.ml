@@ -19,21 +19,21 @@ type levels = {
   hsnm_nominal : float;
 }
 
-let rsnm_cache :
-  (Finfet.Library.flavor * float * float * int, float) Runtime.Memo.t =
+(* Butterfly resolution of every margin the pins read. *)
+let points = 81
+
+let rsnm_cache : (Finfet.Library.flavor * float * float, float) Runtime.Memo.t =
   Runtime.Memo.create ~name:"yield.rsnm" ~capacity:1024 ()
 
-let rsnm_at ?(points = 81) ~flavor ~vddc ~vssc () =
-  Runtime.Memo.find_or_compute rsnm_cache (flavor, vddc, vssc, points)
+let rsnm_at ~flavor ~vddc ~vssc () =
+  Runtime.Memo.find_or_compute rsnm_cache (flavor, vddc, vssc)
     (fun () ->
       let cell = cell_of flavor in
       Sram_cell.Margins.read_snm ~points ~cell
         (Sram_cell.Sram6t.read ~vddc ~vssc ()))
 
 let solve_cache :
-  (Finfet.Library.flavor * float * int * Finfet.Corners.corner option
-   * float option,
-   levels)
+  (Finfet.Library.flavor * Finfet.Corners.corner option * float option, levels)
   Runtime.Memo.t =
   Runtime.Memo.create ~name:"yield.solve" ~capacity:64 ()
 
@@ -60,8 +60,8 @@ let () =
 
 let grid_point k = float_of_int k *. voltage_grid
 
-let solve_uncached ?(delta = Finfet.Tech.min_margin) ?(points = 81) ?corner
-    ?celsius ~flavor () =
+let solve_uncached ?corner ?celsius ~flavor () =
+  let delta = Finfet.Tech.min_margin in
   let cell = cell_of ?corner ?celsius flavor in
   let vdd = Finfet.Tech.vdd_nominal in
   let rsnm vddc = Sram_cell.Margins.read_snm ~points ~cell (Sram_cell.Sram6t.read ~vddc ()) in
@@ -128,10 +128,12 @@ let solve_uncached ?(delta = Finfet.Tech.min_margin) ?(points = 81) ?corner
    pure functions of the key, so they persist across processes. *)
 let disk_cache = Persist.Cache.create ~name:"yield.solve" ()
 
-let disk_key (flavor, delta, points, corner, celsius) =
+(* The key spells out the margin and the butterfly resolution, as the
+   entries in existing logs do, so those entries keep hitting. *)
+let disk_key (flavor, corner, celsius) =
   Printf.sprintf "%s|%.17g|%d|%s|%s"
     (Finfet.Library.flavor_to_string flavor)
-    delta points
+    Finfet.Tech.min_margin points
     (match corner with None -> "-" | Some c -> Finfet.Corners.name c)
     (match celsius with None -> "-" | Some t -> Printf.sprintf "%.17g" t)
 
@@ -153,14 +155,12 @@ let levels_of_json j =
     Some { vddc_min; vwl_min; hsnm_nominal }
   | _ -> None
 
-let solve ?(delta = Finfet.Tech.min_margin) ?(points = 81) ?corner ?celsius
-    ~flavor () =
-  Runtime.Memo.find_or_compute_tiered solve_cache
-    (flavor, delta, points, corner, celsius)
+let solve ?corner ?celsius ~flavor () =
+  Runtime.Memo.find_or_compute_tiered solve_cache (flavor, corner, celsius)
     ~load:(fun key ->
       Option.bind (Persist.Cache.find disk_cache (disk_key key)) levels_of_json)
     ~store:(fun key levels ->
       Persist.Cache.add disk_cache (disk_key key) (levels_to_json levels))
     (fun () ->
       Obs.Histogram.span solve_timer (fun () ->
-          solve_uncached ~delta ~points ?corner ?celsius ~flavor ()))
+          solve_uncached ?corner ?celsius ~flavor ()))

@@ -31,15 +31,14 @@ type levels = {
 }
 
 val solve :
-  ?delta:float ->
-  ?points:int ->
   ?corner:Finfet.Corners.corner ->
   ?celsius:float ->
   flavor:Finfet.Library.flavor ->
   unit ->
   levels
-(** The minimum assist levels meeting the margins.
-    [delta] defaults to the technology rule (157.5 mV).
+(** The minimum assist levels meeting the margins: each margin, traced
+    on 81-point butterflies, at least [delta], the technology rule
+    (157.5 mV).
 
     V_DDC: RSNM is non-decreasing in V_DDC, so the smallest 10 mV grid
     point in (Vdd, {!vddc_max}] with RSNM >= delta is found by bisecting
@@ -72,8 +71,8 @@ exception Infeasible of {
     the condition. *)
 
 val rsnm_at :
-  ?points:int ->
   flavor:Finfet.Library.flavor ->
   vddc:float -> vssc:float -> unit -> float
-(** Memoized RSNM evaluation used to validate V_SSC choices (the paper
+(** Memoized RSNM evaluation (81-point butterfly) used to validate V_SSC
+    choices (the paper
     caps the negative-Gnd range at -240 mV where RSNM degrades). *)

@@ -21,17 +21,12 @@ val default_config : config
 
 val worst_margin :
   ?config:config ->
-  ?pool:Runtime.Pool.t ->
   flavor:Finfet.Library.flavor ->
   vddc:float -> vssc:float -> vwl:float ->
   unit ->
   float
 (** min over the three margins of (mu - k sigma) at the given assist
-    levels (memoized per argument tuple).  With [pool] the Monte Carlo
-    draws run as fixed-size batches on the pool, each batch with its own
-    RNG stream keyed by (seed, batch index) — the result is identical
-    for any job count (but uses a different sample stream than the
-    single-threaded draw, so the two are cached separately). *)
+    levels (memoized per argument tuple). *)
 
 type levels = {
   vddc_min : float;
@@ -41,13 +36,10 @@ type levels = {
 
 val solve :
   ?config:config ->
-  ?pool:Runtime.Pool.t ->
   flavor:Finfet.Library.flavor ->
   unit ->
   levels
 (** Minimum V_DDC and V_WL (snapped up to the 10 mV grid) such that the
     k-sigma constraint holds at V_SSC = 0.  V_DDC is driven by the RSNM
     distribution and V_WL by the WM distribution; both searches exploit
-    the monotonicity of the respective mean margins in their voltage.
-    [pool] parallelizes the Monte Carlo batches per constraint
-    evaluation, deterministically (see {!worst_margin}). *)
+    the monotonicity of the respective mean margins in their voltage. *)

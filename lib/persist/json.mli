@@ -30,9 +30,9 @@ val to_string : t -> string
     @raise Invalid_argument on non-finite floats, which have no JSON
     representation; encode them as [Null] explicitly if needed. *)
 
-val to_string_pretty : ?indent:int -> t -> string
-(** Multi-line rendering with the given indent width (default 2); the
-    same scalars as {!to_string}, so it raises on the same floats. *)
+val to_string_pretty : t -> string
+(** Multi-line rendering, two spaces per nesting level; the same
+    scalars as {!to_string}, so it raises on the same floats. *)
 
 val of_string : string -> (t, string) result
 (** Strict parse of a complete JSON document.  A document that nests

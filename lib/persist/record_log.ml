@@ -31,18 +31,6 @@ type header = {
   meta : (string * Json.t) list;
 }
 
-(* Memoized `git rev-parse` so every log header records provenance;
-   "unknown" outside a work tree. *)
-let git_commit_head =
-  lazy
-    (try
-       let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-       let line = try input_line ic with End_of_file -> "" in
-       match Unix.close_process_in ic with
-       | Unix.WEXITED 0 when line <> "" -> line
-       | _ -> "unknown"
-     with _ -> "unknown")
-
 let header_to_json h =
   Json.Obj
     [
@@ -264,9 +252,10 @@ let close t =
         Unix.close t.fd
       end)
 
-let git_commit () = Lazy.force git_commit_head
+let git_commit () = Build_commit.commit
 
-let create ~path ?(version = 1) ?(meta = []) ?commit ~schema () =
+(* Every log this build writes carries format version 1 and no meta. *)
+let create ~path ?commit ~schema () =
   let dir = Filename.dirname path in
   if dir <> "" && not (Sys.file_exists dir) then
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -277,28 +266,25 @@ let create ~path ?(version = 1) ?(meta = []) ?commit ~schema () =
   write_all fd magic;
   t.pos <- String.length magic;
   let commit = match commit with Some c -> c | None -> git_commit () in
-  let header = { schema; version; git_commit = commit; meta } in
+  let header = { schema; version = 1; git_commit = commit; meta = [] } in
   append_frame t ~is_header:true (Json.to_string (header_to_json header));
   t
 
-let open_spans ~path ?(version = 1) ?expect_commit ~schema () =
-  if not (Sys.file_exists path) then Ok (create ~path ~version ~schema (), "", [])
+let open_checked ~path ~expect ~schema =
+  if not (Sys.file_exists path) then Ok (create ~path ~schema (), "", [])
   else
     match load ~path with
     | Error e -> Error e
     | Ok l ->
       let h = l.s_header in
-      let expect =
-        match expect_commit with Some c -> c | None -> git_commit ()
-      in
       if h.schema <> schema then
         Error
           (Printf.sprintf "%s: schema mismatch (log %S, expected %S)" path
              h.schema schema)
-      else if h.version <> version then
+      else if h.version <> 1 then
         Error
-          (Printf.sprintf "%s: version mismatch (log %d, expected %d)" path
-             h.version version)
+          (Printf.sprintf "%s: version mismatch (log %d, expected 1)" path
+             h.version)
       else if
         (* Cached evaluation results are replayed bit-for-bit, so a log
            written by a different build of the model must not be served.
@@ -323,18 +309,20 @@ let open_spans ~path ?(version = 1) ?expect_commit ~schema () =
         Ok (t, l.bytes, l.payloads)
       end
 
-let open_append ~path ?version ?expect_commit ~schema () =
+let open_spans ~path ~schema () = open_checked ~path ~expect:(git_commit ()) ~schema
+
+let open_append ~path ?(expect_commit = git_commit ()) ~schema () =
   Obs.Histogram.span replay_timer (fun () ->
       Result.map
         (fun (t, bytes, payloads) -> (t, List.map (decode bytes) payloads))
-        (open_spans ~path ?version ?expect_commit ~schema ()))
+        (open_checked ~path ~expect:expect_commit ~schema))
 
 (* Atomic whole-file replacement: write to a temp file in the same
    directory, fsync, rename over the target.  Readers see either the
    old complete log or the new one, never a mixture. *)
-let write_snapshot ~path ?(version = 1) ?(meta = []) ~schema records =
+let write_snapshot ~path ~schema records =
   let tmp = path ^ ".tmp" in
-  let t = create ~path:tmp ~version ~meta ~schema () in
+  let t = create ~path:tmp ~schema () in
   (try List.iter (append t) records
    with e ->
      close t;

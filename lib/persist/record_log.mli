@@ -24,34 +24,33 @@ type t
 (** A writer handle.  Appends are mutex-protected and safe to share
     across domains. *)
 
-val create :
-  path:string -> ?version:int -> ?meta:(string * Json.t) list ->
-  ?commit:string -> schema:string -> unit -> t
-(** Creates (or truncates) a log at [path] and writes the header.
-    Creates the parent directory if missing (one level).  [commit]
-    overrides the recorded provenance (default: [git_commit ()]) —
-    tests use it to exercise the mismatch path. *)
+val create : path:string -> ?commit:string -> schema:string -> unit -> t
+(** Creates (or truncates) a log at [path] and writes the header:
+    version 1, no meta.  Creates the parent directory if missing (one
+    level).  [commit] overrides the recorded provenance (default:
+    [git_commit ()]) — tests use it to exercise the mismatch path. *)
 
 val open_spans :
-  path:string -> ?version:int -> ?expect_commit:string ->
-  schema:string -> unit -> (t * string * (int * int) list, string) result
+  path:string -> schema:string -> unit ->
+  (t * string * (int * int) list, string) result
 (** Reopens an existing log for appending, first recovering its valid
     prefix (a torn tail is truncated away).  Returns the writer, the
     file's bytes as read, and the [(pos, len)] span of each valid data
     record's payload in those bytes, in write order;
     [Json.of_substring bytes pos len] decodes one.  Creates a fresh log
     (bytes [""], no spans) if [path] does not exist.  Fails on
-    magic/schema/version mismatch, and on a git-commit mismatch against
-    [expect_commit] (default: [git_commit ()]) — replayed results must
+    magic/schema mismatch, on a version other than 1, and on a
+    git-commit mismatch against [git_commit ()] — replayed results must
     come from the same build of the model.  A commit of ["unknown"] on
     either side disables the commit check.  Untimed: the caller's open
     is what [persist.replay] times. *)
 
 val open_append :
-  path:string -> ?version:int -> ?expect_commit:string ->
-  schema:string -> unit -> (t * Json.t list, string) result
+  path:string -> ?expect_commit:string -> schema:string -> unit ->
+  (t * Json.t list, string) result
 (** {!open_spans} with every replayed data record decoded, in write
-    order; timed as [persist.replay]. *)
+    order; timed as [persist.replay].  The commit check is against
+    [expect_commit] (default: [git_commit ()]). *)
 
 val append : t -> Json.t -> unit
 (** Appends one record.  Raises [Sys_error] on real write failure
@@ -78,11 +77,10 @@ val read : path:string -> (recovery, string) result
     Recovery is prefix-keeping: scanning stops at the first bad
     length/CRC/JSON frame and everything after it is discarded. *)
 
-val write_snapshot :
-  path:string -> ?version:int -> ?meta:(string * Json.t) list ->
-  schema:string -> Json.t list -> unit
+val write_snapshot : path:string -> schema:string -> Json.t list -> unit
 (** Atomically replaces [path] with a fresh log containing [records]:
     written to [path ^ ".tmp"], fsynced, then renamed into place. *)
 
 val git_commit : unit -> string
-(** Short git commit of HEAD, or ["unknown"]; memoized. *)
+(** Short git commit of the work tree this binary was built from, or
+    ["unknown"] when the build found no git; stamped at build time. *)

@@ -188,13 +188,13 @@ let reset_all () =
   Mutex.unlock registry_lock;
   List.iter (fun f -> f ()) fs
 
-let print_stats ?(channel = stdout) () =
+let print_stats () =
   let rows = registered_stats () in
-  Printf.fprintf channel "%-28s %9s %6s %9s %9s %9s %8s\n" "memo" "size"
+  Printf.printf "%-28s %9s %6s %9s %9s %9s %8s\n" "memo" "size"
     "occup" "hits" "misses" "evicted" "hit rate";
   List.iter
     (fun (s : stats) ->
-      Printf.fprintf channel "%-28s %4d/%-4d %5.0f%% %9d %9d %9d %7.1f%%\n"
+      Printf.printf "%-28s %4d/%-4d %5.0f%% %9d %9d %9d %7.1f%%\n"
         s.name s.length s.capacity
         (100.0 *. occupancy s)
         s.hits s.misses s.evictions

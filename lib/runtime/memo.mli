@@ -75,5 +75,5 @@ val reset_all : unit -> unit
 (** {!reset} every registered memo — used by benchmarks to compare cold
     runs fairly. *)
 
-val print_stats : ?channel:out_channel -> unit -> unit
-(** Text table of {!registered_stats} (one line per memo). *)
+val print_stats : unit -> unit
+(** Text table of {!registered_stats} (one line per memo) on stdout. *)

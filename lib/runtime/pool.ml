@@ -126,8 +126,7 @@ let parmap ?chunk t f arr =
     Array.map (function Some v -> v | None -> assert false) res
   end
 
-let fold ?chunk t ~map ~reduce ~init arr =
-  Array.fold_left reduce init (parmap ?chunk t map arr)
+let fold t ~map ~reduce ~init arr = Array.fold_left reduce init (parmap t map arr)
 
 (* ----- process-wide default pool ----- *)
 

@@ -32,7 +32,6 @@ val parmap : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
     caller helps drain the queue, so progress is guaranteed). *)
 
 val fold :
-  ?chunk:int ->
   t ->
   map:('a -> 'b) ->
   reduce:('acc -> 'b -> 'acc) ->

@@ -33,11 +33,11 @@ let reset () =
   Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
   Mutex.unlock lock
 
-let print_report ?(channel = stdout) () =
+let print_report () =
   let snap = snapshot () in
   if snap <> [] then begin
-    Printf.fprintf channel "%-28s %12s\n" "counter" "count";
+    Printf.printf "%-28s %12s\n" "counter" "count";
     List.iter
-      (fun (name, n) -> Printf.fprintf channel "%-28s %12d\n" name n)
+      (fun (name, n) -> Printf.printf "%-28s %12d\n" name n)
       snap
   end

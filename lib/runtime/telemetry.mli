@@ -26,5 +26,5 @@ val reset : unit -> unit
 (** Zero every counter.  Only the bench harness and the tests reset,
     between runs. *)
 
-val print_report : ?channel:out_channel -> unit -> unit
-(** Text table of the counters. *)
+val print_report : unit -> unit
+(** Text table of the counters on stdout. *)

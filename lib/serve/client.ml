@@ -70,7 +70,8 @@ let shutdown t =
   | Ok _ -> Ok ()
   | Error _ as e -> e
 
-let wait_ready ?(timeout_s = 10.0) ?tcp ?socket_path () =
+let wait_ready ?tcp ?socket_path () =
+  let timeout_s = 10.0 in
   let deadline = Unix.gettimeofday () +. timeout_s in
   let rec attempt pause =
     match connect ?tcp ?socket_path () with

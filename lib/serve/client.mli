@@ -15,11 +15,10 @@ val connect :
     instead.  Exactly one of the two must be provided. *)
 
 val wait_ready :
-  ?timeout_s:float -> ?tcp:string * int -> ?socket_path:string -> unit ->
-  (t, string) result
+  ?tcp:string * int -> ?socket_path:string -> unit -> (t, string) result
 (** {!connect}, retrying with backoff until the server answers a ping
-    or [timeout_s] (default 10 s) elapses — for callers that just
-    started the server process. *)
+    or 10 s elapse — for callers that just started the server
+    process. *)
 
 val close : t -> unit
 

@@ -57,7 +57,7 @@ let read_exactly fd b len =
   done;
   !result
 
-let read ?(max_len = max_frame_default) fd =
+let read fd =
   let header = Bytes.create header_bytes in
   match read_exactly fd header header_bytes with
   | `Eof -> Error Eof
@@ -65,7 +65,7 @@ let read ?(max_len = max_frame_default) fd =
   | `Ok ->
     let len = get_u32_le header 0 in
     let crc = get_u32_le header 4 in
-    if len > max_len then Error (Oversized len)
+    if len > max_frame_default then Error (Oversized len)
     else begin
       let payload = Bytes.create len in
       match read_exactly fd payload len with

@@ -27,9 +27,9 @@ val write : Unix.file_descr -> string -> unit
 (** Write one frame (header + payload), looping over short writes.
     Raises [Unix.Unix_error] (e.g. [EPIPE]) on a dead peer. *)
 
-val read : ?max_len:int -> Unix.file_descr -> (string, error) result
-(** Blocking read of exactly one frame.  [max_len] defaults to
-    {!max_frame_default}. *)
+val read : Unix.file_descr -> (string, error) result
+(** Blocking read of exactly one frame of at most {!max_frame_default}
+    bytes. *)
 
 (** {2 Incremental decoding} — feed bytes as they arrive, pop complete
     frames.  A decoder error is sticky: the connection's byte stream is

@@ -89,84 +89,61 @@ let init_observability config =
 
 let error code message = Error (code, message)
 
-let optimize_payload (q : P.query) ~deadline =
+(* The prologue optimize and explain share: the query's space override
+   and config, the clock the payload's [eval_s] reads, and a deadline
+   that passes during the search answered as [Deadline]. *)
+let searched (q : P.query) payload =
   let space =
     if q.P.space = P.no_override then None
     else Some (P.space_of_override q.P.space)
   in
-  let config =
-    { Sram_edp.Framework.flavor = q.P.flavor; method_ = q.P.method_ }
-  in
-  let t0 = now () in
-  match
-    Sram_edp.Framework.optimize ?space ~objective:q.P.objective
-      ~accounting:q.P.accounting ~w:q.P.w ?deadline ~strategy:q.P.strategy
-      ~rng_seed:q.P.rng_seed ~capacity_bits:q.P.capacity_bits ~config ()
-  with
-  | o ->
-    let result = o.Sram_edp.Framework.result in
-    Ok
-      (J.Obj
-         [ ("capacity_bits", J.Int q.P.capacity_bits);
-           ("config", J.String (Sram_edp.Framework.config_name config));
-           ("strategy", J.String (Opt.Strategy.name q.P.strategy));
-           ("checksum", J.String (Opt.Exhaustive.checksum [ result ]));
-           ("eval_s", J.Float (now () -. t0));
-           ("result", Opt.Exhaustive.result_to_json result) ])
+  let config = { Sram_edp.Framework.flavor = q.P.flavor; method_ = q.P.method_ } in
+  match payload ~space ~config ~t0:(now ()) with
+  | r -> r
   | exception Opt.Exhaustive.Deadline_exceeded ->
     count "serve.deadline_expired";
     error P.Deadline "deadline passed during the search"
 
-(* Same memoized entry as optimize, so explaining a design the server
-   already answered costs a cache hit plus a handful of evaluations;
-   the attribution is checked to refold bit-exactly before the payload
-   leaves the process. *)
-let explain_payload (q : P.query) ~deadline =
-  let space =
-    if q.P.space = P.no_override then None
-    else Some (P.space_of_override q.P.space)
-  in
-  let config =
-    { Sram_edp.Framework.flavor = q.P.flavor; method_ = q.P.method_ }
-  in
-  let t0 = now () in
-  match
+let optimize_payload (q : P.query) ~deadline =
+  searched q @@ fun ~space ~config ~t0 ->
+  let o =
     Sram_edp.Framework.optimize ?space ~objective:q.P.objective
       ~accounting:q.P.accounting ~w:q.P.w ?deadline ~strategy:q.P.strategy
       ~rng_seed:q.P.rng_seed ~capacity_bits:q.P.capacity_bits ~config ()
+  in
+  let result = o.Sram_edp.Framework.result in
+  Ok
+    (J.Obj
+       [ ("capacity_bits", J.Int q.P.capacity_bits);
+         ("config", J.String (Sram_edp.Framework.config_name config));
+         ("strategy", J.String (Opt.Strategy.name q.P.strategy));
+         ("checksum", J.String (Opt.Exhaustive.checksum [ result ]));
+         ("eval_s", J.Float (now () -. t0));
+         ("result", Opt.Exhaustive.result_to_json result) ])
+
+(* Same memoized entry as optimize, so explaining a design the server
+   already answered costs a cache hit plus a handful of evaluations;
+   the attribution is checked before the payload leaves the process. *)
+let explain_payload (q : P.query) ~deadline =
+  searched q @@ fun ~space ~config ~t0 ->
+  match
+    Sram_edp.Framework.explain ?space ~objective:q.P.objective
+      ~accounting:q.P.accounting ~w:q.P.w ?deadline ~strategy:q.P.strategy
+      ~rng_seed:q.P.rng_seed ~capacity_bits:q.P.capacity_bits ~config ()
   with
-  | o ->
-    let result = o.Sram_edp.Framework.result in
-    let winner = result.Opt.Exhaustive.best in
-    let env =
-      Array_model.Array_eval.ctx_env
-        (Sram_edp.Framework.stage_ctx_for ~flavor:q.P.flavor
-           ~accounting:q.P.accounting)
-    in
-    let at =
-      Array_model.Array_eval.attribute env winner.Opt.Exhaustive.geometry
-        winner.Opt.Exhaustive.assist
-    in
-    if not (Array_model.Array_eval.attribution_consistent at) then
-      error P.Internal
-        "attribution terms do not refold to evaluate's totals bit-for-bit"
-    else begin
-      let sens =
-        Opt.Explain.sensitivity ?space ~objective:q.P.objective ~env
-          ~pins:result.Opt.Exhaustive.pins ~winner ()
-      in
-      Ok
-        (J.Obj
-           [ ("capacity_bits", J.Int q.P.capacity_bits);
-             ("config", J.String (Sram_edp.Framework.config_name config));
-             ("checksum", J.String (Opt.Exhaustive.checksum [ result ]));
-             ("eval_s", J.Float (now () -. t0));
-             ("attribution", Sram_edp.Json_out.of_attribution at);
-             ("sensitivity", Sram_edp.Json_out.of_sensitivity sens) ])
-    end
-  | exception Opt.Exhaustive.Deadline_exceeded ->
-    count "serve.deadline_expired";
-    error P.Deadline "deadline passed during the search"
+  | Error msg -> error P.Internal msg
+  | Ok e ->
+    Ok
+      (J.Obj
+         [ ("capacity_bits", J.Int q.P.capacity_bits);
+           ("config", J.String (Sram_edp.Framework.config_name config));
+           ("checksum",
+            J.String
+              (Opt.Exhaustive.checksum
+                 [ e.Sram_edp.Framework.optimized.Sram_edp.Framework.result ]));
+           ("eval_s", J.Float (now () -. t0));
+           ("attribution", Sram_edp.Json_out.of_attribution e.Sram_edp.Framework.attribution);
+           ("sensitivity", Sram_edp.Json_out.of_sensitivity e.Sram_edp.Framework.sensitivity) ])
 
 let handle ~default_deadline_ms ~draining (p : pending) =
   let wait = now () -. p.t_admit in

@@ -69,11 +69,10 @@ let at_frequency netlist ~source_index ~output ~frequency =
     magnitude = sqrt ((vr *. vr) +. (vi *. vi));
     phase = atan2 vi vr }
 
-let sweep ?(points_per_decade = 10) netlist ~source_index ~output ~f_start
-    ~f_stop =
-  assert (f_start > 0.0 && f_stop > f_start && points_per_decade >= 1);
+let sweep netlist ~source_index ~output ~f_start ~f_stop =
+  assert (f_start > 0.0 && f_stop > f_start);
   let decades = log10 (f_stop /. f_start) in
-  let total = max 1 (int_of_float (ceil (decades *. float_of_int points_per_decade))) in
+  let total = max 1 (int_of_float (ceil (decades *. 10.0))) in
   List.init (total + 1) (fun i ->
       let frac = float_of_int i /. float_of_int total in
       let frequency = f_start *. (10.0 ** (frac *. decades)) in

@@ -23,11 +23,10 @@ val at_frequency :
     @raise Invalid_argument on a bad source index or output node. *)
 
 val sweep :
-  ?points_per_decade:int ->
   Netlist.t ->
   source_index:int ->
   output:Netlist.node ->
   f_start:float ->
   f_stop:float ->
   point list
-(** Logarithmic sweep (default 10 points/decade), endpoints included. *)
+(** Logarithmic sweep at 10 points per decade, endpoints included. *)

@@ -317,8 +317,8 @@ let solve ?x0 ?(at_time = 0.0) ?companions ?(direct_iterations = max_iterations)
     counted (unpack c !last ~iterations:!total)
   end
 
-let operating_point ?x0 ?at_time ?direct_iterations ?min_iterations netlist =
-  solve ?x0 ?at_time ?direct_iterations ?min_iterations (compile netlist)
+let operating_point ?x0 ?direct_iterations ?min_iterations netlist =
+  solve ?x0 ?direct_iterations ?min_iterations (compile netlist)
 
 let solution_vector s =
   Array.append (Array.sub s.voltages 1 (Array.length s.voltages - 1)) s.source_currents

@@ -34,10 +34,10 @@ val gmin : float
     gates are well-posed. *)
 
 val operating_point :
-  ?x0:float array -> ?at_time:float -> ?direct_iterations:int ->
-  ?min_iterations:int -> Netlist.t -> solution
-(** Solve the operating point with sources evaluated at [at_time]
-    (default 0).  [x0] warm-starts the Newton iteration (layout: node
+  ?x0:float array -> ?direct_iterations:int -> ?min_iterations:int ->
+  Netlist.t -> solution
+(** Solve the operating point with sources evaluated at time 0.  [x0]
+    warm-starts the Newton iteration (layout: node
     voltages 1..n-1, then source currents).  [direct_iterations]
     (default 150) limits the direct attempt before source stepping.
     [min_iterations] (default 0) makes the direct attempt take at least
@@ -81,8 +81,8 @@ type companion = { g_eq : float; v_hist : float }
 val solve :
   ?x0:float array -> ?at_time:float -> ?companions:companion array ->
   ?direct_iterations:int -> ?min_iterations:int -> compiled -> solution
-(** The operating point of a compiled netlist, as {!operating_point}.
-    With [companions], every capacitor is replaced by its companion
+(** The operating point of a compiled netlist, as {!operating_point},
+    with sources evaluated at [at_time] (default 0).  With [companions], every capacitor is replaced by its companion
     model, in netlist insertion order ({!Transient}'s time step);
     without, capacitors are open. *)
 

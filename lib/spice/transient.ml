@@ -4,8 +4,6 @@ type trace = {
   source_currents : float array array;
 }
 
-type method_ = Backward_euler | Trapezoidal
-
 let capacitors netlist =
   List.filter_map
     (function
@@ -13,34 +11,17 @@ let capacitors netlist =
       | Netlist.Resistor _ | Netlist.Vsource _ | Netlist.Isource _ | Netlist.Fet _ -> None)
     (Netlist.elements netlist)
 
-(* One implicit step from [state] (node voltages) over [h], with [i_caps]
-   holding each capacitor's branch current entering the step (used by the
-   trapezoidal rule; ignored by backward Euler).  Returns the DC solution
-   and the updated capacitor currents. *)
-let step ~method_ ~compiled ~caps ~warm ~state ~i_caps ~t ~h =
+(* One backward-Euler step from [state] (node voltages) over [h]: each
+   capacitor becomes the conductance C/h with the voltage it held
+   entering the step as history. *)
+let step ~compiled ~caps ~warm ~state ~t ~h =
   let companions =
-    Array.mapi
-      (fun idx (plus, minus, farads) ->
-        let v_prev = state.(plus) -. state.(minus) in
-        match method_ with
-        | Backward_euler -> { Dc.g_eq = farads /. h; v_hist = v_prev }
-        | Trapezoidal ->
-          (* i = (2C/h)(v - v_prev) - i_prev = g (v - v_hist) with
-             v_hist = v_prev + i_prev h / (2C). *)
-          let g_eq = 2.0 *. farads /. h in
-          { Dc.g_eq; v_hist = v_prev +. (i_caps.(idx) /. g_eq) })
+    Array.map
+      (fun (plus, minus, farads) ->
+        { Dc.g_eq = farads /. h; v_hist = state.(plus) -. state.(minus) })
       caps
   in
-  let s = Dc.solve ?x0:warm ~at_time:t ~companions compiled in
-  let i_caps' =
-    Array.mapi
-      (fun idx (plus, minus, _) ->
-        let v_new = s.Dc.voltages.(plus) -. s.Dc.voltages.(minus) in
-        let { Dc.g_eq; v_hist } = companions.(idx) in
-        g_eq *. (v_new -. v_hist))
-      caps
-  in
-  (s, i_caps')
+  Dc.solve ?x0:warm ~at_time:t ~companions compiled
 
 let initial_state ?(ic = []) compiled =
   let init = Dc.solve ~at_time:0.0 compiled in
@@ -48,7 +29,7 @@ let initial_state ?(ic = []) compiled =
   List.iter (fun (node, volts) -> v.(node) <- volts) ic;
   (v, init.Dc.source_currents)
 
-let run ?dt ?ic ?(method_ = Backward_euler) ?until ~t_stop netlist =
+let run ?dt ?ic ?until ~t_stop netlist =
   assert (t_stop > 0.0);
   let dt = match dt with Some d -> d | None -> t_stop /. 400.0 in
   assert (dt > 0.0);
@@ -63,7 +44,6 @@ let run ?dt ?ic ?(method_ = Backward_euler) ?until ~t_stop netlist =
   source_currents.(0) <- Array.copy i_src0;
   let warm = ref None in
   let state = ref v0 in
-  let i_caps = ref (Array.make (Array.length caps) 0.0) in
   let stops_at k = match until with Some p -> p voltages.(k) | None -> false in
   (* Steps 1..k-1 are recorded; returns the number of samples kept. *)
   let rec advance k =
@@ -72,17 +52,9 @@ let run ?dt ?ic ?(method_ = Backward_euler) ?until ~t_stop netlist =
       let t = min (float_of_int k *. dt) t_stop in
       let h = t -. times.(k - 1) in
       if h > 0.0 then begin
-        (* The trapezoidal rule needs each capacitor's entering current;
-           the first step has no history, so it runs backward Euler
-           (whose result supplies consistent currents for step two). *)
-        let method_now = if k = 1 then Backward_euler else method_ in
-        let s, i' =
-          step ~method_:method_now ~compiled ~caps ~warm:!warm ~state:!state
-            ~i_caps:!i_caps ~t ~h
-        in
+        let s = step ~compiled ~caps ~warm:!warm ~state:!state ~t ~h in
         warm := Some (Dc.solution_vector s);
         state := s.Dc.voltages;
-        i_caps := i';
         times.(k) <- t;
         voltages.(k) <- Array.copy s.Dc.voltages;
         source_currents.(k) <- Array.copy s.Dc.source_currents

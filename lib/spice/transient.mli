@@ -15,25 +15,16 @@ type trace = {
           source (netlist order) at step k; positive into the + terminal. *)
 }
 
-type method_ =
-  | Backward_euler
-      (** first-order, L-stable: never rings, the robust default *)
-  | Trapezoidal
-      (** second-order, A-stable: twice the accuracy order at the same
-          step, the standard SPICE workhorse *)
-
 val run :
   ?dt:float ->
   ?ic:(Netlist.node * float) list ->
-  ?method_:method_ ->
   ?until:(float array -> bool) ->
   t_stop:float ->
   Netlist.t ->
   trace
 (** [run ~t_stop netlist] integrates from 0 to [t_stop].
 
-    [dt] is the fixed step (default [t_stop /. 400]); [method_] defaults
-    to {!Backward_euler}.
+    [dt] is the fixed step (default [t_stop /. 400]).
     [ic] pins initial node voltages; all other nodes start from the DC
     operating point at t = 0 computed with sources at their t = 0 values.
     Initial conditions are applied after that solve, so use them for

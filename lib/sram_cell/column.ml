@@ -38,7 +38,7 @@ type result = {
   relative_error : float;
 }
 
-let validate ?t_stop ~cell config (condition : Sram6t.condition) =
+let validate ~cell config (condition : Sram6t.condition) =
   assert (config.segments >= 1 && config.nr >= 1);
   let open Spice in
   let n = Netlist.create () in
@@ -93,7 +93,7 @@ let validate ?t_stop ~cell config (condition : Sram6t.condition) =
   Netlist.capacitor n ~plus:qb ~minus:Netlist.ground
     ~farads:(Sram6t.storage_node_cap cell);
   let analytic = analytic_delay ~cell config condition in
-  let t_stop = match t_stop with Some t -> t | None -> 6.0 *. analytic in
+  let t_stop = 6.0 *. analytic in
   let vdd = condition.Sram6t.vdd in
   let ic =
     (q, condition.Sram6t.vssc)
@@ -132,7 +132,7 @@ let analytic_write_delay ~cell config =
   bl_capacitance ~cell config *. vdd
   /. (0.50 *. float_of_int config.n_wr *. i_on_tg_per_fin ())
 
-let validate_write ?t_stop ~cell config =
+let validate_write ~cell config =
   assert (config.segments >= 1 && config.nr >= 1);
   let open Spice in
   let nfet, pfet = periphery_devices () in
@@ -170,7 +170,7 @@ let validate_write ?t_stop ~cell config =
   Netlist.fet n ~params:pfet ~nfin:config.n_wr ~gate:Netlist.ground ~drain:near
     ~source:Netlist.ground ();
   let analytic = analytic_write_delay ~cell config in
-  let t_stop = match t_stop with Some t -> t | None -> 8.0 *. analytic in
+  let t_stop = 8.0 *. analytic in
   let ic = List.init (far - near + 1) (fun i -> (near + i, vdd)) in
   let trace = Spice.Transient.run ~dt:(t_stop /. 500.0) ~ic ~t_stop n in
   (* Full-swing write: time to a 90% swing at the far cell, the natural

@@ -36,7 +36,6 @@ type result = {
 }
 
 val validate :
-  ?t_stop:float ->
   cell:Finfet.Variation.cell_sample ->
   config ->
   Sram6t.condition ->
@@ -53,7 +52,6 @@ val analytic_write_delay :
     its transmission gate. *)
 
 val validate_write :
-  ?t_stop:float ->
   cell:Finfet.Variation.cell_sample ->
   config ->
   result

@@ -1,4 +1,4 @@
-let survives_pulse ?(points_per_pulse = 400) ~cell ~condition ~pulse () =
+let survives_pulse ~cell ~condition ~pulse () =
   assert (pulse > 0.0);
   let vdd = condition.Sram6t.vdd in
   let edge = 1e-12 in
@@ -17,7 +17,7 @@ let survives_pulse ?(points_per_pulse = 400) ~cell ~condition ~pulse () =
   let t_stop = (2.0 *. t_close) +. 5e-12 in
   let trace =
     Spice.Transient.run
-      ~dt:(t_stop /. float_of_int points_per_pulse)
+      ~dt:(t_stop /. 400.0)
       ~ic:[ (nodes.Sram6t.q, condition.Sram6t.vssc);
             (nodes.Sram6t.qb, condition.Sram6t.vddc) ]
       ~t_stop netlist
@@ -25,7 +25,8 @@ let survives_pulse ?(points_per_pulse = 400) ~cell ~condition ~pulse () =
   let final = trace.Spice.Transient.voltages.(Array.length trace.Spice.Transient.times - 1) in
   final.(nodes.Sram6t.q) < 0.5 *. vdd && final.(nodes.Sram6t.qb) > 0.5 *. vdd
 
-let critical_pulse ?(lo = 1e-12) ?(hi = 200e-12) ~cell ~condition () =
+let critical_pulse ~cell ~condition () =
+  let lo = 1e-12 and hi = 200e-12 in
   if survives_pulse ~cell ~condition ~pulse:hi () then None
   else if not (survives_pulse ~cell ~condition ~pulse:lo ()) then Some lo
   else begin

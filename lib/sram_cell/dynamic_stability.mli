@@ -10,7 +10,6 @@
     pulse width. *)
 
 val survives_pulse :
-  ?points_per_pulse:int ->
   cell:Finfet.Variation.cell_sample ->
   condition:Sram6t.condition ->
   pulse:float ->
@@ -19,16 +18,14 @@ val survives_pulse :
 (** Transient a read access whose WL pulse lasts [pulse] seconds (1 ps
     edges), from the Q = 0 hold state, and report whether the cell still
     holds its value once the word line has closed and the cell has had an
-    equal time to resettle. *)
+    equal time to resettle, in 400 steps. *)
 
 val critical_pulse :
-  ?lo:float ->
-  ?hi:float ->
   cell:Finfet.Variation.cell_sample ->
   condition:Sram6t.condition ->
   unit ->
   float option
-(** Largest safe pulse width, found by bisection over [lo, hi] (defaults
-    1 ps .. 200 ps).  [None] when even the longest pulse is safe (the
-    statically stable case); [Some lo'] close to [lo] means the cell is
-    dynamically unusable at this condition. *)
+(** Largest safe pulse width, found by bisection over 1 ps .. 200 ps.
+    [None] when even the longest pulse is safe (the statically stable
+    case); [Some 1e-12] means the cell is dynamically unusable at this
+    condition. *)

@@ -4,7 +4,8 @@ type write_delay_result = {
   wl_cross_time : float;
 }
 
-let write_delay ?(t_stop = 30e-12) ?(wl_rise = 1e-12) ~cell condition =
+let write_delay ~cell condition =
+  let t_stop = 30e-12 and wl_rise = 1e-12 in
   let wl_wave =
     Spice.Netlist.Step
       { t_delay = 1e-12; t_rise = wl_rise; v0 = 0.0; v1 = condition.Sram6t.vwl }

@@ -20,7 +20,7 @@ let flips_at_vwl ~cell condition ~vwl =
     let b = Butterfly.trace ~cell ~access_on:true condition in
     (Butterfly.snm_of_butterfly b).Butterfly.lobe_low <= 0.0
 
-let minimum_flipping_vwl ?(tol = 1e-3) ~cell condition =
+let minimum_flipping_vwl ~cell condition =
   let hi = condition.Sram6t.vdd +. 0.4 in
   if not (flips_at_vwl ~cell condition ~vwl:hi) then hi
   else if flips_at_vwl ~cell condition ~vwl:0.0 then 0.0
@@ -28,7 +28,7 @@ let minimum_flipping_vwl ?(tol = 1e-3) ~cell condition =
     (* Bisection on the flip predicate: invariant lo never flips, hi
        always does (the access strength is monotone in V_WL). *)
     let rec bisect lo hi =
-      if hi -. lo < tol then hi
+      if hi -. lo < 1e-3 then hi
       else begin
         let mid = 0.5 *. (lo +. hi) in
         if flips_at_vwl ~cell condition ~vwl:mid then bisect lo mid
@@ -38,5 +38,5 @@ let minimum_flipping_vwl ?(tol = 1e-3) ~cell condition =
     bisect 0.0 hi
   end
 
-let write_margin ?tol ~cell condition =
-  condition.Sram6t.vwl -. minimum_flipping_vwl ?tol ~cell condition
+let write_margin ~cell condition =
+  condition.Sram6t.vwl -. minimum_flipping_vwl ~cell condition

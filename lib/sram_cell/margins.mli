@@ -29,16 +29,14 @@ val flips_at_vwl :
     [margins.butterfly_fallbacks] counter. *)
 
 val minimum_flipping_vwl :
-  ?tol:float ->
   cell:Finfet.Variation.cell_sample ->
   Sram6t.condition ->
   float
 (** Smallest WL level that flips the cell, found by bisection over
-    [0, vdd + 0.4] ([tol] defaults to 1 mV).  Clamps to the bounds when
+    [0, vdd + 0.4] down to a 1 mV bracket.  Clamps to the bounds when
     the cell flips at 0 or never flips in range. *)
 
 val write_margin :
-  ?tol:float ->
   cell:Finfet.Variation.cell_sample ->
   Sram6t.condition ->
   float

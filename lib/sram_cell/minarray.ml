@@ -8,7 +8,7 @@ type result = {
   unknowns : int;
 }
 
-let read_experiment ?(nr = 8) ?(nc = 4) ?t_stop ~cell
+let read_experiment ?(nr = 8) ?(nc = 4) ~cell
     (condition : Sram6t.condition) =
   assert (nr >= 2 && nc >= 1);
   let open Spice in
@@ -81,9 +81,7 @@ let read_experiment ?(nr = 8) ?(nc = 4) ?t_stop ~cell
     if i_read <= 0.0 then infinity
     else c_bl *. Finfet.Tech.delta_v_sense /. i_read
   in
-  let t_stop =
-    match t_stop with Some t -> t | None -> 6.0 *. analytic_delay
-  in
+  let t_stop = 6.0 *. analytic_delay in
   (* Initial conditions: every cell stores 0 (on its row's rails), all
      bitlines precharged. *)
   let ic = ref [] in
@@ -141,8 +139,8 @@ type write_result = {
   w_unknowns : int;
 }
 
-let write_experiment ?(nr = 8) ?(nc = 4) ?(t_stop = 40e-12) ~cell ~vwl () =
-  assert (nr >= 2 && nc >= 2);
+let write_experiment ~cell ~vwl () =
+  let nr = 8 and nc = 4 and t_stop = 40e-12 in
   let open Spice in
   let vdd = Finfet.Tech.vdd_nominal in
   let n = Netlist.create () in

@@ -29,14 +29,13 @@ type result = {
 val read_experiment :
   ?nr:int ->
   ?nc:int ->
-  ?t_stop:float ->
   cell:Finfet.Variation.cell_sample ->
   Sram6t.condition ->
   result
 (** Default grid 8 x 4.  All cells store 0; row 0 is accessed with the
     condition's rails (boost / negative Gnd applied to that row only, as
     the paper's per-row rail multiplexers do); column 0 is the sensed
-    one.  [t_stop] defaults to 6x the analytic delay. *)
+    one.  The transient runs for 6x the analytic delay. *)
 
 type write_result = {
   flipped : bool;            (** the target cell took the new value *)
@@ -47,9 +46,6 @@ type write_result = {
 }
 
 val write_experiment :
-  ?nr:int ->
-  ?nc:int ->
-  ?t_stop:float ->
   cell:Finfet.Variation.cell_sample ->
   vwl:float ->
   unit ->

@@ -2,10 +2,10 @@
    rule's fraction (0.35) of Vdd, to 2 mV: bisection over the monotone
    HSNM/Vdd-fraction curve.  The technology nominal if even that fails
    (degenerate cells under heavy variation). *)
-let retention_voltage ~points ~cell =
+let retention_voltage ~cell =
   let vdd_nom = Finfet.Tech.vdd_nominal in
   let gap vdd =
-    Margins.hold_snm ~points ~cell vdd -. (Finfet.Tech.min_margin_fraction *. vdd)
+    Margins.hold_snm ~points:41 ~cell vdd -. (Finfet.Tech.min_margin_fraction *. vdd)
   in
   if gap vdd_nom < 0.0 then vdd_nom
   else begin
@@ -24,9 +24,9 @@ type standby_summary = {
   savings : float;
 }
 
-let standby ?(guard_band = 0.050) ?(points = 41) ~cell () =
-  let v_retention = retention_voltage ~points ~cell in
-  let v_standby = min Finfet.Tech.vdd_nominal (v_retention +. guard_band) in
+let standby ~cell () =
+  let v_retention = retention_voltage ~cell in
+  let v_standby = min Finfet.Tech.vdd_nominal (v_retention +. 0.050) in
   let p_active = Leakage.power ~cell () in
   let p_standby = Leakage.power ~vdd:v_standby ~cell () in
   { v_retention; v_standby; p_active; p_standby;

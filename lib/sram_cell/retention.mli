@@ -15,14 +15,12 @@ type standby_summary = {
 }
 
 val standby :
-  ?guard_band:float ->
-  ?points:int ->
   cell:Finfet.Variation.cell_sample ->
   unit ->
   standby_summary
-(** Drowsy-mode summary with a [guard_band] (default 50 mV) above the
-    retention voltage: the minimum supply at which the hold SNM still
-    exceeds the technology rule's fraction (0.35) of Vdd, bisected to
+(** Drowsy-mode summary with a 50 mV guard band above the retention
+    voltage: the minimum supply at which the hold SNM (41-point
+    butterfly) still exceeds the technology rule's fraction (0.35) of Vdd, bisected to
     2 mV over the monotone HSNM/Vdd-fraction curve.  The retention
     voltage is the technology nominal if even that fails (degenerate
     cells under heavy variation). *)

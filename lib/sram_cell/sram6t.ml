@@ -10,12 +10,14 @@ type condition = {
 let hold ?(vdd = Finfet.Tech.vdd_nominal) () =
   { vdd; vddc = vdd; vssc = 0.0; vwl = 0.0; vbl = vdd; vblb = vdd }
 
-let read ?(vdd = Finfet.Tech.vdd_nominal) ?vddc ?(vssc = 0.0) ?vwl () =
+let read ?vddc ?(vssc = 0.0) ?vwl () =
+  let vdd = Finfet.Tech.vdd_nominal in
   let vddc = Option.value vddc ~default:vdd in
   let vwl = Option.value vwl ~default:vdd in
   { vdd; vddc; vssc; vwl; vbl = vdd; vblb = vdd }
 
-let write0 ?(vdd = Finfet.Tech.vdd_nominal) ?vwl ?(vbl = 0.0) () =
+let write0 ?vwl ?(vbl = 0.0) () =
+  let vdd = Finfet.Tech.vdd_nominal in
   let vwl = Option.value vwl ~default:vdd in
   { vdd; vddc = vdd; vssc = 0.0; vwl; vbl; vblb = vdd }
 

@@ -20,13 +20,15 @@ val hold : ?vdd:float -> unit -> condition
 (** WL off, bitlines precharged, rails nominal: the retention state.
     [vdd] defaults to the technology nominal. *)
 
-val read : ?vdd:float -> ?vddc:float -> ?vssc:float -> ?vwl:float -> unit -> condition
-(** Worst-case static read: WL on, both bitlines clamped at [vdd].
-    Assist levels default to no-assist values. *)
+val read : ?vddc:float -> ?vssc:float -> ?vwl:float -> unit -> condition
+(** Worst-case static read at the technology's nominal [vdd]: WL on,
+    both bitlines clamped at [vdd].  Assist levels default to no-assist
+    values. *)
 
-val write0 : ?vdd:float -> ?vwl:float -> ?vbl:float -> unit -> condition
-(** Writing 0 into Q (which holds 1): BL driven to [vbl] (default 0),
-    BLB to [vdd], WL at [vwl] (overdriven if > vdd). *)
+val write0 : ?vwl:float -> ?vbl:float -> unit -> condition
+(** Writing 0 into Q (which holds 1) at the technology's nominal [vdd]:
+    BL driven to [vbl] (default 0), BLB to [vdd], WL at [vwl]
+    (overdriven if > vdd). *)
 
 type nodes = {
   q : Spice.Netlist.node;

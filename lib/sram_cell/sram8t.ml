@@ -13,19 +13,20 @@ let of_library lib flavor =
 
 let area_factor = 1.3
 
-let hold_snm ?points t ~vdd = Margins.hold_snm ?points ~cell:t.core vdd
+let hold_snm t ~vdd = Margins.hold_snm ~cell:t.core vdd
 
-let read_snm ?points t ~vdd = hold_snm ?points t ~vdd
+let read_snm t ~vdd = hold_snm t ~vdd
 
-let write_margin ?tol t condition = Margins.write_margin ?tol ~cell:t.core condition
+let write_margin t condition = Margins.write_margin ~cell:t.core condition
 
-let read_current t ?(vrwl = Finfet.Tech.vdd_nominal) ?(vssc = 0.0) () =
+let read_current t ?(vssc = 0.0) () =
   (* The read pull-down's gate is the QB node at the full cell supply. *)
   Finfet.Calibration.stack_read_current ~access:t.read_access
-    ~pull_down:t.read_pull_down ~vwl:vrwl ~vbl:Finfet.Tech.vdd_nominal
+    ~pull_down:t.read_pull_down ~vwl:Finfet.Tech.vdd_nominal ~vbl:Finfet.Tech.vdd_nominal
     ~vddc:Finfet.Tech.vdd_nominal ~vssc
 
-let leakage_power ?(vdd = Finfet.Tech.vdd_nominal) t =
+let leakage_power t =
+  let vdd = Finfet.Tech.vdd_nominal in
   (* 6T core in hold plus the read port: RBL precharged, RWL off. *)
   let open Spice in
   let n = Netlist.create () in

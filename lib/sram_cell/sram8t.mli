@@ -23,24 +23,24 @@ val area_factor : float
 (** Cell footprint relative to the 6T layout: 1.3 (two extra transistors
     on the standard 8T layout). *)
 
-val hold_snm : ?points:int -> t -> vdd:float -> float
+val hold_snm : t -> vdd:float -> float
 (** Same retention metric as the 6T core. *)
 
-val read_snm : ?points:int -> t -> vdd:float -> float
+val read_snm : t -> vdd:float -> float
 (** Equal to {!hold_snm}: the decoupled read port does not disturb the
     cell.  Provided as its own function so call sites document which
     margin they constrain. *)
 
-val write_margin : ?tol:float -> t -> Sram6t.condition -> float
+val write_margin : t -> Sram6t.condition -> float
 (** Delegates to the 6T core's write analysis. *)
 
-val read_current : t -> ?vrwl:float -> ?vssc:float -> unit -> float
+val read_current : t -> ?vssc:float -> unit -> float
 (** Current the read stack sinks from the precharged read bitline:
     the read pull-down's gate sits at the full cell supply (QB stores 1
-    when Q = 0), [vrwl] (default Vdd) drives the read access, and [vssc]
+    when Q = 0), the read word line at Vdd drives the read access, and [vssc]
     (default 0) is the read-buffer source rail — the negative-Gnd assist
     applies to the read port without any stability cost. *)
 
-val leakage_power : ?vdd:float -> t -> float
-(** Hold-state leakage of the full 8-transistor cell (DC solve; the read
+val leakage_power : t -> float
+(** Hold-state leakage of the full 8-transistor cell at the nominal Vdd (DC solve; the read
     port adds roughly one OFF-transistor path to the 6T figure). *)

@@ -13,14 +13,13 @@ let summarize values =
 
 let percentile d ~p = Numerics.Stats.percentile d.samples ~p
 
-let read_current_distribution ?(sigma_vt = Finfet.Variation.sigma_vt_default)
-    ?(seed = 31) ~n ~nfet ~condition () =
+let read_current_distribution ~n ~nfet ~condition () =
   assert (n > 0);
-  let rng = Numerics.Rng.create ~seed in
+  let rng = Numerics.Rng.create ~seed:31 in
   let samples =
     Array.init n (fun _ ->
-        let access = Finfet.Variation.sample_device ~sigma_vt rng nfet in
-        let pull_down = Finfet.Variation.sample_device ~sigma_vt rng nfet in
+        let access = Finfet.Variation.sample_device rng nfet in
+        let pull_down = Finfet.Variation.sample_device rng nfet in
         Finfet.Calibration.stack_read_current ~access ~pull_down
           ~vwl:condition.Sram6t.vwl ~vbl:condition.Sram6t.vbl
           ~vddc:condition.Sram6t.vddc ~vssc:condition.Sram6t.vssc)
@@ -34,15 +33,13 @@ type guardband = {
   derate : float;
 }
 
-let bl_delay_guardband ?sigma_vt ?seed ?(n = 200) ?(k = 3.0) ~cell ~column
-    ~condition () =
+let bl_delay_guardband ?(k = 3.0) ~cell ~column ~condition () =
   let c_bl = Column.bl_capacitance ~cell column in
   let to_delay i =
     if i <= 0.0 then infinity else c_bl *. Finfet.Tech.delta_v_sense /. i
   in
   let currents =
-    read_current_distribution ?sigma_vt ?seed ~n
-      ~nfet:cell.Finfet.Variation.access_l ~condition ()
+    read_current_distribution ~n:200 ~nfet:cell.Finfet.Variation.access_l ~condition ()
   in
   let delays = summarize (Array.map to_delay currents.samples) in
   let nominal_delay = Column.analytic_delay ~cell column condition in

@@ -19,15 +19,13 @@ val summarize : float array -> distribution
 val percentile : distribution -> p:float -> float
 
 val read_current_distribution :
-  ?sigma_vt:float ->
-  ?seed:int ->
   n:int ->
   nfet:Finfet.Device.params ->
   condition:Sram6t.condition ->
   unit ->
   distribution
 (** [n] independent (access, pull-down) stack samples at the condition's
-    rails. *)
+    rails, at the technology sigma-Vt, drawn from seed 31. *)
 
 type guardband = {
   nominal_delay : float;     (** BL delay of the nominal cell *)
@@ -37,9 +35,6 @@ type guardband = {
 }
 
 val bl_delay_guardband :
-  ?sigma_vt:float ->
-  ?seed:int ->
-  ?n:int ->
   ?k:float ->
   cell:Finfet.Variation.cell_sample ->
   column:Column.config ->
@@ -47,5 +42,5 @@ val bl_delay_guardband :
   unit ->
   guardband
 (** Map the current distribution through C_BL dV / I for the column and
-    report the k-sigma (default 3) slow-corner delay.  Defaults: 200
-    samples, the technology sigma-Vt. *)
+    report the k-sigma (default 3) slow-corner delay, over
+    [read_current_distribution ~n:200]. *)

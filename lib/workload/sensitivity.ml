@@ -9,17 +9,16 @@ type study_row = {
   hvt_advantage : float;
 }
 
-let study ?(space = Opt.Space.reduced) ?(length = 20_000) ?(seed = 11)
-    ~capacity_bits () =
+let study ?(length = 20_000) ~capacity_bits () =
   List.map
     (fun (name, profile) ->
-      let summary = Trace.characterize (Trace.generate ~seed profile ~length) in
+      let summary = Trace.characterize (Trace.generate ~seed:11 profile ~length) in
       let optimum flavor =
         let env =
           Array_model.Array_eval.make_env ~alpha:summary.Trace.alpha
             ~beta:summary.Trace.beta ~cell_flavor:flavor ()
         in
-        (Opt.Exhaustive.search ~space ~env ~capacity_bits
+        (Opt.Exhaustive.search ~space:Opt.Space.reduced ~env ~capacity_bits
            ~method_:Opt.Space.M2 ())
           .Opt.Exhaustive.best
       in

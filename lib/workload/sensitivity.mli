@@ -18,12 +18,11 @@ type study_row = {
 }
 
 val study :
-  ?space:Opt.Space.t ->
   ?length:int ->
-  ?seed:int ->
   capacity_bits:int ->
   unit ->
   study_row list
-(** One row per {!Trace.named_profiles} entry: generate the trace, measure
-    (alpha, beta), co-optimize both flavors under M2 and report the HVT
-    design plus its advantage over LVT. *)
+(** One row per {!Trace.named_profiles} entry: generate the trace (seed
+    11), measure (alpha, beta), co-optimize both flavors under M2 over
+    {!Opt.Space.reduced} and report the HVT design plus its advantage
+    over LVT. *)

@@ -4,10 +4,13 @@
 # checksum, persist.cache.hit 1, dc.solves 0).  Before the third, the
 # framework.optimize log loses its last 5 bytes, a torn tail: the third
 # run must discard them (persist.bytes.discarded > 0) and still print
-# the same checksum.
+# the same checksum.  A fourth run, from a directory outside the work
+# tree, must stamp its fresh log's header with the commit the binary
+# was built from: the checkout's `git rev-parse --short HEAD`.
 set -eu
 
 BIN=${BIN:-_build/default/bin/sram_opt.exe}
+BIN=$(cd "$(dirname "$BIN")" && pwd)/$(basename "$BIN")
 DIR=$(mktemp -d "${TMPDIR:-/tmp}/cache_dir_smoke.XXXXXX")
 trap 'rm -rf "$DIR"' EXIT INT TERM
 
@@ -36,4 +39,13 @@ run third
 discarded=$(counter third persist.bytes.discarded)
 [ "${discarded:-0}" -gt 0 ] || fail "third run discarded no torn bytes"
 
-echo "cache-dir smoke: checksum $sum from disk; torn tail of $discarded bytes discarded"
+expected=$(git rev-parse --short HEAD 2>/dev/null) || expected=unknown
+mkdir "$DIR/outside"
+(cd "$DIR/outside" && "$BIN" optimize -c 1KB --json --cache-dir "$DIR/outside/cache" >/dev/null) ||
+    fail "run from outside the work tree exited $?"
+stamped=$(grep -ao '"git_commit":"[^"]*"' "$DIR/outside/cache/framework.optimize.rlog" |
+    head -n 1 | sed 's/.*:"\(.*\)"/\1/')
+[ "$stamped" = "$expected" ] ||
+    fail "log header written outside the work tree records commit '$stamped', expected '$expected'"
+
+echo "cache-dir smoke: checksum $sum from disk; torn tail of $discarded bytes discarded; header commit $stamped"

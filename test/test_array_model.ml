@@ -97,15 +97,15 @@ let currents =
 let currents_tests =
   let pfet_lvt = Finfet.Library.pfet lib Finfet.Library.Lvt in
   [ case "I_ON_PFET is the single-fin LVT PFET ON current" (fun () ->
-        check_close "ion" (Finfet.Device.i_on pfet_lvt ())
+        check_close "ion" (Finfet.Device.i_on pfet_lvt)
           (Array_model.Currents.i_on_pfet currents));
     case "WL read current carries the 0.25 x 27 coefficient" (fun () ->
         check_close "wl"
-          (0.25 *. 27.0 *. Finfet.Device.i_on pfet_lvt ())
+          (0.25 *. 27.0 *. Finfet.Device.i_on pfet_lvt)
           (Array_model.Currents.wl_read currents));
     case "column driver carries 0.33 x 27" (fun () ->
         check_close "col"
-          (0.33 *. 27.0 *. Finfet.Device.i_on pfet_lvt ())
+          (0.33 *. 27.0 *. Finfet.Device.i_on pfet_lvt)
           (Array_model.Currents.col_driver currents));
     case "precharge scales with fins" (fun () ->
         check_close "pre"

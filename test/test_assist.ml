@@ -37,7 +37,7 @@ let technique_tests =
 let sweep_tests =
   [ case "negative Gnd: current up, BL delay down, RSNM up" (fun () ->
         let points =
-          Assist.Sweep.read_sweep ~points:41 ~flavor:Finfet.Library.Hvt
+          Assist.Sweep.read_sweep ~flavor:Finfet.Library.Hvt
             ~technique:Assist.Technique.Negative_gnd
             ~voltages:[| 0.0; -0.08; -0.16; -0.24 |] ()
         in
@@ -49,7 +49,7 @@ let sweep_tests =
         check_increasing "rsnm" rsnms);
     case "WL underdrive: RSNM up, delay explodes" (fun () ->
         let points =
-          Assist.Sweep.read_sweep ~points:41 ~flavor:Finfet.Library.Hvt
+          Assist.Sweep.read_sweep ~flavor:Finfet.Library.Hvt
             ~technique:Assist.Technique.Wl_underdrive
             ~voltages:[| 0.30; 0.38; 0.45 |] ()
         in

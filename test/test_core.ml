@@ -56,31 +56,22 @@ let report_tests =
 let plot_tests =
   let series points = { Sram_edp.Ascii_plot.label = "s"; marker = '#'; points } in
   [ case "canvas has the requested dimensions" (fun () ->
-        let s =
-          Sram_edp.Ascii_plot.render ~width:20 ~height:5
-            [ series [ (0.0, 0.0); (1.0, 1.0) ] ]
-        in
+        let s = Sram_edp.Ascii_plot.render [ series [ (0.0, 0.0); (1.0, 1.0) ] ] in
         let lines = String.split_on_char '\n' s in
-        (* 5 canvas rows + axis + tick row + legend + trailing newline *)
-        Alcotest.(check bool) ">= 8 lines" true (List.length lines >= 8);
+        (* 16 canvas rows + axis + tick row + legend + trailing newline *)
+        Alcotest.(check bool) ">= 19 lines" true (List.length lines >= 19);
         let first = List.hd lines in
-        Alcotest.(check int) "row width" (9 + 2 + 20) (String.length first));
+        Alcotest.(check int) "row width" (9 + 2 + 64) (String.length first));
     case "markers appear on the canvas" (fun () ->
-        let s =
-          Sram_edp.Ascii_plot.render ~width:10 ~height:4
-            [ series [ (0.0, 0.0); (1.0, 1.0) ] ]
-        in
+        let s = Sram_edp.Ascii_plot.render [ series [ (0.0, 0.0); (1.0, 1.0) ] ] in
         Alcotest.(check bool) "has marker" true (String.contains s '#'));
     case "corner points land in the corners" (fun () ->
-        let s =
-          Sram_edp.Ascii_plot.render ~width:10 ~height:3
-            [ series [ (0.0, 0.0); (1.0, 1.0) ] ]
-        in
+        let s = Sram_edp.Ascii_plot.render [ series [ (0.0, 0.0); (1.0, 1.0) ] ] in
         let lines = Array.of_list (String.split_on_char '\n' s) in
         (* Top row ends with the max point's marker; bottom canvas row
            starts (after the axis margin) with the min point's. *)
-        Alcotest.(check char) "top right" '#' lines.(0).[9 + 2 + 9];
-        Alcotest.(check char) "bottom left" '#' lines.(2).[9 + 2]);
+        Alcotest.(check char) "top right" '#' lines.(0).[9 + 2 + 63];
+        Alcotest.(check char) "bottom left" '#' lines.(15).[9 + 2]);
     case "log_y rejects non-positive values" (fun () ->
         Alcotest.(check bool) "raises" true
           (try
@@ -226,10 +217,15 @@ let framework_tests =
             (Runtime.Memo.registered_stats ())
         in
         let sweep () =
-          ignore
-            (Sram_edp.Framework.sweep_capacities ~space:Opt.Space.reduced
-               ~capacities:[ 128 * 8; 256 * 8 ]
-               ~configs:Sram_edp.Framework.all_configs ())
+          List.iter
+            (fun capacity_bits ->
+              List.iter
+                (fun config ->
+                  ignore
+                    (Sram_edp.Framework.optimize ~space:Opt.Space.reduced
+                       ~capacity_bits ~config ()))
+                Sram_edp.Framework.all_configs)
+            [ 128 * 8; 256 * 8 ]
         in
         sweep ();
         let cold = memo_stats () in

@@ -326,11 +326,11 @@ let eight_t_tests =
   [ case "read SNM equals hold SNM (decoupled port)" (fun () ->
         let vdd = Finfet.Tech.vdd_nominal in
         check_close "decoupled"
-          (Sram_cell.Sram8t.hold_snm ~points:41 eight ~vdd)
-          (Sram_cell.Sram8t.read_snm ~points:41 eight ~vdd));
+          (Sram_cell.Sram8t.hold_snm eight ~vdd)
+          (Sram_cell.Sram8t.read_snm eight ~vdd));
     case "8T read stability meets the yield rule at nominal" (fun () ->
         Alcotest.(check bool) "rsnm ok" true
-          (Sram_cell.Sram8t.read_snm ~points:41 eight ~vdd:Finfet.Tech.vdd_nominal
+          (Sram_cell.Sram8t.read_snm eight ~vdd:Finfet.Tech.vdd_nominal
            >= Finfet.Tech.min_margin));
     case "write margin matches the 6T core's" (fun () ->
         let core =
@@ -384,14 +384,14 @@ let stat_timing_tests =
         check_close "p50" 2.0 (Sram_cell.Stat_timing.percentile d ~p:50.0));
     case "current distribution is deterministic per seed" (fun () ->
         let run () =
-          Sram_cell.Stat_timing.read_current_distribution ~seed:5 ~n:20
+          Sram_cell.Stat_timing.read_current_distribution ~n:20
             ~nfet:nfet_hvt ~condition:(Sram_cell.Sram6t.read ~vddc:0.55 ()) ()
         in
         let a = run () and b = run () in
         check_close "mu" a.Sram_cell.Stat_timing.mu b.Sram_cell.Stat_timing.mu);
     case "mean current sits near the nominal stack" (fun () ->
         let d =
-          Sram_cell.Stat_timing.read_current_distribution ~seed:6 ~n:400
+          Sram_cell.Stat_timing.read_current_distribution ~n:400
             ~nfet:nfet_hvt ~condition:(Sram_cell.Sram6t.read ~vddc:0.55 ()) ()
         in
         let nominal = Finfet.Library.i_read lib Finfet.Library.Hvt ~vddc:0.55 ~vssc:0.0 in

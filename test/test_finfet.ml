@@ -102,7 +102,7 @@ let ids_nonneg_prop =
       let i = Finfet.Device.ids nfet_hvt ~vgs ~vds in
       i >= 0.0 && Float.is_finite i)
 
-let on_off d = Finfet.Device.i_on d () /. Finfet.Device.i_off d ()
+let on_off d = Finfet.Device.i_on d /. Finfet.Device.i_off d
 
 let calibration_tests =
   [ case "HVT read-current fit anchor at the reference point" (fun () ->
@@ -116,10 +116,10 @@ let calibration_tests =
           (Finfet.Calibration.paper_read_current ~vddc:0.3 ~vssc:0.0));
     case "ION ratio LVT/HVT = 2" (fun () ->
         check_close ~tol:1e-3 "ion ratio" 2.0
-          (Finfet.Device.i_on nfet_lvt () /. Finfet.Device.i_on nfet_hvt ()));
+          (Finfet.Device.i_on nfet_lvt /. Finfet.Device.i_on nfet_hvt));
     case "IOFF ratio LVT/HVT ~ 20.6 (the paper's leakage anchors)" (fun () ->
         check_within "ioff ratio" ~lo:19.5 ~hi:21.5
-          (Finfet.Device.i_off nfet_lvt () /. Finfet.Device.i_off nfet_hvt ()));
+          (Finfet.Device.i_off nfet_lvt /. Finfet.Device.i_off nfet_hvt));
     case "ON/OFF improvement ~ 10x" (fun () ->
         check_within "on/off" ~lo:9.0 ~hi:11.5
           (on_off nfet_hvt /. on_off nfet_lvt));

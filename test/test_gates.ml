@@ -253,10 +253,17 @@ let sa_offset_tests =
         let s = Gates.Sa_offset.analyze ~n:150 ~nfet ~pfet () in
         check_within "dvs" ~lo:0.080 ~hi:0.170 s.Gates.Sa_offset.required_swing);
     case "offset scales with the mismatch sigma" (fun () ->
-        let small = Gates.Sa_offset.analyze ~sigma_vt:0.005 ~n:60 ~nfet ~pfet () in
-        let large = Gates.Sa_offset.analyze ~sigma_vt:0.030 ~n:60 ~nfet ~pfet () in
-        Alcotest.(check bool) "scales" true
-          (large.Gates.Sa_offset.sigma > 3.0 *. small.Gates.Sa_offset.sigma)) ]
+        (* [analyze]'s latch offset, at a chosen sigma-Vt. *)
+        let offset_sigma sigma_vt =
+          let rng = Numerics.Rng.create ~seed:23 in
+          Numerics.Stats.stddev
+            (Array.init 60 (fun _ ->
+                 let sample d = Finfet.Variation.sample_device ~sigma_vt rng d in
+                 let trip_a = Gates.Sa_offset.trip_point ~nfet:(sample nfet) ~pfet:(sample pfet) in
+                 let trip_b = Gates.Sa_offset.trip_point ~nfet:(sample nfet) ~pfet:(sample pfet) in
+                 trip_a -. trip_b))
+        in
+        Alcotest.(check bool) "scales" true (offset_sigma 0.030 > 3.0 *. offset_sigma 0.005)) ]
 
 let () =
   Alcotest.run "gates"

@@ -4,8 +4,7 @@
 open Testutil
 
 let make ?(capacity = 1024 * 8) () =
-  Sram_macro.Macro.create_optimized ~space:Opt.Space.reduced
-    ~capacity_bits:capacity ~flavor:Finfet.Library.Hvt ~method_:Opt.Space.M2 ()
+  Sram_macro.Macro.create_optimized ~capacity_bits:capacity ~flavor:Finfet.Library.Hvt ~method_:Opt.Space.M2 ()
 
 let shared = make ()
 

@@ -220,7 +220,7 @@ let prop_nsga2_bit_identical_across_jobs =
           (fun jobs ->
             let pool = Runtime.Pool.create ~jobs () in
             let res =
-              Opt.Nsga2.search ~space:Opt.Space.reduced ~levels:levels_hvt
+              Opt.Nsga2.search ~space:Opt.Space.reduced
                 ~pool ~pop:8 ~generations:6 ~seed ~env:env_hvt
                 ~capacity_bits:(1024 * 8) ~method_:Opt.Space.M2 ()
             in
@@ -243,7 +243,7 @@ let prop_surrogate_bit_identical_across_jobs =
             let pool = Runtime.Pool.create ~jobs () in
             let res =
               Opt.Surrogate.search ~space:Opt.Space.reduced
-                ~levels:levels_hvt ~pool ~seed ~fallback_threshold:0
+                ~pool ~seed ~fallback_threshold:0
                 ~env:env_hvt ~capacity_bits:(1024 * 8)
                 ~method_:Opt.Space.M2 ()
             in
@@ -268,10 +268,6 @@ let test_strategy_exhaustive_full_sweep () =
     let lvt = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Lvt () in
     function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> env_hvt
   in
-  let levels_of =
-    let lvt = Opt.Yield.solve ~flavor:Finfet.Library.Lvt () in
-    function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> levels_hvt
-  in
   let sweep jobs =
     let pool = Runtime.Pool.create ~jobs () in
     let results =
@@ -280,7 +276,6 @@ let test_strategy_exhaustive_full_sweep () =
           List.map
             (fun (c : Sram_edp.Framework.config) ->
               Opt.Strategy.run Opt.Strategy.Exhaustive ~pool
-                ~levels:(levels_of c.Sram_edp.Framework.flavor)
                 ~env:(env_of c.Sram_edp.Framework.flavor) ~capacity_bits
                 ~method_:c.Sram_edp.Framework.method_ ())
             Sram_edp.Framework.all_configs)
@@ -302,14 +297,13 @@ let test_strategy_matches_direct_calls () =
   let common = (Opt.Space.reduced, env_hvt) in
   let space, env = common in
   let via st =
-    Opt.Strategy.run st ~space ~levels:levels_hvt ~rng_seed:7 ~env
+    Opt.Strategy.run st ~space ~rng_seed:7 ~env
       ~capacity_bits ~method_ ()
   in
   let pairs =
     [ ( "local",
         via Opt.Strategy.Local_search,
-        Opt.Local_search.search ~space ~levels:levels_hvt ~env ~capacity_bits
-          ~method_ () );
+        Opt.Local_search.search ~space ~env ~capacity_bits ~method_ () );
       ( "anneal",
         via Opt.Strategy.Anneal,
         Opt.Anneal.search ~space ~seed:7 ~env ~capacity_bits ~method_ () ) ]
@@ -372,8 +366,8 @@ let test_expired_deadline space () =
     List.concat_map
       (fun st ->
         ran_past ("run " ^ Opt.Strategy.name st) (fun () ->
-            Opt.Strategy.run st ~space ~levels:levels_hvt ~deadline
-              ~env:env_hvt ~capacity_bits ~method_ ()))
+            Opt.Strategy.run st ~space ~deadline ~env:env_hvt ~capacity_bits
+              ~method_ ()))
       Opt.Strategy.all
   in
   (* The front searches `bench moo` and the explainer call. *)
@@ -454,11 +448,11 @@ let prop_strategy_contract =
         match st with
         | Opt.Strategy.Surrogate ->
           (* The model path, even on sub-grids below the fallback. *)
-          Opt.Surrogate.search ~space ~objective ~levels:levels_hvt ~pool
-            ~fallback_threshold:0 ~env:env_hvt ~capacity_bits ~method_ ()
-        | st ->
-          Opt.Strategy.run st ~space ~objective ~levels:levels_hvt ~pool
+          Opt.Surrogate.search ~space ~objective ~pool ~fallback_threshold:0
             ~env:env_hvt ~capacity_bits ~method_ ()
+        | st ->
+          Opt.Strategy.run st ~space ~objective ~pool ~env:env_hvt
+            ~capacity_bits ~method_ ()
       in
       let fingerprint (r : Opt.Exhaustive.result) =
         (Opt.Exhaustive.checksum [ r ], r.Opt.Exhaustive.evaluated)

@@ -314,20 +314,6 @@ let interp_tests =
         let t = Numerics.Interp.Table1d.create [| 0.; 1. |] [| 1.; 3. |] in
         check_close "below" 1.0 (Numerics.Interp.Table1d.eval t (-5.0));
         check_close "above" 3.0 (Numerics.Interp.Table1d.eval t 9.0));
-    case "table1d extrapolates when asked" (fun () ->
-        let t =
-          Numerics.Interp.Table1d.create ~extrapolation:Numerics.Interp.Extrapolate
-            [| 0.; 1. |] [| 1.; 3. |]
-        in
-        check_close "extrap" 5.0 (Numerics.Interp.Table1d.eval t 2.0));
-    case "table1d errors when asked" (fun () ->
-        let t =
-          Numerics.Interp.Table1d.create ~extrapolation:Numerics.Interp.Error
-            [| 0.; 1. |] [| 1.; 3. |]
-        in
-        Alcotest.(check bool) "raises" true
-          (try ignore (Numerics.Interp.Table1d.eval t 2.0); false
-           with Invalid_argument _ -> true));
     case "table1d rejects non-increasing xs" (fun () ->
         Alcotest.(check bool) "raises" true
           (try ignore (Numerics.Interp.Table1d.create [| 1.; 1. |] [| 0.; 0. |]); false

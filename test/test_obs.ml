@@ -200,7 +200,7 @@ let prop_window_full_history_equals_cumulative =
     ~count:60 batches_gen
     (fun batches ->
       let h = Obs.Histogram.create (fresh_name "winfull") in
-      let w = Obs.Window.create ~intervals:16 h in
+      let w = Obs.Window.create h in
       List.for_all
         (fun batch ->
           List.iter (Obs.Histogram.observe h) batch;
@@ -216,7 +216,7 @@ let prop_one_interval_window_sees_only_its_batch =
     ~count:60 batches_gen
     (fun batches ->
       let h = Obs.Histogram.create (fresh_name "winone") in
-      let w = Obs.Window.create ~intervals:16 h in
+      let w = Obs.Window.create h in
       Obs.Window.rotate w;
       List.for_all
         (fun batch ->
@@ -236,18 +236,18 @@ let window_tests =
     case "cold-start spike ages out of the window, stays cumulative"
       (fun () ->
         let h = Obs.Histogram.create (fresh_name "aging") in
-        let w = Obs.Window.create ~intervals:4 h in
+        let w = Obs.Window.create h in
         (* One slow cold-start request... *)
         Obs.Histogram.observe h 0.5;
-        (* ...ages past the ring... *)
-        for _ = 1 to 5 do
+        (* ...ages past the 300-interval ring... *)
+        for _ = 1 to 301 do
           Obs.Window.rotate w
         done;
         (* ...then warm traffic. *)
         for _ = 1 to 50 do
           Obs.Histogram.observe h 2e-6
         done;
-        let windowed = Obs.Window.merged w ~intervals:4 in
+        let windowed = Obs.Window.merged w ~intervals:300 in
         let cumulative = Obs.Window.cumulative w in
         Alcotest.(check int) "window holds only recent" 50
           windowed.Obs.Histogram.count;
@@ -465,16 +465,16 @@ let with_log_capture level f =
 
 let flight_tests =
   [ case "flight ring is bounded and keeps the newest events" (fun () ->
-        Obs.Trace.arm_flight ~capacity:32 ();
-        for i = 1 to 200 do
+        Obs.Trace.arm_flight ();
+        for i = 1 to 5000 do
           Obs.Trace.with_span (Printf.sprintf "fl.%d" i) ignore
         done;
         Obs.Trace.disarm_flight ();
         let evs = Obs.Trace.flight_events () in
         Alcotest.(check bool) "bounded by capacity" true
-          (List.length evs <= 32);
+          (List.length evs <= 4096);
         let names = List.map (fun e -> e.Obs.Trace.ev_name) evs in
-        Alcotest.(check bool) "newest retained" true (List.mem "fl.200" names);
+        Alcotest.(check bool) "newest retained" true (List.mem "fl.5000" names);
         Alcotest.(check bool) "oldest overwritten" false
           (List.mem "fl.1" names));
     case "log sink captures warn+ even with a quiet console" (fun () ->
@@ -715,19 +715,19 @@ let search_journal_tests =
         | Some e -> Alcotest.(check int) "chunk index" 3 e.Obs.Search.detail
         | None -> Alcotest.fail "chunk event missing"));
     case "buffer cap drops, never grows" (fun () ->
-        Obs.Search.arm ~capacity:4 ();
-        for i = 1 to 10 do
+        Obs.Search.arm ();
+        for i = 1 to 8198 do
           Obs.Search.record_incumbent ~source:"t" ~score:(float_of_int (-i))
             ~edp:1.0 ~design:some_design
         done;
         let s = Obs.Search.summary () in
         Obs.Search.disarm ();
-        Alcotest.(check int) "journaled at cap" 4 s.Obs.Search.journaled;
+        Alcotest.(check int) "journaled at cap" 8192 s.Obs.Search.journaled;
         Alcotest.(check int) "rest dropped" 6 s.Obs.Search.dropped;
-        Alcotest.(check int) "all counted" 10 s.Obs.Search.incumbents;
+        Alcotest.(check int) "all counted" 8198 s.Obs.Search.incumbents;
         (* Counters live outside the buffer: best_score tracks the last
            improvement even after the buffer filled. *)
-        Alcotest.(check (float 0.0)) "best tracked past the cap" (-10.0)
+        Alcotest.(check (float 0.0)) "best tracked past the cap" (-8198.0)
           s.Obs.Search.best_score);
     case "rearming resets the journal" (fun () ->
         Obs.Search.arm ();

@@ -449,14 +449,14 @@ let anneal_tests =
 let local_search_tests =
   [ case "coordinate descent lands near the exhaustive optimum" (fun () ->
         (* The reduced grid is deliberately coarse, which leaves real local
-           minima; a few extra restarts keep the gap in single digits. *)
+           minima; the restarts keep the gap in single digits. *)
         let exact =
           Opt.Exhaustive.search ~space:Opt.Space.reduced ~env:env_hvt
             ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
         in
         let local =
-          Opt.Local_search.search ~space:Opt.Space.reduced ~restarts:8
-            ~env:env_hvt ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
+          Opt.Local_search.search ~space:Opt.Space.reduced ~env:env_hvt
+            ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
         in
         check_within "quality" ~lo:1.0 ~hi:1.10
           (local.Opt.Exhaustive.best.Opt.Exhaustive.score
@@ -489,20 +489,25 @@ let local_search_tests =
           (local.Opt.Exhaustive.evaluated
            < Opt.Space.size Opt.Space.reduced ~capacity_bits:small_cap Opt.Space.M2));
     case "respects injected levels" (fun () ->
-        (* Injected levels are part of the strategy contract, so every
-           engine must pin to them, not just the descent. *)
+        (* Every entry point that takes injected levels must pin to
+           them: the exhaustive engine and both front searches. *)
         let levels = { Opt.Yield.vddc_min = 0.60; vwl_min = 0.60; hsnm_nominal = 0.2 } in
+        let space = Opt.Space.reduced and capacity_bits = small_cap
+        and method_ = Opt.Space.M2 in
         List.iter
-          (fun st ->
-            let r =
-              Opt.Strategy.run st ~space:Opt.Space.reduced ~levels ~env:env_hvt
-                ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
-            in
-            check_close
-              (Opt.Strategy.name st ^ " pins")
-              0.60
+          (fun (name, (r : Opt.Exhaustive.result)) ->
+            check_close (name ^ " pins") 0.60
               r.Opt.Exhaustive.best.Opt.Exhaustive.assist.Array_model.Components.vddc)
-          Opt.Strategy.all) ]
+          [ ( "exhaustive",
+              Opt.Exhaustive.search ~space ~levels ~env:env_hvt ~capacity_bits ~method_ () );
+            ( "nsga2",
+              fst
+                (Opt.Nsga2.search_front ~space ~levels ~env:env_hvt ~capacity_bits
+                   ~method_ ()) );
+            ( "surrogate",
+              fst
+                (Opt.Surrogate.search_front ~space ~levels ~fallback_threshold:0
+                   ~env:env_hvt ~capacity_bits ~method_ ()) ) ]) ]
 
 let journal_tests =
   [ case "anneal result JSON round-trips the considered count" (fun () ->
@@ -615,8 +620,7 @@ let explain_tests =
           total);
     slow_case "pareto provenance accounts for every candidate" (fun () ->
         let p =
-          Opt.Explain.pareto ~space:Opt.Space.reduced ~env:env_hvt
-            ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
+          Opt.Explain.pareto ~env:env_hvt ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
         in
         Alcotest.(check int) "front + dominated = evaluated"
           p.Opt.Explain.pv_evaluated
@@ -629,7 +633,9 @@ let explain_tests =
               min acc c.Opt.Exhaustive.score)
             infinity p.Opt.Explain.pv_front
         in
-        let r = Lazy.force result in
+        let r =
+          Opt.Exhaustive.search ~env:env_hvt ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
+        in
         (* The EDP winner is Pareto-optimal, so the front must contain
            a point with exactly the winning score. *)
         Alcotest.(check int64) "winner sits on the front"
@@ -661,11 +667,7 @@ let array_yield_tests =
         in
         Alcotest.(check bool) "ordering" true (p_good < 1e-6 && p_marginal > 0.1));
     case "yield-solved boost undercuts the 35% proxy rule" (fun () ->
-        let cfg = { Opt.Yield_mc.default_config with Opt.Yield_mc.samples = 12 } in
-        let s =
-          Opt.Array_yield.solve_vddc ~config:cfg ~flavor:Finfet.Library.Hvt
-            ~geometry:g ()
-        in
+        let s = Opt.Array_yield.solve_vddc ~flavor:Finfet.Library.Hvt ~geometry:g () in
         Alcotest.(check bool) "meets target" true
           (s.Opt.Array_yield.achieved_yield >= 0.99);
         let proxy = Opt.Yield.solve ~flavor:Finfet.Library.Hvt () in

@@ -733,6 +733,39 @@ let cache_tests =
         Alcotest.(check bool) "value found" true (Option.fold ~none:false ~some:(json_eq (value 500)) found);
         Alcotest.(check bool) (Printf.sprintf "%.1f words per record" per_record) true
           (per_record < 96.0));
+    case "framework.optimize and yield.solve keys are spelled as on disk" (fun () ->
+        (* Every --cache-dir log is keyed by these strings: a key whose
+           spelling drifts orphans every log written before it. *)
+        let dir = fresh_dir "keys" in
+        Runtime.Memo.reset_all ();
+        Persist.Cache.set_dir (Some dir);
+        ignore
+          (Sram_edp.Framework.optimize ~capacity_bits:(1024 * 8)
+             ~config:{ Sram_edp.Framework.flavor = Finfet.Library.Hvt; method_ = Opt.Space.M2 }
+             ());
+        Persist.Cache.set_dir None;
+        let keys name =
+          List.filter_map
+            (fun r -> J.string_field r "k")
+            (read_ok (Filename.concat dir (name ^ ".rlog"))).Persist.Record_log.records
+        in
+        Alcotest.(check (list string)) "framework.optimize"
+          [ "6T-HVT-M2|cap=8192|EDP|paper|w=64|"
+             ^ "-0,-0.01,-0.02,-0.029999999999999999,-0.040000000000000001,"
+             ^ "-0.050000000000000003,-0.059999999999999998,-0.070000000000000007,"
+             ^ "-0.080000000000000002,-0.089999999999999997,-0.10000000000000001,"
+             ^ "-0.11,-0.12,-0.13,-0.14000000000000001,-0.14999999999999999,-0.16,"
+             ^ "-0.17000000000000001,-0.17999999999999999,-0.19,"
+             ^ "-0.20000000000000001,-0.20999999999999999,-0.22,"
+             ^ "-0.23000000000000001,-0.23999999999999999,|"
+             ^ "2,4,8,16,32,64,128,256,512,1024,|"
+             ^ "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,"
+             ^ "26,27,28,29,30,31,32,33,34,35,36,37,38,39,40,41,42,43,44,45,46,47,"
+             ^ "48,49,50,|"
+             ^ "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20," ]
+          (keys "framework.optimize");
+        Alcotest.(check (list string)) "yield.solve" [ "HVT|0.1575|81|-|-" ] (keys "yield.solve");
+        rm_rf dir);
   ]
 
 (* ----- Checkpoint / resume bit-identity ----- *)
@@ -884,6 +917,29 @@ let checkpoint_tests =
     kill_resume_case 1;
     kill_resume_case 2;
     kill_resume_case 4;
+    case "journaled search task signature is spelled as on disk" (fun () ->
+        (* A resumed journal matches chunks by this string: a signature
+           that drifts orphans every journal written before it.  The
+           search is the CLI's 1KB HVT M2 optimize under --checkpoint. *)
+        let path = fresh "task_signature" in
+        let j =
+          match Persist.Checkpoint.create ~path () with
+          | Ok j -> j
+          | Error msg -> Alcotest.failf "checkpoint %s: %s" path msg
+        in
+        let pool = Runtime.Pool.create ~jobs:1 () in
+        Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+        ignore
+          (Opt.Exhaustive.search ~pool ~journal:j ~env:env_hvt ~capacity_bits:small_cap
+             ~method_:Opt.Space.M2 ());
+        Persist.Checkpoint.close j;
+        let tasks =
+          List.sort_uniq compare
+            (List.filter_map (fun r -> J.string_field r "task") (read_ok path).records)
+        in
+        rm path;
+        Alcotest.(check (list string)) "task"
+          [ "search|EDP|staged|HVT|M2|paper|cap=8192|bd5406c36f6a8cdd" ] tasks);
   ]
 
 let () =

@@ -740,8 +740,7 @@ let prop_macro_matches_reference =
     op_gen
     (fun ops ->
       let macro =
-        Sram_macro.Macro.create_optimized ~space:Opt.Space.reduced
-          ~capacity_bits:(1024 * 8) ~flavor:Finfet.Library.Hvt
+        Sram_macro.Macro.create_optimized ~capacity_bits:(1024 * 8) ~flavor:Finfet.Library.Hvt
           ~method_:Opt.Space.M1 ()
       in
       let words = Sram_macro.Macro.words macro in

@@ -43,15 +43,10 @@ let pool_tests =
         let expected = Array.fold_left ( ^ ) "" arr in
         List.iter
           (fun jobs ->
-            List.iter
-              (fun chunk ->
-                Alcotest.(check string)
-                  (Printf.sprintf "jobs=%d chunk=%d" jobs chunk)
-                  expected
-                  (Runtime.Pool.fold ~chunk (pool_of jobs)
-                     ~map:(fun s -> s)
-                     ~reduce:( ^ ) ~init:"" arr))
-              [ 1; 2; 5; 64 ])
+            Alcotest.(check string)
+              (Printf.sprintf "jobs=%d" jobs)
+              expected
+              (Runtime.Pool.fold (pool_of jobs) ~map:(fun s -> s) ~reduce:( ^ ) ~init:"" arr))
           [ 1; 3 ]);
     case "exceptions propagate to the caller" (fun () ->
         let p = pool_of 3 in
@@ -247,18 +242,22 @@ let search_determinism_tests =
         check_pruned_winner (128 * 8) Opt.Space.M2;
         check_pruned_winner (1024 * 8) Opt.Space.M2) ]
 
+(* The widest suite name in this executable: it sets the output's name
+   column, and with it where every test name here is truncated. *)
 let yield_mc_determinism_tests =
-  [ case "chunked MC pins are independent of the job count" (fun () ->
+  [ case "MC pins are reproducible from the config's seed" (fun () ->
         let config =
           { Opt.Yield_mc.default_config with Opt.Yield_mc.samples = 10; points = 21 }
         in
-        let solve pool = Opt.Yield_mc.solve ~config ~pool ~flavor:Finfet.Library.Hvt () in
-        let s1 = solve (pool_of 1) in
-        let s3 = solve (pool_of 3) in
-        check_close "vddc_min" s1.Opt.Yield_mc.vddc_min s3.Opt.Yield_mc.vddc_min;
-        check_close "vwl_min" s1.Opt.Yield_mc.vwl_min s3.Opt.Yield_mc.vwl_min;
-        check_close "achieved" s1.Opt.Yield_mc.achieved_margin
-          s3.Opt.Yield_mc.achieved_margin) ]
+        let solve () = Opt.Yield_mc.solve ~config ~flavor:Finfet.Library.Hvt () in
+        let a = solve () and b = solve () in
+        let bits v = Int64.bits_of_float v in
+        Alcotest.(check int64) "vddc_min" (bits a.Opt.Yield_mc.vddc_min)
+          (bits b.Opt.Yield_mc.vddc_min);
+        Alcotest.(check int64) "vwl_min" (bits a.Opt.Yield_mc.vwl_min)
+          (bits b.Opt.Yield_mc.vwl_min);
+        Alcotest.(check int64) "achieved" (bits a.Opt.Yield_mc.achieved_margin)
+          (bits b.Opt.Yield_mc.achieved_margin)) ]
 
 (* ----- QCheck: parmap equals List.map ----- *)
 

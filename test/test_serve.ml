@@ -39,8 +39,7 @@ let with_pipe f =
 
 let check_read = Alcotest.(check (result string string))
 
-let read_str ?max_len fd =
-  Result.map_error F.error_to_string (F.read ?max_len fd)
+let read_str fd = Result.map_error F.error_to_string (F.read fd)
 
 (* A byte stream of well-formed frames, frames with a wrong checksum and
    loose junk, cut into chunks at random offsets, for a decoder whose
@@ -116,7 +115,7 @@ let frame_tests =
             Bytes.set_int32_le b 0 0x7fffff00l;
             Bytes.set_int32_le b 4 0l;
             ignore (Unix.write w b 0 8);
-            match F.read ~max_len:4096 r with
+            match F.read r with
             | Error (F.Oversized n) ->
               Alcotest.(check int) "declared length" 0x7fffff00 n
             | other ->

@@ -200,36 +200,31 @@ let transient_tests =
         | None -> Alcotest.fail "no falling crossing");
     case "until stops at the first step it holds, on the full run's prefix" (fun () ->
         let n, out = rc_netlist () in
-        let run ?until method_ =
-          Spice.Transient.run ~method_ ?until ~t_stop:5e-6 ~ic:[ (out, 0.0) ] n
-        in
+        let run ?until () = Spice.Transient.run ?until ~t_stop:5e-6 ~ic:[ (out, 0.0) ] n in
         let bits k a = Array.map Int64.bits_of_float (Array.sub a 0 k) in
         let rows k a = Array.to_list (Array.map (bits (Array.length a.(0))) (Array.sub a 0 k)) in
+        let full = run () in
+        let steps = Array.length full.Spice.Transient.times in
+        (* 0.0 holds at step 0; 2.0 is never reached, so that run is whole. *)
         List.iter
-          (fun method_ ->
-            let full = run method_ in
-            let steps = Array.length full.Spice.Transient.times in
-            (* 0.0 holds at step 0; 2.0 is never reached, so that run is whole. *)
-            List.iter
-              (fun threshold ->
-                let cut = run ~until:(fun v -> v.(out) >= threshold) method_ in
-                let k = Array.length cut.Spice.Transient.times in
-                let rec first i =
-                  if i = steps || full.Spice.Transient.voltages.(i).(out) >= threshold then i
-                  else first (i + 1)
-                in
-                Alcotest.(check int)
-                  (Printf.sprintf "ends at the first step >= %g" threshold)
-                  (min steps (first 0 + 1)) k;
-                Alcotest.(check (array int64)) "times"
-                  (bits k full.Spice.Transient.times) (bits k cut.Spice.Transient.times);
-                Alcotest.(check (list (array int64))) "voltages"
-                  (rows k full.Spice.Transient.voltages) (rows k cut.Spice.Transient.voltages);
-                Alcotest.(check (list (array int64))) "source currents"
-                  (rows k full.Spice.Transient.source_currents)
-                  (rows k cut.Spice.Transient.source_currents))
-              [ 0.0; 0.25; 0.5; 0.9; 2.0 ])
-          [ Spice.Transient.Backward_euler; Spice.Transient.Trapezoidal ]);
+          (fun threshold ->
+            let cut = run ~until:(fun v -> v.(out) >= threshold) () in
+            let k = Array.length cut.Spice.Transient.times in
+            let rec first i =
+              if i = steps || full.Spice.Transient.voltages.(i).(out) >= threshold then i
+              else first (i + 1)
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "ends at the first step >= %g" threshold)
+              (min steps (first 0 + 1)) k;
+            Alcotest.(check (array int64)) "times"
+              (bits k full.Spice.Transient.times) (bits k cut.Spice.Transient.times);
+            Alcotest.(check (list (array int64))) "voltages"
+              (rows k full.Spice.Transient.voltages) (rows k cut.Spice.Transient.voltages);
+            Alcotest.(check (list (array int64))) "source currents"
+              (rows k full.Spice.Transient.source_currents)
+              (rows k cut.Spice.Transient.source_currents))
+          [ 0.0; 0.25; 0.5; 0.9; 2.0 ]);
     case "cross-coupled latch regenerates (sense-amp physics)" (fun () ->
         let sa = Gates.Sense_amp.default ~nfet ~pfet in
         let netlist, a, b = Gate_sim.build_sense_amp sa in
@@ -246,23 +241,13 @@ let transient_tests =
 
 let integration_tests =
   let exact t = 1.0 -. exp (-.t /. 1e-6) in
-  let err ?method_ dt =
+  let err dt =
     let n, out = rc_netlist () in
-    let tr = Spice.Transient.run ?method_ ~dt ~t_stop:3e-6 ~ic:[ (out, 0.0) ] n in
+    let tr = Spice.Transient.run ~dt ~t_stop:3e-6 ~ic:[ (out, 0.0) ] n in
     abs_float (value_at tr ~node:out ~time:2e-6 -. exact 2e-6)
   in
   [ case "backward Euler converges at first order" (fun () ->
-        check_within "ratio" ~lo:1.7 ~hi:2.3
-          (err ~method_:Spice.Transient.Backward_euler 2e-8
-           /. err ~method_:Spice.Transient.Backward_euler 1e-8));
-    case "trapezoidal converges at second order" (fun () ->
-        check_within "ratio" ~lo:3.3 ~hi:4.7
-          (err ~method_:Spice.Transient.Trapezoidal 2e-8
-           /. err ~method_:Spice.Transient.Trapezoidal 1e-8));
-    case "trapezoidal beats backward Euler at equal step" (fun () ->
-        Alcotest.(check bool) "sharper" true
-          (err ~method_:Spice.Transient.Trapezoidal 2e-8
-           < 0.1 *. err ~method_:Spice.Transient.Backward_euler 2e-8)) ]
+        check_within "ratio" ~lo:1.7 ~hi:2.3 (err 2e-8 /. err 1e-8)) ]
 
 let ac_netlist () =
   let n = Spice.Netlist.create () in
@@ -304,7 +289,7 @@ let ac_tests =
     case "magnitude rolls off monotonically past the corner" (fun () ->
         let n, out = ac_netlist () in
         let points =
-          Spice.Ac.sweep ~points_per_decade:5 n ~source_index:0 ~output:out
+          Spice.Ac.sweep n ~source_index:0 ~output:out
             ~f_start:1e6 ~f_stop:1e8
         in
         check_decreasing ~strict:true "rolloff"

@@ -16,8 +16,13 @@ let capacities = [ 128 * 8; 1024 * 8; 4 * 1024 * 8 ]
 
 let designs =
   lazy
-    (Framework.sweep_capacities ~space:Opt.Space.reduced ~capacities
-       ~configs:Framework.all_configs ())
+    (List.concat_map
+       (fun capacity_bits ->
+         List.map
+           (fun config ->
+             Framework.optimize ~space:Opt.Space.reduced ~capacity_bits ~config ())
+           Framework.all_configs)
+       capacities)
 
 let rows =
   lazy

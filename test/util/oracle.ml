@@ -446,6 +446,6 @@ module Yield = struct
     let delta = Finfet.Tech.min_margin and points = 81 in
     let cell = Opt.Yield.cell_of flavor in
     Sram_cell.Margins.hold_snm ~points ~cell Finfet.Tech.vdd_nominal >= delta
-    && Opt.Yield.rsnm_at ~points ~flavor ~vddc ~vssc () >= delta
+    && Opt.Yield.rsnm_at ~flavor ~vddc ~vssc () >= delta
     && Sram_cell.Margins.write_margin ~cell (Sram_cell.Sram6t.write0 ~vwl ()) >= delta
 end
