@@ -1,15 +1,16 @@
 # Tier-1 verification: everything CI gates on.
 #   make check         build + unit/property tests + end-to-end smoke runs
 #   make check-tests   every test/test_*.ml must be wired into test/dune
-#   make check-dead-modules  every lib/*/*.ml module must be named in the
-#                      code (not the comments) of some other .ml under lib/,
-#                      bin/, bench/, perfbench/ or examples/ (tests alone do
-#                      not keep a module alive)
-#   make check-dead-exports  likewise every top-level val of lib/*/*.mli,
-#                      outside its own module, unless scripts/test_hooks
-#                      lists it as a test hook; and every optional
-#                      parameter of one must be set (~label or ?label)
-#                      by such a source, or be listed as Module.value?label
+#   make check-dead-exports  reads the typed trees of `dune build @check`
+#                      (scripts/check_dead_exports.ml): every lib/*/*.ml
+#                      module must be referenced by another unit under
+#                      lib/, bin/, bench/, perfbench/ or examples/ (tests
+#                      alone do not keep a module alive); every top-level
+#                      val of lib/*/*.mli by such a unit outside its own
+#                      module; and every optional parameter of one must be
+#                      passed by such a unit's application -- unless
+#                      scripts/test_hooks lists it (Module.value or
+#                      Module.value?label) with the test that needs it
 #   make bench         runtime scaling benchmark (writes BENCH_runtime.json)
 #   make bench-kernel  staged-kernel benchmark (writes BENCH_kernel.json)
 #   make bench-kernel-opt  same bench under the release profile (-O3 -unsafe);
@@ -30,8 +31,7 @@
 #                      checkout's commit into its log header
 #   make regen-golden  deliberately rewrite test/golden/* (review the diff!)
 
-.PHONY: all check check-tests stripped-sources check-dead-modules \
-        check-dead-exports test bench bench-kernel \
+.PHONY: all check check-tests check-dead-exports test bench bench-kernel \
         bench-kernel-opt bench-smoke bench-obs bench-explain bench-moo \
         bench-persist bench-serve smoke-serve-metrics smoke-cache-dir \
         regen-golden clean
@@ -39,12 +39,14 @@
 all:
 	dune build
 
-check: check-tests check-dead-modules check-dead-exports
+check: check-tests check-dead-exports
 	dune build
 	dune runtest
-	@for c in 1000 512KB; do \
-	  status=0; dune exec bin/sram_opt.exe -- optimize -c $$c >/dev/null 2>&1 || status=$$?; \
-	  [ $$status -eq 124 ] || { echo "ERROR: optimize -c $$c exited $$status, expected a usage error (124)"; exit 1; }; \
+	@for args in "-c 1000" "-c 512KB" "-m nsga2 --budget 0" "--jobs 0" "--jobs 65"; do \
+	  flag=$$(echo "$$args" | awk '{ print $$(NF - 1) }'); \
+	  status=0; err=$$(dune exec bin/sram_opt.exe -- optimize $$args 2>&1 >/dev/null) || status=$$?; \
+	  { [ $$status -eq 124 ] && echo "$$err" | grep -q -- "option '$$flag'"; } || { \
+	    echo "ERROR: optimize $$args exited $$status, expected a usage error (124) naming $$flag"; exit 1; }; \
 	done
 	dune exec bench/main.exe -- headline --smoke
 	dune exec bench/main.exe -- kernel --smoke
@@ -67,38 +69,13 @@ check-tests:
 	done; \
 	[ $$missing -eq 0 ] && echo "check-tests: all test modules wired" || exit 1
 
-# Comment-stripped copies (scripts/strip_comments.awk) of every .ml under
-# the program sources and test/, at their repository paths: the one strip
-# pass the dead-module and dead-export checks both search.
-SOURCE_DIRS = lib bin bench perfbench examples
-STRIPPED = _build/stripped
-
-stripped-sources:
-	@rm -rf $(STRIPPED); \
-	for f in $$(find $(SOURCE_DIRS) test -name '*.ml'); do \
-	  mkdir -p "$(STRIPPED)/$$(dirname $$f)"; \
-	  awk -f scripts/strip_comments.awk "$$f" > "$(STRIPPED)/$$f" || exit 1; \
-	done
-
-# A library module that only its own tests reach is dead weight: flag
-# any lib/*/*.ml whose capitalized name appears as a word in the code of
-# no other program source, so a comment naming a module does not keep it
-# alive.
-check-dead-modules: stripped-sources
-	@dead=0; \
-	for f in lib/*/*.ml; do \
-	  mod=$$(basename $$f .ml | awk '{ print toupper(substr($$0, 1, 1)) substr($$0, 2) }'); \
-	  (cd $(STRIPPED) && grep -rlw --include='*.ml' "$$mod" $(SOURCE_DIRS)) \
-	    | grep -qvx "$$f" || { \
-	    echo "ERROR: $$f: module $$mod is named in no other .ml file's code"; dead=1; }; \
-	done; \
-	[ $$dead -eq 0 ] && echo "check-dead-modules: every library module has a user" || exit 1
-
-# The same rule one level down: a library export that only tests reach
-# is dead weight unless scripts/test_hooks names it as a test hook, and
-# so is an optional parameter that no program sets.
-check-dead-exports: stripped-sources
-	@sh scripts/check_dead_exports.sh $(STRIPPED)
+# The dead-code rules, read from the names the compiler resolved (not
+# from words in the sources): a library module, export or optional
+# parameter that only tests reach is dead weight unless scripts/test_hooks
+# names it as a test hook.
+check-dead-exports:
+	dune build @check
+	dune exec scripts/check_dead_exports.exe -- _build/default scripts/test_hooks
 
 test:
 	dune runtest

@@ -127,13 +127,25 @@ let seed_arg =
            surrogate).  Same seed, same answer — bit for bit at any \
            --jobs.")
 
+(* An integer in [lo, hi]; anything else is a usage error (exit 124)
+   that cmdliner reports under the option's name. *)
+let int_within ~lo ~hi =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo && n <= hi -> Ok n
+    | Some n when hi = max_int -> Error (`Msg (Printf.sprintf "%d is below %d" n lo))
+    | Some n -> Error (`Msg (Printf.sprintf "%d is outside %d..%d" n lo hi))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_int)
+
 let budget_arg =
   Cmdliner.Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_within ~lo:1 ~hi:max_int)) None
     & info [ "budget" ] ~docv:"N"
         ~doc:
-          "Evaluation budget (scan points) for the heuristic \
+          "Evaluation budget (scan points, at least 1) for the heuristic \
            strategies; default: a few percent of the space.")
 
 let accounting_arg =
@@ -176,11 +188,14 @@ let print_optimized (o : Sram_edp.Framework.optimized) =
 let json_flag =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit machine-readable JSON instead of text.")
 
+(* The runtime allows at most 128 domains per process, and past that
+   [Domain.spawn] fails partway through [Runtime.Pool.create]; 64 stays
+   clear of it with the progress ticker's domain on top. *)
 let jobs_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt (int_within ~lo:1 ~hi:64) 1
        & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Worker domains for the search (1 = sequential; results are \
-                 bit-identical for any value).")
+           ~doc:"Worker domains for the search, 1..64 (1 = sequential; \
+                 results are bit-identical for any value).")
 
 let stats_arg =
   Arg.(value & flag
@@ -1004,7 +1019,7 @@ let simulate_cmd =
 
 let export_cmd =
   let run dir =
-    let written = Sram_edp.Export.write_all ~dir () in
+    let written = Sram_edp.Export.write_all ~dir (Sram_edp.Export.all_files ()) in
     List.iter (fun path -> Printf.printf "wrote %s\n" path) written
   in
   let dir =

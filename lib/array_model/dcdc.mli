@@ -12,11 +12,6 @@
     for the boost rails used here, and let the energy model price each
     assist rail by its own conversion ratio. *)
 
-val ratios : float array
-(** Available conversion ratios relative to the input rail:
-    1/3, 1/2, 2/3, 1, 4/3, 3/2, 2 (negative rails use the inverting
-    versions of the same set). *)
-
 val efficiency : v_out:float -> unit -> float
 (** Conversion efficiency delivering [v_out] (magnitude; a negative value
     is treated as an inverting rail) from the nominal supply.  1.0 when

@@ -34,6 +34,3 @@ let area t =
 let aspect_ratio t =
   float_of_int t.nc *. Finfet.Tech.cell_width
   /. (float_of_int t.nr *. Finfet.Tech.cell_height)
-
-let pp ppf t =
-  Format.fprintf ppf "%dx%d (w=%d, n_pre=%d, n_wr=%d)" t.nr t.nc t.w t.n_pre t.n_wr

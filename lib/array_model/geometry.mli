@@ -35,5 +35,3 @@ val aspect_ratio : t -> float
 (** Physical width / height of the cell array. *)
 
 val is_power_of_two : int -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -7,7 +7,7 @@ type series = {
 let width = 64
 let height = 16
 
-let render ?(log_y = false) ?(x_label = "") ?(y_label = "") series_list =
+let render ~log_y ~x_label ~y_label series_list =
   if series_list = [] then invalid_arg "Ascii_plot.render: no series";
   List.iter
     (fun s ->
@@ -74,5 +74,5 @@ let render ?(log_y = false) ?(x_label = "") ?(y_label = "") series_list =
     series_list;
   Buffer.contents buf
 
-let print ?log_y ?x_label ?y_label series_list =
-  print_string (render ?log_y ?x_label ?y_label series_list)
+let print ?(log_y = false) ?(x_label = "") ?(y_label = "") series_list =
+  print_string (render ~log_y ~x_label ~y_label series_list)

@@ -6,23 +6,4 @@
     (the Table 2/3 terms evaluated at the design point), silicon area,
     and a transient spot-check of the critical bitline path. *)
 
-type t = {
-  title : string;
-  organization : string;
-  rails : (string * float) list;        (** name, volts *)
-  margins : (string * float) list;      (** name, volts (at the rails) *)
-  timing : (string * float) list;       (** component, seconds *)
-  energy : (string * float) list;       (** component, joules (read access) *)
-  summary : Array_model.Array_eval.metrics;
-  area : float;                         (** m^2 *)
-  aspect_ratio : float;
-  bl_check : Sram_cell.Column.result;   (** Equation (1) spot check *)
-}
-
-val build : Framework.optimized -> t
-(** Evaluate every component of the design point (margins re-measured at
-    the chosen rails; the bitline check runs one transient). *)
-
-val to_string : t -> string
-
 val print : Framework.optimized -> unit

@@ -12,24 +12,4 @@
     penalty at all.  The write port is the 6T's, so V_WL keeps its
     yield-driven overdrive. *)
 
-val env : unit -> Array_model.Array_eval.env
-(** LVT environment with the 8T wire-capacitance factor and read-current
-    model installed. *)
-
-val optimize : capacity_bits:int -> Opt.Exhaustive.result
-(** Co-optimize the 8T array (M2 voltage policy: the V_SSC rail is the
-    only extra level). *)
-
-type comparison_row = {
-  name : string;
-  d_array : float;
-  e_total : float;
-  edp : float;
-  area : float;          (** cell-array silicon, m^2 *)
-  leakage_per_cell : float;
-}
-
-val compare : capacity_bits:int -> comparison_row list
-(** 6T-LVT-M2, 6T-HVT-M2 and 8T-LVT at the same capacity. *)
-
 val print_comparison : capacity_bits:int -> unit

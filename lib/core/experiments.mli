@@ -21,14 +21,6 @@ val print_fig2 : unit -> unit
 
 (** {1 Figure 3(a) — RSNM and read current, HVT vs LVT} *)
 
-type fig3a = {
-  rsnm_lvt : float;
-  rsnm_hvt : float;
-  iread_lvt : float;
-  iread_hvt : float;
-}
-
-val fig3a : unit -> fig3a
 val print_fig3a : unit -> unit
 
 (** {1 Figures 3(b)-(d) — read-assist sweeps on 6T-HVT} *)

@@ -104,7 +104,7 @@ let fig7_file () =
 let all_files () =
   fig2_files () @ fig3_files () @ fig5_files () @ [ fig7_file () ]
 
-let write_all ~dir () =
+let write_all ~dir files =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.map
     (fun f ->
@@ -113,4 +113,4 @@ let write_all ~dir () =
       output_string oc (render f);
       close_out oc;
       path)
-    (all_files ())
+    files

@@ -11,10 +11,9 @@ type file = {
   rows : string list list;
 }
 
-val render : file -> string
-
 val all_files : unit -> file list
+(** Every dataset the figures regenerate. *)
 
-val write_all : dir:string -> unit -> string list
-(** Render every dataset into [dir] (created if missing); returns the
-    paths written. *)
+val write_all : dir:string -> file list -> string list
+(** Render each file into [dir] (created if missing); returns the paths
+    written. *)

@@ -138,6 +138,9 @@ let optimize ?space ?(objective = Opt.Objective.Energy_delay_product)
     ?deadline ?(strategy = Opt.Strategy.Exhaustive)
     ?(rng_seed = Opt.Strategy.default_seed) ?budget ~capacity_bits ~config ()
     =
+  (match budget with
+   | Some b when b < 1 -> invalid_arg "Framework.optimize: budget must be positive"
+   | _ -> ());
   let stochastic = not (Opt.Strategy.deterministic strategy) in
   let key =
     { k_capacity = capacity_bits; k_config = config; k_objective = objective;

@@ -46,10 +46,12 @@ val optimize :
     design are cache hits whether or not the space was passed
     explicitly.  [strategy] (default {!Opt.Strategy.Exhaustive})
     selects the search engine via {!Opt.Strategy.run}; [rng_seed]
-    (default {!Opt.Strategy.default_seed}) and [budget] feed the
-    stochastic engines and are normalized out of the cache key for the
-    deterministic ones.  [pool] parallelizes the underlying search
-    deterministically (default: {!Runtime.Pool.default}).  [deadline]
+    (default {!Opt.Strategy.default_seed}) and [budget] (scan points,
+    positive: [Invalid_argument] otherwise; absent means the engine's
+    default) feed the stochastic engines and are normalized out of the
+    cache key for the deterministic ones.  [pool] parallelizes the
+    underlying search deterministically (default:
+    {!Runtime.Pool.default}).  [deadline]
     (absolute {!Obs.Clock.now} seconds, the serving layer's
     per-request budget) aborts a cache-missing search with
     {!Opt.Exhaustive.Deadline_exceeded}; nothing partial is cached, and

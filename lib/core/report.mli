@@ -11,8 +11,6 @@ val add_row : t -> string list -> unit
 
 val add_separator : t -> unit
 
-val to_string : t -> string
-(** Render with a header rule and per-column alignment (left). *)
-
 val print : ?title:string -> t -> unit
-(** [to_string] to stdout, with an optional underlined title. *)
+(** The table to stdout (aligned columns, a rule under the header), with
+    an optional underlined title. *)

@@ -8,23 +8,16 @@
 
 type result = { delay : float; energy : float }
 
-val decode :
-  nfet:Finfet.Device.params ->
-  pfet:Finfet.Device.params ->
-  bits:int ->
-  c_out:float ->
-  result
-(** Delay of the critical path through a [bits]-address decoder whose
-    output drives [c_out] (the superbuffer input), and the switching
-    energy of one decode operation (one output toggles; predecode lines
-    fan out to a quarter of the 2^bits final gates).  [bits = 0] returns
-    zeros (a 1-row / 1-word-select structure needs no decoder). *)
-
 val characterize :
   nfet:Finfet.Device.params ->
   pfet:Finfet.Device.params ->
   max_bits:int ->
   c_out:float ->
   result array
-(** [characterize ~max_bits ~c_out] tabulates {!decode} for 0..max_bits —
+(** [characterize ~max_bits ~c_out] tabulates, for [bits] = 0..max_bits,
+    the delay of the critical path through a [bits]-address decoder whose
+    output drives [c_out] (the superbuffer input), and the switching
+    energy of one decode operation (one output toggles; predecode lines
+    fan out to a quarter of the 2^bits final gates).  [bits = 0] gives
+    zeros (a 1-row / 1-word-select structure needs no decoder).  This is
     the LUT the array model consumes. *)

@@ -9,17 +9,10 @@
     property the test suite checks.
 
     The macro is single-ported and blocking: each operation advances time
-    by the operation's delay; [idle] advances it by one array cycle. *)
+    by the operation's delay; an idle trace slot advances it by one array
+    cycle. *)
 
 type t
-
-val create :
-  env:Array_model.Array_eval.env ->
-  geometry:Array_model.Geometry.t ->
-  assist:Array_model.Components.assist ->
-  unit ->
-  t
-(** A macro over an explicit design point, powered up from seed 2016. *)
 
 val create_optimized :
   capacity_bits:int ->
@@ -28,7 +21,7 @@ val create_optimized :
   unit ->
   t
 (** Run the co-optimization over {!Opt.Space.default} and wrap the
-    winning design. *)
+    winning design, powered up from seed 2016. *)
 
 val capacity_bits : t -> int
 
@@ -49,9 +42,6 @@ val read : t -> addr:int -> response
 val write : t -> addr:int -> data:int64 -> response
 (** Data beyond [word_bits] is masked off. *)
 
-val idle : t -> unit
-(** One array-cycle of inactivity (leakage only). *)
-
 type stats = {
   reads : int;
   writes : int;
@@ -62,11 +52,6 @@ type stats = {
   total_energy : float;
   worst_op_delay : float;
 }
-
-val stats : t -> stats
-
-val reset_stats : t -> unit
-(** Clears the counters; memory contents persist. *)
 
 val run_trace : t -> Workload.Trace.access array -> stats
 (** Play an operation trace: reads and writes target pseudo-random

@@ -7,22 +7,19 @@ exception Singular
 type factors
 (** An LU factorization of a square matrix (with row-permutation record). *)
 
-val factorize : Matrix.t -> factors
-(** @raise Singular on rank-deficient input.  Does not mutate the input. *)
-
 val factorize_in_place : Matrix.t -> perm:int array -> factors
-(** {!factorize} without the copy: the matrix is overwritten by its
-    factors and [perm] (length = rows) by the row permutation; the
-    returned factors share both.  Same pivoting, same operations in the
-    same order, so the factors are bit-identical to {!factorize}'s.
-    @raise Singular as {!factorize}, leaving the matrix partly
+(** Factorize in place: the matrix is overwritten by its factors and
+    [perm] (length = rows) by the row permutation; the returned factors
+    share both.  {!solve} runs the same pivoting on a copy.
+    @raise Singular on rank-deficient input, leaving the matrix partly
     eliminated. *)
 
 val solve_factored : factors -> float array -> float array
 (** Back-substitution against an existing factorization. *)
 
 val solve : Matrix.t -> float array -> float array
-(** One-shot [factorize] + [solve_factored]. *)
+(** Factorize a copy of the matrix, then {!solve_factored}.
+    @raise Singular on rank-deficient input. *)
 
 val solve_least_squares : Matrix.t -> float array -> float array
 (** Minimum-norm solution of an overdetermined system via normal equations

@@ -4,13 +4,6 @@ let create ~rows ~cols =
   assert (rows > 0 && cols > 0);
   { data = Array.make (rows * cols) 0.0; nrows = rows; ncols = cols }
 
-let identity n =
-  let m = create ~rows:n ~cols:n in
-  for i = 0 to n - 1 do
-    m.data.((i * n) + i) <- 1.0
-  done;
-  m
-
 let of_arrays rows_arr =
   let nrows = Array.length rows_arr in
   assert (nrows > 0);
@@ -79,12 +72,3 @@ let mat_mul a b =
     done
   done;
   c
-
-let pp ppf m =
-  for i = 0 to m.nrows - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to m.ncols - 1 do
-      Format.fprintf ppf " %10.4g" (get m i j)
-    done;
-    Format.fprintf ppf " ]@."
-  done

@@ -9,8 +9,6 @@ type t
 val create : rows:int -> cols:int -> t
 (** Zero-filled matrix. *)
 
-val identity : int -> t
-
 val of_arrays : float array array -> t
 (** Copies a rectangular array-of-rows. Requires equal row lengths. *)
 
@@ -38,5 +36,3 @@ val mat_vec : t -> float array -> float array
 
 val transpose : t -> t
 val mat_mul : t -> t -> t
-
-val pp : Format.formatter -> t -> unit

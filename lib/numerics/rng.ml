@@ -18,8 +18,6 @@ let create ~seed =
   let s3 = splitmix64 state in
   { s0; s1; s2; s3 }
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -52,7 +50,3 @@ let int_below t n =
   assert (n > 0);
   let x = Int64.shift_right_logical (next t) 1 in
   Int64.to_int (Int64.rem x (Int64.of_int n))
-
-let split t =
-  let seed = Int64.to_int (next t) land max_int in
-  create ~seed

@@ -11,9 +11,6 @@ val create : seed:int -> t
 (** [create ~seed] builds a generator from a 63-bit seed via splitmix64
     expansion.  Equal seeds yield equal streams. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
 val uniform : t -> float
 (** Uniform draw in [0, 1). *)
 
@@ -22,6 +19,3 @@ val gaussian : t -> mu:float -> sigma:float -> float
 
 val int_below : t -> int -> int
 (** [int_below t n] draws uniformly from 0..n-1. Requires [n > 0]. *)
-
-val split : t -> t
-(** Derive an independent generator (for parallel sub-streams). *)

@@ -9,12 +9,5 @@
 
     Shares {!Lu.Singular} for rank-deficient inputs. *)
 
-type factors
-
-val factorize : Sparse.t -> factors
-(** @raise Lu.Singular when no acceptable pivot exists. *)
-
-val solve_factored : factors -> float array -> float array
-
 val solve : Sparse.t -> float array -> float array
-(** One-shot [factorize] + [solve_factored]. *)
+(** @raise Lu.Singular when no acceptable pivot exists. *)

@@ -9,7 +9,3 @@
 val now : unit -> float
 (** Monotonic seconds (arbitrary epoch).  Never steps backwards when
     backed by the monotonic source. *)
-
-val wall : unit -> float
-(** Wall-clock seconds since the Unix epoch, for timestamps meant to be
-    correlated with the outside world. *)

@@ -29,17 +29,6 @@ let dumps = ref 0
 let dump_cap = ref 64
 let seq = ref 0
 
-let set_dir d =
-  Mutex.lock lock;
-  dump_dir := d;
-  Mutex.unlock lock
-
-let dir () =
-  Mutex.lock lock;
-  let d = !dump_dir in
-  Mutex.unlock lock;
-  d
-
 let set_max_dumps n =
   Mutex.lock lock;
   dump_cap := max 0 n;
@@ -85,8 +74,6 @@ let disarm () =
   log_pos := 0;
   log_total := 0;
   Mutex.unlock lock
-
-let armed () = Trace.flight_armed ()
 
 let recent_logs () =
   Mutex.lock lock;

@@ -26,11 +26,6 @@ val arm : ?dir:string -> unit -> unit
 
 val disarm : unit -> unit
 
-val armed : unit -> bool
-
-val set_dir : string -> unit
-val dir : unit -> string
-
 val set_max_dumps : int -> unit
 (** Cap on files {!dump} will write over the process lifetime (default
     64) — a crash loop must not fill the disk. *)
@@ -43,8 +38,8 @@ val recent_logs : unit -> log_entry list
 val dump : reason:string -> ?trace_id:string -> unit -> string option
 (** Write the retained spans and log lines (plus a ["flight.dump:
     <reason>"] marker carrying [trace_id]) as one Chrome trace file in
-    {!dir}; returns the path, or [None] when the dump cap is reached or
-    the write fails.  Never raises.
+    the dump directory {!arm} set; returns the path, or [None] when the
+    dump cap is reached or the write fails.  Never raises.
 
     The filename is
     [flight-<pid>-<seq>-<reason>[-<trace_id>].json]: the monotonic

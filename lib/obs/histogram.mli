@@ -130,7 +130,6 @@ val per_call : snapshot -> bool
 val snapshots : unit -> snapshot list
 (** Every registered histogram, sorted by name. *)
 
-val reset : t -> unit
 val reset_all : unit -> unit
 
 val print_report :

@@ -31,7 +31,6 @@ let initial =
 let current = Atomic.make initial
 
 let set_level l = Atomic.set current l
-let level () = Atomic.get current
 let enabled l = severity l <= severity (Atomic.get current)
 
 let lock = Mutex.create ()
@@ -78,7 +77,6 @@ let msg l ~section fmt =
     (fun s -> if enabled l || !sink <> None then emit l section s)
     fmt
 
-let error ~section fmt = msg Error ~section fmt
 let warn ~section fmt = msg Warn ~section fmt
 let info ~section fmt = msg Info ~section fmt
 let debug ~section fmt = msg Debug ~section fmt

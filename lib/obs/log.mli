@@ -26,10 +26,6 @@ val of_string : string -> level option
 val to_string : level -> string
 
 val set_level : level -> unit
-val level : unit -> level
-
-val enabled : level -> bool
-(** Whether a message at this level would be emitted. *)
 
 val set_channel : out_channel -> unit
 (** Redirect output (tests); default stderr. *)
@@ -41,7 +37,6 @@ val set_sink : (float -> level -> string -> string -> string -> unit) option -> 
     by {!Flight} to keep recent warnings in its ring; keep the sink
     cheap and non-raising. *)
 
-val error : section:string -> ('a, unit, string, unit) format4 -> 'a
 val warn : section:string -> ('a, unit, string, unit) format4 -> 'a
 val info : section:string -> ('a, unit, string, unit) format4 -> 'a
 val debug : section:string -> ('a, unit, string, unit) format4 -> 'a

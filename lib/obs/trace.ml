@@ -173,8 +173,6 @@ let arm_flight () =
 
 let disarm_flight () = Atomic.set flight_capacity 0
 
-let flight_armed () = Atomic.get flight_capacity > 0
-
 let sorted_events all =
   (* Stable: per-buffer (= per-domain) event order is preserved for
      equal timestamps, keeping B/E nesting valid per timeline. *)

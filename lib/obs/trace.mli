@@ -77,8 +77,6 @@ val arm_flight : unit -> unit
 
 val disarm_flight : unit -> unit
 
-val flight_armed : unit -> bool
-
 val flight_events : unit -> event list
 (** The retained ring contents across all domains, oldest first per
     domain, merged in timestamp order. *)

@@ -146,14 +146,6 @@ let retained w =
   Mutex.unlock lock;
   n
 
-let name w = w.w_name
-
-let find name =
-  Mutex.lock lock;
-  let w = Hashtbl.find_opt windows name in
-  Mutex.unlock lock;
-  w
-
 let report () =
   Mutex.lock lock;
   let ws = Hashtbl.fold (fun _ w acc -> w :: acc) windows [] in

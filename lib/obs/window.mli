@@ -54,10 +54,6 @@ val cumulative : t -> Histogram.snapshot
 val retained : t -> int
 (** Rotations currently held (saturates at [intervals]). *)
 
-val name : t -> string
-
-val find : string -> t option
-
 val report :
   unit -> (string * Histogram.snapshot * (string * Histogram.snapshot) list) list
 (** Every registered window, sorted by name:

@@ -137,5 +137,3 @@ val checksum : result list -> string
 
 val result_to_json : result -> Persist.Json.t
 val result_of_json : Persist.Json.t -> result option
-val levels_to_json : Yield.levels -> Persist.Json.t
-val levels_of_json : Persist.Json.t -> Yield.levels option

@@ -11,13 +11,9 @@ val hv2 : ref_:float * float -> (float * float) list -> float
     coordinate contribute nothing; dominated points are handled
     (they add no area).  O(n log n). *)
 
-val reference : (float * float) list -> (float * float)
-(** The nadir (componentwise worst) of a front pushed out by 10%% — the
-    common box both the true and the approximate
-    front are measured against.
-    @raise Invalid_argument on an empty front. *)
-
 val ratio : truth:(float * float) list -> (float * float) list -> float
 (** [ratio ~truth approx]: hypervolume of [approx] over hypervolume of
-    [truth], both against {!reference} of [truth].  1.0 means the
-    approximation covers the whole true front. *)
+    [truth], both against the nadir (componentwise worst) of [truth]
+    pushed out by 10%%.  1.0 means the approximation covers the whole
+    true front.
+    @raise Invalid_argument on an empty [truth]. *)

@@ -5,17 +5,11 @@
     functions treat [points.(i)] as one candidate's objective vector;
     every vector in a call must have the same dimension. *)
 
-val dominates : float array -> float array -> bool
-(** [dominates a b]: [a] is no worse than [b] in every objective and
-    strictly better in at least one.  Consistent with
-    {!Pareto.dominates} when the vectors are (delay, energy).
-    @raise Invalid_argument on dimension mismatch. *)
-
 val fast_nondominated_sort : float array array -> int array
 (** Deb's fast non-dominated sort.  Returns [rank] with [rank.(i) = 0]
     for the non-dominated front, [1] for the front once it is removed,
-    and so on.  For any pair, [dominates points.(i) points.(j)] implies
-    [rank.(i) < rank.(j)] (property-tested). *)
+    and so on.  A point dominates another when it is no worse in every
+    objective and better in one; then its rank is lower (property-tested). *)
 
 val crowding_distance : float array array -> int array -> float array
 (** [crowding_distance points members]: crowding distance of each

@@ -176,10 +176,8 @@ let run ~pop ~generations ?space ?objective ?levels ?pool ?w ?budget
   | None -> ());
   (Line_cache.result lc, Line_cache.front lc)
 
-let search_front ?space ?objective ?levels ?pool ?w ?budget ?seed ?deadline ~env
-    ~capacity_bits ~method_ () =
-  run ~pop:24 ~generations:40 ?space ?objective ?levels ?pool ?w ?budget ?seed
-    ?deadline ~env ~capacity_bits ~method_ ()
+let search_front ?space ?levels ?pool ~env ~capacity_bits ~method_ () =
+  run ~pop:24 ~generations:40 ?space ?levels ?pool ~env ~capacity_bits ~method_ ()
 
 let search ?space ?objective ?pool ?w ?(pop = 24) ?(generations = 40) ?budget
     ?seed ?deadline ~env ~capacity_bits ~method_ () =

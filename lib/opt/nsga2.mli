@@ -14,26 +14,20 @@
 
 val search_front :
   ?space:Space.t ->
-  ?objective:Objective.t ->
   ?levels:Yield.levels ->
   ?pool:Runtime.Pool.t ->
-  ?w:int ->
-  ?budget:int ->
-  ?seed:int ->
-  ?deadline:float ->
   env:Array_model.Array_eval.env ->
   capacity_bits:int ->
   method_:Space.method_ ->
   unit ->
   Exhaustive.result * Exhaustive.candidate list
 (** The common result shape plus the Pareto front over every scanned
-    point.  24 individuals per generation, 40 generations at most;
-    [budget] caps scan points
-    (default [max (144 * nv) (2.5% of the space)]) — the GA phase
-    stops at 60% of it, the rest feeds the descent polish.  [levels],
-    [pool] and [deadline] (absolute {!Obs.Clock.now} seconds,
-    raising {!Exhaustive.Deadline_exceeded}) are applied by the shared
-    {!Line_cache}, which also journals incumbents as ["nsga2"].
+    point, for the EDP objective at w = 64, seed 42 and no deadline.
+    24 individuals per generation, 40 generations at most; the budget
+    caps scan points at [max (144 * nv) (2.5% of the space)] — the GA
+    phase stops at 60% of it, the rest feeds the descent polish.
+    [levels] and [pool] are applied by the shared {!Line_cache}, which
+    also journals incumbents as ["nsga2"].
     [result.evaluated = result.considered] counts every scan point
     produced, the same unit as the exhaustive oracle's [considered]. *)
 
@@ -52,6 +46,8 @@ val search :
   method_:Space.method_ ->
   unit ->
   Exhaustive.result
-(** {!search_front} at the {!Yield.solve} pins, without materializing
-    the front.  [pop] (default 24, >= 4) and [generations] (default 40)
-    size the evolutionary phase. *)
+(** {!search_front}'s search at the {!Yield.solve} pins, without
+    materializing the front.  [pop] (default 24, >= 4) and [generations]
+    (default 40) size the evolutionary phase; [budget] (default as
+    above) caps scan points; [deadline] (absolute {!Obs.Clock.now}
+    seconds) raises {!Exhaustive.Deadline_exceeded}. *)

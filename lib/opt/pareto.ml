@@ -3,10 +3,6 @@ let energy (c : Exhaustive.candidate) = c.Exhaustive.metrics.Array_model.Array_e
 
 let objectives c = [| delay c; energy c |]
 
-let dominates a b =
-  delay a <= delay b && energy a <= energy b
-  && (delay a < delay b || energy a < energy b)
-
 let front candidates =
   (* Sort by delay, then sweep keeping the running energy minimum: a point
      enters the front iff it improves energy over everything faster. *)

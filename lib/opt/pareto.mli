@@ -6,12 +6,7 @@
 
 val objectives : Exhaustive.candidate -> float array
 (** The candidate's [| d_array; e_total |] vector — the coordinates
-    {!front}, {!dominates} and the NSGA-II machinery ({!Moo}) rank by. *)
-
-val dominates : Exhaustive.candidate -> Exhaustive.candidate -> bool
-(** [dominates a b]: [a] is no slower and no more energetic than [b],
-    and strictly better in at least one of the two.  Agrees with
-    {!Moo.dominates} on {!objectives} vectors (property-tested). *)
+    {!front} and the NSGA-II machinery ({!Moo}) rank by. *)
 
 val front : Exhaustive.candidate list -> Exhaustive.candidate list
 (** Non-dominated candidates under (d_array, e_total), sorted by

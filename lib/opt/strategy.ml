@@ -19,8 +19,6 @@ type t =
   | Nsga2
   | Surrogate
 
-let all = [ Exhaustive; Local_search; Anneal; Nsga2; Surrogate ]
-
 let name = function
   | Exhaustive -> "exhaustive"
   | Local_search -> "local"

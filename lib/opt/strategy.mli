@@ -25,8 +25,6 @@ type t =
   | Nsga2         (** crowded non-dominated GA + descent polish *)
   | Surrogate     (** quadratic model + expected improvement + polish *)
 
-val all : t list
-
 val name : t -> string
 (** "exhaustive" / "local" / "anneal" / "nsga2" / "surrogate" — the
     CLI flag values and the wire protocol's spellings. *)

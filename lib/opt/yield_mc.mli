@@ -19,15 +19,6 @@ type config = {
 val default_config : config
 (** k = 3, 25 samples, sigma_vt = 20 mV, seed 7, 31-point butterflies. *)
 
-val worst_margin :
-  ?config:config ->
-  flavor:Finfet.Library.flavor ->
-  vddc:float -> vssc:float -> vwl:float ->
-  unit ->
-  float
-(** min over the three margins of (mu - k sigma) at the given assist
-    levels (memoized per argument tuple). *)
-
 type levels = {
   vddc_min : float;
   vwl_min : float;

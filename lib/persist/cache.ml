@@ -195,7 +195,3 @@ let add t key value =
             (try Record_log.close log with _ -> ());
             Obs.Log.warn ~section:"persist"
               "cache %s: write failed (%s); continuing memory-only" t.name msg))
-
-let sync t =
-  Mutex.protect t.lock (fun () ->
-      match t.log with Some log -> Record_log.sync log | None -> ())

@@ -30,5 +30,3 @@ val find : t -> string -> Json.t option
 
 val add : t -> string -> Json.t -> unit
 (** Stores in memory and appends to the log ([persist.cache.store]). *)
-
-val sync : t -> unit

@@ -27,9 +27,6 @@ val disarm_all : unit -> unit
 (** Clears all armed faults, the process-wide record counter, and the
     sticky-dead flag.  Tests must call this in cleanup. *)
 
-val parse : string -> (fault, string) result
-(** Parses ["short:N"], ["enospc:N"] or ["kill:N"]. *)
-
 val load_env : unit -> unit
 (** Arms every spec in [$SRAM_OPT_FAULTS]; malformed specs are logged
     via [Obs.Log.warn] and skipped. *)

@@ -59,9 +59,6 @@ val append : t -> Json.t -> unit
     ENOSPC/EIO) are re-raised as [Sys_error] so callers have a single
     degradation signal. *)
 
-val sync : t -> unit
-(** fsync to stable storage. *)
-
 val close : t -> unit
 
 type recovery = {

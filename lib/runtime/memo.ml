@@ -61,19 +61,11 @@ let stats t =
   Mutex.unlock t.lock;
   s
 
-let clear_locked t =
-  Hashtbl.reset t.table;
-  t.first <- None;
-  t.last <- None
-
-let clear t =
-  Mutex.lock t.lock;
-  clear_locked t;
-  Mutex.unlock t.lock
-
 let reset t =
   Mutex.lock t.lock;
-  clear_locked t;
+  Hashtbl.reset t.table;
+  t.first <- None;
+  t.last <- None;
   t.hits <- 0;
   t.misses <- 0;
   t.evictions <- 0;
@@ -163,12 +155,6 @@ let find_or_compute_tiered t k ~load ~store f =
       add t k v;
       store k v;
       v)
-
-let length t =
-  Mutex.lock t.lock;
-  let n = Hashtbl.length t.table in
-  Mutex.unlock t.lock;
-  n
 
 let hit_rate (s : stats) =
   let total = s.hits + s.misses in

@@ -33,15 +33,10 @@ val create : ?name:string -> capacity:int -> unit -> ('k, 'v) t
 (** An empty memo holding at most [capacity] entries (>= 1, or
     [Invalid_argument]).  [name] labels the registry entry. *)
 
-val find_opt : ('k, 'v) t -> 'k -> 'v option
-(** Lookup; counts a hit or a miss and refreshes recency on hit. *)
-
-val add : ('k, 'v) t -> 'k -> 'v -> unit
-(** Insert (or overwrite) as most recent, evicting the least recently
-    used entry when over capacity. *)
-
 val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
-(** [find_opt] then, on miss, compute-and-[add].  The computation runs
+(** Lookup (counting a hit or a miss; a hit refreshes recency), then, on
+    a miss, compute and insert as most recent, evicting the least
+    recently used entry when over capacity.  The computation runs
     without holding the memo's lock. *)
 
 val find_or_compute_tiered :
@@ -52,9 +47,6 @@ val find_or_compute_tiered :
     promoted into the memo; a computed value goes to both the memo and
     [store].  [load]/[store]/compute all run outside the lock. *)
 
-val length : ('k, 'v) t -> int
-val stats : ('k, 'v) t -> stats
-
 val hit_rate : stats -> float
 (** hits / (hits + misses), or 0 when never consulted. *)
 
@@ -62,18 +54,12 @@ val occupancy : stats -> float
 (** length / capacity — how full the cache is (1.0 = at capacity, so
     eviction pressure; near 0 = oversized). *)
 
-val clear : ('k, 'v) t -> unit
-(** Drop every entry (statistics are kept). *)
-
-val reset : ('k, 'v) t -> unit
-(** Drop every entry and zero the statistics. *)
-
 val registered_stats : unit -> stats list
 (** Stats of every memo created so far, in creation order. *)
 
 val reset_all : unit -> unit
-(** {!reset} every registered memo — used by benchmarks to compare cold
-    runs fairly. *)
+(** Drop every entry of every registered memo and zero its statistics —
+    used by benchmarks to compare cold runs fairly. *)
 
 val print_stats : unit -> unit
 (** Text table of {!registered_stats} (one line per memo) on stdout. *)

@@ -52,8 +52,6 @@ let create ?jobs () =
               worker t ()));
   t
 
-let jobs t = t.jobs
-
 let shutdown t =
   Mutex.lock t.lock;
   t.closed <- true;
@@ -126,8 +124,6 @@ let parmap ?chunk t f arr =
     Array.map (function Some v -> v | None -> assert false) res
   end
 
-let fold t ~map ~reduce ~init arr = Array.fold_left reduce init (parmap t map arr)
-
 (* ----- process-wide default pool ----- *)
 
 let default_lock = Mutex.create ()
@@ -143,17 +139,13 @@ let set_default_jobs n =
   match previous with None -> () | Some p -> shutdown p
 
 let default () =
-  Mutex.lock default_lock;
-  let pool =
-    match !default_pool with
-    | Some p -> p
-    | None ->
-      let p = create ~jobs:!requested_jobs () in
-      default_pool := Some p;
-      p
-  in
-  Mutex.unlock default_lock;
-  pool
+  Mutex.protect default_lock (fun () ->
+      match !default_pool with
+      | Some p -> p
+      | None ->
+        let p = create ~jobs:!requested_jobs () in
+        default_pool := Some p;
+        p)
 
 let default_jobs () =
   Mutex.lock default_lock;

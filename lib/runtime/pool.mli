@@ -1,9 +1,9 @@
 (** Fixed-size OCaml 5 domain pool with deterministic data-parallel maps.
 
     The pool owns [jobs - 1] worker domains (the caller participates as
-    the remaining worker) fed from a shared task queue.  All map/fold
-    entry points chunk their input by index and reduce in index order,
-    so for a pure [f] the result is bit-identical to the sequential
+    the remaining worker) fed from a shared task queue.  [parmap]
+    chunks its input by index and writes each result at its input's
+    index, so for a pure [f] the result is bit-identical to the sequential
     [Array.map f] regardless of the job count or scheduling — parallel
     searches return exactly the design points the sequential code does.
 
@@ -20,9 +20,6 @@ val create : ?jobs:int -> unit -> t
     {!Domain.recommended_domain_count}).  [jobs = 1] spawns no domains:
     every operation degenerates to its inline sequential equivalent. *)
 
-val jobs : t -> int
-(** Total parallelism, including the calling domain. *)
-
 val parmap : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** [parmap pool f arr] is [Array.map f arr] evaluated on the pool.
     Results land at the index of their input; [chunk] bounds the number
@@ -30,17 +27,6 @@ val parmap : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
     worker).  If any [f] raises, one of the exceptions is re-raised in
     the caller after all tasks finish.  Nested calls are permitted (the
     caller helps drain the queue, so progress is guaranteed). *)
-
-val fold :
-  t ->
-  map:('a -> 'b) ->
-  reduce:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a array ->
-  'acc
-(** Index-ordered map-reduce: maps on the pool, then folds the mapped
-    values left-to-right in input order on the caller.  Deterministic
-    for any [reduce], associative or not. *)
 
 val shutdown : t -> unit
 (** Join the worker domains.  Must not race an in-flight [parmap];

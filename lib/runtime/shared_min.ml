@@ -11,5 +11,3 @@ let rec publish_improved t x =
   else false
 
 let publish t x = ignore (publish_improved t x)
-
-let reset t = Atomic.set t infinity

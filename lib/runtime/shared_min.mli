@@ -20,5 +20,3 @@ val publish_improved : t -> float -> bool
 (** Like {!publish}, and reports whether [x] actually lowered the
     value.  Lets an observer (the search journal) piggyback on the CAS
     the search already pays instead of re-reading the shared cell. *)
-
-val reset : t -> unit

@@ -70,11 +70,11 @@ let shutdown t =
   | Ok _ -> Ok ()
   | Error _ as e -> e
 
-let wait_ready ?tcp ?socket_path () =
+let wait_ready ~socket_path () =
   let timeout_s = 10.0 in
   let deadline = Unix.gettimeofday () +. timeout_s in
   let rec attempt pause =
-    match connect ?tcp ?socket_path () with
+    match connect ~socket_path () with
     | Ok t -> (
       match ping t with
       | Ok _ -> Ok t

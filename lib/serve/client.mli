@@ -14,11 +14,10 @@ val connect :
 (** Connect over the Unix-domain path, or TCP when [tcp] is given
     instead.  Exactly one of the two must be provided. *)
 
-val wait_ready :
-  ?tcp:string * int -> ?socket_path:string -> unit -> (t, string) result
-(** {!connect}, retrying with backoff until the server answers a ping
-    or 10 s elapse — for callers that just started the server
-    process. *)
+val wait_ready : socket_path:string -> unit -> (t, string) result
+(** {!connect} to a Unix socket, retrying with backoff until the server
+    answers a ping or 10 s elapse — for callers that just started the
+    server process. *)
 
 val close : t -> unit
 

@@ -23,7 +23,3 @@
     DESIGN.md §9). *)
 
 val render : unit -> string
-
-val sanitize : string -> string
-(** Dotted internal names as Prometheus metric-name fragments
-    (["serve.handle.optimize"] becomes ["serve_handle_optimize"]). *)

@@ -68,12 +68,3 @@ let at_frequency netlist ~source_index ~output ~frequency =
   { frequency;
     magnitude = sqrt ((vr *. vr) +. (vi *. vi));
     phase = atan2 vi vr }
-
-let sweep netlist ~source_index ~output ~f_start ~f_stop =
-  assert (f_start > 0.0 && f_stop > f_start);
-  let decades = log10 (f_stop /. f_start) in
-  let total = max 1 (int_of_float (ceil (decades *. 10.0))) in
-  List.init (total + 1) (fun i ->
-      let frac = float_of_int i /. float_of_int total in
-      let frequency = f_start *. (10.0 ** (frac *. decades)) in
-      at_frequency netlist ~source_index ~output ~frequency)

@@ -21,12 +21,3 @@ val at_frequency :
   point
 (** One solve.  [source_index] counts voltage sources in insertion order.
     @raise Invalid_argument on a bad source index or output node. *)
-
-val sweep :
-  Netlist.t ->
-  source_index:int ->
-  output:Netlist.node ->
-  f_start:float ->
-  f_stop:float ->
-  point list
-(** Logarithmic sweep at 10 points per decade, endpoints included. *)

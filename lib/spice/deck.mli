@@ -1,7 +1,7 @@
-(** Text netlists: a SPICE-deck subset, parsed and printed.
+(** Text netlists: a SPICE-deck subset, parsed.
 
     Interop with the rest of the CAD world happens through decks, so the
-    simulator reads and writes one:
+    simulator reads one:
 
     {v
     * comment
@@ -35,9 +35,3 @@ val parse :
 val node : bindings -> string -> Netlist.node option
 (** Look up a parsed node by its deck name (ground resolves to
     [Netlist.ground]). *)
-
-val print : Netlist.t -> string
-(** Render a netlist as a deck (element names are generated; node names
-    come from the netlist's own naming).  [parse] of the result builds an
-    electrically identical circuit — the round-trip property the test
-    suite checks. *)

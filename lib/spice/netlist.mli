@@ -48,8 +48,6 @@ val fresh_node : t -> string -> node
 
 val node_name : t -> node -> string
 
-val add : t -> element -> unit
-
 val num_nodes : t -> int
 (** Including ground. *)
 

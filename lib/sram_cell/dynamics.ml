@@ -53,25 +53,3 @@ let write_delay ~cell condition =
   | Some t_cross ->
     { delay = t_cross -. wl_cross_time; flipped = true; wl_cross_time }
   | None -> { delay = infinity; flipped = false; wl_cross_time }
-
-let read_current ~cell condition =
-  (* Worst-case accessed column: Q = 0, bitline precharged; the BL source
-     current is the discharge current.  Current convention: a positive
-     branch current flows into the + terminal, so a cell sinking charge
-     from BL shows up as a positive current leaving the source's +
-     terminal, i.e. a negative branch current. *)
-  let netlist, nodes = Sram6t.build ~cell condition in
-  let dim =
-    Spice.Netlist.num_nodes netlist - 1 + Spice.Netlist.vsource_count netlist
-  in
-  let x0 = Array.make dim 0.0 in
-  x0.(nodes.Sram6t.q - 1) <- condition.Sram6t.vssc;
-  x0.(nodes.Sram6t.qb - 1) <- condition.Sram6t.vddc;
-  x0.(nodes.Sram6t.cvdd - 1) <- condition.Sram6t.vddc;
-  x0.(nodes.Sram6t.cvss - 1) <- condition.Sram6t.vssc;
-  x0.(nodes.Sram6t.wl - 1) <- condition.Sram6t.vwl;
-  x0.(nodes.Sram6t.bl - 1) <- condition.Sram6t.vbl;
-  x0.(nodes.Sram6t.blb - 1) <- condition.Sram6t.vblb;
-  let s = Spice.Dc.operating_point ~x0 netlist in
-  (* BL is the fourth voltage source added by [Sram6t.build]. *)
-  -.s.Spice.Dc.source_currents.(3)

@@ -23,9 +23,3 @@ val write_delay :
     are read from samples up to that step, so the result is the
     full-window run's, bit for bit.  A write that never flips runs the
     whole window. *)
-
-val read_current :
-  cell:Finfet.Variation.cell_sample -> Sram6t.condition -> float
-(** DC current pulled out of the BL source by the accessed half-cell in
-    the read condition (Q side holding 0).  Positive for a conducting
-    stack. *)

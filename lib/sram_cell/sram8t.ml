@@ -15,10 +15,6 @@ let area_factor = 1.3
 
 let hold_snm t ~vdd = Margins.hold_snm ~cell:t.core vdd
 
-let read_snm t ~vdd = hold_snm t ~vdd
-
-let write_margin t condition = Margins.write_margin ~cell:t.core condition
-
 let read_current t ?(vssc = 0.0) () =
   (* The read pull-down's gate is the QB node at the full cell supply. *)
   Finfet.Calibration.stack_read_current ~access:t.read_access

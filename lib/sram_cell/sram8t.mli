@@ -24,15 +24,8 @@ val area_factor : float
     on the standard 8T layout). *)
 
 val hold_snm : t -> vdd:float -> float
-(** Same retention metric as the 6T core. *)
-
-val read_snm : t -> vdd:float -> float
-(** Equal to {!hold_snm}: the decoupled read port does not disturb the
-    cell.  Provided as its own function so call sites document which
-    margin they constrain. *)
-
-val write_margin : t -> Sram6t.condition -> float
-(** Delegates to the 6T core's write analysis. *)
+(** Same retention metric as the 6T core.  It is also the read SNM: the
+    decoupled read port does not disturb the cell. *)
 
 val read_current : t -> ?vssc:float -> unit -> float
 (** Current the read stack sinks from the precharged read bitline:

@@ -11,8 +11,6 @@ let summarize values =
     mu = Numerics.Stats.mean sorted;
     sigma = Numerics.Stats.stddev sorted }
 
-let percentile d ~p = Numerics.Stats.percentile d.samples ~p
-
 let read_current_distribution ~n ~nfet ~condition () =
   assert (n > 0);
   let rng = Numerics.Rng.create ~seed:31 in

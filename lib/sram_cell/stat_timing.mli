@@ -14,10 +14,6 @@ type distribution = {
   sigma : float;
 }
 
-val summarize : float array -> distribution
-
-val percentile : distribution -> p:float -> float
-
 val read_current_distribution :
   n:int ->
   nfet:Finfet.Device.params ->

@@ -29,7 +29,7 @@ let report_tests =
   [ case "renders aligned columns" (fun () ->
         let t = Sram_edp.Report.create ~columns:[ "a"; "bb" ] in
         Sram_edp.Report.add_row t [ "xxx"; "y" ];
-        let s = Sram_edp.Report.to_string t in
+        let s = capture_stdout (fun () -> Sram_edp.Report.print t) in
         Alcotest.(check bool) "has header" true
           (String.length s > 0
            && String.sub s 0 3 = "a  ");
@@ -50,23 +50,24 @@ let report_tests =
         Sram_edp.Report.add_row t [ "v1" ];
         Sram_edp.Report.add_separator t;
         Sram_edp.Report.add_row t [ "v2" ];
-        let lines = String.split_on_char '\n' (Sram_edp.Report.to_string t) in
+        let lines = String.split_on_char '\n' (capture_stdout (fun () -> Sram_edp.Report.print t)) in
         Alcotest.(check int) "line count" 6 (List.length lines)) ]
 
 let plot_tests =
   let series points = { Sram_edp.Ascii_plot.label = "s"; marker = '#'; points } in
+  let render ?log_y s = capture_stdout (fun () -> Sram_edp.Ascii_plot.print ?log_y s) in
   [ case "canvas has the requested dimensions" (fun () ->
-        let s = Sram_edp.Ascii_plot.render [ series [ (0.0, 0.0); (1.0, 1.0) ] ] in
+        let s = render [ series [ (0.0, 0.0); (1.0, 1.0) ] ] in
         let lines = String.split_on_char '\n' s in
         (* 16 canvas rows + axis + tick row + legend + trailing newline *)
         Alcotest.(check bool) ">= 19 lines" true (List.length lines >= 19);
         let first = List.hd lines in
         Alcotest.(check int) "row width" (9 + 2 + 64) (String.length first));
     case "markers appear on the canvas" (fun () ->
-        let s = Sram_edp.Ascii_plot.render [ series [ (0.0, 0.0); (1.0, 1.0) ] ] in
+        let s = render [ series [ (0.0, 0.0); (1.0, 1.0) ] ] in
         Alcotest.(check bool) "has marker" true (String.contains s '#'));
     case "corner points land in the corners" (fun () ->
-        let s = Sram_edp.Ascii_plot.render [ series [ (0.0, 0.0); (1.0, 1.0) ] ] in
+        let s = render [ series [ (0.0, 0.0); (1.0, 1.0) ] ] in
         let lines = Array.of_list (String.split_on_char '\n' s) in
         (* Top row ends with the max point's marker; bottom canvas row
            starts (after the axis margin) with the min point's. *)
@@ -75,16 +76,16 @@ let plot_tests =
     case "log_y rejects non-positive values" (fun () ->
         Alcotest.(check bool) "raises" true
           (try
-             ignore (Sram_edp.Ascii_plot.render ~log_y:true [ series [ (0.0, 0.0) ] ]);
+             ignore (render ~log_y:true [ series [ (0.0, 0.0) ] ]);
              false
            with Invalid_argument _ -> true));
     case "empty input rejected" (fun () ->
         Alcotest.(check bool) "raises" true
-          (try ignore (Sram_edp.Ascii_plot.render []); false
+          (try ignore (render []); false
            with Invalid_argument _ -> true));
     case "legend lists every series" (fun () ->
         let s =
-          Sram_edp.Ascii_plot.render
+          render
             [ { Sram_edp.Ascii_plot.label = "alpha"; marker = 'a';
                 points = [ (0.0, 1.0) ] };
               { Sram_edp.Ascii_plot.label = "beta"; marker = 'b';
@@ -130,8 +131,17 @@ let json_tests =
            | _ -> Alcotest.fail "expected a list")
         | _ -> Alcotest.fail "expected an object") ]
 
+(* One file through the export command's writer, read back. *)
 let render header rows =
-  Sram_edp.Export.render { Sram_edp.Export.filename = "t.csv"; header; rows }
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "sram_edp_export_render" in
+  match Sram_edp.Export.write_all ~dir [ { Sram_edp.Export.filename = "t.csv"; header; rows } ] with
+  | [ path ] ->
+    let ic = open_in_bin path in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove path;
+    text
+  | _ -> Alcotest.fail "expected one file"
 
 let export_tests =
   [ case "csv fields quote when needed" (fun () ->
@@ -158,7 +168,7 @@ let export_tests =
         Alcotest.(check int) "rows" 20 (List.length f.Sram_edp.Export.rows));
     case "write_all produces readable files" (fun () ->
         let dir = Filename.concat (Filename.get_temp_dir_name ()) "sram_edp_export_test" in
-        let paths = Sram_edp.Export.write_all ~dir () in
+        let paths = Sram_edp.Export.write_all ~dir (Sram_edp.Export.all_files ()) in
         Alcotest.(check int) "eight files" 8 (List.length paths);
         List.iter
           (fun path ->
@@ -180,7 +190,19 @@ let fresh_checksum ~space ~capacity_bits =
     [ Opt.Exhaustive.search ~space ~env ~capacity_bits ~method_:Opt.Space.M2 () ]
 
 let framework_tests =
-  [ case "config names" (fun () ->
+  [ case "a budget below one scan point is refused" (fun () ->
+        (* It would otherwise share the default budget's memo and disk key. *)
+        List.iter
+          (fun budget ->
+            Alcotest.(check bool) (Printf.sprintf "budget %d" budget) true
+              (match
+                 Sram_edp.Framework.optimize ~strategy:Opt.Strategy.Nsga2 ~budget
+                   ~space:Opt.Space.reduced ~capacity_bits:cap_1kb ~config:hvt_m2 ()
+               with
+               | _ -> false
+               | exception Invalid_argument _ -> true))
+          [ 0; -1 ]);
+    case "config names" (fun () ->
         Alcotest.(check string) "name" "6T-HVT-M2" (Sram_edp.Framework.config_name hvt_m2);
         Alcotest.(check int) "four configs" 4
           (List.length Sram_edp.Framework.all_configs));
@@ -313,9 +335,12 @@ let experiments_tests =
               p.Sram_edp.Experiments.lvt)
           (Sram_edp.Experiments.fig2a_hsnm ()));
     case "fig3a read current halves with HVT (paper: 2x lower)" (fun () ->
-        let r = Sram_edp.Experiments.fig3a () in
+        (* The I_read row of [print_fig3a]: the calibrated stacks at nominal. *)
+        let lib = Lazy.force Finfet.Library.default in
+        let vdd = Finfet.Tech.vdd_nominal in
+        let iread flavor = Finfet.Library.i_read lib flavor ~vddc:vdd ~vssc:0.0 in
         check_within "ratio" ~lo:0.40 ~hi:0.62
-          (r.Sram_edp.Experiments.iread_hvt /. r.Sram_edp.Experiments.iread_lvt));
+          (iread Finfet.Library.Hvt /. iread Finfet.Library.Lvt));
     case "vdd boost sweep crosses the yield rule near 550 mV" (fun () ->
         let s = Sram_edp.Experiments.fig3_read_assist Assist.Technique.Vdd_boost in
         match s.Sram_edp.Experiments.yield_crossing with

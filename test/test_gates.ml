@@ -86,26 +86,29 @@ let superbuffer_tests =
         Alcotest.(check bool) "scaling" true
           (final_stage_fins large >= final_stage_fins small)) ]
 
+(* One decoder row of the LUT the array model reads. *)
+let decode ~bits ~c_out = (Gates.Decoder.characterize ~nfet ~pfet ~max_bits:bits ~c_out).(bits)
+
 let decoder_tests =
   [ case "zero bits decode for free" (fun () ->
-        let r = Gates.Decoder.decode ~nfet ~pfet ~bits:0 ~c_out:1e-15 in
+        let r = decode ~bits:0 ~c_out:1e-15 in
         check_close_abs "d" 0.0 r.Gates.Decoder.delay;
         check_close_abs "e" 0.0 r.Gates.Decoder.energy);
     case "delay grows with address width" (fun () ->
         let delays =
           Array.init 10 (fun i ->
-              (Gates.Decoder.decode ~nfet ~pfet ~bits:(i + 1) ~c_out:1e-15)
+              (decode ~bits:(i + 1) ~c_out:1e-15)
                 .Gates.Decoder.delay)
         in
         check_increasing "delay(bits)" delays);
     case "delay growth is logarithmic, not linear" (fun () ->
-        let d at = (Gates.Decoder.decode ~nfet ~pfet ~bits:at ~c_out:1e-15).Gates.Decoder.delay in
+        let d at = (decode ~bits:at ~c_out:1e-15).Gates.Decoder.delay in
         (* Quadrupling the rows (8 -> 10 bits) must cost far less than 4x. *)
         check_within "buffered growth" ~lo:1.0 ~hi:1.6 (d 10 /. d 8));
     case "energy grows with address width" (fun () ->
         let energies =
           Array.init 10 (fun i ->
-              (Gates.Decoder.decode ~nfet ~pfet ~bits:(i + 1) ~c_out:1e-15)
+              (decode ~bits:(i + 1) ~c_out:1e-15)
                 .Gates.Decoder.energy)
         in
         check_increasing "energy(bits)" energies);
@@ -113,8 +116,8 @@ let decoder_tests =
         let lut = Gates.Decoder.characterize ~nfet ~pfet ~max_bits:10 ~c_out:1e-15 in
         Alcotest.(check int) "length" 11 (Array.length lut));
     case "bigger output load costs delay" (fun () ->
-        let small = Gates.Decoder.decode ~nfet ~pfet ~bits:6 ~c_out:1e-15 in
-        let large = Gates.Decoder.decode ~nfet ~pfet ~bits:6 ~c_out:40e-15 in
+        let small = decode ~bits:6 ~c_out:1e-15 in
+        let large = decode ~bits:6 ~c_out:40e-15 in
         Alcotest.(check bool) "load" true
           (large.Gates.Decoder.delay > small.Gates.Decoder.delay)) ]
 
@@ -227,7 +230,7 @@ let decoder_sim_tests =
               Gate_sim.decoder_simulated_delay ~nfet ~pfet ~bits ~c_out:1e-15
             in
             let model =
-              (Gates.Decoder.decode ~nfet ~pfet ~bits ~c_out:1e-15).Gates.Decoder.delay
+              (decode ~bits ~c_out:1e-15).Gates.Decoder.delay
             in
             check_within "ratio" ~lo:1.0 ~hi:3.0 (sim /. model))
           [ 2; 4; 6 ]);

@@ -32,7 +32,7 @@ let functional_tests =
         for addr = 20 to 40 do
           ignore (Sram_macro.Macro.write m ~addr ~data:0xFFL)
         done;
-        Sram_macro.Macro.idle m;
+        ignore (Sram_macro.Macro.run_trace m [| Workload.Trace.Idle |]);
         Alcotest.(check int64) "retained" 0x55L
           (Sram_macro.Macro.read m ~addr:7).Sram_macro.Macro.data);
     case "writes mask to the word width" (fun () ->
@@ -66,28 +66,23 @@ let functional_tests =
 let accounting_tests =
   [ case "per-op energies accumulate exactly" (fun () ->
         let m = make () in
-        Sram_macro.Macro.reset_stats m;
         let e1 = (Sram_macro.Macro.write m ~addr:0 ~data:9L).Sram_macro.Macro.energy in
         let e2 = (Sram_macro.Macro.read m ~addr:0).Sram_macro.Macro.energy in
-        let s = Sram_macro.Macro.stats m in
+        let s = Sram_macro.Macro.run_trace m [| Workload.Trace.Write; Workload.Trace.Read |] in
         check_close "sum" (e1 +. e2) s.Sram_macro.Macro.total_energy;
         Alcotest.(check int) "reads" 1 s.Sram_macro.Macro.reads;
         Alcotest.(check int) "writes" 1 s.Sram_macro.Macro.writes);
     case "idle cycles cost leakage only" (fun () ->
         let m = make () in
-        Sram_macro.Macro.reset_stats m;
-        Sram_macro.Macro.idle m;
-        let s = Sram_macro.Macro.stats m in
+        let s = Sram_macro.Macro.run_trace m [| Workload.Trace.Idle |] in
         check_close_abs "no switching" 0.0 s.Sram_macro.Macro.switching_energy;
         Alcotest.(check bool) "leaks" true (s.Sram_macro.Macro.leakage_energy > 0.0));
     case "leakage accrues as P_leak x elapsed" (fun () ->
         let m = make () in
-        Sram_macro.Macro.reset_stats m;
-        for _ = 1 to 10 do
-          Sram_macro.Macro.idle m
-        done;
-        ignore (Sram_macro.Macro.read m ~addr:1);
-        let s = Sram_macro.Macro.stats m in
+        let s =
+          Sram_macro.Macro.run_trace m
+            (Array.append (Array.make 10 Workload.Trace.Idle) [| Workload.Trace.Read |])
+        in
         (* elapsed and leakage must be proportional with the array's total
            leakage power as the constant. *)
         let p = s.Sram_macro.Macro.leakage_energy /. s.Sram_macro.Macro.elapsed in
@@ -98,18 +93,17 @@ let accounting_tests =
           p);
     case "worst delay tracks the slowest op" (fun () ->
         let m = make () in
-        Sram_macro.Macro.reset_stats m;
         let r = Sram_macro.Macro.read m ~addr:0 in
         let w = Sram_macro.Macro.write m ~addr:0 ~data:0L in
-        let s = Sram_macro.Macro.stats m in
+        let s = Sram_macro.Macro.run_trace m [| Workload.Trace.Read; Workload.Trace.Write |] in
         check_close "worst"
           (max r.Sram_macro.Macro.delay w.Sram_macro.Macro.delay)
           s.Sram_macro.Macro.worst_op_delay);
     case "reset clears counters but not contents" (fun () ->
         let m = make () in
         ignore (Sram_macro.Macro.write m ~addr:11 ~data:77L);
-        Sram_macro.Macro.reset_stats m;
-        let s = Sram_macro.Macro.stats m in
+        (* A trace resets the counters first: an empty one reads them. *)
+        let s = Sram_macro.Macro.run_trace m [||] in
         Alcotest.(check int) "zero ops" 0 (s.Sram_macro.Macro.reads + s.Sram_macro.Macro.writes);
         Alcotest.(check int64) "content kept" 77L
           (Sram_macro.Macro.read m ~addr:11).Sram_macro.Macro.data) ]

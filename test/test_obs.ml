@@ -449,11 +449,10 @@ let read_file path =
 let with_log_capture level f =
   let path = Filename.temp_file "sram_opt_log" ".txt" in
   let oc = open_out path in
-  let saved = Obs.Log.level () in
   Obs.Log.set_channel oc;
   Obs.Log.set_level level;
   f ();
-  Obs.Log.set_level saved;
+  Obs.Log.set_level Obs.Log.Warn;
   Obs.Log.set_channel stderr;
   close_out oc;
   let ic = open_in path in

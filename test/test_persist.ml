@@ -325,7 +325,6 @@ let mk_records n =
 let write_log path records =
   let t = Persist.Record_log.create ~path ~schema:"test" () in
   List.iter (Persist.Record_log.append t) records;
-  Persist.Record_log.sync t;
   Persist.Record_log.close t
 
 let read_ok path =
@@ -508,18 +507,32 @@ let record_log_tests =
 
 let fault_tests =
   [ case "parse specs" (fun () ->
-        Alcotest.(check bool) "kill" true
-          (Persist.Faults.parse "kill:3" = Ok (Persist.Faults.Kill 3));
-        Alcotest.(check bool) "short" true
-          (Persist.Faults.parse "short:0" = Ok (Persist.Faults.Short_write 0));
-        Alcotest.(check bool) "enospc" true
-          (Persist.Faults.parse "enospc:7" = Ok (Persist.Faults.Enospc 7));
-        List.iter
-          (fun s ->
-            match Persist.Faults.parse s with
-            | Error _ -> ()
-            | Ok _ -> Alcotest.failf "accepted %S" s)
-          [ "kill"; "kill:x"; "fry:1"; "" ]);
+        (* Through $SRAM_OPT_FAULTS, as a process arms them: the number
+           of appends that return before the armed fault fires, or all
+           12 when a malformed spec is skipped. *)
+        let appends_before_fault spec =
+          Unix.putenv "SRAM_OPT_FAULTS" spec;
+          Persist.Faults.disarm_all ();
+          Persist.Faults.load_env ();
+          let path = fresh "spec" in
+          let t = Persist.Record_log.create ~path ~schema:"test" () in
+          let n = ref 0 in
+          (try List.iter (fun r -> Persist.Record_log.append t r; incr n) (mk_records 12)
+           with Persist.Faults.Injected _ | Sys_error _ -> ());
+          (try Persist.Record_log.close t with Persist.Faults.Injected _ | Sys_error _ -> ());
+          Persist.Faults.disarm_all ();
+          rm path;
+          !n
+        in
+        Fun.protect
+          ~finally:(fun () -> Unix.putenv "SRAM_OPT_FAULTS" "")
+          (fun () ->
+            Alcotest.(check int) "kill" 3 (appends_before_fault "kill:3");
+            Alcotest.(check int) "short" 0 (appends_before_fault "short:0");
+            Alcotest.(check int) "enospc" 7 (appends_before_fault "enospc:7");
+            List.iter
+              (fun s -> Alcotest.(check int) s 12 (appends_before_fault s))
+              [ "kill"; "kill:x"; "fry:1"; "" ]));
     case "short write leaves a torn record that recovery discards" (fun () ->
         let path = fresh "short" in
         with_faults [ Persist.Faults.Short_write 2 ] (fun () ->
@@ -629,8 +642,7 @@ let cache_tests =
           (Persist.Cache.find test_cache "k"));
     case "entries persist across a reopen" (fun () ->
         with_cache_dir (fun () ->
-            Persist.Cache.add test_cache "answer" (J.Int 42);
-            Persist.Cache.sync test_cache);
+            Persist.Cache.add test_cache "answer" (J.Int 42));
         with_cache_dir (fun () ->
             match Persist.Cache.find test_cache "answer" with
             | Some (J.Int 42) -> ()
@@ -639,8 +651,7 @@ let cache_tests =
     case "later add wins on replay" (fun () ->
         with_cache_dir (fun () ->
             Persist.Cache.add test_cache "dup" (J.Int 1);
-            Persist.Cache.add test_cache "dup" (J.Int 2);
-            Persist.Cache.sync test_cache);
+            Persist.Cache.add test_cache "dup" (J.Int 2));
         with_cache_dir (fun () ->
             match Persist.Cache.find test_cache "dup" with
             | Some (J.Int 2) -> ()

@@ -717,7 +717,7 @@ let prop_deck_roundtrip =
       let original =
         Spice.Dc.node_voltage (Spice.Dc.operating_point n) last
       in
-      match Spice.Deck.parse ~lib (Spice.Deck.print n) with
+      match Spice.Deck.parse ~lib (Testutil.Deck_print.print n) with
       | Error _ -> false
       | Ok (n2, names) ->
         (match Spice.Deck.node names (Spice.Netlist.node_name n last) with

@@ -646,6 +646,44 @@ let refused_queries =
     (q [ fins 256 256 ], "space.n_pre");
     (q [ fins 40 256 ], "space.n_wr") ]
 
+(* Decodable queries from the corners of what [Opt.Space.check] accepts:
+   every space below (single-point and 1,024-fin axes among them) at
+   128 B and 1 KB, crossed with every strategy, objective and method; the
+   flavor, accounting and seed cycle underneath. *)
+let wild_decodable_queries =
+  let spaces =
+    [ P.no_override;
+      { P.vssc = Some [| 0.0 |]; nr = Some [| 16 |]; n_pre = Some [| 1 |]; n_wr = Some [| 1 |] };
+      { P.no_override with P.n_pre = Some [| 1024 |]; n_wr = Some [| 1; 1024 |] };
+      { P.vssc = Some [| 0.0; -0.12; -0.24 |]; nr = Some [| 8; 32 |];
+        n_pre = Some [| 2; 8 |]; n_wr = Some [| 2; 4 |] };
+      { P.no_override with P.nr = Some [| 2; 4 |] };
+      { P.no_override with P.vssc = Some [| -0.05 |] } ]
+  in
+  let cross xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs in
+  let axes =
+    cross (cross spaces [ 1024; 1024 * 8 ])
+      (cross
+         (cross Opt.Strategy.[ Exhaustive; Local_search; Anneal; Nsga2; Surrogate ]
+            Opt.Objective.
+              [ Energy_delay_product; Energy_delay_squared; Energy_only; Delay_only ])
+         Opt.Space.[ M1; M2 ])
+  in
+  List.mapi
+    (fun k ((space, capacity_bits), ((strategy, objective), method_)) ->
+      { P.default_query with
+        P.capacity_bits;
+        flavor = (if (k + (k / 2)) mod 2 = 0 then Finfet.Library.Hvt else Finfet.Library.Lvt);
+        method_;
+        strategy;
+        rng_seed = k;
+        objective;
+        accounting =
+          (if k / 3 mod 2 = 0 then Array_model.Array_eval.Paper_strict
+           else Array_model.Array_eval.Physical);
+        space })
+    axes
+
 let server_tests =
   [ case "a deeply nested frame is refused and holds up no other client"
       (fun () ->
@@ -704,6 +742,33 @@ let server_tests =
                 (match read_response fd with
                 | Ok { P.body = Ok _; _ } -> ()
                 | _ -> Alcotest.fail "ping after the refusals");
+                Alcotest.(check int) "no flight dump" dumps (Obs.Flight.dumps_written ()))));
+    case "decodable wild queries never answer internal" (fun () ->
+        with_inprocess_server (fun path ->
+            let dumps = Obs.Flight.dumps_written () in
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+                Unix.connect fd (Unix.ADDR_UNIX path);
+                List.iteri
+                  (fun k q ->
+                    List.iter
+                      (fun endpoint ->
+                        let r =
+                          { P.id = k; deadline_ms = None; trace_id = None; endpoint }
+                        in
+                        let text = J.to_string (P.request_to_json r) in
+                        (match Result.bind (J.of_string text) P.request_of_json with
+                        | Ok _ -> ()
+                        | Error e -> Alcotest.failf "%s: not decodable: %s" text e);
+                        F.write fd text;
+                        match read_response fd with
+                        | Ok { P.body = Ok _; _ } -> ()
+                        | Ok { P.body = Error (code, msg); _ } ->
+                          Alcotest.failf "%s: answered %s: %s" text
+                            (P.error_code_to_string code) msg
+                        | Error e -> Alcotest.failf "%s: no answer: %s" text e)
+                      [ P.Optimize q; P.Explain q ])
+                  wild_decodable_queries;
                 Alcotest.(check int) "no flight dump" dumps (Obs.Flight.dumps_written ()))));
  case "warm repeat answers bit-identically to the one-shot path"
       (fun () ->

@@ -262,14 +262,14 @@ let dynamics_tests =
         Alcotest.(check bool) "no flip" false r.Sram_cell.Dynamics.flipped);
     case "read current matches the calibrated stack solve" (fun () ->
         let from_cell =
-          Sram_cell.Dynamics.read_current ~cell:hvt (Sram_cell.Sram6t.read ~vddc:0.55 ())
+          Oracle.Dynamics.read_current ~cell:hvt (Sram_cell.Sram6t.read ~vddc:0.55 ())
         in
         let from_stack = Finfet.Library.i_read lib Finfet.Library.Hvt ~vddc:0.55 ~vssc:0.0 in
         check_close ~tol:0.05 "stack vs cell" from_stack from_cell);
     case "negative Gnd boosts the cell read current" (fun () ->
-        let base = Sram_cell.Dynamics.read_current ~cell:hvt (Sram_cell.Sram6t.read ()) in
+        let base = Oracle.Dynamics.read_current ~cell:hvt (Sram_cell.Sram6t.read ()) in
         let boosted =
-          Sram_cell.Dynamics.read_current ~cell:hvt
+          Oracle.Dynamics.read_current ~cell:hvt
             (Sram_cell.Sram6t.read ~vssc:(-0.24) ())
         in
         Alcotest.(check bool) "boost" true (boosted > 2.0 *. base));
@@ -278,7 +278,7 @@ let dynamics_tests =
         let steps n f = Array.init n (fun k -> f (0.01 *. float_of_int k)) in
         List.iter
           (fun (where, cell) ->
-            let i_read c = Sram_cell.Dynamics.read_current ~cell c in
+            let i_read c = Oracle.Dynamics.read_current ~cell c in
             check_increasing ~strict:true (where ^ ": I_read(V_DDC)")
               (steps 26 (fun dv -> i_read (Sram_cell.Sram6t.read ~vddc:(0.45 +. dv) ())));
             check_increasing ~strict:true (where ^ ": I_read(-V_SSC)")

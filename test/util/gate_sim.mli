@@ -66,7 +66,7 @@ val decoder_simulated_delay :
   c_out:float ->
   float
 (** Transient delay of {!build_decoder_path} — compared against
-    {!Gates.Decoder.decode} in the test suite.  Note the structural path has no
+    {!Gates.Decoder.characterize} in the test suite.  Note the structural path has no
     inserted buffers, so for large [bits] it is slower than the
     buffer-optimal LUT value; agreement is checked at moderate widths. *)
 

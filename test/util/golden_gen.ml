@@ -51,6 +51,26 @@ let table4_json () =
     (J.List (List.map Json_out.of_design_row (Lazy.force rows)))
   ^ "\n"
 
+(* What [f] prints on stdout (through a temporary file). *)
+let capture_stdout f =
+  let path = Filename.temp_file "sram_opt_stdout" ".txt" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    f;
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  text
+
 let report_text () =
   let table =
     Report.create
@@ -74,7 +94,7 @@ let report_text () =
           Units.mv r.Experiments.vssc;
           Units.mv r.Experiments.vwl ])
     (Lazy.force rows);
-  Report.to_string table
+  capture_stdout (fun () -> Report.print table)
 
 let datasheet_text () =
   let pick =
@@ -85,7 +105,7 @@ let datasheet_text () =
         && o.Framework.config.Framework.method_ = Opt.Space.M2)
       (Lazy.force designs)
   in
-  Datasheet.to_string (Datasheet.build pick)
+  capture_stdout (fun () -> Datasheet.print pick)
 
 (* ----- stats endpoint schema ----- *)
 

@@ -9,11 +9,15 @@ val capacities : int list
 val table4_json : unit -> string
 (** The design table as pretty-printed JSON, newline-terminated. *)
 
+val capture_stdout : (unit -> unit) -> string
+(** What [f] prints on stdout (through a temporary file). *)
+
 val report_text : unit -> string
-(** The Table-4 text rendering ({!Sram_edp.Report}). *)
+(** The Table-4 text rendering, as {!Sram_edp.Report.print} prints it. *)
 
 val datasheet_text : unit -> string
-(** Datasheet of the 1KB 6T-HVT-M2 design point. *)
+(** Datasheet of the 1KB 6T-HVT-M2 design point, as
+    {!Sram_edp.Datasheet.print} prints it. *)
 
 val stats_schema : unit -> string
 (** The `stats` endpoint payload reduced to its schema shape (scalars

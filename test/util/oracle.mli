@@ -66,6 +66,13 @@ module Dynamics : sig
     Sram_cell.Dynamics.write_delay_result
   (** The write-0 transient run over its whole window (600 steps), then
       measured. *)
+
+  val read_current :
+    cell:Finfet.Variation.cell_sample -> Sram_cell.Sram6t.condition -> float
+  (** DC current pulled out of the BL source by the full 6T netlist in the
+      read condition (Q side holding 0): the transistor-level reference
+      the calibrated stack model is checked against.  Positive for a
+      conducting stack. *)
 end
 
 module Periphery : sig

@@ -58,9 +58,12 @@ let pvt_box =
         Finfet.Corners.all)
     [ Finfet.Library.Lvt; Finfet.Library.Hvt ]
 
+let capture_stdout = Golden_gen.capture_stdout
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 
+module Deck_print = Deck_print
 module Gate_sim = Gate_sim
 module Golden_gen = Golden_gen
 module Oracle = Oracle

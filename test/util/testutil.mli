@@ -22,11 +22,17 @@ val pvt_box :
 (** Both flavors x the five corners x {-40, 25, 85, 125} C, each with its
     label, e.g. ["LVT/SF/-40"]. *)
 
+val capture_stdout : (unit -> unit) -> string
+(** What [f] prints on stdout (through a temporary file). *)
+
 val case : string -> (unit -> unit) -> unit Alcotest.test_case
 (** Quick test case shorthand. *)
 
 val slow_case : string -> (unit -> unit) -> unit Alcotest.test_case
 (** `Slow test case (excluded by [dune runtest] with ALCOTEST_QUICK). *)
+
+module Deck_print : module type of Deck_print
+(** Netlist -> deck text, for the parser's round-trip tests. *)
 
 module Gate_sim : module type of Gate_sim
 (** Transistor-level netlists of the gate models: the transient
