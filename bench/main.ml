@@ -1894,21 +1894,36 @@ let serve_fork_server ~dir ?(observability = true) ?(tag = "") jobs =
     Unix._exit 0
   | pid -> (pid, path)
 
+(* The smoke run follows each Table 4 query with its Physical-accounting
+   twin, which the server prices from the grid the first query staged,
+   so the bit-identity gate covers one staged grid scanned under both
+   accountings. *)
 let serve_queries () =
   let capacities = if !smoke then [ 1024 * 8 ] else [ 1024 * 8; 4096 * 8 ] in
   List.concat_map
     (fun capacity_bits ->
-      List.map
+      List.concat_map
         (fun (c : Sram_edp.Framework.config) ->
-          { Serve.Protocol.default_query with
-            Serve.Protocol.capacity_bits;
-            flavor = c.Sram_edp.Framework.flavor;
-            method_ = c.Sram_edp.Framework.method_;
-            space = Serve.Protocol.reduced_override })
+          let q =
+            { Serve.Protocol.default_query with
+              Serve.Protocol.capacity_bits;
+              flavor = c.Sram_edp.Framework.flavor;
+              method_ = c.Sram_edp.Framework.method_;
+              space = Serve.Protocol.reduced_override }
+          in
+          if !smoke then
+            [ q;
+              { q with
+                Serve.Protocol.accounting = Array_model.Array_eval.Physical } ]
+          else [ q ])
         Sram_edp.Framework.all_configs)
     capacities
 
+(* Each reference stages its own grid, so a twin's reference does not
+   come from the block its sibling staged, as the server's answer
+   does. *)
 let serve_reference_checksum (q : Serve.Protocol.query) =
+  Array_model.Array_eval.reset_staging ();
   let o =
     Sram_edp.Framework.optimize
       ~space:(Serve.Protocol.space_of_override q.Serve.Protocol.space)

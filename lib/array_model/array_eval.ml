@@ -326,86 +326,174 @@ let stage_counter = Runtime.Telemetry.counter "array_eval.stage"
 let stage_hist = Obs.Histogram.create ~sample:64 "array_eval.stage"
 let eval_hist = Obs.Histogram.create ~sample:128 "array_eval.eval_staged"
 
-(* A staged grid keeps, per geometry, the [stride] operands that
-   [complete] and [scan_slice] read, at a fixed stride in one flat
-   [float array].  A grid of a dozen geometries or more exceeds the
+(* A staged grid's operands live in one flat [float array], in two
+   parts: a residue of [res_stride] slots per geometry, in grid order,
+   then a row of [row_stride] slots per run of geometries that share
+   (n_r, n_c, W).  A grid enumerates (N_pre, N_wr) inside each n_r, so a
+   default grid holds ten rows for its 10,000 residues.  Slot [k_row] of
+   a residue holds its row's offset in the block (a small integer, exact
+   as a float), so [complete] and [scan_slice] reach both parts from the
+   geometry index.  A grid of a dozen geometries or more exceeds the
    minor heap's largest block, so its block is allocated straight in
    the major heap and the minor GC never copies or promotes it (a
-   10,000-geometry grid is one 1.76 MB block).  Assist-blind components
+   10,000-geometry grid is one 0.96 MB block).  Assist-blind components
    are stored pre-folded (the fold runs the reference association order
    once at staging), so the block carries only the values the
    completion reads.  The offsets: *)
 
-(* Equation (1) C operands that depend on the geometry *)
-let k_c_cvdd = 0
-let k_c_cvss = 1
-let k_c_wl = 2
-let k_c_bl = 3
-(* pre-folded delay prefixes (reference association order) *)
-let k_d_row_prefix = 4          (* row_dec + driver *)
-let k_d_row_path_read = 5       (* d_row_prefix + wl_rd.delay *)
-let k_d_col_path = 6
-let k_d_col_blwr = 7            (* d_col_path + bl_wr.delay *)
-let k_pre_rd_delay = 8
-let k_pre_wr_delay = 9
-(* pre-folded energy prefixes and per-component energies *)
-let k_e_rowdrv = 10             (* row_dec.energy + driver_energy *)
-let k_e_rd_prefix = 11          (* e_rowdrv + wl_rd.energy *)
-let k_col_dec_e = 12
-let k_col_e = 13
-let k_bl_wr_e = 14
-let k_pre_rd_e = 15
-let k_pre_wr_e = 16
-(* Physical-accounting geometry terms *)
-let k_nc = 17
-let k_w_sense_energy = 18       (* w * sense_energy *)
-let k_w_write_term = 19         (* w * (bl_wr.e + write_cell_e + pre_wr.e) *)
-let k_disturb_term = 20         (* n_unselected * disturb *)
+(* Row operands: they depend on the geometry only through (n_r, n_c, W).
+   Equation (1) C operands: *)
+let r_c_cvdd = 0
+let r_c_cvss = 1
+let r_c_wl = 2
+(* pre-folded delay and energy prefixes (reference association order) *)
+let r_d_row_prefix = 3          (* row_dec + driver *)
+let r_d_row_path_read = 4       (* d_row_prefix + wl_rd.delay *)
+let r_e_rowdrv = 5              (* row_dec.energy + driver_energy *)
+let r_e_rd_prefix = 6           (* e_rowdrv + wl_rd.energy *)
+let r_col_dec_e = 7
+(* Physical-accounting row terms *)
+let r_nc = 8
+let r_w_sense_energy = 9        (* w * sense_energy *)
 (* leakage slope: M * P_leak,cell *)
-let k_mp_leak = 21
-let stride = 22
+let r_mp_leak = 10
+let row_stride = 11
 
+(* Residue operands: the ones N_pre and N_wr reach. *)
+let k_row = 0                   (* the row's offset in the block *)
+let k_c_bl = 1
+let k_d_col_path = 2
+let k_d_col_blwr = 3            (* d_col_path + bl_wr.delay *)
+let k_pre_rd_delay = 4
+let k_pre_wr_delay = 5
+let k_col_e = 6
+let k_bl_wr_e = 7
+let k_pre_rd_e = 8
+let k_pre_wr_e = 9
+let k_w_write_term = 10         (* w * (bl_wr.e + write_cell_e + pre_wr.e) *)
+let k_disturb_term = 11         (* n_unselected * disturb *)
+let res_stride = 12
+
+(* A staged grid as a search holds it: a block, which every env of one
+   device set shares, paired with the env that prices it.  [complete]
+   and [scan_slice] read the accounting, alpha, beta and the DC-DC
+   overhead from [g_env]; the block holds none of them. *)
 type grid = {
   g_env : env;
-  g_k : float array;  (* [stride] operands per geometry, in grid order *)
+  g_k : float array;  (* residues, then rows *)
+  g_n : int;          (* geometries *)
 }
 
-(* Offset of geometry [i]'s operands, checked once per call so the
-   loads behind it may go unchecked. *)
+(* Offsets of geometry [i]'s residue and of its row, with [i] checked
+   once per call so the loads behind them may go unchecked. *)
 let base_of grid i ~fn =
-  let base = i * stride in
-  if i < 0 || base + stride > Array.length grid.g_k then
+  if i < 0 || i >= grid.g_n then
     invalid_arg ("Array_eval." ^ fn ^ ": index out of the grid");
-  base
+  i * res_stride
 
-(* ----- staging context: hoisted currents and the two staging caches -----
+let row_of k base = int_of_float (Array.unsafe_get k (base + k_row))
 
-   The assist-blind components' drive currents are env constants:
-   [Currents.wl_read]/[col_driver] don't depend on the geometry at all,
-   and [bl_write]/[precharge] only through the small integers
-   n_wr/n_pre — yet each call re-evaluates the FinFET device model.  A
-   context hoists them once per environment (the per-n_wr/n_pre draws
-   eagerly, via the exact [Currents] functions, so grids staged through
-   a context are bit-identical to the direct path's).
+(* ----- device sets, stores and staging contexts -----
 
-   A context also owns the only two staging caches, under one mutex:
-   - its last [stage_array_cap] staged grids, found by the identity of
-     the grid array: the exhaustive searches of one memoized grid (both
-     methods of a Table 4 capacity, served queries differing only in
-     V_SSC) stage it once;
-   - a bounded table of one-geometry grids for [stage], whose callers
-     ({!Opt.Line_cache}) revisit geometries across searches.
+   Staging reads three things of an environment: its device
+   capacitances, its periphery tables and the LVT periphery drive
+   currents.  Together they are its device set.  [make_env] builds all
+   three from the flavor alone, so both accountings of a flavor share a
+   device set, and a block staged for one prices searches under the
+   other; the 8T env scales its cell's wire caps and has a device set of
+   its own.
+
+   The assist-blind components' drive currents are device-set
+   constants: [Currents.wl_read]/[col_driver] don't depend on the
+   geometry at all, and [bl_write]/[precharge] only through the small
+   integers n_wr/n_pre, yet each call re-evaluates the FinFET device
+   model.  A device set hoists them once (the per-n_wr/n_pre draws
+   eagerly, via the exact [Currents] functions, so blocks staged through
+   it are bit-identical to the direct path's).  Two device sets are the
+   same when their periphery is the same value and their caps and
+   hoisted currents agree bit for bit; the draws past the hoisted slots
+   are the same functions of the one-fin draws, so they agree too.
+
+   A store holds staged blocks under one mutex:
+   - whole grids, found by the device set and the identity of the grid
+     array, most recently used first, until they hold
+     [staged_operand_bound] operands;
+   - per device set, a bounded table of one-geometry blocks for [stage],
+     whose callers ({!Opt.Line_cache}) revisit geometries across
+     searches.
    Exhaustive searches look a grid up once per search, and the
    heuristics look up a few hundred geometries per search, so the lock
    is never on a per-candidate path.  Two domains that miss together
    stage the same grid twice; staging is deterministic, so the copies
-   are bit-identical. *)
+   are bit-identical.
 
-(* Operands that depend on the geometry only through (nr, nc, w): wire
-   caps, decoders, the WL read component and every prefix folded from
-   them.  A grid enumerates (N_pre, N_wr) inside each n_r, so
-   [stage_grid] computes one row core per n_r and the rest of each
-   geometry's operands is a handful of [equation1] applications. *)
+   A context pairs an env with its device set and a store: [ctx_for]'s
+   share one process-wide store, [make_ctx]'s get a private one.  A
+   device set is only ever used with one store, which guards its
+   table. *)
+
+type devices = {
+  dv_dcaps : Caps.device_caps;
+  dv_periphery : Periphery.t;
+  dv_currents : Currents.t;       (* draws past the hoisted slots *)
+  dv_i_wl_read : float;           (* Currents.wl_read *)
+  dv_i_col : float;               (* Currents.col_driver *)
+  dv_i_bl_write : float array;    (* Currents.bl_write, indexed by n_wr *)
+  dv_i_precharge : float array;   (* Currents.precharge, indexed by n_pre *)
+  dv_singles : (Geometry.t, float array) Hashtbl.t;
+}
+
+type store = {
+  st_lock : Mutex.t;
+  mutable st_grids : (devices * Geometry.t array * float array) list;
+}
+
+type ctx = { x_env : env; x_dev : devices; x_store : store }
+
+let ctx_current_slots = 128
+let singles_cap = 65536
+
+(* What a server held when every geometry took 22 operands and each
+   (flavor, accounting) context kept its last four grids: 16 default
+   grids of 10,000 geometries, ~28 MB.  At 12 operands per geometry the
+   same bound holds all 20 (flavor, capacity) grids of the default
+   space. *)
+let staged_operand_bound = 16 * 10_000 * 22
+
+let devices_of env =
+  let cur = env.currents in
+  { dv_dcaps = env.dcaps;
+    dv_periphery = env.periphery;
+    dv_currents = cur;
+    dv_i_wl_read = Currents.wl_read cur;
+    dv_i_col = Currents.col_driver cur;
+    dv_i_bl_write =
+      Array.init ctx_current_slots (fun n_wr -> Currents.bl_write cur ~n_wr);
+    dv_i_precharge =
+      Array.init ctx_current_slots (fun n_pre -> Currents.precharge cur ~n_pre);
+    dv_singles = Hashtbl.create 1024 }
+
+let same_devices a b =
+  let eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let ca = a.dv_dcaps and cb = b.dv_dcaps in
+  a.dv_periphery == b.dv_periphery
+  && eq ca.Caps.c_dn cb.Caps.c_dn && eq ca.Caps.c_dp cb.Caps.c_dp
+  && eq ca.Caps.c_gn cb.Caps.c_gn && eq ca.Caps.c_gp cb.Caps.c_gp
+  && eq ca.Caps.c_width cb.Caps.c_width
+  && eq ca.Caps.c_height cb.Caps.c_height
+  && eq a.dv_i_wl_read b.dv_i_wl_read
+  && eq a.dv_i_col b.dv_i_col
+  && Array.for_all2 eq a.dv_i_bl_write b.dv_i_bl_write
+  && Array.for_all2 eq a.dv_i_precharge b.dv_i_precharge
+
+let new_store () = { st_lock = Mutex.create (); st_grids = [] }
+
+let make_ctx env = { x_env = env; x_dev = devices_of env; x_store = new_store () }
+
+let ctx_env ctx = ctx.x_env
+
+(* Row operands and the row terms the residue folds, computed once per
+   run of equal (n_r, n_c, W). *)
 type row_core = {
   rc_c_cvdd : float;
   rc_c_cvss : float;
@@ -423,41 +511,10 @@ type row_core = {
   rc_mp_leak : float;
 }
 
-type ctx = {
-  x_env : env;
-  x_i_wl_read : float;          (* Currents.wl_read *)
-  x_i_col : float;              (* Currents.col_driver *)
-  x_i_bl_write : float array;   (* Currents.bl_write, indexed by n_wr *)
-  x_i_precharge : float array;  (* Currents.precharge, indexed by n_pre *)
-  x_lock : Mutex.t;             (* guards the two caches below *)
-  x_staged : (Geometry.t, grid) Hashtbl.t;
-  mutable x_grids : (Geometry.t array * grid) list;  (* newest first *)
-}
-
-let ctx_current_slots = 128
-let ctx_cache_cap = 65536
-let stage_array_cap = 4
-
-let make_ctx env =
-  let cur = env.currents in
-  { x_env = env;
-    x_i_wl_read = Currents.wl_read cur;
-    x_i_col = Currents.col_driver cur;
-    x_i_bl_write =
-      Array.init ctx_current_slots (fun n_wr -> Currents.bl_write cur ~n_wr);
-    x_i_precharge =
-      Array.init ctx_current_slots (fun n_pre -> Currents.precharge cur ~n_pre);
-    x_lock = Mutex.create ();
-    x_staged = Hashtbl.create 1024;
-    x_grids = [] }
-
-let ctx_env ctx = ctx.x_env
-
-let row_core_of ctx (g : Geometry.t) =
-  let env = ctx.x_env in
-  let d = env.dcaps and per = env.periphery in
+let row_core_of dev (g : Geometry.t) =
+  let d = dev.dv_dcaps and per = dev.dv_periphery in
   let wl_rd =
-    Components.equation1 ~c:(Caps.wl d g) ~v:vdd ~dv:vdd ~i:ctx.x_i_wl_read
+    Components.equation1 ~c:(Caps.wl d g) ~v:vdd ~dv:vdd ~i:dev.dv_i_wl_read
   in
   let row_dec = Periphery.row_dec per ~bits:(Geometry.row_address_bits g) in
   let col_dec = Periphery.col_dec per ~bits:(Geometry.column_address_bits g) in
@@ -481,10 +538,23 @@ let row_core_of ctx (g : Geometry.t) =
     rc_mp_leak =
       float_of_int (Geometry.capacity_bits g) *. per.Periphery.p_leak_cell }
 
-(* Write [g]'s operands into [k] from [base], given its row core. *)
-let stage_residue ctx rc (g : Geometry.t) k base =
-  let env = ctx.x_env in
-  let d = env.dcaps and cur = env.currents and per = env.periphery in
+let write_row rc k rbase =
+  k.(rbase + r_c_cvdd) <- rc.rc_c_cvdd;
+  k.(rbase + r_c_cvss) <- rc.rc_c_cvss;
+  k.(rbase + r_c_wl) <- rc.rc_c_wl;
+  k.(rbase + r_d_row_prefix) <- rc.rc_d_row_prefix;
+  k.(rbase + r_d_row_path_read) <- rc.rc_d_row_path_read;
+  k.(rbase + r_e_rowdrv) <- rc.rc_e_rowdrv;
+  k.(rbase + r_e_rd_prefix) <- rc.rc_e_rd_prefix;
+  k.(rbase + r_col_dec_e) <- rc.rc_col_dec_e;
+  k.(rbase + r_nc) <- rc.rc_nc_f;
+  k.(rbase + r_w_sense_energy) <- rc.rc_w_sense_energy;
+  k.(rbase + r_mp_leak) <- rc.rc_mp_leak
+
+(* Write [g]'s residue into [k] from [base], given its row core and the
+   row's offset. *)
+let stage_residue dev rc (g : Geometry.t) k base rbase =
+  let d = dev.dv_dcaps and cur = dev.dv_currents and per = dev.dv_periphery in
   (* The (n_pre, n_wr) residue: each [equation1] application expands to
      the same expression the corresponding [Components] constructor
      evaluates (the QCheck bit-identity property pins this down against
@@ -492,17 +562,17 @@ let stage_residue ctx rc (g : Geometry.t) k base =
   let c_bl = Caps.bl d g in
   let n_wr = g.Geometry.n_wr and n_pre = g.Geometry.n_pre in
   let i_bl_wr =
-    if n_wr < ctx_current_slots then Array.unsafe_get ctx.x_i_bl_write n_wr
+    if n_wr < ctx_current_slots then Array.unsafe_get dev.dv_i_bl_write n_wr
     else Currents.bl_write cur ~n_wr
   in
   let i_pre =
-    if n_pre < ctx_current_slots then Array.unsafe_get ctx.x_i_precharge n_pre
+    if n_pre < ctx_current_slots then Array.unsafe_get dev.dv_i_precharge n_pre
     else Currents.precharge cur ~n_pre
   in
   let col =
     if not (Geometry.has_column_mux g) then
       { Components.delay = 0.0; energy = 0.0 }
-    else Components.equation1 ~c:(Caps.col d g) ~v:vdd ~dv:vdd ~i:ctx.x_i_col
+    else Components.equation1 ~c:(Caps.col d g) ~v:vdd ~dv:vdd ~i:dev.dv_i_col
   in
   let bl_wr = Components.equation1 ~c:c_bl ~v:vdd ~dv:vdd ~i:i_bl_wr in
   let pre_rd =
@@ -516,66 +586,67 @@ let stage_residue ctx rc (g : Geometry.t) k base =
     else 0.0
   in
   let disturb = 2.0 *. c_bl *. vdd *. Finfet.Tech.delta_v_sense in
-  k.(base + k_c_cvdd) <- rc.rc_c_cvdd;
-  k.(base + k_c_cvss) <- rc.rc_c_cvss;
-  k.(base + k_c_wl) <- rc.rc_c_wl;
+  k.(base + k_row) <- float_of_int rbase;
   k.(base + k_c_bl) <- c_bl;
-  k.(base + k_d_row_prefix) <- rc.rc_d_row_prefix;
-  k.(base + k_d_row_path_read) <- rc.rc_d_row_path_read;
   k.(base + k_d_col_path) <- d_col_path;
   k.(base + k_d_col_blwr) <- d_col_path +. bl_wr.Components.delay;
   k.(base + k_pre_rd_delay) <- pre_rd.Components.delay;
   k.(base + k_pre_wr_delay) <- pre_wr.Components.delay;
-  k.(base + k_e_rowdrv) <- rc.rc_e_rowdrv;
-  k.(base + k_e_rd_prefix) <- rc.rc_e_rd_prefix;
-  k.(base + k_col_dec_e) <- rc.rc_col_dec_e;
   k.(base + k_col_e) <- col.Components.energy;
   k.(base + k_bl_wr_e) <- bl_wr.Components.energy;
   k.(base + k_pre_rd_e) <- pre_rd.Components.energy;
   k.(base + k_pre_wr_e) <- pre_wr.Components.energy;
-  k.(base + k_nc) <- rc.rc_nc_f;
-  k.(base + k_w_sense_energy) <- rc.rc_w_sense_energy;
   k.(base + k_w_write_term) <-
     rc.rc_w_f
     *. (bl_wr.Components.energy +. per.Periphery.write_cell_energy
         +. pre_wr.Components.energy);
-  k.(base + k_disturb_term) <- rc.rc_n_unselected *. disturb;
-  k.(base + k_mp_leak) <- rc.rc_mp_leak
+  k.(base + k_disturb_term) <- rc.rc_n_unselected *. disturb
 
-(* Stage [gs] into one block.  Each element reuses the previous
-   element's row core when their (n_r, n_c, W) agree, which in an
-   n_r-major grid is all but one element per n_r. *)
-let stage_grid ctx (gs : Geometry.t array) =
+let same_row (p : Geometry.t) (g : Geometry.t) =
+  p.nr = g.nr && p.nc = g.nc && p.w = g.w
+
+(* Stage [gs] into one block: a new row starts wherever (n_r, n_c, W)
+   differs from the previous element's, which in an n_r-major grid is
+   once per n_r. *)
+let stage_block dev (gs : Geometry.t array) =
   let n = Array.length gs in
   Runtime.Telemetry.add stage_counter n;
-  let k = Array.create_float (n * stride) in
-  let prev = ref None in
+  let rows = ref 0 in
+  Array.iteri
+    (fun i g -> if i = 0 || not (same_row gs.(i - 1) g) then incr rows)
+    gs;
+  let k = Array.create_float ((n * res_stride) + (!rows * row_stride)) in
+  let rbase = ref ((n * res_stride) - row_stride) in
+  let rc = ref None in
   Array.iteri
     (fun i (g : Geometry.t) ->
-      let rc =
-        match !prev with
-        | Some ((p : Geometry.t), rc)
-          when p.nr = g.nr && p.nc = g.nc && p.w = g.w -> rc
-        | _ ->
-          let rc = row_core_of ctx g in
-          prev := Some (g, rc);
-          rc
+      let core =
+        match !rc with
+        | Some core when same_row gs.(i - 1) g -> core
+        | Some _ | None ->
+          let core = row_core_of dev g in
+          rbase := !rbase + row_stride;
+          write_row core k !rbase;
+          rc := Some core;
+          core
       in
-      stage_residue ctx rc g k (i * stride))
+      stage_residue dev core g k (i * res_stride) !rbase)
     gs;
-  { g_env = ctx.x_env; g_k = k }
+  k
+
+let handle ctx k n = { g_env = ctx.x_env; g_k = k; g_n = n }
 
 (* A single geometry is a one-element grid.  The table is bounded
    first-come, so a long-lived server cannot grow it without limit. *)
 let stage_cached ctx (g : Geometry.t) =
-  match Mutex.protect ctx.x_lock (fun () -> Hashtbl.find_opt ctx.x_staged g) with
-  | Some grid -> grid
+  let st = ctx.x_store and singles = ctx.x_dev.dv_singles in
+  match Mutex.protect st.st_lock (fun () -> Hashtbl.find_opt singles g) with
+  | Some k -> handle ctx k 1
   | None ->
-    let grid = stage_grid ctx [| g |] in
-    Mutex.protect ctx.x_lock (fun () ->
-        if Hashtbl.length ctx.x_staged < ctx_cache_cap then
-          Hashtbl.replace ctx.x_staged g grid);
-    grid
+    let k = stage_block ctx.x_dev [| g |] in
+    Mutex.protect st.st_lock (fun () ->
+        if Hashtbl.length singles < singles_cap then Hashtbl.replace singles g k);
+    handle ctx k 1
 
 let stage_with ctx g =
   if Obs.Histogram.tick stage_hist then begin
@@ -589,43 +660,84 @@ let stage_with ctx g =
   end
   else stage_cached ctx g
 
+(* Most recently used first: a hit moves to the front, and a new block
+   goes there and drops the least recently used ones until the store
+   holds at most [staged_operand_bound] operands.  A block past the
+   bound alone is not kept. *)
+let find_grid st dev gs =
+  match
+    List.partition (fun (d, g, _) -> d == dev && g == gs) st.st_grids
+  with
+  | [], _ -> None
+  | (((_, _, k) as e) :: _), rest ->
+    st.st_grids <- e :: rest;
+    Some k
+
+let keep_grid st dev gs k =
+  if Array.length k <= staged_operand_bound
+     && not (List.exists (fun (d, g, _) -> d == dev && g == gs) st.st_grids)
+  then begin
+    let rec within budget = function
+      | [] -> []
+      | ((_, _, k) as e) :: rest ->
+        let size = Array.length k in
+        if size > budget then [] else e :: within (budget - size) rest
+    in
+    st.st_grids <- within staged_operand_bound ((dev, gs, k) :: st.st_grids)
+  end
+
 let stage_array ctx (gs : Geometry.t array) =
-  match Mutex.protect ctx.x_lock (fun () -> List.assq_opt gs ctx.x_grids) with
-  | Some grid -> grid
-  | None ->
-    let grid = stage_grid ctx gs in
-    Mutex.protect ctx.x_lock (fun () ->
-        ctx.x_grids <-
-          (gs, grid)
-          :: List.filteri (fun i _ -> i < stage_array_cap - 1) ctx.x_grids);
-    grid
+  let st = ctx.x_store and dev = ctx.x_dev in
+  let k =
+    match Mutex.protect st.st_lock (fun () -> find_grid st dev gs) with
+    | Some k -> k
+    | None ->
+      let k = stage_block dev gs in
+      Mutex.protect st.st_lock (fun () -> keep_grid st dev gs k);
+      k
+  in
+  handle ctx k (Array.length gs)
 
 (* Contexts are registered per environment value (physical equality:
    environments are built once and shared — the framework memoizes
-   them per (flavor, accounting)), newest-first with a small LRU-ish
-   cap so ad-hoc test environments cannot pin memory forever. *)
+   them per (flavor, accounting)), newest-first with a small cap so
+   ad-hoc test environments cannot pin memory forever.  A new context
+   takes the device set of a registered one when the two agree, so
+   every registered env of one device set finds the same blocks in the
+   process-wide store. *)
 let ctx_registry_cap = 8
 let ctx_registry_lock = Mutex.create ()
-let ctx_registry : (env * ctx) list ref = ref []
+let ctx_registry : ctx list ref = ref []
+let shared_store = new_store ()
 
 let ctx_for env =
-  Mutex.lock ctx_registry_lock;
-  match List.find_opt (fun (e, _) -> e == env) !ctx_registry with
-  | Some (_, c) ->
-    Mutex.unlock ctx_registry_lock;
-    c
-  | None ->
-    let c = make_ctx env in
-    ctx_registry :=
-      (env, c) :: List.filteri (fun i _ -> i < ctx_registry_cap - 1)
-                    !ctx_registry;
-    Mutex.unlock ctx_registry_lock;
-    c
+  Mutex.protect ctx_registry_lock (fun () ->
+      match List.find_opt (fun c -> c.x_env == env) !ctx_registry with
+      | Some c -> c
+      | None ->
+        let dev = devices_of env in
+        let dev =
+          match
+            List.find_opt (fun c -> same_devices c.x_dev dev) !ctx_registry
+          with
+          | Some c -> c.x_dev
+          | None -> dev
+        in
+        let c = { x_env = env; x_dev = dev; x_store = shared_store } in
+        ctx_registry :=
+          c :: List.filteri (fun i _ -> i < ctx_registry_cap - 1) !ctx_registry;
+        c)
 
-(* The registered contexts own every cache, so dropping them drops
-   every staged grid. *)
+let staged_operands () =
+  Mutex.protect shared_store.st_lock (fun () ->
+      List.fold_left (fun acc (_, _, k) -> acc + Array.length k) 0
+        shared_store.st_grids)
+
+(* Dropping the registered contexts drops their device sets and
+   one-geometry tables; the process-wide store's grids go too. *)
 let reset_staging () =
-  Mutex.protect ctx_registry_lock (fun () -> ctx_registry := [])
+  Mutex.protect ctx_registry_lock (fun () -> ctx_registry := []);
+  Mutex.protect shared_store.st_lock (fun () -> shared_store.st_grids <- [])
 
 let stage env g = stage_with (ctx_for env) g
 
@@ -717,21 +829,22 @@ let complete_core grid i (p : prepared) =
   let env = grid.g_env in
   let per = env.periphery in
   let k = grid.g_k in
+  let rb = row_of k base in
   let c_bl = Array.unsafe_get k (base + k_c_bl) in
-  let d_row_path_read = Array.unsafe_get k (base + k_d_row_path_read) in
+  let d_row_path_read = Array.unsafe_get k (rb + r_d_row_path_read) in
   let d_col_path = Array.unsafe_get k (base + k_d_col_path) in
-  let col_dec_e = Array.unsafe_get k (base + k_col_dec_e) in
+  let col_dec_e = Array.unsafe_get k (rb + r_col_dec_e) in
   let col_e = Array.unsafe_get k (base + k_col_e) in
   let cvdd =
-    Components.equation1 ~c:(Array.unsafe_get k (base + k_c_cvdd)) ~v:vdd
+    Components.equation1 ~c:(Array.unsafe_get k (rb + r_c_cvdd)) ~v:vdd
       ~dv:p.dv_cvdd ~i:p.i_cvdd
   in
   let cvss =
-    Components.equation1 ~c:(Array.unsafe_get k (base + k_c_cvss)) ~v:vdd
+    Components.equation1 ~c:(Array.unsafe_get k (rb + r_c_cvss)) ~v:vdd
       ~dv:p.dv_cvss ~i:p.i_cvss
   in
   let wl_wr =
-    Components.equation1 ~c:(Array.unsafe_get k (base + k_c_wl)) ~v:vdd
+    Components.equation1 ~c:(Array.unsafe_get k (rb + r_c_wl)) ~v:vdd
       ~dv:p.dv_wl_wr ~i:p.i_wl_wr
   in
   let bl_rd =
@@ -745,7 +858,7 @@ let complete_core grid i (p : prepared) =
     +. Array.unsafe_get k (base + k_pre_rd_delay)
   in
   let d_row_path_write =
-    Array.unsafe_get k (base + k_d_row_prefix) +. wl_wr.Components.delay
+    Array.unsafe_get k (rb + r_d_row_prefix) +. wl_wr.Components.delay
   in
   let d_write =
     max d_row_path_write (Array.unsafe_get k (base + k_d_col_blwr))
@@ -761,8 +874,8 @@ let complete_core grid i (p : prepared) =
     if p.wl_boosted then assist_scaled wl_wr.Components.energy
     else wl_wr.Components.energy
   in
-  let e_rowdrv = Array.unsafe_get k (base + k_e_rowdrv) in
-  let e_rd_prefix = Array.unsafe_get k (base + k_e_rd_prefix) in
+  let e_rowdrv = Array.unsafe_get k (rb + r_e_rowdrv) in
+  let e_rd_prefix = Array.unsafe_get k (rb + r_e_rd_prefix) in
   let pre_rd_e = Array.unsafe_get k (base + k_pre_rd_e) in
   let e_read, e_write =
     match env.accounting with
@@ -784,10 +897,10 @@ let complete_core grid i (p : prepared) =
     | Physical ->
       let e_read =
         e_rd_prefix
-        +. (Array.unsafe_get k (base + k_nc)
+        +. (Array.unsafe_get k (rb + r_nc)
             *. (bl_rd.Components.energy +. pre_rd_e))
         +. col_dec_e +. per.Periphery.driver_energy
-        +. col_e +. Array.unsafe_get k (base + k_w_sense_energy) +. e_cvdd
+        +. col_e +. Array.unsafe_get k (rb + r_w_sense_energy) +. e_cvdd
         +. e_cvss
       in
       let e_write =
@@ -800,7 +913,7 @@ let complete_core grid i (p : prepared) =
   in
   (* --- Equations (2)-(5) --- *)
   let e_switching = (env.beta *. e_read) +. ((1.0 -. env.beta) *. e_write) in
-  let e_leakage = Array.unsafe_get k (base + k_mp_leak) *. d_array in
+  let e_leakage = Array.unsafe_get k (rb + r_mp_leak) *. d_array in
   let e_total = (env.alpha *. e_switching) +. e_leakage in
   { d_read; d_write; d_array;
     e_read; e_write; e_switching; e_leakage; e_total;
@@ -898,24 +1011,25 @@ let scan_slice grid gi (ps : prepared array) buf ~lo ~hi =
   let env = grid.g_env in
   let per = env.periphery in
   let k = grid.g_k in
+  let rb = row_of k base in
   (* Loop-invariant operands and whole-subexpression hoists. *)
   let dvs = Finfet.Tech.delta_v_sense in
   let bl_live = dvs > 0.0 in
-  let c_wl = Array.unsafe_get k (base + k_c_wl) in
+  let c_wl = Array.unsafe_get k (rb + r_c_wl) in
   let c_bl = Array.unsafe_get k (base + k_c_bl) in
-  let cv_cvdd = Array.unsafe_get k (base + k_c_cvdd) *. vdd in
-  let cv_cvss = Array.unsafe_get k (base + k_c_cvss) *. vdd in
+  let cv_cvdd = Array.unsafe_get k (rb + r_c_cvdd) *. vdd in
+  let cv_cvss = Array.unsafe_get k (rb + r_c_cvss) *. vdd in
   let cv_wl = c_wl *. vdd in
   let c_bl_dvs = if bl_live then c_bl *. dvs else 0.0 in
   let dcdc = env.dcdc_overhead in
-  let d_row_path_read = Array.unsafe_get k (base + k_d_row_path_read) in
+  let d_row_path_read = Array.unsafe_get k (rb + r_d_row_path_read) in
   let d_col_path = Array.unsafe_get k (base + k_d_col_path) in
-  let d_row_prefix = Array.unsafe_get k (base + k_d_row_prefix) in
+  let d_row_prefix = Array.unsafe_get k (rb + r_d_row_prefix) in
   let sense_delay = per.Periphery.sense_delay in
   let pre_rd_delay = Array.unsafe_get k (base + k_pre_rd_delay) in
   let pre_wr_delay = Array.unsafe_get k (base + k_pre_wr_delay) in
   let d_col_blwr = Array.unsafe_get k (base + k_d_col_blwr) in
-  let col_dec_e = Array.unsafe_get k (base + k_col_dec_e) in
+  let col_dec_e = Array.unsafe_get k (rb + r_col_dec_e) in
   let driver_e = per.Periphery.driver_energy in
   let col_e = Array.unsafe_get k (base + k_col_e) in
   let sense_e = per.Periphery.sense_energy in
@@ -923,15 +1037,15 @@ let scan_slice grid gi (ps : prepared array) buf ~lo ~hi =
   let pre_wr_e = Array.unsafe_get k (base + k_pre_wr_e) in
   let bl_wr_e = Array.unsafe_get k (base + k_bl_wr_e) in
   let write_cell_e = per.Periphery.write_cell_energy in
-  let e_rd_prefix = Array.unsafe_get k (base + k_e_rd_prefix) in
-  let e_rowdrv = Array.unsafe_get k (base + k_e_rowdrv) in
-  let nc_f = Array.unsafe_get k (base + k_nc) in
-  let w_sense_energy = Array.unsafe_get k (base + k_w_sense_energy) in
+  let e_rd_prefix = Array.unsafe_get k (rb + r_e_rd_prefix) in
+  let e_rowdrv = Array.unsafe_get k (rb + r_e_rowdrv) in
+  let nc_f = Array.unsafe_get k (rb + r_nc) in
+  let w_sense_energy = Array.unsafe_get k (rb + r_w_sense_energy) in
   let w_write_term = Array.unsafe_get k (base + k_w_write_term) in
   let disturb_term = Array.unsafe_get k (base + k_disturb_term) in
   let alpha = env.alpha and beta = env.beta in
   let one_minus_beta = 1.0 -. env.beta in
-  let mp_leak = Array.unsafe_get k (base + k_mp_leak) in
+  let mp_leak = Array.unsafe_get k (rb + r_mp_leak) in
   let out_e = buf.sb_e_total
   and out_d = buf.sb_d_array
   and out_edp = buf.sb_edp in

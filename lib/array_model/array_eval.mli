@@ -130,10 +130,16 @@ val attribution_consistent : attribution -> bool
 
 type grid
 (** A staged candidate grid: [evaluate] with the assist-dependent holes
-    left open, for each geometry of the grid in order.  It is one flat
-    float block holding a fixed number of operands per geometry, so a
-    grid of thousands of geometries is a single major-heap allocation
-    that the minor GC never copies. *)
+    left open, for each geometry of the grid in order, paired with the
+    environment that prices it.  The staged operands are one flat float
+    block (a table of the operands that depend only on (n_r, n_c, W),
+    one row per n_r of a candidate grid, then the rest per geometry), so
+    a grid of thousands of geometries is a single major-heap allocation
+    that the minor GC never copies.  The block reads nothing of the
+    accounting, alpha, beta or the DC-DC overhead: {!complete} and
+    {!scan} take those from the paired environment, so one block serves
+    every environment of its device set (see the staging context
+    below). *)
 
 type prepared
 (** Assist-resolved evaluation state: rail currents and the write cell
@@ -141,8 +147,8 @@ type prepared
 
 val stage : env -> Geometry.t -> grid
 (** A one-element grid for this geometry, staged through the context
-    {!ctx_for} registers for [env]: a geometry that context staged
-    before comes back from its table.  Every geometry actually staged,
+    {!ctx_for} registers for [env]: a geometry staged before for
+    [env]'s device set comes back from its table.  Every geometry actually staged,
     here or by {!stage_array}, adds one to the ["array_eval.stage"]
     telemetry counter. *)
 
@@ -158,43 +164,60 @@ val complete : grid -> int -> prepared -> metrics
 
 (** {1 Staging context: the staging caches}
 
-    The assist-blind components' drive currents are environment
-    constants (the FinFET device-model draws depend on the geometry
-    only through the small integers n_wr/n_pre).  A [ctx] hoists them
-    once per environment and owns the only two staging caches, under
-    one lock: its last four staged grids, found by the identity of the
-    grid array ({!stage_array}), and a bounded table of one-element
-    grids ({!stage}).  Grids staged through a context are bit-identical
+    Staging reads three things of an environment: its device
+    capacitances, its periphery tables and the periphery drive currents
+    — its {e device set}.  [make_env] builds them from the flavor alone,
+    so both accountings of a flavor share a device set, while the 8T
+    environment's scaled cell caps make a device set of their own.  A
+    grid is staged once per device set.
+
+    A [ctx] pairs an environment with its device set (the assist-blind
+    drive currents hoisted once) and a store of staged blocks under one
+    lock: whole grids, found by the device set and the {e identity} of
+    the grid array and held most recently used first up to a bound of
+    3,520,000 operands (~28 MB, all 20 flavor x capacity grids of the
+    default space), and per device set a bounded table of one-geometry
+    blocks ({!stage}).  Grids staged through a context are bit-identical
     to [stage]'s (the hoisted draws come from the exact [Currents]
     functions). *)
 
 type ctx
 
 val make_ctx : env -> ctx
-(** Fresh context, with no staged grid or geometry, for this
-    environment. *)
+(** Fresh context for this environment with a private store that holds
+    no staged grid or geometry, so its first {!stage_array} of a grid
+    stages it cold. *)
 
 val ctx_for : env -> ctx
 (** The process-wide context registered for this environment value
     (physical equality — environments are built once and shared).
-    Creates and registers one on first use; the registry holds the most
-    recent handful of environments.  {!stage} stages through it. *)
+    Creates and registers one on first use, taking the device set of a
+    registered context when the two agree; the registry holds the most
+    recent handful of environments.  Every registered context stages
+    into one process-wide store, so environments of one device set
+    share their staged grids.  {!stage} stages through it. *)
 
 val ctx_env : ctx -> env
 
 val stage_array : ctx -> Geometry.t array -> grid
-(** Stage a whole candidate grid into one block.  The context keeps its
-    last four results, found by the {e identity} of the array: searches
-    that share one memoized grid (the two methods of a Table 4
-    capacity, queries differing only in V_SSC) stage it once.  Index
-    [i] of the result is bit-identical to [stage]'s one-element grid
-    for [gs.(i)], whatever the array's order; the result is immutable
-    shared state. *)
+(** Stage a whole candidate grid into one block, or find it in the
+    context's store: the store keys a grid on the context's device set
+    and the {e identity} of the array, so searches that share one
+    memoized grid (the two methods and both accountings of a Table 4
+    capacity, queries differing only in V_SSC) stage it once.  The
+    result pairs the block with the context's environment.  Index [i]
+    of the result is bit-identical to [stage]'s one-element grid for
+    [gs.(i)], whatever the array's order; the block is immutable shared
+    state. *)
+
+val staged_operands : unit -> int
+(** Operands the process-wide store's grids hold; never above the
+    bound. *)
 
 val reset_staging : unit -> unit
-(** Drop every registered context, and with them every staged grid
-    (benchmarks call this between runs so cold-path measurements stay
-    cold). *)
+(** Drop every registered context and every grid of the process-wide
+    store (benchmarks call this between runs so cold-path measurements
+    stay cold). *)
 
 (** {1 Admissible lower envelope}
 

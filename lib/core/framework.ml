@@ -124,9 +124,9 @@ let env_for ~flavor ~accounting =
 (* The staging context registered for a memoized environment: because
    [env_for] returns the same physical env value per (flavor,
    accounting), every search the framework launches against it —
-   across capacities, configs, sweeps and serve requests — shares its
-   staged grids.  A config pair (M1/M2 of one flavor) shares its grid
-   outright, so the pair stages it once. *)
+   across capacities, configs, sweeps and serve requests — finds its
+   staged grids.  Both accountings of a flavor share a device set, so
+   the M1/M2 configs under either accounting stage a grid once. *)
 let stage_ctx_for ~flavor ~accounting =
   Array_model.Array_eval.ctx_for (env_for ~flavor ~accounting)
 

@@ -95,12 +95,12 @@ val stage_ctx_for :
   accounting:Array_model.Array_eval.accounting ->
   Array_model.Array_eval.ctx
 (** The staging context shared by every search the framework runs for
-    this (flavor, accounting): environments are memoized per pair, so
-    the context's geometry-keyed staged cache is hit across capacities,
-    configs, sweeps and serve requests — the (n_r, n_c) grids overlap
-    heavily across the Table 4 capacities and are identical between the
-    M1/M2 configs of one flavor.  Exposed for benchmarks that drive
-    {!Opt.Exhaustive.search} directly with framework environments. *)
+    this (flavor, accounting): environments are memoized per pair, and
+    both accountings of a flavor stage into one device set, so a grid
+    staged once serves every config, accounting, sweep and serve
+    request of its flavor and capacity.  Exposed for benchmarks that
+    drive {!Opt.Exhaustive.search} directly with framework
+    environments. *)
 
 val sweep_capacities :
   ?pool:Runtime.Pool.t ->

@@ -13,21 +13,6 @@ let variance xs =
 
 let stddev xs = sqrt (variance xs)
 
-let percentile xs ~p =
-  assert (Array.length xs > 0);
-  assert (p >= 0.0 && p <= 100.0);
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
-  let n = Array.length sorted in
-  if n = 1 then sorted.(0)
-  else begin
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (floor rank) in
-    let hi = min (lo + 1) (n - 1) in
-    let frac = rank -. float_of_int lo in
-    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-  end
-
 let mu_minus_k_sigma xs ~k = mean xs -. (k *. stddev xs)
 
 (* Abramowitz & Stegun 7.1.26. *)

@@ -7,10 +7,6 @@ val mean : float array -> float
 val stddev : float array -> float
 (** Square root of [variance]. *)
 
-val percentile : float array -> p:float -> float
-(** [percentile xs ~p] with [p] in [0,100]: linear-interpolated quantile of
-    the sorted data. Requires a non-empty array. *)
-
 val mu_minus_k_sigma : float array -> k:float -> float
 (** [mean - k * stddev], the yield metric used for SRAM margin analysis. *)
 

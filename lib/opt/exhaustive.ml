@@ -375,6 +375,12 @@ let bound_gap_hist =
 
 let search_timer = Obs.Histogram.timer "exhaustive.search"
 
+(* Deadline sampling.  A clock read costs about as much as scanning a
+   pruned line, so a search reads it once per block of [deadline_every]
+   consecutive geometries, before the block's first.  A worker's first
+   geometry always starts a block. *)
+let deadline_every = 64
+
 let journal_design (g : Array_model.Geometry.t) ~vssc =
   { Obs.Search.nr = g.Array_model.Geometry.nr;
     nc = g.Array_model.Geometry.nc;
@@ -601,20 +607,23 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
             [] )
         end
   in
+  (* Deadline check per block of geometries: one geometry's vssc scan
+     is microseconds, so an expired serving deadline stops the search
+     within a fraction of a millisecond, and an already expired one
+     before the first scan.  Under a pool the exception is re-raised in
+     the caller once in-flight tasks finish — and every other worker
+     hits this same check at its next block, so the whole sweep drains
+     rather than running to completion. *)
+  let check_deadline () =
+    match deadline with
+    | Some d when Obs.Clock.now () > d -> raise Deadline_exceeded
+    | Some _ | None -> ()
+  in
   (* The per-geometry trace span is gated on [`Fine] detail: a full
      Table 4 sweep scans ~10^4 geometries and per-geometry events would
      dominate the trace buffer, so coarse traces keep only the
      structural spans (sweep / search / pool chunks). *)
   let eval_line i =
-    (* Deadline check at geometry granularity: one geometry's vssc scan
-       is microseconds, so an expired serving deadline stops the search
-       almost immediately.  Under a pool the exception is re-raised in
-       the caller once in-flight tasks finish — and every other chunk
-       hits this same check on its next geometry, so the whole sweep
-       drains in one scan's time rather than running to completion. *)
-    (match deadline with
-     | Some d when Obs.Clock.now () > d -> raise Deadline_exceeded
-     | _ -> ());
     let r =
       if Obs.Trace.fine_active () then
         Obs.Trace.with_span "exhaustive.eval" (fun () -> eval_line i)
@@ -675,6 +684,7 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
       | None ->
         let best = ref None in
         for i = lo to hi do
+          if (i - lo) mod deadline_every = 0 then check_deadline ();
           best := better !best (fst (eval_line i))
         done;
         if Obs.Search.enabled () then
@@ -709,14 +719,29 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
       in
       (Array.fold_left better None chunk_bests, [])
     | _ ->
-      let per_geometry =
-        Obs.Histogram.span search_timer (fun () ->
-            Runtime.Pool.parmap pool eval_line
-              (Array.init (Array.length geometries) (fun i -> i)))
+      (* One pool element per deadline block; [better] keeps the
+         earliest strictly-best candidate, so folding within blocks and
+         then across them in order picks the flat fold's winner. *)
+      let ngeom = Array.length geometries in
+      let eval_block b =
+        let lo = b * deadline_every in
+        let hi = min ngeom (lo + deadline_every) in
+        check_deadline ();
+        let best = ref None and all = ref [] in
+        for i = lo to hi - 1 do
+          let line_best, cands = eval_line i in
+          best := better !best line_best;
+          if keep_all then all := cands :: !all
+        done;
+        (!best, List.concat (List.rev !all))
       in
-      ( Array.fold_left (fun acc (b, _) -> better acc b) None per_geometry,
-        if keep_all then List.concat_map snd (Array.to_list per_geometry)
-        else [] )
+      let per_block =
+        Obs.Histogram.span search_timer (fun () ->
+            Runtime.Pool.parmap pool eval_block
+              (Array.init ((ngeom + deadline_every - 1) / deadline_every) Fun.id))
+      in
+      ( Array.fold_left (fun acc (b, _) -> better acc b) None per_block,
+        List.concat_map snd (Array.to_list per_block) )
   in
   match best with
   | None -> invalid_arg "Exhaustive.search: no candidates"

@@ -84,11 +84,12 @@ val search :
 
     [stage_ctx] shares staged grids across searches: searches whose
     n_r, N_pre and N_wr axes, capacity and [w] agree get the same
-    memoized candidate grid, and a context stages a grid once
-    ({!Array_model.Array_eval.stage_array}).  Ignored when its
-    environment is not (physically) the search's [env]; when absent the
-    process-wide registered context for [env] is used, so sharing
-    happens by default.
+    memoized candidate grid, and a context's store stages a grid once
+    per device set ({!Array_model.Array_eval.stage_array}).  Ignored
+    when its environment is not (physically) the search's [env]; when
+    absent the process-wide registered context for [env] is used, so
+    sharing happens by default, across both accountings of a flavor
+    too.
 
     [journal] (default {!Persist.Checkpoint.default}, i.e. the CLI's
     [--checkpoint] file when set) switches the sweep to fixed chunks of
@@ -100,8 +101,11 @@ val search :
     uninterrupted run's at any [--jobs] (see DESIGN.md §8).
 
     [deadline] — absolute {!Obs.Clock.now} seconds — aborts the
-    sweep with {!Deadline_exceeded} once passed, checked before every
-    geometry scan (one scan is microseconds, so expiry is prompt).
+    sweep with {!Deadline_exceeded} once passed, checked before the
+    first scan of each block of 64 consecutive geometries, so before
+    each worker's first scan too (one scan is microseconds, so expiry
+    is prompt).  The check never changes which design wins or what the
+    search counts.
     @raise Invalid_argument if the capacity is not a power of two or no
     geometry candidate exists. *)
 

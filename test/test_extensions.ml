@@ -383,8 +383,7 @@ let stat_timing_tests =
         let xs = d.Sram_cell.Stat_timing.samples in
         check_increasing "sorted" xs;
         check_close "mu" (Numerics.Stats.mean xs) d.Sram_cell.Stat_timing.mu;
-        check_close "sigma" (Numerics.Stats.stddev xs) d.Sram_cell.Stat_timing.sigma;
-        check_within "p50" ~lo:xs.(0) ~hi:xs.(19) (Numerics.Stats.percentile xs ~p:50.0));
+        check_close "sigma" (Numerics.Stats.stddev xs) d.Sram_cell.Stat_timing.sigma);
     case "current distribution is deterministic per seed" (fun () ->
         let run () =
           Sram_cell.Stat_timing.read_current_distribution ~n:20

@@ -401,6 +401,31 @@ let test_expired_deadline space () =
   let offenders = runs @ fronts in
   Alcotest.(check (list string)) "ran past an expired deadline" [] offenders
 
+(* The exhaustive search samples the clock under a deadline; one that
+   never expires must leave the search exactly as it is without one:
+   the same winner and, at one job, the same counts. *)
+let test_far_deadline_changes_nothing () =
+  let pool = Runtime.Pool.create ~jobs:1 () in
+  List.iter
+    (fun (capacity_bits, method_) ->
+      let search ?deadline () =
+        Opt.Exhaustive.search ~pool ~levels:levels_hvt ?deadline ~env:env_hvt
+          ~capacity_bits ~method_ ()
+      in
+      let plain = search () in
+      let timed = search ~deadline:(Obs.Clock.now () +. 1e5) () in
+      let counts (r : Opt.Exhaustive.result) =
+        Opt.Exhaustive.(r.evaluated, r.pruned, r.skipped)
+      in
+      Alcotest.(check string) "winner"
+        (Opt.Exhaustive.checksum [ plain ])
+        (Opt.Exhaustive.checksum [ timed ]);
+      Alcotest.(check (triple int int int)) "evaluated, pruned, skipped"
+        (counts plain) (counts timed))
+    [ (1024 * 8, Opt.Space.M2); (4096 * 8, Opt.Space.M1);
+      (16384 * 8, Opt.Space.M2) ];
+  Runtime.Pool.shutdown pool
+
 (* The name each Line_cache engine journals incumbents under. *)
 let journal_source = function
   | Opt.Strategy.Exhaustive -> None
@@ -569,6 +594,8 @@ let () =
                    Opt.Space.M2
                 <= Opt.Surrogate.default_fallback_threshold);
               test_expired_deadline small_space ());
+          case "a far deadline changes no exhaustive winner or count"
+            test_far_deadline_changes_nothing;
           to_alco prop_strategy_contract ] );
       ("strategy-grammar", strategy_grammar_tests)
     ]

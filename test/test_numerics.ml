@@ -63,13 +63,6 @@ let stats_tests =
         check_close_abs "var1" 0.0 (Numerics.Stats.stddev [| 42.0 |]));
     case "stddev" (fun () ->
         check_close "sd" (sqrt (5.0 /. 3.0)) (Numerics.Stats.stddev [| 1.;2.;3.;4. |]));
-    case "percentile endpoints" (fun () ->
-        let xs = [| 5.; 1.; 3. |] in
-        check_close "p0" 1.0 (Numerics.Stats.percentile xs ~p:0.0);
-        check_close "p100" 5.0 (Numerics.Stats.percentile xs ~p:100.0);
-        check_close "p50" 3.0 (Numerics.Stats.percentile xs ~p:50.0));
-    case "percentile interpolates" (fun () ->
-        check_close "p25" 1.5 (Numerics.Stats.percentile [| 1.; 2.; 3. |] ~p:25.0));
     case "mu_minus_k_sigma" (fun () ->
         let xs = [| 1.; 2.; 3.; 4. |] in
         check_close "mks"

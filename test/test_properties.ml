@@ -28,15 +28,6 @@ let assist_gen =
 
 (* --- numerics --- *)
 
-let prop_percentile_bounds =
-  QCheck.Test.make ~name:"percentile endpoints are min and max" ~count:200
-    QCheck.(array_of_size (Gen.int_range 1 40) (float_range (-100.0) 100.0))
-    (fun xs ->
-      let lo = Array.fold_left min infinity xs in
-      let hi = Array.fold_left max neg_infinity xs in
-      Numerics.Stats.percentile xs ~p:0.0 = lo
-      && Numerics.Stats.percentile xs ~p:100.0 = hi)
-
 let prop_brent_cubic =
   QCheck.Test.make ~name:"brent solves random shifted cubics" ~count:200
     QCheck.(float_range (-3.0) 3.0)
@@ -182,6 +173,17 @@ let env_hvt_physical =
     ~cell_flavor:Finfet.Library.Hvt ()
 
 let kernel_envs = [ env_hvt; env_lvt; env_hvt_physical ]
+
+let env_lvt_physical =
+  Array_model.Array_eval.make_env ~accounting:Array_model.Array_eval.Physical
+    ~cell_flavor:Finfet.Library.Lvt ()
+
+(* The same flavor under the other accounting: the same device set. *)
+let accounting_twin env =
+  if env == env_hvt then env_hvt_physical
+  else if env == env_hvt_physical then env_hvt
+  else if env == env_lvt then env_lvt_physical
+  else invalid_arg "accounting_twin"
 
 (* Field-for-field Float.equal — NOT a tolerance check: the staged kernel
    promises bit identity with the reference path. *)
@@ -416,6 +418,18 @@ let grid_gen =
   in
   map Array.of_list (oneof [ return gs; shuffle_l gs ])
 
+let staged_count () =
+  Runtime.Telemetry.value (Runtime.Telemetry.counter "array_eval.stage")
+
+(* Records staged while [f] runs. *)
+let stagings f =
+  let c0 = staged_count () in
+  f ();
+  staged_count () - c0
+
+(* Each grid is staged under the other accounting of the env that
+   scans it: the env finds that block (staging nothing) and prices it
+   under its own accounting. *)
 let prop_stage_array_bit_identical =
   QCheck.Test.make
     ~name:"stage_array element = stage = evaluate bit-for-bit (random grids)"
@@ -428,45 +442,51 @@ let prop_stage_array_bit_identical =
       List.for_all
         (fun env ->
           let open Array_model.Array_eval in
-          let grid = stage_array (make_ctx env) gs in
+          ignore (stage_array (ctx_for (accounting_twin env)) gs);
+          let grid = ref None in
+          let restaged =
+            stagings (fun () -> grid := Some (stage_array (ctx_for env) gs))
+          in
+          let grid = Option.get !grid in
           let points = List.map (fun a -> (a, prepare env a)) assists in
+          let preps = Array.of_list (List.map snd points) in
+          let buf = scan_buffer () in
           let outside i =
             match complete grid i (snd (List.hd points)) with
             | _ -> false
             | exception Invalid_argument _ -> true
           in
-          outside (-1) && outside (Array.length gs)
+          restaged = 0
+          && outside (-1) && outside (Array.length gs)
           && List.for_all
                (fun i ->
                  let g = gs.(i) in
+                 scan grid i preps buf;
                  List.for_all
-                   (fun (a, p) ->
+                   (fun (j, (a, p)) ->
                      let m = complete grid i p in
                      metrics_bits_equal m (complete (stage env g) 0 p)
-                     && metrics_bits_equal m (evaluate env g a))
-                   points)
+                     && metrics_bits_equal m (evaluate env g a)
+                     && bits_equal (scan_e_total buf).(j) m.e_total
+                     && bits_equal (scan_d_array buf).(j) m.d_array
+                     && bits_equal (scan_edp buf).(j) m.edp)
+                   (List.mapi (fun j pt -> (j, pt)) points))
                (List.init (Array.length gs) Fun.id))
         kernel_envs)
 
-let staged_count () =
-  Runtime.Telemetry.value (Runtime.Telemetry.counter "array_eval.stage")
-
-(* Records staged while [f] runs. *)
-let stagings f =
-  let c0 = staged_count () in
-  f ();
-  staged_count () - c0
-
-(* What a search stages depends on its organization grid alone: a
-   second search over the same n_r, N_pre and N_wr axes, capacity and w
-   — here with another V_SSC grid, then the other method — gets the
-   same memoized grid and finds it staged.  [reset_staging] drops it. *)
+(* What a search stages depends on its organization grid and its
+   device set alone: a second search over the same n_r, N_pre and N_wr
+   axes, capacity and w — here with another V_SSC grid, then the other
+   method, then the other accounting — gets the same memoized grid and
+   finds it staged.  An env with other device capacitances (the 8T
+   cell's wider footprint) stages its own.  [reset_staging] drops
+   them. *)
 let test_grid_staged_once () =
   let capacity_bits = 1024 * 8 and space = Opt.Space.reduced in
   let levels = Opt.Yield.solve ~flavor:Finfet.Library.Hvt () in
-  let search ?(space = space) method_ () =
+  let search ?(space = space) ?(env = env_hvt) method_ () =
     ignore
-      (Opt.Exhaustive.search ~space ~levels ~env:env_hvt ~capacity_bits ~method_ ())
+      (Opt.Exhaustive.search ~space ~levels ~env ~capacity_bits ~method_ ())
   in
   let n = List.length (Opt.Space.candidate_geometries space ~capacity_bits) in
   Array_model.Array_eval.reset_staging ();
@@ -479,9 +499,67 @@ let test_grid_staged_once () =
           Opt.Space.M2));
   Alcotest.(check int) "the other method stages nothing" 0
     (stagings (search Opt.Space.M1));
+  Alcotest.(check int) "the other accounting stages nothing" 0
+    (stagings (search ~env:env_hvt_physical Opt.Space.M2));
+  let eight_t =
+    let cell = Sram_cell.Sram8t.of_library lib Finfet.Library.Lvt in
+    Array_model.Array_eval.make_env
+      ~read_current_model:
+        (`Custom (fun ~vddc:_ ~vssc -> Sram_cell.Sram8t.read_current cell ~vssc ()))
+      ~cell_width_factor:Sram_cell.Sram8t.area_factor
+      ~cell_flavor:Finfet.Library.Lvt ()
+  in
+  Alcotest.(check int) "the 6T LVT env stages its own grid" n
+    (stagings (search ~env:env_lvt Opt.Space.M2));
+  Alcotest.(check int) "the 8T env's device caps stage their own grid" n
+    (stagings (search ~env:eight_t Opt.Space.M2));
   Array_model.Array_eval.reset_staging ();
   Alcotest.(check int) "after reset_staging the grid stages again" n
     (stagings (search Opt.Space.M2))
+
+(* The process-wide store holds at most 16 default grids' worth of
+   operands at 22 per geometry, what serving held before rows were
+   split out of the per-geometry operands.  Staging more default grids
+   than fit (copies of one grid: the store finds a grid by the array's
+   identity) keeps it within the bound and evicts the least recently
+   used grid, which then stages again.  A grid larger than the bound is
+   not kept. *)
+let test_staged_operands_bounded () =
+  let open Array_model.Array_eval in
+  let bound = 16 * 10_000 * 22 in
+  let gs =
+    Array.of_list
+      (Opt.Space.candidate_geometries Opt.Space.default
+         ~capacity_bits:(16384 * 8))
+  in
+  let n = Array.length gs in
+  reset_staging ();
+  let ctx = ctx_for env_hvt in
+  let copies = Array.init 40 (fun _ -> Array.copy gs) in
+  let held =
+    Array.map
+      (fun c ->
+        ignore (stage_array ctx c);
+        staged_operands ())
+      copies
+  in
+  Alcotest.(check bool) "held operands stay within the bound" true
+    (Array.for_all (fun h -> h <= bound) held);
+  Alcotest.(check bool) "twenty default 16KB grids fit" true
+    (held.(19) > held.(18));
+  Alcotest.(check int) "the newest grid is held" 0
+    (stagings (fun () -> ignore (stage_array ctx copies.(39))));
+  Alcotest.(check int) "the oldest grid was evicted and stages again" n
+    (stagings (fun () -> ignore (stage_array ctx copies.(0))));
+  (* A grid past the bound on its own is staged but not kept, and
+     evicts nothing. *)
+  let before = staged_operands () in
+  ignore (stage_array ctx (Array.concat (List.init 30 (fun _ -> gs))));
+  Alcotest.(check int) "an oversized grid leaves the store as it was" before
+    (staged_operands ());
+  Alcotest.(check int) "the newest grid is still held" 0
+    (stagings (fun () -> ignore (stage_array ctx copies.(0))));
+  reset_staging ()
 
 (* Not a property but the strongest single determinism check we have:
    the full paper sweep (all capacities x configs, staged kernel) must
@@ -767,7 +845,7 @@ let () =
   Alcotest.run "properties"
     [ ("numerics",
        List.map to_alco
-         [ prop_percentile_bounds; prop_brent_cubic; prop_table1d_clamp_bounds;
+         [ prop_brent_cubic; prop_table1d_clamp_bounds;
            prop_power_law_roundtrip ]);
       ("spice", List.map to_alco [ prop_divider; prop_step_waveform_bounds ]);
       ("device", List.map to_alco [ prop_ids_monotone_vgs; prop_stack_bounded_by_pull_down ]);
@@ -789,7 +867,9 @@ let () =
            Alcotest.test_case "a search stages its organization grid once"
              `Quick test_grid_staged_once;
            Alcotest.test_case "staging a grid promotes < 4 words per geometry"
-             `Quick test_stage_array_promotes_little ]);
+             `Quick test_stage_array_promotes_little;
+           Alcotest.test_case "staged grids stay within the operand bound"
+             `Quick test_staged_operands_bounded ]);
       ("workload", List.map to_alco [ prop_trace_summary_bounds ]);
       ("deck", List.map to_alco [ prop_deck_roundtrip ]);
       ("macro", List.map to_alco [ prop_macro_matches_reference ]) ]
