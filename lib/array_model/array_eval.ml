@@ -393,65 +393,33 @@ let base_of grid i ~fn =
 
 let row_of k base = int_of_float (Array.unsafe_get k (base + k_row))
 
-(* ----- device sets, stores and staging contexts -----
+(* ----- the staging store -----
 
    Staging reads three things of an environment: its device
-   capacitances, its periphery tables and the LVT periphery drive
-   currents.  Together they are its device set.  [make_env] builds all
-   three from the flavor alone, so both accountings of a flavor share a
-   device set, and a block staged for one prices searches under the
-   other; the 8T env scales its cell's wire caps and has a device set of
+   capacitances, its periphery tables and its currents' two ON currents
+   (the assist-blind drives are arithmetic on them).  [make_env] builds
+   all three from the flavor alone, so both accountings of a flavor
+   stage the same block, and a block staged for one prices searches
+   under the other; the 8T env scales its cell's wire caps and stages
    its own.
 
-   The assist-blind components' drive currents are device-set
-   constants: [Currents.wl_read]/[col_driver] don't depend on the
-   geometry at all, and [bl_write]/[precharge] only through the small
-   integers n_wr/n_pre, yet each call re-evaluates the FinFET device
-   model.  A device set hoists them once (the per-n_wr/n_pre draws
-   eagerly, via the exact [Currents] functions, so blocks staged through
-   it are bit-identical to the direct path's).  Two device sets are the
-   same when their periphery is the same value and their caps and
-   hoisted currents agree bit for bit; the draws past the hoisted slots
-   are the same functions of the one-fin draws, so they agree too.
+   A store holds whole staged grids under one mutex, each found by the
+   identity of its grid array and the device fields of the env that
+   staged it, most recently used first, until they hold
+   [staged_operand_bound] operands.  Exhaustive searches look a grid up
+   once per search, so the lock is never on a per-candidate path.  Two
+   domains that miss together stage the same grid twice; staging is
+   deterministic, so the copies are bit-identical.
 
-   A store holds staged blocks under one mutex:
-   - whole grids, found by the device set and the identity of the grid
-     array, most recently used first, until they hold
-     [staged_operand_bound] operands;
-   - per device set, a bounded table of one-geometry blocks for [stage],
-     whose callers ({!Opt.Line_cache}) revisit geometries across
-     searches.
-   Exhaustive searches look a grid up once per search, and the
-   heuristics look up a few hundred geometries per search, so the lock
-   is never on a per-candidate path.  Two domains that miss together
-   stage the same grid twice; staging is deterministic, so the copies
-   are bit-identical.
-
-   A context pairs an env with its device set and a store: [ctx_for]'s
-   share one process-wide store, [make_ctx]'s get a private one.  A
-   device set is only ever used with one store, which guards its
-   table. *)
-
-type devices = {
-  dv_dcaps : Caps.device_caps;
-  dv_periphery : Periphery.t;
-  dv_currents : Currents.t;       (* draws past the hoisted slots *)
-  dv_i_wl_read : float;           (* Currents.wl_read *)
-  dv_i_col : float;               (* Currents.col_driver *)
-  dv_i_bl_write : float array;    (* Currents.bl_write, indexed by n_wr *)
-  dv_i_precharge : float array;   (* Currents.precharge, indexed by n_pre *)
-  dv_singles : (Geometry.t, float array) Hashtbl.t;
-}
+   A context is an env and a store: [ctx_for]'s share one process-wide
+   store, [make_ctx]'s get a private one. *)
 
 type store = {
   st_lock : Mutex.t;
-  mutable st_grids : (devices * Geometry.t array * float array) list;
+  mutable st_grids : (env * Geometry.t array * float array) list;
 }
 
-type ctx = { x_env : env; x_dev : devices; x_store : store }
-
-let ctx_current_slots = 128
-let singles_cap = 65536
+type ctx = { x_env : env; x_store : store }
 
 (* What a server held when every geometry took 22 operands and each
    (flavor, accounting) context kept its last four grids: 16 default
@@ -460,36 +428,24 @@ let singles_cap = 65536
    space. *)
 let staged_operand_bound = 16 * 10_000 * 22
 
-let devices_of env =
-  let cur = env.currents in
-  { dv_dcaps = env.dcaps;
-    dv_periphery = env.periphery;
-    dv_currents = cur;
-    dv_i_wl_read = Currents.wl_read cur;
-    dv_i_col = Currents.col_driver cur;
-    dv_i_bl_write =
-      Array.init ctx_current_slots (fun n_wr -> Currents.bl_write cur ~n_wr);
-    dv_i_precharge =
-      Array.init ctx_current_slots (fun n_pre -> Currents.precharge cur ~n_pre);
-    dv_singles = Hashtbl.create 1024 }
-
+(* Two envs stage the same block when their periphery is the same value
+   and their caps and ON currents agree bit for bit. *)
 let same_devices a b =
   let eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
-  let ca = a.dv_dcaps and cb = b.dv_dcaps in
-  a.dv_periphery == b.dv_periphery
+  let ca = a.dcaps and cb = b.dcaps in
+  a.periphery == b.periphery
   && eq ca.Caps.c_dn cb.Caps.c_dn && eq ca.Caps.c_dp cb.Caps.c_dp
   && eq ca.Caps.c_gn cb.Caps.c_gn && eq ca.Caps.c_gp cb.Caps.c_gp
   && eq ca.Caps.c_width cb.Caps.c_width
   && eq ca.Caps.c_height cb.Caps.c_height
-  && eq a.dv_i_wl_read b.dv_i_wl_read
-  && eq a.dv_i_col b.dv_i_col
-  && Array.for_all2 eq a.dv_i_bl_write b.dv_i_bl_write
-  && Array.for_all2 eq a.dv_i_precharge b.dv_i_precharge
+  && eq (Currents.i_on_pfet a.currents) (Currents.i_on_pfet b.currents)
+  && eq (Currents.i_on_tg a.currents) (Currents.i_on_tg b.currents)
 
 let new_store () = { st_lock = Mutex.create (); st_grids = [] }
+let shared_store = new_store ()
 
-let make_ctx env = { x_env = env; x_dev = devices_of env; x_store = new_store () }
-
+let make_ctx env = { x_env = env; x_store = new_store () }
+let ctx_for env = { x_env = env; x_store = shared_store }
 let ctx_env ctx = ctx.x_env
 
 (* Row operands and the row terms the residue folds, computed once per
@@ -511,10 +467,11 @@ type row_core = {
   rc_mp_leak : float;
 }
 
-let row_core_of dev (g : Geometry.t) =
-  let d = dev.dv_dcaps and per = dev.dv_periphery in
+let row_core_of env (g : Geometry.t) =
+  let d = env.dcaps and per = env.periphery in
   let wl_rd =
-    Components.equation1 ~c:(Caps.wl d g) ~v:vdd ~dv:vdd ~i:dev.dv_i_wl_read
+    Components.equation1 ~c:(Caps.wl d g) ~v:vdd ~dv:vdd
+      ~i:(Currents.wl_read env.currents)
   in
   let row_dec = Periphery.row_dec per ~bits:(Geometry.row_address_bits g) in
   let col_dec = Periphery.col_dec per ~bits:(Geometry.column_address_bits g) in
@@ -553,28 +510,25 @@ let write_row rc k rbase =
 
 (* Write [g]'s residue into [k] from [base], given its row core and the
    row's offset. *)
-let stage_residue dev rc (g : Geometry.t) k base rbase =
-  let d = dev.dv_dcaps and cur = dev.dv_currents and per = dev.dv_periphery in
+let stage_residue env rc (g : Geometry.t) k base rbase =
+  let d = env.dcaps and cur = env.currents and per = env.periphery in
   (* The (n_pre, n_wr) residue: each [equation1] application expands to
      the same expression the corresponding [Components] constructor
      evaluates (the QCheck bit-identity property pins this down against
      [evaluate]). *)
   let c_bl = Caps.bl d g in
-  let n_wr = g.Geometry.n_wr and n_pre = g.Geometry.n_pre in
-  let i_bl_wr =
-    if n_wr < ctx_current_slots then Array.unsafe_get dev.dv_i_bl_write n_wr
-    else Currents.bl_write cur ~n_wr
-  in
-  let i_pre =
-    if n_pre < ctx_current_slots then Array.unsafe_get dev.dv_i_precharge n_pre
-    else Currents.precharge cur ~n_pre
-  in
+  let i_pre = Currents.precharge cur ~n_pre:g.Geometry.n_pre in
   let col =
     if not (Geometry.has_column_mux g) then
       { Components.delay = 0.0; energy = 0.0 }
-    else Components.equation1 ~c:(Caps.col d g) ~v:vdd ~dv:vdd ~i:dev.dv_i_col
+    else
+      Components.equation1 ~c:(Caps.col d g) ~v:vdd ~dv:vdd
+        ~i:(Currents.col_driver cur)
   in
-  let bl_wr = Components.equation1 ~c:c_bl ~v:vdd ~dv:vdd ~i:i_bl_wr in
+  let bl_wr =
+    Components.equation1 ~c:c_bl ~v:vdd ~dv:vdd
+      ~i:(Currents.bl_write cur ~n_wr:g.Geometry.n_wr)
+  in
   let pre_rd =
     Components.equation1 ~c:c_bl ~v:vdd ~dv:Finfet.Tech.delta_v_sense ~i:i_pre
   in
@@ -608,7 +562,7 @@ let same_row (p : Geometry.t) (g : Geometry.t) =
 (* Stage [gs] into one block: a new row starts wherever (n_r, n_c, W)
    differs from the previous element's, which in an n_r-major grid is
    once per n_r. *)
-let stage_block dev (gs : Geometry.t array) =
+let stage_block env (gs : Geometry.t array) =
   let n = Array.length gs in
   Runtime.Telemetry.add stage_counter n;
   let rows = ref 0 in
@@ -624,58 +578,48 @@ let stage_block dev (gs : Geometry.t array) =
         match !rc with
         | Some core when same_row gs.(i - 1) g -> core
         | Some _ | None ->
-          let core = row_core_of dev g in
+          let core = row_core_of env g in
           rbase := !rbase + row_stride;
           write_row core k !rbase;
           rc := Some core;
           core
       in
-      stage_residue dev core g k (i * res_stride) !rbase)
+      stage_residue env core g k (i * res_stride) !rbase)
     gs;
-  k
+  { g_env = env; g_k = k; g_n = n }
 
-let handle ctx k n = { g_env = ctx.x_env; g_k = k; g_n = n }
-
-(* A single geometry is a one-element grid.  The table is bounded
-   first-come, so a long-lived server cannot grow it without limit. *)
-let stage_cached ctx (g : Geometry.t) =
-  let st = ctx.x_store and singles = ctx.x_dev.dv_singles in
-  match Mutex.protect st.st_lock (fun () -> Hashtbl.find_opt singles g) with
-  | Some k -> handle ctx k 1
-  | None ->
-    let k = stage_block ctx.x_dev [| g |] in
-    Mutex.protect st.st_lock (fun () ->
-        if Hashtbl.length singles < singles_cap then Hashtbl.replace singles g k);
-    handle ctx k 1
-
-let stage_with ctx g =
+(* A single geometry is a one-element grid, staged afresh each time: a
+   dozen Equation (1) applications cost about what a hashed lookup
+   would (~0.16 us), and nothing outside the store's bound stays
+   alive. *)
+let stage env g =
   if Obs.Histogram.tick stage_hist then begin
     let g0 = Obs.Histogram.major_collections () in
     let t0 = Obs.Clock.now () in
-    let grid = stage_cached ctx g in
+    let grid = stage_block env [| g |] in
     let dt = Obs.Clock.now () -. t0 in
     Obs.Histogram.observe_gc stage_hist dt
       (Obs.Histogram.major_collections () - g0);
     grid
   end
-  else stage_cached ctx g
+  else stage_block env [| g |]
 
 (* Most recently used first: a hit moves to the front, and a new block
    goes there and drops the least recently used ones until the store
    holds at most [staged_operand_bound] operands.  A block past the
    bound alone is not kept. *)
-let find_grid st dev gs =
-  match
-    List.partition (fun (d, g, _) -> d == dev && g == gs) st.st_grids
-  with
+let held env gs (e, g, _) = g == gs && same_devices e env
+
+let find_grid st env gs =
+  match List.partition (held env gs) st.st_grids with
   | [], _ -> None
   | (((_, _, k) as e) :: _), rest ->
     st.st_grids <- e :: rest;
     Some k
 
-let keep_grid st dev gs k =
+let keep_grid st env gs k =
   if Array.length k <= staged_operand_bound
-     && not (List.exists (fun (d, g, _) -> d == dev && g == gs) st.st_grids)
+     && not (List.exists (held env gs) st.st_grids)
   then begin
     let rec within budget = function
       | [] -> []
@@ -683,63 +627,25 @@ let keep_grid st dev gs k =
         let size = Array.length k in
         if size > budget then [] else e :: within (budget - size) rest
     in
-    st.st_grids <- within staged_operand_bound ((dev, gs, k) :: st.st_grids)
+    st.st_grids <- within staged_operand_bound ((env, gs, k) :: st.st_grids)
   end
 
 let stage_array ctx (gs : Geometry.t array) =
-  let st = ctx.x_store and dev = ctx.x_dev in
-  let k =
-    match Mutex.protect st.st_lock (fun () -> find_grid st dev gs) with
-    | Some k -> k
-    | None ->
-      let k = stage_block dev gs in
-      Mutex.protect st.st_lock (fun () -> keep_grid st dev gs k);
-      k
-  in
-  handle ctx k (Array.length gs)
-
-(* Contexts are registered per environment value (physical equality:
-   environments are built once and shared — the framework memoizes
-   them per (flavor, accounting)), newest-first with a small cap so
-   ad-hoc test environments cannot pin memory forever.  A new context
-   takes the device set of a registered one when the two agree, so
-   every registered env of one device set finds the same blocks in the
-   process-wide store. *)
-let ctx_registry_cap = 8
-let ctx_registry_lock = Mutex.create ()
-let ctx_registry : ctx list ref = ref []
-let shared_store = new_store ()
-
-let ctx_for env =
-  Mutex.protect ctx_registry_lock (fun () ->
-      match List.find_opt (fun c -> c.x_env == env) !ctx_registry with
-      | Some c -> c
-      | None ->
-        let dev = devices_of env in
-        let dev =
-          match
-            List.find_opt (fun c -> same_devices c.x_dev dev) !ctx_registry
-          with
-          | Some c -> c.x_dev
-          | None -> dev
-        in
-        let c = { x_env = env; x_dev = dev; x_store = shared_store } in
-        ctx_registry :=
-          c :: List.filteri (fun i _ -> i < ctx_registry_cap - 1) !ctx_registry;
-        c)
+  let st = ctx.x_store and env = ctx.x_env in
+  match Mutex.protect st.st_lock (fun () -> find_grid st env gs) with
+  | Some k -> { g_env = env; g_k = k; g_n = Array.length gs }
+  | None ->
+    let grid = stage_block env gs in
+    Mutex.protect st.st_lock (fun () -> keep_grid st env gs grid.g_k);
+    grid
 
 let staged_operands () =
   Mutex.protect shared_store.st_lock (fun () ->
       List.fold_left (fun acc (_, _, k) -> acc + Array.length k) 0
         shared_store.st_grids)
 
-(* Dropping the registered contexts drops their device sets and
-   one-geometry tables; the process-wide store's grids go too. *)
 let reset_staging () =
-  Mutex.protect ctx_registry_lock (fun () -> ctx_registry := []);
   Mutex.protect shared_store.st_lock (fun () -> shared_store.st_grids <- [])
-
-let stage env g = stage_with (ctx_for env) g
 
 type prepared = {
   p_assist : Components.assist;

@@ -138,7 +138,7 @@ type grid
     that the minor GC never copies.  The block reads nothing of the
     accounting, alpha, beta or the DC-DC overhead: {!complete} and
     {!scan} take those from the paired environment, so one block serves
-    every environment of its device set (see the staging context
+    every environment of its device set (see the staging store
     below). *)
 
 type prepared
@@ -146,11 +146,10 @@ type prepared
     delay for one assist, reusable across every geometry. *)
 
 val stage : env -> Geometry.t -> grid
-(** A one-element grid for this geometry, staged through the context
-    {!ctx_for} registers for [env]: a geometry staged before for
-    [env]'s device set comes back from its table.  Every geometry actually staged,
-    here or by {!stage_array}, adds one to the ["array_eval.stage"]
-    telemetry counter. *)
+(** A one-element grid for this geometry, staged afresh and kept
+    nowhere.  Every geometry actually staged, here or by
+    {!stage_array}, adds one to the ["array_eval.stage"] telemetry
+    counter. *)
 
 val prepare : env -> Components.assist -> prepared
 (** Hoist all assist-only computation (four rail currents and the write
@@ -162,47 +161,41 @@ val complete : grid -> int -> prepared -> metrics
     matching inputs.  Raises [Invalid_argument] when [i] is outside the
     grid. *)
 
-(** {1 Staging context: the staging caches}
+(** {1 Staging context: the staging store}
 
-    Staging reads three things of an environment: its device
-    capacitances, its periphery tables and the periphery drive currents
-    — its {e device set}.  [make_env] builds them from the flavor alone,
-    so both accountings of a flavor share a device set, while the 8T
-    environment's scaled cell caps make a device set of their own.  A
-    grid is staged once per device set.
+    Staging reads three things of an environment, its {e device set}:
+    its device capacitances, its periphery tables and its currents' two
+    ON currents ({!Currents.i_on_pfet}, {!Currents.i_on_tg}).
+    [make_env] builds them from the flavor alone, so both accountings of
+    a flavor share a device set, while the 8T environment's scaled cell
+    caps make one of their own.  A grid is staged once per device set.
 
-    A [ctx] pairs an environment with its device set (the assist-blind
-    drive currents hoisted once) and a store of staged blocks under one
-    lock: whole grids, found by the device set and the {e identity} of
-    the grid array and held most recently used first up to a bound of
-    3,520,000 operands (~28 MB, all 20 flavor x capacity grids of the
-    default space), and per device set a bounded table of one-geometry
-    blocks ({!stage}).  Grids staged through a context are bit-identical
-    to [stage]'s (the hoisted draws come from the exact [Currents]
-    functions). *)
+    A [ctx] is an environment and a store of staged grids under one
+    lock.  The store finds a grid by the {e identity} of the grid array
+    and the device fields of the environment that staged it (the
+    periphery value, the bits of the six device caps and of the two ON
+    currents), and holds grids most recently used first up to a bound
+    of 3,520,000 operands (~28 MB, all 20 flavor x capacity grids of
+    the default space).  It is the only staged state a process keeps:
+    {!stage} keeps nothing. *)
 
 type ctx
 
 val make_ctx : env -> ctx
-(** Fresh context for this environment with a private store that holds
-    no staged grid or geometry, so its first {!stage_array} of a grid
-    stages it cold. *)
+(** This environment with a fresh private store that holds no staged
+    grid, so its first {!stage_array} of a grid stages it cold. *)
 
 val ctx_for : env -> ctx
-(** The process-wide context registered for this environment value
-    (physical equality — environments are built once and shared).
-    Creates and registers one on first use, taking the device set of a
-    registered context when the two agree; the registry holds the most
-    recent handful of environments.  Every registered context stages
-    into one process-wide store, so environments of one device set
-    share their staged grids.  {!stage} stages through it. *)
+(** This environment with the process-wide store, which every
+    [ctx_for] context shares: environments of one device set find each
+    other's staged grids. *)
 
 val ctx_env : ctx -> env
 
 val stage_array : ctx -> Geometry.t array -> grid
 (** Stage a whole candidate grid into one block, or find it in the
-    context's store: the store keys a grid on the context's device set
-    and the {e identity} of the array, so searches that share one
+    context's store: the store keys a grid on the environment's device
+    fields and the {e identity} of the array, so searches that share one
     memoized grid (the two methods and both accountings of a Table 4
     capacity, queries differing only in V_SSC) stage it once.  The
     result pairs the block with the context's environment.  Index [i]
@@ -215,9 +208,8 @@ val staged_operands : unit -> int
     bound. *)
 
 val reset_staging : unit -> unit
-(** Drop every registered context and every grid of the process-wide
-    store (benchmarks call this between runs so cold-path measurements
-    stay cold). *)
+(** Drop every grid of the process-wide store (benchmarks call this
+    between runs so cold-path measurements stay cold). *)
 
 (** {1 Admissible lower envelope}
 

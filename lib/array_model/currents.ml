@@ -1,6 +1,8 @@
 type t = {
   nfet_per : Finfet.Device.params;  (* LVT periphery devices *)
   pfet_per : Finfet.Device.params;
+  i_on_pfet : float;
+  i_on_tg : float;
   lib : Finfet.Library.t;
   cell_flavor : Finfet.Library.flavor;
   read_current_model :
@@ -8,9 +10,19 @@ type t = {
   read_cache : (float * float, float) Runtime.Memo.t;
 }
 
+let vdd = Finfet.Tech.vdd_nominal
+
 let create ~lib ~cell_flavor ~read_current_model =
-  { nfet_per = Finfet.Library.nfet lib Finfet.Library.Lvt;
-    pfet_per = Finfet.Library.pfet lib Finfet.Library.Lvt;
+  let nfet_per = Finfet.Library.nfet lib Finfet.Library.Lvt in
+  let pfet_per = Finfet.Library.pfet lib Finfet.Library.Lvt in
+  { nfet_per;
+    pfet_per;
+    (* The two assist-blind ON currents, evaluated once: the drives
+       below are arithmetic on them. *)
+    i_on_pfet = Finfet.Device.i_on pfet_per;
+    i_on_tg =
+      Finfet.Device.ids nfet_per ~vgs:vdd ~vds:(0.5 *. vdd)
+      +. Finfet.Device.ids pfet_per ~vgs:vdd ~vds:(0.5 *. vdd);
     lib;
     cell_flavor;
     read_current_model;
@@ -19,13 +31,8 @@ let create ~lib ~cell_flavor ~read_current_model =
        is generous. *)
     read_cache = Runtime.Memo.create ~name:"currents.read" ~capacity:1024 () }
 
-let vdd = Finfet.Tech.vdd_nominal
-
-let i_on_pfet t = Finfet.Device.i_on t.pfet_per
-
-let i_on_tg t =
-  Finfet.Device.ids t.nfet_per ~vgs:vdd ~vds:(0.5 *. vdd)
-  +. Finfet.Device.ids t.pfet_per ~vgs:vdd ~vds:(0.5 *. vdd)
+let i_on_pfet t = t.i_on_pfet
+let i_on_tg t = t.i_on_tg
 
 let rail_fins = float_of_int Gates.Superbuffer.rail_driver_fins
 let wl_fins = float_of_int Gates.Superbuffer.wl_driver_fins
@@ -40,16 +47,16 @@ let cvss_driver t ~vssc =
   let swing = max (-.vssc) 0.02 in
   0.15 *. rail_fins *. Finfet.Device.ids t.nfet_per ~vgs:(vdd -. vssc) ~vds:swing
 
-let wl_read t = 0.25 *. wl_fins *. i_on_pfet t
+let wl_read t = 0.25 *. wl_fins *. t.i_on_pfet
 
 let wl_write t ~vwl =
   0.18 *. wl_fins *. Finfet.Device.ids t.pfet_per ~vgs:vwl ~vds:vwl
 
-let col_driver t = 0.33 *. wl_fins *. i_on_pfet t
+let col_driver t = 0.33 *. wl_fins *. t.i_on_pfet
 
-let bl_write t ~n_wr = 0.50 *. float_of_int n_wr *. i_on_tg t
+let bl_write t ~n_wr = 0.50 *. float_of_int n_wr *. t.i_on_tg
 
-let precharge t ~n_pre = 0.50 *. float_of_int n_pre *. i_on_pfet t
+let precharge t ~n_pre = 0.50 *. float_of_int n_pre *. t.i_on_pfet
 
 let read_current t ~vddc ~vssc =
   match t.read_current_model with

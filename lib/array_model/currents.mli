@@ -4,7 +4,9 @@
     average current I = coefficient x fins x I_device(bias).  The
     coefficients (0.30, 0.15, 0.25, 0.18, 0.33, 0.50) are the paper's
     SPICE-fitted values, kept verbatim; the device currents come from the
-    calibrated LVT periphery devices.  *)
+    calibrated LVT periphery devices.  The two assist-blind ON currents
+    are evaluated once, by {!create}, so [wl_read], [col_driver],
+    [bl_write] and [precharge] are arithmetic on stored values.  *)
 
 type t
 (** Current model bound to a periphery device pair and a cell flavor. *)

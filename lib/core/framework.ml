@@ -121,12 +121,6 @@ let env_for ~flavor ~accounting =
   Runtime.Memo.find_or_compute env_cache (flavor, accounting) (fun () ->
       Array_model.Array_eval.make_env ~accounting ~cell_flavor:flavor ())
 
-(* The staging context registered for a memoized environment: because
-   [env_for] returns the same physical env value per (flavor,
-   accounting), every search the framework launches against it —
-   across capacities, configs, sweeps and serve requests — finds its
-   staged grids.  Both accountings of a flavor share a device set, so
-   the M1/M2 configs under either accounting stage a grid once. *)
 let stage_ctx_for ~flavor ~accounting =
   Array_model.Array_eval.ctx_for (env_for ~flavor ~accounting)
 
@@ -163,10 +157,9 @@ let optimize ?space ?(objective = Opt.Objective.Energy_delay_product)
         (Opt.Strategy.name strategy);
       Obs.Histogram.span optimize_timer (fun () ->
           let env = env_for ~flavor:config.flavor ~accounting in
-          let stage_ctx = Array_model.Array_eval.ctx_for env in
           let result =
-            Opt.Strategy.run strategy ?space ~objective ?pool ~w ~stage_ctx
-              ?deadline ?budget ~rng_seed ~env ~capacity_bits
+            Opt.Strategy.run strategy ?space ~objective ?pool ~w ?deadline
+              ?budget ~rng_seed ~env ~capacity_bits
               ~method_:config.method_ ()
           in
           { capacity_bits; config; result }))

@@ -94,13 +94,9 @@ val stage_ctx_for :
   flavor:Finfet.Library.flavor ->
   accounting:Array_model.Array_eval.accounting ->
   Array_model.Array_eval.ctx
-(** The staging context shared by every search the framework runs for
-    this (flavor, accounting): environments are memoized per pair, and
-    both accountings of a flavor stage into one device set, so a grid
-    staged once serves every config, accounting, sweep and serve
-    request of its flavor and capacity.  Exposed for benchmarks that
-    drive {!Opt.Exhaustive.search} directly with framework
-    environments. *)
+(** [Array_eval.ctx_for] of the memoized environment for this
+    (flavor, accounting): the one {!optimize} searches against, with
+    the process-wide staging store. *)
 
 val sweep_capacities :
   ?pool:Runtime.Pool.t ->

@@ -342,14 +342,14 @@ let scan_buf = Runtime.Pool.local Array_model.Array_eval.scan_buffer
 let bound_buf = Runtime.Pool.local Array_model.Array_eval.scan_buffer
 
 (* Candidate grids keyed by what [Space.candidate_geometries] reads:
-   the n_r, N_pre and N_wr axes, the capacity and w — all plain data,
-   so structural comparison is safe.  Searches that differ only in
-   method, flavor or V_SSC grid (the four searches of a Table 4
-   capacity, served queries with a new V_SSC grid) get the same array,
-   which is what lets the staging context find its staged grid by
-   identity. *)
+   the n_r, N_pre and N_wr axes, the capacity and the resolved w — all
+   plain data, so structural comparison is safe.  Searches that differ
+   only in method, flavor or V_SSC grid (the four searches of a Table 4
+   capacity, served queries with a new V_SSC grid), or in whether they
+   pass the default w, get the same array, which is what lets the
+   staging store find its staged grid by identity. *)
 let geometry_memo :
-    (int array * int array * int array * int * int option,
+    (int array * int array * int array * int * int,
      Array_model.Geometry.t array)
     Runtime.Memo.t =
   Runtime.Memo.create ~name:"exhaustive.geometries" ~capacity:16 ()
@@ -407,11 +407,12 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
   in
   (* Shared through the memo; consumers only read it. *)
   let geometries =
+    let w = Option.value w ~default:64 in
     Runtime.Memo.find_or_compute geometry_memo
       ( space.Space.nr_values, space.Space.n_pre_values,
         space.Space.n_wr_values, capacity_bits, w )
       (fun () ->
-        Array.of_list (Space.candidate_geometries ?w space ~capacity_bits))
+        Array.of_list (Space.candidate_geometries ~w space ~capacity_bits))
   in
   if Array.length geometries = 0 then
     invalid_arg "Exhaustive.search: empty geometry space";
@@ -462,9 +463,9 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
     (!best, List.rev !all)
   in
   (* Both staged arms stage the whole grid up front through a context —
-     env-constant currents hoisted once, and the grid found again by its
-     identity when a sibling search staged it — and read each line's
-     operands by index, so no lookup sits on the per-line path. *)
+     the grid found again by its identity when a sibling search staged
+     it — and read each line's operands by index, so no lookup sits on
+     the per-line path. *)
   let staged_grid () =
     let ctx =
       match stage_ctx with

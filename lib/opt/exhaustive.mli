@@ -82,14 +82,14 @@ val search :
     for any job count.  [kernel] selects the evaluation path (default
     [`Staged]).
 
-    [stage_ctx] shares staged grids across searches: searches whose
-    n_r, N_pre and N_wr axes, capacity and [w] agree get the same
-    memoized candidate grid, and a context's store stages a grid once
-    per device set ({!Array_model.Array_eval.stage_array}).  Ignored
-    when its environment is not (physically) the search's [env]; when
-    absent the process-wide registered context for [env] is used, so
-    sharing happens by default, across both accountings of a flavor
-    too.
+    [stage_ctx] is the staging context (an environment and a store)
+    the search stages its grid through.  Searches whose n_r, N_pre and
+    N_wr axes, capacity and [w] (64 when absent) agree get the same
+    memoized candidate grid, and a store stages a grid once per device
+    set ({!Array_model.Array_eval.stage_array}).  Ignored when its
+    environment is not (physically) the search's [env]; when absent,
+    [Array_eval.ctx_for env] (the process-wide store), so sharing
+    happens by default, across both accountings of a flavor too.
 
     [journal] (default {!Persist.Checkpoint.default}, i.e. the CLI's
     [--checkpoint] file when set) switches the sweep to fixed chunks of

@@ -64,7 +64,7 @@ val run :
     Every engine honours [space], [objective], [pool], [w] and [deadline]
     (absolute {!Obs.Clock.now} seconds; once passed the run
     raises {!Exhaustive.Deadline_exceeded}).  [stage_ctx] is the
-    exhaustive kernel's staging cache (see {!Exhaustive.search}); it
+    exhaustive kernel's staging store (see {!Exhaustive.search}); it
     never changes an answer.  The only per-engine exceptions:
     - [budget] caps the scan points of [Nsga2] and [Surrogate]; the
       other engines stop on their own criteria and ignore it;

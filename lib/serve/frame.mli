@@ -38,6 +38,8 @@ val read : Unix.file_descr -> (string, error) result
 type decoder
 
 val decoder : ?max_len:int -> unit -> decoder
+(** A decoder refusing frames longer than [max_len] bytes (default
+    {!max_frame_default}). *)
 
 val feed : decoder -> bytes -> int -> unit
 (** [feed d buf n] appends the first [n] bytes of [buf]. *)

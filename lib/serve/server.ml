@@ -6,7 +6,6 @@ type config = {
   tcp : (string * int) option;
   max_queue : int;
   default_deadline_ms : float option;
-  max_frame : int;
   install_signals : bool;
   observability : bool;
   flight_dir : string option;
@@ -18,7 +17,6 @@ let default_config =
     tcp = None;
     max_queue = 64;
     default_deadline_ms = None;
-    max_frame = Frame.max_frame_default;
     install_signals = true;
     observability = true;
     flight_dir = None;
@@ -489,7 +487,7 @@ let run config =
           count "serve.connections";
           conns :=
             { fd;
-              dec = Frame.decoder ~max_len:config.max_frame ();
+              dec = Frame.decoder ();
               peer = peer_name fd;
               mode = Sniff;
               alive = true }

@@ -54,7 +54,6 @@ type config = {
   max_queue : int;              (** admission bound (default 64) *)
   default_deadline_ms : float option;
       (** budget for requests that set none; [None] = unlimited *)
-  max_frame : int;              (** per-frame byte cap *)
   install_signals : bool;       (** drain on SIGINT/SIGTERM (default true) *)
   observability : bool;
       (** trace ids, windowed metrics and the flight recorder
@@ -67,8 +66,9 @@ type config = {
 
 val default_config : config
 (** No listeners (callers must set at least one), queue of 64, no
-    default deadline, {!Frame.max_frame_default}, signals installed,
-    observability on, temp-dir flight dumps, no slow threshold. *)
+    default deadline, signals installed, observability on, temp-dir
+    flight dumps, no slow threshold.  Every connection decodes frames
+    of at most {!Frame.max_frame_default} bytes. *)
 
 type summary = {
   connections : int;  (** accepted over the server's lifetime *)

@@ -96,8 +96,14 @@ let currents =
 
 let currents_tests =
   let pfet_lvt = Finfet.Library.pfet lib Finfet.Library.Lvt in
+  (* The ON currents are evaluated once, at [create], by the device
+     model's own calls: bit-equal, not just close. *)
+  let check_bits msg expected actual =
+    Alcotest.(check int64) msg (Int64.bits_of_float expected)
+      (Int64.bits_of_float actual)
+  in
   [ case "I_ON_PFET is the single-fin LVT PFET ON current" (fun () ->
-        check_close "ion" (Finfet.Device.i_on pfet_lvt)
+        check_bits "ion" (Finfet.Device.i_on pfet_lvt)
           (Array_model.Currents.i_on_pfet currents));
     case "WL read current carries the 0.25 x 27 coefficient" (fun () ->
         check_close "wl"
@@ -119,7 +125,7 @@ let currents_tests =
     case "transmission gate combines both polarities" (fun () ->
         let vdd = Finfet.Tech.vdd_nominal in
         let nfet_lvt = Finfet.Library.nfet lib Finfet.Library.Lvt in
-        check_close "tg"
+        check_bits "tg"
           (Finfet.Device.ids nfet_lvt ~vgs:vdd ~vds:(0.5 *. vdd)
            +. Finfet.Device.ids pfet_lvt ~vgs:vdd ~vds:(0.5 *. vdd))
           (Array_model.Currents.i_on_tg currents));

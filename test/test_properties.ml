@@ -517,6 +517,50 @@ let test_grid_staged_once () =
   Alcotest.(check int) "after reset_staging the grid stages again" n
     (stagings (search Opt.Space.M2))
 
+(* The candidate-grid memo keys on the resolved w, so a search that
+   leaves w to its default of 64 finds the grid of one that passes
+   [~w:64] staged. *)
+let test_default_w_shares_grid () =
+  let capacity_bits = 16384 * 8 in
+  let levels = Opt.Yield.solve ~flavor:Finfet.Library.Hvt () in
+  let search ?w () =
+    ignore
+      (Opt.Exhaustive.search ~space:Opt.Space.default ~levels ?w ~env:env_hvt
+         ~capacity_bits ~method_:Opt.Space.M1 ())
+  in
+  Array_model.Array_eval.reset_staging ();
+  Alcotest.(check int) "the search with ~w:64 stages the grid" 10_000
+    (stagings (fun () -> search ~w:64 ()));
+  Alcotest.(check int) "the search without ~w stages nothing" 0
+    (stagings (fun () -> search ()))
+
+(* [stage] keeps nothing: 20,000 distinct single stagings (the default
+   axes with N_pre 1..100, at 16 KB) leave the live heap as it was, so
+   the store's bound covers every staged operand the process holds. *)
+let test_single_staging_retains_nothing () =
+  let space =
+    { Opt.Space.default with
+      Opt.Space.n_pre_values = Array.init 100 (fun i -> i + 1) }
+  in
+  let gs =
+    Array.of_list
+      (Opt.Space.candidate_geometries space ~capacity_bits:(16384 * 8))
+  in
+  Alcotest.(check int) "20,000 geometries" 20_000 (Array.length gs);
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  (* A first staging characterizes the decoders the geometries read. *)
+  ignore (Array_model.Array_eval.stage env_hvt gs.(0));
+  let before = live () in
+  Array.iter (fun g -> ignore (Array_model.Array_eval.stage env_hvt g)) gs;
+  let grown = live () - before in
+  ignore (Sys.opaque_identity gs);
+  if grown >= 10_000 then
+    Alcotest.failf "20,000 single stagings kept %d live words (want < 10,000)"
+      grown
+
 (* The process-wide store holds at most 16 default grids' worth of
    operands at 22 per geometry, what serving held before rows were
    split out of the per-geometry operands.  Staging more default grids
@@ -869,7 +913,11 @@ let () =
            Alcotest.test_case "staging a grid promotes < 4 words per geometry"
              `Quick test_stage_array_promotes_little;
            Alcotest.test_case "staged grids stay within the operand bound"
-             `Quick test_staged_operands_bounded ]);
+             `Quick test_staged_operands_bounded;
+           Alcotest.test_case "a search without w finds the w = 64 grid"
+             `Quick test_default_w_shares_grid;
+           Alcotest.test_case "single-geometry staging retains nothing"
+             `Quick test_single_staging_retains_nothing ]);
       ("workload", List.map to_alco [ prop_trace_summary_bounds ]);
       ("deck", List.map to_alco [ prop_deck_roundtrip ]);
       ("macro", List.map to_alco [ prop_macro_matches_reference ]) ]
