@@ -27,8 +27,10 @@
 #   make smoke-serve-metrics  end-to-end Prometheus scrape of a live daemon
 #   make smoke-cache-dir  three one-shots sharing a --cache-dir: the second
 #                      answers from disk, the third survives a torn tail;
-#                      a fourth, run outside the work tree, stamps the
-#                      checkout's commit into its log header
+#                      a --checkpoint run journals all 157 chunks and its
+#                      --resume replays them; a last one, run outside the
+#                      work tree, stamps the checkout's commit into its log
+#                      header
 #   make regen-golden  deliberately rewrite test/golden/* (review the diff!)
 
 .PHONY: all check check-tests check-dead-exports test bench bench-kernel \

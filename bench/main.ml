@@ -815,6 +815,42 @@ let runtime_bench () =
   close_out oc;
   print_endline "wrote BENCH_runtime.json"
 
+(* ----- the Table 4 sweep fixture -----
+
+   The kernel, obs, explain and persist benches run exhaustive searches
+   of every Table 4 config at each capacity.  A bench makes its fixture,
+   both flavors' environments and yield pins, when it starts, so no
+   timed region pays for them, and [table4_sweep] passes them to every
+   search. *)
+type table4 = {
+  env_of : Finfet.Library.flavor -> Array_model.Array_eval.env;
+  levels_of : Finfet.Library.flavor -> Opt.Yield.levels;
+}
+
+let table4_fixture () =
+  let by_flavor f =
+    let lvt = f Finfet.Library.Lvt in
+    let hvt = f Finfet.Library.Hvt in
+    function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> hvt
+  in
+  let env_of =
+    by_flavor (fun cell_flavor -> Array_model.Array_eval.make_env ~cell_flavor ())
+  in
+  let levels_of = by_flavor (fun flavor -> Opt.Yield.solve ~flavor ()) in
+  { env_of; levels_of }
+
+let table4_sweep t4 ?kernel ?journal ~pool ~space capacities =
+  List.concat_map
+    (fun capacity_bits ->
+      List.map
+        (fun (c : Sram_edp.Framework.config) ->
+          let flavor = c.Sram_edp.Framework.flavor in
+          Opt.Exhaustive.search ~space ?kernel ?journal ~pool
+            ~levels:(t4.levels_of flavor) ~env:(t4.env_of flavor) ~capacity_bits
+            ~method_:c.Sram_edp.Framework.method_ ())
+        Sram_edp.Framework.all_configs)
+    capacities
+
 (* ----- staged-kernel benchmark ----- *)
 
 (* FNV-1a over the fields that define a chosen design: if two sweeps pick
@@ -862,38 +898,16 @@ let kernel_bench () =
   let capacities =
     if !smoke then [ 1024 * 8 ] else Sram_edp.Framework.paper_capacities
   in
-  let configs = Sram_edp.Framework.all_configs in
   (* Environments and yield pins are shared setup, hoisted out of the
      timed region for both kernels alike. *)
-  let env_of =
-    let lvt = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Lvt () in
-    let hvt = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt () in
-    function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> hvt
-  in
-  let levels_of =
-    let lvt = Opt.Yield.solve ~flavor:Finfet.Library.Lvt () in
-    let hvt = Opt.Yield.solve ~flavor:Finfet.Library.Hvt () in
-    function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> hvt
-  in
-  let sweep ~pool ~kernel =
-    List.concat_map
-      (fun capacity_bits ->
-        List.map
-          (fun (c : Sram_edp.Framework.config) ->
-            Opt.Exhaustive.search ~space ~kernel ~pool
-              ~levels:(levels_of c.Sram_edp.Framework.flavor)
-              ~env:(env_of c.Sram_edp.Framework.flavor) ~capacity_bits
-              ~method_:c.Sram_edp.Framework.method_ ())
-          configs)
-      capacities
-  in
+  let t4 = table4_fixture () in
   let run jobs kernel =
     Runtime.Memo.reset_all ();
     Array_model.Array_eval.reset_staging ();
     let pool = Runtime.Pool.create ~jobs () in
     let gc0 = Gc.quick_stat () in
     let t0 = Obs.Clock.now () in
-    let results = sweep ~pool ~kernel in
+    let results = table4_sweep t4 ~kernel ~pool ~space capacities in
     let wall = Obs.Clock.now () -. t0 in
     let gc1 = Gc.quick_stat () in
     Runtime.Pool.shutdown pool;
@@ -928,8 +942,6 @@ let kernel_bench () =
      timer noise dominate a single sample — so the probe times several
      cold repetitions in one region and reports aggregate throughput. *)
   let smoke_probe () =
-    let probe_space = Opt.Space.reduced in
-    let probe_caps = [ 1024 * 8 ] in
     let reps = 10 in
     let pool = Runtime.Pool.create ~jobs:1 () in
     let decided = ref 0 in
@@ -939,16 +951,7 @@ let kernel_bench () =
       Runtime.Memo.reset_all ();
       Array_model.Array_eval.reset_staging ();
       let results =
-        List.concat_map
-          (fun capacity_bits ->
-            List.map
-              (fun (c : Sram_edp.Framework.config) ->
-                Opt.Exhaustive.search ~space:probe_space ~kernel:`Staged ~pool
-                  ~levels:(levels_of c.Sram_edp.Framework.flavor)
-                  ~env:(env_of c.Sram_edp.Framework.flavor) ~capacity_bits
-                  ~method_:c.Sram_edp.Framework.method_ ())
-              configs)
-          probe_caps
+        table4_sweep t4 ~kernel:`Staged ~pool ~space:Opt.Space.reduced [ 1024 * 8 ]
       in
       decided := !decided + sum (fun r -> r.Opt.Exhaustive.considered) results;
       sum_designs := checksum_designs results
@@ -1149,28 +1152,9 @@ let obs_bench () =
   let capacities =
     if !smoke then [ 1024 * 8 ] else Sram_edp.Framework.paper_capacities
   in
-  let configs = Sram_edp.Framework.all_configs in
-  let env_of =
-    let lvt = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Lvt () in
-    let hvt = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt () in
-    function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> hvt
-  in
-  let levels_of =
-    let lvt = Opt.Yield.solve ~flavor:Finfet.Library.Lvt () in
-    let hvt = Opt.Yield.solve ~flavor:Finfet.Library.Hvt () in
-    function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> hvt
-  in
-  let sweep ~pool =
-    List.concat_map
-      (fun capacity_bits ->
-        List.map
-          (fun (c : Sram_edp.Framework.config) ->
-            Opt.Exhaustive.search ~space ~kernel:`Staged ~pool
-              ~levels:(levels_of c.Sram_edp.Framework.flavor)
-              ~env:(env_of c.Sram_edp.Framework.flavor) ~capacity_bits
-              ~method_:c.Sram_edp.Framework.method_ ())
-          configs)
-      capacities
+  let sweep =
+    let t4 = table4_fixture () in
+    fun ~pool -> table4_sweep t4 ~kernel:`Staged ~pool ~space capacities
   in
   let mode_name = function `Off -> "off" | `Stats -> "stats" | `Trace -> "trace" in
   (* Coarse trace detail: the full sweep visits ~10^4 geometries and a
@@ -1341,28 +1325,9 @@ let explain_bench () =
   let capacities =
     if !smoke then [ 1024 * 8 ] else Sram_edp.Framework.paper_capacities
   in
-  let configs = Sram_edp.Framework.all_configs in
-  let env_of =
-    let lvt = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Lvt () in
-    let hvt = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt () in
-    function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> hvt
-  in
-  let levels_of =
-    let lvt = Opt.Yield.solve ~flavor:Finfet.Library.Lvt () in
-    let hvt = Opt.Yield.solve ~flavor:Finfet.Library.Hvt () in
-    function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> hvt
-  in
-  let sweep ~space ~pool () =
-    List.concat_map
-      (fun capacity_bits ->
-        List.map
-          (fun (c : Sram_edp.Framework.config) ->
-            Opt.Exhaustive.search ~space ~kernel:`Staged ~pool
-              ~levels:(levels_of c.Sram_edp.Framework.flavor)
-              ~env:(env_of c.Sram_edp.Framework.flavor) ~capacity_bits
-              ~method_:c.Sram_edp.Framework.method_ ())
-          configs)
-      capacities
+  let sweep =
+    let t4 = table4_fixture () in
+    fun ~space ~pool () -> table4_sweep t4 ~kernel:`Staged ~pool ~space capacities
   in
   let with_journal armed f =
     if armed then Obs.Search.arm () else Obs.Search.disarm ();
@@ -1694,16 +1659,9 @@ let persist_bench () =
   let capacities =
     if !smoke then [ 1024 * 8 ] else Sram_edp.Framework.paper_capacities
   in
-  let configs = Sram_edp.Framework.all_configs in
-  let env_of =
-    let lvt = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Lvt () in
-    let hvt = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt () in
-    function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> hvt
-  in
-  let levels_of =
-    let lvt = Opt.Yield.solve ~flavor:Finfet.Library.Lvt () in
-    let hvt = Opt.Yield.solve ~flavor:Finfet.Library.Hvt () in
-    function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> hvt
+  let sweep =
+    let t4 = table4_fixture () in
+    fun ?journal ~pool () -> table4_sweep t4 ?journal ~pool ~space capacities
   in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ()) "sram_opt_bench_persist"
@@ -1714,18 +1672,6 @@ let persist_bench () =
     match Persist.Checkpoint.create ~path ?resume ~checkpoint_every:every () with
     | Ok j -> j
     | Error e -> failwith e
-  in
-  let sweep ?journal ~pool () =
-    List.concat_map
-      (fun capacity_bits ->
-        List.map
-          (fun (c : Sram_edp.Framework.config) ->
-            Opt.Exhaustive.search ~space ?journal ~pool
-              ~levels:(levels_of c.Sram_edp.Framework.flavor)
-              ~env:(env_of c.Sram_edp.Framework.flavor) ~capacity_bits
-              ~method_:c.Sram_edp.Framework.method_ ())
-          configs)
-      capacities
   in
   let rows =
     List.map

@@ -281,9 +281,11 @@ exception Deadline_exceeded
    Scores read straight from the scan buffer, matching [Objective.eval]'s
    arithmetic bit-for-bit: EDP is the buffer's edp slot, ED^2
    left-associates as (e *. d) *. d = edp *. d, and the single-field
-   objectives are their slots verbatim. *)
+   objectives are their slots verbatim.  Inlined because without
+   flambda a float returned from a call is boxed: one allocation per
+   pruned line. *)
 
-let score_at objective buf i =
+let[@inline] score_at objective buf i =
   let open Array_model.Array_eval in
   match objective with
   | Objective.Energy_delay_product -> (scan_edp buf).(i)
@@ -292,48 +294,17 @@ let score_at objective buf i =
   | Objective.Delay_only -> (scan_d_array buf).(i)
 
 (* First-strictly-better winner fold over scanned slots [lo, hi) —
-   the sequential scan's earlier-index-wins tie break.  The objective
-   match sits outside the loop; the loop itself reads flat float arrays
-   and allocates only when the incumbent improves (boxed ref store). *)
+   the sequential scan's earlier-index-wins tie break.  The loop reads
+   flat float arrays and allocates only when the incumbent improves
+   (boxed ref store). *)
 let fold_block objective buf ~lo ~hi best_i best_score =
-  let open Array_model.Array_eval in
-  match objective with
-  | Objective.Energy_delay_product ->
-    let a = scan_edp buf in
-    for i = lo to hi - 1 do
-      let s = Array.unsafe_get a i in
-      if s < !best_score then begin
-        best_i := i;
-        best_score := s
-      end
-    done
-  | Objective.Energy_delay_squared ->
-    let a = scan_edp buf and d = scan_d_array buf in
-    for i = lo to hi - 1 do
-      let s = Array.unsafe_get a i *. Array.unsafe_get d i in
-      if s < !best_score then begin
-        best_i := i;
-        best_score := s
-      end
-    done
-  | Objective.Energy_only ->
-    let a = scan_e_total buf in
-    for i = lo to hi - 1 do
-      let s = Array.unsafe_get a i in
-      if s < !best_score then begin
-        best_i := i;
-        best_score := s
-      end
-    done
-  | Objective.Delay_only ->
-    let a = scan_d_array buf in
-    for i = lo to hi - 1 do
-      let s = Array.unsafe_get a i in
-      if s < !best_score then begin
-        best_i := i;
-        best_score := s
-      end
-    done
+  for i = lo to hi - 1 do
+    let s = score_at objective buf i in
+    if s < !best_score then begin
+      best_i := i;
+      best_score := s
+    end
+  done
 
 (* Per-domain scan buffers: one allocation per domain per process —
    not per chunk, not per geometry — shared by every search this
@@ -376,10 +347,15 @@ let bound_gap_hist =
 let search_timer = Obs.Histogram.timer "exhaustive.search"
 
 (* Deadline sampling.  A clock read costs about as much as scanning a
-   pruned line, so a search reads it once per block of [deadline_every]
-   consecutive geometries, before the block's first.  A worker's first
-   geometry always starts a block. *)
+   pruned line, so a search reads it before the first geometry of each
+   block and every [deadline_every] geometries after.  A worker's first
+   geometry always starts a block, so an expired deadline stops the
+   search before it scans anything. *)
 let deadline_every = 64
+
+let check_deadline = function
+  | Some d when Obs.Clock.now () > d -> raise Deadline_exceeded
+  | Some _ | None -> ()
 
 let journal_design (g : Array_model.Geometry.t) ~vssc =
   { Obs.Search.nr = g.Array_model.Geometry.nr;
@@ -391,19 +367,16 @@ let journal_design (g : Array_model.Geometry.t) ~vssc =
 let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
     ?levels ?pool ?w ?(kernel = `Staged) ?stage_ctx ?journal ?deadline ~env
     ~capacity_bits ~method_ ~keep_all () =
-  if not (Array_model.Geometry.is_power_of_two capacity_bits) then
-    invalid_arg "Exhaustive.search: capacity must be a power of two";
+  let { Space.levels; pins; vssc_axis; assists; _ } =
+    Space.scan_setup ?levels ~flavor:env.Array_model.Array_eval.cell_flavor
+      ~capacity_bits method_ space
+  in
   let pool = match pool with Some p -> p | None -> Runtime.Pool.default () in
+  (* Keep-all never journals: its candidate list is too large to
+     checkpoint usefully. *)
   let journal =
-    match journal with Some _ as j -> j | None -> Persist.Checkpoint.default ()
-  in
-  let flavor = env.Array_model.Array_eval.cell_flavor in
-  let levels =
-    match levels with Some l -> l | None -> Yield.solve ~flavor ()
-  in
-  let pins = Space.pins_for method_ levels in
-  let vssc_values =
-    if pins.Space.vssc_allowed then space.Space.vssc_values else [| 0.0 |]
+    if keep_all then None
+    else match journal with None -> Persist.Checkpoint.default () | j -> j
   in
   (* Shared through the memo; consumers only read it. *)
   let geometries =
@@ -414,12 +387,10 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
       (fun () ->
         Array.of_list (Space.candidate_geometries ~w space ~capacity_bits))
   in
-  if Array.length geometries = 0 then
-    invalid_arg "Exhaustive.search: empty geometry space";
+  let ngeom = Array.length geometries in
   let evals = Runtime.Telemetry.counter "exhaustive.search" in
   let pruned_scans = Runtime.Telemetry.counter "exhaustive.pruned" in
-  let nv = Array.length vssc_values in
-  let assists = Array.map (fun vssc -> Space.assist_of pins ~vssc) vssc_values in
+  let nv = Array.length assists in
   (* Actual work counters (the old [geometries x vssc_values] product is
      wrong once scans are pruned).  On a resumed run these count only
      this process's work — replayed chunks contribute nothing. *)
@@ -431,37 +402,16 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
     Runtime.Telemetry.add evals n;
     Obs.Progress.add_evals n
   in
-  Obs.Progress.add_total (Array.length geometries);
+  Obs.Progress.add_total ngeom;
   (* Workers publish each geometry's scan minimum — an actually achieved
      score — and prune a later geometry only when its admissible lower
      bound strictly exceeds a published score.  A pruned geometry's true
      minimum is then strictly above the global minimum, so the winner
      (and the earlier-geometry tie break) is the same as the unpruned
      scan's for any job count; only the prune/eval counts are
-     timing-dependent.  Hoisted out of the kernel match so a resumed
-     run can seed it from journaled incumbents. *)
+     timing-dependent.  A resumed run seeds it from journaled chunk
+     winners. *)
   let incumbent = Runtime.Shared_min.create () in
-  (* One task per geometry chunk: scan the vssc axis in order, keeping
-     the first-best candidate (and, when asked, every candidate in
-     evaluation order).  The chunked results are reduced in geometry
-     order below, so the output is bit-identical to the sequential
-     geometry-major / vssc-minor scan for any job count. *)
-  let eval_geometry_reference geometry =
-    let best = ref None in
-    let all = ref [] in
-    Array.iter
-      (fun assist ->
-        let metrics = Array_model.Array_eval.evaluate env geometry assist in
-        let score = Objective.eval objective metrics in
-        let candidate = { geometry; assist; metrics; score } in
-        if keep_all then all := candidate :: !all;
-        match !best with
-        | Some b when b.score <= score -> ()
-        | Some _ | None -> best := Some candidate)
-      assists;
-    count_evals nv;
-    (!best, List.rev !all)
-  in
   (* Both staged arms stage the whole grid up front through a context —
      the grid found again by its identity when a sibling search staged
      it — and read each line's operands by index, so no lookup sits on
@@ -475,29 +425,36 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
     ( Array_model.Array_eval.stage_array ctx geometries,
       Array.map (Array_model.Array_eval.prepare env) assists )
   in
+  (* The unpruned line, for the reference kernel and for keep-all: scan
+     the vssc axis in order, pricing each point with [price i j] and
+     keeping the first-best candidate (and, under keep-all, every
+     candidate in evaluation order). *)
+  let unpruned_line price i =
+    let geometry = geometries.(i) in
+    let best = ref None and all = ref [] in
+    Array.iteri
+      (fun j assist ->
+        let metrics = price i j in
+        let score = Objective.eval objective metrics in
+        let candidate = { geometry; assist; metrics; score } in
+        if keep_all then all := candidate :: !all;
+        match !best with
+        | Some b when b.score <= score -> ()
+        | Some _ | None -> best := Some candidate)
+      assists;
+    count_evals nv;
+    (!best, List.rev !all)
+  in
   let eval_line =
     match kernel with
-    | `Reference -> fun i -> eval_geometry_reference geometries.(i)
+    | `Reference ->
+      unpruned_line (fun i j ->
+          Array_model.Array_eval.evaluate env geometries.(i) assists.(j))
     | `Staged when keep_all ->
-      (* keep_all never prunes (the full candidate list is the
-         contract), so it stays on the record-materializing path. *)
+      (* keep_all never prunes: the full candidate list is the
+         contract. *)
       let grid, prepared = staged_grid () in
-      fun i ->
-        let geometry = geometries.(i) in
-        let best = ref None in
-        let all = ref [] in
-        Array.iteri
-          (fun j assist ->
-            let metrics = Array_model.Array_eval.complete grid i prepared.(j) in
-            let score = Objective.eval objective metrics in
-            let candidate = { geometry; assist; metrics; score } in
-            all := candidate :: !all;
-            match !best with
-            | Some b when b.score <= score -> ()
-            | Some _ | None -> best := Some candidate)
-          assists;
-        count_evals nv;
-        (!best, List.rev !all)
+      unpruned_line (fun i j -> Array_model.Array_eval.complete grid i prepared.(j))
     | `Staged ->
       (* Hot path: the whole vssc scan runs through the allocation-free
          batched kernel; [metrics] is materialized once, for the line's
@@ -608,18 +565,6 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
             [] )
         end
   in
-  (* Deadline check per block of geometries: one geometry's vssc scan
-     is microseconds, so an expired serving deadline stops the search
-     within a fraction of a millisecond, and an already expired one
-     before the first scan.  Under a pool the exception is re-raised in
-     the caller once in-flight tasks finish — and every other worker
-     hits this same check at its next block, so the whole sweep drains
-     rather than running to completion. *)
-  let check_deadline () =
-    match deadline with
-    | Some d when Obs.Clock.now () > d -> raise Deadline_exceeded
-    | Some _ | None -> ()
-  in
   (* The per-geometry trace span is gated on [`Fine] detail: a full
      Table 4 sweep scans ~10^4 geometries and per-geometry events would
      dominate the trace buffer, so coarse traces keep only the
@@ -633,118 +578,93 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
     Obs.Progress.add_done 1;
     r
   in
-  (* Journaled path: geometries are processed in fixed chunks of
-     [checkpoint_every]; each completed chunk is journaled with its
-     best candidate and the running incumbent.  On resume, completed
-     chunks are skipped and their stored winners folded back in.
-     Because chunk-major order equals geometry order and [better] is an
-     order-respecting left fold, the reduction over chunk bests is the
-     same fold as the flat per-geometry reduction — and the stored
-     candidates round-trip bit-exactly — so the final winner is
-     bit-identical to an uninterrupted run at any job count. *)
-  let run_chunked journal =
-    let every = Persist.Checkpoint.checkpoint_every journal in
-    let ngeom = Array.length geometries in
-    let n_chunks = (ngeom + every - 1) / every in
-    let task =
-      task_signature ~objective ~kernel ~env ~capacity_bits ~method_ ~every
-        ~geometries ~vssc_values ~pins
-    in
-    (* Seed the incumbent with every journaled chunk winner so pruning
-       starts warm; winner determinism never depends on this. *)
-    List.iter
-      (fun (_, data) ->
-        match Option.bind (J.member "best" data) candidate_of_json with
-        | Some c -> Runtime.Shared_min.publish incumbent c.score
-        | None -> ())
-      (Persist.Checkpoint.completed_for journal ~task);
-    let eval_chunk ci =
-      let lo = ci * every in
-      let hi = min ngeom ((ci + 1) * every) - 1 in
+  (* The sweep's blocks are a journal's chunks of [checkpoint_every]
+     geometries, else [deadline_every]; only a journal replays a block's
+     stored winner or records a computed one. *)
+  let every =
+    match journal with
+    | Some j -> Persist.Checkpoint.checkpoint_every j
+    | None -> deadline_every
+  in
+  let replay, record =
+    match journal with
+    | None -> ((fun _ -> None), fun _ ~lo:_ ~hi:_ _ -> ())
+    | Some journal ->
+      let task =
+        task_signature ~objective ~kernel ~env ~capacity_bits ~method_ ~every
+          ~geometries ~vssc_values:vssc_axis ~pins
+      in
+      (* Seed the incumbent with every journaled chunk winner so pruning
+         starts warm; winner determinism never depends on this. *)
+      List.iter
+        (fun (_, data) ->
+          match Option.bind (J.member "best" data) candidate_of_json with
+          | Some c -> Runtime.Shared_min.publish incumbent c.score
+          | None -> ())
+        (Persist.Checkpoint.completed_for journal ~task);
       (* A journaled chunk replays only if its stored best round-trips:
          a JSON [Null] best is a legitimately empty chunk, but a best
          that no longer decodes (e.g. Geometry invariants tightened
          since the journal was written) must be recomputed — treating
          it as empty could silently drop the true winner. *)
-      let replayed =
-        match Persist.Checkpoint.completed journal ~task ~chunk:ci with
+      let replay b =
+        match
+          Option.bind
+            (Persist.Checkpoint.completed journal ~task ~chunk:b)
+            (J.member "best")
+        with
+        | Some J.Null -> Some None
+        | Some j -> Option.map Option.some (candidate_of_json j)
         | None -> None
-        | Some data -> (
-          match J.member "best" data with
-          | Some J.Null -> Some None
-          | Some j -> (
-            match candidate_of_json j with
-            | Some c -> Some (Some c)
-            | None -> None)
-          | None -> None)
       in
-      match replayed with
-      | Some stored_best ->
-        Obs.Progress.add_done (hi - lo + 1);
-        stored_best
-      | None ->
-        let best = ref None in
-        for i = lo to hi do
-          if (i - lo) mod deadline_every = 0 then check_deadline ();
-          best := better !best (fst (eval_line i))
-        done;
+      let record b ~lo ~hi best =
         if Obs.Search.enabled () then
-          Obs.Search.record_chunk ~source:"exhaustive" ~index:ci
-            ~score:(match !best with Some c -> c.score | None -> infinity);
+          Obs.Search.record_chunk ~source:"exhaustive" ~index:b
+            ~score:(match best with Some c -> c.score | None -> infinity);
         let incumbent_json =
           let s = Runtime.Shared_min.get incumbent in
           if Float.is_finite s then J.Float s else J.Null
         in
-        Persist.Checkpoint.record journal ~task ~chunk:ci
+        Persist.Checkpoint.record journal ~task ~chunk:b
           (J.Obj
-             [
-               ( "best",
-                 match !best with
-                 | Some c -> candidate_to_json c
-                 | None -> J.Null );
+             [ ("best", match best with Some c -> candidate_to_json c | None -> J.Null);
                ("incumbent", incumbent_json);
                ("lo", J.Int lo);
-               ("hi", J.Int hi);
-             ]);
-        !best
-    in
-    Runtime.Pool.parmap ~chunk:1 pool eval_chunk
-      (Array.init n_chunks (fun i -> i))
+               ("hi", J.Int (hi - 1)) ])
+      in
+      (replay, record)
   in
-  let best, all =
-    match journal with
-    | Some journal when not keep_all ->
-      let chunk_bests =
-        Obs.Histogram.span search_timer (fun () ->
-            run_chunked journal)
-      in
-      (Array.fold_left better None chunk_bests, [])
-    | _ ->
-      (* One pool element per deadline block; [better] keeps the
-         earliest strictly-best candidate, so folding within blocks and
-         then across them in order picks the flat fold's winner. *)
-      let ngeom = Array.length geometries in
-      let eval_block b =
-        let lo = b * deadline_every in
-        let hi = min ngeom (lo + deadline_every) in
-        check_deadline ();
-        let best = ref None and all = ref [] in
-        for i = lo to hi - 1 do
-          let line_best, cands = eval_line i in
-          best := better !best line_best;
-          if keep_all then all := cands :: !all
-        done;
-        (!best, List.concat (List.rev !all))
-      in
-      let per_block =
-        Obs.Histogram.span search_timer (fun () ->
-            Runtime.Pool.parmap pool eval_block
-              (Array.init ((ngeom + deadline_every - 1) / deadline_every) Fun.id))
-      in
-      ( Array.fold_left (fun acc (b, _) -> better acc b) None per_block,
-        List.concat_map snd (Array.to_list per_block) )
+  (* One pool element per block.  [better] keeps the earliest
+     strictly-best candidate, so folding within blocks and then across
+     them in order picks the flat fold's winner, and a replayed winner
+     round-trips bit-exactly, so a resumed sweep picks an uninterrupted
+     one's at any job count.  Under a pool an expired deadline is
+     re-raised in the caller once in-flight tasks finish, and every
+     other worker meets it at its next check, so the sweep drains. *)
+  let eval_block b =
+    let lo = b * every in
+    let hi = min ngeom (lo + every) in
+    match replay b with
+    | Some stored_best ->
+      Obs.Progress.add_done (hi - lo);
+      (stored_best, [])
+    | None ->
+      let best = ref None and all = ref [] in
+      for i = lo to hi - 1 do
+        if (i - lo) mod deadline_every = 0 then check_deadline deadline;
+        let line_best, cands = eval_line i in
+        best := better !best line_best;
+        if keep_all then all := cands :: !all
+      done;
+      record b ~lo ~hi !best;
+      (!best, List.concat (List.rev !all))
   in
-  match best with
+  let per_block =
+    Obs.Histogram.span search_timer (fun () ->
+        Runtime.Pool.parmap pool eval_block
+          (Array.init ((ngeom + every - 1) / every) Fun.id))
+  in
+  match Array.fold_left (fun acc (b, _) -> better acc b) None per_block with
   | None -> invalid_arg "Exhaustive.search: no candidates"
   | Some best ->
     Obs.Search.note_prunes (Atomic.get n_pruned);
@@ -752,10 +672,10 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
         evaluated = Atomic.get n_evaluated;
         pruned = Atomic.get n_pruned;
         skipped = Atomic.get n_skipped;
-        considered = Array.length geometries * nv;
+        considered = ngeom * nv;
         levels;
         pins },
-      all )
+      List.concat_map snd (Array.to_list per_block) )
 
 let search ?space ?objective ?levels ?pool ?w ?kernel ?stage_ctx ?journal
     ?deadline ~env ~capacity_bits ~method_ () =

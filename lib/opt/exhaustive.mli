@@ -91,22 +91,22 @@ val search :
     [Array_eval.ctx_for env] (the process-wide store), so sharing
     happens by default, across both accountings of a flavor too.
 
-    [journal] (default {!Persist.Checkpoint.default}, i.e. the CLI's
-    [--checkpoint] file when set) switches the sweep to fixed chunks of
-    [checkpoint_every] geometries, journaling each completed chunk's
-    winner.  A resumed journal skips completed chunks and folds their
-    stored winners back in; because the chunked reduction is the same
-    order-respecting fold as the flat one and candidates round-trip
-    through JSON bit-exactly, the resumed winner is bit-identical to an
-    uninterrupted run's at any [--jobs] (see DESIGN.md §8).
+    The sweep runs in blocks of consecutive geometries, folded in
+    order.  [journal] (default {!Persist.Checkpoint.default}, i.e. the
+    CLI's [--checkpoint] file when set) makes its chunks of
+    [checkpoint_every] geometries the blocks (64 without one) and
+    records each computed chunk's winner; a resumed journal replays a
+    recorded chunk's winner instead of scanning it.  Candidates
+    round-trip through JSON bit-exactly, so the resumed winner is
+    bit-identical to an uninterrupted run's at any [--jobs] (DESIGN.md
+    §8).
 
-    [deadline] — absolute {!Obs.Clock.now} seconds — aborts the
-    sweep with {!Deadline_exceeded} once passed, checked before the
-    first scan of each block of 64 consecutive geometries, so before
-    each worker's first scan too (one scan is microseconds, so expiry
-    is prompt).  The check never changes which design wins or what the
-    search counts.
-    @raise Invalid_argument if the capacity is not a power of two or no
+    [deadline] — absolute {!Obs.Clock.now} seconds — aborts the sweep
+    with {!Deadline_exceeded} once passed.  It is read before each
+    block's first scan and every 64 geometries after, so before each
+    worker's first scan too, and an aborted chunk is not recorded.  The
+    check never changes which design wins or what the search counts.
+    @raise Invalid_argument as {!Space.scan_setup} does, or if no
     geometry candidate exists. *)
 
 val search_all :
@@ -124,9 +124,8 @@ val search_all :
 (** As {!search} but also returns every evaluated candidate (input to
     Pareto-front extraction and ablations).  Never prunes — the full
     candidate list is the contract — so [result.pruned] is 0 and
-    [result.evaluated] covers the whole space.  Never journals (the
-    full candidate list is too large to checkpoint usefully).  [deadline]
-    as in {!search}.  Memory: one record per design point. *)
+    [result.evaluated] covers the whole space.  Never journals.
+    [deadline] as in {!search}.  Memory: one record per design point. *)
 
 (** {2 Checksums and codecs}
 

@@ -43,13 +43,9 @@ type t = {
   objective : Objective.t;
   w : int;
   capacity_bits : int;
-  levels : Yield.levels;
-  pins : Space.pins;
+  setup : Space.scan_setup;
   space : Space.t;
-  vssc_values : float array;
-  assists : Array_model.Components.assist array;
   prepared : Array_model.Array_eval.prepared array;
-  nr_values : int array;  (* filtered to the capacity's valid rows *)
   pool : Runtime.Pool.t;
   deadline : float option;
   name : string;  (* journal source; the counter is [name ^ ".search"] *)
@@ -67,42 +63,26 @@ let scan_buf = Runtime.Pool.local Array_model.Array_eval.scan_buffer
 let create ?(space = Space.default)
     ?(objective = Objective.Energy_delay_product) ?levels ?pool ?(w = 64)
     ?deadline ~env ~capacity_bits ~method_ ~name () =
-  if not (Array_model.Geometry.is_power_of_two capacity_bits) then
-    invalid_arg "Line_cache.create: capacity must be a power of two";
-  let flavor = env.Array_model.Array_eval.cell_flavor in
-  let levels = match levels with Some l -> l | None -> Yield.solve ~flavor () in
-  let pins = Space.pins_for method_ levels in
-  let vssc_values =
-    if pins.Space.vssc_allowed then space.Space.vssc_values else [| 0.0 |]
+  let setup =
+    Space.scan_setup ?levels ~flavor:env.Array_model.Array_eval.cell_flavor
+      ~capacity_bits method_ space
   in
-  let nr_values =
-    Array.of_list
-      (List.filter
-         (fun nr ->
-           nr <= capacity_bits
-           && Array_model.Geometry.is_power_of_two (capacity_bits / nr))
-         (Array.to_list space.Space.nr_values))
+  let prepared =
+    Array.map (Array_model.Array_eval.prepare env) setup.Space.assists
   in
-  if Array.length nr_values = 0 then
-    invalid_arg "Line_cache.create: empty geometry space";
-  let assists =
-    Array.map (fun vssc -> Space.assist_of pins ~vssc) vssc_values
-  in
-  let prepared = Array.map (Array_model.Array_eval.prepare env) assists in
   let pool = match pool with Some p -> p | None -> Runtime.Pool.default () in
-  { env; objective; w; capacity_bits; levels; pins; space; vssc_values;
-    assists; prepared; nr_values; pool; deadline; name;
+  { env; objective; w; capacity_bits; setup; space; prepared; pool; deadline; name;
     lines = Hashtbl.create 256; evaluated = 0; best = None;
     counter = Runtime.Telemetry.counter (name ^ ".search") }
 
-let nv t = Array.length t.vssc_values
-let n_nr t = Array.length t.nr_values
+let nv t = Array.length t.setup.Space.assists
+let n_nr t = Array.length t.setup.Space.rows
 let n_pre t = Array.length t.space.Space.n_pre_values
 let n_wr t = Array.length t.space.Space.n_wr_values
 let evaluated t = t.evaluated
 
 let geometry_of t k =
-  let nr = t.nr_values.(k.nr_i) in
+  let nr = t.setup.Space.rows.(k.nr_i) in
   Array_model.Geometry.create ~nr ~nc:(t.capacity_bits / nr) ~w:t.w
     ~n_pre:t.space.Space.n_pre_values.(k.n_pre_i)
     ~n_wr:t.space.Space.n_wr_values.(k.n_wr_i)
@@ -146,7 +126,7 @@ let scan_line t k =
    results are identical with it on or off. *)
 let journal_incumbent t k l =
   let i = l.l_best_i in
-  let nr = t.nr_values.(k.nr_i) in
+  let nr = t.setup.Space.rows.(k.nr_i) in
   Obs.Search.record_incumbent ~source:t.name ~score:l.l_best_score
     ~edp:l.l_edp.(i)
     ~design:
@@ -154,7 +134,7 @@ let journal_incumbent t k l =
         nc = t.capacity_bits / nr;
         n_pre = t.space.Space.n_pre_values.(k.n_pre_i);
         n_wr = t.space.Space.n_wr_values.(k.n_wr_i);
-        vssc = t.assists.(i).Array_model.Components.vssc }
+        vssc = t.setup.Space.assists.(i).Array_model.Components.vssc }
 
 (* Fill every missing key, scanning in parallel but folding incumbents
    in the (deterministic) request order.  The deadline is checked once
@@ -222,7 +202,7 @@ let candidate t k i =
   let grid = Array_model.Array_eval.stage t.env geometry in
   let metrics = Array_model.Array_eval.complete grid 0 t.prepared.(i) in
   { Exhaustive.geometry;
-    assist = t.assists.(i);
+    assist = t.setup.Space.assists.(i);
     metrics;
     score = score t k i }
 
@@ -382,5 +362,5 @@ let result t =
       pruned = 0;
       skipped = 0;
       considered = t.evaluated;
-      levels = t.levels;
-      pins = t.pins }
+      levels = t.setup.Space.levels;
+      pins = t.setup.Space.pins }

@@ -174,13 +174,17 @@ let run ~pop ~generations ?space ?objective ?levels ?pool ?w ?budget
     let k' = Line_cache.descend lc k in
     ignore (Line_cache.descend_edges lc k')
   | None -> ());
-  (Line_cache.result lc, Line_cache.front lc)
+  lc
 
 let search_front ?space ?levels ?pool ~env ~capacity_bits ~method_ () =
-  run ~pop:24 ~generations:40 ?space ?levels ?pool ~env ~capacity_bits ~method_ ()
+  let lc =
+    run ~pop:24 ~generations:40 ?space ?levels ?pool ~env ~capacity_bits
+      ~method_ ()
+  in
+  (Line_cache.result lc, Line_cache.front lc)
 
 let search ?space ?objective ?pool ?w ?(pop = 24) ?(generations = 40) ?budget
     ?seed ?deadline ~env ~capacity_bits ~method_ () =
-  fst
+  Line_cache.result
     (run ~pop ~generations ?space ?objective ?pool ?w ?budget ?seed ?deadline
        ~env ~capacity_bits ~method_ ())

@@ -167,24 +167,48 @@ let assist_of pins ~vssc =
     vssc = (if pins.vssc_allowed then vssc else 0.0);
     vwl = pins.vwl }
 
+(* An n_r the capacity can hold: n_c = M / n_r is a power of two. *)
+let fits ~capacity_bits nr =
+  nr <= capacity_bits && is_power_of_two (capacity_bits / nr)
+
+type scan_setup = {
+  levels : Yield.levels;
+  pins : pins;
+  vssc_axis : float array;
+  assists : Array_model.Components.assist array;
+  rows : int array;
+}
+
+let scan_setup ?levels ~flavor ~capacity_bits method_ space =
+  if not (is_power_of_two capacity_bits) then
+    invalid_arg "Space.scan_setup: capacity must be a power of two";
+  let rows =
+    Array.of_list
+      (List.filter (fits ~capacity_bits) (Array.to_list space.nr_values))
+  in
+  if rows = [||] then invalid_arg "Space.scan_setup: empty geometry space";
+  let levels = match levels with Some l -> l | None -> Yield.solve ~flavor () in
+  let pins = pins_for method_ levels in
+  let vssc_axis = if pins.vssc_allowed then space.vssc_values else [| 0.0 |] in
+  let assists = Array.map (fun vssc -> assist_of pins ~vssc) vssc_axis in
+  { levels; pins; vssc_axis; assists; rows }
+
 let candidate_geometries ?(w = 64) space ~capacity_bits =
   assert (Array_model.Geometry.is_power_of_two capacity_bits);
   let geoms = ref [] in
   Array.iter
     (fun nr ->
-      if nr <= capacity_bits then begin
-        let nc = capacity_bits / nr in
-        if Array_model.Geometry.is_power_of_two nc then
-          Array.iter
-            (fun n_pre ->
-              Array.iter
-                (fun n_wr ->
-                  geoms :=
-                    Array_model.Geometry.create ~nr ~nc ~w ~n_pre ~n_wr ()
-                    :: !geoms)
-                space.n_wr_values)
-            space.n_pre_values
-      end)
+      if fits ~capacity_bits nr then
+        Array.iter
+          (fun n_pre ->
+            Array.iter
+              (fun n_wr ->
+                geoms :=
+                  Array_model.Geometry.create ~nr ~nc:(capacity_bits / nr) ~w
+                    ~n_pre ~n_wr ()
+                  :: !geoms)
+              space.n_wr_values)
+          space.n_pre_values)
     space.nr_values;
   List.rev !geoms
 

@@ -70,6 +70,25 @@ val pins_for : method_ -> Yield.levels -> pins
 val assist_of : pins -> vssc:float -> Array_model.Components.assist
 (** Clamps V_SSC to 0 when the policy forbids it. *)
 
+(** What every engine scans once yield has pinned V_DDC and V_WL. *)
+type scan_setup = {
+  levels : Yield.levels;
+  pins : pins;
+  vssc_axis : float array;  (** [{0}] when the pins forbid V_SSC *)
+  assists : Array_model.Components.assist array;
+      (** one per [vssc_axis] value *)
+  rows : int array;  (** the n_r values whose M / n_r is a power of two *)
+}
+
+val scan_setup :
+  ?levels:Yield.levels -> flavor:Finfet.Library.flavor -> capacity_bits:int ->
+  method_ -> t -> scan_setup
+(** The pins of [method_] at [levels] (default {!Yield.solve} of the
+    flavor), with the axes they leave.  The exhaustive engine and
+    {!Line_cache} both start here.
+    @raise Invalid_argument if the capacity is not a power of two or
+    holds no n_r of the space. *)
+
 val candidate_geometries :
   ?w:int -> t -> capacity_bits:int -> Array_model.Geometry.t list
 (** All (n_r, n_c = M / n_r, N_pre, N_wr) combinations with both dimensions

@@ -36,22 +36,21 @@ let predict coeffs x =
 
 let normal_pdf z = exp (-0.5 *. z *. z) /. sqrt (2.0 *. Float.pi)
 
-let search_front ?space ?objective ?levels ?pool ?w ?budget ?(seed = 42)
+(* The search proper: the exhaustive fallback's result with every
+   candidate, or the line cache the model-guided search filled. *)
+let run ?space ?objective ?levels ?pool ?w ?budget ?(seed = 42)
     ?(fallback_threshold = default_fallback_threshold) ?deadline ~env
     ~capacity_bits ~method_ () =
   let init = 16 and iterations = 48 in
   let space_v = match space with Some s -> s | None -> Space.default in
   let size = Space.size ?w space_v ~capacity_bits method_ in
-  if size <= fallback_threshold then begin
+  if size <= fallback_threshold then
     (* Below the threshold the exhaustive engine is cheaper than any
        model: run it outright (unpruned, so the full candidate list
        feeds the front). *)
-    let result, all =
-      Exhaustive.search_all ?space ?objective ?levels ?pool ?w ?deadline ~env
-        ~capacity_bits ~method_ ()
-    in
-    (result, Pareto.front all)
-  end
+    `Fallback
+      (Exhaustive.search_all ?space ?objective ?levels ?pool ?w ?deadline ~env
+         ~capacity_bits ~method_ ())
   else begin
     let lc =
       Line_cache.create ?space ?objective ?levels ?pool ?w ?deadline
@@ -221,11 +220,22 @@ let search_front ?space ?objective ?levels ?pool ?w ?budget ?(seed = 42)
       let k' = Line_cache.descend lc k in
       ignore (Line_cache.descend_edges lc k')
     | None -> ());
-    (Line_cache.result lc, Line_cache.front lc)
+    `Lines lc
   end
+
+let search_front ?space ?levels ?pool ?fallback_threshold ~env ~capacity_bits
+    ~method_ () =
+  match
+    run ?space ?levels ?pool ?fallback_threshold ~env ~capacity_bits ~method_ ()
+  with
+  | `Fallback (result, all) -> (result, Pareto.front all)
+  | `Lines lc -> (Line_cache.result lc, Line_cache.front lc)
 
 let search ?space ?objective ?pool ?w ?budget ?seed ?fallback_threshold
     ?deadline ~env ~capacity_bits ~method_ () =
-  fst
-    (search_front ?space ?objective ?pool ?w ?budget ?seed ?fallback_threshold
-       ?deadline ~env ~capacity_bits ~method_ ())
+  match
+    run ?space ?objective ?pool ?w ?budget ?seed ?fallback_threshold ?deadline
+      ~env ~capacity_bits ~method_ ()
+  with
+  | `Fallback (result, _) -> result
+  | `Lines lc -> Line_cache.result lc

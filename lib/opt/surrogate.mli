@@ -19,28 +19,22 @@ val default_fallback_threshold : int
 
 val search_front :
   ?space:Space.t ->
-  ?objective:Objective.t ->
   ?levels:Yield.levels ->
   ?pool:Runtime.Pool.t ->
-  ?w:int ->
-  ?budget:int ->
-  ?seed:int ->
   ?fallback_threshold:int ->
-  ?deadline:float ->
   env:Array_model.Array_eval.env ->
   capacity_bits:int ->
   method_:Space.method_ ->
   unit ->
   Exhaustive.result * Exhaustive.candidate list
 (** The common result shape plus the Pareto front over every scanned
-    point (on the fallback path: the true front).  16 initial lines —
-    half low-discrepancy, half seeded-uniform; 48 acquisition steps at
-    most; [budget] caps scan points (default [max (72 * nv) (2% of the
-    space)]), sampling stops at 60% of it and the rest feeds the
-    polish.  [levels], [pool] and [deadline] (raising
-    {!Exhaustive.Deadline_exceeded}) are applied by the shared
-    {!Line_cache}, which also journals incumbents as ["surrogate"]; the
-    fallback passes [deadline] to the exhaustive engine. *)
+    point (on the fallback path: the true front), for the EDP objective
+    at w = 64, seed 42 and no deadline.  16 initial lines — half
+    low-discrepancy, half seeded-uniform; 48 acquisition steps at most;
+    scan points are capped at [max (72 * nv) (2% of the space)],
+    sampling stops at 60% of that and the rest feeds the polish.
+    [levels] and [pool] are applied by the shared {!Line_cache}, which
+    also journals incumbents as ["surrogate"]. *)
 
 val search :
   ?space:Space.t ->
@@ -56,5 +50,10 @@ val search :
   method_:Space.method_ ->
   unit ->
   Exhaustive.result
-(** {!search_front} at the {!Yield.solve} pins, without materializing
-    the front. *)
+(** {!search_front}'s search at the {!Yield.solve} pins, without
+    materializing the front (the fallback still runs the unpruned
+    {!Exhaustive.search_all}, so its counts match the front search's).
+    [seed] (default 42) seeds the one RNG stream, [budget] (default as
+    above) caps scan points, and [deadline] (absolute {!Obs.Clock.now}
+    seconds) raises {!Exhaustive.Deadline_exceeded}, through
+    {!Line_cache} or the fallback. *)

@@ -6,7 +6,12 @@
 # run must discard them (persist.bytes.discarded > 0) and still print
 # the same checksum.  A fourth run, from a directory outside the work
 # tree, must stamp its fresh log's header with the commit the binary
-# was built from: the checkout's `git rev-parse --short HEAD`.
+# was built from: the checkout's `git rev-parse --short HEAD`.  Two
+# journaled runs without the cache drive the exhaustive sweep's chunks:
+# `--checkpoint F` must print the first run's checksum and record all
+# 157 chunks of the 1KB grid (64 geometries each), and the same command
+# with `--resume` must print it again with all 157 replayed and no
+# point scanned (exhaustive.search 0).
 set -eu
 
 BIN=${BIN:-_build/default/bin/sram_opt.exe}
@@ -15,18 +20,20 @@ DIR=$(mktemp -d "${TMPDIR:-/tmp}/cache_dir_smoke.XXXXXX")
 trap 'rm -rf "$DIR"' EXIT INT TERM
 
 run() {
-    "$BIN" optimize -c 1KB --json --stats --cache-dir "$DIR/cache" >"$DIR/$1.out" ||
-        { echo "FAIL: $1 run exited $?"; exit 1; }
+    name=$1
+    shift
+    "$BIN" optimize -c 1KB --json --stats "$@" >"$DIR/$name.out" ||
+        { echo "FAIL: $name run exited $?"; exit 1; }
 }
 checksum() { sed -n 's/^  "checksum": "\([0-9a-f]*\)".*/\1/p' "$DIR/$1.out"; }
 counter() { awk -v name="$2" '$1 == name { print $2; exit }' "$DIR/$1.out"; }
 fail() { echo "FAIL: $*"; exit 1; }
 
-run first
+run first --cache-dir "$DIR/cache"
 sum=$(checksum first)
 [ -n "$sum" ] || fail "first run printed no checksum"
 
-run second
+run second --cache-dir "$DIR/cache"
 [ "$(checksum second)" = "$sum" ] || fail "second run's checksum $(checksum second) is not $sum"
 [ "$(counter second persist.cache.hit)" = 1 ] ||
     fail "second run: persist.cache.hit $(counter second persist.cache.hit), expected 1"
@@ -34,10 +41,22 @@ run second
     fail "second run: dc.solves $(counter second dc.solves), expected 0"
 
 truncate -s -5 "$DIR/cache/framework.optimize.rlog"
-run third
+run third --cache-dir "$DIR/cache"
 [ "$(checksum third)" = "$sum" ] || fail "third run's checksum $(checksum third) is not $sum"
 discarded=$(counter third persist.bytes.discarded)
 [ "${discarded:-0}" -gt 0 ] || fail "third run discarded no torn bytes"
+
+run journaled --checkpoint "$DIR/journal.rlog"
+[ "$(checksum journaled)" = "$sum" ] || fail "journaled run's checksum $(checksum journaled) is not $sum"
+[ "$(counter journaled persist.checkpoint.chunks)" = 157 ] ||
+    fail "journaled run: persist.checkpoint.chunks $(counter journaled persist.checkpoint.chunks), expected 157"
+
+run resumed --checkpoint "$DIR/journal.rlog" --resume
+[ "$(checksum resumed)" = "$sum" ] || fail "resumed run's checksum $(checksum resumed) is not $sum"
+[ "$(counter resumed persist.checkpoint.replayed)" = 157 ] ||
+    fail "resumed run: persist.checkpoint.replayed $(counter resumed persist.checkpoint.replayed), expected 157"
+[ "$(counter resumed exhaustive.search)" = 0 ] ||
+    fail "resumed run: exhaustive.search $(counter resumed exhaustive.search), expected 0"
 
 expected=$(git rev-parse --short HEAD 2>/dev/null) || expected=unknown
 mkdir "$DIR/outside"
@@ -48,4 +67,4 @@ stamped=$(grep -ao '"git_commit":"[^"]*"' "$DIR/outside/cache/framework.optimize
 [ "$stamped" = "$expected" ] ||
     fail "log header written outside the work tree records commit '$stamped', expected '$expected'"
 
-echo "cache-dir smoke: checksum $sum from disk; torn tail of $discarded bytes discarded; header commit $stamped"
+echo "cache-dir smoke: checksum $sum from disk; torn tail of $discarded bytes discarded; 157 chunks journaled and replayed; header commit $stamped"

@@ -386,20 +386,36 @@ let test_expired_deadline space () =
               ~method_ ()))
       all_strategies
   in
-  (* The front searches that take a deadline (the explainer's and the
-     surrogate's; NSGA-II's front search runs without one). *)
+  (* The front search that takes a deadline (the explainer's; the
+     NSGA-II and surrogate front searches run without one). *)
   let fronts =
     ran_past "Exhaustive.search_all" (fun () ->
         fst
           (Opt.Exhaustive.search_all ~space ~levels:levels_hvt ~deadline
              ~env:env_hvt ~capacity_bits ~method_ ()))
-    @ ran_past "Surrogate.search_front" (fun () ->
-          fst
-            (Opt.Surrogate.search_front ~space ~levels:levels_hvt ~deadline
-               ~env:env_hvt ~capacity_bits ~method_ ()))
   in
-  let offenders = runs @ fronts in
-  Alcotest.(check (list string)) "ran past an expired deadline" [] offenders
+  (* A journaled search stops at its first chunk's first geometry, so
+     it records no chunk. *)
+  let path = Filename.temp_file "expired_deadline" ".rlog" in
+  let open_journal resume =
+    match Persist.Checkpoint.create ~path ~resume ~checkpoint_every:5 () with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  let journal = open_journal false in
+  let journaled =
+    ran_past "journaled Exhaustive.search" (fun () ->
+        Opt.Exhaustive.search ~space ~levels:levels_hvt ~journal ~deadline
+          ~env:env_hvt ~capacity_bits ~method_ ())
+  in
+  Persist.Checkpoint.close journal;
+  let journal = open_journal true in
+  let recorded = Persist.Checkpoint.replayed journal in
+  Persist.Checkpoint.close journal;
+  Sys.remove path;
+  Alcotest.(check (list string)) "ran past an expired deadline" []
+    (runs @ fronts @ journaled);
+  Alcotest.(check int) "chunks recorded under an expired deadline" 0 recorded
 
 (* The exhaustive search samples the clock under a deadline; one that
    never expires must leave the search exactly as it is without one:
@@ -425,6 +441,19 @@ let test_far_deadline_changes_nothing () =
     [ (1024 * 8, Opt.Space.M2); (4096 * 8, Opt.Space.M1);
       (16384 * 8, Opt.Space.M2) ];
   Runtime.Pool.shutdown pool
+
+(* A search keeps no front: NSGA-II stages one geometry per line it
+   scans and one for the winner it returns. *)
+let test_nsga2_search_stages_no_front () =
+  let staged = Runtime.Telemetry.counter "array_eval.stage" in
+  let before = Runtime.Telemetry.value staged in
+  let r =
+    Opt.Nsga2.search ~space:Opt.Space.reduced ~env:env_hvt
+      ~capacity_bits:(1024 * 8) ~method_:Opt.Space.M2 ()
+  in
+  let nv = Array.length Opt.Space.reduced.Opt.Space.vssc_values in
+  Alcotest.(check int) "geometries staged" ((r.Opt.Exhaustive.evaluated / nv) + 1)
+    (Runtime.Telemetry.value staged - before)
 
 (* The name each Line_cache engine journals incumbents under. *)
 let journal_source = function
@@ -596,6 +625,8 @@ let () =
               test_expired_deadline small_space ());
           case "a far deadline changes no exhaustive winner or count"
             test_far_deadline_changes_nothing;
+          case "an NSGA-II search stages its lines and winner, no front"
+            test_nsga2_search_stages_no_front;
           to_alco prop_strategy_contract ] );
       ("strategy-grammar", strategy_grammar_tests)
     ]

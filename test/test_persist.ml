@@ -833,6 +833,57 @@ let kill_resume_case jobs =
       Alcotest.(check string) "resumed = uninterrupted" (Lazy.force base_checksum)
         resumed)
 
+(* The chunk is the sweep's block: at any chunk size and job count a
+   journaled search picks the unjournaled winner bit for bit and
+   decides the same points, and a run resumed from its journal replays
+   every chunk and scans nothing. *)
+let prop_journaled_search_is_plain =
+  let gen =
+    QCheck.Gen.(
+      quad (oneofl [ 1; 5; 64; 100 ]) (oneofl [ 1; 2 ]) (int_range 0 3) bool)
+  in
+  let print (every, jobs, cap_exp, m2) =
+    Printf.sprintf "every=%d jobs=%d %dB %s" every jobs (128 lsl cap_exp)
+      (if m2 then "M2" else "M1")
+  in
+  QCheck.Test.make ~count:12
+    ~name:"journaled search = plain search; resume replays every chunk"
+    (QCheck.make ~print gen)
+    (fun (every, jobs, cap_exp, m2) ->
+      let capacity_bits = (128 * 8) lsl cap_exp in
+      let method_ = if m2 then Opt.Space.M2 else Opt.Space.M1 in
+      let pool = Runtime.Pool.create ~jobs () in
+      Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+      let search ?journal () =
+        Opt.Exhaustive.search ~space:Opt.Space.reduced ~pool ?journal
+          ~env:env_hvt ~capacity_bits ~method_ ()
+      in
+      let path = fresh "chunked" in
+      let open_journal resume =
+        match Persist.Checkpoint.create ~path ~resume ~checkpoint_every:every () with
+        | Ok j -> j
+        | Error msg -> Alcotest.failf "checkpoint %s: %s" path msg
+      in
+      let plain = search () in
+      let j = open_journal false in
+      let journaled = search ~journal:j () in
+      Persist.Checkpoint.close j;
+      let j = open_journal true in
+      let replayed = Persist.Checkpoint.replayed j in
+      let resumed = search ~journal:j () in
+      Persist.Checkpoint.close j;
+      rm path;
+      let geometries =
+        List.length (Opt.Space.candidate_geometries Opt.Space.reduced ~capacity_bits)
+      in
+      let same (r : Opt.Exhaustive.result) =
+        Opt.Exhaustive.checksum [ r ] = Opt.Exhaustive.checksum [ plain ]
+        && r.considered = plain.considered
+      in
+      same journaled && same resumed
+      && replayed = (geometries + every - 1) / every
+      && resumed.evaluated = 0)
+
 let checkpoint_tests =
   [ case "result codec round-trips the winner bit-exactly" (fun () ->
         let pool = Runtime.Pool.create ~jobs:1 () in
@@ -928,6 +979,7 @@ let checkpoint_tests =
     kill_resume_case 1;
     kill_resume_case 2;
     kill_resume_case 4;
+    QCheck_alcotest.to_alcotest prop_journaled_search_is_plain;
     case "journaled search task signature is spelled as on disk" (fun () ->
         (* A resumed journal matches chunks by this string: a signature
            that drifts orphans every journal written before it.  The

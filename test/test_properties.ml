@@ -688,6 +688,31 @@ let test_scan_allocation_free () =
     Alcotest.failf "scan allocated %.4f minor words per point (want 0)"
       per_point
 
+(* The search's own allocation, measured the same way: a warm
+   delay-only 1 KB search at one job prunes almost every line on its
+   whole-line bound, so a boxed float per pruned line would show as two
+   words per geometry. *)
+let test_pruned_search_allocates_little () =
+  let capacity_bits = 1024 * 8 in
+  let pool = Runtime.Pool.create ~jobs:1 () in
+  let levels = Opt.Yield.solve ~flavor:Finfet.Library.Hvt () in
+  let search () =
+    Opt.Exhaustive.search ~pool ~levels ~objective:Opt.Objective.Delay_only
+      ~env:env_hvt ~capacity_bits ~method_:Opt.Space.M2 ()
+  in
+  ignore (search ());
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (search ()));
+  let words = Gc.minor_words () -. w0 in
+  Runtime.Pool.shutdown pool;
+  let geometries =
+    List.length (Opt.Space.candidate_geometries Opt.Space.default ~capacity_bits)
+  in
+  let per_geometry = words /. float_of_int geometries in
+  if per_geometry >= 2.5 then
+    Alcotest.failf "a warm search allocated %.2f minor words per geometry (want < 2.5)"
+      per_geometry
+
 (* --- search-space restriction --- *)
 
 (* The HVT EDP winner over the whole default space, per capacity and
@@ -908,6 +933,8 @@ let () =
              `Slow test_full_sweep_deterministic;
            Alcotest.test_case "warm scan path allocates zero words"
              `Quick test_scan_allocation_free;
+           Alcotest.test_case "a warm pruned search allocates < 2.5 words per geometry"
+             `Quick test_pruned_search_allocates_little;
            Alcotest.test_case "a search stages its organization grid once"
              `Quick test_grid_staged_once;
            Alcotest.test_case "staging a grid promotes < 4 words per geometry"
