@@ -933,8 +933,6 @@ let () =
              `Slow test_full_sweep_deterministic;
            Alcotest.test_case "warm scan path allocates zero words"
              `Quick test_scan_allocation_free;
-           Alcotest.test_case "a warm pruned search allocates < 2.5 words per geometry"
-             `Quick test_pruned_search_allocates_little;
            Alcotest.test_case "a search stages its organization grid once"
              `Quick test_grid_staged_once;
            Alcotest.test_case "staging a grid promotes < 4 words per geometry"
@@ -944,7 +942,9 @@ let () =
            Alcotest.test_case "a search without w finds the w = 64 grid"
              `Quick test_default_w_shares_grid;
            Alcotest.test_case "single-geometry staging retains nothing"
-             `Quick test_single_staging_retains_nothing ]);
+             `Quick test_single_staging_retains_nothing;
+           Alcotest.test_case "a warm pruned search allocates < 2.5 words per geometry"
+             `Quick test_pruned_search_allocates_little ]);
       ("workload", List.map to_alco [ prop_trace_summary_bounds ]);
       ("deck", List.map to_alco [ prop_deck_roundtrip ]);
       ("macro", List.map to_alco [ prop_macro_matches_reference ]) ]
