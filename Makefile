@@ -24,7 +24,12 @@
 #   make bench-moo     NSGA-II + surrogate vs the exhaustive oracle: regret,
 #                      budget and hypervolume gates (writes BENCH_moo.json)
 #   make bench-serve   daemon load-generator benchmark (writes BENCH_serve.json)
-#   make smoke-serve-metrics  end-to-end Prometheus scrape of a live daemon
+#   make smoke-serve-metrics  end-to-end Prometheus scrape of a live daemon;
+#                      its `query --json` must print the served payload
+#   (make check also runs scripts/cli_errors_smoke.sh: bad option values
+#                      are usage errors naming the option, unusable
+#                      --cache-dir/--checkpoint/--trace/--search-log paths
+#                      never reach an internal error)
 #   make smoke-cache-dir  three one-shots sharing a --cache-dir: the second
 #                      answers from disk, the third survives a torn tail;
 #                      a --checkpoint run journals all 157 chunks and its
@@ -44,12 +49,7 @@ all:
 check: check-tests check-dead-exports
 	dune build
 	dune runtest
-	@for args in "-c 1000" "-c 512KB" "-m nsga2 --budget 0" "--jobs 0" "--jobs 65"; do \
-	  flag=$$(echo "$$args" | awk '{ print $$(NF - 1) }'); \
-	  status=0; err=$$(dune exec bin/sram_opt.exe -- optimize $$args 2>&1 >/dev/null) || status=$$?; \
-	  { [ $$status -eq 124 ] && echo "$$err" | grep -q -- "option '$$flag'"; } || { \
-	    echo "ERROR: optimize $$args exited $$status, expected a usage error (124) naming $$flag"; exit 1; }; \
-	done
+	sh scripts/cli_errors_smoke.sh
 	dune exec bench/main.exe -- headline --smoke
 	dune exec bench/main.exe -- kernel --smoke
 	dune exec bench/main.exe -- obs --smoke

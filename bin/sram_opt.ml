@@ -225,8 +225,18 @@ let progress_arg =
            ~doc:"Live progress ticker on stderr: geometries done / pruned, \
                  evaluation rate and ETA.")
 
+let log_level_conv =
+  let parse s =
+    match Obs.Log.of_string s with
+    | Some level -> Ok level
+    | None ->
+      Error (`Msg (Printf.sprintf "bad level %S (quiet|error|warn|info|debug)" s))
+  in
+  let print ppf level = Format.fprintf ppf "%s" (Obs.Log.to_string level) in
+  Cmdliner.Arg.conv (parse, print)
+
 let log_level_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some log_level_conv) None
        & info [ "log-level" ] ~docv:"LEVEL"
            ~doc:"Diagnostic verbosity: quiet, error, warn, info or debug \
                  (default warn; the SRAM_OPT_LOG environment variable sets \
@@ -298,15 +308,19 @@ let install_interrupt () =
    instrumentation sites read process-global [Obs] state. *)
 let with_runtime ?(trace = None) ?(progress = false) ?(log_level = None)
     ?(search_log = None) ?persist ~jobs ~stats f =
-  (match log_level with
-   | None -> ()
-   | Some s ->
-     (match Obs.Log.of_string s with
-      | Some level -> Obs.Log.set_level level
-      | None ->
-        Printf.eprintf
-          "sram_opt: bad --log-level %S (quiet|error|warn|info|debug)\n" s;
-        exit 2));
+  (* The output files open before any search runs, so one that cannot
+     be written fails the run at once, naming its option. *)
+  let open_output option = function
+    | None -> None
+    | Some path -> (
+      try Some (path, open_out path)
+      with Sys_error msg ->
+        Printf.eprintf "sram_opt: --%s: %s\n" option msg;
+        exit 2)
+  in
+  let trace_out = open_output "trace" trace in
+  let search_log_out = open_output "search-log" search_log in
+  Option.iter Obs.Log.set_level log_level;
   Obs.Control.set_worker_name "main";
   Runtime.Pool.set_default_jobs jobs;
   if stats || trace <> None then Obs.Control.set_enabled true;
@@ -329,7 +343,7 @@ let with_runtime ?(trace = None) ?(progress = false) ?(log_level = None)
          with
          | Ok j -> Persist.Checkpoint.set_default (Some j)
          | Error msg ->
-           Printf.eprintf "sram_opt: %s\n" msg;
+           Printf.eprintf "sram_opt: --checkpoint: %s\n" msg;
            exit 2)));
   let close_persist () =
     (match Persist.Checkpoint.default () with
@@ -347,22 +361,22 @@ let with_runtime ?(trace = None) ?(progress = false) ?(log_level = None)
     restore_signals ();
     if progress then Obs.Progress.stop ();
     close_persist ();
-    (match search_log with
+    (match search_log_out with
      | None -> ()
-     | Some path ->
+     | Some (path, oc) ->
        let json = Sram_edp.Json_out.search_journal_json () in
        let s = Obs.Search.summary () in
-       let oc = open_out path in
        output_string oc (Persist.Json.to_string_pretty json);
        output_char oc '\n';
        close_out oc;
        Printf.eprintf "wrote search journal (%d events) to %s\n%!"
          s.Obs.Search.journaled path);
-    match trace with
+    match trace_out with
     | None -> ()
-    | Some path ->
+    | Some (path, oc) ->
       Obs.Trace.stop ();
-      let n = Obs.Trace.write path in
+      let n = Obs.Trace.write oc in
+      close_out oc;
       Printf.eprintf "wrote %d trace events to %s\n%!" n path
   in
   match f () with
@@ -1246,15 +1260,7 @@ let query_cmd =
            (Result.map
               (fun (a : Serve.Client.answer) ->
                 if json then
-                  print_endline
-                    (Persist.Json.to_string
-                       (Persist.Json.Obj
-                          [ ("capacity_bits", Persist.Json.Int a.Serve.Client.capacity_bits);
-                            ("config", Persist.Json.String a.Serve.Client.config);
-                            ("checksum", Persist.Json.String a.Serve.Client.checksum);
-                            ("eval_s", Persist.Json.Float a.Serve.Client.eval_s);
-                            ("result",
-                             Opt.Exhaustive.result_to_json a.Serve.Client.result) ]))
+                  print_endline (Persist.Json.to_string a.Serve.Client.payload)
                 else begin
                   print_optimized
                     { Sram_edp.Framework.capacity_bits = a.Serve.Client.capacity_bits;

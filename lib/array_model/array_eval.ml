@@ -8,7 +8,6 @@ type env = {
   dcaps : Caps.device_caps;
   alpha : float;
   beta : float;
-  dcdc_overhead : float;
   accounting : accounting;
 }
 
@@ -23,8 +22,9 @@ let make_env ?(alpha = 0.5) ?(beta = 0.5) ?(accounting = Paper_strict)
       ~pfet:(Finfet.Library.pfet lib cell_flavor)
       ()
   in
-  { lib; cell_flavor; currents; periphery; dcaps; alpha; beta;
-    dcdc_overhead = 1.25; accounting }
+  { lib; cell_flavor; currents; periphery; dcaps; alpha; beta; accounting }
+
+let dcdc_overhead = 1.25
 
 type metrics = {
   d_read : float;
@@ -43,115 +43,15 @@ type metrics = {
 
 let vdd = Finfet.Tech.vdd_nominal
 
-let evaluate env (g : Geometry.t) (a : Components.assist) =
-  let open Components in
-  let d = env.dcaps and cur = env.currents and per = env.periphery in
-  let cvdd = Components.cvdd d cur g a in
-  let cvss = Components.cvss d cur g a in
-  let wl_rd = Components.wl_read d cur g a in
-  let wl_wr = Components.wl_write d cur g a in
-  let col = Components.col d cur g a in
-  let bl_rd = Components.bl_read d cur g a in
-  let bl_wr = Components.bl_write d cur g a in
-  let pre_rd = Components.precharge_read d cur g a in
-  let pre_wr = Components.precharge_write d cur g a in
-  let row_dec = Periphery.row_dec per ~bits:(Geometry.row_address_bits g) in
-  let col_dec = Periphery.col_dec per ~bits:(Geometry.column_address_bits g) in
-  (* --- Table 3: delays --- *)
-  let d_row_path_read =
-    row_dec.Gates.Decoder.delay +. per.Periphery.driver_delay +. wl_rd.delay
-  in
-  let d_col_path =
-    if Geometry.has_column_mux g then
-      col_dec.Gates.Decoder.delay +. per.Periphery.driver_delay +. col.delay
-    else 0.0
-  in
-  let d_read =
-    max (d_row_path_read +. bl_rd.delay) d_col_path
-    +. per.Periphery.sense_delay +. pre_rd.delay
-  in
-  let d_write_cell = Periphery.write_delay per ~vwl:a.vwl in
-  let d_row_path_write =
-    row_dec.Gates.Decoder.delay +. per.Periphery.driver_delay +. wl_wr.delay
-  in
-  let d_write =
-    max d_row_path_write (d_col_path +. bl_wr.delay)
-    +. d_write_cell +. pre_wr.delay
-  in
-  let d_array = max d_read d_write in
-  (* --- Table 3: switching energies --- *)
-  let assist_scaled e = env.dcdc_overhead *. e in
-  let e_cvdd = assist_scaled cvdd.energy in
-  let e_cvss = assist_scaled cvss.energy in
-  let e_wl_wr = if a.vwl > vdd then assist_scaled wl_wr.energy else wl_wr.energy in
-  let nc = float_of_int g.Geometry.nc in
-  (* A row narrower than the access width is read/written whole. *)
-  let w = float_of_int (min g.Geometry.w g.Geometry.nc) in
-  let n_unselected = max 0.0 (nc -. w) in
-  let e_read, e_write =
-    match env.accounting with
-    | Paper_strict ->
-      let e_read =
-        row_dec.Gates.Decoder.energy +. per.Periphery.driver_energy
-        +. wl_rd.energy +. bl_rd.energy +. col_dec.Gates.Decoder.energy
-        +. per.Periphery.driver_energy +. col.energy
-        +. per.Periphery.sense_energy +. pre_rd.energy +. e_cvdd +. e_cvss
-      in
-      let e_write =
-        row_dec.Gates.Decoder.energy +. per.Periphery.driver_energy
-        +. wl_wr.energy +. col_dec.Gates.Decoder.energy
-        +. per.Periphery.driver_energy +. col.energy +. bl_wr.energy
-        +. per.Periphery.write_cell_energy +. pre_wr.energy
-      in
-      (e_read, e_write)
-    | Physical ->
-      (* Every cell under the active word line conducts, so all n_c
-         bitlines discharge and are re-precharged on a read; W sense amps
-         evaluate.  A write swings W bitlines rail-to-rail and disturbs
-         the other n_c - W columns by a read-like Delta V_S dip (priced at
-         nominal rails: write operations carry no read assists). *)
-      let c_bl = Caps.bl d g in
-      let disturb = 2.0 *. c_bl *. vdd *. Finfet.Tech.delta_v_sense in
-      let e_read =
-        row_dec.Gates.Decoder.energy +. per.Periphery.driver_energy
-        +. wl_rd.energy
-        +. (nc *. (bl_rd.energy +. pre_rd.energy))
-        +. col_dec.Gates.Decoder.energy +. per.Periphery.driver_energy
-        +. col.energy
-        +. (w *. per.Periphery.sense_energy)
-        +. e_cvdd +. e_cvss
-      in
-      let e_write =
-        row_dec.Gates.Decoder.energy +. per.Periphery.driver_energy
-        +. e_wl_wr +. col_dec.Gates.Decoder.energy
-        +. per.Periphery.driver_energy +. col.energy
-        +. (w *. (bl_wr.energy +. per.Periphery.write_cell_energy +. pre_wr.energy))
-        +. (n_unselected *. disturb)
-      in
-      (e_read, e_write)
-  in
-  (* --- Equations (2)-(5) --- *)
-  let e_switching = (env.beta *. e_read) +. ((1.0 -. env.beta) *. e_write) in
-  let m = float_of_int (Geometry.capacity_bits g) in
-  let e_leakage = m *. per.Periphery.p_leak_cell *. d_array in
-  let e_total = (env.alpha *. e_switching) +. e_leakage in
-  { d_read; d_write; d_array;
-    e_read; e_write; e_switching; e_leakage; e_total;
-    edp = e_total *. d_array;
-    d_bl_read = bl_rd.delay;
-    d_row_path_read;
-    d_col_path }
+(* ----- Table 3 -----
 
-(* ----- attribution -----
-
-   [attribute] re-prices the same Table 3 components [evaluate] does
-   and lists each addend in the reference fold order instead of summing
-   it away.  It deliberately duplicates the combining arithmetic above:
-   folding the lists back (head-seeded, left-associated — see [refold])
-   must reproduce every [metrics] field bit for bit, which the QCheck
-   property suite asserts against [evaluate] so the two paths cannot
-   drift apart silently.  Cold path only — it allocates lists and runs
-   [evaluate] once for the reference record. *)
+   [attribute] is the one place Table 3 is written: it prices every
+   component once, lists each addend under its label in the order
+   Equations (2)-(5) add it, and folds the lists into the metrics.
+   [evaluate] is that fold.  A list refolds head-seeded and
+   left-associated (see [refold]), so re-summing it reproduces its
+   metrics field bit for bit.  The staged kernel below re-runs the same
+   sums in the same association order. *)
 
 type attribution = {
   at_metrics : metrics;
@@ -185,13 +85,14 @@ let attribute env (g : Geometry.t) (a : Components.assist) =
   let pre_wr = Components.precharge_write d cur g a in
   let row_dec = Periphery.row_dec per ~bits:(Geometry.row_address_bits g) in
   let col_dec = Periphery.col_dec per ~bits:(Geometry.column_address_bits g) in
-  let assist_scaled e = env.dcdc_overhead *. e in
-  let e_cvdd = assist_scaled cvdd.energy in
-  let e_cvss = assist_scaled cvss.energy in
+  (* --- Table 3: switching energies --- *)
+  let e_cvdd = dcdc_overhead *. cvdd.energy in
+  let e_cvss = dcdc_overhead *. cvss.energy in
   let e_wl_wr =
-    if a.vwl > vdd then assist_scaled wl_wr.energy else wl_wr.energy
+    if a.vwl > vdd then dcdc_overhead *. wl_wr.energy else wl_wr.energy
   in
   let nc = float_of_int g.Geometry.nc in
+  (* A row narrower than the access width is read/written whole. *)
   let w = float_of_int (min g.Geometry.w g.Geometry.nc) in
   let n_unselected = max 0.0 (nc -. w) in
   let read_energy, write_energy =
@@ -218,6 +119,12 @@ let attribute env (g : Geometry.t) (a : Components.assist) =
           ("write cell", per.Periphery.write_cell_energy);
           ("precharge", pre_wr.energy) ] )
     | Physical ->
+      (* Every cell under the active word line conducts, so all n_c
+         bitlines discharge and are re-precharged on a read; W sense amps
+         evaluate.  A write swings W bitlines rail-to-rail and disturbs
+         the other n_c - W columns by a read-like Delta V_S dip (priced at
+         nominal rails: write operations carry no read assists).  The
+         multiplicity-scaled terms are single addends. *)
       let c_bl = Caps.bl d g in
       let disturb = 2.0 *. c_bl *. vdd *. Finfet.Tech.delta_v_sense in
       ( [ ("row decoder", row_dec.Gates.Decoder.energy);
@@ -241,65 +148,65 @@ let attribute env (g : Geometry.t) (a : Components.assist) =
                  +. pre_wr.energy));
           ("read disturb (n_c-W)", n_unselected *. disturb) ] )
   in
-  let col_path_stages =
+  (* --- Table 3: delay stages --- *)
+  let row_path_read =
+    [ ("row decoder", row_dec.Gates.Decoder.delay);
+      ("row driver", per.Periphery.driver_delay);
+      ("wordline", wl_rd.delay) ]
+  in
+  let read_row = row_path_read @ [ ("bitline", bl_rd.delay) ] in
+  let col_path =
     if Geometry.has_column_mux g then
       [ ("col decoder", col_dec.Gates.Decoder.delay);
         ("col driver", per.Periphery.driver_delay);
         ("column mux", col.delay) ]
     else []
   in
-  { at_metrics = evaluate env g a;
+  let read_tail =
+    [ ("sense amp", per.Periphery.sense_delay); ("precharge", pre_rd.delay) ]
+  in
+  let write_row =
+    [ ("row decoder", row_dec.Gates.Decoder.delay);
+      ("row driver", per.Periphery.driver_delay);
+      ("wordline", wl_wr.delay) ]
+  in
+  let write_col = col_path @ [ ("bitline", bl_wr.delay) ] in
+  let write_tail =
+    [ ("write cell", Periphery.write_delay per ~vwl:a.vwl);
+      ("precharge", pre_wr.delay) ]
+  in
+  (* --- Equations (2)-(5) --- *)
+  let path row col tail =
+    List.fold_left (fun acc (_, x) -> acc +. x) (max (refold row) (refold col))
+      tail
+  in
+  let d_read = path read_row col_path read_tail in
+  let d_write = path write_row write_col write_tail in
+  let d_array = max d_read d_write in
+  let e_read = refold read_energy and e_write = refold write_energy in
+  let e_switching = (env.beta *. e_read) +. ((1.0 -. env.beta) *. e_write) in
+  let m = float_of_int (Geometry.capacity_bits g) in
+  let e_leakage = m *. per.Periphery.p_leak_cell *. d_array in
+  let e_total = (env.alpha *. e_switching) +. e_leakage in
+  { at_metrics =
+      { d_read; d_write; d_array;
+        e_read; e_write; e_switching; e_leakage; e_total;
+        edp = e_total *. d_array;
+        d_bl_read = bl_rd.delay;
+        d_row_path_read = refold row_path_read;
+        d_col_path = refold col_path };
     at_alpha = env.alpha;
     at_beta = env.beta;
     at_read_energy = read_energy;
     at_write_energy = write_energy;
-    at_read_row =
-      [ ("row decoder", row_dec.Gates.Decoder.delay);
-        ("row driver", per.Periphery.driver_delay);
-        ("wordline", wl_rd.delay);
-        ("bitline", bl_rd.delay) ];
-    at_read_col = col_path_stages;
-    at_read_tail =
-      [ ("sense amp", per.Periphery.sense_delay);
-        ("precharge", pre_rd.delay) ];
-    at_write_row =
-      [ ("row decoder", row_dec.Gates.Decoder.delay);
-        ("row driver", per.Periphery.driver_delay);
-        ("wordline", wl_wr.delay) ];
-    at_write_col = col_path_stages @ [ ("bitline", bl_wr.delay) ];
-    at_write_tail =
-      [ ("write cell", Periphery.write_delay per ~vwl:a.vwl);
-        ("precharge", pre_wr.delay) ] }
+    at_read_row = read_row;
+    at_read_col = col_path;
+    at_read_tail = read_tail;
+    at_write_row = write_row;
+    at_write_col = write_col;
+    at_write_tail = write_tail }
 
-let attribution_consistent at =
-  let m = at.at_metrics in
-  let bits_eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
-  let tail_fold seed stages =
-    List.fold_left (fun acc (_, x) -> acc +. x) seed stages
-  in
-  let e_read = refold at.at_read_energy in
-  let e_write = refold at.at_write_energy in
-  let d_read =
-    tail_fold (max (refold at.at_read_row) (refold at.at_read_col))
-      at.at_read_tail
-  in
-  let d_write =
-    tail_fold (max (refold at.at_write_row) (refold at.at_write_col))
-      at.at_write_tail
-  in
-  let d_array = max d_read d_write in
-  let e_switching =
-    (at.at_beta *. e_read) +. ((1.0 -. at.at_beta) *. e_write)
-  in
-  let e_total = (at.at_alpha *. e_switching) +. m.e_leakage in
-  bits_eq e_read m.e_read
-  && bits_eq e_write m.e_write
-  && bits_eq d_read m.d_read
-  && bits_eq d_write m.d_write
-  && bits_eq d_array m.d_array
-  && bits_eq e_switching m.e_switching
-  && bits_eq e_total m.e_total
-  && bits_eq (e_total *. d_array) m.edp
+let evaluate env g a = (attribute env g a).at_metrics
 
 (* ----- staged evaluation kernel -----
 
@@ -315,8 +222,9 @@ let attribution_consistent at =
 
    Bit-identity with [evaluate] is by construction: every hoisted leaf is
    produced by the same expression (often the same function) as the
-   reference path, and [complete] re-runs the combining arithmetic in the
-   reference path's exact association order. *)
+   reference path, the four assist-dependent components are priced by
+   Equation (1)'s own association, and [complete] re-runs the combining
+   arithmetic in the reference path's exact association order. *)
 
 let stage_counter = Runtime.Telemetry.counter "array_eval.stage"
 
@@ -376,8 +284,8 @@ let res_stride = 12
 
 (* A staged grid as a search holds it: a block, which every env of one
    device set shares, paired with the env that prices it.  [complete]
-   and [scan_slice] read the accounting, alpha, beta and the DC-DC
-   overhead from [g_env]; the block holds none of them. *)
+   and [scan_slice] read the accounting, alpha and beta from [g_env];
+   the block holds none of them. *)
 type grid = {
   g_env : env;
   g_k : float array;  (* residues, then rows *)
@@ -647,89 +555,53 @@ let staged_operands () =
 let reset_staging () =
   Mutex.protect shared_store.st_lock (fun () -> shared_store.st_grids <- [])
 
+(* An assist as the kernel reads it, one row of eight floats (stored
+   unboxed, as one float block): the Equation (1) operands of the four
+   assist-dependent components and the write cell delay.  A rail that
+   does not move carries a 0.0 swing, and a dead WL write a 1.0 drive,
+   which reproduce Equation (1)'s exact 0.0 through the same
+   multiplications the live case uses, so the scan loop is branch-free
+   (without flambda a float produced by an if-join is boxed, which
+   would put an allocation on every scan point).  The V_DDC and V_SSC
+   rail drives feed only delays nothing reads, so the row omits them
+   and [prepare] does not compute them. *)
 type prepared = {
-  p_assist : Components.assist;
-  dv_cvdd : float;
-  i_cvdd : float;
-  dv_cvss : float;
-  i_cvss : float;
-  dv_wl_wr : float;
-  i_wl_wr : float;
-  v_bl_rd : float;
-  i_bl_rd : float;
-  p_d_write_cell : float;
-  wl_boosted : bool;
-  (* Scan-effective operands, derived once at preparation time so the
-     batched scan loop is branch-free (without flambda a float produced
-     by an if-join is boxed, which would put an allocation on every
-     scan point).  A dead component carries a 0.0 numerator and a 1.0
-     divisor, which reproduce the reference path's exact 0.0 through
-     the same multiplications — the operand substitution is validated
-     bit-for-bit by the scan-identity QCheck property. *)
-  ps_dv_cvdd : float;
-  ps_dv_cvss : float;
-  ps_dv_wl : float;
-  ps_i_wl : float;
-  ps_i_bl : float;
-  ps_v_bl : float;
-  ps_boost : float;  (* dcdc_overhead when vwl-boosted, else 1.0 *)
+  dv_cvdd : float;       (* V_DDC - V_DD, or 0.0 *)
+  dv_cvss : float;       (* |V_SSC|, or 0.0 *)
+  dv_wl : float;         (* V_WL, or 0.0 *)
+  i_wl : float;          (* the WL write drive, 1.0 when dv_wl is 0.0 *)
+  i_bl : float;          (* the read current *)
+  v_bl : float;          (* V_DDC - V_SSC, the bitline read's V *)
+  boost : float;         (* dcdc_overhead when V_WL > V_DD, else 1.0 *)
+  d_write_cell : float;
 }
 
-(* The input validation [Components.equation1] performs per evaluation
-   moves here, to preparation time: each assert guards exactly the
-   operand set whose component is live, as the per-point branches did. *)
-let make_prepared ~assist ~dv_cvdd ~i_cvdd ~dv_cvss ~i_cvss ~dv_wl_wr ~i_wl_wr
-    ~v_bl_rd ~i_bl_rd ~d_write_cell ~wl_boosted ~dcdc =
-  let bl_live = Finfet.Tech.delta_v_sense > 0.0 in
-  { p_assist = assist;
-    dv_cvdd;
-    i_cvdd;
-    dv_cvss;
-    i_cvss;
-    dv_wl_wr;
-    i_wl_wr;
-    v_bl_rd;
-    i_bl_rd;
-    p_d_write_cell = d_write_cell;
-    wl_boosted;
-    ps_dv_cvdd =
-      (if dv_cvdd <= 0.0 then 0.0
-       else begin assert (i_cvdd > 0.0); dv_cvdd end);
-    ps_dv_cvss =
-      (if dv_cvss <= 0.0 then 0.0
-       else begin assert (i_cvss > 0.0); dv_cvss end);
-    ps_dv_wl =
-      (if dv_wl_wr > 0.0 then begin assert (i_wl_wr > 0.0); dv_wl_wr end
-       else 0.0);
-    ps_i_wl = (if dv_wl_wr > 0.0 then i_wl_wr else 1.0);
-    ps_i_bl =
-      (if bl_live then begin assert (i_bl_rd > 0.0); i_bl_rd end else 1.0);
-    ps_v_bl = (if bl_live then v_bl_rd else 0.0);
-    ps_boost = (if wl_boosted then dcdc else 1.0) }
+(* A rail's swing as Equation (1) prices it: none unless it moves. *)
+let swing dv = if dv <= 0.0 then 0.0 else dv
 
 let prepare env (a : Components.assist) =
-  let cur = env.currents and per = env.periphery in
-  make_prepared ~assist:a
-    ~dv_cvdd:(a.Components.vddc -. vdd)
-    ~i_cvdd:(Currents.cvdd_driver cur ~vddc:a.Components.vddc)
-    ~dv_cvss:(abs_float a.Components.vssc)
-    ~i_cvss:(Currents.cvss_driver cur ~vssc:a.Components.vssc)
-    ~dv_wl_wr:a.Components.vwl
-    ~i_wl_wr:(Currents.wl_write cur ~vwl:a.Components.vwl)
-    ~v_bl_rd:(a.Components.vddc -. a.Components.vssc)
-    ~i_bl_rd:
-      (Currents.read_current cur ~vddc:a.Components.vddc
-         ~vssc:a.Components.vssc)
-    ~d_write_cell:(Periphery.write_delay per ~vwl:a.Components.vwl)
-    ~wl_boosted:(a.Components.vwl > vdd)
-    ~dcdc:env.dcdc_overhead
+  let cur = env.currents in
+  let vddc = a.Components.vddc
+  and vssc = a.Components.vssc
+  and vwl = a.Components.vwl in
+  let i_wl = Currents.wl_write cur ~vwl in
+  let i_bl = Currents.read_current cur ~vddc ~vssc in
+  (* [Components.equation1]'s input check, once per assist instead of
+     per evaluation: a live component needs a positive drive. *)
+  assert (vwl <= 0.0 || i_wl > 0.0);
+  assert (i_bl > 0.0);
+  { dv_cvdd = swing (vddc -. vdd);
+    dv_cvss = swing (abs_float vssc);
+    dv_wl = swing vwl;
+    i_wl = (if vwl <= 0.0 then 1.0 else i_wl);
+    i_bl;
+    v_bl = vddc -. vssc;
+    boost = (if vwl > vdd then dcdc_overhead else 1.0);
+    d_write_cell = Periphery.write_delay env.periphery ~vwl }
 
-(* The completion: prices the four assist-dependent components from
-   hoisted operands and re-runs the Table 3 / Equations (2)-(5)
-   arithmetic in [evaluate]'s association order.  [p.wl_boosted]
-   abstracts the one conditional that differs between an actual assist
-   (vwl > vdd) and the lower envelope (all enveloped assists
-   boosted). *)
+(* The completion: prices the four assist-dependent components from the
+   row's operands as [scan_slice] does, and re-runs the Table 3 /
+   Equations (2)-(5) arithmetic in [attribute]'s association order. *)
 let complete_core grid i (p : prepared) =
   let base = base_of grid i ~fn:"complete" in
   let env = grid.g_env in
@@ -737,49 +609,35 @@ let complete_core grid i (p : prepared) =
   let k = grid.g_k in
   let rb = row_of k base in
   let c_bl = Array.unsafe_get k (base + k_c_bl) in
+  let c_wl = Array.unsafe_get k (rb + r_c_wl) in
   let d_row_path_read = Array.unsafe_get k (rb + r_d_row_path_read) in
   let d_col_path = Array.unsafe_get k (base + k_d_col_path) in
   let col_dec_e = Array.unsafe_get k (rb + r_col_dec_e) in
   let col_e = Array.unsafe_get k (base + k_col_e) in
-  let cvdd =
-    Components.equation1 ~c:(Array.unsafe_get k (rb + r_c_cvdd)) ~v:vdd
-      ~dv:p.dv_cvdd ~i:p.i_cvdd
-  in
-  let cvss =
-    Components.equation1 ~c:(Array.unsafe_get k (rb + r_c_cvss)) ~v:vdd
-      ~dv:p.dv_cvss ~i:p.i_cvss
-  in
-  let wl_wr =
-    Components.equation1 ~c:(Array.unsafe_get k (rb + r_c_wl)) ~v:vdd
-      ~dv:p.dv_wl_wr ~i:p.i_wl_wr
-  in
-  let bl_rd =
-    Components.equation1 ~c:c_bl ~v:p.v_bl_rd ~dv:Finfet.Tech.delta_v_sense
-      ~i:p.i_bl_rd
-  in
+  let dvs = Finfet.Tech.delta_v_sense in
+  (* --- the four rail components (Equation (1)) --- *)
+  let e_cvdd_c = Array.unsafe_get k (rb + r_c_cvdd) *. vdd *. p.dv_cvdd in
+  let e_cvss_c = Array.unsafe_get k (rb + r_c_cvss) *. vdd *. p.dv_cvss in
+  let d_wl_wr = c_wl *. p.dv_wl /. p.i_wl in
+  let e_wl_wr_c = c_wl *. vdd *. p.dv_wl in
+  let d_bl_rd = c_bl *. dvs /. p.i_bl in
+  let e_bl_rd = c_bl *. p.v_bl *. dvs in
   (* --- Table 3: delays --- *)
   let d_read =
-    max (d_row_path_read +. bl_rd.Components.delay) d_col_path
+    max (d_row_path_read +. d_bl_rd) d_col_path
     +. per.Periphery.sense_delay
     +. Array.unsafe_get k (base + k_pre_rd_delay)
   in
-  let d_row_path_write =
-    Array.unsafe_get k (rb + r_d_row_prefix) +. wl_wr.Components.delay
-  in
+  let d_row_path_write = Array.unsafe_get k (rb + r_d_row_prefix) +. d_wl_wr in
   let d_write =
     max d_row_path_write (Array.unsafe_get k (base + k_d_col_blwr))
-    +. p.p_d_write_cell
+    +. p.d_write_cell
     +. Array.unsafe_get k (base + k_pre_wr_delay)
   in
   let d_array = max d_read d_write in
   (* --- Table 3: switching energies --- *)
-  let assist_scaled e = env.dcdc_overhead *. e in
-  let e_cvdd = assist_scaled cvdd.Components.energy in
-  let e_cvss = assist_scaled cvss.Components.energy in
-  let e_wl_wr =
-    if p.wl_boosted then assist_scaled wl_wr.Components.energy
-    else wl_wr.Components.energy
-  in
+  let e_cvdd = dcdc_overhead *. e_cvdd_c in
+  let e_cvss = dcdc_overhead *. e_cvss_c in
   let e_rowdrv = Array.unsafe_get k (rb + r_e_rowdrv) in
   let e_rd_prefix = Array.unsafe_get k (rb + r_e_rd_prefix) in
   let pre_rd_e = Array.unsafe_get k (base + k_pre_rd_e) in
@@ -787,13 +645,13 @@ let complete_core grid i (p : prepared) =
     match env.accounting with
     | Paper_strict ->
       let e_read =
-        e_rd_prefix +. bl_rd.Components.energy
+        e_rd_prefix +. e_bl_rd
         +. col_dec_e +. per.Periphery.driver_energy
         +. col_e +. per.Periphery.sense_energy
         +. pre_rd_e +. e_cvdd +. e_cvss
       in
       let e_write =
-        e_rowdrv +. wl_wr.Components.energy
+        e_rowdrv +. e_wl_wr_c
         +. col_dec_e +. per.Periphery.driver_energy
         +. col_e +. Array.unsafe_get k (base + k_bl_wr_e)
         +. per.Periphery.write_cell_energy
@@ -803,14 +661,13 @@ let complete_core grid i (p : prepared) =
     | Physical ->
       let e_read =
         e_rd_prefix
-        +. (Array.unsafe_get k (rb + r_nc)
-            *. (bl_rd.Components.energy +. pre_rd_e))
+        +. (Array.unsafe_get k (rb + r_nc) *. (e_bl_rd +. pre_rd_e))
         +. col_dec_e +. per.Periphery.driver_energy
         +. col_e +. Array.unsafe_get k (rb + r_w_sense_energy) +. e_cvdd
         +. e_cvss
       in
       let e_write =
-        e_rowdrv +. e_wl_wr +. col_dec_e
+        e_rowdrv +. (p.boost *. e_wl_wr_c) +. col_dec_e
         +. per.Periphery.driver_energy +. col_e
         +. Array.unsafe_get k (base + k_w_write_term)
         +. Array.unsafe_get k (base + k_disturb_term)
@@ -824,7 +681,7 @@ let complete_core grid i (p : prepared) =
   { d_read; d_write; d_array;
     e_read; e_write; e_switching; e_leakage; e_total;
     edp = e_total *. d_array;
-    d_bl_read = bl_rd.Components.delay;
+    d_bl_read = d_bl_rd;
     d_row_path_read;
     d_col_path }
 
@@ -839,32 +696,6 @@ let complete grid i (p : prepared) =
     m
   end
   else complete_core grid i p
-
-(* ----- admissible lower envelope -----
-
-   Across a vssc scan only four components move.  Taking, per Equation (1)
-   operand, the extreme that minimizes the component (smallest dV and V,
-   largest I) yields component values that lower-bound the component at
-   every enveloped assist; since every combining operation in
-   [complete] (+., *., /., max, all on non-negative operands) is
-   monotone under IEEE rounding, the resulting metrics lower-bound every
-   actual metrics field — no epsilon needed.  The envelope's fields are
-   per-field bounds; they are generally not attained by any single
-   assist. *)
-
-type envelope = {
-  b_dv_cvdd : float;
-  b_i_cvdd : float;
-  b_dv_cvss : float;
-  b_i_cvss : float;
-  b_dv_wl_wr : float;
-  b_i_wl_wr : float;
-  b_v_bl_rd : float;
-  b_i_bl_rd : float;
-  b_d_write_cell : float;
-  b_wl_boosted_all : bool;
-}
-
 (* ----- batched scan kernel -----
 
    One geometry's whole assist scan into preallocated float arrays
@@ -920,14 +751,12 @@ let scan_slice grid gi (ps : prepared array) buf ~lo ~hi =
   let rb = row_of k base in
   (* Loop-invariant operands and whole-subexpression hoists. *)
   let dvs = Finfet.Tech.delta_v_sense in
-  let bl_live = dvs > 0.0 in
   let c_wl = Array.unsafe_get k (rb + r_c_wl) in
   let c_bl = Array.unsafe_get k (base + k_c_bl) in
   let cv_cvdd = Array.unsafe_get k (rb + r_c_cvdd) *. vdd in
   let cv_cvss = Array.unsafe_get k (rb + r_c_cvss) *. vdd in
   let cv_wl = c_wl *. vdd in
-  let c_bl_dvs = if bl_live then c_bl *. dvs else 0.0 in
-  let dcdc = env.dcdc_overhead in
+  let c_bl_dvs = c_bl *. dvs in
   let d_row_path_read = Array.unsafe_get k (rb + r_d_row_path_read) in
   let d_col_path = Array.unsafe_get k (base + k_d_col_path) in
   let d_row_prefix = Array.unsafe_get k (rb + r_d_row_prefix) in
@@ -961,17 +790,15 @@ let scan_slice grid gi (ps : prepared array) buf ~lo ~hi =
       let p = Array.unsafe_get ps i in
       (* Equation (1) components; only the fields the outputs reach are
          computed (cvdd/cvss delays feed nothing).  The loop body is
-         branch-free: a dead component's scan-effective operands (0.0
-         numerator, 1.0 divisor, set by [make_prepared]) reproduce the
-         reference path's 0.0 through these same multiplications, so no
-         float is produced by an if-join — without flambda such a join
-         boxes, which would allocate on every point. *)
-      let e_cvdd_c = cv_cvdd *. p.ps_dv_cvdd in
-      let e_cvss_c = cv_cvss *. p.ps_dv_cvss in
-      let d_wl_wr = c_wl *. p.ps_dv_wl /. p.ps_i_wl in
-      let e_wl_wr_c = cv_wl *. p.ps_dv_wl in
-      let d_bl_rd = c_bl_dvs /. p.ps_i_bl in
-      let e_bl_rd = c_bl *. p.ps_v_bl *. dvs in
+         branch-free: a dead component's operands (0.0 swing, 1.0 drive)
+         reproduce the reference path's 0.0 through these same
+         multiplications. *)
+      let e_cvdd_c = cv_cvdd *. p.dv_cvdd in
+      let e_cvss_c = cv_cvss *. p.dv_cvss in
+      let d_wl_wr = c_wl *. p.dv_wl /. p.i_wl in
+      let e_wl_wr_c = cv_wl *. p.dv_wl in
+      let d_bl_rd = c_bl_dvs /. p.i_bl in
+      let e_bl_rd = c_bl *. p.v_bl *. dvs in
       (* Table 3 delays, then strict-accounting energies.  The maxes are
          spelled as float comparisons because the polymorphic [max]
          boxes both arguments per call — selection is identical
@@ -984,11 +811,11 @@ let scan_slice grid gi (ps : prepared array) buf ~lo ~hi =
       let wr_row = d_row_prefix +. d_wl_wr in
       let d_write =
         (if wr_row >= d_col_blwr then wr_row else d_col_blwr)
-        +. p.p_d_write_cell +. pre_wr_delay
+        +. p.d_write_cell +. pre_wr_delay
       in
       let d_array = if d_read >= d_write then d_read else d_write in
-      let e_cvdd = dcdc *. e_cvdd_c in
-      let e_cvss = dcdc *. e_cvss_c in
+      let e_cvdd = dcdc_overhead *. e_cvdd_c in
+      let e_cvss = dcdc_overhead *. e_cvss_c in
       let e_read =
         e_rd_prefix +. e_bl_rd +. col_dec_e +. driver_e +. col_e
         +. sense_e +. pre_rd_e +. e_cvdd +. e_cvss
@@ -1008,12 +835,12 @@ let scan_slice grid gi (ps : prepared array) buf ~lo ~hi =
     for i = lo to hi - 1 do
       let p = Array.unsafe_get ps i in
       (* Branch-free for the same reason as the strict loop above. *)
-      let e_cvdd_c = cv_cvdd *. p.ps_dv_cvdd in
-      let e_cvss_c = cv_cvss *. p.ps_dv_cvss in
-      let d_wl_wr = c_wl *. p.ps_dv_wl /. p.ps_i_wl in
-      let e_wl_wr_c = cv_wl *. p.ps_dv_wl in
-      let d_bl_rd = c_bl_dvs /. p.ps_i_bl in
-      let e_bl_rd = c_bl *. p.ps_v_bl *. dvs in
+      let e_cvdd_c = cv_cvdd *. p.dv_cvdd in
+      let e_cvss_c = cv_cvss *. p.dv_cvss in
+      let d_wl_wr = c_wl *. p.dv_wl /. p.i_wl in
+      let e_wl_wr_c = cv_wl *. p.dv_wl in
+      let d_bl_rd = c_bl_dvs /. p.i_bl in
+      let e_bl_rd = c_bl *. p.v_bl *. dvs in
       let rd_row = d_row_path_read +. d_bl_rd in
       let d_read =
         (if rd_row >= d_col_path then rd_row else d_col_path)
@@ -1022,12 +849,12 @@ let scan_slice grid gi (ps : prepared array) buf ~lo ~hi =
       let wr_row = d_row_prefix +. d_wl_wr in
       let d_write =
         (if wr_row >= d_col_blwr then wr_row else d_col_blwr)
-        +. p.p_d_write_cell +. pre_wr_delay
+        +. p.d_write_cell +. pre_wr_delay
       in
       let d_array = if d_read >= d_write then d_read else d_write in
-      let e_cvdd = dcdc *. e_cvdd_c in
-      let e_cvss = dcdc *. e_cvss_c in
-      let e_wl_wr = p.ps_boost *. e_wl_wr_c in
+      let e_cvdd = dcdc_overhead *. e_cvdd_c in
+      let e_cvss = dcdc_overhead *. e_cvss_c in
+      let e_wl_wr = p.boost *. e_wl_wr_c in
       let e_read =
         e_rd_prefix
         +. (nc_f *. (e_bl_rd +. pre_rd_e))
@@ -1048,72 +875,41 @@ let scan_slice grid gi (ps : prepared array) buf ~lo ~hi =
 
 let scan grid gi ps buf = scan_slice grid gi ps buf ~lo:0 ~hi:(Array.length ps)
 
-(* ----- envelopes as scan points -----
+(* ----- admissible bounds -----
 
-   An envelope is operand-for-operand a [prepared] value, so bounds are
-   evaluated by the same allocation-free scan as real assists: build
-   the bound points once per search, scan them once per geometry.  A
-   mixed-boost envelope must use the smaller of the two possible
-   scalings for the WL-overdrive write energy; 1.0 *. e = e exactly, so
-   the all-boosted case reproduces [complete]'s scaled value. *)
+   Over a set of assists, the row that takes per operand the extreme
+   making each component smallest (the least swing, V, boost and write
+   cell delay, the largest drive) lower-bounds that component at every
+   assist of the set.  Every combining operation of [complete] and
+   [scan] (+., *., /., max, on non-negative operands) is monotone under
+   IEEE round-to-nearest, so the row, evaluated by either, lower-bounds
+   every metrics field of every assist in the set with no epsilon.  It
+   is generally no assist's own row.  A set that mixes boosted and
+   unboosted WL writes takes the smaller scaling, 1.0. *)
+let join a b =
+  { dv_cvdd = Float.min a.dv_cvdd b.dv_cvdd;
+    dv_cvss = Float.min a.dv_cvss b.dv_cvss;
+    dv_wl = Float.min a.dv_wl b.dv_wl;
+    i_wl = Float.max a.i_wl b.i_wl;
+    i_bl = Float.max a.i_bl b.i_bl;
+    v_bl = Float.min a.v_bl b.v_bl;
+    boost = Float.min a.boost b.boost;
+    d_write_cell = Float.min a.d_write_cell b.d_write_cell }
 
-let bound_prepared env (b : envelope) =
-  make_prepared ~assist:Components.no_assist
-    ~dv_cvdd:b.b_dv_cvdd
-    ~i_cvdd:b.b_i_cvdd
-    ~dv_cvss:b.b_dv_cvss
-    ~i_cvss:b.b_i_cvss
-    ~dv_wl_wr:b.b_dv_wl_wr
-    ~i_wl_wr:b.b_i_wl_wr
-    ~v_bl_rd:b.b_v_bl_rd
-    ~i_bl_rd:b.b_i_bl_rd
-    ~d_write_cell:b.b_d_write_cell
-    ~wl_boosted:(b.b_wl_boosted_all || env.dcdc_overhead < 1.0)
-    ~dcdc:env.dcdc_overhead
-
-let envelope_of_point (p : prepared) =
-  { b_dv_cvdd = p.dv_cvdd;
-    b_i_cvdd = p.i_cvdd;
-    b_dv_cvss = p.dv_cvss;
-    b_i_cvss = p.i_cvss;
-    b_dv_wl_wr = p.dv_wl_wr;
-    b_i_wl_wr = p.i_wl_wr;
-    b_v_bl_rd = p.v_bl_rd;
-    b_i_bl_rd = p.i_bl_rd;
-    b_d_write_cell = p.p_d_write_cell;
-    b_wl_boosted_all = p.wl_boosted }
-
-let extend_envelope acc (p : prepared) =
-  { b_dv_cvdd = min acc.b_dv_cvdd p.dv_cvdd;
-    b_i_cvdd = max acc.b_i_cvdd p.i_cvdd;
-    b_dv_cvss = min acc.b_dv_cvss p.dv_cvss;
-    b_i_cvss = max acc.b_i_cvss p.i_cvss;
-    b_dv_wl_wr = min acc.b_dv_wl_wr p.dv_wl_wr;
-    b_i_wl_wr = max acc.b_i_wl_wr p.i_wl_wr;
-    b_v_bl_rd = min acc.b_v_bl_rd p.v_bl_rd;
-    b_i_bl_rd = max acc.b_i_bl_rd p.i_bl_rd;
-    b_d_write_cell = min acc.b_d_write_cell p.p_d_write_cell;
-    b_wl_boosted_all = acc.b_wl_boosted_all && p.wl_boosted }
-
-(* Suffix envelopes by one incremental right-to-left fold: element [j]
-   covers every assist from index [j * block] to the end, so element 0
-   is the whole-scan bound and element [j > 0] bounds what remains
-   after [j] blocks have been evaluated — the handle a search needs to
-   abandon a scan mid-line once the incumbent has tightened below the
-   remaining points' admissible bound. *)
-let suffix_envelopes (ps : prepared array) ~block =
+(* One right-to-left fold: element [j] bounds every assist from index
+   [j * block] to the end, so element 0 is the whole-scan bound and
+   element [j > 0] bounds what remains after [j] blocks have been
+   evaluated — the handle a search needs to abandon a scan mid-line
+   once the incumbent has tightened below the remaining points'
+   bound. *)
+let suffix_bounds (ps : prepared array) ~block =
   let n = Array.length ps in
-  if n = 0 then invalid_arg "Array_eval.suffix_envelopes: empty";
-  if block <= 0 then invalid_arg "Array_eval.suffix_envelopes: block <= 0";
-  let nb = (n + block - 1) / block in
-  let out = Array.make nb (envelope_of_point ps.(n - 1)) in
-  let acc = ref (envelope_of_point ps.(n - 1)) in
+  if n = 0 then invalid_arg "Array_eval.suffix_bounds: empty";
+  if block <= 0 then invalid_arg "Array_eval.suffix_bounds: block <= 0";
+  let out = Array.make (((n - 1) / block) + 1) ps.(n - 1) in
+  let acc = ref ps.(n - 1) in
   for i = n - 2 downto 0 do
-    acc := extend_envelope !acc ps.(i);
+    acc := join !acc ps.(i);
     if i mod block = 0 then out.(i / block) <- !acc
   done;
-  (* The last block's boundary may fall past n-2 (e.g. a single-point
-     tail); seed wrote the n-1 point, fix up any boundary >= n-1. *)
-  let last_boundary = (nb - 1) * block in
-  if last_boundary = n - 1 then out.(nb - 1) <- envelope_of_point ps.(n - 1);
   out

@@ -29,8 +29,6 @@ type env = {
   dcaps : Caps.device_caps;
   alpha : float;           (** array activity factor (paper: 0.5) *)
   beta : float;            (** read fraction of accesses (paper: 0.5) *)
-  dcdc_overhead : float;   (** assist-rail energy scaling for DC-DC
-                               inefficiency (paper: unspecified; 1.25) *)
   accounting : accounting;
 }
 
@@ -45,10 +43,15 @@ val make_env :
   unit ->
   env
 (** Environment against the default calibrated library with memoized
-    periphery characterization and a [dcdc_overhead] of 1.25.  [cell_width_factor] scales the cell
+    periphery characterization.  [cell_width_factor] scales the cell
     footprint's wire capacitances (1.0 = the 6T layout);
     [`Custom] supplies an alternative read-current model (used by the 8T
     comparison study, whose read stack differs from the 6T one). *)
+
+val dcdc_overhead : float
+(** Assist-rail energy scaling for DC-DC inefficiency (the paper leaves
+    it unspecified): 1.25 on the V_DDC and V_SSC rails and on a boosted
+    write wordline. *)
 
 type metrics = {
   d_read : float;
@@ -65,28 +68,24 @@ type metrics = {
   d_col_path : float;       (** column decoder + driver + COL *)
 }
 
-val evaluate : env -> Geometry.t -> Components.assist -> metrics
+(** {1 Table 3, term by term}
 
-(** {1 Attribution}
-
-    Where an evaluated design's energy and delay actually go,
-    component by component — the explanation behind the winner, not a
-    new model.  Every list below carries the Table 3 terms {e in the
-    exact order [evaluate] folds them}, so re-summing a list with
-    {!refold} reproduces the corresponding [metrics] field bit for bit
-    (OCaml [+.] is left-associative; {!refold} seeds the fold with the
-    first term to preserve the association).  The QCheck property
-    suite holds {!attribute} and [evaluate] together on random
-    geometries, assists and both accounting modes. *)
+    {!attribute} is the one place the model's sums are written: it
+    prices every Table 3 component once, lists each addend under its
+    label {e in the order Equations (2)-(5) add it}, and folds the
+    lists into its metrics.  Re-summing a list with {!refold}
+    reproduces the corresponding [metrics] field bit for bit (OCaml
+    [+.] is left-associative; {!refold} seeds the fold with the first
+    term to preserve the association).  {!evaluate} returns those
+    metrics. *)
 
 type attribution = {
-  at_metrics : metrics;  (** the reference [evaluate] result *)
+  at_metrics : metrics;  (** the folded totals, = [evaluate] *)
   at_alpha : float;
   at_beta : float;
-  (* Energy terms per access, in [evaluate]'s fold order.  Under
-     [Physical] accounting, multiplicity-scaled terms appear as the
-     single products the reference path adds (e.g. all-columns
-     bitline+precharge), never re-distributed. *)
+  (* Energy terms per access, in fold order.  Under [Physical]
+     accounting, multiplicity-scaled terms are single addends (e.g.
+     all-columns bitline+precharge), never re-distributed. *)
   at_read_energy : (string * float) list;   (** refold = [e_read] *)
   at_write_energy : (string * float) list;  (** refold = [e_write] *)
   (* Delay stages.  d_read = max(refold row, refold col) then the tail
@@ -102,16 +101,13 @@ type attribution = {
 
 val attribute : env -> Geometry.t -> Components.assist -> attribution
 
+val evaluate : env -> Geometry.t -> Components.assist -> metrics
+(** [(attribute env g a).at_metrics]: the reference pricing of one
+    design, without the staging below. *)
+
 val refold : (string * float) list -> float
 (** Left fold of [+.] seeded with the first term ([0.0] on an empty
-    list) — the association [evaluate] uses. *)
-
-val attribution_consistent : attribution -> bool
-(** Re-derive [e_read], [e_write], [e_switching], [e_total], [d_read],
-    [d_write], [d_array] and [edp] from the attribution lists and
-    compare each against [at_metrics] {e bitwise}
-    ([Int64.bits_of_float] equality).  [attribute] guarantees [true];
-    exposed so tests and the [explain] command can assert it. *)
+    list) — the association {!attribute} folds with. *)
 
 (** {1 Staged evaluation kernel}
 
@@ -136,14 +132,18 @@ type grid
     one row per n_r of a candidate grid, then the rest per geometry), so
     a grid of thousands of geometries is a single major-heap allocation
     that the minor GC never copies.  The block reads nothing of the
-    accounting, alpha, beta or the DC-DC overhead: {!complete} and
-    {!scan} take those from the paired environment, so one block serves
+    accounting, alpha or beta: {!complete} and {!scan} take those from
+    the paired environment, so one block serves
     every environment of its device set (see the staging store
     below). *)
 
 type prepared
-(** Assist-resolved evaluation state: rail currents and the write cell
-    delay for one assist, reusable across every geometry. *)
+(** One assist as the kernel reads it, reusable across every geometry:
+    one row of eight floats, which OCaml stores unboxed as a single
+    float block — the swings, V and drives of the four
+    assist-dependent components, the WL-boost energy scaling and the
+    write cell delay.  A rail that does not move carries a zero swing,
+    so the scan needs no branch. *)
 
 val stage : env -> Geometry.t -> grid
 (** A one-element grid for this geometry, staged afresh and kept
@@ -152,13 +152,15 @@ val stage : env -> Geometry.t -> grid
     counter. *)
 
 val prepare : env -> Components.assist -> prepared
-(** Hoist all assist-only computation (four rail currents and the write
+(** Hoist all assist-only computation (the rail currents and the write
     cell delay). *)
 
 val complete : grid -> int -> prepared -> metrics
 (** [complete grid i p] finishes the evaluation of the grid's geometry
-    [i]; bit-identical to [evaluate env geometry assist] for the
-    matching inputs.  Raises [Invalid_argument] when [i] is outside the
+    [i], pricing the four assist-dependent components from [p]'s
+    operands in {!scan}'s association order; bit-identical to
+    [evaluate env geometry assist] for the matching inputs, on all 12
+    fields.  Raises [Invalid_argument] when [i] is outside the
     grid. *)
 
 (** {1 Staging context: the staging store}
@@ -211,39 +213,29 @@ val reset_staging : unit -> unit
 (** Drop every grid of the process-wide store (benchmarks call this
     between runs so cold-path measurements stay cold). *)
 
-(** {1 Admissible lower envelope}
+(** {1 Admissible bounds}
 
-    Over a set of assists, taking per Equation (1) operand the extreme
-    that minimizes each component (smallest dV and V, largest I) gives
-    component values lower-bounding the component at every enveloped
-    assist.  Every combining operation downstream (+., *., /., max — all
-    on non-negative operands) is monotone under IEEE round-to-nearest,
-    so the envelope's {!bound_prepared} point, evaluated by {!complete}
-    or {!scan}, lower-bounds every metrics field of every enveloped
-    assist with no epsilon.  A search may therefore skip a
-    geometry whose bound already exceeds the incumbent without ever
-    pruning the optimum. *)
+    A bound is a [prepared] row.  Over a set of assists, the row that
+    takes per operand the extreme minimizing each component (the
+    smallest swing, V, boost scaling and write cell delay, the largest
+    drive) lower-bounds the component at every assist of the set.
+    Every combining operation downstream (+., *., /., max — all on
+    non-negative operands) is monotone under IEEE round-to-nearest, so
+    the row, evaluated by {!complete} or {!scan}, lower-bounds every
+    metrics field of every assist in the set with no epsilon.  A search
+    may therefore skip a geometry whose bound already exceeds the
+    incumbent without ever pruning the optimum, and prices bounds in
+    the same allocation-free scan as real candidates. *)
 
-type envelope
-
-val bound_prepared : env -> envelope -> prepared
-(** The envelope as a scan point: a [prepared] whose operands are the
-    envelope's extremes (assist slot = [Components.no_assist]).  A
-    mixed-boost envelope takes the smaller of the two possible
-    WL-overdrive write-energy scalings.  Searches thus fold bound
-    evaluation into the same allocation-free scan as real
-    candidates. *)
-
-val suffix_envelopes : prepared array -> block:int -> envelope array
-(** [suffix_envelopes ps ~block] — element [j] envelopes every assist
-    from index [j * block] to the end (element 0 covers the whole
-    array).  Built by one right-to-left incremental fold.  A search
+val suffix_bounds : prepared array -> block:int -> prepared array
+(** [suffix_bounds ps ~block] — element [j] bounds every assist from
+    index [j * block] to the end (element 0 covers the whole array),
+    folded per operand by min/max in one right-to-left pass.  A search
     evaluating a scan block-by-block can abandon the line after block
-    [j] when the bound of envelope [j + 1] already exceeds the
-    incumbent: the suffix bound is admissible for exactly the points
-    not yet evaluated, so the pruning stays exact as the incumbent
-    tightens mid-scan.  Raises [Invalid_argument] on an empty array or
-    non-positive [block]. *)
+    [j] when bound [j + 1] already exceeds the incumbent: the suffix
+    bound is admissible for exactly the points not yet evaluated, so
+    the pruning stays exact as the incumbent tightens mid-scan.  Raises
+    [Invalid_argument] on an empty array or non-positive [block]. *)
 
 (** {1 Batched scan kernel}
 

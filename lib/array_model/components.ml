@@ -8,8 +8,6 @@ type assist = {
 
 let vdd = Finfet.Tech.vdd_nominal
 
-let no_assist = { vddc = vdd; vssc = 0.0; vwl = vdd }
-
 (* Equation (1); a component whose rail does not move is free. *)
 let de ~c ~v ~dv ~i =
   if dv <= 0.0 then { delay = 0.0; energy = 0.0 }

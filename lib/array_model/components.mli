@@ -14,15 +14,15 @@ type assist = {
   vwl : float;   (** write-assist wordline level (WL overdrive) *)
 }
 
-val no_assist : assist
-(** All rails at nominal: vddc = vdd, vssc = 0, vwl = vdd. *)
-
 val equation1 : c:float -> v:float -> dv:float -> i:float -> de
 (** Equation (1) itself: D = C dV / I, E = C V dV, and [{0; 0}] when
-    [dv <= 0].  The staged evaluation kernel re-prices components from
-    hoisted (C, V, dV, I) operands through this exact function, which is
-    what makes its results bit-identical to the component helpers
-    below. *)
+    [dv <= 0].  Staging prices the assist-blind components from hoisted
+    (C, V, dV, I) operands through this exact function, which is what
+    makes the staged operands bit-identical to the component helpers
+    below.  It does not price [Array_eval.complete]'s four
+    assist-dependent rail components: those are read from a prepared
+    row with a zero swing for a rail that does not move, in the same
+    association ((C V) dV and (C dV) / I). *)
 
 val cvdd : Caps.device_caps -> Currents.t -> Geometry.t -> assist -> de
 val cvss : Caps.device_caps -> Currents.t -> Geometry.t -> assist -> de

@@ -187,14 +187,23 @@ let explain ?space ?objective ?(accounting = Array_model.Array_eval.Paper_strict
     Array_model.Array_eval.attribute env winner.Opt.Exhaustive.geometry
       winner.Opt.Exhaustive.assist
   in
-  if not (Array_model.Array_eval.attribution_consistent at) then
-    Error "attribution terms do not refold to evaluate's totals bit-for-bit"
-  else if
-    not
-      (Int64.equal
-         (Int64.bits_of_float at.Array_model.Array_eval.at_metrics.Array_model.Array_eval.edp)
-         (Int64.bits_of_float winner.Opt.Exhaustive.metrics.Array_model.Array_eval.edp))
-  then Error "fresh evaluate disagrees with the search's staged kernel for the winner"
+  (* The terms fold into [at_metrics] by construction; what can
+     disagree is the search's own pricing of the winner. *)
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let agree =
+    let m = at.Array_model.Array_eval.at_metrics
+    and w = winner.Opt.Exhaustive.metrics in
+    Array_model.Array_eval.(
+      same m.d_read w.d_read && same m.d_write w.d_write
+      && same m.d_array w.d_array && same m.e_read w.e_read
+      && same m.e_write w.e_write && same m.e_switching w.e_switching
+      && same m.e_leakage w.e_leakage && same m.e_total w.e_total
+      && same m.edp w.edp && same m.d_bl_read w.d_bl_read
+      && same m.d_row_path_read w.d_row_path_read
+      && same m.d_col_path w.d_col_path)
+  in
+  if not agree then
+    Error "the attribution's totals disagree with the search's metrics for the winner"
   else
     let sensitivity =
       Opt.Explain.sensitivity ?space ?objective ~env ~pins:result.Opt.Exhaustive.pins

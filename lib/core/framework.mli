@@ -79,9 +79,9 @@ val explain :
   (explanation, string) result
 (** Why the winner wins: {!optimize} with the same arguments, then the
     winner's attribution against the environment the search priced.
-    Two checks guard the numbers: the attribution terms must refold to
-    [evaluate]'s totals bit for bit, and that fresh evaluation must
-    reproduce the search's EDP bits; [Error] names the one that failed.
+    One check guards the numbers: the totals the attribution terms fold
+    into must equal the search winner's metrics on all 12 fields, bit
+    for bit, or the result is [Error].
     Then the per-axis sensitivity ({!Opt.Explain.sensitivity} over
     [space] and [objective]) and, with [pareto] (default false), the
     keep-all delay-energy front ({!Opt.Explain.pareto} at the search's

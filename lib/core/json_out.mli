@@ -60,9 +60,10 @@ val search_journal_json : unit -> t
 (** {1 Attribution and explanation export} *)
 
 val of_attribution : Array_model.Array_eval.attribution -> t
-(** The ordered bit-exact term lists, the reference metrics, a
-    [consistent_bitwise] flag (re-checked at emission), and the
-    display-weighted E_total rollup. *)
+(** The ordered bit-exact term lists, the metrics they fold into, a
+    [consistent_bitwise] flag ([true]: {!Framework.explain} returns
+    only attributions whose totals equal the search's metrics bit for
+    bit), and the display-weighted E_total rollup. *)
 
 val of_sensitivity : Opt.Explain.axis list -> t
 

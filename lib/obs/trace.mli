@@ -97,6 +97,7 @@ val chrome_string_of_events : event list -> string
     with process/thread-name metadata per slot and [args.trace_id] on
     context-tagged events. *)
 
-val write : string -> int
+val write : out_channel -> int
 (** Write every buffered event ({!chrome_string_of_events} of
-    {!events}) to a file; returns the event count. *)
+    {!events}) and a newline to the channel; returns the event
+    count. *)

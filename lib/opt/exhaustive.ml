@@ -162,24 +162,6 @@ let candidate_of_json j =
     Some { geometry; assist; metrics; score }
   | _ -> None
 
-let levels_to_json (l : Yield.levels) =
-  J.Obj
-    [
-      ("vddc_min", J.Float l.Yield.vddc_min);
-      ("vwl_min", J.Float l.Yield.vwl_min);
-      ("hsnm_nominal", J.Float l.Yield.hsnm_nominal);
-    ]
-
-let levels_of_json j =
-  match
-    ( J.float_field j "vddc_min",
-      J.float_field j "vwl_min",
-      J.float_field j "hsnm_nominal" )
-  with
-  | Some vddc_min, Some vwl_min, Some hsnm_nominal ->
-    Some { Yield.vddc_min; vwl_min; hsnm_nominal }
-  | _ -> None
-
 let pins_to_json (p : Space.pins) =
   J.Obj
     [
@@ -208,7 +190,7 @@ let result_to_json r =
       ("pruned", J.Int r.pruned);
       ("skipped", J.Int r.skipped);
       ("considered", J.Int r.considered);
-      ("levels", levels_to_json r.levels);
+      ("levels", Yield.levels_to_json r.levels);
       ("pins", pins_to_json r.pins);
     ]
 
@@ -217,7 +199,7 @@ let result_of_json j =
     ( Option.bind (J.member "best" j) candidate_of_json,
       J.int_field j "evaluated",
       J.int_field j "pruned",
-      Option.bind (J.member "levels" j) levels_of_json,
+      Option.bind (J.member "levels" j) Yield.levels_of_json,
       Option.bind (J.member "pins" j) pins_of_json )
   with
   | Some best, Some evaluated, Some pruned, Some levels, Some pins ->
@@ -263,7 +245,7 @@ let task_signature ~objective ~kernel ~(env : Array_model.Array_eval.env)
   mixi pins.Space.extra_levels;
   mixf env.Array_model.Array_eval.alpha;
   mixf env.Array_model.Array_eval.beta;
-  mixf env.Array_model.Array_eval.dcdc_overhead;
+  mixf Array_model.Array_eval.dcdc_overhead;
   let accounting =
     match env.Array_model.Array_eval.accounting with
     | Array_model.Array_eval.Paper_strict -> "paper"
@@ -325,7 +307,7 @@ let geometry_memo :
     Runtime.Memo.t =
   Runtime.Memo.create ~name:"exhaustive.geometries" ~capacity:16 ()
 
-(* Suffix-envelope block size: bounds are evaluated once per block, so
+(* Suffix-bound block size: bounds are evaluated once per block, so
    the block trades bound overhead (one extra scan point per block)
    against how promptly a scan abandons its tail once the incumbent
    tightens below it. *)
@@ -333,7 +315,7 @@ let scan_block = 8
 
 (* Bound tightness: relative gap (realized - bound) / realized between a
    line's admissible whole-line bound and the minimum its full scan
-   actually achieved.  Near 0 means the envelope is nearly exact; mass
+   actually achieved.  Near 0 means the bound is nearly exact; mass
    near 1 would mean pruning works only because the incumbent is far
    better, not because the bound is tight.  Recorded for surviving
    fully-scanned lines when observability is on ([--stats] / serving),
@@ -460,14 +442,12 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
          batched kernel; [metrics] is materialized once, for the line's
          winner. *)
       let grid, prepared = staged_grid () in
-      (* Suffix envelopes as scan points: element 0 bounds the whole
+      (* Suffix bounds as scan points: element 0 bounds the whole
          line (the per-geometry prune), element j > 0 bounds the points
          block j onward — evaluated by the same batched scan as real
          candidates, so pruning adds no record allocation either. *)
       let bound_ps =
-        Array.map
-          (Array_model.Array_eval.bound_prepared env)
-          (Array_model.Array_eval.suffix_envelopes prepared ~block:scan_block)
+        Array_model.Array_eval.suffix_bounds prepared ~block:scan_block
       in
       let nb = Array.length bound_ps in
       (* Shared result for pruned lines: ~98% of lines die on the
@@ -513,7 +493,7 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
           let j = ref 1 in
           let live = ref (!j < nb) in
           while !live do
-            (* Incremental envelope check between blocks: every point
+            (* Incremental bound check between blocks: every point
                not yet scanned scores >= the suffix bound, so when that
                bound strictly exceeds both this line's best-so-far and
                the cross-line incumbent, the tail cannot contain the
@@ -588,7 +568,7 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
   in
   let replay, record =
     match journal with
-    | None -> ((fun _ -> None), fun _ ~lo:_ ~hi:_ _ -> ())
+    | None -> ((fun _ -> None), fun _ _ -> ())
     | Some journal ->
       let task =
         task_signature ~objective ~kernel ~env ~capacity_bits ~method_ ~every
@@ -617,20 +597,16 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
         | Some j -> Option.map Option.some (candidate_of_json j)
         | None -> None
       in
-      let record b ~lo ~hi best =
+      (* A chunk record holds its winner alone: replay and the
+         incumbent seeding read nothing else (records that also carry
+         the fields older builds wrote replay the same). *)
+      let record b best =
         if Obs.Search.enabled () then
           Obs.Search.record_chunk ~source:"exhaustive" ~index:b
             ~score:(match best with Some c -> c.score | None -> infinity);
-        let incumbent_json =
-          let s = Runtime.Shared_min.get incumbent in
-          if Float.is_finite s then J.Float s else J.Null
-        in
         Persist.Checkpoint.record journal ~task ~chunk:b
           (J.Obj
-             [ ("best", match best with Some c -> candidate_to_json c | None -> J.Null);
-               ("incumbent", incumbent_json);
-               ("lo", J.Int lo);
-               ("hi", J.Int (hi - 1)) ])
+             [ ("best", match best with Some c -> candidate_to_json c | None -> J.Null) ])
       in
       (replay, record)
   in
@@ -656,7 +632,7 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
         best := better !best line_best;
         if keep_all then all := cands :: !all
       done;
-      record b ~lo ~hi !best;
+      record b !best;
       (!best, List.concat (List.rev !all))
   in
   let per_block =

@@ -10,7 +10,7 @@
     factors each evaluation through {!Array_model.Array_eval.stage_array}
     / [complete] — geometry work once per geometry, assist work once per
     assist — and skips a geometry's whole vssc scan when its admissible
-    lower bound ({!Array_model.Array_eval.bound_prepared}) strictly
+    lower bound ({!Array_model.Array_eval.suffix_bounds}) strictly
     exceeds a score already published by another worker.  [`Reference]
     prices every candidate with {!Array_model.Array_eval.evaluate} and
     never prunes.  Both return bit-identical winners; [`Reference]
@@ -34,10 +34,10 @@ type result = {
       under parallelism (a worker prunes against whatever has been
       published when it looks); the winner is not. *)
   skipped : int;
-  (** Individual scan points abandoned mid-line when a suffix
-      envelope's bound exceeded the tightened incumbent.  Like
-      [pruned], timing-dependent; [evaluated + skipped + pruned x
-      scan-length] always accounts for the whole space. *)
+  (** Individual scan points abandoned mid-line when a suffix bound
+      exceeded the tightened incumbent.  Like [pruned],
+      timing-dependent; [evaluated + skipped + pruned x scan-length]
+      always accounts for the whole space. *)
   considered : int;
   (** The full [geometries x vssc_values] product: every point the
       search decided, whether by evaluating it or by covering it with

@@ -65,4 +65,4 @@ val energy_rollup :
     [alpha * (1 - beta)], components present in both paths merged, plus
     a final ["leakage"] row — for display as fractions of the total.
     (Display arithmetic: bit-exactness lives in the unweighted lists;
-    see [Array_eval.attribution_consistent].) *)
+    see [Array_eval.attribute].) *)

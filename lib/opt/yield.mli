@@ -30,6 +30,12 @@ type levels = {
   hsnm_nominal : float;  (** HSNM at nominal Vdd (must already exceed delta) *)
 }
 
+val levels_to_json : levels -> Persist.Json.t
+val levels_of_json : Persist.Json.t -> levels option
+(** The pins' one codec: the [yield.solve] disk records and the
+    [levels] of every encoded search result.  Floats round-trip bit for
+    bit. *)
+
 val solve :
   ?corner:Finfet.Corners.corner ->
   ?celsius:float ->

@@ -107,6 +107,9 @@ let open_in_dir t dir =
       let path = Filename.concat dir (t.name ^ ".rlog") in
       Obs.Histogram.span replay_timer @@ fun () ->
       match Record_log.open_spans ~path ~schema:(schema_of t) () with
+      | exception Sys_error msg ->
+        t.degraded <- true;
+        Obs.Log.warn ~section:"persist" "cache %s unusable: %s" t.name msg
       | Error msg ->
         Obs.Log.warn ~section:"persist" "cache %s: %s; starting fresh" t.name
           msg;
@@ -157,13 +160,29 @@ let open_in_dir t dir =
 
 let set_dir dir =
   let all = Mutex.protect registry_lock (fun () -> !registry) in
+  let close_all () =
+    List.iter (fun t -> Mutex.protect t.lock (fun () -> close_log t)) all
+  in
   match dir with
-  | None -> List.iter (fun t -> Mutex.protect t.lock (fun () -> close_log t)) all
-  | Some d ->
-    if not (Sys.file_exists d) then
-      (try Unix.mkdir d 0o755
-       with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    List.iter (fun t -> open_in_dir t d) all
+  | None -> close_all ()
+  | Some d -> (
+    (* A directory that cannot be made costs one warning and leaves
+       every cache memory-only, as a failed write does. *)
+    let usable =
+      match Sys.is_directory d with
+      | true -> Ok ()
+      | false -> Error "not a directory"
+      | exception Sys_error _ -> (
+        try Ok (Unix.mkdir d 0o755) with
+        | Unix.Unix_error (Unix.EEXIST, _, _) -> Ok ()
+        | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
+    in
+    match usable with
+    | Ok () -> List.iter (fun t -> open_in_dir t d) all
+    | Error why ->
+      close_all ();
+      Obs.Log.warn ~section:"persist"
+        "cache directory %s: %s; continuing memory-only" d why)
 
 let find t key =
   Mutex.protect t.lock (fun () ->

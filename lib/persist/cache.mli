@@ -22,8 +22,11 @@ val create : name:string -> unit -> t
 
 val set_dir : string option -> unit
 (** Activates every registered cache under the given directory
-    (creating it if needed), replaying existing logs; [None]
-    deactivates them all.  Called by the CLI, once, before work. *)
+    (creating it if needed, one level), replaying existing logs; [None]
+    deactivates them all.  Called by the CLI, once, before work.  A
+    directory that cannot be created, or a path that is not one, logs
+    one warning and leaves every cache inactive: the run answers from
+    memory alone. *)
 
 val find : t -> string -> Json.t option
 (** Telemetry: [persist.cache.hit] / [persist.cache.miss]. *)

@@ -31,24 +31,18 @@ let decode_record j =
   | Some task, Some chunk, Some data -> Some (task, chunk, data)
   | _ -> None
 
+(* A journal that cannot be created or opened is an [Error], never an
+   exception: the CLI reports it and exits before any search runs. *)
 let create ~path ?(resume = false) ?(checkpoint_every = 64) () =
   let every = max 1 checkpoint_every in
-  if not resume then begin
-    let log = Record_log.create ~path ~schema () in
-    Ok
-      {
-        log;
-        done_chunks = Hashtbl.create 256;
-        replayed = 0;
-        degraded = false;
-        every;
-        lock = Mutex.create ();
-      }
-  end
-  else
-    match Record_log.open_append ~path ~schema () with
-    | Error e -> Error e
-    | Ok (log, records) ->
+  let opened =
+    try
+      if resume then Record_log.open_append ~path ~schema ()
+      else Ok (Record_log.create ~path ~schema (), [])
+    with Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
+  in
+  Result.map
+    (fun (log, records) ->
       let done_chunks = Hashtbl.create 256 in
       List.iter
         (fun r ->
@@ -62,15 +56,9 @@ let create ~path ?(resume = false) ?(checkpoint_every = 64) () =
       if replayed > 0 then
         Obs.Log.info ~section:"persist"
           "resume: %d completed chunks replayed from %s" replayed path;
-      Ok
-        {
-          log;
-          done_chunks;
-          replayed;
-          degraded = false;
-          every;
-          lock = Mutex.create ();
-        }
+      { log; done_chunks; replayed; degraded = false; every;
+        lock = Mutex.create () })
+    opened
 
 let checkpoint_every t = t.every
 let replayed t = t.replayed

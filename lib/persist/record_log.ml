@@ -135,27 +135,33 @@ let scan raw =
 let decode raw (pos, len) = Result.get_ok (Json.of_substring raw pos len)
 
 let load ~path =
-  if not (Sys.file_exists path) then Error (path ^ ": no such file")
-  else
-    let raw = read_file path in
-    if not (String.starts_with ~prefix:magic raw) then
-      Error (path ^ ": bad magic (not a record log)")
+  let read () =
+    if not (Sys.file_exists path) then Error (path ^ ": no such file")
     else
-      match scan raw with
-      | [], _ -> Error (path ^ ": no valid header record")
-      | hdr :: payloads, valid_end -> (
-        match header_of_json (decode raw hdr) with
-        | None -> Error (path ^ ": malformed header record")
-        | Some header ->
-          let recovered = List.length payloads in
-          let discarded_bytes = String.length raw - valid_end in
-          Runtime.Telemetry.add c_records_recovered recovered;
-          Runtime.Telemetry.add c_bytes_discarded discarded_bytes;
-          if discarded_bytes > 0 then
-            Obs.Log.warn ~section:"persist"
-              "%s: discarded %d trailing bytes (torn tail), kept %d records"
-              path discarded_bytes recovered;
-          Ok { s_header = header; bytes = raw; payloads; s_valid_end = valid_end })
+      try Ok (read_file path)
+      with Unix.Unix_error (e, fn, _) ->
+        Error (Printf.sprintf "%s: %s: %s" path fn (Unix.error_message e))
+  in
+  match read () with
+  | Error _ as e -> e
+  | Ok raw when not (String.starts_with ~prefix:magic raw) ->
+    Error (path ^ ": bad magic (not a record log)")
+  | Ok raw -> (
+    match scan raw with
+    | [], _ -> Error (path ^ ": no valid header record")
+    | hdr :: payloads, valid_end -> (
+      match header_of_json (decode raw hdr) with
+      | None -> Error (path ^ ": malformed header record")
+      | Some header ->
+        let recovered = List.length payloads in
+        let discarded_bytes = String.length raw - valid_end in
+        Runtime.Telemetry.add c_records_recovered recovered;
+        Runtime.Telemetry.add c_bytes_discarded discarded_bytes;
+        if discarded_bytes > 0 then
+          Obs.Log.warn ~section:"persist"
+            "%s: discarded %d trailing bytes (torn tail), kept %d records"
+            path discarded_bytes recovered;
+        Ok { s_header = header; bytes = raw; payloads; s_valid_end = valid_end }))
 
 let read ~path =
   Obs.Histogram.span replay_timer (fun () ->
@@ -257,10 +263,13 @@ let git_commit () = Build_commit.commit
 (* Every log this build writes carries format version 1 and no meta. *)
 let create ~path ?commit ~schema () =
   let dir = Filename.dirname path in
-  if dir <> "" && not (Sys.file_exists dir) then
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    try
+      if dir <> "" && not (Sys.file_exists dir) then
+        (try Unix.mkdir dir 0o755
+         with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    with Unix.Unix_error (e, fn, _) -> raise (sys_error_of_unix e fn)
   in
   let t = { fd; pos = 0; closed = false; lock = Mutex.create () } in
   write_all fd magic;
@@ -299,7 +308,10 @@ let open_checked ~path ~expect ~schema =
              "%s: git commit mismatch (log %s, current %s); stale results"
              path h.git_commit expect)
       else begin
-        let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+        let fd =
+          try Unix.openfile path [ Unix.O_WRONLY ] 0o644
+          with Unix.Unix_error (e, fn, _) -> raise (sys_error_of_unix e fn)
+        in
         (* Chop any torn tail so new frames land on a record boundary. *)
         Unix.ftruncate fd l.s_valid_end;
         ignore (Unix.lseek fd l.s_valid_end Unix.SEEK_SET);

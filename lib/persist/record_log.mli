@@ -28,7 +28,9 @@ val create : path:string -> ?commit:string -> schema:string -> unit -> t
 (** Creates (or truncates) a log at [path] and writes the header:
     version 1, no meta.  Creates the parent directory if missing (one
     level).  [commit] overrides the recorded provenance (default:
-    [git_commit ()]) — tests use it to exercise the mismatch path. *)
+    [git_commit ()]) — tests use it to exercise the mismatch path.
+    Raises [Sys_error] when the directory or the file cannot be
+    created. *)
 
 val open_spans :
   path:string -> schema:string -> unit ->

@@ -98,6 +98,7 @@ type answer = {
   checksum : string;
   eval_s : float;
   result : Opt.Exhaustive.result;
+  payload : J.t;
 }
 
 let explain ?deadline_ms ?trace_id t query =
@@ -120,4 +121,5 @@ let optimize ?deadline_ms ?trace_id t query =
     let* rj = field "result" (fun j n -> J.member n j) in
     match Opt.Exhaustive.result_of_json rj with
     | None -> Error "optimize payload: result does not decode"
-    | Some result -> Ok { capacity_bits; config; checksum; eval_s; result })
+    | Some result ->
+      Ok { capacity_bits; config; checksum; eval_s; result; payload })

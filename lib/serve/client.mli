@@ -51,6 +51,7 @@ type answer = {
   checksum : string;     (** {!Opt.Exhaustive.checksum} of the winner *)
   eval_s : float;        (** server-side handling time *)
   result : Opt.Exhaustive.result;
+  payload : Persist.Json.t;  (** the payload as the server sent it *)
 }
 
 val explain :

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Serve-metrics smoke: start the daemon, send one optimize over the
-# frame protocol, scrape GET /metrics through the HTTP shim with stock
+# frame protocol (its `query --json` answer must print the served
+# payload whole), scrape GET /metrics through the HTTP shim with stock
 # curl, and assert the exposition (a) carries the required series and
 # (b) parses as Prometheus text format 0.0.4 (every non-comment line is
 # `name[{labels}] value` with a numeric value).  Exercises exactly the
@@ -27,9 +28,21 @@ for _ in $(seq 1 100); do
 done
 [ -S "$SOCK" ] || { echo "FAIL: server socket never appeared"; cat "$DIR/serve.log"; exit 1; }
 
-# Populate request histograms, memo stats and the trace-id path.
+# Populate request histograms, memo stats and the trace-id path.  The
+# JSON is the served payload as the server sent it: every top-level key,
+# the strategy among them.
+ANSWER="$DIR/answer.json"
 "$BIN" query --socket "$SOCK" --capacity 1KB --reduced \
-    --trace-id smoke-metrics-1 --json >/dev/null
+    --trace-id smoke-metrics-1 --json >"$ANSWER"
+for key in '{"capacity_bits":8192,' '"config":"6T-HVT-M2",' \
+    '"strategy":"exhaustive",' '"checksum":"' '"eval_s":' '"result":{'
+do
+    grep -qF "$key" "$ANSWER" || {
+        echo "FAIL: query --json lacks $key"
+        cat "$ANSWER"
+        exit 1
+    }
+done
 
 OUT="$DIR/metrics.txt"
 curl -fsS --unix-socket "$SOCK" http://localhost/metrics -o "$OUT"

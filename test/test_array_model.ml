@@ -145,7 +145,9 @@ let currents_tests =
           (Finfet.Calibration.paper_read_current ~vddc:0.55 ~vssc:(-0.2))
           (Array_model.Currents.read_current c ~vddc:0.55 ~vssc:(-0.2))) ]
 
-let assist_nom = Array_model.Components.no_assist
+let assist_nom =
+  { Array_model.Components.vddc = Finfet.Tech.vdd_nominal; vssc = 0.0;
+    vwl = Finfet.Tech.vdd_nominal }
 let assist_m2 = { Array_model.Components.vddc = 0.55; vssc = -0.24; vwl = 0.55 }
 
 let components_tests =

@@ -118,7 +118,11 @@ let json_tests =
     case "metrics serialize with all fields" (fun () ->
         let env = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt () in
         let g = Array_model.Geometry.create ~nr:64 ~nc:64 ~n_pre:4 ~n_wr:2 () in
-        let m = Array_model.Array_eval.evaluate env g Array_model.Components.no_assist in
+        let vdd = Finfet.Tech.vdd_nominal in
+        let m =
+          Array_model.Array_eval.evaluate env g
+            { Array_model.Components.vddc = vdd; vssc = 0.0; vwl = vdd }
+        in
         match Sram_edp.Json_out.of_metrics m with
         | Obj fields -> Alcotest.(check int) "fields" 10 (List.length fields)
         | Null | Bool _ | Int _ | Float _ | String _ | List _ ->

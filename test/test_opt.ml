@@ -342,7 +342,9 @@ let pareto_tests =
 let synth_candidate (d, e) =
   { Opt.Exhaustive.geometry =
       Array_model.Geometry.create ~nr:16 ~nc:16 ~n_pre:1 ~n_wr:1 ();
-    assist = Array_model.Components.no_assist;
+    assist =
+      { Array_model.Components.vddc = Finfet.Tech.vdd_nominal; vssc = 0.0;
+        vwl = Finfet.Tech.vdd_nominal };
     metrics =
       { Array_model.Array_eval.d_read = d; d_write = d; d_array = d;
         e_read = e; e_write = e; e_switching = e; e_leakage = 0.0;
@@ -611,8 +613,15 @@ let explain_tests =
           Array_model.Array_eval.attribute env_hvt b.Opt.Exhaustive.geometry
             b.Opt.Exhaustive.assist
         in
+        let m = at.Array_model.Array_eval.at_metrics in
         Alcotest.(check bool) "terms refold bit-exactly" true
-          (Array_model.Array_eval.attribution_consistent at);
+          (Int64.equal
+             (Int64.bits_of_float
+                (Array_model.Array_eval.refold at.Array_model.Array_eval.at_read_energy))
+             (Int64.bits_of_float m.Array_model.Array_eval.e_read)
+           && Int64.equal
+                (Int64.bits_of_float m.Array_model.Array_eval.edp)
+                (Int64.bits_of_float b.Opt.Exhaustive.metrics.Array_model.Array_eval.edp));
         let rollup = Opt.Explain.energy_rollup at in
         let total = List.fold_left (fun acc (_, e) -> acc +. e) 0.0 rollup in
         check_close "weighted shares sum to the total"

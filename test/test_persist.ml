@@ -777,6 +777,25 @@ let cache_tests =
           (keys "framework.optimize");
         Alcotest.(check (list string)) "yield.solve" [ "HVT|0.1575|81|-|-" ] (keys "yield.solve");
         rm_rf dir);
+    case "a directory or log that cannot be opened leaves caches inactive"
+      (fun () ->
+        (* Neither a missing parent nor a log path that cannot be
+           created (here a symlink into a missing directory) raises:
+           the caches answer nothing from disk and store nothing. *)
+        let dir = fresh_dir "unusable" in
+        let check_inactive what =
+          Persist.Cache.add test_cache "k" (J.Int 1);
+          Alcotest.(check (option reject)) what None (Persist.Cache.find test_cache "k");
+          Persist.Cache.set_dir None
+        in
+        Persist.Cache.set_dir (Some (Filename.concat dir "missing/cache"));
+        check_inactive "missing parent";
+        let link = Filename.concat dir "test.roundtrip.rlog" in
+        Unix.symlink (Filename.concat dir "missing/log") link;
+        Persist.Cache.set_dir (Some dir);
+        check_inactive "log that cannot be created";
+        Sys.remove link;
+        rm_rf dir);
   ]
 
 (* ----- Checkpoint / resume bit-identity ----- *)
@@ -1003,6 +1022,65 @@ let checkpoint_tests =
         rm path;
         Alcotest.(check (list string)) "task"
           [ "search|EDP|staged|HVT|M2|paper|cap=8192|bd5406c36f6a8cdd" ] tasks);
+    case "a chunk record holds its best alone; wider records still replay"
+      (fun () ->
+        (* Replay and the incumbent seeding read only [best].  A journal
+           whose chunks also carry the incumbent and the chunk's index
+           range, as older builds wrote them, replays every chunk. *)
+        let path = fresh "best_alone" in
+        let pool = Runtime.Pool.create ~jobs:1 () in
+        Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+        let j = open_journal ~path ~resume:false in
+        ignore (sweep ~journal:j ~pool ());
+        Persist.Checkpoint.close j;
+        let records = (read_ok path).records in
+        List.iter
+          (fun r ->
+            match J.member "data" r with
+            | Some (J.Obj [ ("best", _) ]) -> ()
+            | _ -> Alcotest.failf "chunk data is not {best}: %s" (J.to_string r))
+          records;
+        let widen = function
+          | J.Obj kv ->
+            J.Obj
+              (List.map
+                 (function
+                   | "data", J.Obj d ->
+                     ( "data",
+                       J.Obj
+                         (d @ [ ("incumbent", J.Float 1e-27); ("lo", J.Int 0);
+                                ("hi", J.Int 3) ]) )
+                   | field -> field)
+                 kv)
+          | r -> r
+        in
+        Persist.Record_log.write_snapshot ~path ~schema:"sweep-journal"
+          (List.map widen records);
+        let j = open_journal ~path ~resume:true in
+        let replayed = Persist.Checkpoint.replayed j in
+        let r = sweep ~journal:j ~pool () in
+        Persist.Checkpoint.close j;
+        rm path;
+        Alcotest.(check int) "every chunk replayed" (List.length records) replayed;
+        Alcotest.(check int) "nothing scanned" 0 r.Opt.Exhaustive.evaluated;
+        Alcotest.(check string) "winner" (Lazy.force base_checksum)
+          (Opt.Exhaustive.checksum [ r ]));
+    case "a journal that cannot be created or read is an Error" (fun () ->
+        let dir = fresh_dir "journal_paths" in
+        (* [Record_log.create] makes one missing level, not two. *)
+        let missing = Filename.concat dir "missing/a/j.rlog" in
+        List.iter
+          (fun (what, path, resume) ->
+            match Persist.Checkpoint.create ~path ~resume () with
+            | Error _ -> ()
+            | Ok j ->
+              Persist.Checkpoint.close j;
+              Alcotest.failf "%s: opened" what)
+          [ ("missing parent", missing, false);
+            ("missing parent, resumed", missing, true);
+            ("a directory", dir, false);
+            ("a directory, resumed", dir, true) ];
+        rm_rf dir);
   ]
 
 let () =

@@ -185,6 +185,21 @@ let accounting_twin env =
   else if env == env_lvt then env_lvt_physical
   else invalid_arg "accounting_twin"
 
+let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* Raw IEEE bit comparison of all 12 fields, so a -0.0 where the other
+   path produced +0.0 fails. *)
+let metrics_bits_equal (a : Array_model.Array_eval.metrics)
+    (b : Array_model.Array_eval.metrics) =
+  let open Array_model.Array_eval in
+  List.for_all2 bits_equal
+    [ a.d_read; a.d_write; a.d_array; a.e_read; a.e_write; a.e_switching;
+      a.e_leakage; a.e_total; a.edp; a.d_bl_read; a.d_row_path_read;
+      a.d_col_path ]
+    [ b.d_read; b.d_write; b.d_array; b.e_read; b.e_write; b.e_switching;
+      b.e_leakage; b.e_total; b.edp; b.d_bl_read; b.d_row_path_read;
+      b.d_col_path ]
+
 (* Field-for-field Float.equal — NOT a tolerance check: the staged kernel
    promises bit identity with the reference path. *)
 let metrics_equal (a : Array_model.Array_eval.metrics)
@@ -231,9 +246,9 @@ let prop_bound_admissible =
           let preps =
             Array.of_list (List.map (fun a -> prepare env a) assists)
           in
-          (* Suffix envelope 0 covers the whole scan. *)
-          let whole = (suffix_envelopes preps ~block:(Array.length preps)).(0) in
-          let b = complete st 0 (bound_prepared env whole) in
+          (* Suffix bound 0 covers the whole scan. *)
+          let whole = (suffix_bounds preps ~block:(Array.length preps)).(0) in
+          let b = complete st 0 whole in
           List.for_all
             (fun a ->
               let m = evaluate env g a in
@@ -252,8 +267,6 @@ let corner_assists =
     { Array_model.Components.vddc = 0.45; vssc = -0.0; vwl = 0.45 };
     { Array_model.Components.vddc = 0.5; vssc = -4.9e-324; vwl = 0.5 };
     { Array_model.Components.vddc = 0.55; vssc = -1e-310; vwl = 0.55 } ]
-
-let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
 let geometry0 = Array_model.Geometry.create ~nr:64 ~nc:128 ~n_pre:5 ~n_wr:3 ()
 
@@ -288,11 +301,12 @@ let prop_scan_bit_identical =
         kernel_envs)
 
 let prop_attribution_bit_exact =
-  (* The explainer's contract: [attribute] deliberately re-derives
-     [evaluate]'s arithmetic term by term, and its ordered lists must
-     refold — left-associated, head-seeded — to the very same IEEE
-     bits, across random geometries, both accounting modes, and the
-     -0.0/subnormal V_SSC corner operands the scan kernel guards. *)
+  (* The explainer's contract: the totals [attribute] folds its ordered
+     lists into are the staged kernel's [complete], all 12 fields to
+     the IEEE bit, and each list refolds — left-associated,
+     head-seeded — to its own field, across random geometries, both
+     accounting modes, and the -0.0/subnormal V_SSC corner operands
+     the scan kernel guards. *)
   QCheck.Test.make
     ~name:"attribution terms refold to evaluate's totals bit-for-bit"
     ~count:100
@@ -305,22 +319,27 @@ let prop_attribution_bit_exact =
             (fun a ->
               let open Array_model.Array_eval in
               let at = attribute env g a in
-              let m = evaluate env g a in
-              attribution_consistent at
-              && bits_equal at.at_metrics.e_read m.e_read
-              && bits_equal at.at_metrics.e_write m.e_write
-              && bits_equal at.at_metrics.e_total m.e_total
-              && bits_equal at.at_metrics.d_read m.d_read
-              && bits_equal at.at_metrics.d_write m.d_write
-              && bits_equal at.at_metrics.d_array m.d_array
-              && bits_equal at.at_metrics.edp m.edp)
+              let m = at.at_metrics in
+              let path row col tail =
+                List.fold_left (fun acc (_, x) -> acc +. x)
+                  (max (refold row) (refold col)) tail
+              in
+              metrics_bits_equal m (complete (stage env g) 0 (prepare env a))
+              && bits_equal (refold at.at_read_energy) m.e_read
+              && bits_equal (refold at.at_write_energy) m.e_write
+              && bits_equal
+                   (path at.at_read_row at.at_read_col at.at_read_tail)
+                   m.d_read
+              && bits_equal
+                   (path at.at_write_row at.at_write_col at.at_write_tail)
+                   m.d_write)
             assists)
         kernel_envs)
 
 let prop_suffix_bounds_admissible =
-  (* The mid-scan abandonment invariant: scanning the [bound_prepared]
-     image of suffix envelope [j] yields slots that lower-bound every
-     real point at index >= j*block, for every objective's read fields.
+  (* The mid-scan abandonment invariant: scanning suffix bound [j]
+     yields slots that lower-bound every real point at index >= j*block,
+     for every objective's read fields.
      If this held only approximately the batched search could abandon a
      line containing the true winner. *)
   QCheck.Test.make
@@ -336,9 +355,7 @@ let prop_suffix_bounds_admissible =
           let st = stage env g in
           let preps = Array.map (prepare env) assists in
           let n = Array.length preps in
-          let bound_ps =
-            Array.map (bound_prepared env) (suffix_envelopes preps ~block)
-          in
+          let bound_ps = suffix_bounds preps ~block in
           let bbuf = scan_buffer () in
           scan st 0 bound_ps bbuf;
           let buf = scan_buffer () in
@@ -388,17 +405,6 @@ let prop_pruned_search_matches_reference =
       && reference.Opt.Exhaustive.pruned = 0)
 
 (* --- staging contract --- *)
-
-let metrics_bits_equal (a : Array_model.Array_eval.metrics)
-    (b : Array_model.Array_eval.metrics) =
-  let open Array_model.Array_eval in
-  List.for_all2 bits_equal
-    [ a.d_read; a.d_write; a.d_array; a.e_read; a.e_write; a.e_switching;
-      a.e_leakage; a.e_total; a.edp; a.d_bl_read; a.d_row_path_read;
-      a.d_col_path ]
-    [ b.d_read; b.d_write; b.d_array; b.e_read; b.e_write; b.e_switching;
-      b.e_leakage; b.e_total; b.edp; b.d_bl_read; b.d_row_path_read;
-      b.d_col_path ]
 
 (* A candidate grid of random axes, capacity and access width (so rows
    come both narrower and wider than w), in enumeration order or
@@ -713,6 +719,18 @@ let test_pruned_search_allocates_little () =
     Alcotest.failf "a warm search allocated %.2f minor words per geometry (want < 2.5)"
       per_geometry
 
+(* The scan loads each assist's operands straight from its row: a
+   [prepared] value is one float block of its eight operands, no
+   pointer to a boxed float anywhere. *)
+let test_prepared_is_one_float_block () =
+  let p =
+    Array_model.Array_eval.prepare env_hvt
+      { Array_model.Components.vddc = 0.55; vssc = -0.1; vwl = 0.55 }
+  in
+  let r = Obj.repr p in
+  Alcotest.(check int) "double-array tag" Obj.double_array_tag (Obj.tag r);
+  Alcotest.(check int) "eight operands" (8 * 64 / Sys.word_size) (Obj.size r)
+
 (* --- search-space restriction --- *)
 
 (* The HVT EDP winner over the whole default space, per capacity and
@@ -944,7 +962,9 @@ let () =
            Alcotest.test_case "single-geometry staging retains nothing"
              `Quick test_single_staging_retains_nothing;
            Alcotest.test_case "a warm pruned search allocates < 2.5 words per geometry"
-             `Quick test_pruned_search_allocates_little ]);
+             `Quick test_pruned_search_allocates_little;
+           Alcotest.test_case "a prepared row is one unboxed float block"
+             `Quick test_prepared_is_one_float_block ]);
       ("workload", List.map to_alco [ prop_trace_summary_bounds ]);
       ("deck", List.map to_alco [ prop_deck_roundtrip ]);
       ("macro", List.map to_alco [ prop_macro_matches_reference ]) ]
