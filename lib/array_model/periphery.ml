@@ -9,11 +9,33 @@ let vwl_grid = [| 0.42; 0.46; 0.50; 0.54; 0.58; 0.64; 0.72 |]
 type write_delay_table = {
   delays : float option Atomic.t array;
   simulate : float -> float;
+  disk : string option;  (* the cell flavor's disk key prefix, if any *)
   lock : Mutex.t;
 }
 
 (* The characterization and each write level's transient. *)
 let characterize_timer = Obs.Histogram.timer "periphery.characterize"
+
+(* Disk tier (inactive until the CLI sets --cache-dir): against the
+   default device library a level's delay is a pure function of the
+   cell flavor and the level, so [shared]'s tables keep each level they
+   simulate across processes, keyed "<flavor>|<V_WL in %.17g>". *)
+let disk_cache = Persist.Cache.create ~name:"periphery.write_delay" ()
+
+let simulate_level table i =
+  let simulate () =
+    Obs.Histogram.span characterize_timer (fun () -> table.simulate vwl_grid.(i))
+  in
+  match table.disk with
+  | Some flavor when Persist.Cache.active disk_cache -> (
+    let key = Printf.sprintf "%s|%.17g" flavor vwl_grid.(i) in
+    match Option.bind (Persist.Cache.find disk_cache key) Persist.Json.to_float with
+    | Some d -> d
+    | None ->
+      let d = simulate () in
+      Persist.Cache.add disk_cache key (Persist.Json.Float d);
+      d)
+  | _ -> simulate ()
 
 let level table i =
   match Atomic.get table.delays.(i) with
@@ -23,10 +45,7 @@ let level table i =
         match Atomic.get table.delays.(i) with
         | Some d -> d
         | None ->
-          let d =
-            Obs.Histogram.span characterize_timer (fun () ->
-                table.simulate vwl_grid.(i))
-          in
+          let d = simulate_level table i in
           Atomic.set table.delays.(i) (Some d);
           d)
 
@@ -44,7 +63,7 @@ type t = {
 
 let max_address_bits = 14
 
-let characterize ~lib ~cell_flavor () =
+let characterize_with ~disk ~lib ~cell_flavor =
   let nfet = Finfet.Library.nfet lib Finfet.Library.Lvt in
   let pfet = Finfet.Library.pfet lib Finfet.Library.Lvt in
   let driver = Gates.Superbuffer.default_wl_driver ~nfet ~pfet in
@@ -65,6 +84,8 @@ let characterize ~lib ~cell_flavor () =
   let write_cell_delay =
     { delays = Array.init (Array.length vwl_grid) (fun _ -> Atomic.make None);
       simulate;
+      disk =
+        (if disk then Some (Finfet.Library.flavor_to_string cell_flavor) else None);
       lock = Mutex.create () }
   in
   let c_node = Sram_cell.Sram6t.storage_node_cap cell in
@@ -79,13 +100,16 @@ let characterize ~lib ~cell_flavor () =
     p_leak_cell = Sram_cell.Leakage.power ~cell ();
   }
 
+let characterize ~lib ~cell_flavor () = characterize_with ~disk:false ~lib ~cell_flavor
+
 let shared_cache : (Finfet.Library.flavor, t) Runtime.Memo.t =
   Runtime.Memo.create ~name:"periphery.characterize" ~capacity:8 ()
 
 let shared ~cell_flavor =
   Runtime.Memo.find_or_compute shared_cache cell_flavor (fun () ->
       Obs.Histogram.span characterize_timer (fun () ->
-          characterize ~lib:(Lazy.force Finfet.Library.default) ~cell_flavor ()))
+          characterize_with ~disk:true ~lib:(Lazy.force Finfet.Library.default)
+            ~cell_flavor))
 
 let row_dec t ~bits =
   assert (bits >= 0 && bits < Array.length t.row_decoder);

@@ -45,7 +45,11 @@ val characterize :
     should reuse the returned value (see {!shared}). *)
 
 val shared : cell_flavor:Finfet.Library.flavor -> t
-(** Memoized characterization against the default device library. *)
+(** Memoized characterization against the default device library.  Its
+    write-delay table also reads and fills the [periphery.write_delay]
+    disk cache (active under the CLI's [--cache-dir]), keyed by cell
+    flavor and level: a level another process simulated is read back
+    bit for bit instead of simulated. *)
 
 val row_dec : t -> bits:int -> Gates.Decoder.result
 val col_dec : t -> bits:int -> Gates.Decoder.result
@@ -53,7 +57,8 @@ val col_dec : t -> bits:int -> Gates.Decoder.result
 val write_delay : t -> vwl:float -> float
 (** Table lookup, clamped to the characterized V_WL range: linear
     between the two grid levels bracketing [vwl] (one level when
-    clamped).  A level not yet simulated is simulated now, timed under
-    the [periphery.characterize] span; each level is simulated at most
+    clamped).  A level not yet filled is read from the disk cache (a
+    {!shared} table under [--cache-dir]) or simulated now, timed under
+    the [periphery.characterize] span; each level is filled at most
     once per table, and concurrent lookups from several domains are
     safe.  Bit-identical to a table filled up front. *)

@@ -63,53 +63,57 @@ let cache : (cache_key, optimized) Runtime.Memo.t =
 
 (* Disk tier under --cache-dir: a full optimized design per key, so a
    Table 4 sweep repeated across processes costs one replay.  The key
-   string spells out the whole space grid, each voltage in [%.17g],
-   which round-trips every double ([-0.0] included) — no hashing, so
-   distinct grids cannot collide. *)
+   names the space by the MD5 digest of its grid spelled out, each
+   voltage in [%.17g] (which round-trips every double, [-0.0]
+   included), so two grids spelled differently get different keys of
+   one length however large the grid. *)
 let disk_cache = Persist.Cache.create ~name:"framework.optimize" ()
 
-let disk_key (k : cache_key) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "%s|cap=%d|%s|%s|w=%d|" (config_name k.k_config)
-       k.k_capacity
-       (Opt.Objective.name k.k_objective)
-       (match k.k_accounting with
-       | Array_model.Array_eval.Paper_strict -> "paper"
-       | Array_model.Array_eval.Physical -> "physical")
-       k.k_w);
+let space_digest (s : space_sig) =
+  let b = Buffer.create 640 in
   List.iter
     (fun v ->
       Buffer.add_string b (Printf.sprintf "%.17g," (Int64.float_of_bits v)))
-    k.k_space.s_vssc;
+    s.s_vssc;
   Buffer.add_char b '|';
   let ints xs = List.iter (fun v -> Buffer.add_string b (string_of_int v ^ ",")) xs in
-  ints k.k_space.s_nr;
+  ints s.s_nr;
   Buffer.add_char b '|';
-  ints k.k_space.s_n_pre;
+  ints s.s_n_pre;
   Buffer.add_char b '|';
-  ints k.k_space.s_n_wr;
-  (* Exhaustive keys keep their historical spelling, so disk caches
-     written before the strategy dispatch existed stay valid; the
-     other engines get an explicit suffix. *)
-  if k.k_strategy <> Opt.Strategy.Exhaustive then
-    Buffer.add_string b
-      (Printf.sprintf "|strategy=%s|seed=%d|budget=%d"
-         (Opt.Strategy.name k.k_strategy) k.k_seed k.k_budget);
-  Buffer.contents b
+  ints s.s_n_wr;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
-let disk_load (k : cache_key) =
-  match Persist.Cache.find disk_cache (disk_key k) with
-  | None -> None
-  | Some j ->
-    Option.map
-      (fun result ->
-        { capacity_bits = k.k_capacity; config = k.k_config; result })
-      (Opt.Exhaustive.result_of_json j)
+let disk_key (k : cache_key) =
+  Printf.sprintf "%s|cap=%d|%s|%s|w=%d|space=%s%s" (config_name k.k_config)
+    k.k_capacity
+    (Opt.Objective.name k.k_objective)
+    (match k.k_accounting with
+     | Array_model.Array_eval.Paper_strict -> "paper"
+     | Array_model.Array_eval.Physical -> "physical")
+    k.k_w (space_digest k.k_space)
+    (if k.k_strategy = Opt.Strategy.Exhaustive then ""
+     else
+       Printf.sprintf "|strategy=%s|seed=%d|budget=%d"
+         (Opt.Strategy.name k.k_strategy) k.k_seed k.k_budget)
 
-let disk_store (k : cache_key) (o : optimized) =
-  Persist.Cache.add disk_cache (disk_key k)
-    (Opt.Exhaustive.result_to_json o.result)
+(* Both tiers read the one key string, built on the first disk lookup
+   and never while no directory backs the cache. *)
+let disk_load dkey (k : cache_key) =
+  if not (Persist.Cache.active disk_cache) then None
+  else
+    match Persist.Cache.find disk_cache (Lazy.force dkey) with
+    | None -> None
+    | Some j ->
+      Option.map
+        (fun result ->
+          { capacity_bits = k.k_capacity; config = k.k_config; result })
+        (Opt.Exhaustive.result_of_json j)
+
+let disk_store dkey (o : optimized) =
+  if Persist.Cache.active disk_cache then
+    Persist.Cache.add disk_cache (Lazy.force dkey)
+      (Opt.Exhaustive.result_to_json o.result)
 
 let env_cache :
   (Finfet.Library.flavor * Array_model.Array_eval.accounting,
@@ -149,8 +153,9 @@ let optimize ?space ?(objective = Opt.Objective.Energy_delay_product)
   (* The key canonicalizes the space's contents, so custom-space runs
      (e.g. [headline ~space:Opt.Space.reduced], the benchmark's staple)
      memoize just like default-space ones. *)
-  Runtime.Memo.find_or_compute_tiered cache key ~load:disk_load
-    ~store:disk_store (fun () ->
+  let dkey = lazy (disk_key key) in
+  Runtime.Memo.find_or_compute_tiered cache key ~load:(disk_load dkey)
+    ~store:(fun _ o -> disk_store dkey o) (fun () ->
       Obs.Log.debug ~section:"framework"
         "optimize miss: %s %d bits — running %s search"
         (config_name config) capacity_bits

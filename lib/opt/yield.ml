@@ -158,9 +158,12 @@ let levels_of_json j =
 let solve ?corner ?celsius ~flavor () =
   Runtime.Memo.find_or_compute_tiered solve_cache (flavor, corner, celsius)
     ~load:(fun key ->
-      Option.bind (Persist.Cache.find disk_cache (disk_key key)) levels_of_json)
+      if not (Persist.Cache.active disk_cache) then None
+      else
+        Option.bind (Persist.Cache.find disk_cache (disk_key key)) levels_of_json)
     ~store:(fun key levels ->
-      Persist.Cache.add disk_cache (disk_key key) (levels_to_json levels))
+      if Persist.Cache.active disk_cache then
+        Persist.Cache.add disk_cache (disk_key key) (levels_to_json levels))
     (fun () ->
       Obs.Histogram.span solve_timer (fun () ->
           solve_uncached ?corner ?celsius ~flavor ()))

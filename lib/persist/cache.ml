@@ -59,17 +59,15 @@ let rec first name = function
     if String.equal m name then Some member else first name rest
 
 (* Indexes one record's key to its value's span, if the record has a
-   string "k" and a "v". *)
-let index_record t (pos, len) =
-  match Json.member_spans t.bytes pos len with
-  | None -> ()
-  | Some members -> (
-    match (first "k" members, first "v" members) with
-    | Some (_, kpos, klen), Some (_, vpos, vlen) -> (
-      match Json.of_substring t.bytes kpos klen with
-      | Ok (Json.String k) -> Hashtbl.replace t.table k (Span (vpos, vlen))
-      | _ -> ())
+   string "k" and a "v".  [members] are the spans the log's open scan
+   listed, so the record is not scanned again. *)
+let index_record t members =
+  match (first "k" members, first "v" members) with
+  | Some (_, kpos, klen), Some (_, vpos, vlen) -> (
+    match Json.of_substring t.bytes kpos klen with
+    | Ok (Json.String k) -> Hashtbl.replace t.table k (Span (vpos, vlen))
     | _ -> ())
+  | _ -> ()
 
 let record_of_entry k v = Json.Obj [ ("k", Json.String k); ("v", v) ]
 
@@ -183,6 +181,9 @@ let set_dir dir =
       close_all ();
       Obs.Log.warn ~section:"persist"
         "cache directory %s: %s; continuing memory-only" d why)
+
+(* [t.log] changes only under [set_dir], which runs before any work. *)
+let active t = t.log <> None
 
 let find t key =
   Mutex.protect t.lock (fun () ->

@@ -10,9 +10,11 @@
     memory-only with a warning rather than failing the computation.
 
     Opening a log reads it once and indexes each key to the byte span
-    of its latest value in those bytes ({!Record_log.open_spans},
-    {!Json.member_spans}); a value is decoded into a tree on its key's
-    first [find].  The open, index and any compaction are timed as
+    of its latest value in those bytes: {!Record_log.open_spans} checks
+    each frame in the one JSON pass that lists its members
+    ({!Json.member_spans}), and the index reads those spans without a
+    second scan.  A value is decoded into a tree on its key's first
+    [find].  The open, index and any compaction are timed as
     [persist.replay]. *)
 
 type t
@@ -27,6 +29,11 @@ val set_dir : string option -> unit
     directory that cannot be created, or a path that is not one, logs
     one warning and leaves every cache inactive: the run answers from
     memory alone. *)
+
+val active : t -> bool
+(** Whether a directory backs the cache, so that {!find} can answer and
+    {!add} stores.  A caller checks it before building a key or a value
+    it would otherwise throw away. *)
 
 val find : t -> string -> Json.t option
 (** Telemetry: [persist.cache.hit] / [persist.cache.miss]. *)

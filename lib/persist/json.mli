@@ -10,11 +10,12 @@
     bit-identical-winner guarantee rests on.
 
     One scanner reads documents.  {!of_string} builds the tree from it;
-    {!valid} runs it without building anything, which is how the record
-    log checks every frame it opens; {!member_spans} walks one object's
-    members and leaves their values as byte spans, which is how the disk
-    cache indexes a record without decoding its value.  The three accept
-    exactly the same documents. *)
+    {!valid} runs it without building anything; {!member_spans} walks
+    one object's members and leaves their values as byte spans.  The
+    record log checks each object frame it opens with {!member_spans},
+    whose spans the disk cache then indexes without decoding a value,
+    and any other frame with {!valid}.  The three accept exactly the
+    same documents. *)
 
 type t =
   | Null

@@ -87,11 +87,16 @@ type recovery = {
   valid_end : int;  (* byte offset just past the last valid frame *)
 }
 
+(* One valid frame: its payload's span in the log's bytes and, when the
+   payload is an object, each member's name and value span ([] for any
+   other JSON value). *)
+type frame = { pos : int; len : int; members : (string * int * int) list }
+
 (* A log as opened: its bytes and where its data records lie in them. *)
 type spans = {
   s_header : header;
   bytes : string;
-  payloads : (int * int) list;  (* each data record's (pos, len), in order *)
+  frames : frame list;  (* each data record's, in order *)
   s_valid_end : int;
 }
 
@@ -111,11 +116,20 @@ let read_file path =
       let got = fill 0 in
       if got = n then Bytes.unsafe_to_string b else Bytes.sub_string b 0 got)
 
-(* One pass over the file's bytes.  Returns every valid frame's payload
-   span, the header's first, and the end of the valid prefix.  Each
-   frame's CRC is taken and its JSON checked in place, and the first
-   frame whose length, CRC or JSON fails ends the prefix: a torn tail
-   from a crash. *)
+(* A payload's members, or [None] if it is not JSON.  One JSON pass
+   checks an object payload and lists its members; a payload that
+   [Json.member_spans] refuses is any other JSON value when [Json.valid]
+   accepts it. *)
+let payload_members raw pos len =
+  match Json.member_spans raw pos len with
+  | Some _ as members -> members
+  | None -> if Json.valid raw pos len then Some [] else None
+
+(* One pass over the file's bytes.  Returns every valid frame, the
+   header's first, and the end of the valid prefix.  Each frame's CRC
+   is taken and its JSON checked in place, and the first frame whose
+   length, CRC or JSON fails ends the prefix: a torn tail from a
+   crash. *)
 let scan raw =
   let total = String.length raw in
   let rec frames pos acc =
@@ -125,14 +139,17 @@ let scan raw =
       if
         pos + 8 + len > total
         || Crc32.update 0 raw (pos + 8) len <> get_u32_le raw (pos + 4)
-        || not (Json.valid raw (pos + 8) len)
       then (List.rev acc, pos)
-      else frames (pos + 8 + len) ((pos + 8, len) :: acc)
+      else
+        match payload_members raw (pos + 8) len with
+        | None -> (List.rev acc, pos)
+        | Some members ->
+          frames (pos + 8 + len) ({ pos = pos + 8; len; members } :: acc)
   in
   frames (String.length magic) []
 
 (* A payload the scan accepted, as a tree. *)
-let decode raw (pos, len) = Result.get_ok (Json.of_substring raw pos len)
+let decode raw f = Result.get_ok (Json.of_substring raw f.pos f.len)
 
 let load ~path =
   let read () =
@@ -149,11 +166,11 @@ let load ~path =
   | Ok raw -> (
     match scan raw with
     | [], _ -> Error (path ^ ": no valid header record")
-    | hdr :: payloads, valid_end -> (
+    | hdr :: frames, valid_end -> (
       match header_of_json (decode raw hdr) with
       | None -> Error (path ^ ": malformed header record")
       | Some header ->
-        let recovered = List.length payloads in
+        let recovered = List.length frames in
         let discarded_bytes = String.length raw - valid_end in
         Runtime.Telemetry.add c_records_recovered recovered;
         Runtime.Telemetry.add c_bytes_discarded discarded_bytes;
@@ -161,13 +178,13 @@ let load ~path =
           Obs.Log.warn ~section:"persist"
             "%s: discarded %d trailing bytes (torn tail), kept %d records"
             path discarded_bytes recovered;
-        Ok { s_header = header; bytes = raw; payloads; s_valid_end = valid_end }))
+        Ok { s_header = header; bytes = raw; frames; s_valid_end = valid_end }))
 
 let read ~path =
   Obs.Histogram.span replay_timer (fun () ->
       Result.map
         (fun l ->
-          let records = List.map (decode l.bytes) l.payloads in
+          let records = List.map (decode l.bytes) l.frames in
           { header = l.s_header;
             records;
             recovered = List.length records;
@@ -318,15 +335,18 @@ let open_checked ~path ~expect ~schema =
         let t =
           { fd; pos = l.s_valid_end; closed = false; lock = Mutex.create () }
         in
-        Ok (t, l.bytes, l.payloads)
+        Ok (t, l.bytes, l.frames)
       end
 
-let open_spans ~path ~schema () = open_checked ~path ~expect:(git_commit ()) ~schema
+let open_spans ~path ~schema () =
+  Result.map
+    (fun (t, bytes, frames) -> (t, bytes, List.map (fun f -> f.members) frames))
+    (open_checked ~path ~expect:(git_commit ()) ~schema)
 
 let open_append ~path ?(expect_commit = git_commit ()) ~schema () =
   Obs.Histogram.span replay_timer (fun () ->
       Result.map
-        (fun (t, bytes, payloads) -> (t, List.map (decode bytes) payloads))
+        (fun (t, bytes, frames) -> (t, List.map (decode bytes) frames))
         (open_checked ~path ~expect:expect_commit ~schema))
 
 (* Atomic whole-file replacement: write to a temp file in the same

@@ -8,10 +8,13 @@
 
     Opening a log reads the file once and scans its frames in that one
     string: each frame's CRC is taken and its payload checked as JSON in
-    place ({!Json.valid}), building no tree.  The first frame whose
-    length, CRC or JSON fails ends the kept prefix.  {!open_spans} hands
-    back the bytes and each record's span; {!open_append} and {!read}
-    decode every record. *)
+    place, building no tree.  One JSON pass per frame does it: an object
+    payload is checked by the scan that lists its members
+    ({!Json.member_spans}), and only a payload that is not an object
+    falls back to {!Json.valid}.  The first frame whose length, CRC or
+    JSON fails ends the kept prefix.  {!open_spans} hands back the bytes
+    and each record's member spans; {!open_append} and {!read} decode
+    every record. *)
 
 type header = {
   schema : string;
@@ -34,13 +37,15 @@ val create : path:string -> ?commit:string -> schema:string -> unit -> t
 
 val open_spans :
   path:string -> schema:string -> unit ->
-  (t * string * (int * int) list, string) result
+  (t * string * (string * int * int) list list, string) result
 (** Reopens an existing log for appending, first recovering its valid
     prefix (a torn tail is truncated away).  Returns the writer, the
-    file's bytes as read, and the [(pos, len)] span of each valid data
-    record's payload in those bytes, in write order;
-    [Json.of_substring bytes pos len] decodes one.  Creates a fresh log
-    (bytes [""], no spans) if [path] does not exist.  Fails on
+    file's bytes as read, and each valid data record's top-level
+    members, in write order: each member's name and the [(pos, len)]
+    span of its value in those bytes, as {!Json.member_spans} lists them
+    ([[]] for a record that is not an object);
+    [Json.of_substring bytes pos len] decodes a value.  Creates a fresh
+    log (bytes [""], no records) if [path] does not exist.  Fails on
     magic/schema mismatch, on a version other than 1, and on a
     git-commit mismatch against [git_commit ()] — replayed results must
     come from the same build of the model.  A commit of ["unknown"] on

@@ -4,9 +4,14 @@
 # checksum, persist.cache.hit 1, dc.solves 0).  Before the third, the
 # framework.optimize log loses its last 5 bytes, a torn tail: the third
 # run must discard them (persist.bytes.discarded > 0) and still print
-# the same checksum.  A fourth run, from a directory outside the work
-# tree, must stamp its fresh log's header with the commit the binary
-# was built from: the checkout's `git rev-parse --short HEAD`.  Two
+# the same checksum.  Then a `-c 4KB` run on the warm directory must
+# miss framework.optimize (persist.cache.miss 1: the yield pins and the
+# two write-delay levels it reads are on disk), solve only the leakage
+# operating point (dc.solves 1, not the write transients' 114) and print
+# the checksum a `-c 4KB` run without the cache prints.  A run from a
+# directory outside the work tree must stamp its fresh log's header
+# with the commit the binary was built from: the checkout's
+# `git rev-parse --short HEAD`.  Two
 # journaled runs without the cache drive the exhaustive sweep's chunks:
 # `--checkpoint F` must print the first run's checksum and record all
 # 157 chunks of the 1KB grid (64 geometries each), and the same command
@@ -19,12 +24,14 @@ BIN=$(cd "$(dirname "$BIN")" && pwd)/$(basename "$BIN")
 DIR=$(mktemp -d "${TMPDIR:-/tmp}/cache_dir_smoke.XXXXXX")
 trap 'rm -rf "$DIR"' EXIT INT TERM
 
-run() {
-    name=$1
-    shift
-    "$BIN" optimize -c 1KB --json --stats "$@" >"$DIR/$name.out" ||
+run_at() {
+    capacity=$1
+    name=$2
+    shift 2
+    "$BIN" optimize -c "$capacity" --json --stats "$@" >"$DIR/$name.out" ||
         { echo "FAIL: $name run exited $?"; exit 1; }
 }
+run() { run_at 1KB "$@"; }
 checksum() { sed -n 's/^  "checksum": "\([0-9a-f]*\)".*/\1/p' "$DIR/$1.out"; }
 counter() { awk -v name="$2" '$1 == name { print $2; exit }' "$DIR/$1.out"; }
 fail() { echo "FAIL: $*"; exit 1; }
@@ -45,6 +52,16 @@ run third --cache-dir "$DIR/cache"
 [ "$(checksum third)" = "$sum" ] || fail "third run's checksum $(checksum third) is not $sum"
 discarded=$(counter third persist.bytes.discarded)
 [ "${discarded:-0}" -gt 0 ] || fail "third run discarded no torn bytes"
+
+run_at 4KB cold4k
+sum4k=$(checksum cold4k)
+[ -n "$sum4k" ] || fail "cold 4KB run printed no checksum"
+run_at 4KB warm4k --cache-dir "$DIR/cache"
+[ "$(checksum warm4k)" = "$sum4k" ] || fail "warm 4KB run's checksum $(checksum warm4k) is not $sum4k"
+[ "$(counter warm4k persist.cache.miss)" = 1 ] ||
+    fail "warm 4KB run: persist.cache.miss $(counter warm4k persist.cache.miss), expected 1 (framework.optimize)"
+[ "$(counter warm4k dc.solves)" = 1 ] ||
+    fail "warm 4KB run: dc.solves $(counter warm4k dc.solves), expected 1 (the leakage operating point)"
 
 run journaled --checkpoint "$DIR/journal.rlog"
 [ "$(checksum journaled)" = "$sum" ] || fail "journaled run's checksum $(checksum journaled) is not $sum"
@@ -67,4 +84,4 @@ stamped=$(grep -ao '"git_commit":"[^"]*"' "$DIR/outside/cache/framework.optimize
 [ "$stamped" = "$expected" ] ||
     fail "log header written outside the work tree records commit '$stamped', expected '$expected'"
 
-echo "cache-dir smoke: checksum $sum from disk; torn tail of $discarded bytes discarded; 157 chunks journaled and replayed; header commit $stamped"
+echo "cache-dir smoke: checksum $sum from disk; torn tail of $discarded bytes discarded; 4KB checksum $sum4k with the write levels from disk; 157 chunks journaled and replayed; header commit $stamped"

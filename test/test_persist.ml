@@ -366,6 +366,33 @@ let append_bytes path bytes =
   ignore (Unix.write_substring fd bytes 0 (String.length bytes));
   Unix.close fd
 
+(* A log's data frames as an open meets them: object records, other
+   JSON values, and frames whose CRC is good but whose JSON is not (an
+   object missing its closing brace, an unclosed array, a value with
+   garbage after it), each payload now and then padded with whitespace;
+   then how many bytes a torn tail takes off the end. *)
+let log_frames_gen =
+  let open QCheck.Gen in
+  let obj =
+    map
+      (fun kvs -> J.to_string (J.Obj kvs))
+      (list_size (int_bound 4) (pair (string_size ~gen:printable (int_bound 8)) json_gen))
+  in
+  let other = map (function J.Obj _ -> "[]" | v -> J.to_string v) json_gen in
+  let bad =
+    oneof
+      [ map (fun doc -> String.sub doc 0 (String.length doc - 1)) obj;
+        map (fun doc -> "[" ^ doc) other;
+        map (fun doc -> doc ^ " x") other ]
+  in
+  let pad = frequency [ (3, return ""); (1, oneofl [ " "; "\n\t " ]) ] in
+  let padded doc = map2 (fun l r -> l ^ doc ^ r) pad pad in
+  let payload = frequency [ (4, obj); (2, other); (1, bad) ] >>= padded in
+  pair (list_size (int_bound 8) payload) (frequency [ (2, return 0); (1, int_bound 12) ])
+
+let print_log_frames (payloads, cut) =
+  Printf.sprintf "[%s] cut %d" (String.concat "; " (List.map (Printf.sprintf "%S") payloads)) cut
+
 let record_log_tests =
   [ case "write then read preserves order and header" (fun () ->
         let path = fresh "basic" in
@@ -501,6 +528,35 @@ let record_log_tests =
            in
            rm path;
            ok));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"one JSON pass per frame opens what two passes did" ~count:300
+         (QCheck.make ~print:print_log_frames log_frames_gen)
+         (fun (payloads, cut) ->
+           let path = fresh "fused" in
+           Persist.Record_log.close (Persist.Record_log.create ~path ~schema:"test" ());
+           let data = String.concat "" (List.map raw_frame payloads) in
+           append_bytes path data;
+           truncate_by path (min cut (String.length data));
+           let raw = In_channel.with_open_bin path In_channel.input_all in
+           let oracle, valid_end = Persist_oracle.Record_log.two_pass_open raw in
+           let kept = List.tl oracle in
+           let r = read_ok path in
+           let read_agrees =
+             r.valid_end = valid_end
+             && List.length r.records = List.length kept
+             && List.for_all2
+                  (fun record (pos, len, _) ->
+                    json_eq record (Result.get_ok (J.of_substring raw pos len)))
+                  r.records kept
+           in
+           match Persist.Record_log.open_spans ~path ~schema:"test" () with
+           | Error msg -> QCheck.Test.fail_reportf "open_spans: %s" msg
+           | Ok (t, bytes, members) ->
+             Persist.Record_log.close t;
+             let size = file_size path in
+             rm path;
+             read_agrees && String.equal bytes raw && size = valid_end
+             && members = List.map (fun (_, _, m) -> Option.value m ~default:[]) kept));
   ]
 
 (* ----- Faults ----- *)
@@ -635,6 +691,33 @@ let finds_last_values cache adds =
       | None -> false)
     (last_values adds)
 
+let hvt_m2 = { Sram_edp.Framework.flavor = Finfet.Library.Hvt; method_ = Opt.Space.M2 }
+
+(* The keys of a cache's log under [dir], in write order. *)
+let cache_keys dir name =
+  List.filter_map
+    (fun r -> J.string_field r "k")
+    (read_ok (Filename.concat dir (name ^ ".rlog"))).Persist.Record_log.records
+
+(* [Opt.Space.default]'s axes as framework.optimize keys spelled them in
+   full before they named the space by its digest: each V_SSC value in
+   [%.17g], then n_r, N_pre and N_wr. *)
+let default_space_spelling =
+  "-0,-0.01,-0.02,-0.029999999999999999,-0.040000000000000001,"
+  ^ "-0.050000000000000003,-0.059999999999999998,-0.070000000000000007,"
+  ^ "-0.080000000000000002,-0.089999999999999997,-0.10000000000000001,"
+  ^ "-0.11,-0.12,-0.13,-0.14000000000000001,-0.14999999999999999,-0.16,"
+  ^ "-0.17000000000000001,-0.17999999999999999,-0.19,"
+  ^ "-0.20000000000000001,-0.20999999999999999,-0.22,"
+  ^ "-0.23000000000000001,-0.23999999999999999,|"
+  ^ "2,4,8,16,32,64,128,256,512,1024,|"
+  ^ "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,"
+  ^ "26,27,28,29,30,31,32,33,34,35,36,37,38,39,40,41,42,43,44,45,46,47,"
+  ^ "48,49,50,|"
+  ^ "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,"
+
+let dc_solves () = Runtime.Telemetry.(value (counter "dc.solves"))
+
 let cache_tests =
   [ case "inactive until set_dir" (fun () ->
         Persist.Cache.add test_cache "k" (J.Int 1);
@@ -746,36 +829,22 @@ let cache_tests =
           (per_record < 96.0));
     case "framework.optimize and yield.solve keys are spelled as on disk" (fun () ->
         (* Every --cache-dir log is keyed by these strings: a key whose
-           spelling drifts orphans every log written before it. *)
+           spelling drifts orphans every log written before it.  A
+           framework.optimize key names its space by the MD5 digest of
+           the grid spelled out. *)
         let dir = fresh_dir "keys" in
         Runtime.Memo.reset_all ();
         Persist.Cache.set_dir (Some dir);
-        ignore
-          (Sram_edp.Framework.optimize ~capacity_bits:(1024 * 8)
-             ~config:{ Sram_edp.Framework.flavor = Finfet.Library.Hvt; method_ = Opt.Space.M2 }
-             ());
+        ignore (Sram_edp.Framework.optimize ~capacity_bits:(1024 * 8) ~config:hvt_m2 ());
         Persist.Cache.set_dir None;
-        let keys name =
-          List.filter_map
-            (fun r -> J.string_field r "k")
-            (read_ok (Filename.concat dir (name ^ ".rlog"))).Persist.Record_log.records
-        in
+        Alcotest.(check string) "the digest of the space spelled out"
+          "38853f61d9d43276e1a4063b917e33ff"
+          (Digest.to_hex (Digest.string default_space_spelling));
         Alcotest.(check (list string)) "framework.optimize"
-          [ "6T-HVT-M2|cap=8192|EDP|paper|w=64|"
-             ^ "-0,-0.01,-0.02,-0.029999999999999999,-0.040000000000000001,"
-             ^ "-0.050000000000000003,-0.059999999999999998,-0.070000000000000007,"
-             ^ "-0.080000000000000002,-0.089999999999999997,-0.10000000000000001,"
-             ^ "-0.11,-0.12,-0.13,-0.14000000000000001,-0.14999999999999999,-0.16,"
-             ^ "-0.17000000000000001,-0.17999999999999999,-0.19,"
-             ^ "-0.20000000000000001,-0.20999999999999999,-0.22,"
-             ^ "-0.23000000000000001,-0.23999999999999999,|"
-             ^ "2,4,8,16,32,64,128,256,512,1024,|"
-             ^ "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,"
-             ^ "26,27,28,29,30,31,32,33,34,35,36,37,38,39,40,41,42,43,44,45,46,47,"
-             ^ "48,49,50,|"
-             ^ "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20," ]
-          (keys "framework.optimize");
-        Alcotest.(check (list string)) "yield.solve" [ "HVT|0.1575|81|-|-" ] (keys "yield.solve");
+          [ "6T-HVT-M2|cap=8192|EDP|paper|w=64|space=38853f61d9d43276e1a4063b917e33ff" ]
+          (cache_keys dir "framework.optimize");
+        Alcotest.(check (list string)) "yield.solve" [ "HVT|0.1575|81|-|-" ]
+          (cache_keys dir "yield.solve");
         rm_rf dir);
     case "a directory or log that cannot be opened leaves caches inactive"
       (fun () ->
@@ -796,6 +865,121 @@ let cache_tests =
         check_inactive "log that cannot be created";
         Sys.remove link;
         rm_rf dir);
+    case "spaces one V_SSC bit apart get distinct framework.optimize keys" (fun () ->
+        (* [0.0] against [-0.0] (the sign bit), and -0.05 against its
+           neighbouring double (the last mantissa bit). *)
+        let dir = fresh_dir "vssc_bits" in
+        Runtime.Memo.reset_all ();
+        Persist.Cache.set_dir (Some dir);
+        List.iter
+          (fun vssc ->
+            ignore
+              (Sram_edp.Framework.optimize
+                 ~space:{ Opt.Space.reduced with Opt.Space.vssc_values = vssc }
+                 ~capacity_bits:(1024 * 8) ~config:hvt_m2 ()))
+          [ [| 0.0; -0.05 |]; [| -0.0; -0.05 |]; [| 0.0; Float.succ (-0.05) |] ];
+        Persist.Cache.set_dir None;
+        let keys = cache_keys dir "framework.optimize" in
+        rm_rf dir;
+        Alcotest.(check int) "three records" 3 (List.length keys);
+        Alcotest.(check int) "three keys" 3 (List.length (List.sort_uniq compare keys)));
+    case "a log keyed in the old spelling opens cleanly and just misses" (fun () ->
+        (* The old key holds another capacity's answer: a hit on it
+           would hand that answer back. *)
+        let dir = fresh_dir "old_keys" in
+        let optimize capacity_bits =
+          Sram_edp.Framework.optimize ~capacity_bits ~config:hvt_m2 ()
+        in
+        let checksum (o : Sram_edp.Framework.optimized) =
+          Opt.Exhaustive.checksum [ o.Sram_edp.Framework.result ]
+        in
+        let right = optimize (1024 * 8) and other = optimize (2048 * 8) in
+        let old_key = "6T-HVT-M2|cap=8192|EDP|paper|w=64|" ^ default_space_spelling in
+        let t =
+          Persist.Record_log.create
+            ~path:(Filename.concat dir "framework.optimize.rlog")
+            ~schema:"cache/framework.optimize" ()
+        in
+        Persist.Record_log.append t
+          (J.Obj
+             [ ("k", J.String old_key);
+               ("v", Opt.Exhaustive.result_to_json other.Sram_edp.Framework.result) ]);
+        Persist.Record_log.close t;
+        Runtime.Memo.reset_all ();
+        Persist.Cache.set_dir (Some dir);
+        let again = optimize (1024 * 8) in
+        Persist.Cache.set_dir None;
+        let keys = cache_keys dir "framework.optimize" in
+        rm_rf dir;
+        Alcotest.(check string) "the answer is computed" (checksum right) (checksum again);
+        Alcotest.(check (list string)) "the old record is kept and the new key appended"
+          [ old_key;
+            "6T-HVT-M2|cap=8192|EDP|paper|w=64|space=38853f61d9d43276e1a4063b917e33ff" ]
+          keys);
+    case "write levels replay from disk bit for bit, with no DC solve" (fun () ->
+        let dir = fresh_dir "write_levels" in
+        let levels per =
+          Array.map
+            (fun vwl -> Array_model.Periphery.write_delay per ~vwl)
+            Array_model.Periphery.vwl_grid
+        in
+        let shared () = Array_model.Periphery.shared ~cell_flavor:Finfet.Library.Hvt in
+        Runtime.Memo.reset_all ();
+        Persist.Cache.set_dir (Some dir);
+        ignore (levels (shared ()));
+        Persist.Cache.set_dir None;
+        Runtime.Memo.reset_all ();
+        Persist.Cache.set_dir (Some dir);
+        let per = shared () in
+        let before = dc_solves () in
+        let replayed = levels per in
+        let solved = dc_solves () - before in
+        Persist.Cache.set_dir None;
+        rm_rf dir;
+        let fresh =
+          levels
+            (Array_model.Periphery.characterize
+               ~lib:(Lazy.force Finfet.Library.default)
+               ~cell_flavor:Finfet.Library.Hvt ())
+        in
+        Alcotest.(check int) "DC solves" 0 solved;
+        Array.iteri
+          (fun i d ->
+            Alcotest.(check int64)
+              (Printf.sprintf "level %g" Array_model.Periphery.vwl_grid.(i))
+              (Int64.bits_of_float fresh.(i)) (Int64.bits_of_float d))
+          replayed);
+    slow_case "a Table 4 sweep from a warm directory gives 67fd83cd67998ac0" (fun () ->
+        (* Warm with the pins and write levels alone (the results' log
+           removed), every search runs and only each flavor's leakage
+           operating point is solved; warm with the results too, the
+           sweep is replayed. *)
+        let dir = fresh_dir "table4" in
+        let sweep () =
+          Runtime.Memo.reset_all ();
+          Persist.Cache.set_dir (Some dir);
+          let before = dc_solves () in
+          let results =
+            Sram_edp.Framework.sweep_capacities
+              ~capacities:Sram_edp.Framework.paper_capacities
+              ~configs:Sram_edp.Framework.all_configs ()
+          in
+          let solved = dc_solves () - before in
+          Persist.Cache.set_dir None;
+          ( Opt.Exhaustive.checksum
+              (List.map (fun (o : Sram_edp.Framework.optimized) -> o.result) results),
+            solved )
+        in
+        let cold, _ = sweep () in
+        Sys.remove (Filename.concat dir "framework.optimize.rlog");
+        let warm, warm_solves = sweep () in
+        let replayed, replay_solves = sweep () in
+        rm_rf dir;
+        List.iter
+          (fun (what, sum) -> Alcotest.(check string) what "67fd83cd67998ac0" sum)
+          [ ("cold", cold); ("warm pins and write levels", warm); ("replayed", replayed) ];
+        Alcotest.(check int) "DC solves, warm pins and write levels" 2 warm_solves;
+        Alcotest.(check int) "DC solves, replayed" 0 replay_solves);
   ]
 
 (* ----- Checkpoint / resume bit-identity ----- *)

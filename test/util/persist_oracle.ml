@@ -3,7 +3,10 @@
    table-driven CRC-32 and the tree-building JSON parser.
    [Persist.Crc32.update] (slicing-by-8), [Persist.Json.of_string],
    [Persist.Json.valid] and [Persist.Json.member_spans] must agree with
-   these exactly; the properties in test_persist.ml check that. *)
+   these exactly; the properties in test_persist.ml check that.  Also
+   the log's open as it stood before one JSON pass per frame: a frame
+   scan that checks each payload with [Persist.Json.valid], then a
+   second pass of [Persist.Json.member_spans] over every kept record. *)
 
 module Crc32 = struct
   let table =
@@ -221,4 +224,31 @@ module Json = struct
       else Ok v
     | exception Parse_error msg -> Error msg
 
+end
+
+module Record_log = struct
+  let u32 s pos =
+    Char.code s.[pos]
+    lor (Char.code s.[pos + 1] lsl 8)
+    lor (Char.code s.[pos + 2] lsl 16)
+    lor (Char.code s.[pos + 3] lsl 24)
+
+  let two_pass_open raw =
+    let total = String.length raw in
+    let rec frames pos acc =
+      if pos + 8 > total then (List.rev acc, pos)
+      else
+        let len = u32 raw pos in
+        if
+          pos + 8 + len > total
+          || Crc32.update 0 raw (pos + 8) len <> u32 raw (pos + 4)
+          || not (Persist.Json.valid raw (pos + 8) len)
+        then (List.rev acc, pos)
+        else frames (pos + 8 + len) ((pos + 8, len) :: acc)
+    in
+    let kept, valid_end = frames 6 [] in
+    ( List.map
+        (fun (pos, len) -> (pos, len, Persist.Json.member_spans raw pos len))
+        kept,
+      valid_end )
 end
