@@ -23,6 +23,20 @@ let smoke = ref false
    profile (e.g. `make bench-kernel-opt`'s release build). *)
 let no_json = ref false
 
+(* Run [f] on a process-wide pool of [jobs] workers, spawned before [f]
+   starts so no timed region pays for it; the pool is back at one job
+   (its domains joined) when [f] returns or raises. *)
+let with_jobs jobs f =
+  Runtime.Pool.set_default_jobs jobs;
+  ignore (Runtime.Pool.default ());
+  Fun.protect ~finally:(fun () -> Runtime.Pool.set_default_jobs 1) f
+
+(* Run [f] with [journal] as the process-wide checkpoint journal, and
+   with none after. *)
+let with_checkpoint journal f =
+  Persist.Checkpoint.set_default (Some journal);
+  Fun.protect ~finally:(fun () -> Persist.Checkpoint.set_default None) f
+
 let read_file path =
   match open_in_bin path with
   | exception Sys_error _ -> None
@@ -728,18 +742,19 @@ let runtime_bench () =
       (fun jobs ->
         Runtime.Memo.reset_all ();
         Runtime.Telemetry.reset ();
-        let pool = Runtime.Pool.create ~jobs () in
-        let t0 = Obs.Clock.now () in
-        let designs =
-          Sram_edp.Framework.sweep_capacities ~pool ~capacities ~configs ()
+        let wall, warm_wall, designs =
+          with_jobs jobs @@ fun () ->
+          let t0 = Obs.Clock.now () in
+          let designs =
+            Sram_edp.Framework.sweep_capacities ~capacities ~configs ()
+          in
+          let wall = Obs.Clock.now () -. t0 in
+          (* The identical sweep again: every design must come out of the
+             framework.optimize memo. *)
+          let t1 = Obs.Clock.now () in
+          ignore (Sram_edp.Framework.sweep_capacities ~capacities ~configs ());
+          (wall, Obs.Clock.now () -. t1, designs)
         in
-        let wall = Obs.Clock.now () -. t0 in
-        (* The identical sweep again: every design must come out of the
-           framework.optimize memo. *)
-        let t1 = Obs.Clock.now () in
-        ignore (Sram_edp.Framework.sweep_capacities ~pool ~capacities ~configs ());
-        let warm_wall = Obs.Clock.now () -. t1 in
-        Runtime.Pool.shutdown pool;
         let evals =
           Runtime.Telemetry.value (Runtime.Telemetry.counter "exhaustive.search")
         in
@@ -839,14 +854,14 @@ let table4_fixture () =
   let levels_of = by_flavor (fun flavor -> Opt.Yield.solve ~flavor ()) in
   { env_of; levels_of }
 
-let table4_sweep t4 ?kernel ?journal ~pool ~space capacities =
+let table4_sweep t4 ?kernel ~space capacities =
   List.concat_map
     (fun capacity_bits ->
       List.map
         (fun (c : Sram_edp.Framework.config) ->
           let flavor = c.Sram_edp.Framework.flavor in
-          Opt.Exhaustive.search ~space ?kernel ?journal ~pool
-            ~levels:(t4.levels_of flavor) ~env:(t4.env_of flavor) ~capacity_bits
+          Opt.Exhaustive.search ~space ?kernel ~levels:(t4.levels_of flavor)
+            ~env:(t4.env_of flavor) ~capacity_bits
             ~method_:c.Sram_edp.Framework.method_ ())
         Sram_edp.Framework.all_configs)
     capacities
@@ -904,13 +919,12 @@ let kernel_bench () =
   let run jobs kernel =
     Runtime.Memo.reset_all ();
     Array_model.Array_eval.reset_staging ();
-    let pool = Runtime.Pool.create ~jobs () in
+    with_jobs jobs @@ fun () ->
     let gc0 = Gc.quick_stat () in
     let t0 = Obs.Clock.now () in
-    let results = table4_sweep t4 ~kernel ~pool ~space capacities in
+    let results = table4_sweep t4 ~kernel ~space capacities in
     let wall = Obs.Clock.now () -. t0 in
     let gc1 = Gc.quick_stat () in
-    Runtime.Pool.shutdown pool;
     ( results, wall,
       gc1.Gc.minor_words -. gc0.Gc.minor_words,
       gc1.Gc.major_words -. gc0.Gc.major_words )
@@ -943,7 +957,6 @@ let kernel_bench () =
      cold repetitions in one region and reports aggregate throughput. *)
   let smoke_probe () =
     let reps = 10 in
-    let pool = Runtime.Pool.create ~jobs:1 () in
     let decided = ref 0 in
     let sum_designs = ref "" in
     let t0 = Obs.Clock.now () in
@@ -951,13 +964,12 @@ let kernel_bench () =
       Runtime.Memo.reset_all ();
       Array_model.Array_eval.reset_staging ();
       let results =
-        table4_sweep t4 ~kernel:`Staged ~pool ~space:Opt.Space.reduced [ 1024 * 8 ]
+        table4_sweep t4 ~kernel:`Staged ~space:Opt.Space.reduced [ 1024 * 8 ]
       in
       decided := !decided + sum (fun r -> r.Opt.Exhaustive.considered) results;
       sum_designs := checksum_designs results
     done;
     let wall = Obs.Clock.now () -. t0 in
-    Runtime.Pool.shutdown pool;
     (!sum_designs, float_of_int !decided /. wall)
   in
   let rows = List.map measure [ 1; 2; 4 ] in
@@ -1154,7 +1166,7 @@ let obs_bench () =
   in
   let sweep =
     let t4 = table4_fixture () in
-    fun ~pool -> table4_sweep t4 ~kernel:`Staged ~pool ~space capacities
+    fun () -> table4_sweep t4 ~kernel:`Staged ~space capacities
   in
   let mode_name = function `Off -> "off" | `Stats -> "stats" | `Trace -> "trace" in
   (* Coarse trace detail: the full sweep visits ~10^4 geometries and a
@@ -1176,15 +1188,12 @@ let obs_bench () =
   let sums =
     List.map
       (fun jobs ->
-        let pool = Runtime.Pool.create ~jobs () in
         let per_mode =
+          with_jobs jobs @@ fun () ->
           List.map
-            (fun mode ->
-              let res = with_mode mode (fun () -> sweep ~pool) in
-              (mode_name mode, checksum_designs res))
+            (fun mode -> (mode_name mode, checksum_designs (with_mode mode sweep)))
             modes
         in
-        Runtime.Pool.shutdown pool;
         (jobs, per_mode))
       [ 1; 2; 4 ]
   in
@@ -1212,13 +1221,12 @@ let obs_bench () =
      host). *)
   let trials = 9 in
   let reps = if !smoke then 10 else 3 in
-  let pool = Runtime.Pool.create ~jobs:1 () in
-  ignore (sweep ~pool);
+  ignore (sweep ());
   let time_mode mode =
     let t0 = Obs.Clock.now () in
     with_mode mode (fun () ->
         for _ = 1 to reps do
-          ignore (sweep ~pool)
+          ignore (sweep ())
         done);
     Obs.Clock.now () -. t0
   in
@@ -1255,7 +1263,6 @@ let obs_bench () =
       if ov2 < ov1 then m2 else m1
     end
   in
-  Runtime.Pool.shutdown pool;
   let pass = overhead < threshold in
   Printf.printf
     "instrumentation overhead (stats on vs off, min over %d paired %d-rep \
@@ -1327,7 +1334,7 @@ let explain_bench () =
   in
   let sweep =
     let t4 = table4_fixture () in
-    fun ~space ~pool () -> table4_sweep t4 ~kernel:`Staged ~pool ~space capacities
+    fun ~space () -> table4_sweep t4 ~kernel:`Staged ~space capacities
   in
   let with_journal armed f =
     if armed then Obs.Search.arm () else Obs.Search.disarm ();
@@ -1342,10 +1349,9 @@ let explain_bench () =
   let sums =
     List.map
       (fun jobs ->
-        let pool = Runtime.Pool.create ~jobs () in
-        let off = with_journal false (sweep ~space:bit_space ~pool) in
-        let on = with_journal true (sweep ~space:bit_space ~pool) in
-        Runtime.Pool.shutdown pool;
+        with_jobs jobs @@ fun () ->
+        let off = with_journal false (sweep ~space:bit_space) in
+        let on = with_journal true (sweep ~space:bit_space) in
         (jobs, checksum_designs off, checksum_designs on))
       [ 1; 2; 4 ]
   in
@@ -1376,8 +1382,7 @@ let explain_bench () =
      vanishing baseline and the percentage would be meaningless. *)
   let trials = 9 in
   let reps = if !smoke then 25 else 3 in
-  let pool = Runtime.Pool.create ~jobs:1 () in
-  let osweep = sweep ~space:Opt.Space.default ~pool in
+  let osweep = sweep ~space:Opt.Space.default in
   ignore (osweep ());
   let time_mode armed =
     let t0 = Obs.Clock.now () in
@@ -1410,7 +1415,6 @@ let explain_bench () =
       if ov2 < ov1 then m2 else m1
     end
   in
-  Runtime.Pool.shutdown pool;
   let pass = overhead < threshold in
   Printf.printf
     "search journal overhead (armed vs disarmed, min over %d paired %d-rep \
@@ -1421,15 +1425,13 @@ let explain_bench () =
     (if bit_identical then "yes" else "NO");
   (* One fresh journaled sweep with stats on, so the embedded journal
      carries the convergence curve and the bound-gap histogram fills. *)
-  let pool = Runtime.Pool.create ~jobs:1 () in
   Obs.Search.arm ();
   Obs.Control.set_enabled true;
-  ignore (sweep ~space:Opt.Space.default ~pool ());
+  ignore (sweep ~space:Opt.Space.default ());
   Obs.Control.set_enabled false;
   let journal = Sram_edp.Json_out.search_journal_json () in
   let s = Obs.Search.summary () in
   Obs.Search.disarm ();
-  Runtime.Pool.shutdown pool;
   Printf.printf
     "convergence journal: %d incumbents, %d prunes, %d events stored\n"
     s.Obs.Search.incumbents s.Obs.Search.prunes s.Obs.Search.journaled;
@@ -1511,22 +1513,19 @@ let moo_bench () =
   let runs =
     List.map
       (fun capacity_bits ->
-        let pool = Runtime.Pool.create ~jobs:1 () in
         let oracle, all =
-          Opt.Exhaustive.search_all ~space ~levels ~pool ~env ~capacity_bits
-            ~method_ ()
+          Opt.Exhaustive.search_all ~space ~levels ~env ~capacity_bits ~method_ ()
         in
-        Runtime.Pool.shutdown pool;
         let truth = pairs (Opt.Pareto.front all) in
         let engines =
           [ ("nsga2",
-             fun pool ->
-               Opt.Nsga2.search_front ~space ~levels ~pool ~env ~capacity_bits
+             fun () ->
+               Opt.Nsga2.search_front ~space ~levels ~env ~capacity_bits
                  ~method_ ());
             ("surrogate",
-             fun pool ->
-               Opt.Surrogate.search_front ~space ~levels ~pool ~env
-                 ~capacity_bits ~method_ ()) ]
+             fun () ->
+               Opt.Surrogate.search_front ~space ~levels ~env ~capacity_bits
+                 ~method_ ()) ]
         in
         let per_engine =
           List.map
@@ -1534,9 +1533,7 @@ let moo_bench () =
               let by_jobs =
                 List.map
                   (fun jobs ->
-                    let pool = Runtime.Pool.create ~jobs () in
-                    let res, front = search pool in
-                    Runtime.Pool.shutdown pool;
+                    let res, front = with_jobs jobs search in
                     (jobs, res, front, checksum_designs [ res ]))
                   jobs_list
               in
@@ -1661,7 +1658,7 @@ let persist_bench () =
   in
   let sweep =
     let t4 = table4_fixture () in
-    fun ?journal ~pool () -> table4_sweep t4 ?journal ~pool ~space capacities
+    fun () -> table4_sweep t4 ~space capacities
   in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ()) "sram_opt_bench_persist"
@@ -1677,15 +1674,15 @@ let persist_bench () =
     List.map
       (fun jobs ->
         Persist.Faults.disarm_all ();
-        let pool = Runtime.Pool.create ~jobs () in
+        with_jobs jobs @@ fun () ->
         let t0 = Obs.Clock.now () in
-        let base = sweep ~pool () in
+        let base = sweep () in
         let plain_wall = Obs.Clock.now () -. t0 in
         let base_sum = checksum_designs base in
         let jp = Filename.concat dir (Printf.sprintf "full_%dj.rlog" jobs) in
         let journal = open_journal jp in
         let t0 = Obs.Clock.now () in
-        let journaled = sweep ~journal ~pool () in
+        let journaled = with_checkpoint journal sweep in
         let journal_wall = Obs.Clock.now () -. t0 in
         Persist.Checkpoint.close journal;
         let journal_sum = checksum_designs journaled in
@@ -1699,7 +1696,7 @@ let persist_bench () =
         Persist.Faults.disarm_all ();
         Persist.Faults.arm (Persist.Faults.Kill 3);
         let died =
-          match sweep ~journal:killed ~pool () with
+          match with_checkpoint killed sweep with
           | _ -> false
           | exception Persist.Faults.Injected _ -> true
         in
@@ -1707,10 +1704,9 @@ let persist_bench () =
         Persist.Faults.disarm_all ();
         let resumed_journal = open_journal ~resume:true kp in
         let replayed = Persist.Checkpoint.replayed resumed_journal in
-        let resumed = sweep ~journal:resumed_journal ~pool () in
+        let resumed = with_checkpoint resumed_journal sweep in
         Persist.Checkpoint.close resumed_journal;
         let resumed_sum = checksum_designs resumed in
-        Runtime.Pool.shutdown pool;
         Sys.remove jp;
         Sys.remove kp;
         (jobs, plain_wall, journal_wall, base_sum, journal_sum, resumed_sum,

@@ -67,9 +67,21 @@ let accounting_conv =
 
 open Cmdliner
 
-let capacity_arg =
-  Arg.(value & opt capacity_conv (4096 * 8)
-       & info [ "capacity"; "c" ] ~docv:"CAP" ~doc:"Array capacity (e.g. 4KB, 128B).")
+let capacity_info =
+  Arg.info [ "capacity"; "c" ] ~docv:"CAP" ~doc:"Array capacity (e.g. 4KB, 128B)."
+
+let capacity_arg = Arg.(value & opt capacity_conv (4096 * 8) & capacity_info)
+
+(* [bank] splits the capacity into banks of at least 512 bits. *)
+let bank_capacity_arg =
+  let parse s =
+    match Arg.conv_parser capacity_conv s with
+    | Ok bits when bits < 512 ->
+      Error (`Msg (Printf.sprintf "bad capacity %S (below one 64B bank)" s))
+    | r -> r
+  in
+  let at_least_a_bank = Arg.conv (parse, Arg.conv_printer capacity_conv) in
+  Arg.(value & opt at_least_a_bank (4096 * 8) & capacity_info)
 
 let flavor_arg =
   Arg.(value & opt flavor_conv Finfet.Library.Hvt
@@ -139,10 +151,16 @@ let int_within ~lo ~hi =
   in
   Cmdliner.Arg.conv (parse, Format.pp_print_int)
 
+let positive = int_within ~lo:1 ~hi:max_int
+
+(* The bitline column [validate] and [stat] simulate. *)
+let rows_arg =
+  Arg.(value & opt positive 64 & info [ "rows" ] ~doc:"Cells on the bitline.")
+
 let budget_arg =
   Cmdliner.Arg.(
     value
-    & opt (some (int_within ~lo:1 ~hi:max_int)) None
+    & opt (some positive) None
     & info [ "budget" ] ~docv:"N"
         ~doc:
           "Evaluation budget (scan points, at least 1) for the heuristic \
@@ -244,13 +262,6 @@ let log_level_arg =
 
 (* ----- persistence flags ----- *)
 
-type persist_opts = {
-  cache_dir : string option;
-  checkpoint : string option;
-  resume : bool;
-  checkpoint_every : int;
-}
-
 let cache_dir_arg =
   Arg.(value & opt (some string) None
        & info [ "cache-dir" ] ~docv:"DIR"
@@ -275,18 +286,40 @@ let resume_arg =
                  $(b,--jobs).")
 
 let checkpoint_every_arg =
-  Arg.(value & opt int 64
+  Arg.(value & opt positive 64
        & info [ "checkpoint-every" ] ~docv:"N"
            ~doc:"Geometries per checkpoint chunk (default 64).  Smaller \
                  chunks lose less work on a crash but write more records; \
                  a resumed journal must use the same value to match.")
 
-let persist_term =
-  let make cache_dir checkpoint resume checkpoint_every =
-    { cache_dir; checkpoint; resume; checkpoint_every }
+(* ----- run options ----- *)
+
+(* What every searching subcommand takes besides its own arguments, in
+   one record built by one term; [search_log] stays [None] where the
+   command offers no --search-log. *)
+type run_opts = {
+  jobs : int;
+  stats : bool;
+  trace : string option;
+  progress : bool;
+  log_level : Obs.Log.level option;
+  search_log : string option;
+  cache_dir : string option;
+  checkpoint : string option;
+  resume : bool;
+  checkpoint_every : int;
+}
+
+let run_term ~search_log =
+  let make jobs stats trace progress log_level search_log cache_dir checkpoint
+      resume checkpoint_every =
+    { jobs; stats; trace; progress; log_level; search_log; cache_dir;
+      checkpoint; resume; checkpoint_every }
   in
-  Term.(const make $ cache_dir_arg $ checkpoint_arg $ resume_arg
-        $ checkpoint_every_arg)
+  Term.(const make $ jobs_arg $ stats_arg $ trace_arg $ progress_arg
+        $ log_level_arg
+        $ (if search_log then search_log_arg else const None)
+        $ cache_dir_arg $ checkpoint_arg $ resume_arg $ checkpoint_every_arg)
 
 (* A Ctrl-C / kill during a sweep must not leave half-written logs: the
    handler raises, the exception path below flushes and closes the open
@@ -302,12 +335,11 @@ let install_interrupt () =
       (s, Sys.signal s (Sys.Signal_handle (fun s -> raise (Interrupted s)))))
     [ Sys.sigint; Sys.sigterm ]
 
-(* Configure the default pool and the observability layer before the
-   command body, report/flush afterwards.  Every search entry point picks
-   the default pool up, so --jobs needs no further plumbing; likewise the
-   instrumentation sites read process-global [Obs] state. *)
-let with_runtime ?(trace = None) ?(progress = false) ?(log_level = None)
-    ?(search_log = None) ?persist ~jobs ~stats f =
+(* Configure the process-wide pool, checkpoint journal, disk cache and
+   observability layer before the command body, report/flush afterwards.
+   Every search reads those process-wide settings, so the run options
+   need no further plumbing. *)
+let with_runtime o f =
   (* The output files open before any search runs, so one that cannot
      be written fails the run at once, naming its option. *)
   let open_output option = function
@@ -318,49 +350,47 @@ let with_runtime ?(trace = None) ?(progress = false) ?(log_level = None)
         Printf.eprintf "sram_opt: --%s: %s\n" option msg;
         exit 2)
   in
-  let trace_out = open_output "trace" trace in
-  let search_log_out = open_output "search-log" search_log in
-  Option.iter Obs.Log.set_level log_level;
+  let trace_out = open_output "trace" o.trace in
+  let search_log_out = open_output "search-log" o.search_log in
+  Option.iter Obs.Log.set_level o.log_level;
   Obs.Control.set_worker_name "main";
-  Runtime.Pool.set_default_jobs jobs;
-  if stats || trace <> None then Obs.Control.set_enabled true;
+  Runtime.Pool.set_default_jobs o.jobs;
+  if o.stats || o.trace <> None then Obs.Control.set_enabled true;
   (* The journal is observation-only: arming it cannot change which
      design a search returns (hooks read state, never write it). *)
-  if stats || search_log <> None then Obs.Search.arm ();
-  if trace <> None then Obs.Trace.start ();
-  if progress then Obs.Progress.start ();
+  if o.stats || o.search_log <> None then Obs.Search.arm ();
+  if o.trace <> None then Obs.Trace.start ();
+  if o.progress then Obs.Progress.start ();
   Persist.Faults.load_env ();
-  (match persist with
+  Persist.Cache.set_dir o.cache_dir;
+  (match o.checkpoint with
    | None -> ()
-   | Some p ->
-     Persist.Cache.set_dir p.cache_dir;
-     (match p.checkpoint with
-      | None -> ()
-      | Some path ->
-        (match
-           Persist.Checkpoint.create ~path ~resume:p.resume
-             ~checkpoint_every:p.checkpoint_every ()
-         with
-         | Ok j -> Persist.Checkpoint.set_default (Some j)
-         | Error msg ->
-           Printf.eprintf "sram_opt: --checkpoint: %s\n" msg;
-           exit 2)));
-  let close_persist () =
+   | Some path ->
+     (match
+        Persist.Checkpoint.create ~path ~resume:o.resume
+          ~checkpoint_every:o.checkpoint_every ()
+      with
+      | Ok j -> Persist.Checkpoint.set_default (Some j)
+      | Error msg ->
+        Printf.eprintf "sram_opt: --checkpoint: %s\n" msg;
+        exit 2));
+  let handlers = install_interrupt () in
+  (* Every way out restores the signals, stops the ticker domain (so an
+     exception reaches the user on a clean line and the process can
+     exit) and closes the journal and cache logs: the journal's
+     completed chunks are what --resume replays. *)
+  let release () =
+    List.iter (fun (s, h) -> Sys.set_signal s h) handlers;
+    if o.progress then Obs.Progress.stop ();
     (match Persist.Checkpoint.default () with
      | Some j ->
        (try Persist.Checkpoint.close j with _ -> ());
        Persist.Checkpoint.set_default None
      | None -> ());
-    if persist <> None then Persist.Cache.set_dir None
-  in
-  let handlers = install_interrupt () in
-  let restore_signals () =
-    List.iter (fun (s, h) -> Sys.set_signal s h) handlers
+    Persist.Cache.set_dir None
   in
   let finish () =
-    restore_signals ();
-    if progress then Obs.Progress.stop ();
-    close_persist ();
+    release ();
     (match search_log_out with
      | None -> ()
      | Some (path, oc) ->
@@ -382,7 +412,7 @@ let with_runtime ?(trace = None) ?(progress = false) ?(log_level = None)
   match f () with
   | result ->
     finish ();
-    if stats then begin
+    if o.stats then begin
       Runtime.Telemetry.print_report ();
       Obs.Histogram.print_report ~counters:(Runtime.Telemetry.snapshot ()) ();
       Obs.Search.print_report ();
@@ -390,29 +420,20 @@ let with_runtime ?(trace = None) ?(progress = false) ?(log_level = None)
     end;
     result
   | exception Interrupted signal ->
-    restore_signals ();
-    if progress then Obs.Progress.stop ();
-    close_persist ();
+    release ();
     Printf.eprintf
       "sram_opt: interrupted — checkpoint and cache logs flushed; \
        rerun with --resume to continue\n%!";
     exit (if signal = Sys.sigterm then 143 else 130)
   | exception e ->
-    (* Stop the ticker domain so the exception reaches the user on a
-       clean line (and the process can exit).  The journal is closed
-       too — its completed chunks are what --resume replays. *)
-    restore_signals ();
-    if progress then Obs.Progress.stop ();
-    close_persist ();
+    release ();
     raise e
 
 let optimize_cmd =
-  let run capacity flavor (pin, strategy) accounting seed budget json jobs
-      stats trace progress log_level search_log persist =
+  let run capacity flavor (pin, strategy) accounting seed budget json opts =
     let method_ = Option.value ~default:Opt.Space.M2 pin in
     let strategy = Option.value ~default:Opt.Strategy.Exhaustive strategy in
-    with_runtime ~trace ~progress ~log_level ~search_log ~persist ~jobs ~stats
-    @@ fun () ->
+    with_runtime opts @@ fun () ->
     let o =
       Sram_edp.Framework.optimize ~accounting ~strategy ~rng_seed:seed ?budget
         ~capacity_bits:capacity
@@ -447,14 +468,12 @@ let optimize_cmd =
   in
   Cmd.v (Cmd.info "optimize" ~doc:"Co-optimize one SRAM array for minimum EDP")
     Term.(const run $ capacity_arg $ flavor_arg $ search_method_arg
-          $ accounting_arg $ seed_arg $ budget_arg
-          $ json_flag $ jobs_arg $ stats_arg $ trace_arg $ progress_arg
-          $ log_level_arg $ search_log_arg $ persist_term)
+          $ accounting_arg $ seed_arg $ budget_arg $ json_flag
+          $ run_term ~search_log:true)
 
 let sweep_cmd =
-  let run json jobs stats trace progress log_level search_log persist =
-    with_runtime ~trace ~progress ~log_level ~search_log ~persist ~jobs ~stats
-    @@ fun () ->
+  let run json opts =
+    with_runtime opts @@ fun () ->
     if json then begin
       (* Evaluate the sweep before snapshotting the telemetry: list and
          [@] operands evaluate right-to-left in OCaml. *)
@@ -464,7 +483,7 @@ let sweep_cmd =
       in
       let fields = [ ("designs", designs); ("headline", headline) ] in
       let fields =
-        if stats then
+        if opts.stats then
           fields @ [ ("runtime", Sram_edp.Json_out.runtime_stats_json ()) ]
         else fields
       in
@@ -479,17 +498,12 @@ let sweep_cmd =
     end
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Regenerate Table 4 and Figure 7 across capacities")
-    Term.(const run $ json_flag $ jobs_arg $ stats_arg $ trace_arg
-          $ progress_arg $ log_level_arg $ search_log_arg $ persist_term)
+    Term.(const run $ json_flag $ run_term ~search_log:true)
 
 let experiments_cmd =
-  let run jobs stats trace progress log_level persist =
-    with_runtime ~trace ~progress ~log_level ~persist ~jobs ~stats
-      Sram_edp.Experiments.run_all
-  in
+  let run opts = with_runtime opts Sram_edp.Experiments.run_all in
   Cmd.v (Cmd.info "experiments" ~doc:"Run the full paper-reproduction suite")
-    Term.(const run $ jobs_arg $ stats_arg $ trace_arg $ progress_arg
-          $ log_level_arg $ persist_term)
+    Term.(const run $ run_term ~search_log:false)
 
 let margins_cmd =
   let run flavor vddc vssc vwl =
@@ -570,10 +584,8 @@ let assist_cmd =
     Term.(const run $ technique_arg)
 
 let anneal_cmd =
-  let run capacity flavor method_ seed json jobs stats trace progress
-      log_level search_log persist =
-    with_runtime ~trace ~progress ~log_level ~search_log ~persist ~jobs ~stats
-    @@ fun () ->
+  let run capacity flavor method_ seed json opts =
+    with_runtime opts @@ fun () ->
     let env = Array_model.Array_eval.make_env ~cell_flavor:flavor () in
     let exhaustive =
       Opt.Exhaustive.search ~env ~capacity_bits:capacity ~method_ ()
@@ -603,14 +615,11 @@ let anneal_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Annealing RNG seed.") in
   Cmd.v (Cmd.info "anneal" ~doc:"Compare simulated annealing against exhaustive search")
     Term.(const run $ capacity_arg $ flavor_arg $ method_arg $ seed $ json_flag
-          $ jobs_arg $ stats_arg $ trace_arg $ progress_arg $ log_level_arg
-          $ search_log_arg $ persist_term)
+          $ run_term ~search_log:true)
 
 let explain_cmd =
-  let run capacity flavor method_ accounting no_pareto json jobs stats trace
-      progress log_level search_log persist =
-    with_runtime ~trace ~progress ~log_level ~search_log ~persist ~jobs ~stats
-    @@ fun () ->
+  let run capacity flavor method_ accounting no_pareto json opts =
+    with_runtime opts @@ fun () ->
     let e =
       match
         Sram_edp.Framework.explain ~accounting ~pareto:(not no_pareto)
@@ -752,13 +761,11 @@ let explain_cmd =
        ~doc:"Attribute the winner's EDP to components and stages, with \
              per-axis sensitivity and Pareto provenance")
     Term.(const run $ capacity_arg $ flavor_arg $ method_arg $ accounting_arg
-          $ no_pareto $ json_flag $ jobs_arg $ stats_arg $ trace_arg
-          $ progress_arg $ log_level_arg $ search_log_arg $ persist_term)
+          $ no_pareto $ json_flag $ run_term ~search_log:true)
 
 let bank_cmd =
-  let run capacity flavor method_ max_banks jobs stats trace progress
-      log_level persist =
-    with_runtime ~trace ~progress ~log_level ~persist ~jobs ~stats @@ fun () ->
+  let run capacity flavor method_ max_banks opts =
+    with_runtime opts @@ fun () ->
     let env = Array_model.Array_eval.make_env ~cell_flavor:flavor () in
     let best, all =
       Cache_model.Banked.optimize ~space:Opt.Space.reduced ~max_banks ~env
@@ -789,14 +796,14 @@ let bank_cmd =
       table
   in
   let max_banks =
-    Arg.(value & opt int 16 & info [ "max-banks" ] ~doc:"Largest bank count tried.")
+    Arg.(value & opt positive 16
+         & info [ "max-banks" ] ~doc:"Largest bank count tried.")
   in
   Cmd.v
     (Cmd.info "bank"
        ~doc:"Co-optimize the bank count on top of the array-level search")
-    Term.(const run $ capacity_arg $ flavor_arg $ method_arg $ max_banks
-          $ jobs_arg $ stats_arg $ trace_arg $ progress_arg $ log_level_arg
-          $ persist_term)
+    Term.(const run $ bank_capacity_arg $ flavor_arg $ method_arg $ max_banks
+          $ run_term ~search_log:false)
 
 let retention_cmd =
   let run flavor =
@@ -885,7 +892,8 @@ let workload_cmd =
       table
   in
   let length =
-    Arg.(value & opt int 20_000 & info [ "length" ] ~doc:"Trace length in cycles.")
+    Arg.(value & opt positive 20_000
+         & info [ "length" ] ~doc:"Trace length in cycles.")
   in
   Cmd.v
     (Cmd.info "workload"
@@ -914,12 +922,11 @@ let validate_cmd =
       (Sram_edp.Units.ps write.Sram_cell.Column.simulated)
       (Sram_edp.Units.percent write.Sram_cell.Column.relative_error)
   in
-  let rows = Arg.(value & opt int 64 & info [ "rows" ] ~doc:"Cells on the bitline.") in
   let vssc = Arg.(value & opt float 0.0 & info [ "vssc" ] ~doc:"Negative-Gnd level (V).") in
   Cmd.v
     (Cmd.info "validate"
        ~doc:"Validate Equation (1) against distributed-RC column transients")
-    Term.(const run $ rows $ vssc)
+    Term.(const run $ rows_arg $ vssc)
 
 let stat_cmd =
   let run flavor rows vssc k =
@@ -944,12 +951,11 @@ let stat_cmd =
       (Sram_edp.Units.ps g.Sram_cell.Stat_timing.k_sigma_delay)
       g.Sram_cell.Stat_timing.derate
   in
-  let rows = Arg.(value & opt int 64 & info [ "rows" ] ~doc:"Cells on the bitline.") in
   let vssc = Arg.(value & opt float 0.0 & info [ "vssc" ] ~doc:"Negative-Gnd level (V).") in
   let k = Arg.(value & opt float 3.0 & info [ "k" ] ~doc:"Sigma multiplier.") in
   Cmd.v
     (Cmd.info "stat" ~doc:"Statistical sense-timing guardband under variation")
-    Term.(const run $ flavor_arg $ rows $ vssc $ k)
+    Term.(const run $ flavor_arg $ rows_arg $ vssc $ k)
 
 let datasheet_cmd =
   let run capacity flavor method_ =
@@ -1082,9 +1088,8 @@ let deadline_ms_arg =
                  cancelled cleanly.")
 
 let serve_cmd =
-  let run socket tcp max_queue deadline_ms flight_dir slow_ms jobs stats trace
-      progress log_level persist =
-    with_runtime ~trace ~progress ~log_level ~persist ~jobs ~stats @@ fun () ->
+  let run socket tcp max_queue deadline_ms flight_dir slow_ms opts =
+    with_runtime opts @@ fun () ->
     let socket_path = if socket = "" then None else Some socket in
     let config =
       { Serve.Server.default_config with
@@ -1096,7 +1101,7 @@ let serve_cmd =
         slow_ms = (if slow_ms > 0.0 then Some slow_ms else None) }
     in
     Printf.printf "sram_opt serve: pid %d, jobs %d, listening on %s%s\n%!"
-      (Unix.getpid ()) jobs
+      (Unix.getpid ()) opts.jobs
       (match socket_path with Some p -> p | None -> "")
       (match tcp with
        | Some (h, p) ->
@@ -1108,7 +1113,7 @@ let serve_cmd =
       s.Serve.Server.connections s.Serve.Server.served s.Serve.Server.errors
   in
   let max_queue =
-    Arg.(value & opt int 64
+    Arg.(value & opt positive 64
          & info [ "max-queue" ] ~docv:"N"
              ~doc:"Admission bound: requests beyond $(docv) pending are \
                    answered 'busy' immediately instead of queueing \
@@ -1143,9 +1148,7 @@ let serve_cmd =
                gracefully: queued requests are answered, then the \
                listeners close." ])
     Term.(const run $ socket_arg $ tcp_arg $ max_queue $ deadline_ms_arg
-          $ flight_dir_arg $ slow_ms_arg
-          $ jobs_arg $ stats_arg $ trace_arg $ progress_arg $ log_level_arg
-          $ persist_term)
+          $ flight_dir_arg $ slow_ms_arg $ run_term ~search_log:false)
 
 let query_cmd =
   let endpoint_conv =
@@ -1192,6 +1195,19 @@ let query_cmd =
     let socket_path = if socket = "" then None else Some socket in
     let deadline_ms = if deadline_ms > 0.0 then Some deadline_ms else None in
     let trace_id = if trace_id = "" then None else Some trace_id in
+    let query =
+      { Serve.Protocol.default_query with
+        Serve.Protocol.capacity_bits = capacity;
+        flavor;
+        method_;
+        strategy;
+        rng_seed = seed;
+        objective;
+        accounting;
+        space =
+          (if reduced then Serve.Protocol.reduced_override
+           else Serve.Protocol.no_override) }
+    in
     let connected =
       match tcp with
       | Some addr -> Serve.Client.connect ~tcp:addr ()
@@ -1225,37 +1241,11 @@ let query_cmd =
            (Result.map print_string (Serve.Client.metrics client))
        | `Shutdown -> finish (Serve.Client.shutdown client)
        | `Explain ->
-         let query =
-           { Serve.Protocol.default_query with
-             Serve.Protocol.capacity_bits = capacity;
-             flavor;
-             method_;
-             strategy;
-             rng_seed = seed;
-             objective;
-             accounting;
-             space =
-               (if reduced then Serve.Protocol.reduced_override
-                else Serve.Protocol.no_override) }
-         in
          finish
            (Result.map
               (fun j -> print_endline (Persist.Json.to_string j))
               (Serve.Client.explain ?deadline_ms ?trace_id client query))
        | `Optimize ->
-         let query =
-           { Serve.Protocol.default_query with
-             Serve.Protocol.capacity_bits = capacity;
-             flavor;
-             method_;
-             strategy;
-             rng_seed = seed;
-             objective;
-             accounting;
-             space =
-               (if reduced then Serve.Protocol.reduced_override
-                else Serve.Protocol.no_override) }
-         in
          finish
            (Result.map
               (fun (a : Serve.Client.answer) ->

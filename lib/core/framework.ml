@@ -132,7 +132,7 @@ let optimize_timer = Obs.Histogram.timer "framework.optimize"
 let sweep_timer = Obs.Histogram.timer "framework.sweep"
 
 let optimize ?space ?(objective = Opt.Objective.Energy_delay_product)
-    ?(accounting = Array_model.Array_eval.Paper_strict) ?pool ?(w = 64)
+    ?(accounting = Array_model.Array_eval.Paper_strict) ?(w = 64)
     ?deadline ?(strategy = Opt.Strategy.Exhaustive)
     ?(rng_seed = Opt.Strategy.default_seed) ?budget ~capacity_bits ~config ()
     =
@@ -163,7 +163,7 @@ let optimize ?space ?(objective = Opt.Objective.Energy_delay_product)
       Obs.Histogram.span optimize_timer (fun () ->
           let env = env_for ~flavor:config.flavor ~accounting in
           let result =
-            Opt.Strategy.run strategy ?space ~objective ?pool ~w ?deadline
+            Opt.Strategy.run strategy ?space ~objective ~w ?deadline
               ?budget ~rng_seed ~env ~capacity_bits
               ~method_:config.method_ ()
           in
@@ -226,13 +226,11 @@ let explain ?space ?objective ?(accounting = Array_model.Array_eval.Paper_strict
 let paper_capacities =
   List.map (fun bytes -> bytes * 8) [ 128; 256; 1024; 4096; 16384 ]
 
-let sweep_capacities ?pool ~capacities ~configs () =
+let sweep_capacities ~capacities ~configs () =
   Obs.Histogram.span sweep_timer (fun () ->
       List.concat_map
         (fun capacity_bits ->
-          List.map
-            (fun config -> optimize ?pool ~capacity_bits ~config ())
-            configs)
+          List.map (fun config -> optimize ~capacity_bits ~config ()) configs)
         capacities)
 
 let metrics o = o.result.Opt.Exhaustive.best.Opt.Exhaustive.metrics

@@ -28,7 +28,6 @@ val optimize :
   ?space:Opt.Space.t ->
   ?objective:Opt.Objective.t ->
   ?accounting:Array_model.Array_eval.accounting ->
-  ?pool:Runtime.Pool.t ->
   ?w:int ->
   ?deadline:float ->
   ?strategy:Opt.Strategy.t ->
@@ -49,9 +48,9 @@ val optimize :
     (default {!Opt.Strategy.default_seed}) and [budget] (scan points,
     positive: [Invalid_argument] otherwise; absent means the engine's
     default) feed the stochastic engines and are normalized out of the
-    cache key for the deterministic ones.  [pool] parallelizes the
-    underlying search deterministically (default:
-    {!Runtime.Pool.default}).  [deadline]
+    cache key for the deterministic ones.  The search runs on the
+    process-wide pool ({!Runtime.Pool.default}), deterministically at
+    any job count.  [deadline]
     (absolute {!Obs.Clock.now} seconds, the serving layer's
     per-request budget) aborts a cache-missing search with
     {!Opt.Exhaustive.Deadline_exceeded}; nothing partial is cached, and
@@ -99,7 +98,6 @@ val stage_ctx_for :
     the process-wide staging store. *)
 
 val sweep_capacities :
-  ?pool:Runtime.Pool.t ->
   capacities:int list ->
   configs:config list ->
   unit ->

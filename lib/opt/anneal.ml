@@ -14,10 +14,10 @@ type state = {
   n_wr_i : int;
 }
 
-let search ?space ?objective ?pool ?w ?deadline ?(schedule = default_schedule)
+let search ?space ?objective ?w ?deadline ?(schedule = default_schedule)
     ~seed ~env ~capacity_bits ~method_ () =
   let lc =
-    Line_cache.create ?space ?objective ?pool ?w ?deadline
+    Line_cache.create ?space ?objective ?w ?deadline
       ~env ~capacity_bits ~method_ ~name:"anneal" ()
   in
   let n_vssc = Line_cache.nv lc and n_nr = Line_cache.n_nr lc in

@@ -18,7 +18,6 @@ type schedule = {
 val search :
   ?space:Space.t ->
   ?objective:Objective.t ->
-  ?pool:Runtime.Pool.t ->
   ?w:int ->
   ?deadline:float ->
   ?schedule:schedule ->
@@ -30,7 +29,7 @@ val search :
   Exhaustive.result
 (** Same result shape as {!Exhaustive.search}; [evaluated] (=
     [considered]) counts the scan points of every line visited — the
-    cost being traded against quality.  [pool] and [deadline] are
-    applied by the shared {!Line_cache}, which also journals
-    incumbents as ["anneal"].
+    cost being traded against quality.  [deadline] is applied by the
+    shared {!Line_cache}, which also journals incumbents as
+    ["anneal"].
     @raise Exhaustive.Deadline_exceeded once [deadline] has passed. *)

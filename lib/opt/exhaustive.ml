@@ -347,19 +347,15 @@ let journal_design (g : Array_model.Geometry.t) ~vssc =
     vssc }
 
 let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
-    ?levels ?pool ?w ?(kernel = `Staged) ?stage_ctx ?journal ?deadline ~env
-    ~capacity_bits ~method_ ~keep_all () =
+    ?levels ?w ?(kernel = `Staged) ?stage_ctx ?deadline ~env ~capacity_bits
+    ~method_ ~keep_all () =
   let { Space.levels; pins; vssc_axis; assists; _ } =
     Space.scan_setup ?levels ~flavor:env.Array_model.Array_eval.cell_flavor
       ~capacity_bits method_ space
   in
-  let pool = match pool with Some p -> p | None -> Runtime.Pool.default () in
   (* Keep-all never journals: its candidate list is too large to
      checkpoint usefully. *)
-  let journal =
-    if keep_all then None
-    else match journal with None -> Persist.Checkpoint.default () | j -> j
-  in
+  let journal = if keep_all then None else Persist.Checkpoint.default () in
   (* Shared through the memo; consumers only read it. *)
   let geometries =
     let w = Option.value w ~default:64 in
@@ -637,7 +633,7 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
   in
   let per_block =
     Obs.Histogram.span search_timer (fun () ->
-        Runtime.Pool.parmap pool eval_block
+        Runtime.Pool.parmap (Runtime.Pool.default ()) eval_block
           (Array.init ((ngeom + every - 1) / every) Fun.id))
   in
   match Array.fold_left (fun acc (b, _) -> better acc b) None per_block with
@@ -653,13 +649,13 @@ let run ?(space = Space.default) ?(objective = Objective.Energy_delay_product)
         pins },
       List.concat_map snd (Array.to_list per_block) )
 
-let search ?space ?objective ?levels ?pool ?w ?kernel ?stage_ctx ?journal
-    ?deadline ~env ~capacity_bits ~method_ () =
+let search ?space ?objective ?levels ?w ?kernel ?stage_ctx ?deadline ~env
+    ~capacity_bits ~method_ () =
   fst
-    (run ?space ?objective ?levels ?pool ?w ?kernel ?stage_ctx ?journal
-       ?deadline ~env ~capacity_bits ~method_ ~keep_all:false ())
+    (run ?space ?objective ?levels ?w ?kernel ?stage_ctx ?deadline ~env
+       ~capacity_bits ~method_ ~keep_all:false ())
 
-let search_all ?space ?objective ?levels ?pool ?w ?deadline ~env ~capacity_bits
+let search_all ?space ?objective ?levels ?w ?deadline ~env ~capacity_bits
     ~method_ () =
-  run ?space ?objective ?levels ?pool ?w ?deadline ~env ~capacity_bits ~method_
+  run ?space ?objective ?levels ?w ?deadline ~env ~capacity_bits ~method_
     ~keep_all:true ()

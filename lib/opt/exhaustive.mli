@@ -61,11 +61,9 @@ val search :
   ?space:Space.t ->
   ?objective:Objective.t ->
   ?levels:Yield.levels ->
-  ?pool:Runtime.Pool.t ->
   ?w:int ->
   ?kernel:kernel ->
   ?stage_ctx:Array_model.Array_eval.ctx ->
-  ?journal:Persist.Checkpoint.t ->
   ?deadline:float ->
   env:Array_model.Array_eval.env ->
   capacity_bits:int ->
@@ -76,11 +74,11 @@ val search :
     [levels] overrides the yield-driven V_DDC / V_WL pins (default: solve
     them with {!Yield.solve}; pass Monte-Carlo-derived pins from
     {!Yield_mc} for the k-sigma constraint formulation).
-    [pool] (default {!Runtime.Pool.default}) evaluates geometry chunks
-    on worker domains; the index-ordered reduction makes the result —
-    winner, tie-breaking and all — bit-identical to the sequential scan
-    for any job count.  [kernel] selects the evaluation path (default
-    [`Staged]).
+    The process-wide pool ({!Runtime.Pool.default}) evaluates geometry
+    blocks on worker domains; the index-ordered reduction makes the
+    result — winner, tie-breaking and all — bit-identical to the
+    sequential scan for any job count.  [kernel] selects the evaluation
+    path (default [`Staged]).
 
     [stage_ctx] is the staging context (an environment and a store)
     the search stages its grid through.  Searches whose n_r, N_pre and
@@ -92,9 +90,9 @@ val search :
     happens by default, across both accountings of a flavor too.
 
     The sweep runs in blocks of consecutive geometries, folded in
-    order.  [journal] (default {!Persist.Checkpoint.default}, i.e. the
-    CLI's [--checkpoint] file when set) makes its chunks of
-    [checkpoint_every] geometries the blocks (64 without one) and
+    order.  The process-wide journal ({!Persist.Checkpoint.default},
+    the CLI's [--checkpoint] file), when one is set, makes its chunks
+    of [checkpoint_every] geometries the blocks (64 without one) and
     records each computed chunk's winner; a resumed journal replays a
     recorded chunk's winner instead of scanning it.  Candidates
     round-trip through JSON bit-exactly, so the resumed winner is
@@ -113,7 +111,6 @@ val search_all :
   ?space:Space.t ->
   ?objective:Objective.t ->
   ?levels:Yield.levels ->
-  ?pool:Runtime.Pool.t ->
   ?w:int ->
   ?deadline:float ->
   env:Array_model.Array_eval.env ->

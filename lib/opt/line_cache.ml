@@ -11,10 +11,11 @@
    apples-to-apples.
 
    The strategy contract lives here rather than in each engine: the
-   levels and pool are applied at [create], the deadline is checked
-   once per [ensure], and the [Obs.Search] incumbent journal is fed on
-   every strict improvement of the global incumbent.  An engine built
-   on this cache honours those knobs by construction.
+   levels are applied at [create], every fill runs on the process-wide
+   pool, the deadline is checked once per [ensure], and the
+   [Obs.Search] incumbent journal is fed on every strict improvement of
+   the global incumbent.  An engine built on this cache honours those
+   knobs by construction.
 
    Determinism: a line's contents depend only on (env, space, pins,
    geometry) — never on job count or arrival order — and the fill path
@@ -46,7 +47,6 @@ type t = {
   setup : Space.scan_setup;
   space : Space.t;
   prepared : Array_model.Array_eval.prepared array;
-  pool : Runtime.Pool.t;
   deadline : float option;
   name : string;  (* journal source; the counter is [name ^ ".search"] *)
   lines : (key, line) Hashtbl.t;
@@ -61,7 +61,7 @@ type t = {
 let scan_buf = Runtime.Pool.local Array_model.Array_eval.scan_buffer
 
 let create ?(space = Space.default)
-    ?(objective = Objective.Energy_delay_product) ?levels ?pool ?(w = 64)
+    ?(objective = Objective.Energy_delay_product) ?levels ?(w = 64)
     ?deadline ~env ~capacity_bits ~method_ ~name () =
   let setup =
     Space.scan_setup ?levels ~flavor:env.Array_model.Array_eval.cell_flavor
@@ -70,8 +70,7 @@ let create ?(space = Space.default)
   let prepared =
     Array.map (Array_model.Array_eval.prepare env) setup.Space.assists
   in
-  let pool = match pool with Some p -> p | None -> Runtime.Pool.default () in
-  { env; objective; w; capacity_bits; setup; space; prepared; pool; deadline; name;
+  { env; objective; w; capacity_bits; setup; space; prepared; deadline; name;
     lines = Hashtbl.create 256; evaluated = 0; best = None;
     counter = Runtime.Telemetry.counter (name ^ ".search") }
 
@@ -158,7 +157,9 @@ let ensure t keys =
   in
   if missing <> [] then begin
     let keys = Array.of_list missing in
-    let lines = Runtime.Pool.parmap ~chunk:1 t.pool (scan_line t) keys in
+    let lines =
+      Runtime.Pool.parmap ~chunk:1 (Runtime.Pool.default ()) (scan_line t) keys
+    in
     let dim = nv t in
     Array.iteri
       (fun i k ->

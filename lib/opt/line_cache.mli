@@ -10,7 +10,7 @@
     [considered], so budget comparisons are honest.
 
     It also enforces the {!Strategy} contract for those engines:
-    injected [levels] and [pool] apply to every scan, [deadline] is
+    injected [levels] apply to every scan, [deadline] is
     checked once per {!ensure}, and with {!Obs.Search} armed every
     strict improvement of the global incumbent is journaled under the
     engine's [name].
@@ -31,7 +31,6 @@ val create :
   ?space:Space.t ->
   ?objective:Objective.t ->
   ?levels:Yield.levels ->
-  ?pool:Runtime.Pool.t ->
   ?w:int ->
   ?deadline:float ->
   env:Array_model.Array_eval.env ->
@@ -42,8 +41,7 @@ val create :
   t
 (** An empty cache over the method's effective space (V_SSC collapses
     to [{0}] under M1; n_r filtered to the capacity's valid rows).
-    [levels] defaults to {!Yield.solve}, [pool] to
-    {!Runtime.Pool.default}; [deadline] is absolute
+    [levels] defaults to {!Yield.solve}; [deadline] is absolute
     {!Obs.Clock.now} seconds.  [name] is the engine's
     {!Obs.Search} journal source and names the telemetry counter
     ["<name>.search"] charged per scan point.
@@ -61,7 +59,8 @@ val evaluated : t -> int
 (** Scan points produced so far. *)
 
 val ensure : t -> key list -> unit
-(** Scan every not-yet-cached key (missing lines run on the pool;
+(** Scan every not-yet-cached key (missing lines run on the
+    process-wide pool, {!Runtime.Pool.default};
     incumbent updates fold in request order — deterministic).
     @raise Exhaustive.Deadline_exceeded if the deadline has passed
     (checked once per call, before scanning). *)

@@ -18,9 +18,9 @@ let start lc k =
 
 let search_timer = Obs.Histogram.timer "local_search.search"
 
-let search ?space ?objective ?pool ?w ?deadline ~env ~capacity_bits ~method_ () =
+let search ?space ?objective ?w ?deadline ~env ~capacity_bits ~method_ () =
   let lc =
-    Line_cache.create ?space ?objective ?pool ?w ?deadline
+    Line_cache.create ?space ?objective ?w ?deadline
       ~env ~capacity_bits ~method_ ~name:"local_search" ()
   in
   Obs.Histogram.span search_timer (fun () ->

@@ -11,7 +11,6 @@
 val search :
   ?space:Space.t ->
   ?objective:Objective.t ->
-  ?pool:Runtime.Pool.t ->
   ?w:int ->
   ?deadline:float ->
   env:Array_model.Array_eval.env ->
@@ -21,8 +20,8 @@ val search :
   Exhaustive.result
 (** Same result shape as {!Exhaustive.search}; four descents from
     deterministic starting points, sharing one
-    {!Line_cache} (which applies [pool] and [deadline], and
-    journals incumbents as ["local_search"]).
+    {!Line_cache} (which applies [deadline] and journals
+    incumbents as ["local_search"]).
     [result.evaluated = result.considered] counts every scan point
     produced.  Bit-identical at any [--jobs].
     @raise Exhaustive.Deadline_exceeded once [deadline] has passed. *)

@@ -28,11 +28,11 @@ type individual = {
   v : int;  (* V_SSC index *)
 }
 
-let run ~pop ~generations ?space ?objective ?levels ?pool ?w ?budget
+let run ~pop ~generations ?space ?objective ?levels ?w ?budget
     ?(seed = 42) ?deadline ~env ~capacity_bits ~method_ () =
   if pop < 4 then invalid_arg "Nsga2.search: pop must be >= 4";
   let lc =
-    Line_cache.create ?space ?objective ?levels ?pool ?w ?deadline
+    Line_cache.create ?space ?objective ?levels ?w ?deadline
       ~env ~capacity_bits ~method_ ~name:"nsga2" ()
   in
   let nv = Line_cache.nv lc in
@@ -176,15 +176,14 @@ let run ~pop ~generations ?space ?objective ?levels ?pool ?w ?budget
   | None -> ());
   lc
 
-let search_front ?space ?levels ?pool ~env ~capacity_bits ~method_ () =
+let search_front ?space ?levels ~env ~capacity_bits ~method_ () =
   let lc =
-    run ~pop:24 ~generations:40 ?space ?levels ?pool ~env ~capacity_bits
-      ~method_ ()
+    run ~pop:24 ~generations:40 ?space ?levels ~env ~capacity_bits ~method_ ()
   in
   (Line_cache.result lc, Line_cache.front lc)
 
-let search ?space ?objective ?pool ?w ?(pop = 24) ?(generations = 40) ?budget
+let search ?space ?objective ?w ?(pop = 24) ?(generations = 40) ?budget
     ?seed ?deadline ~env ~capacity_bits ~method_ () =
   Line_cache.result
-    (run ~pop ~generations ?space ?objective ?pool ?w ?budget ?seed ?deadline
+    (run ~pop ~generations ?space ?objective ?w ?budget ?seed ?deadline
        ~env ~capacity_bits ~method_ ())

@@ -15,7 +15,6 @@
 val search_front :
   ?space:Space.t ->
   ?levels:Yield.levels ->
-  ?pool:Runtime.Pool.t ->
   env:Array_model.Array_eval.env ->
   capacity_bits:int ->
   method_:Space.method_ ->
@@ -26,15 +25,14 @@ val search_front :
     24 individuals per generation, 40 generations at most; the budget
     caps scan points at [max (144 * nv) (2.5% of the space)] — the GA
     phase stops at 60% of it, the rest feeds the descent polish.
-    [levels] and [pool] are applied by the shared {!Line_cache}, which
-    also journals incumbents as ["nsga2"].
+    [levels] are applied by the shared {!Line_cache}, which also
+    journals incumbents as ["nsga2"].
     [result.evaluated = result.considered] counts every scan point
     produced, the same unit as the exhaustive oracle's [considered]. *)
 
 val search :
   ?space:Space.t ->
   ?objective:Objective.t ->
-  ?pool:Runtime.Pool.t ->
   ?w:int ->
   ?pop:int ->
   ?generations:int ->

@@ -6,8 +6,8 @@
    forwards the same common knobs to every engine; the four heuristics
    hand them to {!Line_cache}, which enforces them, so there is no
    per-engine table of ignored knobs to keep in sync.  Engine-specific
-   knobs (schedules, populations, kernels, checkpoint journals) stay on
-   the engines' own entry points at their defaults, so driving an
+   knobs (schedules, populations, kernels) stay on the engines' own
+   entry points at their defaults, so driving an
    engine through the dispatch is observationally identical to calling
    it directly (the backfill tests pin this: the full-sweep checksum
    67fd83cd67998ac0 must reproduce through [run Exhaustive]). *)
@@ -66,21 +66,21 @@ let parse_method s =
 
 let default_seed = 42
 
-let run strategy ?space ?objective ?pool ?w ?stage_ctx ?deadline ?budget
+let run strategy ?space ?objective ?w ?stage_ctx ?deadline ?budget
     ?(rng_seed = default_seed) ~env ~capacity_bits ~method_ () =
   match strategy with
   | Exhaustive ->
-    Exhaustive.search ?space ?objective ?pool ?w ?stage_ctx ?deadline ~env
+    Exhaustive.search ?space ?objective ?w ?stage_ctx ?deadline ~env
       ~capacity_bits ~method_ ()
   | Local_search ->
-    Local_search.search ?space ?objective ?pool ?w ?deadline ~env ~capacity_bits
+    Local_search.search ?space ?objective ?w ?deadline ~env ~capacity_bits
       ~method_ ()
   | Anneal ->
-    Anneal.search ?space ?objective ?pool ?w ?deadline ~seed:rng_seed ~env
+    Anneal.search ?space ?objective ?w ?deadline ~seed:rng_seed ~env
       ~capacity_bits ~method_ ()
   | Nsga2 ->
-    Nsga2.search ?space ?objective ?pool ?w ?budget ~seed:rng_seed ?deadline
-      ~env ~capacity_bits ~method_ ()
+    Nsga2.search ?space ?objective ?w ?budget ~seed:rng_seed ?deadline ~env
+      ~capacity_bits ~method_ ()
   | Surrogate ->
-    Surrogate.search ?space ?objective ?pool ?w ?budget ~seed:rng_seed
-      ?deadline ~env ~capacity_bits ~method_ ()
+    Surrogate.search ?space ?objective ?w ?budget ~seed:rng_seed ?deadline
+      ~env ~capacity_bits ~method_ ()

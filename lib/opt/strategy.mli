@@ -1,8 +1,9 @@
 (** The common search-strategy interface.
 
     One dispatch point over the five engines, with the common knobs
-    (space, objective, pool, deadline, budget, [rng_seed]) in
-    one signature.  {!Framework.optimize}, the CLI's
+    (space, objective, deadline, budget, [rng_seed]) in
+    one signature; every engine runs on the process-wide pool
+    ({!Runtime.Pool.default}).  {!Framework.optimize}, the CLI's
     [optimize --method] and the serve [optimize] endpoint all route
     through {!run}; driving an engine through it is observationally
     identical to calling the engine directly (the backfill tests pin
@@ -11,12 +12,12 @@
 
     The contract is enforced centrally rather than engine by engine:
     the exhaustive engine applies the knobs itself, and the four
-    heuristics run on {!Line_cache}, which applies the yield pins and [pool]
+    heuristics run on {!Line_cache}, which applies the yield pins
     to every scan, checks [deadline] once per batch of scans and
     journals incumbents under the engine's name.
     Engine-specific knobs (annealing schedules, population sizes,
-    kernels, checkpoint journals) stay on the engines' own entry
-    points; [run] leaves them at their defaults. *)
+    kernels) stay on the engines' own entry points; [run] leaves them
+    at their defaults. *)
 
 type t =
   | Exhaustive    (** the bit-deterministic oracle (staged kernel) *)
@@ -49,7 +50,6 @@ val run :
   t ->
   ?space:Space.t ->
   ?objective:Objective.t ->
-  ?pool:Runtime.Pool.t ->
   ?w:int ->
   ?stage_ctx:Array_model.Array_eval.ctx ->
   ?deadline:float ->
@@ -61,7 +61,7 @@ val run :
   unit ->
   Exhaustive.result
 (** Run one engine with the common knobs, at the {!Yield.solve} pins.
-    Every engine honours [space], [objective], [pool], [w] and [deadline]
+    Every engine honours [space], [objective], [w] and [deadline]
     (absolute {!Obs.Clock.now} seconds; once passed the run
     raises {!Exhaustive.Deadline_exceeded}).  [stage_ctx] is the
     exhaustive kernel's staging store (see {!Exhaustive.search}); it

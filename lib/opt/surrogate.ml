@@ -38,7 +38,7 @@ let normal_pdf z = exp (-0.5 *. z *. z) /. sqrt (2.0 *. Float.pi)
 
 (* The search proper: the exhaustive fallback's result with every
    candidate, or the line cache the model-guided search filled. *)
-let run ?space ?objective ?levels ?pool ?w ?budget ?(seed = 42)
+let run ?space ?objective ?levels ?w ?budget ?(seed = 42)
     ?(fallback_threshold = default_fallback_threshold) ?deadline ~env
     ~capacity_bits ~method_ () =
   let init = 16 and iterations = 48 in
@@ -49,11 +49,11 @@ let run ?space ?objective ?levels ?pool ?w ?budget ?(seed = 42)
        model: run it outright (unpruned, so the full candidate list
        feeds the front). *)
     `Fallback
-      (Exhaustive.search_all ?space ?objective ?levels ?pool ?w ?deadline ~env
+      (Exhaustive.search_all ?space ?objective ?levels ?w ?deadline ~env
          ~capacity_bits ~method_ ())
   else begin
     let lc =
-      Line_cache.create ?space ?objective ?levels ?pool ?w ?deadline
+      Line_cache.create ?space ?objective ?levels ?w ?deadline
         ~env ~capacity_bits ~method_ ~name:"surrogate" ()
     in
     let nv = Line_cache.nv lc in
@@ -223,19 +223,17 @@ let run ?space ?objective ?levels ?pool ?w ?budget ?(seed = 42)
     `Lines lc
   end
 
-let search_front ?space ?levels ?pool ?fallback_threshold ~env ~capacity_bits
+let search_front ?space ?levels ?fallback_threshold ~env ~capacity_bits
     ~method_ () =
-  match
-    run ?space ?levels ?pool ?fallback_threshold ~env ~capacity_bits ~method_ ()
-  with
+  match run ?space ?levels ?fallback_threshold ~env ~capacity_bits ~method_ () with
   | `Fallback (result, all) -> (result, Pareto.front all)
   | `Lines lc -> (Line_cache.result lc, Line_cache.front lc)
 
-let search ?space ?objective ?pool ?w ?budget ?seed ?fallback_threshold
-    ?deadline ~env ~capacity_bits ~method_ () =
+let search ?space ?objective ?w ?budget ?seed ?fallback_threshold ?deadline
+    ~env ~capacity_bits ~method_ () =
   match
-    run ?space ?objective ?pool ?w ?budget ?seed ?fallback_threshold ?deadline
-      ~env ~capacity_bits ~method_ ()
+    run ?space ?objective ?w ?budget ?seed ?fallback_threshold ?deadline ~env
+      ~capacity_bits ~method_ ()
   with
   | `Fallback (result, _) -> result
   | `Lines lc -> Line_cache.result lc

@@ -20,7 +20,6 @@ val default_fallback_threshold : int
 val search_front :
   ?space:Space.t ->
   ?levels:Yield.levels ->
-  ?pool:Runtime.Pool.t ->
   ?fallback_threshold:int ->
   env:Array_model.Array_eval.env ->
   capacity_bits:int ->
@@ -33,13 +32,12 @@ val search_front :
     low-discrepancy, half seeded-uniform; 48 acquisition steps at most;
     scan points are capped at [max (72 * nv) (2% of the space)],
     sampling stops at 60% of that and the rest feeds the polish.
-    [levels] and [pool] are applied by the shared {!Line_cache}, which
-    also journals incumbents as ["surrogate"]. *)
+    [levels] are applied by the shared {!Line_cache}, which also
+    journals incumbents as ["surrogate"]. *)
 
 val search :
   ?space:Space.t ->
   ?objective:Objective.t ->
-  ?pool:Runtime.Pool.t ->
   ?w:int ->
   ?budget:int ->
   ?seed:int ->

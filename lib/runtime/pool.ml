@@ -28,12 +28,7 @@ let worker t () =
   in
   loop ()
 
-let create ?jobs () =
-  let jobs =
-    match jobs with
-    | Some j -> max 1 j
-    | None -> Domain.recommended_domain_count ()
-  in
+let create jobs =
   let t =
     { jobs;
       lock = Mutex.create ();
@@ -143,7 +138,7 @@ let default () =
       match !default_pool with
       | Some p -> p
       | None ->
-        let p = create ~jobs:!requested_jobs () in
+        let p = create !requested_jobs in
         default_pool := Some p;
         p)
 

@@ -15,11 +15,6 @@
 
 type t
 
-val create : ?jobs:int -> unit -> t
-(** A pool with [jobs] total workers (clamped to >= 1; default
-    {!Domain.recommended_domain_count}).  [jobs = 1] spawns no domains:
-    every operation degenerates to its inline sequential equivalent. *)
-
 val parmap : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** [parmap pool f arr] is [Array.map f arr] evaluated on the pool.
     Results land at the index of their input; [chunk] bounds the number
@@ -28,19 +23,17 @@ val parmap : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
     the caller after all tasks finish.  Nested calls are permitted (the
     caller helps drain the queue, so progress is guaranteed). *)
 
-val shutdown : t -> unit
-(** Join the worker domains.  Must not race an in-flight [parmap];
-    after shutdown the pool runs everything inline (jobs = 1
-    semantics).  Idempotent. *)
-
 val set_default_jobs : int -> unit
-(** Configure the process-wide default pool used when no explicit pool
-    is passed to the search entry points (e.g. the CLI's [--jobs]).
-    Replaces (and shuts down) any previously created default pool. *)
+(** Size the process-wide pool every search runs on (the CLI's
+    [--jobs], the server's, a bench's or a test's job count; clamped to
+    >= 1).  Replaces the previous pool, whose worker domains are joined
+    (it must not race an in-flight [parmap]); a handle to it still works,
+    running everything inline on the caller (jobs = 1 semantics). *)
 
 val default : unit -> t
-(** The process-wide default pool, created on first use (1 job unless
-    {!set_default_jobs} raised it). *)
+(** The process-wide pool, created on first use with the job count
+    {!set_default_jobs} last set (1 until then).  [jobs = 1] spawns no
+    domains: every operation runs inline, in sequence. *)
 
 val default_jobs : unit -> int
 (** Job count the default pool has (or will be created with). *)

@@ -92,24 +92,29 @@ let buffered d = Buffer.length d.buf - d.consumed
 
 let peek d = Buffer.sub d.buf d.consumed (buffered d)
 
+(* Read in place: the buffer may hold most of a 4 MiB frame, and [next]
+   runs each time a connection's reads drain. *)
+let buffer_u32_le buf off =
+  Char.code (Buffer.nth buf off)
+  lor (Char.code (Buffer.nth buf (off + 1)) lsl 8)
+  lor (Char.code (Buffer.nth buf (off + 2)) lsl 16)
+  lor (Char.code (Buffer.nth buf (off + 3)) lsl 24)
+
 let next d =
   match d.failed with
   | Some e -> Error e
   | None ->
     if buffered d < header_bytes then Ok None
     else begin
-      let header = Buffer.to_bytes d.buf in
-      let len = get_u32_le header d.consumed in
-      let crc = get_u32_le header (d.consumed + 4) in
+      let len = buffer_u32_le d.buf d.consumed in
+      let crc = buffer_u32_le d.buf (d.consumed + 4) in
       if len > d.max_len || len < 0 then begin
         d.failed <- Some (Oversized len);
         Error (Oversized len)
       end
       else if buffered d < header_bytes + len then Ok None
       else begin
-        let payload =
-          Bytes.sub_string header (d.consumed + header_bytes) len
-        in
+        let payload = Buffer.sub d.buf (d.consumed + header_bytes) len in
         d.consumed <- d.consumed + header_bytes + len;
         (* Drop the consumed prefix once it dominates the buffer, so a
            long-lived connection doesn't accumulate every past frame. *)

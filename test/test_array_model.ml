@@ -336,13 +336,10 @@ let write_delay_tests =
          (fun (jobs, vwls) ->
            let eager = Lazy.force eager_write_delay in
            let fresh = Array_model.Periphery.characterize ~lib ~cell_flavor:Finfet.Library.Hvt () in
-           let pool = Runtime.Pool.create ~jobs () in
            let vwls = Array.of_list vwls in
            let on_demand =
-             Fun.protect
-               ~finally:(fun () -> Runtime.Pool.shutdown pool)
-               (fun () ->
-                 Runtime.Pool.parmap ~chunk:1 pool
+             with_jobs jobs (fun () ->
+                 Runtime.Pool.parmap ~chunk:1 (Runtime.Pool.default ())
                    (fun vwl -> Array_model.Periphery.write_delay fresh ~vwl)
                    vwls)
            in

@@ -234,13 +234,12 @@ let prop_nsga2_bit_identical_across_jobs =
       let sums =
         List.map
           (fun jobs ->
-            let pool = Runtime.Pool.create ~jobs () in
             let res =
-              Opt.Nsga2.search ~space:Opt.Space.reduced
-                ~pool ~pop:8 ~generations:6 ~seed ~env:env_hvt
-                ~capacity_bits:(1024 * 8) ~method_:Opt.Space.M2 ()
+              with_jobs jobs (fun () ->
+                  Opt.Nsga2.search ~space:Opt.Space.reduced ~pop:8
+                    ~generations:6 ~seed ~env:env_hvt
+                    ~capacity_bits:(1024 * 8) ~method_:Opt.Space.M2 ())
             in
-            Runtime.Pool.shutdown pool;
             Opt.Exhaustive.checksum [ res ])
           [ 1; 2; 4 ]
       in
@@ -256,14 +255,12 @@ let prop_surrogate_bit_identical_across_jobs =
       let sums =
         List.map
           (fun jobs ->
-            let pool = Runtime.Pool.create ~jobs () in
             let res =
-              Opt.Surrogate.search ~space:Opt.Space.reduced
-                ~pool ~seed ~fallback_threshold:0
-                ~env:env_hvt ~capacity_bits:(1024 * 8)
-                ~method_:Opt.Space.M2 ()
+              with_jobs jobs (fun () ->
+                  Opt.Surrogate.search ~space:Opt.Space.reduced ~seed
+                    ~fallback_threshold:0 ~env:env_hvt
+                    ~capacity_bits:(1024 * 8) ~method_:Opt.Space.M2 ())
             in
-            Runtime.Pool.shutdown pool;
             Opt.Exhaustive.checksum [ res ])
           [ 1; 2; 4 ]
       in
@@ -285,19 +282,18 @@ let test_strategy_exhaustive_full_sweep () =
     function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> env_hvt
   in
   let sweep jobs =
-    let pool = Runtime.Pool.create ~jobs () in
+    with_jobs jobs @@ fun () ->
     let results =
       List.concat_map
         (fun capacity_bits ->
           List.map
             (fun (c : Sram_edp.Framework.config) ->
-              Opt.Strategy.run Opt.Strategy.Exhaustive ~pool
+              Opt.Strategy.run Opt.Strategy.Exhaustive
                 ~env:(env_of c.Sram_edp.Framework.flavor) ~capacity_bits
                 ~method_:c.Sram_edp.Framework.method_ ())
             Sram_edp.Framework.all_configs)
         Sram_edp.Framework.paper_capacities
     in
-    Runtime.Pool.shutdown pool;
     Opt.Exhaustive.checksum results
   in
   List.iter
@@ -405,8 +401,9 @@ let test_expired_deadline space () =
   let journal = open_journal false in
   let journaled =
     ran_past "journaled Exhaustive.search" (fun () ->
-        Opt.Exhaustive.search ~space ~levels:levels_hvt ~journal ~deadline
-          ~env:env_hvt ~capacity_bits ~method_ ())
+        with_journal journal (fun () ->
+            Opt.Exhaustive.search ~space ~levels:levels_hvt ~deadline
+              ~env:env_hvt ~capacity_bits ~method_ ()))
   in
   Persist.Checkpoint.close journal;
   let journal = open_journal true in
@@ -421,11 +418,11 @@ let test_expired_deadline space () =
    never expires must leave the search exactly as it is without one:
    the same winner and, at one job, the same counts. *)
 let test_far_deadline_changes_nothing () =
-  let pool = Runtime.Pool.create ~jobs:1 () in
+  with_jobs 1 @@ fun () ->
   List.iter
     (fun (capacity_bits, method_) ->
       let search ?deadline () =
-        Opt.Exhaustive.search ~pool ~levels:levels_hvt ?deadline ~env:env_hvt
+        Opt.Exhaustive.search ~levels:levels_hvt ?deadline ~env:env_hvt
           ~capacity_bits ~method_ ()
       in
       let plain = search () in
@@ -439,8 +436,7 @@ let test_far_deadline_changes_nothing () =
       Alcotest.(check (triple int int int)) "evaluated, pruned, skipped"
         (counts plain) (counts timed))
     [ (1024 * 8, Opt.Space.M2); (4096 * 8, Opt.Space.M1);
-      (16384 * 8, Opt.Space.M2) ];
-  Runtime.Pool.shutdown pool
+      (16384 * 8, Opt.Space.M2) ]
 
 (* A search keeps no front: NSGA-II stages one geometry per line it
    scans and one for the winner it returns. *)
@@ -509,17 +505,16 @@ let prop_strategy_contract =
     ~name:"engines never beat the oracle, are jobs-invariant and journal"
     ~count:20 contract_case_arb (fun (space, objective, method_) ->
       let capacity_bits = 1024 * 8 in
-      let pool1 = Runtime.Pool.create ~jobs:1 () in
-      let pool2 = Runtime.Pool.create ~jobs:2 () in
-      let run pool st =
+      let run jobs st =
+        with_jobs jobs @@ fun () ->
         match st with
         | Opt.Strategy.Surrogate ->
           (* The model path, even on sub-grids below the fallback. *)
-          Opt.Surrogate.search ~space ~objective ~pool ~fallback_threshold:0
+          Opt.Surrogate.search ~space ~objective ~fallback_threshold:0
             ~env:env_hvt ~capacity_bits ~method_ ()
         | st ->
-          Opt.Strategy.run st ~space ~objective ~pool ~env:env_hvt
-            ~capacity_bits ~method_ ()
+          Opt.Strategy.run st ~space ~objective ~env:env_hvt ~capacity_bits
+            ~method_ ()
       in
       let fingerprint (r : Opt.Exhaustive.result) =
         (Opt.Exhaustive.checksum [ r ], r.Opt.Exhaustive.evaluated)
@@ -527,11 +522,11 @@ let prop_strategy_contract =
       let score (r : Opt.Exhaustive.result) =
         r.Opt.Exhaustive.best.Opt.Exhaustive.score
       in
-      let oracle = score (run pool1 Opt.Strategy.Exhaustive) in
+      let oracle = score (run 1 Opt.Strategy.Exhaustive) in
       let check st =
         let name = Opt.Strategy.name st in
         Obs.Search.arm ();
-        let r = run pool1 st in
+        let r = run 1 st in
         let sources =
           List.filter_map
             (fun (e : Obs.Search.event) ->
@@ -550,14 +545,11 @@ let prop_strategy_contract =
           if not (List.mem src sources) then
             QCheck.Test.fail_reportf "%s journaled no incumbent as %S" name
               src;
-          if fingerprint r <> fingerprint (run pool2 st) then
+          if fingerprint r <> fingerprint (run 2 st) then
             QCheck.Test.fail_reportf "%s differs between jobs 1 and 2" name
       in
       Fun.protect
-        ~finally:(fun () ->
-          Obs.Search.disarm ();
-          Runtime.Pool.shutdown pool1;
-          Runtime.Pool.shutdown pool2)
+        ~finally:Obs.Search.disarm
         (fun () -> List.iter check all_strategies);
       true)
 

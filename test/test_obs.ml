@@ -7,16 +7,6 @@
 
 open Testutil
 
-let pool_of =
-  let pools = Hashtbl.create 4 in
-  fun jobs ->
-    match Hashtbl.find_opt pools jobs with
-    | Some p -> p
-    | None ->
-      let p = Runtime.Pool.create ~jobs () in
-      Hashtbl.add pools jobs p;
-      p
-
 (* Fresh registry names per call: [Histogram.create] is get-or-create,
    so property iterations must not share state. *)
 let fresh_name =
@@ -400,8 +390,9 @@ let trace_tests =
         in
         Obs.Trace.start ~detail:`Fine ();
         ignore
-          (Opt.Exhaustive.search ~space:Opt.Space.reduced ~pool:(pool_of 2)
-             ~env ~capacity_bits:(1024 * 8) ~method_:Opt.Space.M2 ());
+          (with_jobs 2 (fun () ->
+               Opt.Exhaustive.search ~space:Opt.Space.reduced ~env
+                 ~capacity_bits:(1024 * 8) ~method_:Opt.Space.M2 ()));
         Obs.Trace.stop ();
         let events = Obs.Trace.events () in
         check_balanced events;
@@ -746,8 +737,9 @@ let determinism_tests =
           Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt ()
         in
         let search jobs =
-          Opt.Exhaustive.search ~space:Opt.Space.reduced ~pool:(pool_of jobs)
-            ~env ~capacity_bits:(1024 * 8) ~method_:Opt.Space.M2 ()
+          with_jobs jobs (fun () ->
+              Opt.Exhaustive.search ~space:Opt.Space.reduced ~env
+                ~capacity_bits:(1024 * 8) ~method_:Opt.Space.M2 ())
         in
         let fingerprint (r : Opt.Exhaustive.result) =
           let b = r.Opt.Exhaustive.best in

@@ -540,9 +540,9 @@ let journal_tests =
             b.Opt.Exhaustive.score
         in
         let search jobs =
-          let pool = Runtime.Pool.create ~jobs () in
-          Opt.Exhaustive.search ~space:Opt.Space.reduced ~pool ~env:env_hvt
-            ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
+          with_jobs jobs (fun () ->
+              Opt.Exhaustive.search ~space:Opt.Space.reduced ~env:env_hvt
+                ~capacity_bits:small_cap ~method_:Opt.Space.M2 ())
         in
         List.iter
           (fun jobs ->

@@ -987,15 +987,12 @@ let cache_tests =
 let env_hvt = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt ()
 let small_cap = 1024 * 8
 
-let sweep ?journal ~pool () =
-  Opt.Exhaustive.search ~space:Opt.Space.reduced ~pool ?journal ~env:env_hvt
+let sweep () =
+  Opt.Exhaustive.search ~space:Opt.Space.reduced ~env:env_hvt
     ~capacity_bits:small_cap ~method_:Opt.Space.M2 ()
 
 let base_checksum =
-  lazy
-    (let pool = Runtime.Pool.create ~jobs:1 () in
-     Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-     Opt.Exhaustive.checksum [ sweep ~pool () ])
+  lazy (with_jobs 1 (fun () -> Opt.Exhaustive.checksum [ sweep () ]))
 
 let open_journal ~path ~resume =
   match Persist.Checkpoint.create ~path ~resume ~checkpoint_every:4 () with
@@ -1009,19 +1006,18 @@ let open_journal ~path ~resume =
 let kill_resume_case jobs =
   slow_case (Printf.sprintf "killed sweep resumes bit-identically (%d jobs)" jobs)
     (fun () ->
-      let pool = Runtime.Pool.create ~jobs () in
-      Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+      with_jobs jobs @@ fun () ->
       let path = fresh (Printf.sprintf "journal_%dj" jobs) in
       (* Uninterrupted journaled run first: same checksum as plain. *)
       let j = open_journal ~path ~resume:false in
-      let full = Opt.Exhaustive.checksum [ sweep ~journal:j ~pool () ] in
+      let full = Opt.Exhaustive.checksum [ with_journal j sweep ] in
       Persist.Checkpoint.close j;
       Alcotest.(check string) "journaled = plain" (Lazy.force base_checksum) full;
       (* Now the crash: fresh journal, die after chunk record 3. *)
       let j = open_journal ~path ~resume:false in
       let died =
         with_faults [ Persist.Faults.Kill 3 ] (fun () ->
-            match sweep ~journal:j ~pool () with
+            match with_journal j sweep with
             | _ -> false
             | exception Persist.Faults.Injected _ -> true)
       in
@@ -1030,7 +1026,7 @@ let kill_resume_case jobs =
       (* Resume: completed chunks replay, the rest recompute. *)
       let j = open_journal ~path ~resume:true in
       Alcotest.(check bool) "chunks replayed" true (Persist.Checkpoint.replayed j > 0);
-      let resumed = Opt.Exhaustive.checksum [ sweep ~journal:j ~pool () ] in
+      let resumed = Opt.Exhaustive.checksum [ with_journal j sweep ] in
       Persist.Checkpoint.close j;
       rm path;
       Alcotest.(check string) "resumed = uninterrupted" (Lazy.force base_checksum)
@@ -1055,11 +1051,10 @@ let prop_journaled_search_is_plain =
     (fun (every, jobs, cap_exp, m2) ->
       let capacity_bits = (128 * 8) lsl cap_exp in
       let method_ = if m2 then Opt.Space.M2 else Opt.Space.M1 in
-      let pool = Runtime.Pool.create ~jobs () in
-      Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-      let search ?journal () =
-        Opt.Exhaustive.search ~space:Opt.Space.reduced ~pool ?journal
-          ~env:env_hvt ~capacity_bits ~method_ ()
+      with_jobs jobs @@ fun () ->
+      let search () =
+        Opt.Exhaustive.search ~space:Opt.Space.reduced ~env:env_hvt
+          ~capacity_bits ~method_ ()
       in
       let path = fresh "chunked" in
       let open_journal resume =
@@ -1069,11 +1064,11 @@ let prop_journaled_search_is_plain =
       in
       let plain = search () in
       let j = open_journal false in
-      let journaled = search ~journal:j () in
+      let journaled = with_journal j search in
       Persist.Checkpoint.close j;
       let j = open_journal true in
       let replayed = Persist.Checkpoint.replayed j in
-      let resumed = search ~journal:j () in
+      let resumed = with_journal j search in
       Persist.Checkpoint.close j;
       rm path;
       let geometries =
@@ -1089,9 +1084,7 @@ let prop_journaled_search_is_plain =
 
 let checkpoint_tests =
   [ case "result codec round-trips the winner bit-exactly" (fun () ->
-        let pool = Runtime.Pool.create ~jobs:1 () in
-        Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-        let r = sweep ~pool () in
+        let r = with_jobs 1 sweep in
         match Opt.Exhaustive.result_of_json (Opt.Exhaustive.result_to_json r) with
         | None -> Alcotest.fail "result codec round-trip failed"
         | Some r' ->
@@ -1111,9 +1104,8 @@ let checkpoint_tests =
         Persist.Checkpoint.close j;
         let j = open_journal ~path ~resume:true in
         Alcotest.(check int) "foreign chunk replayed" 1 (Persist.Checkpoint.replayed j);
-        let pool = Runtime.Pool.create ~jobs:2 () in
-        Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-        let cs = Opt.Exhaustive.checksum [ sweep ~journal:j ~pool () ] in
+        with_jobs 2 @@ fun () ->
+        let cs = Opt.Exhaustive.checksum [ with_journal j sweep ] in
         Persist.Checkpoint.close j;
         rm path;
         Alcotest.(check string) "winner unaffected" (Lazy.force base_checksum) cs);
@@ -1161,10 +1153,9 @@ let checkpoint_tests =
           | j -> j
         in
         let path = fresh "undecodable" in
-        let pool = Runtime.Pool.create ~jobs:1 () in
-        Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+        with_jobs 1 @@ fun () ->
         let j = open_journal ~path ~resume:false in
-        ignore (sweep ~journal:j ~pool ());
+        ignore (with_journal j sweep);
         Persist.Checkpoint.close j;
         (match Persist.Record_log.read ~path with
         | Error e -> Alcotest.fail e
@@ -1174,7 +1165,7 @@ let checkpoint_tests =
         let j = open_journal ~path ~resume:true in
         Alcotest.(check bool) "mangled chunks replayed" true
           (Persist.Checkpoint.replayed j > 0);
-        let cs = Opt.Exhaustive.checksum [ sweep ~journal:j ~pool () ] in
+        let cs = Opt.Exhaustive.checksum [ with_journal j sweep ] in
         Persist.Checkpoint.close j;
         rm path;
         Alcotest.(check string) "winner recomputed identically"
@@ -1193,11 +1184,11 @@ let checkpoint_tests =
           | Ok j -> j
           | Error msg -> Alcotest.failf "checkpoint %s: %s" path msg
         in
-        let pool = Runtime.Pool.create ~jobs:1 () in
-        Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+        with_jobs 1 @@ fun () ->
         ignore
-          (Opt.Exhaustive.search ~pool ~journal:j ~env:env_hvt ~capacity_bits:small_cap
-             ~method_:Opt.Space.M2 ());
+          (with_journal j (fun () ->
+               Opt.Exhaustive.search ~env:env_hvt ~capacity_bits:small_cap
+                 ~method_:Opt.Space.M2 ()));
         Persist.Checkpoint.close j;
         let tasks =
           List.sort_uniq compare
@@ -1212,10 +1203,9 @@ let checkpoint_tests =
            whose chunks also carry the incumbent and the chunk's index
            range, as older builds wrote them, replays every chunk. *)
         let path = fresh "best_alone" in
-        let pool = Runtime.Pool.create ~jobs:1 () in
-        Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+        with_jobs 1 @@ fun () ->
         let j = open_journal ~path ~resume:false in
-        ignore (sweep ~journal:j ~pool ());
+        ignore (with_journal j sweep);
         Persist.Checkpoint.close j;
         let records = (read_ok path).records in
         List.iter
@@ -1242,7 +1232,7 @@ let checkpoint_tests =
           (List.map widen records);
         let j = open_journal ~path ~resume:true in
         let replayed = Persist.Checkpoint.replayed j in
-        let r = sweep ~journal:j ~pool () in
+        let r = with_journal j sweep in
         Persist.Checkpoint.close j;
         rm path;
         Alcotest.(check int) "every chunk replayed" (List.length records) replayed;

@@ -632,20 +632,19 @@ let test_full_sweep_deterministic () =
     function Finfet.Library.Lvt -> lvt | Finfet.Library.Hvt -> hvt
   in
   let sweep jobs =
-    let pool = Runtime.Pool.create ~jobs () in
+    Testutil.with_jobs jobs @@ fun () ->
     let results =
       List.concat_map
         (fun capacity_bits ->
           List.map
             (fun (c : Sram_edp.Framework.config) ->
-              Opt.Exhaustive.search ~kernel:`Staged ~pool
+              Opt.Exhaustive.search ~kernel:`Staged
                 ~levels:(levels_of c.Sram_edp.Framework.flavor)
                 ~env:(env_of c.Sram_edp.Framework.flavor) ~capacity_bits
                 ~method_:c.Sram_edp.Framework.method_ ())
             Sram_edp.Framework.all_configs)
         Sram_edp.Framework.paper_capacities
     in
-    Runtime.Pool.shutdown pool;
     Opt.Exhaustive.checksum results
   in
   List.iter
@@ -700,17 +699,18 @@ let test_scan_allocation_free () =
    words per geometry. *)
 let test_pruned_search_allocates_little () =
   let capacity_bits = 1024 * 8 in
-  let pool = Runtime.Pool.create ~jobs:1 () in
   let levels = Opt.Yield.solve ~flavor:Finfet.Library.Hvt () in
   let search () =
-    Opt.Exhaustive.search ~pool ~levels ~objective:Opt.Objective.Delay_only
+    Opt.Exhaustive.search ~levels ~objective:Opt.Objective.Delay_only
       ~env:env_hvt ~capacity_bits ~method_:Opt.Space.M2 ()
   in
-  ignore (search ());
-  let w0 = Gc.minor_words () in
-  ignore (Sys.opaque_identity (search ()));
-  let words = Gc.minor_words () -. w0 in
-  Runtime.Pool.shutdown pool;
+  let words =
+    Testutil.with_jobs 1 @@ fun () ->
+    ignore (search ());
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (search ()));
+    Gc.minor_words () -. w0
+  in
   let geometries =
     List.length (Opt.Space.candidate_geometries Opt.Space.default ~capacity_bits)
   in

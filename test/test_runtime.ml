@@ -6,17 +6,8 @@
 
 open Testutil
 
-(* Shared pools so the suite spawns a handful of domains total instead
-   of churning one pool per case. *)
-let pool_of =
-  let pools = Hashtbl.create 4 in
-  fun jobs ->
-    match Hashtbl.find_opt pools jobs with
-    | Some p -> p
-    | None ->
-      let p = Runtime.Pool.create ~jobs () in
-      Hashtbl.add pools jobs p;
-      p
+(* [f] on the process-wide pool at [jobs] workers. *)
+let on_pool jobs f = with_jobs jobs (fun () -> f (Runtime.Pool.default ()))
 
 (* ----- Pool ----- *)
 
@@ -30,30 +21,30 @@ let pool_tests =
             Alcotest.(check (array int))
               (Printf.sprintf "jobs=%d" jobs)
               expected
-              (Runtime.Pool.parmap (pool_of jobs) f arr))
+              (on_pool jobs (fun p -> Runtime.Pool.parmap p f arr)))
           [ 1; 2; 3; 4 ]);
     case "parmap handles empty and singleton inputs" (fun () ->
-        let p = pool_of 3 in
+        on_pool 3 @@ fun p ->
         Alcotest.(check (array int)) "empty" [||]
           (Runtime.Pool.parmap p (fun x -> x) [||]);
         Alcotest.(check (array int)) "singleton" [| 42 |]
           (Runtime.Pool.parmap p (fun x -> x + 41) [| 1 |]));
     case "exceptions propagate to the caller" (fun () ->
-        let p = pool_of 3 in
+        on_pool 3 @@ fun p ->
         Alcotest.check_raises "raises" (Failure "boom") (fun () ->
             ignore
               (Runtime.Pool.parmap ~chunk:1 p
                  (fun i -> if i = 5 then failwith "boom" else i)
                  (Array.init 16 (fun i -> i)))));
     case "shutdown degrades to inline execution" (fun () ->
-        let p = Runtime.Pool.create ~jobs:3 () in
-        Runtime.Pool.shutdown p;
+        (* Setting the job count back joins the 3-job pool's workers;
+           a handle to it runs everything inline from then on. *)
+        let p = on_pool 3 Fun.id in
         Alcotest.(check (array int)) "still works" [| 2; 3; 4 |]
           (Runtime.Pool.parmap p succ [| 1; 2; 3 |]);
         let caller = (Domain.self () :> int) in
         Alcotest.(check (array int)) "on the caller's domain" (Array.make 8 caller)
-          (Runtime.Pool.parmap ~chunk:1 p (fun _ -> (Domain.self () :> int)) (Array.make 8 0));
-        Runtime.Pool.shutdown p (* idempotent *)) ]
+          (Runtime.Pool.parmap ~chunk:1 p (fun _ -> (Domain.self () :> int)) (Array.make 8 0))) ]
 
 (* ----- Memo ----- *)
 
@@ -188,12 +179,13 @@ let candidate_equal (a : Opt.Exhaustive.candidate) (b : Opt.Exhaustive.candidate
 let search_determinism_tests =
   let env = Array_model.Array_eval.make_env ~cell_flavor:Finfet.Library.Hvt () in
   let check_capacity capacity_bits method_ =
-    let run pool =
-      Opt.Exhaustive.search_all ~space:Opt.Space.reduced ~pool ~env
-        ~capacity_bits ~method_ ()
+    let run jobs =
+      with_jobs jobs (fun () ->
+          Opt.Exhaustive.search_all ~space:Opt.Space.reduced ~env ~capacity_bits
+            ~method_ ())
     in
-    let seq_result, seq_all = run (pool_of 1) in
-    let par_result, par_all = run (pool_of 3) in
+    let seq_result, seq_all = run 1 in
+    let par_result, par_all = run 3 in
     let label = Printf.sprintf "%db %s" capacity_bits (Opt.Space.method_name method_) in
     Alcotest.(check int)
       (label ^ ": evaluated") seq_result.Opt.Exhaustive.evaluated
@@ -212,14 +204,15 @@ let search_determinism_tests =
      skipped depends on publication timing), but never the winner: the
      selected design must stay bit-identical across job counts. *)
   let check_pruned_winner capacity_bits method_ =
-    let run pool =
-      Opt.Exhaustive.search ~space:Opt.Space.reduced ~pool ~env ~capacity_bits
-        ~method_ ()
+    let run jobs =
+      with_jobs jobs (fun () ->
+          Opt.Exhaustive.search ~space:Opt.Space.reduced ~env ~capacity_bits
+            ~method_ ())
     in
-    let seq = run (pool_of 1) in
+    let seq = run 1 in
     List.iter
       (fun jobs ->
-        let par = run (pool_of jobs) in
+        let par = run jobs in
         Alcotest.(check bool)
           (Printf.sprintf "%db %s: winner at jobs=%d" capacity_bits
              (Opt.Space.method_name method_) jobs)
@@ -281,7 +274,7 @@ let prop_parmap_matches_map =
     (fun (l, chunk, jobs) ->
       let f x = (3 * x) - 7 in
       let arr = Array.of_list l in
-      let got = Runtime.Pool.parmap ~chunk (pool_of jobs) f arr in
+      let got = on_pool jobs (fun p -> Runtime.Pool.parmap ~chunk p f arr) in
       Array.to_list got = List.map f l)
 
 let property_tests = [ to_alco prop_parmap_matches_map ]

@@ -192,7 +192,34 @@ let frame_tests =
            with
            | whole, split -> whole = split
            | exception e ->
-             QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e)))
+             QCheck.Test.fail_reportf "decoder raised %s" (Printexc.to_string e)));
+    case "a 4 MiB frame in 64 KiB pieces allocates < 6x its size" (fun () ->
+        (* The server pops after every read that drains, so a frame
+           copied whole on each [next] costs its size once per piece. *)
+        let payload = String.init (F.max_frame_default - 8) (fun i -> Char.chr (i land 0xff)) in
+        let wire = Bytes.create F.max_frame_default in
+        Bytes.set_int32_le wire 0 (Int32.of_int (String.length payload));
+        Bytes.set_int32_le wire 4 (Int32.of_int (Persist.Crc32.string payload));
+        Bytes.blit_string payload 0 wire 8 (String.length payload);
+        let piece = Bytes.create 65536 in
+        let d = F.decoder () in
+        let got = ref None in
+        let a0 = Gc.allocated_bytes () in
+        let off = ref 0 in
+        while !off < Bytes.length wire do
+          let n = min (Bytes.length piece) (Bytes.length wire - !off) in
+          Bytes.blit wire !off piece 0 n;
+          F.feed d piece n;
+          off := !off + n;
+          match F.next d with
+          | Ok (Some p) -> got := Some p
+          | Ok None -> ()
+          | Error e -> Alcotest.failf "decoder: %s" (F.error_to_string e)
+        done;
+        let ratio = (Gc.allocated_bytes () -. a0) /. float_of_int (Bytes.length wire) in
+        Alcotest.(check bool) "payload decoded" true (!got = Some payload);
+        if ratio >= 6.0 then
+          Alcotest.failf "decoding allocated %.1fx the frame's size (want < 6x)" ratio)
   ]
 
 (* ----- protocol codecs (QCheck) ----- *)
@@ -1072,8 +1099,40 @@ let server_tests =
           (match Unix.waitpid [] pid with
           | _, Unix.WEXITED 0 -> ()
           | _ -> Alcotest.fail "server exited abnormally");
-          Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path))
-  ]
+          Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path));
+    case "every engine answers a 1 ms deadline with deadline" (fun () ->
+        (* 64,000 geometries x 241 V_SSC values at 16KB: uncancelled,
+           the quickest engine (annealing) takes ~6 ms, the others
+           12 ms to 2 s. *)
+        let space =
+          { P.no_override with
+            P.vssc = Some (Array.init 241 (fun i -> -0.001 *. float_of_int i));
+            n_pre = Some (Array.init 256 (fun i -> i + 1));
+            n_wr = Some (Array.init 25 (fun i -> i + 1)) }
+        in
+        let expired = Runtime.Telemetry.counter "serve.deadline_expired" in
+        with_inprocess_server (fun path ->
+            let c = get (Serve.Client.connect ~socket_path:path ()) in
+            Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () ->
+                let before = Runtime.Telemetry.value expired in
+                List.iter
+                  (fun strategy ->
+                    let q =
+                      { P.default_query with
+                        P.capacity_bits = 16 * 1024 * 8; strategy; space }
+                    in
+                    match Serve.Client.call ~deadline_ms:1.0 c (P.Optimize q) with
+                    | Ok { P.body = Error (P.Deadline, _); _ } -> ()
+                    | Ok { P.body = Error (code, msg); _ } ->
+                      Alcotest.failf "%s answered %s: %s" (Opt.Strategy.name strategy)
+                        (P.error_code_to_string code) msg
+                    | Ok _ ->
+                      Alcotest.failf "%s finished inside 1 ms" (Opt.Strategy.name strategy)
+                    | Error e -> Alcotest.failf "%s: %s" (Opt.Strategy.name strategy) e)
+                  Opt.Strategy.[ Exhaustive; Local_search; Anneal; Nsga2; Surrogate ];
+                Alcotest.(check int) "serve.deadline_expired rose by one per engine" 5
+                  (Runtime.Telemetry.value expired - before);
+                ignore (get (Serve.Client.optimize c reduced_query))))) ]
 
 (* ----- observability: trace ids, metrics, flight dumps ----- *)
 

@@ -60,6 +60,14 @@ let pvt_box =
 
 let capture_stdout = Golden_gen.capture_stdout
 
+let with_jobs jobs f =
+  Runtime.Pool.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> Runtime.Pool.set_default_jobs 1) f
+
+let with_journal j f =
+  Persist.Checkpoint.set_default (Some j);
+  Fun.protect ~finally:(fun () -> Persist.Checkpoint.set_default None) f
+
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
 

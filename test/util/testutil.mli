@@ -25,6 +25,14 @@ val pvt_box :
 val capture_stdout : (unit -> unit) -> string
 (** What [f] prints on stdout (through a temporary file). *)
 
+val with_jobs : int -> (unit -> 'a) -> 'a
+(** [f ()] with the process-wide pool at [jobs] workers; back at one
+    job when it returns or raises. *)
+
+val with_journal : Persist.Checkpoint.t -> (unit -> 'a) -> 'a
+(** [f ()] with [j] as the process-wide checkpoint journal; back at
+    none when it returns or raises. *)
+
 val case : string -> (unit -> unit) -> unit Alcotest.test_case
 (** Quick test case shorthand. *)
 
